@@ -70,10 +70,6 @@ def mat3_tr(f, A):
     return f.add(f.add(A[0][0], A[1][1]), A[2][2])
 
 
-def mat3_transpose(A):
-    return tuple(tuple(A[j][i] for j in range(3)) for i in range(3))
-
-
 def mat3_identity(f):
     one, zero = f.one(), f.zero()
     return ((one, zero, zero), (zero, one, zero), (zero, zero, one))
@@ -649,9 +645,6 @@ class AlbertElem:
         f = self.algebra.field
         c = f.from_int(c) if isinstance(c, int) else c
         return AlbertElem(self.algebra, tuple(f.mul(c, a) for a in self.coords))
-
-    def is_zero(self):
-        return not any(self.coords)
 
     @property
     def xi(self):

@@ -49,13 +49,6 @@ class BrownAlgebra:
             raise ValueError("j and l need 27 coordinates each")
         return BrownElem(self, (conv(alpha), conv(beta)) + jc + lc)
 
-    def from_coords(self, coords) -> "BrownElem":
-        f = self.field
-        coords = tuple(f.from_int(v) if isinstance(v, int) else v for v in coords)
-        if len(coords) != BDIM:
-            raise ValueError("need 56 coordinates")
-        return BrownElem(self, coords)
-
     def unit(self) -> "BrownElem":
         z = self.jalg.zero()
         return self.element(1, 1, z, z)

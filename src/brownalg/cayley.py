@@ -222,9 +222,6 @@ class CDAlgebra:
         """Matrix of y -> x y."""
         return self.table.left_matrix(x, self.field)
 
-    def scalar_mul_raw(self, c, x):
-        return tuple(self.field.mul(c, v) for v in x)
-
     # -- base quaternion subalgebra -----------------------------------------
 
     def base_algebra(self) -> "CDAlgebra":
@@ -255,9 +252,6 @@ class CompElem:
     algebra: CDAlgebra
     coords: tuple
 
-    def scalar_coords(self):
-        return tuple(Scalar(c, self.algebra.field) for c in self.coords)
-
     def __add__(self, other):
         self._check(other)
         f = self.algebra.field
@@ -284,9 +278,6 @@ class CompElem:
     def _check(self, other):
         if not isinstance(other, CompElem) or other.algebra != self.algebra:
             raise AlgebraMismatch("elements of different composition algebras")
-
-    def is_zero(self):
-        return not any(self.coords)
 
     def to_json(self) -> str:
         f = self.algebra.field

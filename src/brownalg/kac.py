@@ -5,14 +5,15 @@ sum n_i s_i = m over nonnegative integers label order-m automorphisms, and
 the zero-coordinate nodes span the residual centralizer diagram.
 
 The twisted mode keeps 7-tuples constrained by the fold (s1 = s6, s2 = s5)
-and computes residuals on the 5-node folded diagram
+and computes residuals on the folded diagram, derived from the folding pairs:
+its nodes are the orbits, and for E6 it is the 5-node diagram
 rho_0 - rho_4 - rho_3 <= rho_25 - rho_16 (double edge pointing at rho_3).
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import gcd
 
 from .errors import UnrecognizedType
@@ -35,15 +36,62 @@ class MarkedAffineDiagram:
     marks: tuple
     edges: tuple
     folding: tuple = ()  # pairs of identified nodes
-    folded_nodes: tuple = ()  # groups, in display order
-    folded_edges: tuple = ()
+    # derived from the folding: orbits in order of least node, and the edges
+    # between them as indices into folded_nodes
+    folded_nodes: tuple = field(init=False, repr=False, compare=False)
+    folded_edges: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        n = len(self.marks)
+        for e in self.edges:
+            if not (0 <= e.a < n and 0 <= e.b < n):
+                raise ValueError(f"edge ({e.a}, {e.b}) has a node index outside 0..{n - 1}")
+        for pair in self.folding:
+            if len(pair) != 2 or not all(isinstance(i, int) and 0 <= i < n for i in pair):
+                raise ValueError(f"folding pair {pair!r} is not two node indices below {n}")
+            a, b = pair
+            if self.marks[a] != self.marks[b]:
+                raise ValueError(f"folding pair {pair!r} joins nodes of different marks")
+        if self.folding and any(e.mult != 1 for e in self.edges):
+            raise ValueError("only a simply-laced diagram can be folded")
+        nodes = _orbits(n, self.folding)
+        object.__setattr__(self, "folded_nodes", nodes)
+        object.__setattr__(self, "folded_edges", _quotient_edges(nodes, self.edges))
 
     @property
     def n_nodes(self) -> int:
         return len(self.marks)
 
-    def node_label(self, i: int) -> str:
-        return f"rho{i}"
+
+def _orbits(n: int, pairs) -> tuple:
+    orbit = {i: {i} for i in range(n)}
+    for a, b in pairs:
+        if orbit[a] is not orbit[b]:
+            merged = orbit[a] | orbit[b]
+            for i in merged:
+                orbit[i] = merged
+    return tuple(sorted({tuple(sorted(o)) for o in orbit.values()}))
+
+
+def _quotient_edges(nodes, edges) -> tuple:
+    """Edges between orbits: the multiplicity is the number of original edges
+    divided by the size of the smaller orbit, and a multiple edge points at
+    the smaller orbit."""
+    where = {i: g for g, group in enumerate(nodes) for i in group}
+    count = {}
+    for e in edges:
+        ga, gb = sorted((where[e.a], where[e.b]))
+        if ga == gb:
+            raise ValueError(f"folding identifies the adjacent nodes {e.a} and {e.b}")
+        count[ga, gb] = count.get((ga, gb), 0) + 1
+    out = []
+    for (ga, gb), k in sorted(count.items()):
+        small = min((ga, gb), key=lambda g: len(nodes[g]))
+        mult, rem = divmod(k, len(nodes[small]))
+        if rem:
+            raise ValueError("the folding is not a symmetry of the diagram's edges")
+        out.append(Edge(ga, gb, mult, small if mult > 1 else None))
+    return tuple(out)
 
 
 E6_EXTENDED = MarkedAffineDiagram(
@@ -64,13 +112,6 @@ E6_TWISTED = MarkedAffineDiagram(
     marks=E6_EXTENDED.marks,
     edges=E6_EXTENDED.edges,
     folding=((1, 6), (2, 5)),
-    folded_nodes=((0,), (4,), (3,), (2, 5), (1, 6)),
-    folded_edges=(
-        Edge(0, 1),  # indices into folded_nodes
-        Edge(1, 2),
-        Edge(2, 3, mult=2, tip=2),
-        Edge(3, 4),
-    ),
 )
 
 BUILTIN = {"e6~": E6_EXTENDED, "e6~2": E6_TWISTED}

@@ -1,57 +1,30 @@
-"""Backend selection for the mod-p hot kernels, plus the structure-constant
-table type shared by every algebra in the tower.
+"""The structure-constant table type shared by every algebra in the tower.
 
-The compiled extension is optional; `BACKEND` records which twin is active.
-Generic (Fraction) arithmetic always runs the pure path, grouped by the first
-index so sparse inputs cost proportionally less.
+`MulTable.apply` is the one bilinear-product kernel for both fields: the
+entries are grouped by their first index and zero coordinates of either
+operand are skipped, so sparse inputs cost proportionally less.  Over F_p
+the accumulated integers are reduced mod p once, at the end.
 """
 
 from __future__ import annotations
 
-import os
-
 from .fields import PRIME, FieldSpec
 
-if os.environ.get("BROWNALG_PURE") == "1":
-    from . import _modkernel_py as _mod
-
-    BACKEND = "pure"
-else:
-    try:
-        from . import _modkernel as _mod
-
-        BACKEND = "compiled"
-    except ImportError:  # pragma: no cover - depends on build environment
-        from . import _modkernel_py as _mod
-
-        BACKEND = "pure"
-
-mod_bilinear_apply = _mod.bilinear_apply
-mod_mat_mul = _mod.mat_mul
-mod_mat_vec = _mod.mat_vec
-mod_rref = _mod.rref
+# There is a single pure-Python implementation of every kernel.  The name is
+# kept because `brownalg.BACKEND` and the benchmark harness report it.
+BACKEND = "pure"
 
 
 class MulTable:
     """Sparse bilinear map V x V -> V given by entries (i, j, k, coeff):
     out_k = sum coeff * x_i * y_j."""
 
-    __slots__ = ("n", "entries", "_arrays", "_by_i")
+    __slots__ = ("n", "entries", "_by_i")
 
     def __init__(self, n: int, entries):
         self.n = n
         self.entries = tuple(entries)
-        self._arrays = None
         self._by_i = None
-
-    def _mod_arrays(self):
-        if self._arrays is None:
-            ti = [e[0] for e in self.entries]
-            tj = [e[1] for e in self.entries]
-            tk = [e[2] for e in self.entries]
-            tc = [e[3] for e in self.entries]
-            self._arrays = (ti, tj, tk, tc)
-        return self._arrays
 
     def _grouped(self):
         if self._by_i is None:
@@ -62,9 +35,6 @@ class MulTable:
         return self._by_i
 
     def apply(self, x, y, field: FieldSpec):
-        if field.kind == PRIME:
-            ti, tj, tk, tc = self._mod_arrays()
-            return mod_bilinear_apply(ti, tj, tk, tc, x, y, self.n, field.p)
         out = [field.zero()] * self.n
         for i, row in enumerate(self._grouped()):
             xv = x[i]
@@ -73,6 +43,9 @@ class MulTable:
                     yv = y[j]
                     if yv:
                         out[k] += c * xv * yv
+        if field.kind == PRIME:
+            p = field.p
+            return tuple(v % p for v in out)
         return tuple(out)
 
     def left_matrix(self, x, field: FieldSpec):

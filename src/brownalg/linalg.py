@@ -1,14 +1,16 @@
 """Exact linear algebra over Q and F_p.
 
-Matrices are tuples of row tuples of raw field values.  Prime-field paths are
-routed through the selected kernel backend; rational paths run the generic
-Fraction code.
+Matrices are tuples of row tuples of raw field values: `Fraction` over Q,
+`int` in [0, p) over F_p.  Each operation has one implementation for both
+fields.  `mat_mul`, `mat_vec` and the row operations of `rref` skip zero
+entries, so the sparse near-permutation maps of the involution catalog cost
+proportionally less.  Over F_p the products reduce each output entry mod p
+once, at the end, and `rref` reduces inline after each row operation.
 """
 
 from __future__ import annotations
 
 from .fields import PRIME, FieldSpec
-from .kernels import mod_mat_mul, mod_mat_vec, mod_rref
 
 
 def identity(n: int, field: FieldSpec):
@@ -18,51 +20,49 @@ def identity(n: int, field: FieldSpec):
     )
 
 
-def zero_matrix(m: int, n: int, field: FieldSpec):
-    zero = field.zero()
-    return tuple(tuple(zero for _ in range(n)) for _ in range(m))
-
-
 def transpose(a):
     return tuple(zip(*a))
 
 
 def mat_mul(a, b, field: FieldSpec):
+    """Row i of a b is the combination of the rows b[k] weighted by the
+    nonzero a[i][k]."""
+    zero = field.zero()
+    n = len(b[0]) if b else 0
+    out = []
+    for row in a:
+        acc = [zero] * n
+        for aik, bk in zip(row, b):
+            if aik:
+                acc = [s + aik * x if x else s for s, x in zip(acc, bk)]
+        out.append(acc)
     if field.kind == PRIME:
-        return mod_mat_mul(a, b, field.p)
-    bt = tuple(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
+        p = field.p
+        return tuple(tuple(s % p for s in acc) for acc in out)
+    return tuple(tuple(acc) for acc in out)
 
 
 def mat_vec(a, v, field: FieldSpec):
+    """a v, reading only the columns where v is nonzero."""
+    nz = [(k, x) for k, x in enumerate(v) if x]
+    zero = field.zero()
+    out = []
+    for row in a:
+        acc = zero
+        for k, x in nz:
+            r = row[k]
+            if r:
+                acc += r * x
+        out.append(acc)
     if field.kind == PRIME:
-        return mod_mat_vec(a, v, field.p)
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
-
-
-def vec_add(u, v, field: FieldSpec):
-    return tuple(field.add(a, b) for a, b in zip(u, v))
-
-def vec_sub(u, v, field: FieldSpec):
-    return tuple(field.sub(a, b) for a, b in zip(u, v))
-
-def vec_scale(c, v, field: FieldSpec):
-    return tuple(field.mul(c, a) for a in v)
-
-def vec_dot(u, v, field: FieldSpec):
-    acc = field.zero()
-    for a, b in zip(u, v):
-        if a and b:
-            acc = field.add(acc, field.mul(a, b))
-    return acc
+        p = field.p
+        return tuple(s % p for s in out)
+    return tuple(out)
 
 
 def rref(a, field: FieldSpec):
     """Reduced row echelon form; returns (rows, pivot_columns)."""
-    if field.kind == PRIME:
-        return mod_rref(a, field.p)
+    p = field.p if field.kind == PRIME else None
     rows = [list(r) for r in a]
     m = len(rows)
     n = len(rows[0]) if m else 0
@@ -74,12 +74,18 @@ def rref(a, field: FieldSpec):
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
         inv = field.inv(rows[r][c])
-        rows[r] = [v * inv for v in rows[r]]
+        if p is None:
+            rows[r] = [v * inv for v in rows[r]]
+        else:
+            rows[r] = [v * inv % p for v in rows[r]]
+        rr = rows[r]
         for i in range(m):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rr = rows[r]
-                rows[i] = [vi - f * vr for vi, vr in zip(rows[i], rr)]
+            f = rows[i][c]
+            if i != r and f:
+                if p is None:
+                    rows[i] = [vi - f * vr if vr else vi for vi, vr in zip(rows[i], rr)]
+                else:
+                    rows[i] = [(vi - f * vr) % p if vr else vi for vi, vr in zip(rows[i], rr)]
         pivots.append(c)
         r += 1
         if r == m:
@@ -158,15 +164,3 @@ def same_span(vecs_a, vecs_b, field: FieldSpec) -> bool:
     ra, pa = row_space_rref(vecs_a, field) if vecs_a else ((), ())
     rb, pb = row_space_rref(vecs_b, field) if vecs_b else ((), ())
     return ra == rb
-
-
-def mat_pow(a, k: int, field: FieldSpec):
-    n = len(a)
-    out = identity(n, field)
-    base = a
-    while k:
-        if k & 1:
-            out = mat_mul(out, base, field)
-        base = mat_mul(base, base, field)
-        k >>= 1
-    return out

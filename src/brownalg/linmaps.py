@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from .errors import (
     CarrierMismatch,
     NotNormPreserving,
-    NotOrderTwo,
     SingularGram,
 )
 from .fields import RATIONALS, FieldSpec
@@ -91,10 +90,6 @@ class LinMap:
     def order_divides_two(self) -> bool:
         return self.compose(self).is_identity()
 
-    def require_order_two(self, name: str = "map"):
-        if self.is_identity() or not self.order_divides_two():
-            raise NotOrderTwo(f"{name} does not have order exactly 2")
-
     def fixed_space(self):
         """Basis of ker(self - id)."""
         f = self.field
@@ -127,10 +122,6 @@ def from_columns(cols, field: FieldSpec, carrier: str, basis_tag: str) -> LinMap
         carrier,
         basis_tag,
     )
-
-
-def albert_map(algebra, matrix) -> LinMap:
-    return LinMap(matrix, algebra.field, ALBERT, algebra.basis_tag)
 
 
 def _require_albert(phi: LinMap, algebra):

@@ -493,24 +493,20 @@ SUITES = {
 
 
 def run_suite(name: str, field: FieldSpec, seed: int, samples: int):
-    """Run one suite (or 'all'); returns a list of CheckResult."""
-    if name == "all":
-        out = []
-        for sub in ("composition", "albert", "brown", "involutions"):
-            out.extend(run_suite(sub, field, seed, samples))
-        return out
-    checks = SUITES.get(name)
-    if checks is None:
+    """Run one suite, or 'all' of them in order on one shared context (one
+    Catalog); returns a list of CheckResult."""
+    if name != "all" and name not in SUITES:
         raise ValueError(f"unknown suite {name!r}")
     ctx = Ctx(field, seed, samples)
     results = []
-    for label, fn in checks:
-        try:
-            fn(ctx)
-        except CheckFailure as exc:
-            results.append(CheckResult(name, label, False, str(exc)))
-        except AlgebraError as exc:
-            results.append(CheckResult(name, label, False, f"{type(exc).__name__}: {exc}"))
-        else:
-            results.append(CheckResult(name, label, True))
+    for suite in SUITES if name == "all" else (name,):
+        for label, fn in SUITES[suite]:
+            try:
+                fn(ctx)
+            except CheckFailure as exc:
+                results.append(CheckResult(suite, label, False, str(exc)))
+            except AlgebraError as exc:
+                results.append(CheckResult(suite, label, False, f"{type(exc).__name__}: {exc}"))
+            else:
+                results.append(CheckResult(suite, label, True))
     return results

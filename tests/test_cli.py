@@ -1,5 +1,4 @@
 import json
-import os
 import subprocess
 import sys
 
@@ -112,6 +111,14 @@ def test_kac_bad_diagram_exits_2(capsys):
     assert code == 2
 
 
+def test_kac_bad_folding_exits_2(capsys, tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text('{"marks": [1, 1, 2], "edges": [[0, 1], [1, 2]], "folding": [[0, 2]]}')
+    code, out, err = run(capsys, "kac", str(path), "2", "--folded")
+    assert code == 2
+    assert "marks" in err
+
+
 def test_classify_r_e6(capsys):
     code, out, err = run(capsys, "classify", "R", "E6")
     assert code == 0
@@ -144,20 +151,18 @@ def test_classify_bad_field_exits_2(capsys):
     assert code == 2
 
 
-def test_pure_backend_smoke():
-    """The pure-Python kernel twin drives the same CLI paths (fallback path)."""
-    env = dict(os.environ)
-    env["BROWNALG_PURE"] = "1"
+def test_module_entry_point_smoke():
+    """`python -m brownalg.cli` runs the verify and fixed commands end to end."""
     out = subprocess.run(
         [sys.executable, "-m", "brownalg.cli", "verify", "composition",
          "--field", "Fp:7", "--samples", "25"],
-        capture_output=True, text=True, env=env,
+        capture_output=True, text=True,
     )
     assert out.returncode == 0, out.stderr
     assert "FAIL" not in out.stdout
     out2 = subprocess.run(
         [sys.executable, "-m", "brownalg.cli", "fixed", "varpi", "B"],
-        capture_output=True, text=True, env=env,
+        capture_output=True, text=True,
     )
     assert out2.returncode == 0
     assert "dimension: 28" in out2.stdout

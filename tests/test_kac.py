@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import pytest
 
@@ -150,3 +151,45 @@ def test_diagram_file_loader(tmp_path):
     d = load_diagram(str(path))
     sols = enumerate_solutions(d, 2, gcd_filter=False)
     assert {s.s for s in sols} == {(2, 0, 0), (0, 1, 0), (1, 0, 1), (0, 0, 2)}
+
+
+def test_folded_diagram_derived_from_folding():
+    """The orbits of (1,6), (2,5) and their edges: rho_0 - rho_4 - rho_3 <=
+    rho_25 - rho_16, the double edge pointing at rho_3."""
+    d = E6_TWISTED
+    assert d.folded_nodes == ((0,), (1, 6), (2, 5), (3,), (4,))
+    assert set(d.folded_edges) == {
+        Edge(0, 4), Edge(1, 2), Edge(2, 3, mult=2, tip=3), Edge(3, 4)
+    }
+
+
+def test_json_copy_of_twisted_diagram_matches_builtin(tmp_path):
+    path = tmp_path / "e6t.json"
+    path.write_text(json.dumps({
+        "marks": list(E6_TWISTED.marks),
+        "edges": [[e.a, e.b] for e in E6_TWISTED.edges],
+        "folding": [list(p) for p in E6_TWISTED.folding],
+    }))
+    d = load_diagram(str(path))
+    assert d.folded_nodes == E6_TWISTED.folded_nodes
+    assert d.folded_edges == E6_TWISTED.folded_edges
+    for m in range(1, 7):
+        for g in (True, False):
+            assert enumerate_solutions(d, m, gcd_filter=g, folded=True) == \
+                enumerate_solutions(E6_TWISTED, m, gcd_filter=g, folded=True)
+    by_s = {s.s: s.residual_str for s in enumerate_solutions(d, 2, folded=True)}
+    assert sorted(by_s.values()) == ["A1 x B3", "C4", "F4"]
+
+
+@pytest.mark.parametrize("marks, edges, folding", [
+    (E6_EXTENDED.marks, E6_EXTENDED.edges, ((1, 2),)),  # unequal marks
+    (E6_EXTENDED.marks, E6_EXTENDED.edges, ((1, 7),)),  # index out of range
+    (E6_EXTENDED.marks, E6_EXTENDED.edges, ((1,),)),  # not a pair
+    (E6_EXTENDED.marks, E6_EXTENDED.edges, ((1, 6), (2, 4))),  # not a symmetry
+    ((1, 1, 1), (Edge(0, 1), Edge(1, 2)), ((0, 1),)),  # joins adjacent nodes
+    ((1, 1, 1), (Edge(0, 1, mult=2, tip=0), Edge(1, 2)), ((0, 2),)),  # not simply laced
+    ((1, 1), (Edge(0, 2),), ()),  # edge index out of range
+])
+def test_malformed_diagram_raises_value_error(marks, edges, folding):
+    with pytest.raises(ValueError):
+        MarkedAffineDiagram("x", marks, edges, folding)

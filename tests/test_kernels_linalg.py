@@ -1,7 +1,8 @@
 import random
 from fractions import Fraction
 
-from brownalg import _modkernel_py, kernels, linalg
+from brownalg import linalg
+from brownalg.albert import split_albert
 from brownalg.fields import Fp, Q
 from brownalg.kernels import BACKEND, MulTable
 
@@ -11,7 +12,7 @@ def _random_matrix(rng, m, n, p):
 
 
 def test_backend_reports():
-    assert BACKEND in ("compiled", "pure")
+    assert BACKEND == "pure"
 
 
 def test_rref_known():
@@ -52,34 +53,103 @@ def test_nullspace_dimension_theorem():
             assert not any(linalg.mat_vec(a, v, f))
 
 
-def test_mod_backends_agree():
-    """Active backend and the pure twin produce identical results."""
-    rng = random.Random(0)
-    p = 101
-    for _ in range(10):
-        a = _random_matrix(rng, 8, 8, p)
-        b = _random_matrix(rng, 8, 8, p)
-        assert kernels.mod_mat_mul(a, b, p) == _modkernel_py.mat_mul(a, b, p)
-        assert kernels.mod_rref(a, p) == _modkernel_py.rref(a, p)
-        v = tuple(rng.randrange(p) for _ in range(8))
-        assert kernels.mod_mat_vec(a, v, p) == _modkernel_py.mat_vec(a, v, p)
+PRIMES = (101, 4294967311, 2**61 - 1)
 
 
-def test_bilinear_apply_backends_agree():
-    rng = random.Random(1)
-    n, p = 9, 13
-    entries = [
-        (rng.randrange(n), rng.randrange(n), rng.randrange(n), rng.randrange(1, p))
-        for _ in range(60)
-    ]
-    table = MulTable(n, entries)
-    ti, tj, tk, tc = zip(*entries)
-    for _ in range(10):
-        x = tuple(rng.randrange(p) for _ in range(n))
-        y = tuple(rng.randrange(p) for _ in range(n))
-        got = table.apply(x, y, Fp(p))
-        ref = _modkernel_py.bilinear_apply(ti, tj, tk, tc, x, y, n, p)
-        assert got == ref
+def _ref_mat_mul(a, b, p):
+    n, k, m = len(a), len(b), len(b[0])
+    return tuple(
+        tuple(sum(a[i][t] * b[t][j] for t in range(k)) % p for j in range(m))
+        for i in range(n)
+    )
+
+
+def _ref_mat_vec(a, v, p):
+    return tuple(sum(a[i][j] * v[j] for j in range(len(v))) % p for i in range(len(a)))
+
+
+def _ref_bilinear_apply(entries, x, y, n, p):
+    out = [0] * n
+    for i, j, k, c in entries:
+        out[k] += c * x[i] * y[j]
+    return tuple(v % p for v in out)
+
+
+def _ref_rref(a, p):
+    """Textbook Gauss-Jordan elimination mod p."""
+    rows = [list(r) for r in a]
+    m, n = len(rows), len(rows[0])
+    pivots, r = [], 0
+    for c in range(n):
+        pr = next((i for i in range(r, m) if rows[i][c] % p), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        inv = pow(rows[r][c], -1, p)
+        rows[r] = [v * inv % p for v in rows[r]]
+        for i in range(m):
+            if i != r:
+                f = rows[i][c]
+                rows[i] = [(rows[i][j] - f * rows[r][j]) % p for j in range(n)]
+        pivots.append(c)
+        r += 1
+        if r == m:
+            break
+    return tuple(tuple(v % p for v in row) for row in rows), tuple(pivots)
+
+
+def _sparse_matrix(rng, n, p):
+    """Permutation-like: one nonzero per row and column, plus a few extra
+    entries and one repeated row so rref meets zero rows and free columns."""
+    perm = list(range(n))
+    rng.shuffle(perm)
+    rows = [[0] * n for _ in range(n)]
+    for i, j in enumerate(perm):
+        rows[i][j] = rng.randrange(1, p)
+    for _ in range(n // 4):
+        rows[rng.randrange(n)][rng.randrange(n)] = rng.randrange(p)
+    rows[-1] = list(rows[0])
+    return tuple(tuple(r) for r in rows)
+
+
+def test_mod_kernels_match_dense_reference():
+    """mat_mul, mat_vec and rref against the triple-loop reference, on dense
+    and permutation-like sparse matrices, for small, 33-bit and 61-bit p."""
+    for p in PRIMES:
+        rng = random.Random(p)
+        f = Fp(p)
+        for shape in ("dense", "sparse"):
+            for _ in range(6):
+                if shape == "dense":
+                    a, b = _random_matrix(rng, 7, 7, p), _random_matrix(rng, 7, 7, p)
+                else:
+                    a, b = _sparse_matrix(rng, 9, p), _sparse_matrix(rng, 9, p)
+                assert linalg.mat_mul(a, b, f) == _ref_mat_mul(a, b, p)
+                assert linalg.rref(a, f) == _ref_rref(a, p)
+                v = tuple(rng.randrange(p) if rng.random() < 0.5 else 0 for _ in range(len(a)))
+                assert linalg.mat_vec(a, v, f) == _ref_mat_vec(a, v, p)
+        a = _random_matrix(rng, 5, 8, p)
+        assert linalg.rref(a, f) == _ref_rref(a, p)
+
+
+def test_bilinear_apply_matches_reference():
+    for p in PRIMES:
+        rng = random.Random(1)
+        n = 9
+        entries = [
+            (rng.randrange(n), rng.randrange(n), rng.randrange(n), rng.randrange(1, p))
+            for _ in range(60)
+        ]
+        table = MulTable(n, entries)
+        for _ in range(10):
+            x = tuple(rng.randrange(p) if rng.random() < 0.7 else 0 for _ in range(n))
+            y = tuple(rng.randrange(p) for _ in range(n))
+            assert table.apply(x, y, Fp(p)) == _ref_bilinear_apply(entries, x, y, n, p)
+
+
+def test_split_albert_constructs_over_a_61_bit_prime():
+    J = split_albert(Fp(2**61 - 1))
+    assert J.field.p == 2**61 - 1
 
 
 def test_multable_generic_matches_mod():
