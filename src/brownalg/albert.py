@@ -11,23 +11,27 @@ coordinates are the three matrices row-major.
 The cubic data is computed intrinsically from the Jordan product (sharp from
 the quadratic trace, N = Tr(x#, x)/3); a per-instance closed form is fitted
 against the intrinsic route and used as the fast evaluator after validation.
+The integer norm form (`norm_form`) is fitted on first use from the trilinear
+form Tr(x # y, z); the membership checks in `linmaps` evaluate it in ints.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass
 
 from .cayley import CDAlgebra
 from .errors import (
     AlgebraMismatch,
+    InternalError,
     ModelMismatch,
     NotUnimodular,
     SingularElement,
     ZeroMultiplier,
 )
-from .fields import FieldSpec, Scalar
+from .fields import PRIME, FieldSpec, Scalar
 from .kernels import MulTable
 from .linalg import mat_mul
 from .linmaps import ALBERT, LinMap
@@ -77,6 +81,17 @@ def mat3_identity(f):
 
 def mat3_from_flat(flat):
     return (tuple(flat[0:3]), tuple(flat[3:6]), tuple(flat[6:9]))
+
+
+@dataclass(frozen=True)
+class NormForm:
+    """The cubic norm as integer monomials:
+    N(x) = sum(c * x_i * x_j * x_k for (i, j, k, c) in terms) / den, with
+    i <= j <= k.  Over Q the c are integers over the common denominator den;
+    over F_p they are residues mod p and den = 1."""
+
+    terms: tuple
+    den: int
 
 
 def mat3_inverse(f, A):
@@ -133,6 +148,7 @@ class AlbertAlgebra:
         )
         self._norm_coeffs = self._fit_norm_closed() if model == "her" else None
         self._validate_norm(samples=8)
+        self._norm_form = None
 
     # -- construction internals --------------------------------------------
 
@@ -450,7 +466,52 @@ class AlbertAlgebra:
         for _ in range(samples):
             x = tuple(self.field.sample_raw(rng, 3) for _ in range(DIM))
             if self.norm_raw(x) != self.norm_intrinsic_raw(x):
-                raise RuntimeError("internal: closed norm disagrees with intrinsic norm")
+                raise InternalError("closed norm disagrees with intrinsic norm")
+
+    def norm_form(self) -> NormForm:
+        """The cubic norm as integer monomials, fitted on first use and cached.
+
+        With t_ijk = Tr(e_i # e_j, e_k), symmetric in i, j, k, the norm is
+        N(x) = Tr(x # x, x)/6 = sum t_ijk x_i x_j x_k / 6 over all index
+        triples, so the monomial x_i x_j x_k (i <= j <= k) has coefficient
+        t_iii/6, t_iij/2 (two equal indices) or t_ijk (all distinct).
+        The form is checked against `norm_raw` at seeded points."""
+        if self._norm_form is None:
+            self._norm_form = self._fit_norm_form()
+        return self._norm_form
+
+    def _fit_norm_form(self) -> NormForm:
+        f = self.field
+        basis = [b.coords for b in self.basis()]
+        sixth, half = f.inv(f.from_int(6)), f.half()
+        coeffs = []
+        for i in range(DIM):
+            for j in range(i, DIM):
+                t = self.gram_vec(self.cross_raw(basis[i], basis[j]))
+                for k in range(j, DIM):
+                    c = t[k]
+                    if c:
+                        if i == k:
+                            c = f.mul(sixth, c)
+                        elif i == j or j == k:
+                            c = f.mul(half, c)
+                        coeffs.append((i, j, k, c))
+        if f.kind == PRIME:
+            form = NormForm(tuple(coeffs), 1)
+        else:
+            den = math.lcm(*(c.denominator for _, _, _, c in coeffs))
+            form = NormForm(
+                tuple((i, j, k, c.numerator * (den // c.denominator)) for i, j, k, c in coeffs),
+                den,
+            )
+        rng = random.Random(20241)
+        for _ in range(4):
+            x = tuple(f.sample_raw(rng, 3) for _ in range(DIM))
+            value = f.div(sum(c * x[i] * x[j] * x[k] for i, j, k, c in form.terms),
+                          f.from_int(form.den))
+            if value != self.norm_raw(x):
+                raise InternalError("fitted norm form disagrees with norm_raw")
+        return form
 
     def norm_derivative_raw(self, x, y):
         """Coefficient of t in N(x + t y), by exact interpolation at t = 0, +-1, 2."""

@@ -15,6 +15,7 @@ from .albert import DIM as JDIM
 from .albert import AlbertAlgebra, AlbertElem
 from .errors import (
     AlgebraMismatch,
+    InternalError,
     NotAutomorphism,
     NotCommuting,
     NotNormPreserving,
@@ -119,7 +120,7 @@ class BrownAlgebra:
         unit = self.unit().coords
         scalar_val = sq[0]
         if sq != tuple(self.field.mul(scalar_val, u) for u in unit):
-            raise RuntimeError("internal: s0^2 is not a scalar multiple of the unit")
+            raise InternalError("s0^2 is not a scalar multiple of the unit")
         return "Type1" if self.field.is_square(scalar_val) else "Type2"
 
     # -- lifts ---------------------------------------------------------------
@@ -189,9 +190,9 @@ class BrownAlgebra:
             for j in range(i, len(basis)):
                 prod = self.bmul_raw(basis[i], basis[j])
                 if not in_span(rows, pivots, prod, f):
-                    raise RuntimeError("internal: commuting-pair span not closed")
+                    raise InternalError("commuting-pair span not closed")
             if not in_span(rows, pivots, self.binv_raw(basis[i]), f):
-                raise RuntimeError("internal: commuting-pair span not involution-closed")
+                raise InternalError("commuting-pair span not involution-closed")
         return [BrownElem(self, b) for b in basis]
 
     def __eq__(self, other):

@@ -91,3 +91,8 @@ class UnrecognizedType(AlgebraError):
 
 class SingularGram(AlgebraError):
     """Trace-form Gram matrix unexpectedly singular (internal error)."""
+
+
+class InternalError(AlgebraError):
+    """An internal consistency check failed: two routes to the same exact
+    quantity disagree, which is a bug in this package, not a bad input."""

@@ -2,6 +2,12 @@
 spaces, plus the norm/automorphism membership predicates and the dagger
 (outer) automorphism solved from the trace form.
 
+Cubic-norm invariance, N(phi x) = N(x), is tested in Python ints against the
+algebra's integer norm form (`algebra.norm_form()`): `is_inv_member` is a
+deterministic certificate over Q and F_p, and `norm_preserving_sampled` (the
+guard of `dagger`, `lift_inv` and `outer_fixed_condition`) checks seeded
+random points.
+
 This module never imports the algebra modules; algebra objects are passed in
 and used through their raw-operation methods.
 """
@@ -9,6 +15,8 @@ and used through their raw-operation methods.
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 import random
 from dataclasses import dataclass
 
@@ -129,47 +137,71 @@ def _require_albert(phi: LinMap, algebra):
         raise CarrierMismatch("map does not live on this Albert algebra")
 
 
-def norm_preserving_sampled(phi: LinMap, algebra, samples: int, seed: int = 0) -> bool:
+def _integral(rows, field: FieldSpec):
+    """(D, D * rows) with D the lcm of the entries' denominators, as Python
+    ints.  Over F_p the entries are already residues and D = 1."""
+    if field.kind != RATIONALS:
+        return 1, rows
+    d = math.lcm(*(v.denominator for row in rows for v in row))
+    return d, tuple(tuple(v.numerator * (d // v.denominator) for v in row) for row in rows)
+
+
+def _cubic(terms, v) -> int:
+    return sum(c * v[i] * v[j] * v[k] for i, j, k, c in terms)
+
+
+def _norm_guard(phi: LinMap, algebra):
+    """The test N(phi v) = N(v) for integer vectors v.
+
+    With D phi an integer matrix M and the norm's integer monomials c, the
+    identity reads sum c y_i y_j y_k = D^3 sum c v_i v_j v_k for y = M v
+    (both sides carry the same common denominator).  Over F_p the two sides
+    are compared mod p once, at the end.  Returns M and holds(y, v)."""
     _require_albert(phi, algebra)
+    terms = algebra.norm_form().terms
+    f = algebra.field
+    p = f.p if f.kind != RATIONALS else 0
+    d, m = _integral(phi.matrix, f)
+    d3 = d ** 3
+
+    def holds(y, v) -> bool:
+        diff = _cubic(terms, y) - d3 * _cubic(terms, v)
+        return not (diff % p if p else diff)
+
+    return m, holds
+
+
+def norm_preserving_sampled(phi: LinMap, algebra, samples: int, seed: int = 0) -> bool:
+    """N(phi x) = N(x) at `samples` seeded random points, in integers."""
+    m, holds = _norm_guard(phi, algebra)
     rng = random.Random(seed)
     f = algebra.field
     for _ in range(samples):
         x = tuple(f.sample_raw(rng, 3) for _ in range(27))
-        if algebra.norm_raw(phi.apply(x)) != algebra.norm_raw(x):
+        (v,) = _integral((x,), f)[1]
+        y = [sum(map(operator.mul, row, v)) for row in m]
+        if not holds(y, v):
             return False
     return True
 
 
-def is_inv_member(phi: LinMap, algebra, samples: int = 200, seed: int = 0) -> bool:
-    """Cubic-norm invariance.  Over Q this is a deterministic certificate: the
-    difference of the two cubic forms vanishes on every multiset of size <= 3
-    of basis vectors iff it is the zero polynomial (4060 points for n = 27).
-    Over F_p the check is randomized with failure probability <= (3/p)^samples
-    for a non-member."""
-    _require_albert(phi, algebra)
-    f = algebra.field
-    if f.kind != RATIONALS:
-        return norm_preserving_sampled(phi, algebra, samples, seed)
-    cols = tuple(zip(*phi.matrix))
-    zero = f.zero()
-    idx = range(27)
-    combos = itertools.chain(
-        [()],
-        itertools.combinations_with_replacement(idx, 1),
-        itertools.combinations_with_replacement(idx, 2),
-        itertools.combinations_with_replacement(idx, 3),
-    )
-    for combo in combos:
-        v = [zero] * 27
-        mv = [zero] * 27
-        for i in combo:
-            v[i] += 1
-            col = cols[i]
-            for k in range(27):
-                ck = col[k]
-                if ck:
-                    mv[k] += ck
-        if algebra.norm_raw(tuple(mv)) != algebra.norm_raw(tuple(v)):
+def is_inv_member(phi: LinMap, algebra) -> bool:
+    """Cubic-norm invariance, as a deterministic certificate over Q and F_p.
+
+    N(phi x) - N(x) is a homogeneous cubic form.  Over Q, and over F_p for
+    p >= 5, such a form is zero iff it vanishes at every sum of exactly three
+    basis vectors e_a + e_b + e_c (a <= b <= c): 3654 points for n = 27.
+    Its values there determine its coefficients by a triangular system whose
+    pivots are 27 and det [[4, 2], [2, 4]] = 12, units in both fields."""
+    m, holds = _norm_guard(phi, algebra)
+    cols = tuple(zip(*m))
+    for a, b, c in itertools.combinations_with_replacement(range(27), 3):
+        v = [0] * 27
+        v[a] += 1
+        v[b] += 1
+        v[c] += 1
+        y = [s + t + u for s, t, u in zip(cols[a], cols[b], cols[c])]
+        if not holds(y, v):
             return False
     return True
 

@@ -67,7 +67,13 @@ def _split_valuation(n: int, p: int):
 
 
 def hilbert_symbol(a, b, place: FieldSpec) -> int:
-    """(a, b)_v in {+1, -1}: local solubility of z^2 = a x^2 + b y^2."""
+    """(a, b)_v in {+1, -1}: local solubility of z^2 = a x^2 + b y^2.
+
+    At Q_p the symbol depends only on the square classes, so a = n/d is
+    replaced by n*d and written p^alpha * u with u a p-adic unit; Serre's
+    formula (A Course in Arithmetic, ch. III, Thm. 1) then needs only the
+    parity of alpha, beta and the residues of u, v (mod p, or mod 8 at p = 2).
+    Nothing is factored, so the cost is a few divisions by p."""
     a, b = _as_fraction(a), _as_fraction(b)
     if not a or not b:
         raise ZeroArgument("Hilbert symbol arguments must be nonzero")
@@ -76,10 +82,8 @@ def hilbert_symbol(a, b, place: FieldSpec) -> int:
     if place.kind != PADIC:
         raise ValueError("hilbert_symbol is defined at the real and p-adic places")
     p = place.p
-    ai = _squarefree_int(a)
-    bi = _squarefree_int(b)
-    alpha, u = _split_valuation(ai, p)
-    beta, v = _split_valuation(bi, p)
+    alpha, u = _split_valuation(a.numerator * a.denominator, p)
+    beta, v = _split_valuation(b.numerator * b.denominator, p)
     if p != 2:
         sign = 1
         if alpha % 2 and beta % 2 and (p - 1) // 2 % 2:

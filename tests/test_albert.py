@@ -6,6 +6,7 @@ import pytest
 
 from brownalg import albert, linalg
 from brownalg.albert import (
+    AlbertAlgebra,
     AlbertElem,
     beth_basis,
     cross,
@@ -25,7 +26,13 @@ from brownalg.albert import (
     uapply,
 )
 from brownalg.cayley import CDAlgebra
-from brownalg.errors import ModelMismatch, NotUnimodular, SingularElement, ZeroMultiplier
+from brownalg.errors import (
+    InternalError,
+    ModelMismatch,
+    NotUnimodular,
+    SingularElement,
+    ZeroMultiplier,
+)
 from brownalg.fields import Fp, Q, scalar
 
 
@@ -152,6 +159,40 @@ def test_closed_norm_equals_intrinsic_certificate():
                 v[i] = f.add(v[i], f.one())
             v = tuple(v)
             assert alg.norm_raw(v) == alg.norm_intrinsic_raw(v)
+
+
+def _norm_form_models(f):
+    # 5/7 has no residue mod 7, so the third kappa is 5/3 over F_7
+    kappas = ("-1/2", "3", "5/3" if f.p == 7 else "5/7")
+    octonions = CDAlgebra(f, kappas=tuple(f.parse_scalar(k) for k in kappas))
+    gamma = tuple(f.parse_scalar(g) for g in ("1", "2/3", "-5"))
+    return [split_albert(f), hermitian(octonions, gamma=gamma), tits(f, f.parse_scalar("3/2"))]
+
+
+@pytest.mark.parametrize("field", [Q(), Fp(7), Fp(2**61 - 1)], ids=str)
+def test_norm_form_matches_norm_raw(field):
+    rng = random.Random(11)
+    models = _norm_form_models(field)
+    for alg in models:
+        form = alg.norm_form()
+        assert form is alg.norm_form()
+        assert all(i <= j <= k and isinstance(c, int) and c for i, j, k, c in form.terms)
+        assert form.den == 1 or field == Q()
+        for _ in range(6):
+            x = alg.sample(rng).coords
+            value = sum(c * x[i] * x[j] * x[k] for i, j, k, c in form.terms)
+            assert field.div(value, field.from_int(form.den)) == alg.norm_raw(x)
+    if field == Q():
+        assert [alg.norm_form().den > 1 for alg in models] == [False, True, True]
+
+
+def test_norm_form_mismatch_raises_internal_error(monkeypatch):
+    alg = split_albert(Fp(7))
+    norm_raw = AlbertAlgebra.norm_raw
+    monkeypatch.setattr(AlbertAlgebra, "norm_raw",
+                        lambda self, x: alg.field.add(norm_raw(self, x), 1))
+    with pytest.raises(InternalError):
+        alg.norm_form()
 
 
 def test_tits_norm_closed_matches_definition():

@@ -30,6 +30,17 @@ def test_verify_bad_field_exits_2(capsys):
     assert "error" in err
 
 
+def test_internal_norm_disagreement_exits_2(capsys, monkeypatch):
+    from brownalg.albert import AlbertAlgebra
+
+    norm_raw = AlbertAlgebra.norm_raw
+    monkeypatch.setattr(AlbertAlgebra, "norm_raw",
+                        lambda self, x: self.field.add(norm_raw(self, x), self.field.one()))
+    code, out, err = run(capsys, "verify", "albert", "--field", "Fp:7", "--samples", "5")
+    assert code == 2
+    assert "closed norm disagrees" in err and "Traceback" not in err
+
+
 def test_verify_json(capsys):
     code, out, err = run(capsys, "verify", "brown", "--samples", "30", "--json")
     assert code == 0

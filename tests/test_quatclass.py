@@ -68,6 +68,30 @@ def test_hilbert_symmetry_and_bilinearity():
         assert hilbert_symbol(a, b * c, v) == hilbert_symbol(a, b, v) * hilbert_symbol(a, c, v)
 
 
+def test_hilbert_symbol_large_input_without_factoring():
+    # 10^16 + 61 = 1 mod 5 is a 5-adic unit square class; trial division hung
+    assert hilbert_symbol(10**16 + 61, 3, Qp(5)) == 1
+
+
+def test_hilbert_symbol_square_class_invariance():
+    rng = random.Random(7)
+    for p in (2, 3, 5, 13):
+        for _ in range(60):
+            a, b, c = (Fraction(rng.choice((-1, 1)) * rng.randint(1, 10**6), rng.randint(1, 10**4))
+                       for _ in range(3))
+            assert hilbert_symbol(a * c * c, b, Qp(p)) == hilbert_symbol(a, b, Qp(p))
+
+
+def test_hilbert_symbol_two_adic_valuation_parity():
+    # (2^alpha u, v)_2 = (-1)^(eps(u) eps(v) + alpha omega(v)); omega(3) = omega(5) = 1
+    assert hilbert_symbol(2, 3, Qp(2)) == -1
+    assert hilbert_symbol(8, 3, Qp(2)) == -1
+    assert hilbert_symbol(16, 3, Qp(2)) == 1
+    assert hilbert_symbol(12, 5, Qp(2)) == 1
+    assert hilbert_symbol(Fraction(3, 32), 5, Qp(2)) == -1
+    assert hilbert_symbol(Fraction(3, 4), 5, Qp(2)) == 1
+
+
 def test_hilbert_product_formula():
     rng = random.Random(1)
     for _ in range(100):
