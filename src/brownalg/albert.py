@@ -13,6 +13,8 @@ the quadratic trace, N = Tr(x#, x)/3); a per-instance closed form is fitted
 against the intrinsic route and used as the fast evaluator after validation.
 The integer norm form (`norm_form`) is fitted on first use from the trilinear
 form Tr(x # y, z); the membership checks in `linmaps` evaluate it in ints.
+The cross product x # y is a structure table (`cross_table`) derived on first
+use from the Jordan table, the trace vector and the Gram matrix.
 """
 
 from __future__ import annotations
@@ -149,6 +151,7 @@ class AlbertAlgebra:
         self._norm_coeffs = self._fit_norm_closed() if model == "her" else None
         self._validate_norm(samples=8)
         self._norm_form = None
+        self._cross_table = None
 
     # -- construction internals --------------------------------------------
 
@@ -398,19 +401,41 @@ class AlbertAlgebra:
             f.add(f.sub(sq[k], f.mul(t, x[k])), f.mul(s, e[k])) for k in range(DIM)
         )
 
+    def cross_table(self) -> MulTable:
+        """The cross product x # y = 2 x.y - Tr(x) y - Tr(y) x
+        + (Tr(x)Tr(y) - Tr(x,y)) e as a table, derived on first use and cached:
+        C_ijk = 2 T_ijk - t_i d_jk - t_j d_ik + (t_i t_j - G_ij) e_k from the
+        Jordan table T, the trace vector t, the Gram matrix G and the unit e."""
+        if self._cross_table is None:
+            f = self.field
+            t, e, G = self.trvec, self.unit_coords, self.gram
+            two = f.from_int(2)
+            coeffs = {}
+
+            def add(i, j, k, c):
+                coeffs[i, j, k] = f.add(coeffs.get((i, j, k), f.zero()), c)
+
+            for i, j, k, c in self.table.entries:
+                add(i, j, k, f.mul(two, c))
+            for i in range(DIM):
+                for j in range(DIM):
+                    if t[i]:
+                        add(i, j, j, f.neg(t[i]))
+                    if t[j]:
+                        add(i, j, i, f.neg(t[j]))
+                    s = f.sub(f.mul(t[i], t[j]), G[i][j])
+                    if s:
+                        for k in range(DIM):
+                            if e[k]:
+                                add(i, j, k, f.mul(s, e[k]))
+            self._cross_table = MulTable(
+                DIM, ((i, j, k, c) for (i, j, k), c in coeffs.items() if c)
+            )
+        return self._cross_table
+
     def cross_raw(self, x, y):
-        """x # y = 2 x.y - Tr(x) y - Tr(y) x + (Tr(x)Tr(y) - Tr(x,y)) e."""
-        f = self.field
-        two = f.from_int(2)
-        p = self.jmul_raw(x, y)
-        tx, ty = self.tr_raw(x), self.tr_raw(y)
-        s = f.sub(f.mul(tx, ty), self.trform_raw(x, y))
-        e = self.unit_coords
-        return tuple(
-            f.add(f.sub(f.sub(f.mul(two, p[k]), f.mul(tx, y[k])), f.mul(ty, x[k])),
-                  f.mul(s, e[k]))
-            for k in range(DIM)
-        )
+        """x # y through `cross_table`."""
+        return (self._cross_table or self.cross_table()).apply(x, y, self.field)
 
     def norm_intrinsic_raw(self, x):
         f = self.field

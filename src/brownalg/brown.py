@@ -22,7 +22,8 @@ from .errors import (
     NotOrderTwo,
 )
 from . import linmaps
-from .linalg import in_span, nullspace, row_space_rref
+from .kernels import MulTable
+from .linalg import in_span, nullspace, row_space_rref, span_closed
 from .linmaps import BROWN, LinMap, dagger, is_aut_member, norm_preserving_sampled
 
 BDIM = 2 + 2 * JDIM
@@ -38,6 +39,7 @@ class BrownAlgebra:
         self.field = f
         self.zeta = zeta
         self.basis_tag = f"brown:{jalg.basis_tag}:zeta={f.scalar_str(zeta)}"
+        self._table = None
 
     # -- elements -----------------------------------------------------------
 
@@ -75,23 +77,37 @@ class BrownAlgebra:
 
     # -- product and involution ----------------------------------------------
 
+    def mul_table(self) -> MulTable:
+        """The Brown product as a table, derived on first use and cached from
+        the Albert cross table C, the Gram matrix G and zeta:
+            alpha = a1 a2 + zeta Tr(j1, l2)
+            beta  = b1 b2 + zeta Tr(j2, l1)
+            j     = a1 j2 + b2 j1 + zeta l1 # l2
+            l     = b1 l2 + a2 l1 + j1 # j2"""
+        if self._table is None:
+            f, z, G = self.field, self.zeta, self.jalg.gram
+            one = f.one()
+            J0, L0 = 2, 2 + JDIM
+            entries = [(0, 0, 0, one), (1, 1, 1, one)]
+            for i in range(JDIM):
+                for j in range(JDIM):
+                    if G[i][j]:
+                        zg = f.mul(z, G[i][j])
+                        entries += [(J0 + i, L0 + j, 0, zg), (L0 + j, J0 + i, 1, zg)]
+            for k in range(JDIM):
+                entries += [
+                    (0, J0 + k, J0 + k, one), (J0 + k, 1, J0 + k, one),
+                    (1, L0 + k, L0 + k, one), (L0 + k, 0, L0 + k, one),
+                ]
+            for i, j, k, c in self.jalg.cross_table().entries:
+                entries.append((L0 + i, L0 + j, J0 + k, f.mul(z, c)))
+                entries.append((J0 + i, J0 + j, L0 + k, c))
+            self._table = MulTable(BDIM, entries)
+        return self._table
+
     def bmul_raw(self, x, y):
-        f, J, z = self.field, self.jalg, self.zeta
-        a1, b1, j1, l1 = x[0], x[1], x[2 : 2 + JDIM], x[2 + JDIM :]
-        a2, b2, j2, l2 = y[0], y[1], y[2 : 2 + JDIM], y[2 + JDIM :]
-        alpha = f.add(f.mul(a1, a2), f.mul(z, J.trform_raw(j1, l2)))
-        beta = f.add(f.mul(b1, b2), f.mul(z, J.trform_raw(j2, l1)))
-        lc = J.cross_raw(l1, l2)
-        jc = J.cross_raw(j1, j2)
-        jout = tuple(
-            f.add(f.add(f.mul(a1, j2[k]), f.mul(b2, j1[k])), f.mul(z, lc[k]))
-            for k in range(JDIM)
-        )
-        lout = tuple(
-            f.add(f.add(f.mul(b1, l2[k]), f.mul(a2, l1[k])), jc[k])
-            for k in range(JDIM)
-        )
-        return (alpha, beta) + jout + lout
+        """The Brown product through `mul_table`."""
+        return (self._table or self.mul_table()).apply(x, y, self.field)
 
     def binv_raw(self, x):
         return (x[1], x[0]) + x[2:]
@@ -186,13 +202,10 @@ class BrownAlgebra:
                 (zero, zero) + tuple(phi1.apply(e)) + tuple(phi2.apply(e))
             )
         rows, pivots = row_space_rref(basis, f)
-        for i in range(len(basis)):
-            for j in range(i, len(basis)):
-                prod = self.bmul_raw(basis[i], basis[j])
-                if not in_span(rows, pivots, prod, f):
-                    raise InternalError("commuting-pair span not closed")
-            if not in_span(rows, pivots, self.binv_raw(basis[i]), f):
-                raise InternalError("commuting-pair span not involution-closed")
+        if not span_closed(rows, pivots, basis, self.bmul_raw, f):
+            raise InternalError("commuting-pair span not closed")
+        if not all(in_span(rows, pivots, self.binv_raw(b), f) for b in basis):
+            raise InternalError("commuting-pair span not involution-closed")
         return [BrownElem(self, b) for b in basis]
 
     def __eq__(self, other):

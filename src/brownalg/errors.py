@@ -85,6 +85,10 @@ class ZeroArgument(AlgebraError):
     """Hilbert symbol argument is zero."""
 
 
+class FactorizationTooLarge(AlgebraError):
+    """An integer to factor has a cofactor beyond the explicit size bound."""
+
+
 class UnrecognizedType(AlgebraError):
     """Residual diagram component outside the supported Dynkin catalog."""
 

@@ -290,14 +290,15 @@ class FixedSubalgebra:
 
 
 def _context_product(phi: LinMap, context):
+    """(product, commutative, involution or None) of the carrier algebra."""
     if phi.carrier == ALBERT:
         if phi.basis_tag != context.basis_tag:
             raise CarrierMismatch("map and algebra bases differ")
-        return context.jmul_raw, None
+        return context.jmul_raw, True, None
     if phi.carrier == BROWN:
         if phi.basis_tag != context.basis_tag:
             raise CarrierMismatch("map and algebra bases differ")
-        return context.bmul_raw, context.binv_raw
+        return context.bmul_raw, False, context.binv_raw
     raise CarrierMismatch("fixed subalgebras live on Albert or Brown space")
 
 
@@ -306,20 +307,14 @@ def fixed_subalgebra(phi: LinMap, context) -> FixedSubalgebra:
     product (and the exchange involution on Brown space)."""
     if not phi.compose(phi).is_identity():
         raise NotOrderTwo("fixed subalgebras are computed for maps with phi^2 = id")
-    product, involution = _context_product(phi, context)
+    product, commutative, involution = _context_product(phi, context)
     f = phi.field
     basis = phi.fixed_space()
     closed = True
     inv_closed = None
     if basis:
         rows, pivots = linalg.row_space_rref(basis, f)
-        for i in range(len(basis)):
-            for j in range(i, len(basis)):
-                if not linalg.in_span(rows, pivots, product(basis[i], basis[j]), f):
-                    closed = False
-                    break
-            if not closed:
-                break
+        closed = linalg.span_closed(rows, pivots, basis, product, f, commutative)
         if involution is not None:
             inv_closed = all(
                 linalg.in_span(rows, pivots, involution(b), f) for b in basis
@@ -332,7 +327,7 @@ def grade_decompose(phi: LinMap, context, form=None):
     with the form invariance and grading-law checks."""
     if not phi.compose(phi).is_identity():
         raise NotOrderTwo("grading needs phi^2 = id")
-    product, _ = _context_product(phi, context)
+    product, _, _ = _context_product(phi, context)
     f = phi.field
     if form is None:
         if phi.carrier != ALBERT:

@@ -1,5 +1,12 @@
 """The structure-constant table type shared by every algebra in the tower.
 
+Every product in the tower is one `MulTable`: the composition product
+(`CDAlgebra.table`), the Jordan product (`AlbertAlgebra.table`), the Albert
+cross product (`AlbertAlgebra.cross_table()`, derived from the Jordan table,
+trace and Gram data) and the Brown product (`BrownAlgebra.mul_table()`,
+derived from the cross table, the Gram matrix and zeta).  The two derived
+tables are built on first use and cached.
+
 `MulTable.apply` is the one bilinear-product kernel for both fields: the
 entries are grouped by their first index and zero coordinates of either
 operand are skipped, so sparse inputs cost proportionally less.  Over F_p

@@ -144,20 +144,33 @@ def row_space_rref(vectors, field: FieldSpec):
 
 
 def in_span(rref_rows, pivots, v, field: FieldSpec) -> bool:
-    """Membership of v in a row space presented in RREF."""
+    """Membership of v in a row space presented in RREF; the row updates skip
+    the zero entries of each RREF row."""
     w = list(v)
     if field.kind == PRIME:
         p = field.p
         for row, pc in zip(rref_rows, pivots):
             f = w[pc]
             if f:
-                w = [(wi - f * ri) % p for wi, ri in zip(w, row)]
+                w = [(wi - f * ri) % p if ri else wi for wi, ri in zip(w, row)]
     else:
         for row, pc in zip(rref_rows, pivots):
             f = w[pc]
             if f:
-                w = [wi - f * ri for wi, ri in zip(w, row)]
+                w = [wi - f * ri if ri else wi for wi, ri in zip(w, row)]
     return not any(w)
+
+
+def span_closed(rref_rows, pivots, vectors, product, field: FieldSpec,
+                commutative: bool = False) -> bool:
+    """Whether product(x, y) lies in the RREF row space for every ordered
+    pair of the given vectors; a commutative product needs only the pairs
+    with i <= j."""
+    for i, x in enumerate(vectors):
+        for y in vectors[i:] if commutative else vectors:
+            if not in_span(rref_rows, pivots, product(x, y), field):
+                return False
+    return True
 
 
 def same_span(vecs_a, vecs_b, field: FieldSpec) -> bool:

@@ -7,11 +7,13 @@ formulas; no p-adic element arithmetic is ever performed.
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ZeroArgument
+from .errors import FactorizationTooLarge, ZeroArgument
 from .fields import (
     ALG_CLOSED,
     INFINITE,
@@ -20,6 +22,7 @@ from .fields import (
     REAL,
     FieldSpec,
     Infinite,
+    is_prime,
 )
 
 
@@ -27,20 +30,77 @@ def _as_fraction(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-def _squarefree_int(a: Fraction) -> int:
-    """Integer representative of the square class of a nonzero rational."""
-    n = a.numerator * a.denominator
-    out, d = 1, 2
+# `is_prime` is deterministic below 2^64; a larger cofactor is not factored.
+FACTOR_LIMIT = 2**64
+
+
+def _primes_below(n: int) -> tuple:
+    """Sieve of Eratosthenes (cheap enough to run at import)."""
+    sieve = bytearray([1]) * n
+    sieve[:2] = b"\0\0"
+    for q in range(2, math.isqrt(n) + 1):
+        if sieve[q]:
+            sieve[q * q :: q] = bytes(len(range(q * q, n, q)))
+    return tuple(q for q in range(n) if sieve[q])
+
+
+_SMALL_PRIMES = _primes_below(1000)
+
+
+def _rho_factor(n: int) -> int:
+    """A proper factor of the odd composite n: Pollard rho with Brent's cycle
+    search and gcds batched over 128 steps, trying c = 1, 2, ... in turn."""
+    for c in itertools.count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = math.gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:
+            # the batch overshot: step again one gcd at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(abs(x - ys), n)
+        if g != n:
+            return g
+
+
+def _odd_power_primes(n: int) -> set:
+    """Primes dividing the nonzero integer n to an odd power: trial division
+    by the primes below 1000, then Miller-Rabin and Pollard rho on what is
+    left, which must be below FACTOR_LIMIT."""
     m = abs(n)
-    while d * d <= m:
-        while m % (d * d) == 0:
-            m //= d * d
-        if m % d == 0:
-            out *= d
-            m //= d
-        d += 1
-    out *= m
-    return out if n > 0 else -out
+    exps = {}
+    for q in _SMALL_PRIMES:
+        if q * q > m:
+            break
+        while m % q == 0:
+            m //= q
+            exps[q] = exps.get(q, 0) + 1
+    if m >= FACTOR_LIMIT:
+        raise FactorizationTooLarge(
+            f"{n} has a cofactor of {m.bit_length()} bits without prime factors "
+            f"below 1000; factoring is limited to cofactors below 2^64"
+        )
+    stack = [m] if m > 1 else []
+    while stack:
+        m = stack.pop()
+        if is_prime(m):
+            exps[m] = exps.get(m, 0) + 1
+        else:
+            d = _rho_factor(m)
+            stack += [d, m // d]
+    return {q for q, e in exps.items() if e % 2}
 
 
 def _legendre(a: int, p: int) -> int:
@@ -102,20 +162,15 @@ def hilbert_symbol(a, b, place: FieldSpec) -> int:
 
 
 def hilbert_places(a, b):
-    """Places where the symbol can be -1: the real place and primes dividing
-    2ab (on square-free representatives)."""
+    """Places where the symbol can be -1: the real place, 2, and the primes
+    dividing a or b to an odd power.  Raises FactorizationTooLarge when a
+    numerator or denominator has a cofactor of 2^64 or more without prime
+    factors below 1000."""
     a, b = _as_fraction(a), _as_fraction(b)
     primes = {2}
-    for x in (abs(_squarefree_int(a)), abs(_squarefree_int(b))):
-        d = 2
-        while d * d <= x:
-            if x % d == 0:
-                primes.add(d)
-                while x % d == 0:
-                    x //= d
-            d += 1
-        if x > 1:
-            primes.add(x)
+    for x in (a, b):
+        if x:
+            primes |= _odd_power_primes(x.numerator) | _odd_power_primes(x.denominator)
     return [FieldSpec(REAL)] + [FieldSpec(PADIC, p) for p in sorted(primes)]
 
 
@@ -135,7 +190,8 @@ class QuatPresentation:
 
 def is_split(q: QuatPresentation, field: FieldSpec) -> bool:
     """Split over finite and algebraically closed fields; elsewhere decided by
-    Hilbert symbols (over Q: +1 at every relevant place)."""
+    Hilbert symbols (over Q: +1 at every place of `hilbert_places`, which
+    raises FactorizationTooLarge beyond its factoring bound)."""
     if field.kind == ALG_CLOSED:
         return True
     if field.kind == PRIME:
@@ -151,8 +207,6 @@ def is_split(q: QuatPresentation, field: FieldSpec) -> bool:
 def isotropic_ternary_search(a: int, b: int, height: int) -> bool:
     """Small-height search for a nontrivial solution of z^2 = a x^2 + b y^2
     over the integers (exhaustive oracle for is_split over Q)."""
-    import math
-
     for x in range(height + 1):
         for y in range(height + 1):
             if x == 0 and y == 0:

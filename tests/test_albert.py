@@ -254,6 +254,64 @@ def test_sharp_axioms_sampled():
             assert cross(e, x).coords == (e.scale(alg.tr_raw(x.coords)) - x).coords
 
 
+def _ref_cross(alg, x, y):
+    """x # y = 2 x.y - Tr(x) y - Tr(y) x + (Tr(x)Tr(y) - Tr(x,y)) e, written
+    out coordinate by coordinate from the Jordan product."""
+    f = alg.field
+    two = f.from_int(2)
+    p = alg.jmul_raw(x, y)
+    tx, ty = alg.tr_raw(x), alg.tr_raw(y)
+    s = f.sub(f.mul(tx, ty), alg.trform_raw(x, y))
+    e = alg.unit_coords
+    return tuple(
+        f.add(f.sub(f.sub(f.mul(two, p[k]), f.mul(tx, y[k])), f.mul(ty, x[k])),
+              f.mul(s, e[k]))
+        for k in range(27)
+    )
+
+
+def _sparse_sample(alg, rng, nonzero):
+    f = alg.field
+    coords = [f.zero()] * 27
+    for k in rng.sample(range(27), nonzero):
+        coords[k] = f.sample_raw(rng, 4) or f.one()
+    return tuple(coords)
+
+
+@pytest.mark.parametrize("field", [Q(), Fp(7), Fp(2**61 - 1)], ids=str)
+def test_cross_table_matches_formula(field):
+    """The derived cross table against the coordinate formula: split and
+    kappa/gamma Hermitian models and a Tits model with varsigma 3/2, on
+    dense, sparse and basis operands."""
+    rng = random.Random(12)
+    for alg in _norm_form_models(field):
+        table = alg.cross_table()
+        assert table is alg.cross_table()
+        assert all(c for _, _, _, c in table.entries)
+        basis = [b.coords for b in alg.basis()]
+        pairs = [(basis[i], basis[j]) for i in (0, 3, 11, 26) for j in range(27)]
+        for nonzero in (1, 2, 5, 27):
+            pairs += [(_sparse_sample(alg, rng, nonzero), _sparse_sample(alg, rng, nonzero))
+                      for _ in range(4)]
+        pairs += [(alg.sample(rng).coords, alg.sample(rng).coords) for _ in range(4)]
+        for x, y in pairs:
+            assert alg.cross_raw(x, y) == _ref_cross(alg, x, y)
+
+
+def test_cross_table_is_derived_not_evaluated(monkeypatch):
+    """The table comes from the Jordan table, trace and Gram data: deriving
+    it evaluates no product."""
+    models = [tits(Q(), Fraction(3, 2)), split_albert(Fp(7))]
+
+    def forbidden(*args):
+        raise AssertionError("product evaluated while deriving the cross table")
+
+    monkeypatch.setattr(AlbertAlgebra, "jmul_raw", forbidden)
+    monkeypatch.setattr(AlbertAlgebra, "trform_raw", forbidden)
+    for alg in models:
+        assert len(alg.cross_table().entries) == 270
+
+
 def test_euler_relation():
     rng = random.Random(8)
     for alg in models_f7():

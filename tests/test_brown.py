@@ -2,12 +2,13 @@ import random
 
 import pytest
 
-from brownalg import linalg
-from brownalg.albert import split_albert, tits
+from brownalg import albert, brown, linalg
+from brownalg.albert import AlbertAlgebra, hermitian, split_albert, tits
 from brownalg.brown import BrownAlgebra, BrownElem, binv, bmul
+from brownalg.cayley import CDAlgebra
 from brownalg.errors import NotAutomorphism, NotCommuting, NotNormPreserving
 from brownalg.fields import Fp, Q
-from brownalg.involutions import lift_c_to_j, make_canonical_t, make_s
+from brownalg.involutions import Catalog, lift_c_to_j, make_canonical_t, make_s
 from brownalg.linmaps import ALBERT, LinMap, dagger, identity_map
 
 
@@ -182,3 +183,115 @@ def test_json_round_trip():
     rng = random.Random(6)
     x = b.sample(rng)
     assert BrownElem.from_json(b, x.to_json()).coords == x.coords
+
+
+# -- the derived product table --------------------------------------------------
+
+def _ref_bmul(b, x, y):
+    """The 2x2-block product written out from the Albert operations:
+    (a1 a2 + z Tr(j1, l2), b1 b2 + z Tr(j2, l1),
+     a1 j2 + b2 j1 + z l1 # l2, b1 l2 + a2 l1 + j1 # j2)."""
+    f, J, z = b.field, b.jalg, b.zeta
+    a1, b1, j1, l1 = x[0], x[1], x[2:29], x[29:]
+    a2, b2, j2, l2 = y[0], y[1], y[2:29], y[29:]
+    alpha = f.add(f.mul(a1, a2), f.mul(z, J.trform_raw(j1, l2)))
+    beta = f.add(f.mul(b1, b2), f.mul(z, J.trform_raw(j2, l1)))
+    lc = _ref_cross(J, l1, l2)
+    jc = _ref_cross(J, j1, j2)
+    jout = tuple(
+        f.add(f.add(f.mul(a1, j2[k]), f.mul(b2, j1[k])), f.mul(z, lc[k])) for k in range(27)
+    )
+    lout = tuple(
+        f.add(f.add(f.mul(b1, l2[k]), f.mul(a2, l1[k])), jc[k]) for k in range(27)
+    )
+    return (alpha, beta) + jout + lout
+
+
+def _ref_cross(J, x, y):
+    """x # y = 2 x.y - Tr(x) y - Tr(y) x + (Tr(x)Tr(y) - Tr(x,y)) e."""
+    f = J.field
+    p = J.jmul_raw(x, y)
+    tx, ty = J.tr_raw(x), J.tr_raw(y)
+    s = f.sub(f.mul(tx, ty), J.trform_raw(x, y))
+    e = J.unit_coords
+    return tuple(
+        f.add(f.sub(f.sub(f.mul(f.from_int(2), p[k]), f.mul(tx, y[k])), f.mul(ty, x[k])),
+              f.mul(s, e[k]))
+        for k in range(27)
+    )
+
+
+def _brown_models(f):
+    # 5/7 has no residue mod 7, so the third kappa is 5/3 over F_7
+    kappas = ("-1/2", "3", "5/3" if f.p == 7 else "5/7")
+    octonions = CDAlgebra(f, kappas=tuple(f.parse_scalar(k) for k in kappas))
+    gamma = tuple(f.parse_scalar(g) for g in ("1", "2/3", "-5"))
+    kappa_her = hermitian(octonions, gamma=gamma)
+    return [
+        BrownAlgebra(split_albert(f)),
+        BrownAlgebra(kappa_her, zeta=f.parse_scalar("-2/5")),
+        BrownAlgebra(tits(f, f.parse_scalar("3/2")), zeta=3),
+    ]
+
+
+def _sparse_brown(b, rng, nonzero):
+    f = b.field
+    coords = [f.zero()] * 56
+    for k in rng.sample(range(56), nonzero):
+        coords[k] = f.sample_raw(rng, 4) or f.one()
+    return tuple(coords)
+
+
+@pytest.mark.parametrize("field", [Q(), Fp(7), Fp(2**61 - 1)], ids=str)
+def test_brown_table_matches_formula(field):
+    """The derived 56-dimensional table against the block formula, for zeta 1
+    and zeta != 1, on basis pairs, sparse and dense operands."""
+    rng = random.Random(13)
+    for b in _brown_models(field):
+        assert b.mul_table() is b.mul_table()
+        cross = len(b.jalg.cross_table().entries)
+        assert len(b.mul_table().entries) == 2 + 2 * 27 + 4 * 27 + 2 * cross
+        basis = [e.coords for e in b.basis()]
+        pairs = [(basis[i], basis[j]) for i in (0, 1, 2, 29) for j in range(0, 56, 3)]
+        pairs += [(basis[j], basis[i]) for i in (0, 1, 2, 29) for j in range(0, 56, 3)]
+        for nonzero in (1, 2, 6, 56):
+            pairs += [(_sparse_brown(b, rng, nonzero), _sparse_brown(b, rng, nonzero))
+                      for _ in range(4)]
+        pairs += [(b.sample(rng).coords, b.sample(rng).coords) for _ in range(4)]
+        for x, y in pairs:
+            assert b.bmul_raw(x, y) == _ref_bmul(b, x, y)
+
+
+def test_brown_table_is_derived_not_evaluated(monkeypatch):
+    """The table comes from the cross table, the Gram matrix and zeta:
+    deriving it evaluates no product of J or B."""
+    b = BrownAlgebra(tits(Q(), 2), zeta=5)
+
+    def forbidden(*args):
+        raise AssertionError("product evaluated while deriving the Brown table")
+
+    for cls, name in ((AlbertAlgebra, "jmul_raw"), (AlbertAlgebra, "cross_raw"),
+                      (AlbertAlgebra, "trform_raw"), (BrownAlgebra, "bmul_raw")):
+        monkeypatch.setattr(cls, name, forbidden)
+    assert len(b.mul_table().entries) == 704
+
+
+def test_tables_are_built_lazily_and_once(monkeypatch):
+    """A Catalog builds no cross or Brown table; the first Brown product
+    builds each once, and later products reuse them."""
+    built = []
+
+    class CountingTable(brown.MulTable):
+        def __init__(self, n, entries):
+            built.append(n)
+            super().__init__(n, entries)
+
+    cat = Catalog(Q())
+    monkeypatch.setattr(brown, "MulTable", CountingTable)
+    monkeypatch.setattr(albert, "MulTable", CountingTable)
+    assert cat.J._cross_table is None and cat.B._table is None
+    x = cat.B.unit().coords
+    for _ in range(3):
+        assert cat.B.bmul_raw(x, x) == x
+    assert sorted(built) == [27, 56]
+    assert cat.J._cross_table is not None and cat.B._table is not None

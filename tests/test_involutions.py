@@ -248,6 +248,31 @@ def test_fixed_dims_catalog_on_brown():
         assert rep.involution_closed, name
 
 
+def test_fixed_subalgebra_checks_every_ordered_brown_pair():
+    """phi = +1 on coordinates alpha, j_0 and l_0, -1 elsewhere: its fixed space
+    is spanned by e_alpha, e_j0, e_l0, and e_l0 . e_j0 = e_beta leaves it
+    although e_j0 . e_l0 = e_alpha does not.  The Brown product is not
+    commutative, so the verdict needs both orders."""
+    from brownalg.brown import bmul
+    from brownalg.linmaps import BROWN
+
+    b = Catalog(Q()).B
+    f = b.field
+    plus = {0, 2, 29}
+    rows = tuple(
+        tuple((f.one() if i in plus else f.neg(f.one())) if i == j else f.zero()
+              for j in range(56))
+        for i in range(56)
+    )
+    phi = LinMap(rows, f, BROWN, b.basis_tag)
+    rep = fixed_subalgebra(phi, b)
+    assert rep.dimension == 3
+    assert not rep.product_closed
+    basis = b.basis()
+    assert bmul(basis[2], basis[29]).coords == basis[0].coords
+    assert bmul(basis[29], basis[2]).coords == basis[1].coords
+
+
 def test_fixed_dims_on_albert():
     cat = cat7()
     assert fixed_subalgebra(cat.s_on_j(), cat.J).dimension == 11

@@ -185,6 +185,64 @@ def test_left_matrix_consistent_with_apply():
         assert linalg.mat_vec(m, y, f) == table.apply(x, y, f)
 
 
+def _ref_in_span(rows, pivots, v, p):
+    """Dense reduction of v by every RREF row, no entry skipped."""
+    w = list(v)
+    for row, pc in zip(rows, pivots):
+        f = w[pc]
+        w = [(w[j] - f * row[j]) % p for j in range(len(w))]
+    return not any(w)
+
+
+def test_in_span_matches_dense_reference():
+    """Members (random combinations) and near-misses (one coordinate bumped)
+    of dense and permutation-like sparse row spaces, over F_p and over Q."""
+    for p in PRIMES:
+        rng = random.Random(p + 1)
+        f = Fp(p)
+        for shape in ("dense", "sparse"):
+            for _ in range(4):
+                a = _random_matrix(rng, 5, 9, p) if shape == "dense" else _sparse_matrix(rng, 9, p)
+                rows, pivots = linalg.row_space_rref(a, f)
+                coeffs = [rng.randrange(p) if rng.random() < 0.6 else 0 for _ in a]
+                member = tuple(sum(c * r[j] for c, r in zip(coeffs, a)) % p for j in range(9))
+                bump = rng.randrange(9)
+                miss = tuple((v + (j == bump)) % p for j, v in enumerate(member))
+                for v in (member, miss):
+                    assert linalg.in_span(rows, pivots, v, f) == _ref_in_span(rows, pivots, v, p)
+                assert linalg.in_span(rows, pivots, member, f)
+    q = Q()
+    rng = random.Random(5)
+    a = tuple(tuple(Fraction(rng.randrange(-3, 4), rng.randrange(1, 4)) if rng.random() < 0.4
+                    else Fraction(0) for _ in range(8)) for _ in range(4))
+    rows, pivots = linalg.row_space_rref(a, q)
+    member = tuple(Fraction(2, 3) * x - y for x, y in zip(a[0], a[2]))
+    assert linalg.in_span(rows, pivots, member, q)
+    for j in range(8):
+        bumped = tuple(v + (j == k) for k, v in enumerate(member))
+        reduced = list(bumped)
+        for row, pc in zip(rows, pivots):
+            c = reduced[pc]
+            reduced = [x - c * r for x, r in zip(reduced, row)]
+        assert linalg.in_span(rows, pivots, bumped, q) == (not any(reduced))
+
+
+def test_span_closed_checks_ordered_pairs():
+    """A product with x.y in the span but y.x outside is not closed; the
+    commutative shortcut (pairs i <= j) sees only x.y."""
+    f = Fp(7)
+    vecs = [(1, 0, 0), (0, 1, 0)]
+    rows, pivots = linalg.row_space_rref(vecs, f)
+
+    def product(x, y):
+        # e0.e1 = e0, e1.e0 = e2, everything else 0
+        return (x[0] * y[1] % 7, 0, x[1] * y[0] % 7)
+
+    assert not linalg.span_closed(rows, pivots, vecs, product, f)
+    assert linalg.span_closed(rows, pivots, vecs, product, f, commutative=True)
+    assert linalg.span_closed(rows, pivots, vecs, lambda x, y: (0, 0, 0), f)
+
+
 def test_in_span_and_same_span():
     f = Fp(7)
     vecs = [(1, 2, 3, 0), (0, 1, 1, 1)]

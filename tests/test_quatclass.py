@@ -1,10 +1,11 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from brownalg.errors import ZeroArgument
-from brownalg.fields import INFINITE, Fp, Kbar, Q, Qp, Rplace
+from brownalg.errors import AlgebraError, FactorizationTooLarge, ZeroArgument
+from brownalg.fields import INFINITE, Fp, Kbar, Q, Qp, Rplace, is_prime
 from brownalg.quatclass import (
     QuatPresentation,
     class_report,
@@ -119,6 +120,36 @@ def test_is_split_minus1_p_three_mod_four():
         assert not is_split(QuatPresentation(-1, p), Q())
     for p in (5, 13, 17):
         assert is_split(QuatPresentation(-1, p), Q())
+
+
+def test_is_split_large_prime_input_returns_quickly():
+    # 10^16 + 61 = 2 mod 3 and 3 || 3, so (10^16 + 61, 3)_3 = (2/3) = -1
+    start = time.perf_counter()
+    assert not is_split(QuatPresentation(10**16 + 61, 3), Q())
+    assert time.perf_counter() - start < 1.0
+    assert hilbert_symbol(10**16 + 61, 3, Qp(3)) == -1
+
+
+def test_hilbert_places_factors_beyond_trial_division():
+    start = time.perf_counter()
+    assert [str(v) for v in hilbert_places(10**12 + 39, 3)] == ["R", "Qp:2", "Qp:3", "Qp:1000000000039"]
+    # two 32-bit primes: only Pollard rho separates them; even powers drop out
+    p, q = 2**32 - 5, 2**32 - 17
+    assert is_prime(p) and is_prime(q) and is_prime(10**12 + 39)
+    places = hilbert_places(Fraction(7 * p * q, 1009**2), Fraction(-(1019**2) * 1013**3, 11))
+    assert [str(v) for v in places] == ["R", "Qp:2", "Qp:7", "Qp:11", "Qp:1013", f"Qp:{q}", f"Qp:{p}"]
+    assert time.perf_counter() - start < 1.0
+
+
+def test_factorization_beyond_the_bound_raises_typed_error():
+    big = (2**61 - 1) * (2**89 - 1)
+    assert issubclass(FactorizationTooLarge, AlgebraError)
+    with pytest.raises(FactorizationTooLarge):
+        hilbert_places(Fraction(3, big), 5)
+    with pytest.raises(FactorizationTooLarge):
+        is_split(QuatPresentation(big, -1), Q())
+    # the bound applies to what trial division leaves, not to the input size
+    assert [str(v) for v in hilbert_places(2**101 * 3**80, 5)] == ["R", "Qp:2", "Qp:5"]
 
 
 def test_is_split_fp_isotropy_oracle():
