@@ -8,6 +8,11 @@ x_ji = gamma_j^-1 gamma_i conj(x_ij).
 First Tits construction: three copies of Mat3(k) with twisted norm and sharp;
 coordinates are the three matrices row-major.
 
+The Jordan product is a structure table derived from structure data, never
+by evaluating products: from the composition table and gamma in the
+Hermitian model (`her_jordan_table`), from the 3x3 matrix units and varsigma
+in the Tits model (`tits_jordan_table`).
+
 The cubic data is computed intrinsically from the Jordan product (sharp from
 the quadratic trace, N = Tr(x#, x)/3); a per-instance closed form is fitted
 against the intrinsic route and used as the fast evaluator after validation.
@@ -105,6 +110,121 @@ def mat3_inverse(f, A):
     return tuple(tuple(f.mul(di, v) for v in row) for row in adj)
 
 
+# -- the Jordan tables, derived from structure data --------------------------
+
+def _jordan_entries(products):
+    """Table entries from the products of the basis pairs i <= j, given as
+    {k: coefficient} dicts; the product is commutative, so (j, i) repeats
+    (i, j)."""
+    entries = []
+    for (i, j), prod in products:
+        for k in sorted(prod):
+            c = prod[k]
+            if c:
+                entries.append((i, j, k, c))
+                if i != j:
+                    entries.append((j, i, k, c))
+    return entries
+
+
+def her_jordan_table(octonions: CDAlgebra, gamma) -> MulTable:
+    """x.y = (xy + yx)/2 on gamma-Hermitian 3x3 matrices over the octonions,
+    derived from the composition table.  Each basis element is a sparse 3x3
+    matrix of (octonion index, coefficient) lists: a diagonal element holds
+    the octonion unit, and e_p in an off-diagonal block holds e_p at its
+    position and gamma_j^-1 gamma_i conj(e_p) at the transposed one.  The
+    coordinates of a product are read at the diagonal (coefficient of
+    octonion index 0) and at the a (2,3), b (3,1) and c (1,2) positions."""
+    f, C = octonions.field, octonions
+    zero, one, half = f.zero(), f.one(), f.half()
+    by_pair = {}
+    for p, q, k, c in C.table.entries:
+        by_pair.setdefault((p, q), []).append((k, c))
+    unit = [(k, v) for k, v in enumerate(C.unit_coords) if v]
+    basis = [{(i, i): unit} for i in range(3)]
+    readout = {((i, i), 0): i for i in range(3)}
+    # the a, b, c blocks at (i, j); x_ji = gamma_j^-1 gamma_i conj(x_ij)
+    for block, (i, j) in enumerate(((1, 2), (2, 0), (0, 1))):
+        ratio = f.div(gamma[i], gamma[j])
+        for p in range(8):
+            k, c = C._conj[p]
+            basis.append({(i, j): [(p, one)], (j, i): [(k, f.mul(ratio, c))]})
+            readout[(i, j), p] = 3 + 8 * block + p
+
+    def jordan(X, Y):
+        acc = {}
+        for A, B in ((X, Y), (Y, X)):
+            for (r, t), xs in A.items():
+                for (t2, s), ys in B.items():
+                    if t != t2:
+                        continue
+                    for p, a in xs:
+                        for q, b in ys:
+                            ab = f.mul(a, b)
+                            for k, c in by_pair.get((p, q), ()):
+                                slot = readout.get(((r, s), k))
+                                if slot is not None:
+                                    acc[slot] = f.add(acc.get(slot, zero), f.mul(ab, c))
+        return {k: f.mul(half, v) for k, v in acc.items()}
+
+    return MulTable(DIM, _jordan_entries(
+        ((i, j), jordan(basis[i], basis[j])) for i in range(DIM) for j in range(i, DIM)
+    ))
+
+
+def _eps(i, a, c):
+    """Sign of the permutation (i, a, c) of (0, 1, 2)."""
+    return 1 if (a - i) % 3 == 1 else -1
+
+
+# (block of x, block of y) -> block of the term -x y in the Tits sharp
+_TITS_PRODUCT_BLOCK = {(1, 2): 0, (0, 1): 1, (2, 0): 2}
+
+
+def tits_jordan_table(field: FieldSpec, varsigma) -> MulTable:
+    """x.y = (x#y + Tr(x) y + Tr(y) x - S(x, y) e)/2 on the first Tits
+    construction, derived from the matrix units E_ab of the three blocks.
+    With x# = (a0# - a1 a2, varsigma^-1 a2# - a0 a1, varsigma a1# - a2 a0),
+    the polarized adjugate of E_ab and E_cd is eps_iac eps_jbd at (j, i),
+    i = 3-a-c and j = 3-b-d, and E_ab E_cd = delta_bc E_ad.
+    S(x, y) = Tr(x) Tr(y) - T(x, y) with T(x, y) = tr(x0 y0 + x1 y2 + x2 y1)."""
+    f = field
+    zero, one, half = f.zero(), f.one(), f.half()
+    # block of a pair x, y -> (block of its adjugate term, scale)
+    adj_block = {0: (0, one), 2: (1, f.inv(varsigma)), 1: (2, varsigma)}
+    units = [(r, a, b) for r in range(3) for a in range(3) for b in range(3)]
+
+    def jordan(x, y):
+        (r, a, b), (s, c, d) = x, y
+        acc = {}
+
+        def add(k, v):
+            acc[k] = f.add(acc.get(k, zero), v)
+
+        if r == s and a != c and b != d:
+            w, scale = adj_block[r]
+            i, j = 3 - a - c, 3 - b - d
+            add(9 * w + 3 * j + i, f.mul(scale, f.from_int(_eps(i, a, c) * _eps(j, b, d))))
+        if (r, s) in _TITS_PRODUCT_BLOCK and b == c:
+            add(9 * _TITS_PRODUCT_BLOCK[r, s] + 3 * a + d, f.neg(one))
+        if (s, r) in _TITS_PRODUCT_BLOCK and d == a:
+            add(9 * _TITS_PRODUCT_BLOCK[s, r] + 3 * c + b, f.neg(one))
+        tr_x, tr_y = r == 0 and a == b, s == 0 and c == d
+        if tr_x:
+            add(9 * s + 3 * c + d, one)
+        if tr_y:
+            add(9 * r + 3 * a + b, one)
+        sr = int(tr_x and tr_y) - int((r + s) % 3 == 0 and b == c and a == d)
+        if sr:
+            for k in (0, 4, 8):
+                add(k, f.from_int(-sr))
+        return {k: f.mul(half, v) for k, v in acc.items()}
+
+    return MulTable(DIM, _jordan_entries(
+        ((i, j), jordan(units[i], units[j])) for i in range(DIM) for j in range(i, DIM)
+    ))
+
+
 class AlbertAlgebra:
     """One model of the Albert algebra over an exact field."""
 
@@ -142,8 +262,10 @@ class AlbertAlgebra:
             raise ValueError(f"unknown model {model!r}")
 
         self.unit_coords = self._unit_coords()
-        self.table = MulTable(DIM, self._build_table())
-        self.trvec = self._trace_vector()
+        self.table = (her_jordan_table(octonions, self.gamma) if model == "her"
+                      else tits_jordan_table(f, self.varsigma))
+        # Tr(x) sums the diagonal coordinates, which are the ones set in the unit
+        self.trvec = self.unit_coords
         self.gram = self._build_gram()
         self._gram_sparse = tuple(
             (i, j, v) for i, row in enumerate(self.gram) for j, v in enumerate(row) if v
@@ -163,131 +285,6 @@ class AlbertAlgebra:
             v[0] = v[1] = v[2] = one
         else:
             v[0] = v[4] = v[8] = one
-        return tuple(v)
-
-    def _her_full_matrix(self, coords):
-        """3x3 matrix of octonion coordinate vectors realizing the element."""
-        f, C, g = self.field, self.octonions, self.gamma
-        a = coords[3:11]
-        b = coords[11:19]
-        c = coords[19:27]
-        e = C.unit_coords
-        def smul(s, v):
-            return tuple(f.mul(s, t) for t in v)
-        M = [[None] * 3 for _ in range(3)]
-        for i in range(3):
-            M[i][i] = smul(coords[i], e)
-        M[0][1] = tuple(c)
-        M[1][0] = smul(f.div(g[0], g[1]), C.conj_raw(c))
-        M[1][2] = tuple(a)
-        M[2][1] = smul(f.div(g[1], g[2]), C.conj_raw(a))
-        M[2][0] = tuple(b)
-        M[0][2] = smul(f.div(g[2], g[0]), C.conj_raw(b))
-        return M
-
-    def _her_extract(self, M):
-        coords = [M[0][0][0], M[1][1][0], M[2][2][0]]
-        coords += list(M[1][2]) + list(M[2][0]) + list(M[0][1])
-        return tuple(coords)
-
-    def _her_jmul_direct(self, x, y):
-        f, C = self.field, self.octonions
-        Mx = self._her_full_matrix(x)
-        My = self._her_full_matrix(y)
-        half = f.half()
-        out = [[None] * 3 for _ in range(3)]
-        for i in range(3):
-            for j in range(3):
-                acc = [f.zero()] * 8
-                for k in range(3):
-                    for term in (C.mul_raw(Mx[i][k], My[k][j]), C.mul_raw(My[i][k], Mx[k][j])):
-                        acc = [f.add(u, v) for u, v in zip(acc, term)]
-                out[i][j] = tuple(f.mul(half, v) for v in acc)
-        return self._her_extract(out)
-
-    def _tits_sharp_cross(self, x, y):
-        """Polarized Tits sharp: x # y."""
-        f = self.field
-        vs, vsi = self.varsigma, f.inv(self.varsigma)
-        a0, a1, a2 = (mat3_from_flat(x[9 * r: 9 * r + 9]) for r in range(3))
-        b0, b1, b2 = (mat3_from_flat(y[9 * r: 9 * r + 9]) for r in range(3))
-        def adjp(A, B):
-            s = tuple(tuple(f.add(A[i][j], B[i][j]) for j in range(3)) for i in range(3))
-            out = mat3_adj(f, s)
-            oa, ob = mat3_adj(f, A), mat3_adj(f, B)
-            return tuple(
-                tuple(f.sub(f.sub(out[i][j], oa[i][j]), ob[i][j]) for j in range(3))
-                for i in range(3)
-            )
-        def msub2(A, B, C):
-            return tuple(
-                tuple(f.sub(f.sub(A[i][j], B[i][j]), C[i][j]) for j in range(3))
-                for i in range(3)
-            )
-        def mscale(s, A):
-            return tuple(tuple(f.mul(s, v) for v in row) for row in A)
-        p0 = msub2(adjp(a0, b0), mat3_mul(f, a1, b2), mat3_mul(f, b1, a2))
-        p1 = msub2(mscale(vsi, adjp(a2, b2)), mat3_mul(f, a0, b1), mat3_mul(f, b0, a1))
-        p2 = msub2(mscale(vs, adjp(a1, b1)), mat3_mul(f, a2, b0), mat3_mul(f, b2, a0))
-        flat = []
-        for m in (p0, p1, p2):
-            for row in m:
-                flat.extend(row)
-        return tuple(flat)
-
-    def _tits_trform_direct(self, x, y):
-        f = self.field
-        xs = [mat3_from_flat(x[9 * r: 9 * r + 9]) for r in range(3)]
-        ys = [mat3_from_flat(y[9 * r: 9 * r + 9]) for r in range(3)]
-        acc = mat3_tr(f, mat3_mul(f, xs[0], ys[0]))
-        acc = f.add(acc, mat3_tr(f, mat3_mul(f, xs[1], ys[2])))
-        acc = f.add(acc, mat3_tr(f, mat3_mul(f, xs[2], ys[1])))
-        return acc
-
-    def _tits_jmul_direct(self, x, y):
-        """Product from the sharped cubic form:
-        x.y = (x#y + Tr(x) y + Tr(y) x - Sr(x,y) 1)/2."""
-        f = self.field
-        half = f.half()
-        trx = f.add(f.add(x[0], x[4]), x[8])
-        try_ = f.add(f.add(y[0], y[4]), y[8])
-        sr = f.sub(f.mul(trx, try_), self._tits_trform_direct(x, y))
-        sc = self._tits_sharp_cross(x, y)
-        e = self.unit_coords
-        return tuple(
-            f.mul(half, f.sub(f.add(f.add(sc[k], f.mul(trx, y[k])), f.mul(try_, x[k])),
-                              f.mul(sr, e[k])))
-            for k in range(DIM)
-        )
-
-    def _build_table(self):
-        f = self.field
-        zero = f.zero()
-        direct = self._her_jmul_direct if self.model == "her" else self._tits_jmul_direct
-        basis = []
-        one = f.one()
-        for i in range(DIM):
-            v = [zero] * DIM
-            v[i] = one
-            basis.append(tuple(v))
-        entries = []
-        for i in range(DIM):
-            for j in range(i, DIM):
-                prod = direct(basis[i], basis[j])
-                for k, cval in enumerate(prod):
-                    if cval:
-                        entries.append((i, j, k, cval))
-                        if i != j:
-                            entries.append((j, i, k, cval))
-        return entries
-
-    def _trace_vector(self):
-        f = self.field
-        v = [f.zero()] * DIM
-        if self.model == "her":
-            v[0] = v[1] = v[2] = f.one()
-        else:
-            v[0] = v[4] = v[8] = f.one()
         return tuple(v)
 
     def _build_gram(self):

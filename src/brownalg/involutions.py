@@ -40,7 +40,6 @@ from .linmaps import (
     dagger,
     from_columns,
     identity_map,
-    is_aut_member,
     norm_preserving_sampled,
 )
 
@@ -345,7 +344,7 @@ def grade_decompose(phi: LinMap, context, form=None):
         raise NotOrderTwo("eigenspaces do not fill the carrier (characteristic issue?)")
     spans = {}
     for name, part in (("+", plus), ("-", minus)):
-        spans[name] = linalg.row_space_rref(part, f) if part else ((), ())
+        spans[name] = linalg.row_space_rref(part, f)
     law = {("+", "+"): "+", ("+", "-"): "-", ("-", "+"): "-", ("-", "-"): "+"}
     for (sa, sb), target in law.items():
         rows, pivots = spans[target]
@@ -370,12 +369,12 @@ def verify_conjugacy_transport(g: LinMap, t: LinMap, t2: LinMap) -> bool:
     fix_t2 = t2.fixed_space()
     if len(fix_t) != len(fix_t2):
         return False
-    rows2, piv2 = linalg.row_space_rref(fix_t2, f) if fix_t2 else ((), ())
+    rows2, piv2 = linalg.row_space_rref(fix_t2, f)
     for v in fix_t:
         if not linalg.in_span(rows2, piv2, g.apply(v), f):
             return False
     gi = g.inverse_map()
-    rows1, piv1 = linalg.row_space_rref(fix_t, f) if fix_t else ((), ())
+    rows1, piv1 = linalg.row_space_rref(fix_t, f)
     for v in fix_t2:
         if not linalg.in_span(rows1, piv1, gi.apply(v), f):
             return False
@@ -532,7 +531,6 @@ class Catalog:
         if len(models) > 1:
             raise CarrierMismatch("cannot mix Hermitian and Tits atoms in one descriptor")
         model = models.pop() if models else "her"
-        jalg = self.J if model == "her" else self.Jt
         balg = self.B if model == "her" else self.Bt
         out = None
         for kind, jmap in atoms:
@@ -541,11 +539,10 @@ class Catalog:
             elif space == "J":
                 piece = jmap
             else:
-                piece = (
-                    balg.lift_aut(jmap)
-                    if is_aut_member(jmap, jalg)
-                    else balg.lift_inv(jmap)
-                )
+                try:
+                    piece = balg.lift_aut(jmap)
+                except NotAutomorphism:
+                    piece = balg.lift_inv(jmap)
             out = piece if out is None else out.compose(piece)
         return out
 

@@ -1,11 +1,13 @@
 """The structure-constant table type shared by every algebra in the tower.
 
 Every product in the tower is one `MulTable`: the composition product
-(`CDAlgebra.table`), the Jordan product (`AlbertAlgebra.table`), the Albert
-cross product (`AlbertAlgebra.cross_table()`, derived from the Jordan table,
-trace and Gram data) and the Brown product (`BrownAlgebra.mul_table()`,
-derived from the cross table, the Gram matrix and zeta).  The two derived
-tables are built on first use and cached.
+(`CDAlgebra.table`), the Jordan product (`AlbertAlgebra.table`, derived from
+the composition table and gamma in the Hermitian model, or from the 3x3
+matrix units and varsigma in the Tits model), the Albert cross product
+(`AlbertAlgebra.cross_table()`, derived from the Jordan table, trace and Gram
+data) and the Brown product (`BrownAlgebra.mul_table()`, derived from the
+cross table, the Gram matrix and zeta).  No table is built by evaluating a
+product; the cross and Brown tables are built on first use and cached.
 
 `MulTable.apply` is the one bilinear-product kernel for both fields: the
 entries are grouped by their first index and zero coordinates of either

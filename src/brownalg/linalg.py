@@ -136,9 +136,8 @@ def solve_right(a, b, field: FieldSpec):
 
 
 def row_space_rref(vectors, field: FieldSpec):
-    """RREF basis of the span of the given vectors (zero rows dropped)."""
-    if not vectors:
-        return ()
+    """RREF basis of the span of the given vectors (zero rows dropped);
+    the empty span is ((), ())."""
     rows, pivots = rref(tuple(vectors), field)
     return rows[: len(pivots)], pivots
 
@@ -174,6 +173,4 @@ def span_closed(rref_rows, pivots, vectors, product, field: FieldSpec,
 
 
 def same_span(vecs_a, vecs_b, field: FieldSpec) -> bool:
-    ra, pa = row_space_rref(vecs_a, field) if vecs_a else ((), ())
-    rb, pb = row_space_rref(vecs_b, field) if vecs_b else ((), ())
-    return ra == rb
+    return row_space_rref(vecs_a, field)[0] == row_space_rref(vecs_b, field)[0]

@@ -34,6 +34,7 @@ from brownalg.errors import (
     ZeroMultiplier,
 )
 from brownalg.fields import Fp, Q, scalar
+from brownalg.kernels import MulTable
 
 
 def models_f7():
@@ -48,6 +49,108 @@ def all_models():
         tits(Q()),
         hermitian(CDAlgebra.split_octonions(Fp(11)), gamma=(1, 2, 3)),
     ]
+
+
+# -- reference: the Jordan product evaluated on full 3x3 matrices ------------
+
+def _ref_her_full_matrix(alg, coords):
+    """3x3 matrix of octonion coordinate vectors realizing the element."""
+    f, C, g = alg.field, alg.octonions, alg.gamma
+    a, b, c = coords[3:11], coords[11:19], coords[19:27]
+    def smul(s, v):
+        return tuple(f.mul(s, t) for t in v)
+    M = [[None] * 3 for _ in range(3)]
+    for i in range(3):
+        M[i][i] = smul(coords[i], C.unit_coords)
+    M[0][1] = tuple(c)
+    M[1][0] = smul(f.div(g[0], g[1]), C.conj_raw(c))
+    M[1][2] = tuple(a)
+    M[2][1] = smul(f.div(g[1], g[2]), C.conj_raw(a))
+    M[2][0] = tuple(b)
+    M[0][2] = smul(f.div(g[2], g[0]), C.conj_raw(b))
+    return M
+
+
+def _ref_her_extract(M):
+    return (M[0][0][0], M[1][1][0], M[2][2][0]) + tuple(M[1][2]) + tuple(M[2][0]) + tuple(M[0][1])
+
+
+def _ref_her_jmul(alg, x, y):
+    """(XY + YX)/2 on the full gamma-Hermitian matrices."""
+    f, C = alg.field, alg.octonions
+    Mx, My = _ref_her_full_matrix(alg, x), _ref_her_full_matrix(alg, y)
+    half = f.half()
+    out = [[None] * 3 for _ in range(3)]
+    for i in range(3):
+        for j in range(3):
+            acc = [f.zero()] * 8
+            for k in range(3):
+                for term in (C.mul_raw(Mx[i][k], My[k][j]), C.mul_raw(My[i][k], Mx[k][j])):
+                    acc = [f.add(u, v) for u, v in zip(acc, term)]
+            out[i][j] = tuple(f.mul(half, v) for v in acc)
+    return _ref_her_extract(out)
+
+
+def _ref_tits_sharp_cross(alg, x, y):
+    """Polarized Tits sharp x # y from 3x3 adjugates and matrix products."""
+    f = alg.field
+    vs, vsi = alg.varsigma, f.inv(alg.varsigma)
+    a0, a1, a2 = (albert.mat3_from_flat(x[9 * r: 9 * r + 9]) for r in range(3))
+    b0, b1, b2 = (albert.mat3_from_flat(y[9 * r: 9 * r + 9]) for r in range(3))
+    def adjp(A, B):
+        s = tuple(tuple(f.add(A[i][j], B[i][j]) for j in range(3)) for i in range(3))
+        out, oa, ob = albert.mat3_adj(f, s), albert.mat3_adj(f, A), albert.mat3_adj(f, B)
+        return tuple(tuple(f.sub(f.sub(out[i][j], oa[i][j]), ob[i][j]) for j in range(3))
+                     for i in range(3))
+    def msub2(A, B, C):
+        return tuple(tuple(f.sub(f.sub(A[i][j], B[i][j]), C[i][j]) for j in range(3))
+                     for i in range(3))
+    def mscale(s, A):
+        return tuple(tuple(f.mul(s, v) for v in row) for row in A)
+    mul = albert.mat3_mul
+    p0 = msub2(adjp(a0, b0), mul(f, a1, b2), mul(f, b1, a2))
+    p1 = msub2(mscale(vsi, adjp(a2, b2)), mul(f, a0, b1), mul(f, b0, a1))
+    p2 = msub2(mscale(vs, adjp(a1, b1)), mul(f, a2, b0), mul(f, b2, a0))
+    return tuple(v for m in (p0, p1, p2) for row in m for v in row)
+
+
+def _ref_tits_trform(alg, x, y):
+    f = alg.field
+    xs = [albert.mat3_from_flat(x[9 * r: 9 * r + 9]) for r in range(3)]
+    ys = [albert.mat3_from_flat(y[9 * r: 9 * r + 9]) for r in range(3)]
+    acc = albert.mat3_tr(f, albert.mat3_mul(f, xs[0], ys[0]))
+    acc = f.add(acc, albert.mat3_tr(f, albert.mat3_mul(f, xs[1], ys[2])))
+    return f.add(acc, albert.mat3_tr(f, albert.mat3_mul(f, xs[2], ys[1])))
+
+
+def _ref_tits_jmul(alg, x, y):
+    """x.y = (x#y + Tr(x) y + Tr(y) x - S(x,y) 1)/2 from the sharped cubic form."""
+    f = alg.field
+    half = f.half()
+    trx = f.add(f.add(x[0], x[4]), x[8])
+    try_ = f.add(f.add(y[0], y[4]), y[8])
+    sr = f.sub(f.mul(trx, try_), _ref_tits_trform(alg, x, y))
+    sc = _ref_tits_sharp_cross(alg, x, y)
+    e = alg.unit_coords
+    return tuple(
+        f.mul(half, f.sub(f.add(f.add(sc[k], f.mul(trx, y[k])), f.mul(try_, x[k])),
+                          f.mul(sr, e[k])))
+        for k in range(27)
+    )
+
+
+def _ref_jordan_entries(alg):
+    """Table entries from the direct product on the basis pairs i <= j,
+    mirrored to (j, i)."""
+    direct = _ref_her_jmul if alg.model == "her" else _ref_tits_jmul
+    basis = [b.coords for b in alg.basis()]
+    entries = []
+    for i in range(27):
+        for j in range(i, 27):
+            for k, c in enumerate(direct(alg, basis[i], basis[j])):
+                if c:
+                    entries += [(i, j, k, c), (j, i, k, c)] if i != j else [(i, j, k, c)]
+    return entries
 
 
 # -- unit and product basics -------------------------------------------------
@@ -85,7 +188,7 @@ def test_hermitian_closure():
         C, f, g = alg.octonions, alg.field, alg.gamma
         for _ in range(12):
             x, y = alg.sample(rng), alg.sample(rng)
-            M = alg._her_full_matrix(alg.jmul_raw(x.coords, y.coords))
+            M = _ref_her_full_matrix(alg, alg.jmul_raw(x.coords, y.coords))
             for (i, j) in ((0, 1), (1, 2), (2, 0)):
                 expect = tuple(
                     f.mul(f.div(g[j], g[i]), v) for v in C.conj_raw(M[j][i])
@@ -226,7 +329,7 @@ def test_tits_trform_matches_eq8_pattern():
     rng = random.Random(6)
     for _ in range(15):
         x, y = alg.sample(rng), alg.sample(rng)
-        assert alg.trform_raw(x.coords, y.coords) == alg._tits_trform_direct(x.coords, y.coords)
+        assert alg.trform_raw(x.coords, y.coords) == _ref_tits_trform(alg, x.coords, y.coords)
 
 
 # -- sharp ---------------------------------------------------------------------
@@ -310,6 +413,35 @@ def test_cross_table_is_derived_not_evaluated(monkeypatch):
     monkeypatch.setattr(AlbertAlgebra, "trform_raw", forbidden)
     for alg in models:
         assert len(alg.cross_table().entries) == 270
+
+
+@pytest.mark.parametrize("field", [Q(), Fp(7), Fp(2**61 - 1)], ids=str)
+def test_jordan_table_matches_direct_product(field):
+    """The derived Jordan tables equal the product evaluated on full 3x3
+    matrices: split and kappa/gamma Hermitian models, Tits with varsigma 1
+    and 3/2."""
+    models = _norm_form_models(field) + [tits(field, 1)]
+    for alg in models:
+        assert sorted(alg.table.entries, key=lambda e: e[:3]) == \
+            sorted(_ref_jordan_entries(alg), key=lambda e: e[:3])
+    assert [len(alg.table.entries) for alg in models] == [339, 531, 339, 339]
+
+
+def test_jordan_table_is_derived_not_evaluated(monkeypatch):
+    """Both tables are read off structure data: no composition product, no
+    table apply and no 3x3 matrix product."""
+    octonions = CDAlgebra.split_octonions(Q())
+    gamma = (Fraction(1), Fraction(2, 3), Fraction(-5))
+
+    def forbidden(*args):
+        raise AssertionError("product evaluated while deriving the Jordan table")
+
+    monkeypatch.setattr(CDAlgebra, "mul_raw", forbidden)
+    monkeypatch.setattr(MulTable, "apply", forbidden)
+    monkeypatch.setattr(albert, "mat3_mul", forbidden)
+    assert len(albert.her_jordan_table(octonions, gamma).entries) == 339
+    assert len(albert.tits_jordan_table(Q(), Fraction(3, 2)).entries) == 339
+    assert len(albert.tits_jordan_table(Fp(7), 1).entries) == 339
 
 
 def test_euler_relation():

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -30,6 +31,7 @@ from brownalg.involutions import (
     tits_phi_map,
     verify_conjugacy_transport,
 )
+from brownalg.kernels import MulTable
 from brownalg.linmaps import ALBERT, LinMap, dagger, identity_map, is_aut_member
 
 
@@ -442,6 +444,50 @@ def test_descriptor_realization():
     assert fixed_subalgebra(tw, cat.B).dimension == 28
     sj = cat.realize_involution("s", "J")
     assert sj.matrix == cat.s_on_j().matrix
+
+
+@pytest.mark.parametrize("descriptor, model", [
+    ("t", "her"), ("s.varpi", "her"), ("t:2,1,1,1,1,1", "tits"),
+])
+def test_realize_certifies_each_j_atom_once(monkeypatch, descriptor, model):
+    """Lifting a J atom to B runs the automorphism certificate once; a map
+    outside Aut(J) falls back to the Inv(J) lift."""
+    cat = cat7()
+    balg = cat.B if model == "her" else cat.Bt
+    calls = []
+
+    def spy(phi, algebra):
+        calls.append(phi)
+        return is_aut_member(phi, algebra)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("brownalg") and getattr(module, "is_aut_member", None) is is_aut_member:
+            monkeypatch.setattr(module, "is_aut_member", spy)
+    m = cat.realize(descriptor, "B")
+    assert len(calls) == 1
+    jmap = calls[0]
+    expected = balg.lift_aut(jmap) if is_aut_member(jmap, balg.jalg) else balg.lift_inv(jmap)
+    if descriptor.endswith(".varpi"):
+        expected = expected.compose(balg.varpi())
+    assert m.matrix == expected.matrix
+
+
+def test_catalog_build_applies_few_products(monkeypatch):
+    """Building the catalog algebras derives their tables from structure
+    data: only the construction-time norm checks apply a product."""
+    apply = MulTable.apply
+    calls = []
+
+    def counting(self, x, y, field):
+        calls.append(self)
+        return apply(self, x, y, field)
+
+    monkeypatch.setattr(MulTable, "apply", counting)
+    for field in (Q(), Fp(7)):
+        calls.clear()
+        cat = Catalog(field)
+        assert cat.Jt is not None and cat.Bt is not None
+        assert len(calls) <= 100
 
 
 def test_descriptor_torus():

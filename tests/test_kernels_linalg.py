@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from brownalg import linalg
 from brownalg.albert import split_albert
 from brownalg.fields import Fp, Q
@@ -251,3 +253,14 @@ def test_in_span_and_same_span():
     assert linalg.in_span(rows, pivots, combo, f)
     assert not linalg.in_span(rows, pivots, (1, 0, 0, 0), f)
     assert linalg.same_span(vecs, [combo, vecs[0]], f)
+
+
+@pytest.mark.parametrize("field", [Q(), Fp(7)], ids=str)
+def test_empty_span(field):
+    """The span of no vectors unpacks as ((), ()) and holds only zero."""
+    rows, pivots = linalg.row_space_rref([], field)
+    assert (rows, pivots) == ((), ())
+    assert linalg.in_span(rows, pivots, (0, 0, 0), field)
+    assert not linalg.in_span(rows, pivots, (0, 1, 0), field)
+    assert linalg.same_span([], [], field)
+    assert not linalg.same_span([], [(1, 0, 0)], field)
