@@ -18,13 +18,12 @@ from .errors import (
     InternalError,
     NotAutomorphism,
     NotCommuting,
-    NotNormPreserving,
     NotOrderTwo,
 )
 from . import linmaps
 from .kernels import MulTable
 from .linalg import in_span, nullspace, row_space_rref, span_closed
-from .linmaps import BROWN, LinMap, dagger, is_aut_member, norm_preserving_sampled
+from .linmaps import BROWN, LinMap, dagger, is_aut_member
 
 BDIM = 2 + 2 * JDIM
 
@@ -161,11 +160,10 @@ class BrownAlgebra:
             raise NotAutomorphism("lift_aut needs an Albert algebra automorphism")
         return self._block_map(phi.matrix, phi.matrix)
 
-    def lift_inv(self, phi: LinMap, presample: int = 40, seed: int = 7) -> LinMap:
+    def lift_inv(self, phi: LinMap) -> LinMap:
         """(alpha, beta, j, l) -> (alpha, beta, phi j, phi-dagger l) for
-        phi in Inv(J); agrees with lift_aut on Aut(J)."""
-        if not norm_preserving_sampled(phi, self.jalg, presample, seed):
-            raise NotNormPreserving("lift_inv needs a norm-preserving map")
+        phi in Inv(J); agrees with lift_aut on Aut(J).  `dagger` guards the
+        norm and raises NotNormPreserving."""
         dag = dagger(phi, self.jalg)
         return self._block_map(phi.matrix, dag.matrix)
 

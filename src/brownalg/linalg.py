@@ -1,16 +1,49 @@
 """Exact linear algebra over Q and F_p.
 
 Matrices are tuples of row tuples of raw field values: `Fraction` over Q,
-`int` in [0, p) over F_p.  Each operation has one implementation for both
-fields.  `mat_mul`, `mat_vec` and the row operations of `rref` skip zero
-entries, so the sparse near-permutation maps of the involution catalog cost
-proportionally less.  Over F_p the products reduce each output entry mod p
-once, at the end, and `rref` reduces inline after each row operation.
+`int` in [0, p) over F_p.  `mat_mul`, `mat_vec` and the row operations of
+`rref` skip zero entries, so the sparse near-permutation maps of the
+involution catalog cost proportionally less.  Over F_p the products reduce
+each output entry mod p once, at the end, and `rref` reduces inline after
+each row operation.
+
+Over Q, `mat_mul` and `rref` run on Python ints and make one `Fraction` per
+nonzero output entry at the end (zeros share one `Fraction(0)`).  `rref`
+eliminates fraction-free on primitive integer rows (Bareiss, Math. Comp. 22,
+1968; Cohen, *A Course in Computational Algebraic Number Theory*, 2.2).  Row
+scaling does not change the reduced row echelon form, which is unique, so
+the result equals Gauss-Jordan elimination in `Fraction`s entry for entry.
 """
 
 from __future__ import annotations
 
-from .fields import PRIME, FieldSpec
+import math
+from fractions import Fraction
+
+from .errors import NonArithmeticField
+from .fields import PRIME, RATIONALS, FieldSpec
+
+# The zero of every Q output; `v is _ZERO` skips the Python-level
+# Fraction.__bool__ when a kernel reads its own output again.
+_ZERO = Fraction(0)
+
+
+def _modulus(field: FieldSpec) -> int:
+    """p of F_p; the kinds other than Q and F_p carry no arithmetic."""
+    if field.kind != PRIME:
+        raise NonArithmeticField(f"{field} carries no element arithmetic")
+    return field.p
+
+
+def _int_row(row):
+    """(d, ints) with row == ints / d, d the lcm of the denominators; only
+    the nonzero entries are read as fractions."""
+    nonzero = [(j, v.as_integer_ratio()) for j, v in enumerate(row) if v is not _ZERO and v]
+    d = math.lcm(*[q for _, (_, q) in nonzero])
+    ints = [0] * len(row)
+    for j, (num, q) in nonzero:
+        ints[j] = num * (d // q)
+    return d, ints
 
 
 def identity(n: int, field: FieldSpec):
@@ -27,19 +60,42 @@ def transpose(a):
 def mat_mul(a, b, field: FieldSpec):
     """Row i of a b is the combination of the rows b[k] weighted by the
     nonzero a[i][k]."""
-    zero = field.zero()
+    if field.kind == RATIONALS:
+        return _mat_mul_q(a, b)
+    p = _modulus(field)
     n = len(b[0]) if b else 0
     out = []
     for row in a:
-        acc = [zero] * n
+        acc = [0] * n
         for aik, bk in zip(row, b):
             if aik:
                 acc = [s + aik * x if x else s for s, x in zip(acc, bk)]
-        out.append(acc)
-    if field.kind == PRIME:
-        p = field.p
-        return tuple(tuple(s % p for s in acc) for acc in out)
-    return tuple(tuple(acc) for acc in out)
+        out.append(tuple(s % p for s in acc))
+    return tuple(out)
+
+
+def _mat_mul_q(a, b):
+    """mat_mul over Q in ints: a row b[k] is scaled to integers the first
+    time a nonzero a[i][k] reads it, and row i sums over one denominator."""
+    n = len(b[0]) if b else 0
+    scaled = [None] * len(b)
+    out = []
+    for row in a:
+        terms = []
+        for k, aik in enumerate(row):
+            if aik is not _ZERO and aik:
+                num, den = aik.as_integer_ratio()
+                bk = scaled[k]
+                if bk is None:
+                    bk = scaled[k] = _int_row(b[k])
+                terms.append((num, den * bk[0], bk[1]))
+        common = math.lcm(*[d for _, d, _ in terms])
+        acc = [0] * n
+        for num, d, bk in terms:
+            c = num * (common // d)
+            acc = [s + c * x if x else s for s, x in zip(acc, bk)]
+        out.append(tuple([Fraction(s, common) if s else _ZERO for s in acc]))
+    return tuple(out)
 
 
 def mat_vec(a, v, field: FieldSpec):
@@ -62,7 +118,9 @@ def mat_vec(a, v, field: FieldSpec):
 
 def rref(a, field: FieldSpec):
     """Reduced row echelon form; returns (rows, pivot_columns)."""
-    p = field.p if field.kind == PRIME else None
+    if field.kind == RATIONALS:
+        return _rref_q(a)
+    p = _modulus(field)
     rows = [list(r) for r in a]
     m = len(rows)
     n = len(rows[0]) if m else 0
@@ -74,23 +132,56 @@ def rref(a, field: FieldSpec):
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
         inv = field.inv(rows[r][c])
-        if p is None:
-            rows[r] = [v * inv for v in rows[r]]
-        else:
-            rows[r] = [v * inv % p for v in rows[r]]
-        rr = rows[r]
+        rr = rows[r] = [v * inv % p for v in rows[r]]
         for i in range(m):
             f = rows[i][c]
             if i != r and f:
-                if p is None:
-                    rows[i] = [vi - f * vr if vr else vi for vi, vr in zip(rows[i], rr)]
-                else:
-                    rows[i] = [(vi - f * vr) % p if vr else vi for vi, vr in zip(rows[i], rr)]
+                rows[i] = [(vi - f * vr) % p if vr else vi for vi, vr in zip(rows[i], rr)]
         pivots.append(c)
         r += 1
         if r == m:
             break
     return tuple(tuple(row) for row in rows), tuple(pivots)
+
+
+def _rref_q(a):
+    """rref over Q on integer rows: row i is eliminated against the pivot
+    row as (pv/g) row_i - (f/g) row_r with g = gcd(pv, f), then divided by
+    the gcd of its entries; the pivot rows are divided by their pivots last."""
+    rows = [_int_row(r)[1] for r in a]
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    pivots = []
+    r = 0
+    for c in range(n):
+        pr = next((i for i in range(r, m) if rows[i][c]), -1)
+        if pr < 0:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        rr = rows[r]
+        pv = rr[c]
+        for i in range(m):
+            f = rows[i][c]
+            if i != r and f:
+                g = math.gcd(pv, f)
+                s, t = pv // g, f // g
+                if s == 1:
+                    row = [vi - t * vr if vr else vi for vi, vr in zip(rows[i], rr)]
+                else:
+                    row = [s * vi - t * vr if vr else s * vi for vi, vr in zip(rows[i], rr)]
+                g = math.gcd(*row)
+                rows[i] = [v // g for v in row] if g > 1 else row
+        pivots.append(c)
+        r += 1
+        if r == m:
+            break
+    out = []
+    for row, c in zip(rows, pivots):
+        pv = row[c]
+        out.append(tuple([Fraction(v, pv) if v else _ZERO for v in row]))
+    zero_row = (_ZERO,) * n
+    out.extend(zero_row for _ in range(m - len(pivots)))
+    return tuple(out), tuple(pivots)
 
 
 def rank(a, field: FieldSpec) -> int:
@@ -117,7 +208,7 @@ def nullspace(a, field: FieldSpec):
 def inverse(a, field: FieldSpec):
     """Exact inverse; returns None when singular."""
     n = len(a)
-    aug = tuple(tuple(a[i]) + identity(n, field)[i] for i in range(n))
+    aug = tuple(tuple(r) + e for r, e in zip(a, identity(n, field)))
     rows, pivots = rref(aug, field)
     if tuple(pivots[:n]) != tuple(range(n)) or len(pivots) != n:
         return None

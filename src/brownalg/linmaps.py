@@ -5,8 +5,8 @@ spaces, plus the norm/automorphism membership predicates and the dagger
 Cubic-norm invariance, N(phi x) = N(x), is tested in Python ints against the
 algebra's integer norm form (`algebra.norm_form()`): `is_inv_member` is a
 deterministic certificate over Q and F_p, and `norm_preserving_sampled` (the
-guard of `dagger`, `lift_inv` and `outer_fixed_condition`) checks seeded
-random points.
+guard of `dagger`, which `BrownAlgebra.lift_inv` relies on, and of
+`outer_fixed_condition`) checks seeded random points.
 
 This module never imports the algebra modules; algebra objects are passed in
 and used through their raw-operation methods.

@@ -1,8 +1,9 @@
 import random
+import sys
 
 import pytest
 
-from brownalg import albert, brown, linalg
+from brownalg import albert, brown, linalg, linmaps
 from brownalg.albert import AlbertAlgebra, hermitian, split_albert, tits
 from brownalg.brown import BrownAlgebra, BrownElem, binv, bmul
 from brownalg.cayley import CDAlgebra
@@ -114,6 +115,32 @@ def test_lift_inv_uop_preserves_product():
         )
     bi = b.binv_map()
     assert lifted.compose(bi).matrix == bi.compose(lifted).matrix
+
+
+@pytest.mark.parametrize("field", [Q(), Fp(7)], ids=str)
+def test_lift_inv_guards_the_norm_once(monkeypatch, field):
+    """lift_inv samples the cubic norm once, in dagger, and not again itself."""
+    b = _brown(field)
+    sampled = linmaps.norm_preserving_sampled
+    calls = []
+
+    def spy(phi, algebra, samples, seed=0):
+        calls.append(phi)
+        return sampled(phi, algebra, samples, seed)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("brownalg") and getattr(module, "norm_preserving_sampled", None) is sampled:
+            monkeypatch.setattr(module, "norm_preserving_sampled", spy)
+    x = b.jalg.sample_norm_one(random.Random(5))
+    u = _uop_map(b.jalg, x)
+    b.lift_inv(u)
+    assert calls == [u]
+    calls.clear()
+    three = tuple(tuple(field.mul(field.from_int(3), v) for v in row)
+                  for row in identity_map(field, ALBERT, b.jalg.basis_tag).matrix)
+    with pytest.raises(NotNormPreserving):  # N(3x) = 27 N(x)
+        b.lift_inv(LinMap(three, field, ALBERT, b.jalg.basis_tag))
+    assert len(calls) == 1
 
 
 def test_lift_inv_agrees_with_lift_aut_on_aut():

@@ -5,7 +5,9 @@ import pytest
 
 from brownalg import linalg
 from brownalg.albert import split_albert
-from brownalg.fields import Fp, Q
+from brownalg.errors import NonArithmeticField
+from brownalg.fields import FieldSpec, Fp, Q
+from brownalg.involutions import Catalog
 from brownalg.kernels import BACKEND, MulTable
 
 
@@ -264,3 +266,150 @@ def test_empty_span(field):
     assert not linalg.in_span(rows, pivots, (0, 1, 0), field)
     assert linalg.same_span([], [], field)
     assert not linalg.same_span([], [(1, 0, 0)], field)
+
+
+def _ref_q_rref(a, field):
+    """Gauss-Jordan elimination in Fractions, skipping zero entries."""
+    rows = [list(r) for r in a]
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    pivots, r = [], 0
+    for c in range(n):
+        pr = next((i for i in range(r, m) if rows[i][c]), -1)
+        if pr < 0:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        inv = 1 / Fraction(rows[r][c])
+        rows[r] = [v * inv for v in rows[r]]
+        rr = rows[r]
+        for i in range(m):
+            f = rows[i][c]
+            if i != r and f:
+                rows[i] = [vi - f * vr if vr else vi for vi, vr in zip(rows[i], rr)]
+        pivots.append(c)
+        r += 1
+        if r == m:
+            break
+    return tuple(tuple(row) for row in rows), tuple(pivots)
+
+
+def _ref_q_mat_mul(a, b, field):
+    n = len(b[0]) if b else 0
+    out = []
+    for row in a:
+        acc = [Fraction(0)] * n
+        for aik, bk in zip(row, b):
+            if aik:
+                acc = [s + aik * x if x else s for s, x in zip(acc, bk)]
+        out.append(tuple(acc))
+    return tuple(out)
+
+
+def _q_cases(rng):
+    """(a, b) pairs, a m x n and b n x k, of every shape the Q kernels meet."""
+    def dense(m, n, bound=10**6):
+        return tuple(tuple(Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
+                           for _ in range(n)) for _ in range(m))
+
+    def near_permutation(n):
+        perm = list(range(n))
+        rng.shuffle(perm)
+        rows = [[Fraction(0)] * n for _ in range(n)]
+        for i, j in enumerate(perm):
+            rows[i][j] = Fraction(rng.choice((1, -1)))
+        for _ in range(3):
+            rows[rng.randrange(n)][rng.randrange(n)] = Fraction(rng.choice((1, -1)))
+        return tuple(tuple(r) for r in rows)
+
+    def deficient(m, n, rank):
+        basis = dense(rank, n, 50)
+        rows = [tuple(sum((Fraction(rng.randint(-3, 3)) * v[j] for v in basis), Fraction(0))
+                      for j in range(n)) for _ in range(m)]
+        rows[rng.randrange(m)] = (Fraction(0),) * n
+        return tuple(rows)
+
+    def mixed(m, n):
+        return tuple(tuple(rng.randint(-9, 9) if rng.random() < 0.5
+                           else Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                           for _ in range(n)) for _ in range(m))
+
+    for _ in range(3):
+        yield dense(6, 6), dense(6, 4)
+        yield dense(5, 8), dense(8, 3)
+        p = near_permutation(56)
+        yield p, near_permutation(56)
+        yield p[:-1] + (p[0],), p
+        yield deficient(6, 6, 3), dense(6, 2, 100)
+        yield deficient(7, 5, 2), deficient(5, 5, 4)
+        yield mixed(6, 6), mixed(6, 5)
+    zero = tuple((Fraction(0),) * 5 for _ in range(5))
+    yield zero, zero
+    yield tuple((0,) * 4 for _ in range(4)), mixed(4, 4)
+
+
+def _all_fractions(matrix):
+    return all(type(v) is Fraction for row in matrix for v in row)
+
+
+def test_q_kernels_match_fraction_reference(monkeypatch):
+    """rref and mat_mul over Q on integer rows, and the operations built on
+    rref, equal Gauss-Jordan elimination and products in Fractions entry for
+    entry, and return only Fractions."""
+    q = Q()
+    rng = random.Random(12)
+
+    def run(a, b):
+        out = {"rref": linalg.rref(a, q), "mat_mul": linalg.mat_mul(a, b, q),
+               "nullspace": linalg.nullspace(a, q)}
+        if len(a) == len(a[0]):
+            out["inverse"] = linalg.inverse(a, q)
+            out["solve_right"] = linalg.solve_right(a, b, q)
+        return out
+
+    for a, b in _q_cases(rng):
+        got = run(a, b)
+        with monkeypatch.context() as mp:
+            mp.setattr(linalg, "rref", _ref_q_rref)
+            mp.setattr(linalg, "mat_mul", _ref_q_mat_mul)
+            expected = run(a, b)
+        assert got == expected
+        assert _all_fractions(got["rref"][0]) and _all_fractions(got["mat_mul"])
+        assert _all_fractions(got["nullspace"])
+        for name in ("inverse", "solve_right"):
+            assert got.get(name) is None or _all_fractions(got[name])
+    assert linalg.rref((), q) == ((), ())
+    assert linalg.mat_mul((), (), q) == ()
+    assert linalg.inverse((), q) == ()
+    assert linalg.nullspace((), q) == []
+
+
+def test_q_linalg_does_no_fraction_arithmetic(monkeypatch):
+    """The 27 x 54 dagger system of a U-operator is multiplied, reduced and
+    solved with no Fraction arithmetic: Fractions are only read and built."""
+    q = Q()
+    alg = Catalog(q).J
+    rng = random.Random(8)
+    x = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(27))
+    ut = linalg.transpose(alg.uop_matrix(x))
+    expected = linalg.solve_right(linalg.mat_mul(ut, alg.gram, q), alg.gram, q)
+
+    def forbidden(*args):
+        raise AssertionError("Fraction arithmetic in an integer kernel")
+
+    for op in ("__add__", "__radd__", "__sub__", "__rsub__",
+               "__mul__", "__rmul__", "__truediv__", "__rtruediv__"):
+        monkeypatch.setattr(Fraction, op, forbidden)
+    lhs = linalg.mat_mul(ut, alg.gram, q)
+    rows, pivots = linalg.rref(tuple(a + g for a, g in zip(lhs, alg.gram)), q)
+    assert pivots == tuple(range(27))
+    assert linalg.solve_right(lhs, alg.gram, q) == expected
+    assert tuple(r[27:] for r in rows) == expected
+
+
+def test_non_arithmetic_field_rejects_rref_and_mat_mul():
+    real = FieldSpec("R")
+    a = ((Fraction(1), Fraction(2)), (Fraction(3), Fraction(4)))
+    with pytest.raises(NonArithmeticField):
+        linalg.rref(a, real)
+    with pytest.raises(NonArithmeticField):
+        linalg.mat_mul(a, a, real)
