@@ -10,10 +10,12 @@ import argparse
 import json
 import sys
 
+from . import __version__
 from .errors import AlgebraError
 from .fields import FieldSpec
 from .involutions import Catalog, fixed_subalgebra
 from .kac import enumerate_solutions, load_diagram
+from .kernels import BACKEND
 from .linalg import same_span
 from .quatclass import class_report
 from .verify import run_suite
@@ -33,6 +35,8 @@ def cmd_verify(args) -> int:
         print(
             json.dumps(
                 {
+                    "version": __version__,
+                    "backend": BACKEND,
                     "field": str(field),
                     "seed": args.seed,
                     "samples": args.samples,

@@ -21,6 +21,11 @@ REAL = "R"
 PADIC = "Qp"
 ALG_CLOSED = "Kbar"
 
+# The zero of Q: every `FieldSpec.zero()` over Q returns this one object, so
+# kernels can skip it with `v is zero` before the Python-level
+# Fraction.__bool__.
+_ZERO = Fraction(0)
+
 
 class Infinite:
     """Sentinel for infinite counts; compares equal only to itself."""
@@ -117,7 +122,7 @@ class FieldSpec:
 
     def zero(self):
         self._need_arith()
-        return Fraction(0) if self.kind == RATIONALS else 0
+        return _ZERO if self.kind == RATIONALS else 0
 
     def one(self):
         self._need_arith()

@@ -23,7 +23,6 @@ from .errors import (
     FormNotInvariant,
     ModelMismatch,
     NotAutomorphism,
-    NotNormPreserving,
     NotOrderTwo,
     NotUnitNorm,
     NoValidOrdering,
@@ -40,7 +39,6 @@ from .linmaps import (
     dagger,
     from_columns,
     identity_map,
-    norm_preserving_sampled,
 )
 
 import random
@@ -397,13 +395,12 @@ def make_uv_bridge(albert: AlbertAlgebra) -> LinMap:
 
 def outer_fixed_condition(delta: LinMap, phi: LinMap, albert: AlbertAlgebra) -> bool:
     """Membership test for the fixed group of (phi . varpi)-type involutions:
-    phi delta phi = dagger(delta) as exact matrices."""
+    phi delta phi = dagger(delta) as exact matrices.  delta must preserve the
+    cubic norm; the guard of `dagger` checks it."""
     if not phi.compose(phi).is_identity():
         raise NotOrderTwo("outer fixed condition needs phi^2 = id")
-    if not norm_preserving_sampled(delta, albert, 30, seed=5):
-        raise NotNormPreserving("delta must preserve the cubic norm")
-    lhs = phi.compose(delta).compose(phi)
-    return lhs.matrix == dagger(delta, albert).matrix
+    dag = dagger(delta, albert)
+    return phi.compose(delta).compose(phi).matrix == dag.matrix
 
 
 def isotope_automorphism_check(x: AlbertElem, y: AlbertElem) -> bool:

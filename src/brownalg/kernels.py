@@ -11,7 +11,9 @@ product; the cross and Brown tables are built on first use and cached.
 
 `MulTable.apply` is the one bilinear-product kernel for both fields: the
 entries are grouped by their first index and zero coordinates of either
-operand are skipped, so sparse inputs cost proportionally less.  Over F_p
+operand are skipped, so sparse inputs cost proportionally less.  Over Q a
+zero that is the field's shared `zero()` is skipped by identity, without a
+Python-level `Fraction.__bool__`.  Over F_p
 the accumulated integers are reduced mod p once, at the end.
 """
 
@@ -44,13 +46,14 @@ class MulTable:
         return self._by_i
 
     def apply(self, x, y, field: FieldSpec):
-        out = [field.zero()] * self.n
+        zero = field.zero()
+        out = [zero] * self.n
         for i, row in enumerate(self._grouped()):
             xv = x[i]
-            if xv:
+            if xv is not zero and xv:
                 for j, k, c in row:
                     yv = y[j]
-                    if yv:
+                    if yv is not zero and yv:
                         out[k] += c * xv * yv
         if field.kind == PRIME:
             p = field.p

@@ -8,7 +8,7 @@ each output entry mod p once, at the end, and `rref` reduces inline after
 each row operation.
 
 Over Q, `mat_mul` and `rref` run on Python ints and make one `Fraction` per
-nonzero output entry at the end (zeros share one `Fraction(0)`).  `rref`
+nonzero output entry at the end (zeros are the field's shared `zero()`).  `rref`
 eliminates fraction-free on primitive integer rows (Bareiss, Math. Comp. 22,
 1968; Cohen, *A Course in Computational Algebraic Number Theory*, 2.2).  Row
 scaling does not change the reduced row echelon form, which is unique, so
@@ -21,11 +21,7 @@ import math
 from fractions import Fraction
 
 from .errors import NonArithmeticField
-from .fields import PRIME, RATIONALS, FieldSpec
-
-# The zero of every Q output; `v is _ZERO` skips the Python-level
-# Fraction.__bool__ when a kernel reads its own output again.
-_ZERO = Fraction(0)
+from .fields import _ZERO, PRIME, RATIONALS, FieldSpec
 
 
 def _modulus(field: FieldSpec) -> int:
@@ -243,12 +239,12 @@ def in_span(rref_rows, pivots, v, field: FieldSpec) -> bool:
             f = w[pc]
             if f:
                 w = [(wi - f * ri) % p if ri else wi for wi, ri in zip(w, row)]
-    else:
-        for row, pc in zip(rref_rows, pivots):
-            f = w[pc]
-            if f:
-                w = [wi - f * ri if ri else wi for wi, ri in zip(w, row)]
-    return not any(w)
+        return not any(w)
+    for row, pc in zip(rref_rows, pivots):
+        f = w[pc]
+        if f is not _ZERO and f:
+            w = [wi - f * ri if ri is not _ZERO and ri else wi for wi, ri in zip(w, row)]
+    return all(wi is _ZERO or not wi for wi in w)
 
 
 def span_closed(rref_rows, pivots, vectors, product, field: FieldSpec,

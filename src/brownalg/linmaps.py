@@ -3,10 +3,13 @@ spaces, plus the norm/automorphism membership predicates and the dagger
 (outer) automorphism solved from the trace form.
 
 Cubic-norm invariance, N(phi x) = N(x), is tested in Python ints against the
-algebra's integer norm form (`algebra.norm_form()`): `is_inv_member` is a
-deterministic certificate over Q and F_p, and `norm_preserving_sampled` (the
-guard of `dagger`, which `BrownAlgebra.lift_inv` relies on, and of
-`outer_fixed_condition`) checks seeded random points.
+algebra's integer norm form (`algebra.norm_form()`).  `is_inv_member` is a
+deterministic certificate over Q and F_p: it compares the coefficients of
+the cubic form N(phi x) - N(x), read off the polar (symmetric trilinear)
+tensor of the norm form, and evaluates the norm at no point.
+`norm_preserving_sampled` (the guard of `dagger`, which
+`BrownAlgebra.lift_inv` and `outer_fixed_condition` rely on) checks seeded
+random points, drawn once per norm form, field, sample count and seed.
 
 This module never imports the algebra modules; algebra objects are passed in
 and used through their raw-operation methods.
@@ -14,6 +17,7 @@ and used through their raw-operation methods.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -150,59 +154,102 @@ def _cubic(terms, v) -> int:
     return sum(c * v[i] * v[j] * v[k] for i, j, k, c in terms)
 
 
-def _norm_guard(phi: LinMap, algebra):
-    """The test N(phi v) = N(v) for integer vectors v.
+@functools.lru_cache(maxsize=16)
+def _sample_points(form, field: FieldSpec, samples: int, seed: int):
+    """The seeded points of `norm_preserving_sampled` as integer vectors v,
+    each with den N(v) = sum c v_i v_j v_k; drawn once per (norm form,
+    field, samples, seed)."""
+    rng = random.Random(seed)
+    points = []
+    for _ in range(samples):
+        x = tuple(field.sample_raw(rng, 3) for _ in range(27))
+        (v,) = _integral((x,), field)[1]
+        points.append((v, _cubic(form.terms, v)))
+    return tuple(points)
+
+
+def norm_preserving_sampled(phi: LinMap, algebra, samples: int, seed: int = 0) -> bool:
+    """N(phi x) = N(x) at `samples` seeded random points, in integers.
 
     With D phi an integer matrix M and the norm's integer monomials c, the
     identity reads sum c y_i y_j y_k = D^3 sum c v_i v_j v_k for y = M v
-    (both sides carry the same common denominator).  Over F_p the two sides
-    are compared mod p once, at the end.  Returns M and holds(y, v)."""
+    (both sides carry the same common denominator); over F_p the two sides
+    are compared mod p."""
     _require_albert(phi, algebra)
-    terms = algebra.norm_form().terms
+    form = algebra.norm_form()
     f = algebra.field
     p = f.p if f.kind != RATIONALS else 0
     d, m = _integral(phi.matrix, f)
     d3 = d ** 3
-
-    def holds(y, v) -> bool:
-        diff = _cubic(terms, y) - d3 * _cubic(terms, v)
-        return not (diff % p if p else diff)
-
-    return m, holds
-
-
-def norm_preserving_sampled(phi: LinMap, algebra, samples: int, seed: int = 0) -> bool:
-    """N(phi x) = N(x) at `samples` seeded random points, in integers."""
-    m, holds = _norm_guard(phi, algebra)
-    rng = random.Random(seed)
-    f = algebra.field
-    for _ in range(samples):
-        x = tuple(f.sample_raw(rng, 3) for _ in range(27))
-        (v,) = _integral((x,), f)[1]
+    for v, norm_v in _sample_points(form, f, samples, seed):
         y = [sum(map(operator.mul, row, v)) for row in m]
-        if not holds(y, v):
+        diff = _cubic(form.terms, y) - d3 * norm_v
+        if diff % p if p else diff:
             return False
     return True
+
+
+@functools.lru_cache(maxsize=16)
+def _polar(form):
+    """The symmetric integer tensor T_ijk = den Tr(e_i # e_j, e_k) of the
+    norm form, with 6 den N(y) = sum T_ijk y_i y_j y_k over ordered triples.
+
+    A monomial (i <= j <= k, c) gives T = 6c, 2c or c when three, two or no
+    indices are equal.  Returns the entries over every permutation grouped
+    by first index as (j, k, T), and the lookup table of the entries with
+    a <= b <= c as {(a, b): [T_abc for c = b, ..., 26]}."""
+    by_i = [[] for _ in range(27)]
+    table = {}
+    for i, j, k, c in form.terms:
+        t = c * (6 if i == k else 2 if i == j or j == k else 1)
+        table.setdefault((i, j), [0] * (27 - j))[k - j] = t
+        for a, b, e in set(itertools.permutations((i, j, k))):
+            by_i[a].append((b, e, t))
+    return tuple(map(tuple, by_i)), {ab: tuple(row) for ab, row in table.items()}
 
 
 def is_inv_member(phi: LinMap, algebra) -> bool:
     """Cubic-norm invariance, as a deterministic certificate over Q and F_p.
 
-    N(phi x) - N(x) is a homogeneous cubic form.  Over Q, and over F_p for
-    p >= 5, such a form is zero iff it vanishes at every sum of exactly three
-    basis vectors e_a + e_b + e_c (a <= b <= c): 3654 points for n = 27.
-    Its values there determine its coefficients by a triangular system whose
-    pivots are 27 and det [[4, 2], [2, 4]] = 12, units in both fields."""
-    m, holds = _norm_guard(phi, algebra)
+    With D phi an integer matrix M with columns c_a, N(phi x) = N(x) reads
+    sum T_ijk y_i y_j y_k = D^3 sum T_abc x_a x_b x_c for y = M x, with T the
+    polar tensor of the norm form (`_polar`).  Both sides are cubic forms
+    given by symmetric tensors, the left one by
+    S_abc = sum T_ijk c_a[i] c_b[j] c_c[k].  The coefficient of x_a x_b x_c
+    (a <= b <= c) is (S_abc - D^3 T_abc) times 1, 3 or 6, a unit over Q and
+    over F_p for p >= 5, so the forms agree iff S_abc = D^3 T_abc at all
+    3654 triples a <= b <= c.  S_abc is read as (L_a c_b) . c_c with
+    L_a[k][j] = sum_i T_ijk c_a[i], built from the nonzero entries of c_a."""
+    _require_albert(phi, algebra)
+    f = algebra.field
+    p = f.p if f.kind != RATIONALS else 0
+    d, m = _integral(phi.matrix, f)
+    d3 = d ** 3
+    by_i, table = _polar(algebra.norm_form())
+    expected = {ab: [d3 * t % p if p else d3 * t for t in row] for ab, row in table.items()}
     cols = tuple(zip(*m))
-    for a, b, c in itertools.combinations_with_replacement(range(27), 3):
-        v = [0] * 27
-        v[a] += 1
-        v[b] += 1
-        v[c] += 1
-        y = [s + t + u for s, t, u in zip(cols[a], cols[b], cols[c])]
-        if not holds(y, v):
-            return False
+    for a, ca in enumerate(cols):
+        la = {}
+        for i, x in enumerate(ca):
+            if x:
+                for j, k, t in by_i[i]:
+                    row = la.setdefault(k, {})
+                    row[j] = row.get(j, 0) + t * x
+        # w[k][b - a] = (L_a c_b)_k for every b >= a, from the rows of M
+        zero = [0] * (27 - a)
+        w = [zero] * 27
+        for k, row in la.items():
+            acc = zero
+            for j, v in row.items():
+                if v:
+                    acc = [u + v * y for u, y in zip(acc, m[j][a:])]
+            w[k] = [u % p for u in acc] if p else acc
+        for b, w_ab in enumerate(zip(*w), a):
+            s_ab = [sum(map(operator.mul, w_ab, cc)) for cc in cols[b:]]
+            if p:
+                s_ab = [v % p for v in s_ab]
+            if s_ab != expected.get((a, b), zero[b - a:]):
+                return False
     return True
 
 

@@ -49,6 +49,24 @@ def test_verify_json(capsys):
     assert doc["passed"] == len(doc["checks"])
 
 
+def test_verify_json_names_version_and_backend(capsys):
+    import brownalg
+
+    argv = ("verify", "composition", "--field", "Fp:7", "--samples", "5", "--json")
+    code, out, err = run(capsys, *argv)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["version"] == brownalg.__version__
+    assert doc["backend"] == brownalg.BACKEND
+    assert set(doc) == {"version", "backend", "field", "seed", "samples", "checks",
+                        "passed", "failed"}
+    for check in doc["checks"]:
+        assert set(check) == {"suite", "name", "ok", "detail"}
+    # the report is a function of (field, seed, samples): a second run prints
+    # the same text
+    assert run(capsys, *argv)[1] == out
+
+
 def test_fixed_varpi(capsys):
     code, out, err = run(capsys, "fixed", "varpi", "B")
     assert code == 0

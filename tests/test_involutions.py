@@ -10,6 +10,7 @@ from brownalg.errors import (
     ArityMismatch,
     CarrierMismatch,
     FormNotInvariant,
+    NotNormPreserving,
     NotOrderTwo,
     NotUnitNorm,
     ZeroParameter,
@@ -394,6 +395,39 @@ def test_outer_fixed_condition():
     x = cat.J.sample_norm_one(rng)
     ux = LinMap(cat.J.uop_matrix(x.coords), cat.field, ALBERT, cat.J.basis_tag)
     assert not outer_fixed_condition(ux, s, cat.J)
+
+
+def test_outer_fixed_condition_guards_the_norm_once(monkeypatch):
+    """One sampled norm guard per call, in dagger, whether delta is accepted,
+    rejected, or off the norm group."""
+    from brownalg import linmaps
+
+    cat = cat7()
+    s = cat.s_on_j()
+    sampled = linmaps.norm_preserving_sampled
+    calls = []
+
+    def spy(phi, algebra, samples, seed=0):
+        calls.append(phi)
+        return sampled(phi, algebra, samples, seed)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("brownalg") and getattr(module, "norm_preserving_sampled", None) is sampled:
+            monkeypatch.setattr(module, "norm_preserving_sampled", spy)
+    that = cat.t_on_j()
+    x = cat.J.sample_norm_one(random.Random(6))
+    ux = LinMap(cat.J.uop_matrix(x.coords), cat.field, ALBERT, cat.J.basis_tag)
+    three = LinMap(tuple(tuple(3 * v for v in row)
+                         for row in identity_map(cat.field, ALBERT, cat.J.basis_tag).matrix),
+                   cat.field, ALBERT, cat.J.basis_tag)
+    for delta, verdict in ((that, True), (ux, False), (three, None)):
+        calls.clear()
+        if verdict is None:  # N(3x) = 27 N(x) = 6 N(x) over F_7
+            with pytest.raises(NotNormPreserving):
+                outer_fixed_condition(delta, s, cat.J)
+        else:
+            assert outer_fixed_condition(delta, s, cat.J) is verdict
+        assert calls == [delta]
 
 
 # -- isotope automorphisms ---------------------------------------------------------------

@@ -1,11 +1,14 @@
 import itertools
+import math
 import random
 
 import pytest
 
-from brownalg.albert import AlbertAlgebra, split_albert
+from brownalg import linmaps
+from brownalg.albert import AlbertAlgebra, hermitian, mat3_mul, split_albert, tits
+from brownalg.cayley import CDAlgebra
 from brownalg.errors import CarrierMismatch, NotNormPreserving
-from brownalg.fields import Fp, Q
+from brownalg.fields import FieldSpec, Fp, Q
 from brownalg.involutions import Catalog
 from brownalg.linmaps import (
     ALBERT,
@@ -236,3 +239,138 @@ def test_norm_form_fitted_on_first_norm_check(monkeypatch):
     assert is_inv_member(ident, cat.J)
     assert norm_preserving_sampled(ident, cat.J, 5)
     assert fits == [cat.J]
+
+
+# -- the polar-tensor certificate against the point certificate ---------------
+
+def _ref_point_certificate(phi, alg):
+    """N(phi x) = N(x) at the 3654 points e_a + e_b + e_c (a <= b <= c), in
+    integers against the norm form: the certificate `is_inv_member` used
+    before it compared polar-tensor coefficients."""
+    f = alg.field
+    terms = alg.norm_form().terms
+    p = f.p if f.kind == "Fp" else 0
+    if p:
+        d, m = 1, phi.matrix
+    else:
+        d = math.lcm(*(v.denominator for row in phi.matrix for v in row))
+        m = tuple(tuple(v.numerator * (d // v.denominator) for v in row) for row in phi.matrix)
+
+    def cubic(v):
+        return sum(c * v[i] * v[j] * v[k] for i, j, k, c in terms)
+
+    cols = tuple(zip(*m))
+    for a, b, c in itertools.combinations_with_replacement(range(27), 3):
+        v = [0] * 27
+        v[a] += 1
+        v[b] += 1
+        v[c] += 1
+        y = [s + t + u for s, t, u in zip(cols[a], cols[b], cols[c])]
+        diff = cubic(y) - d ** 3 * cubic(v)
+        if diff % p if p else diff:
+            return False
+    return True
+
+
+def _tits_norm_one(alg, rng):
+    """(a0, a1, 0) with a0 unitriangular-by-unitriangular (det 1) and a1 of
+    rank at most 2: N = det a0 = 1 on the first Tits construction."""
+    f = alg.field
+    r = [[f.sample_raw(rng, 3) for _ in range(3)] for _ in range(3)]
+    one, zero = f.one(), f.zero()
+    lower = ((one, zero, zero), (r[0][0], one, zero), (r[0][1], r[0][2], one))
+    upper = ((one, r[1][0], r[1][1]), (zero, one, r[1][2]), (zero, zero, one))
+    a0 = mat3_mul(f, lower, upper)
+    a1 = (tuple(r[2]), tuple(r[1]), tuple(f.add(u, v) for u, v in zip(r[2], r[1])))
+    x = alg.tits_element(a0, a1, ((zero,) * 3,) * 3)
+    assert alg.norm_raw(x.coords) == one
+    return x
+
+
+def _with_entry(phi, i, j, value):
+    m = [list(r) for r in phi.matrix]
+    m[i][j] = value
+    return LinMap(tuple(tuple(r) for r in m), phi.field, ALBERT, phi.basis_tag)
+
+
+FIELDS = {"Q": Q(), "Fp:7": Fp(7), "Fp:2^61-1": Fp(2**61 - 1)}
+
+
+@pytest.mark.parametrize("name", list(FIELDS))
+def test_inv_certificate_matches_point_reference(name, monkeypatch):
+    f = FIELDS[name]
+    # 5/7 has no residue mod 7, so the third kappa is 5/3 over F_7
+    kappas = ("-1/2", "3", "5/3" if f == Fp(7) else "5/7")
+    octonions = CDAlgebra(f, kappas=tuple(f.parse_scalar(k) for k in kappas))
+    gamma = tuple(f.parse_scalar(g) for g in ("1", "2/3", "-5"))
+    rng = random.Random(8)
+    cases = []  # (algebra, map, member)
+    for alg in (split_albert(f), hermitian(octonions, gamma=gamma)):
+        cases.append((alg, _uop_map(alg, alg.sample_norm_one(rng, 2)), True))
+    jt = tits(f, f.parse_scalar("3/2"))
+    cases.append((jt, _uop_map(jt, _tits_norm_one(jt, rng)), True))
+    cat = Catalog(f)
+    for phi in (cat.s_on_j(), cat.t_on_j(), cat.t_star_on_j()):
+        cases.append((cat.J, phi, True))
+    alg, ux = cases[0][:2]
+    t = cat.t_on_j()
+    i, j = next((i, j) for i in range(27) for j in range(27) if ux.matrix[i][j])
+    cases.append((alg, _with_entry(ux, i, j, f.add(ux.matrix[i][j], f.one())), False))
+    i, j = next((i, j) for i in range(27) for j in range(27) if not t.matrix[i][j])
+    cases.append((cat.J, _with_entry(t, i, j, f.one()), False))
+    if f == Fp(7):
+        cases.append((alg, _scalar_map(alg, 2), True))  # 2^3 = 1 mod 7
+    if f == Q():
+        cases.append((alg, _scalar_map(alg, 3), False))
+    for alg, phi, member in cases:
+        assert _ref_point_certificate(phi, alg) == member
+    # the certificate never evaluates the norm at a point
+    monkeypatch.setattr(linmaps, "_cubic", _raise)
+    for alg, phi, member in cases:
+        assert is_inv_member(phi, alg) == member
+
+
+def _raise(*args):
+    raise AssertionError("the norm form was evaluated at a point")
+
+
+# -- the guard's sample points --------------------------------------------------
+
+def _ref_guard_points(alg, samples, seed):
+    """The integer points and norms `norm_preserving_sampled` drew on every
+    call before they were cached."""
+    f = alg.field
+    terms = alg.norm_form().terms
+    rng = random.Random(seed)
+    out = []
+    for _ in range(samples):
+        x = tuple(f.sample_raw(rng, 3) for _ in range(27))
+        if f.kind == "Fp":
+            v = x
+        else:
+            d = math.lcm(*(c.denominator for c in x))
+            v = tuple(c.numerator * (d // c.denominator) for c in x)
+        out.append((v, sum(c * v[i] * v[j] * v[k] for i, j, k, c in terms)))
+    return out
+
+
+@pytest.mark.parametrize("name", ["Q", "Fp:7"])
+def test_guard_points_match_reference_and_are_drawn_once(name, monkeypatch):
+    f = FIELDS[name]
+    alg = split_albert(f)
+    for samples, seed in ((40, 1), (30, 5)):
+        points = linmaps._sample_points(alg.norm_form(), f, samples, seed)
+        assert list(points) == _ref_guard_points(alg, samples, seed)
+    draws = []
+    sample_raw = FieldSpec.sample_raw
+    monkeypatch.setattr(FieldSpec, "sample_raw",
+                        lambda self, rng, bound=10: draws.append(1) or sample_raw(self, rng, bound))
+    linmaps._sample_points.cache_clear()
+    u = _uop_map(alg, alg.sample_norm_one(random.Random(9), 2))
+    draws.clear()
+    assert norm_preserving_sampled(u, alg, 40, 1)
+    assert len(draws) == 40 * 27
+    draws.clear()
+    assert norm_preserving_sampled(u, alg, 40, 1)
+    assert not norm_preserving_sampled(_perturbed(u), alg, 40, 1)
+    assert draws == []
