@@ -13,11 +13,12 @@ by evaluating products: from the composition table and gamma in the
 Hermitian model (`her_jordan_table`), from the 3x3 matrix units and varsigma
 in the Tits model (`tits_jordan_table`).
 
-The cubic data is computed intrinsically from the Jordan product (sharp from
-the quadratic trace, N = Tr(x#, x)/3); a per-instance closed form is fitted
-against the intrinsic route and used as the fast evaluator after validation.
-The integer norm form (`norm_form`) is fitted on first use from the trilinear
-form Tr(x # y, z); the membership checks in `linmaps` evaluate it in ints.
+The cubic norm has one evaluator: the integer norm form (`norm_form`),
+fitted on first use from the trilinear form Tr(x # y, z) and checked against
+the intrinsic norm N = Tr(x#, x)/3 (`norm_intrinsic_raw`, with sharp from the
+quadratic trace).  `norm_raw` and the membership checks in `linmaps` both
+evaluate it in Python ints.  The paper's displayed norm formulas are kept
+only as independent references, in `verify.check_closed_norm` and the tests.
 The cross product x # y is a structure table (`cross_table`) derived on first
 use from the Jordan table, the trace vector and the Gram matrix.
 """
@@ -41,7 +42,7 @@ from .errors import (
 from .fields import PRIME, FieldSpec, Scalar
 from .kernels import MulTable
 from .linalg import mat_mul
-from .linmaps import ALBERT, LinMap
+from .linmaps import ALBERT, LinMap, NormForm
 
 DIM = 27
 
@@ -88,17 +89,6 @@ def mat3_identity(f):
 
 def mat3_from_flat(flat):
     return (tuple(flat[0:3]), tuple(flat[3:6]), tuple(flat[6:9]))
-
-
-@dataclass(frozen=True)
-class NormForm:
-    """The cubic norm as integer monomials:
-    N(x) = sum(c * x_i * x_j * x_k for (i, j, k, c) in terms) / den, with
-    i <= j <= k.  Over Q the c are integers over the common denominator den;
-    over F_p they are residues mod p and den = 1."""
-
-    terms: tuple
-    den: int
 
 
 def mat3_inverse(f, A):
@@ -270,8 +260,6 @@ class AlbertAlgebra:
         self._gram_sparse = tuple(
             (i, j, v) for i, row in enumerate(self.gram) for j, v in enumerate(row) if v
         )
-        self._norm_coeffs = self._fit_norm_closed() if model == "her" else None
-        self._validate_norm(samples=8)
         self._norm_form = None
         self._cross_table = None
 
@@ -439,56 +427,9 @@ class AlbertAlgebra:
         third = f.inv(f.from_int(3))
         return f.mul(third, self.trform_raw(self.sharp_raw(x), x))
 
-    def _fit_norm_closed(self):
-        """Coefficients (A, B, C, D) of
-        N = x1 x2 x3 - A x1 q(a) - B x2 q(b) - C x3 q(c) + D <ab, conj(c)>,
-        fitted from the intrinsic norm at sparse probes."""
-        f, C = self.field, self.octonions
-        zero = f.zero()
-        e8 = C.unit_coords
-        z8 = tuple(zero for _ in range(8))
-        def probe(xi, a, b, c):
-            return self.norm_intrinsic_raw(tuple(xi) + a + b + c)
-        one = f.one()
-        A = f.neg(probe((one, zero, zero), e8, z8, z8))
-        B = f.neg(probe((zero, one, zero), z8, e8, z8))
-        Cc = f.neg(probe((zero, zero, one), z8, z8, e8))
-        denom = C.bilin_raw(C.mul_raw(e8, e8), C.conj_raw(e8))
-        D = f.div(probe((zero, zero, zero), e8, e8, e8), denom)
-        return (A, B, Cc, D)
-
     def norm_raw(self, x):
-        f = self.field
-        if self.model == "tits":
-            vs = self.varsigma
-            a0, a1, a2 = (mat3_from_flat(x[9 * r: 9 * r + 9]) for r in range(3))
-            acc = f.add(mat3_det(f, a0), f.mul(vs, mat3_det(f, a1)))
-            acc = f.add(acc, f.mul(f.inv(vs), mat3_det(f, a2)))
-            return f.sub(acc, mat3_tr(f, mat3_mul(f, mat3_mul(f, a0, a1), a2)))
-        A, B, Cc, D = self._norm_coeffs
-        C = self.octonions
-        a, b, c = x[3:11], x[11:19], x[19:27]
-        acc = f.mul(f.mul(x[0], x[1]), x[2])
-        qa = C.qnorm_raw(a)
-        if qa:
-            acc = f.sub(acc, f.mul(A, f.mul(x[0], qa)))
-        qb = C.qnorm_raw(b)
-        if qb:
-            acc = f.sub(acc, f.mul(B, f.mul(x[1], qb)))
-        qc = C.qnorm_raw(c)
-        if qc:
-            acc = f.sub(acc, f.mul(Cc, f.mul(x[2], qc)))
-        if any(a) and any(b) and any(c):
-            t = C.bilin_raw(C.mul_raw(a, b), C.conj_raw(c))
-            acc = f.add(acc, f.mul(D, t))
-        return acc
-
-    def _validate_norm(self, samples: int):
-        rng = random.Random(20240)
-        for _ in range(samples):
-            x = tuple(self.field.sample_raw(rng, 3) for _ in range(DIM))
-            if self.norm_raw(x) != self.norm_intrinsic_raw(x):
-                raise InternalError("closed norm disagrees with intrinsic norm")
+        """N(x), evaluated from the integer norm form."""
+        return self.norm_form().evaluate(x, self.field)
 
     def norm_form(self) -> NormForm:
         """The cubic norm as integer monomials, fitted on first use and cached.
@@ -497,7 +438,7 @@ class AlbertAlgebra:
         N(x) = Tr(x # x, x)/6 = sum t_ijk x_i x_j x_k / 6 over all index
         triples, so the monomial x_i x_j x_k (i <= j <= k) has coefficient
         t_iii/6, t_iij/2 (two equal indices) or t_ijk (all distinct).
-        The form is checked against `norm_raw` at seeded points."""
+        The form is checked against `norm_intrinsic_raw` at seeded points."""
         if self._norm_form is None:
             self._norm_form = self._fit_norm_form()
         return self._norm_form
@@ -529,10 +470,8 @@ class AlbertAlgebra:
         rng = random.Random(20241)
         for _ in range(4):
             x = tuple(f.sample_raw(rng, 3) for _ in range(DIM))
-            value = f.div(sum(c * x[i] * x[j] * x[k] for i, j, k, c in form.terms),
-                          f.from_int(form.den))
-            if value != self.norm_raw(x):
-                raise InternalError("fitted norm form disagrees with norm_raw")
+            if form.evaluate(x, f) != self.norm_intrinsic_raw(x):
+                raise InternalError("norm form disagrees with the intrinsic norm")
         return form
 
     def norm_derivative_raw(self, x, y):

@@ -39,6 +39,7 @@ from .linmaps import (
     dagger,
     from_columns,
     identity_map,
+    is_automorphism,
 )
 
 import random
@@ -49,19 +50,7 @@ import random
 def is_oct_automorphism(m: LinMap, octonions: CDAlgebra) -> bool:
     if m.carrier != OCT:
         raise CarrierMismatch("octonion automorphism check needs an oct8 map")
-    if m.apply(octonions.unit_coords) != octonions.unit_coords:
-        return False
-    f = octonions.field
-    one, zero = f.one(), f.zero()
-    basis = [tuple(one if k == i else zero for k in range(8)) for i in range(8)]
-    images = [m.apply(b) for b in basis]
-    for i in range(8):
-        for j in range(8):
-            if m.apply(octonions.mul_raw(basis[i], basis[j])) != octonions.mul_raw(
-                images[i], images[j]
-            ):
-                return False
-    return True
+    return is_automorphism(m, octonions.mul_raw, octonions.unit_coords)
 
 
 def _oct_tag(octonions: CDAlgebra) -> str:
@@ -417,18 +406,9 @@ def isotope_automorphism_check(x: AlbertElem, y: AlbertElem) -> bool:
     mm = LinMap(m, f, ALBERT, alg.basis_tag)
     if not mm.compose(mm).is_identity():
         raise NotOrderTwo("U_x U_y does not square to the identity")
-    yinv = alg.jinv_raw(y.coords)
-    if mm.apply(yinv) != yinv:
-        return False
-    one, zero = f.one(), f.zero()
-    basis = [tuple(one if k == i else zero for k in range(27)) for i in range(27)]
-    images = [mm.apply(b) for b in basis]
-    for i in range(27):
-        for j in range(i, 27):
-            lhs = mm.apply(alg.triple_raw(basis[i], y.coords, basis[j]))
-            if lhs != alg.triple_raw(images[i], y.coords, images[j]):
-                return False
-    return True
+    # {x, y, z} is symmetric in x and z, so the pairs i <= j certify
+    return is_automorphism(mm, lambda a, b: alg.triple_raw(a, y.coords, b),
+                           alg.jinv_raw(y.coords), commutative=True)
 
 
 # -- catalog and descriptors ----------------------------------------------------

@@ -96,14 +96,14 @@ def _mat_mul_q(a, b):
 
 def mat_vec(a, v, field: FieldSpec):
     """a v, reading only the columns where v is nonzero."""
-    nz = [(k, x) for k, x in enumerate(v) if x]
     zero = field.zero()
+    nz = [(k, x) for k, x in enumerate(v) if x is not zero and x]
     out = []
     for row in a:
         acc = zero
         for k, x in nz:
             r = row[k]
-            if r:
+            if r is not zero and r:
                 acc += r * x
         out.append(acc)
     if field.kind == PRIME:
@@ -185,7 +185,8 @@ def rank(a, field: FieldSpec) -> int:
 
 
 def nullspace(a, field: FieldSpec):
-    """Basis of {v : a v = 0}, one vector per free column."""
+    """Basis of {v : a v = 0}, one vector per free column; its zero entries
+    are the field's shared `zero()`."""
     rows, pivots = rref(a, field)
     n = len(a[0]) if a else 0
     pivot_set = set(pivots)
@@ -196,7 +197,9 @@ def nullspace(a, field: FieldSpec):
         v = [zero] * n
         v[fc] = one
         for r, pc in enumerate(pivots):
-            v[pc] = field.neg(rows[r][fc])
+            c = rows[r][fc]
+            if c is not zero and c:
+                v[pc] = field.neg(c)
         basis.append(tuple(v))
     return basis
 

@@ -2,14 +2,19 @@
 spaces, plus the norm/automorphism membership predicates and the dagger
 (outer) automorphism solved from the trace form.
 
-Cubic-norm invariance, N(phi x) = N(x), is tested in Python ints against the
-algebra's integer norm form (`algebra.norm_form()`).  `is_inv_member` is a
-deterministic certificate over Q and F_p: it compares the coefficients of
-the cubic form N(phi x) - N(x), read off the polar (symmetric trilinear)
-tensor of the norm form, and evaluates the norm at no point.
+The cubic norm is an integer form (`NormForm`, built by
+`algebra.norm_form()`): `NormForm.evaluate` is the algebra's norm, and
+cubic-norm invariance, N(phi x) = N(x), is tested in Python ints against
+the same form.  `is_inv_member` is a deterministic certificate over Q and
+F_p: it compares the coefficients of the cubic form N(phi x) - N(x), read
+off the polar (symmetric trilinear) tensor of the norm form, and evaluates
+the norm at no point.
 `norm_preserving_sampled` (the guard of `dagger`, which
 `BrownAlgebra.lift_inv` and `outer_fixed_condition` rely on) checks seeded
 random points, drawn once per norm form, field, sample count and seed.
+`is_automorphism` certifies multiplicativity on basis pairs for any
+bilinear product: `is_aut_member` on the Albert algebra, and the octonion
+and isotope checks of `involutions`.
 
 This module never imports the algebra modules; algebra objects are passed in
 and used through their raw-operation methods.
@@ -23,13 +28,14 @@ import math
 import operator
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .errors import (
     CarrierMismatch,
     NotNormPreserving,
     SingularGram,
 )
-from .fields import RATIONALS, FieldSpec
+from .fields import _ZERO, RATIONALS, FieldSpec
 from .linalg import (
     identity,
     inverse,
@@ -154,6 +160,28 @@ def _cubic(terms, v) -> int:
     return sum(c * v[i] * v[j] * v[k] for i, j, k, c in terms)
 
 
+@dataclass(frozen=True)
+class NormForm:
+    """The cubic norm as integer monomials:
+    N(x) = sum(c * x_i * x_j * x_k for (i, j, k, c) in terms) / den, with
+    i <= j <= k.  Over Q the c are integers over the common denominator den;
+    over F_p they are residues mod p and den = 1."""
+
+    terms: tuple
+    den: int
+
+    def evaluate(self, x, field: FieldSpec):
+        """N(x) for raw field values, summed in Python ints: mod p over F_p;
+        over Q at v = D x, D the lcm of the denominators of x, as
+        sum c v_i v_j v_k / (den D^3)."""
+        if field.kind != RATIONALS:
+            return _cubic(self.terms, x) % field.p
+        d = math.lcm(*[a.denominator for a in x if a is not _ZERO])
+        v = [0 if a is _ZERO else a.numerator * (d // a.denominator) for a in x]
+        s = _cubic(self.terms, v)
+        return Fraction(s, self.den * d ** 3) if s else _ZERO
+
+
 @functools.lru_cache(maxsize=16)
 def _sample_points(form, field: FieldSpec, samples: int, seed: int):
     """The seeded points of `norm_preserving_sampled` as integer vectors v,
@@ -253,23 +281,30 @@ def is_inv_member(phi: LinMap, algebra) -> bool:
     return True
 
 
-def is_aut_member(phi: LinMap, algebra) -> bool:
-    """Exact: phi(e) = e and phi(e_i . e_j) = phi(e_i) . phi(e_j) for every
-    basis pair (the product is bilinear, so basis pairs certify)."""
-    _require_albert(phi, algebra)
-    if phi.apply(algebra.unit_coords) != algebra.unit_coords:
+def is_automorphism(phi: LinMap, product, unit, commutative: bool = False) -> bool:
+    """Exact: phi(unit) = unit and phi(product(e_i, e_j)) =
+    product(phi e_i, phi e_j) for every basis pair, the pairs i <= j for a
+    commutative product (a bilinear product is determined by its values on
+    basis pairs, so they certify).  Stops at the first failing pair."""
+    if phi.apply(unit) != unit:
         return False
-    f = algebra.field
-    n = 27
+    f = phi.field
+    n = phi.dim
     one, zero = f.one(), f.zero()
     basis = [tuple(one if k == i else zero for k in range(n)) for i in range(n)]
     images = [phi.apply(b) for b in basis]
     for i in range(n):
-        for j in range(i, n):
-            lhs = phi.apply(algebra.jmul_raw(basis[i], basis[j]))
-            if lhs != algebra.jmul_raw(images[i], images[j]):
+        for j in range(i if commutative else 0, n):
+            if phi.apply(product(basis[i], basis[j])) != product(images[i], images[j]):
                 return False
     return True
+
+
+def is_aut_member(phi: LinMap, algebra) -> bool:
+    """Exact: phi(e) = e and phi(e_i . e_j) = phi(e_i) . phi(e_j) for every
+    basis pair i <= j of the Albert algebra (`is_automorphism`)."""
+    _require_albert(phi, algebra)
+    return is_automorphism(phi, algebra.jmul_raw, algebra.unit_coords, commutative=True)
 
 
 def dagger(phi: LinMap, algebra, presample: int = 40, seed: int = 1) -> LinMap:

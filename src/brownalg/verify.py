@@ -11,7 +11,7 @@ import random
 from dataclasses import dataclass
 
 from . import linalg
-from .albert import beth_basis
+from .albert import beth_basis, mat3_det, mat3_from_flat, mat3_mul, mat3_tr
 from .brown import BrownAlgebra
 from .cayley import CDAlgebra
 from .errors import AlgebraError
@@ -194,23 +194,46 @@ def check_gram_rank_27(ctx):
             _fail(f"trace-form Gram rank != 27 on {alg.basis_tag}")
 
 
+def _her_displayed_norm(alg, x):
+    """N = x1 x2 x3 - x1 q(a) - x2 q(b) - x3 q(c) + <ab, conj(c)> on
+    Her3(C, gamma = id)."""
+    f, C = alg.field, alg.octonions
+    a, b, c = x[3:11], x[11:19], x[19:27]
+    n = f.mul(f.mul(x[0], x[1]), x[2])
+    n = f.sub(n, f.mul(x[0], C.qnorm_raw(a)))
+    n = f.sub(n, f.mul(x[1], C.qnorm_raw(b)))
+    n = f.sub(n, f.mul(x[2], C.qnorm_raw(c)))
+    return f.add(n, C.bilin_raw(C.mul_raw(a, b), C.conj_raw(c)))
+
+
+def _tits_displayed_norm(alg, x):
+    """N = det a0 + varsigma det a1 + varsigma^-1 det a2 - tr(a0 a1 a2) on
+    the first Tits construction."""
+    f, vs = alg.field, alg.varsigma
+    a0, a1, a2 = (mat3_from_flat(x[9 * r: 9 * r + 9]) for r in range(3))
+    n = f.add(mat3_det(f, a0), f.mul(vs, mat3_det(f, a1)))
+    n = f.add(n, f.mul(f.inv(vs), mat3_det(f, a2)))
+    return f.sub(n, mat3_tr(f, mat3_mul(f, mat3_mul(f, a0, a1), a2)))
+
+
 def check_closed_norm(ctx):
-    alg = ctx.cat.J
+    """The norm and the intrinsic norm against the paper's displayed formulas,
+    the Hermitian one on J and the Tits one on Jt: at the four probe points
+    (x_i = 1 with e in the matching block, and a = b = c = e) and at samples."""
+    alg, jt = ctx.cat.J, ctx.cat.Jt
     f = alg.field
-    one = f.one()
-    if alg._norm_coeffs != (one, one, one, one):
-        _fail("closed-form coefficients differ from the displayed gamma=id formula")
+    one, zero = f.one(), f.zero()
+    e, z = alg.octonions.unit_coords, (zero,) * 8
+    points = [(one, zero, zero) + e + z + z, (zero, one, zero) + z + e + z,
+              (zero, zero, one) + z + z + e, (zero, zero, zero) + e + e + e]
     rng = ctx.rng("alb-norm")
-    C = alg.octonions
-    for _ in range(ctx.scaled(0.3)):
-        x = alg.sample(rng, 3)
-        expect = f.mul(f.mul(x.coords[0], x.coords[1]), x.coords[2])
-        expect = f.sub(expect, f.mul(x.coords[0], C.qnorm_raw(x.a)))
-        expect = f.sub(expect, f.mul(x.coords[1], C.qnorm_raw(x.b)))
-        expect = f.sub(expect, f.mul(x.coords[2], C.qnorm_raw(x.c)))
-        expect = f.add(expect, C.bilin_raw(C.mul_raw(x.a, x.b), C.conj_raw(x.c)))
-        if alg.norm_raw(x.coords) != expect or alg.norm_intrinsic_raw(x.coords) != expect:
-            _fail(f"norm disagrees with the displayed formula at {x.to_json()}")
+    points += [alg.sample(rng, 3).coords for _ in range(ctx.scaled(0.3))]
+    for coords in points:
+        for model, displayed in ((alg, _her_displayed_norm), (jt, _tits_displayed_norm)):
+            expect = displayed(model, coords)
+            if model.norm_raw(coords) != expect or model.norm_intrinsic_raw(coords) != expect:
+                _fail(f"norm disagrees with the displayed formula at "
+                      f"{model.element(coords).to_json()}")
 
 
 def check_isotope_laws(ctx):

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from brownalg import albert, linalg
+from brownalg import albert, linalg, verify
 from brownalg.albert import (
     AlbertAlgebra,
     AlbertElem,
@@ -35,6 +35,7 @@ from brownalg.errors import (
 )
 from brownalg.fields import Fp, Q, scalar
 from brownalg.kernels import MulTable
+from brownalg.linmaps import NormForm
 
 
 def models_f7():
@@ -219,30 +220,29 @@ def test_norm_of_unit_and_diag():
     assert cubic_data(alg.diag(2, 3, 4))[2] == scalar(Q(), 24)
 
 
-def test_closed_norm_fit_is_identity_for_gamma_id():
-    for alg in (split_albert(Q()), split_albert(Fp(7))):
-        one = alg.field.one()
-        assert alg._norm_coeffs == (one, one, one, one)
-
-
-def test_norm_closed_formula_gamma_id_displayed():
+@pytest.mark.parametrize("field", [Q(), Fp(7)], ids=str)
+def test_norm_closed_formula_gamma_id_displayed(field):
     """N = x1 x2 x3 - x1 q(a) - x2 q(b) - x3 q(c) + <ab, conj(c)>, checked as an
-    independent evaluation against algebra.norm at random points over Q."""
-    alg = split_albert(Q())
-    C = alg.octonions
+    independent evaluation against algebra.norm at the four probe points
+    (x_i = 1 with e in the matching block, and a = b = c = e) and at random
+    points."""
+    alg = split_albert(field)
+    f, C = field, alg.octonions
+    one, zero = f.one(), f.zero()
+    e, z = C.unit_coords, (zero,) * 8
+    points = [(one, zero, zero) + e + z + z, (zero, one, zero) + z + e + z,
+              (zero, zero, one) + z + z + e, (zero, zero, zero) + e + e + e]
     rng = random.Random(4)
-    for _ in range(30):
-        x = alg.sample(rng, 3)
-        xi1, xi2, xi3 = x.xi
-        a, b, c = x.a, x.b, x.c
-        expect = (
-            xi1 * xi2 * xi3
-            - xi1 * C.qnorm_raw(a)
-            - xi2 * C.qnorm_raw(b)
-            - xi3 * C.qnorm_raw(c)
-            + C.bilin_raw(C.mul_raw(a, b), C.conj_raw(c))
-        )
-        assert alg.norm_raw(x.coords) == expect
+    points += [alg.sample(rng, 3).coords for _ in range(30)]
+    for x in points:
+        a, b, c = x[3:11], x[11:19], x[19:27]
+        expect = f.mul(f.mul(x[0], x[1]), x[2])
+        for xi, block in zip(x[:3], (a, b, c)):
+            expect = f.sub(expect, f.mul(xi, C.qnorm_raw(block)))
+        expect = f.add(expect, C.bilin_raw(C.mul_raw(a, b), C.conj_raw(c)))
+        assert alg.norm_raw(x) == expect
+    # at the probes the displayed formula reads -1, -1, -1 and <ee, e> = 2
+    assert [alg.norm_raw(x) for x in points[:4]] == [f.from_int(v) for v in (-1, -1, -1, 2)]
 
 
 def test_closed_norm_equals_intrinsic_certificate():
@@ -291,11 +291,24 @@ def test_norm_form_matches_norm_raw(field):
 
 def test_norm_form_mismatch_raises_internal_error(monkeypatch):
     alg = split_albert(Fp(7))
-    norm_raw = AlbertAlgebra.norm_raw
-    monkeypatch.setattr(AlbertAlgebra, "norm_raw",
-                        lambda self, x: alg.field.add(norm_raw(self, x), 1))
-    with pytest.raises(InternalError):
+    intrinsic = AlbertAlgebra.norm_intrinsic_raw
+    monkeypatch.setattr(AlbertAlgebra, "norm_intrinsic_raw",
+                        lambda self, x: alg.field.add(intrinsic(self, x), 1))
+    with pytest.raises(InternalError, match="disagrees with the intrinsic norm"):
         alg.norm_form()
+
+
+@pytest.mark.parametrize("field", [Q(), Fp(7)], ids=str)
+def test_construction_evaluates_no_norm(field, monkeypatch):
+    """The norm form is built on first norm use: building either model
+    evaluates neither the intrinsic norm nor the norm form."""
+    def forbidden(*args):
+        raise AssertionError("norm evaluated during construction")
+
+    monkeypatch.setattr(AlbertAlgebra, "norm_intrinsic_raw", forbidden)
+    monkeypatch.setattr(NormForm, "evaluate", forbidden)
+    for alg in (split_albert(field), tits(field, field.parse_scalar("3/2"))):
+        assert alg._norm_form is None
 
 
 def test_tits_norm_closed_matches_definition():
@@ -311,6 +324,20 @@ def test_tits_norm_closed_matches_definition():
             albert.mat3_tr(f, albert.mat3_mul(f, albert.mat3_mul(f, a0, a1), a2)),
         )
         assert alg.norm_raw(x.coords) == expect
+
+
+def test_check_closed_norm_reads_the_tits_model(monkeypatch):
+    """`verify`'s displayed-formula check covers the Tits norm: a norm that is
+    off by one on the Tits model only fails it."""
+    ctx = verify.Ctx(Fp(7), 0, 10)
+    verify.check_closed_norm(ctx)
+    norm_raw = AlbertAlgebra.norm_raw
+    monkeypatch.setattr(
+        AlbertAlgebra, "norm_raw",
+        lambda self, x: self.field.add(norm_raw(self, x), 1) if self.model == "tits"
+        else norm_raw(self, x))
+    with pytest.raises(verify.CheckFailure, match='"model": "tits"'):
+        verify.check_closed_norm(ctx)
 
 
 def test_trform_gram_rank_27():

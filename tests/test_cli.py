@@ -33,12 +33,12 @@ def test_verify_bad_field_exits_2(capsys):
 def test_internal_norm_disagreement_exits_2(capsys, monkeypatch):
     from brownalg.albert import AlbertAlgebra
 
-    norm_raw = AlbertAlgebra.norm_raw
-    monkeypatch.setattr(AlbertAlgebra, "norm_raw",
-                        lambda self, x: self.field.add(norm_raw(self, x), self.field.one()))
-    code, out, err = run(capsys, "verify", "albert", "--field", "Fp:7", "--samples", "5")
+    intrinsic = AlbertAlgebra.norm_intrinsic_raw
+    monkeypatch.setattr(AlbertAlgebra, "norm_intrinsic_raw",
+                        lambda self, x: self.field.add(intrinsic(self, x), self.field.one()))
+    code, out, err = run(capsys, "fixed", "t:1,1,-1,1,1,1", "B", "--field", "Fp:7")
     assert code == 2
-    assert "closed norm disagrees" in err and "Traceback" not in err
+    assert "norm form disagrees with the intrinsic norm" in err and "Traceback" not in err
 
 
 def test_verify_json(capsys):

@@ -6,7 +6,7 @@ import pytest
 from brownalg import linalg
 from brownalg.albert import split_albert
 from brownalg.errors import NonArithmeticField
-from brownalg.fields import FieldSpec, Fp, Q
+from brownalg.fields import _ZERO, FieldSpec, Fp, Q
 from brownalg.involutions import Catalog
 from brownalg.kernels import BACKEND, MulTable
 
@@ -55,6 +55,20 @@ def test_nullspace_dimension_theorem():
         assert r + len(ns) == 9
         for v in ns:
             assert not any(linalg.mat_vec(a, v, f))
+
+
+def test_nullspace_zeros_are_the_shared_zero_over_q():
+    """Over Q every zero entry of a nullspace basis is `fields._ZERO`, the
+    value the `is not zero` shortcuts of `MulTable.apply` and `in_span`
+    skip: on a small matrix whose pivot rows hold zeros in a free column,
+    and on the fixed space of t.varpi on B."""
+    f = Q()
+    a = tuple(tuple(Fraction(v) for v in row) for row in ((1, 0, 1, 2), (0, 1, 0, 3)))
+    spaces = [linalg.nullspace(a, f), Catalog(f).realize("t.varpi", "B").fixed_space()]
+    assert [len(ns) for ns in spaces] == [2, 28]
+    for ns in spaces:
+        zeros = [v for vec in ns for v in vec if not v]
+        assert zeros and all(v is _ZERO for v in zeros)
 
 
 PRIMES = (101, 4294967311, 2**61 - 1)
