@@ -28,7 +28,6 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass
 
 from .cayley import CDAlgebra
 from .errors import (
@@ -40,7 +39,7 @@ from .errors import (
     ZeroMultiplier,
 )
 from .fields import PRIME, FieldSpec, Scalar
-from .kernels import MulTable
+from .kernels import Algebra, Elem, MulTable
 from .linalg import mat_mul
 from .linmaps import ALBERT, LinMap, NormForm
 
@@ -215,8 +214,72 @@ def tits_jordan_table(field: FieldSpec, varsigma) -> MulTable:
     ))
 
 
-class AlbertAlgebra:
+class AlbertElem(Elem):
+    mismatch = ModelMismatch
+
+    @property
+    def xi(self):
+        return self.coords[0:3]
+
+    @property
+    def a(self):
+        return self.coords[3:11]
+
+    @property
+    def b(self):
+        return self.coords[11:19]
+
+    @property
+    def c(self):
+        return self.coords[19:27]
+
+    def parts(self):
+        return tuple(mat3_from_flat(self.coords[9 * r: 9 * r + 9]) for r in range(3))
+
+    def to_json(self) -> str:
+        f = self.algebra.field
+        s = f.scalar_str
+        if self.algebra.model == "her":
+            return json.dumps(
+                {
+                    "model": "her",
+                    "gamma": [s(g) for g in self.algebra.gamma],
+                    "xi": [s(v) for v in self.xi],
+                    "a": [s(v) for v in self.a],
+                    "b": [s(v) for v in self.b],
+                    "c": [s(v) for v in self.c],
+                }
+            )
+        return json.dumps(
+            {
+                "model": "tits",
+                "varsigma": s(self.algebra.varsigma),
+                "parts": [[s(v) for v in self.coords[9 * r: 9 * r + 9]] for r in range(3)],
+            }
+        )
+
+    @staticmethod
+    def from_json(algebra: "AlbertAlgebra", text: str) -> "AlbertElem":
+        d = json.loads(text)
+        f = algebra.field
+        if d["model"] != algebra.model:
+            raise ModelMismatch(f"element is {d['model']}, algebra is {algebra.model}")
+        if algebra.model == "her":
+            coords = [f.parse_scalar(v) for v in d["xi"]]
+            for key in ("a", "b", "c"):
+                coords += [f.parse_scalar(v) for v in d[key]]
+            return algebra.element(coords)
+        coords = [f.parse_scalar(v) for part in d["parts"] for v in part]
+        return algebra.element(coords)
+
+
+class AlbertAlgebra(Algebra):
     """One model of the Albert algebra over an exact field."""
+
+    dim = DIM
+    carrier = ALBERT
+    commutative = True
+    elem = AlbertElem
 
     def __init__(self, model: str, field: FieldSpec, octonions: CDAlgebra | None = None,
                  gamma=None, varsigma=None):
@@ -287,13 +350,6 @@ class AlbertAlgebra:
 
     # -- elements ------------------------------------------------------------
 
-    def element(self, coords) -> "AlbertElem":
-        f = self.field
-        coords = tuple(f.from_int(c) if isinstance(c, int) else c for c in coords)
-        if len(coords) != DIM:
-            raise ValueError("need 27 coordinates")
-        return AlbertElem(self, coords)
-
     def her_element(self, xi, a, b, c) -> "AlbertElem":
         if self.model != "her":
             raise ModelMismatch("her_element on the Tits model")
@@ -317,24 +373,6 @@ class AlbertAlgebra:
                 flat.extend(row)
         return self.element(flat)
 
-    def unit(self) -> "AlbertElem":
-        return AlbertElem(self, self.unit_coords)
-
-    def zero(self) -> "AlbertElem":
-        return AlbertElem(self, tuple(self.field.zero() for _ in range(DIM)))
-
-    def basis(self):
-        f = self.field
-        one, zero = f.one(), f.zero()
-        return [
-            AlbertElem(self, tuple(one if i == j else zero for j in range(DIM)))
-            for i in range(DIM)
-        ]
-
-    def sample(self, rng: random.Random, bound: int = 4) -> "AlbertElem":
-        f = self.field
-        return AlbertElem(self, tuple(f.sample_raw(rng, bound) for _ in range(DIM)))
-
     def sample_invertible(self, rng: random.Random, bound: int = 4) -> "AlbertElem":
         while True:
             x = self.sample(rng, bound)
@@ -351,8 +389,7 @@ class AlbertAlgebra:
 
     # -- core operations ------------------------------------------------------
 
-    def jmul_raw(self, x, y):
-        return self.table.apply(x, y, self.field)
+    jmul_raw = Algebra.mul_raw
 
     def tr_raw(self, x):
         f = self.field
@@ -613,19 +650,6 @@ class AlbertAlgebra:
                 flat.extend(row)
         return tuple(flat)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, AlbertAlgebra)
-            and self.basis_tag == other.basis_tag
-            and self.field == other.field
-        )
-
-    def __hash__(self):
-        return hash((self.basis_tag, self.field))
-
-    def __repr__(self):
-        return f"AlbertAlgebra({self.basis_tag})"
-
 
 def hermitian(octonions: CDAlgebra, gamma=None) -> AlbertAlgebra:
     return AlbertAlgebra("her", octonions.field, octonions=octonions, gamma=gamma)
@@ -638,90 +662,6 @@ def tits(field: FieldSpec, varsigma=1) -> AlbertAlgebra:
 def split_albert(field: FieldSpec) -> AlbertAlgebra:
     """Her3(split octonions, id), the default split model."""
     return hermitian(CDAlgebra.split_octonions(field))
-
-
-@dataclass(frozen=True)
-class AlbertElem:
-    algebra: AlbertAlgebra
-    coords: tuple
-
-    def _check(self, other):
-        if not isinstance(other, AlbertElem) or other.algebra != self.algebra:
-            raise ModelMismatch("elements of different Albert algebra views")
-
-    def __add__(self, other):
-        self._check(other)
-        f = self.algebra.field
-        return AlbertElem(self.algebra, tuple(f.add(a, b) for a, b in zip(self.coords, other.coords)))
-
-    def __sub__(self, other):
-        self._check(other)
-        f = self.algebra.field
-        return AlbertElem(self.algebra, tuple(f.sub(a, b) for a, b in zip(self.coords, other.coords)))
-
-    def __neg__(self):
-        f = self.algebra.field
-        return AlbertElem(self.algebra, tuple(f.neg(a) for a in self.coords))
-
-    def scale(self, c):
-        f = self.algebra.field
-        c = f.from_int(c) if isinstance(c, int) else c
-        return AlbertElem(self.algebra, tuple(f.mul(c, a) for a in self.coords))
-
-    @property
-    def xi(self):
-        return self.coords[0:3]
-
-    @property
-    def a(self):
-        return self.coords[3:11]
-
-    @property
-    def b(self):
-        return self.coords[11:19]
-
-    @property
-    def c(self):
-        return self.coords[19:27]
-
-    def parts(self):
-        return tuple(mat3_from_flat(self.coords[9 * r: 9 * r + 9]) for r in range(3))
-
-    def to_json(self) -> str:
-        f = self.algebra.field
-        s = f.scalar_str
-        if self.algebra.model == "her":
-            return json.dumps(
-                {
-                    "model": "her",
-                    "gamma": [s(g) for g in self.algebra.gamma],
-                    "xi": [s(v) for v in self.xi],
-                    "a": [s(v) for v in self.a],
-                    "b": [s(v) for v in self.b],
-                    "c": [s(v) for v in self.c],
-                }
-            )
-        return json.dumps(
-            {
-                "model": "tits",
-                "varsigma": s(self.algebra.varsigma),
-                "parts": [[s(v) for v in self.coords[9 * r: 9 * r + 9]] for r in range(3)],
-            }
-        )
-
-    @staticmethod
-    def from_json(algebra: AlbertAlgebra, text: str) -> "AlbertElem":
-        d = json.loads(text)
-        f = algebra.field
-        if d["model"] != algebra.model:
-            raise ModelMismatch(f"element is {d['model']}, algebra is {algebra.model}")
-        if algebra.model == "her":
-            coords = [f.parse_scalar(v) for v in d["xi"]]
-            for key in ("a", "b", "c"):
-                coords += [f.parse_scalar(v) for v in d[key]]
-            return algebra.element(coords)
-        coords = [f.parse_scalar(v) for part in d["parts"] for v in part]
-        return algebra.element(coords)
 
 
 # -- public operations -------------------------------------------------------
@@ -767,7 +707,7 @@ def uapply(x: AlbertElem, y: AlbertElem) -> AlbertElem:
 def uop(x: AlbertElem) -> LinMap:
     """U_x as an exact 27x27 map on the element's algebra."""
     alg = x.algebra
-    return LinMap(alg.uop_matrix(x.coords), alg.field, ALBERT, alg.basis_tag)
+    return alg.linmap(alg.uop_matrix(x.coords))
 
 
 def jinverse(x: AlbertElem) -> AlbertElem:

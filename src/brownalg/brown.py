@@ -8,27 +8,69 @@ Coordinate order: (alpha, beta, j-block 27, l-block 27).
 from __future__ import annotations
 
 import json
-import random
-from dataclasses import dataclass
 
 from .albert import DIM as JDIM
 from .albert import AlbertAlgebra, AlbertElem
 from .errors import (
-    AlgebraMismatch,
     InternalError,
     NotAutomorphism,
     NotCommuting,
     NotOrderTwo,
 )
-from . import linmaps
-from .kernels import MulTable
-from .linalg import in_span, nullspace, row_space_rref, span_closed
+from .kernels import Algebra, Elem, MulTable
+from .linalg import in_span, nullspace, row_space_rref, span_closed, transpose
 from .linmaps import BROWN, LinMap, dagger, is_aut_member
 
 BDIM = 2 + 2 * JDIM
 
 
-class BrownAlgebra:
+class BrownElem(Elem):
+    @property
+    def alpha(self):
+        return self.coords[0]
+
+    @property
+    def beta(self):
+        return self.coords[1]
+
+    @property
+    def j(self):
+        return self.coords[2 : 2 + JDIM]
+
+    @property
+    def l(self):
+        return self.coords[2 + JDIM :]
+
+    def to_json(self) -> str:
+        f = self.algebra.field
+        s = f.scalar_str
+        jelem = AlbertElem(self.algebra.jalg, self.j)
+        lelem = AlbertElem(self.algebra.jalg, self.l)
+        return json.dumps(
+            {
+                "alpha": s(self.alpha),
+                "beta": s(self.beta),
+                "j": json.loads(jelem.to_json()),
+                "l": json.loads(lelem.to_json()),
+                "zeta": s(self.algebra.zeta),
+            }
+        )
+
+    @staticmethod
+    def from_json(algebra: "BrownAlgebra", text: str) -> "BrownElem":
+        d = json.loads(text)
+        f = algebra.field
+        j = AlbertElem.from_json(algebra.jalg, json.dumps(d["j"]))
+        l = AlbertElem.from_json(algebra.jalg, json.dumps(d["l"]))
+        return algebra.element(f.parse_scalar(d["alpha"]), f.parse_scalar(d["beta"]), j, l)
+
+
+class BrownAlgebra(Algebra):
+    dim = BDIM
+    carrier = BROWN
+    commutative = False
+    elem = BrownElem
+
     def __init__(self, jalg: AlbertAlgebra, zeta=1):
         f = jalg.field
         zeta = f.from_int(zeta) if isinstance(zeta, int) else zeta
@@ -38,41 +80,22 @@ class BrownAlgebra:
         self.field = f
         self.zeta = zeta
         self.basis_tag = f"brown:{jalg.basis_tag}:zeta={f.scalar_str(zeta)}"
+        one, zero = f.one(), f.zero()
+        self.unit_coords = (one, one) + (zero,) * (2 * JDIM)
         self._table = None
 
     # -- elements -----------------------------------------------------------
 
     def element(self, alpha, beta, j, l) -> "BrownElem":
-        f = self.field
-        conv = lambda v: f.from_int(v) if isinstance(v, int) else v
-        jc = j.coords if isinstance(j, AlbertElem) else tuple(conv(v) for v in j)
-        lc = l.coords if isinstance(l, AlbertElem) else tuple(conv(v) for v in l)
+        jc = j.coords if isinstance(j, AlbertElem) else tuple(j)
+        lc = l.coords if isinstance(l, AlbertElem) else tuple(l)
         if len(jc) != JDIM or len(lc) != JDIM:
             raise ValueError("j and l need 27 coordinates each")
-        return BrownElem(self, (conv(alpha), conv(beta)) + jc + lc)
-
-    def unit(self) -> "BrownElem":
-        z = self.jalg.zero()
-        return self.element(1, 1, z, z)
+        return super().element((alpha, beta) + jc + lc)
 
     def s0(self) -> "BrownElem":
         z = self.jalg.zero()
         return self.element(1, -1, z, z)
-
-    def zero(self) -> "BrownElem":
-        return BrownElem(self, tuple(self.field.zero() for _ in range(BDIM)))
-
-    def basis(self):
-        f = self.field
-        one, zero = f.one(), f.zero()
-        return [
-            BrownElem(self, tuple(one if i == k else zero for k in range(BDIM)))
-            for i in range(BDIM)
-        ]
-
-    def sample(self, rng: random.Random, bound: int = 4) -> "BrownElem":
-        f = self.field
-        return BrownElem(self, tuple(f.sample_raw(rng, bound) for _ in range(BDIM)))
 
     # -- product and involution ----------------------------------------------
 
@@ -108,15 +131,13 @@ class BrownAlgebra:
         """The Brown product through `mul_table`."""
         return (self._table or self.mul_table()).apply(x, y, self.field)
 
+    mul_raw = bmul_raw
+
     def binv_raw(self, x):
         return (x[1], x[0]) + x[2:]
 
     def binv_map(self) -> LinMap:
-        f = self.field
-        cols = []
-        for b in self.basis():
-            cols.append(self.binv_raw(b.coords))
-        return linmaps.from_columns(cols, f, BROWN, self.basis_tag)
+        return self.linmap(transpose([self.binv_raw(b.coords) for b in self.basis()]))
 
     def skew_basis(self):
         """Kernel of (binv + id): the one-dimensional skew line."""
@@ -132,7 +153,7 @@ class BrownAlgebra:
         """Type 1 iff the square of the skew generator is a square scalar."""
         s = self.s0()
         sq = self.bmul_raw(s.coords, s.coords)
-        unit = self.unit().coords
+        unit = self.unit_coords
         scalar_val = sq[0]
         if sq != tuple(self.field.mul(scalar_val, u) for u in unit):
             raise InternalError("s0^2 is not a scalar multiple of the unit")
@@ -152,7 +173,7 @@ class BrownAlgebra:
             for j in range(JDIM):
                 rows[2 + i][2 + j] = mj[i][j]
                 rows[2 + JDIM + i][2 + JDIM + j] = ml[i][j]
-        return LinMap(tuple(tuple(r) for r in rows), f, BROWN, self.basis_tag)
+        return self.linmap(tuple(tuple(r) for r in rows))
 
     def lift_aut(self, phi: LinMap) -> LinMap:
         """(alpha, beta, j, l) -> (alpha, beta, phi j, phi l) for phi in Aut(J)."""
@@ -177,7 +198,7 @@ class BrownAlgebra:
         for i in range(JDIM):
             rows[2 + i][2 + JDIM + i] = one
             rows[2 + JDIM + i][2 + i] = one
-        return LinMap(tuple(tuple(r) for r in rows), f, BROWN, self.basis_tag)
+        return self.linmap(tuple(tuple(r) for r in rows))
 
     # -- commuting-pair subalgebra --------------------------------------------
 
@@ -192,7 +213,7 @@ class BrownAlgebra:
         if phi1.compose(phi2).matrix != phi2.compose(phi1).matrix:
             raise NotCommuting("phi1 and phi2 must commute")
         f = self.field
-        basis = [self.unit().coords]
+        basis = [self.unit_coords]
         one, zero = f.one(), f.zero()
         for i in range(JDIM):
             e = tuple(one if k == i else zero for k in range(JDIM))
@@ -205,83 +226,6 @@ class BrownAlgebra:
         if not all(in_span(rows, pivots, self.binv_raw(b), f) for b in basis):
             raise InternalError("commuting-pair span not involution-closed")
         return [BrownElem(self, b) for b in basis]
-
-    def __eq__(self, other):
-        return isinstance(other, BrownAlgebra) and self.basis_tag == other.basis_tag
-
-    def __hash__(self):
-        return hash(self.basis_tag)
-
-    def __repr__(self):
-        return f"BrownAlgebra({self.basis_tag})"
-
-
-@dataclass(frozen=True)
-class BrownElem:
-    algebra: BrownAlgebra
-    coords: tuple
-
-    def _check(self, other):
-        if not isinstance(other, BrownElem) or other.algebra != self.algebra:
-            raise AlgebraMismatch("elements of different Brown algebras")
-
-    @property
-    def alpha(self):
-        return self.coords[0]
-
-    @property
-    def beta(self):
-        return self.coords[1]
-
-    @property
-    def j(self):
-        return self.coords[2 : 2 + JDIM]
-
-    @property
-    def l(self):
-        return self.coords[2 + JDIM :]
-
-    def __add__(self, other):
-        self._check(other)
-        f = self.algebra.field
-        return BrownElem(
-            self.algebra, tuple(f.add(a, b) for a, b in zip(self.coords, other.coords))
-        )
-
-    def __sub__(self, other):
-        self._check(other)
-        f = self.algebra.field
-        return BrownElem(
-            self.algebra, tuple(f.sub(a, b) for a, b in zip(self.coords, other.coords))
-        )
-
-    def scale(self, c):
-        f = self.algebra.field
-        c = f.from_int(c) if isinstance(c, int) else c
-        return BrownElem(self.algebra, tuple(f.mul(c, v) for v in self.coords))
-
-    def to_json(self) -> str:
-        f = self.algebra.field
-        s = f.scalar_str
-        jelem = AlbertElem(self.algebra.jalg, self.j)
-        lelem = AlbertElem(self.algebra.jalg, self.l)
-        return json.dumps(
-            {
-                "alpha": s(self.alpha),
-                "beta": s(self.beta),
-                "j": json.loads(jelem.to_json()),
-                "l": json.loads(lelem.to_json()),
-                "zeta": s(self.algebra.zeta),
-            }
-        )
-
-    @staticmethod
-    def from_json(algebra: "BrownAlgebra", text: str) -> "BrownElem":
-        d = json.loads(text)
-        f = algebra.field
-        j = AlbertElem.from_json(algebra.jalg, json.dumps(d["j"]))
-        l = AlbertElem.from_json(algebra.jalg, json.dumps(d["l"]))
-        return algebra.element(f.parse_scalar(d["alpha"]), f.parse_scalar(d["beta"]), j, l)
 
 
 def bmul(x: BrownElem, y: BrownElem) -> BrownElem:

@@ -15,12 +15,11 @@ from __future__ import annotations
 
 import itertools
 import json
-import random
-from dataclasses import dataclass
 
-from .errors import AlgebraMismatch, NoSuchV
+from .errors import NoSuchV
 from .fields import FieldSpec, Scalar
-from .kernels import MulTable
+from .kernels import Algebra, Elem, MulTable
+from .linmaps import OCT
 
 
 def _base_unit_tables(field):
@@ -74,8 +73,24 @@ def _double_tables(field, mul, conj, qform, n, kappa):
     return new_mul, new_conj, new_q
 
 
-class CDAlgebra:
+class CompElem(Elem):
+    def to_json(self) -> str:
+        f = self.algebra.field
+        return json.dumps([f.scalar_str(c) for c in self.coords])
+
+    @staticmethod
+    def from_json(algebra: "CDAlgebra", text: str) -> "CompElem":
+        vals = json.loads(text)
+        return algebra.element([algebra.field.parse_scalar(v) for v in vals])
+
+
+class CDAlgebra(Algebra):
     """Composition algebra descriptor with cached structure data."""
+
+    carrier = OCT
+    commutative = False
+    elem = CompElem
+    sample_bound = 5
 
     def __init__(self, field: FieldSpec, kappas=(), split_base=False):
         field._need_arith()
@@ -101,6 +116,11 @@ class CDAlgebra:
         self._conj = tuple(conj)
         self._qform = qform
         self.unit_coords = self._unit()
+        chain = ",".join(field.scalar_str(k) for k in kappas)
+        if split_base:
+            self.basis_tag = f"cd:{field}:split:{chain}" if chain else f"cd:{field}:split"
+        else:
+            self.basis_tag = f"cd:{field}:{chain}"
         if self.gram_rank() != dim:
             raise ValueError("degenerate quadratic form (bad kappa chain)")
 
@@ -120,10 +140,7 @@ class CDAlgebra:
 
     @property
     def descriptor(self) -> str:
-        chain = ",".join(self.field.scalar_str(k) for k in self.kappas)
-        if self.split_base:
-            return f"cd:{self.field}:split:{chain}" if chain else f"cd:{self.field}:split"
-        return f"cd:{self.field}:{chain}"
+        return self.basis_tag
 
     @staticmethod
     def parse(text: str) -> "CDAlgebra":
@@ -147,38 +164,7 @@ class CDAlgebra:
             kappas = tuple(field.parse_scalar(t) for t in rest[0].split(","))
         return CDAlgebra(field, kappas=kappas, split_base=split)
 
-    # -- elements ----------------------------------------------------------
-
-    def element(self, coords) -> "CompElem":
-        coords = tuple(
-            self.field.from_int(c) if isinstance(c, int) else c for c in coords
-        )
-        if len(coords) != self.dim:
-            raise ValueError(f"need {self.dim} coordinates, got {len(coords)}")
-        return CompElem(self, coords)
-
-    def unit(self) -> "CompElem":
-        return CompElem(self, self.unit_coords)
-
-    def zero(self) -> "CompElem":
-        return CompElem(self, tuple(self.field.zero() for _ in range(self.dim)))
-
-    def basis(self):
-        one, zero = self.field.one(), self.field.zero()
-        return [
-            CompElem(self, tuple(one if i == j else zero for j in range(self.dim)))
-            for i in range(self.dim)
-        ]
-
-    def sample(self, rng: random.Random, bound: int = 5) -> "CompElem":
-        return CompElem(
-            self, tuple(self.field.sample_raw(rng, bound) for _ in range(self.dim))
-        )
-
     # -- raw operations (hot paths) ----------------------------------------
-
-    def mul_raw(self, x, y):
-        return self.table.apply(x, y, self.field)
 
     def conj_raw(self, x):
         out = [self.field.zero()] * self.dim
@@ -231,62 +217,6 @@ class CDAlgebra:
         if self.split_base and not self.kappas:
             raise ValueError("matrix base is its own base")
         return CDAlgebra(self.field, kappas=self.kappas[:-1], split_base=self.split_base)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, CDAlgebra)
-            and self.field == other.field
-            and self.kappas == other.kappas
-            and self.split_base == other.split_base
-        )
-
-    def __hash__(self):
-        return hash((self.field, self.kappas, self.split_base))
-
-    def __repr__(self):
-        return f"CDAlgebra({self.descriptor})"
-
-
-@dataclass(frozen=True)
-class CompElem:
-    algebra: CDAlgebra
-    coords: tuple
-
-    def __add__(self, other):
-        self._check(other)
-        f = self.algebra.field
-        return CompElem(
-            self.algebra, tuple(f.add(a, b) for a, b in zip(self.coords, other.coords))
-        )
-
-    def __sub__(self, other):
-        self._check(other)
-        f = self.algebra.field
-        return CompElem(
-            self.algebra, tuple(f.sub(a, b) for a, b in zip(self.coords, other.coords))
-        )
-
-    def __neg__(self):
-        f = self.algebra.field
-        return CompElem(self.algebra, tuple(f.neg(a) for a in self.coords))
-
-    def scale(self, c):
-        f = self.algebra.field
-        c = f.from_int(c) if isinstance(c, int) else c
-        return CompElem(self.algebra, tuple(f.mul(c, a) for a in self.coords))
-
-    def _check(self, other):
-        if not isinstance(other, CompElem) or other.algebra != self.algebra:
-            raise AlgebraMismatch("elements of different composition algebras")
-
-    def to_json(self) -> str:
-        f = self.algebra.field
-        return json.dumps([f.scalar_str(c) for c in self.coords])
-
-    @staticmethod
-    def from_json(algebra: CDAlgebra, text: str) -> "CompElem":
-        vals = json.loads(text)
-        return algebra.element([algebra.field.parse_scalar(v) for v in vals])
 
 
 def mul(x: CompElem, y: CompElem) -> CompElem:

@@ -173,9 +173,14 @@ class FieldSpec:
 
     def parse_scalar(self, text: str):
         self._need_arith()
-        f = Fraction(text)
+        try:
+            f = Fraction(text)
+        except ZeroDivisionError:
+            raise DivisionByZero(f"zero denominator in {text!r}") from None
         if self.kind == RATIONALS:
             return f
+        if not f.denominator % self.p:
+            raise DivisionByZero(f"denominator of {text!r} vanishes mod {self.p}")
         return f.numerator * pow(f.denominator, self.p - 2, self.p) % self.p
 
     def scalar_str(self, a) -> str:

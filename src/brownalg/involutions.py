@@ -37,7 +37,6 @@ from .linmaps import (
     OCT,
     LinMap,
     dagger,
-    from_columns,
     identity_map,
     is_automorphism,
 )
@@ -51,10 +50,6 @@ def is_oct_automorphism(m: LinMap, octonions: CDAlgebra) -> bool:
     if m.carrier != OCT:
         raise CarrierMismatch("octonion automorphism check needs an oct8 map")
     return is_automorphism(m, octonions.mul_raw, octonions.unit_coords)
-
-
-def _oct_tag(octonions: CDAlgebra) -> str:
-    return octonions.descriptor
 
 
 def _base_of(octonions: CDAlgebra) -> CDAlgebra:
@@ -95,7 +90,7 @@ def make_t(octonions: CDAlgebra, p) -> LinMap:
             for j in range(4):
                 row[4 + j] = lm[i - 4][j]
         rows.append(tuple(row))
-    m = LinMap(tuple(rows), f, OCT, _oct_tag(octonions))
+    m = octonions.linmap(tuple(rows))
     if not is_oct_automorphism(m, octonions):
         raise NotAutomorphism("f_p failed the automorphism check")
     return m
@@ -121,7 +116,7 @@ def conj_by(octonions: CDAlgebra, w) -> LinMap:
         for k in range(4):
             col[4 * half + k] = img[k]
         cols.append(tuple(col))
-    m = from_columns(cols, f, OCT, _oct_tag(octonions))
+    m = octonions.linmap(linalg.transpose(cols))
     if not is_oct_automorphism(m, octonions):
         raise NotAutomorphism("c_w failed the automorphism check")
     return m
@@ -141,12 +136,12 @@ def make_t_star(octonions: CDAlgebra) -> LinMap:
         for t in range(4):
             rows[s1[3 - t]][s1[t]] = one
             rows[4 + s2[3 - t]][4 + s2[t]] = one
-        m = LinMap(tuple(tuple(r) for r in rows), f, OCT, _oct_tag(octonions))
+        m = octonions.linmap(tuple(tuple(r) for r in rows))
         if is_oct_automorphism(m, octonions):
             if (s1, s2) != (tuple(range(4)), tuple(range(4))):
                 m = LinMap(
                     m.matrix, f, OCT,
-                    f"{_oct_tag(octonions)}:tstar-order={''.join(map(str, s1))}|{''.join(map(str, s2))}",
+                    f"{octonions.basis_tag}:tstar-order={''.join(map(str, s1))}|{''.join(map(str, s2))}",
                 )
             return m
     raise NoValidOrdering(
@@ -180,7 +175,7 @@ def lift_c_to_j(t: LinMap, albert: AlbertAlgebra) -> LinMap:
         for i in range(8):
             for j in range(8):
                 rows[off + i][off + j] = t.matrix[i][j]
-    return LinMap(tuple(tuple(r) for r in rows), f, ALBERT, albert.basis_tag)
+    return albert.linmap(tuple(tuple(r) for r in rows))
 
 
 def make_s(albert: AlbertAlgebra) -> LinMap:
@@ -188,7 +183,7 @@ def make_s(albert: AlbertAlgebra) -> LinMap:
     if albert.model != "her":
         raise ModelMismatch("s lives on the Hermitian model")
     sprime = albert.diag(1, -1, -1)
-    return LinMap(albert.uop_matrix(sprime.coords), albert.field, ALBERT, albert.basis_tag)
+    return albert.linmap(albert.uop_matrix(sprime.coords))
 
 
 def make_theta_tits(albert: AlbertAlgebra) -> LinMap:
@@ -207,7 +202,7 @@ def make_theta_tits(albert: AlbertAlgebra) -> LinMap:
                 src = 9 * r + 3 * p + q
                 dst = 9 * part_image[r] + 3 * q + p
                 rows[dst][src] = one
-    return LinMap(tuple(tuple(r) for r in rows), f, ALBERT, albert.basis_tag)
+    return albert.linmap(tuple(tuple(r) for r in rows))
 
 
 def tits_phi_map(albert: AlbertAlgebra, u, v, w) -> LinMap:
@@ -217,7 +212,7 @@ def tits_phi_map(albert: AlbertAlgebra, u, v, w) -> LinMap:
     for i in range(27):
         e = tuple(one if k == i else zero for k in range(27))
         cols.append(albert.tits_phi_raw(u, v, w, e))
-    return from_columns(cols, f, ALBERT, albert.basis_tag)
+    return albert.linmap(linalg.transpose(cols))
 
 
 def _diag3_det1(f, x1, x2):
@@ -276,16 +271,12 @@ class FixedSubalgebra:
 
 
 def _context_product(phi: LinMap, context):
-    """(product, commutative, involution or None) of the carrier algebra."""
-    if phi.carrier == ALBERT:
-        if phi.basis_tag != context.basis_tag:
-            raise CarrierMismatch("map and algebra bases differ")
-        return context.jmul_raw, True, None
-    if phi.carrier == BROWN:
-        if phi.basis_tag != context.basis_tag:
-            raise CarrierMismatch("map and algebra bases differ")
-        return context.bmul_raw, False, context.binv_raw
-    raise CarrierMismatch("fixed subalgebras live on Albert or Brown space")
+    """(product, commutative, involution or None) of the carrier algebra;
+    the exchange involution is checked on Brown space."""
+    if phi.carrier != context.carrier or phi.basis_tag != context.basis_tag:
+        raise CarrierMismatch("map and algebra bases differ")
+    involution = context.binv_raw if phi.carrier == BROWN else None
+    return context.mul_raw, context.commutative, involution
 
 
 def fixed_subalgebra(phi: LinMap, context) -> FixedSubalgebra:
@@ -379,7 +370,7 @@ def make_uv_bridge(albert: AlbertAlgebra) -> LinMap:
     v = find_skew_unit(albert.octonions)
     z8 = [albert.field.zero()] * 8
     V = albert.her_element((1, 0, 0), v.coords, z8, z8)
-    return LinMap(albert.uop_matrix(V.coords), albert.field, ALBERT, albert.basis_tag)
+    return albert.linmap(albert.uop_matrix(V.coords))
 
 
 def outer_fixed_condition(delta: LinMap, phi: LinMap, albert: AlbertAlgebra) -> bool:
@@ -403,7 +394,7 @@ def isotope_automorphism_check(x: AlbertElem, y: AlbertElem) -> bool:
     if not nx or not ny:
         raise SingularElement("isotope check needs N(x) N(y) != 0")
     m = linalg.mat_mul(alg.uop_matrix(x.coords), alg.uop_matrix(y.coords), f)
-    mm = LinMap(m, f, ALBERT, alg.basis_tag)
+    mm = alg.linmap(m)
     if not mm.compose(mm).is_identity():
         raise NotOrderTwo("U_x U_y does not square to the identity")
     # {x, y, z} is symmetric in x and z, so the pairs i <= j certify
@@ -544,13 +535,9 @@ class Catalog:
             elif kind == 1:
                 signs = [1 if rng.randrange(2) else -1 for _ in range(3)]
                 d = self.J.diag(*signs)
-                out = out.compose(
-                    LinMap(self.J.uop_matrix(d.coords), f, ALBERT, self.J.basis_tag)
-                )
+                out = out.compose(self.J.linmap(self.J.uop_matrix(d.coords)))
             else:
                 p23 = self.J.her_element((1, 0, 0), self.octonions.unit_coords,
                                          [f.zero()] * 8, [f.zero()] * 8)
-                out = out.compose(
-                    LinMap(self.J.uop_matrix(p23.coords), f, ALBERT, self.J.basis_tag)
-                )
+                out = out.compose(self.J.linmap(self.J.uop_matrix(p23.coords)))
         return out

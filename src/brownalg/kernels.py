@@ -15,11 +15,27 @@ operand are skipped, so sparse inputs cost proportionally less.  Over Q a
 zero that is the field's shared `zero()` is skipped by identity, without a
 Python-level `Fraction.__bool__`.  Over F_p
 the accumulated integers are reduced mod p once, at the end.
+
+`Algebra` is what the three algebras of the tower (`CDAlgebra`,
+`AlbertAlgebra`, `BrownAlgebra`) share.  Each sets `field`, `dim`,
+`basis_tag`, `table`, `unit_coords`, `carrier`, `commutative` and `elem` (its
+element class), and inherits the product through its table (`mul_raw`;
+`BrownAlgebra` builds its table on first use and overrides it), element
+construction, the unit, zero and standard basis, seeded sampling, `linmap`
+(a `LinMap` on the algebra's carrier space and basis) and equality by basis
+tag.  `Elem` is the element base class: an immutable (algebra, coords) pair
+with addition, negation and scaling, which raises its class's `mismatch`
+error when elements of different algebras are combined.
 """
 
 from __future__ import annotations
 
+import random
+from dataclasses import dataclass
+
+from .errors import AlgebraMismatch
 from .fields import PRIME, FieldSpec
+from .linmaps import LinMap
 
 # There is a single pure-Python implementation of every kernel.  The name is
 # kept because `brownalg.BACKEND` and the benchmark harness report it.
@@ -69,3 +85,86 @@ class MulTable:
                 for j, k, c in grp:
                     rows[k][j] = field.add(rows[k][j], field.mul(c, xv))
         return tuple(tuple(r) for r in rows)
+
+
+class Algebra:
+    """Base of the algebras of the tower; see the module docstring for the
+    attributes each subclass sets."""
+
+    sample_bound = 4
+
+    def mul_raw(self, x, y):
+        return self.table.apply(x, y, self.field)
+
+    def element(self, coords) -> "Elem":
+        f = self.field
+        coords = tuple(f.from_int(c) if isinstance(c, int) else c for c in coords)
+        if len(coords) != self.dim:
+            raise ValueError(f"need {self.dim} coordinates, got {len(coords)}")
+        return self.elem(self, coords)
+
+    def unit(self) -> "Elem":
+        return self.elem(self, self.unit_coords)
+
+    def zero(self) -> "Elem":
+        return self.elem(self, (self.field.zero(),) * self.dim)
+
+    def basis(self):
+        one, zero = self.field.one(), self.field.zero()
+        return [
+            self.elem(self, tuple(one if i == j else zero for j in range(self.dim)))
+            for i in range(self.dim)
+        ]
+
+    def sample(self, rng: random.Random, bound: int | None = None) -> "Elem":
+        bound = self.sample_bound if bound is None else bound
+        return self.elem(
+            self, tuple(self.field.sample_raw(rng, bound) for _ in range(self.dim))
+        )
+
+    def linmap(self, matrix) -> LinMap:
+        """`matrix` as a map on this algebra's carrier space and basis."""
+        return LinMap(matrix, self.field, self.carrier, self.basis_tag)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self.basis_tag == other.basis_tag
+
+    def __hash__(self):
+        return hash(self.basis_tag)
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.basis_tag})"
+
+
+@dataclass(frozen=True)
+class Elem:
+    """An element of an `Algebra`; `mismatch` is the error raised when two
+    elements of different algebras are combined."""
+
+    algebra: Algebra
+    coords: tuple
+
+    mismatch = AlgebraMismatch
+
+    def _check(self, other):
+        if not isinstance(other, type(self)) or other.algebra != self.algebra:
+            raise self.mismatch("elements of different algebras")
+
+    def __add__(self, other):
+        self._check(other)
+        f = self.algebra.field
+        return type(self)(self.algebra, tuple(map(f.add, self.coords, other.coords)))
+
+    def __sub__(self, other):
+        self._check(other)
+        f = self.algebra.field
+        return type(self)(self.algebra, tuple(map(f.sub, self.coords, other.coords)))
+
+    def __neg__(self):
+        f = self.algebra.field
+        return type(self)(self.algebra, tuple(map(f.neg, self.coords)))
+
+    def scale(self, c):
+        f = self.algebra.field
+        c = f.from_int(c) if isinstance(c, int) else c
+        return type(self)(self.algebra, tuple(f.mul(c, a) for a in self.coords))

@@ -132,16 +132,6 @@ def identity_map(field: FieldSpec, carrier: str, basis_tag: str) -> LinMap:
     return LinMap(identity(_DIMS[carrier], field), field, carrier, basis_tag)
 
 
-def from_columns(cols, field: FieldSpec, carrier: str, basis_tag: str) -> LinMap:
-    n = len(cols)
-    return LinMap(
-        tuple(tuple(cols[j][i] for j in range(n)) for i in range(n)),
-        field,
-        carrier,
-        basis_tag,
-    )
-
-
 def _require_albert(phi: LinMap, algebra):
     if phi.carrier != ALBERT or phi.basis_tag != algebra.basis_tag:
         raise CarrierMismatch("map does not live on this Albert algebra")
@@ -318,4 +308,4 @@ def dagger(phi: LinMap, algebra, presample: int = 40, seed: int = 1) -> LinMap:
     sol = solve_right(lhs, g, algebra.field)
     if sol is None:
         raise SingularGram("trace-form system unexpectedly singular")
-    return LinMap(sol, algebra.field, ALBERT, algebra.basis_tag)
+    return algebra.linmap(sol)

@@ -278,7 +278,7 @@ def f4_class_report(field: FieldSpec) -> ClassReport:
     subalgebra classes (with the real gamma refinement), type (II) is unique."""
     if field.kind in (ALG_CLOSED, PRIME):
         type1 = 1
-        reps = ("s", "theta.I[t:1,1,1,1]")
+        reps = ("s", "t")
     elif field.kind == REAL:
         type1 = 3
         reps = (
@@ -315,7 +315,7 @@ def e6_class_report(field: FieldSpec) -> ClassReport:
     c = quaternion_class_count(field)
     kinds = (("sigma", 1), ("theta", c), ("dagger", 1), ("theta_dagger", c))
     if field.kind in (ALG_CLOSED, PRIME):
-        theta_reps = [("t:1,1,1,1,1,1", "")]
+        theta_reps = [("t", "")]
     elif field.kind == REAL or (field.kind == PADIC and field.p == 2):
         theta_reps = [("t:1,1,1,1,-1,1", "D split"), ("t:1,1,1,1,1,1", "D division")]
     elif field.kind == PADIC:

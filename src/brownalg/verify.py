@@ -26,7 +26,7 @@ from .involutions import (
     make_uv_bridge,
     verify_conjugacy_transport,
 )
-from .linmaps import ALBERT, LinMap, dagger, identity_map
+from .linmaps import ALBERT, dagger, identity_map
 
 
 class CheckFailure(Exception):
@@ -344,7 +344,7 @@ def check_brown_lifts(ctx):
     b = ctx.cat.B
     that = ctx.cat.t_on_j()
     x = b.jalg.sample_norm_one(rng)
-    ux = LinMap(b.jalg.uop_matrix(x.coords), b.field, ALBERT, b.jalg.basis_tag)
+    ux = b.jalg.linmap(b.jalg.uop_matrix(x.coords))
     maps = [b.lift_aut(that), b.lift_inv(ux), b.varpi()]
     bi = b.binv_map()
     for m in maps:
@@ -364,7 +364,7 @@ def check_varpi_dagger(ctx):
         _fail("varpi is not of order 2")
     for _ in range(ctx.scaled(0.1)):
         x = b.jalg.sample_norm_one(rng)
-        ux = LinMap(b.jalg.uop_matrix(x.coords), b.field, ALBERT, b.jalg.basis_tag)
+        ux = b.jalg.linmap(b.jalg.uop_matrix(x.coords))
         lhs = w.compose(b.lift_inv(ux)).compose(w)
         rhs = b.lift_inv(dagger(ux, b.jalg))
         if lhs.matrix != rhs.matrix:
@@ -467,7 +467,7 @@ def check_dagger_laws(ctx):
     alg = cat.J
     for _ in range(ctx.scaled(0.1)):
         x = alg.sample_norm_one(rng)
-        ux = LinMap(alg.uop_matrix(x.coords), ctx.field, ALBERT, alg.basis_tag)
+        ux = alg.linmap(alg.uop_matrix(x.coords))
         if dagger(ux, alg).matrix != alg.uop_matrix(alg.jinv_raw(x.coords)):
             _fail("dagger(U_x) != U_(x^-1)")
     that = cat.t_on_j()
@@ -518,6 +518,8 @@ def run_suite(name: str, field: FieldSpec, seed: int, samples: int):
     Catalog); returns a list of CheckResult."""
     if name != "all" and name not in SUITES:
         raise ValueError(f"unknown suite {name!r}")
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     ctx = Ctx(field, seed, samples)
     results = []
     for suite in SUITES if name == "all" else (name,):

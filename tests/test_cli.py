@@ -205,3 +205,23 @@ def test_classify_f4_and_g2(capsys):
     code, out, err = run(capsys, "classify", "Qp:7", "G2")
     assert code == 0
     assert "total: 2" in out
+
+
+def test_fixed_zero_denominator_exits_2(capsys):
+    code, out, err = run(capsys, "fixed", "t:1/0,1,1,1,1,1", "J")
+    assert code == 2
+    assert "error" in err and "Traceback" not in err
+
+
+def test_verify_rejects_nonpositive_samples(capsys):
+    import pytest
+
+    from brownalg.fields import Fp
+    from brownalg.verify import run_suite
+
+    for samples in (0, -3):
+        with pytest.raises(ValueError):
+            run_suite("composition", Fp(7), 0, samples)
+        code, out, err = run(capsys, "verify", "composition", "--samples", str(samples))
+        assert code == 2
+        assert "samples" in err and "passed" not in out

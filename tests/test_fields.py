@@ -142,3 +142,18 @@ def test_scalar_string_round_trip():
     g = Fp(7)
     assert g.parse_scalar("13") == 6
     assert g.parse_scalar("1/2") == 4  # 2 * 4 = 1 mod 7
+
+
+def test_parse_scalar_zero_denominator_raises():
+    for field in (Q(), Fp(7)):
+        with pytest.raises(DivisionByZero):
+            field.parse_scalar("1/0")
+
+
+def test_parse_scalar_denominator_divisible_by_p_raises():
+    with pytest.raises(DivisionByZero):
+        Fp(7).parse_scalar("1/7")
+    with pytest.raises(DivisionByZero):
+        Fp(7).parse_scalar("3/14")
+    assert Fp(7).parse_scalar("14/7") == 2
+    assert Fp(7).parse_scalar("1/3") == 5

@@ -261,3 +261,22 @@ def test_report_json_round_trip():
             assert d["total"] == "infinite"
         else:
             assert d["total"] == rep.total
+
+
+def test_fp_and_kbar_representatives_realize_involutions():
+    """Every F_p / Kbar E6 representative is an order-2 map on B and every F4
+    representative one on J; theta (t) fixes 32 dimensions of B and sigma
+    (s) 24."""
+    from brownalg.involutions import Catalog, fixed_subalgebra
+
+    cat = Catalog(Fp(7))
+    for field in (Fp(7), Kbar()):
+        e6 = dict(r.split(": ") for r in e6_class_report(field).representatives)
+        assert set(e6) == {"sigma", "dagger", "theta", "theta.dagger"}
+        for desc in e6.values():
+            cat.realize_involution(desc, "B")
+        for desc in f4_class_report(field).representatives:
+            cat.realize_involution(desc, "J")
+    dims = {kind: fixed_subalgebra(cat.realize_involution(e6[kind], "B"), cat.B).dimension
+            for kind in ("theta", "sigma")}
+    assert dims == {"theta": 32, "sigma": 24}
