@@ -541,11 +541,11 @@ class AlbertAlgebra(Algebra):
         lx = self.table.left_matrix(x, f)
         lx2 = self.table.left_matrix(self.jmul_raw(x, x), f)
         sq = mat_mul(lx, lx, f)
-        two = f.from_int(2)
-        return tuple(
-            tuple(f.sub(f.mul(two, sq[i][j]), lx2[i][j]) for j in range(DIM))
-            for i in range(DIM)
-        )
+        if f.kind == PRIME:
+            p = f.p
+            return tuple(tuple([(2 * s - t) % p for s, t in zip(rs, rt)])
+                         for rs, rt in zip(sq, lx2))
+        return tuple(tuple([2 * s - t for s, t in zip(rs, rt)]) for rs, rt in zip(sq, lx2))
 
     def gram_vec(self, v):
         """G v for the trace-form Gram matrix (sparse)."""

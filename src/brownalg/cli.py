@@ -25,6 +25,12 @@ def _parse_field(text: str) -> FieldSpec:
     return FieldSpec.parse(text)
 
 
+def _program() -> dict:
+    """The keys that open every `--json` document: the package version and
+    the kernel backend."""
+    return {"version": __version__, "backend": BACKEND}
+
+
 def cmd_verify(args) -> int:
     field = _parse_field(args.field)
     if not field.is_arithmetic:
@@ -35,8 +41,7 @@ def cmd_verify(args) -> int:
         print(
             json.dumps(
                 {
-                    "version": __version__,
-                    "backend": BACKEND,
+                    **_program(),
                     "field": str(field),
                     "seed": args.seed,
                     "samples": args.samples,
@@ -105,6 +110,7 @@ def cmd_fixed(args) -> int:
         print(
             json.dumps(
                 {
+                    **_program(),
                     "descriptor": args.descriptor,
                     "space": args.space,
                     "field": str(field),
@@ -138,6 +144,7 @@ def cmd_kac(args) -> int:
         print(
             json.dumps(
                 {
+                    **_program(),
                     "diagram": diagram.name,
                     "m": args.m,
                     "folded": folded,
@@ -160,7 +167,7 @@ def cmd_classify(args) -> int:
     field = _parse_field(args.field_spec)
     rep = class_report(field, args.level)
     if args.json:
-        print(rep.to_json())
+        print(json.dumps({**_program(), **rep.as_dict()}))
     else:
         print(f"{args.level} involution classes over {field}")
         for kind, count in rep.kinds:

@@ -3,9 +3,21 @@
 Matrices are tuples of row tuples of raw field values: `Fraction` over Q,
 `int` in [0, p) over F_p.  `mat_mul`, `mat_vec` and the row operations of
 `rref` skip zero entries, so the sparse near-permutation maps of the
-involution catalog cost proportionally less.  Over F_p the products reduce
-each output entry mod p once, at the end, and `rref` reduces inline after
-each row operation.
+involution catalog cost proportionally less.
+
+Over F_p the kernels hold each row (for `mat_vec`, each column) as one
+Python int with one fixed-width slot per entry (Kronecker substitution;
+Harvey, J. Symb. Comp. 44, 2009): a row operation is one big-integer
+multiply-add in C instead of a Python loop over the entries.  Entries stay
+nonnegative and are only added up, so a slot never borrows from its
+neighbour; it only needs room for the largest sum it can reach, and the
+rows are unpacked and reduced mod p at the end.  `_slot` sizes the slots:
+n (p-1)^2 for a product with inner dimension n, and (p-1) + min(m, n)
+(p-1)^2 for `rref` on an m x n matrix.  `rref` eliminates with
+row_i += (p - f) row_r, and a row receives at most one such update per
+pivot, with the pivot row unpacked, reduced, scaled and repacked when it is
+chosen; so no slot can overflow and no reduction is needed partway through.
+An entry is read by shift, mask and reduction mod p.
 
 Over Q, `mat_mul` and `rref` run on Python ints and make one `Fraction` per
 nonzero output entry at the end (zeros are the field's shared `zero()`).  `rref`
@@ -18,6 +30,8 @@ the result equals Gauss-Jordan elimination in `Fraction`s entry for entry.
 from __future__ import annotations
 
 import math
+import struct
+import sys
 from fractions import Fraction
 
 from .errors import NonArithmeticField
@@ -29,6 +43,40 @@ def _modulus(field: FieldSpec) -> int:
     if field.kind != PRIME:
         raise NonArithmeticField(f"{field} carries no element arithmetic")
     return field.p
+
+
+# struct format codes by item size for the slot widths of the packed F_p rows
+_CODES = {struct.calcsize(c): c for c in "HIQ"}
+# column j of an n-column packed row sits in slot j from the low end on a
+# little-endian host and in slot n - 1 - j on a big-endian one
+_BIG = sys.byteorder == "big"
+
+
+def _slot(bound: int) -> int:
+    """Bytes per slot holding values up to `bound`: 2, 4 or 8 when that is
+    enough, the exact byte count above 8."""
+    size = (bound.bit_length() + 7) // 8
+    return next((s for s in (2, 4, 8) if size <= s), size)
+
+
+def _pack(row, slot: int) -> int:
+    """The nonnegative ints of `row`, below 256**slot, as one int."""
+    code = _CODES.get(slot)
+    if code is None:
+        data = b"".join([v.to_bytes(slot, sys.byteorder) for v in row])
+    else:
+        data = struct.pack(f"{len(row)}{code}", *row)
+    return int.from_bytes(data, sys.byteorder)
+
+
+def _unpack(acc: int, n: int, slot: int):
+    """The n slot values of a packed row, in column order."""
+    data = acc.to_bytes(n * slot, sys.byteorder)
+    code = _CODES.get(slot)
+    if code is None:
+        return [int.from_bytes(data[i : i + slot], sys.byteorder)
+                for i in range(0, n * slot, slot)]
+    return memoryview(data).cast(code)
 
 
 def _int_row(row):
@@ -53,21 +101,33 @@ def transpose(a):
     return tuple(zip(*a))
 
 
+class PackedColumns:
+    """An m x n matrix over F_p held as its n packed columns, for repeated
+    products a v: a v is the packed sum of the columns weighted by the
+    nonzero v[k], unpacked and reduced once."""
+
+    __slots__ = ("p", "m", "slot", "cols")
+
+    def __init__(self, a, p: int):
+        self.p = p
+        self.m = len(a)
+        self.slot = _slot((len(a[0]) if a else 0) * (p - 1) ** 2)
+        self.cols = [_pack(col, self.slot) for col in zip(*a)]
+
+    def apply(self, v):
+        p = self.p
+        acc = sum([x * col for x, col in zip(v, self.cols) if x])
+        return tuple([s % p for s in _unpack(acc, self.m, self.slot)])
+
+
 def mat_mul(a, b, field: FieldSpec):
     """Row i of a b is the combination of the rows b[k] weighted by the
-    nonzero a[i][k]."""
+    nonzero a[i][k]; over F_p that is b^T a[i], with the rows of b packed
+    once as the columns of b^T."""
     if field.kind == RATIONALS:
         return _mat_mul_q(a, b)
-    p = _modulus(field)
-    n = len(b[0]) if b else 0
-    out = []
-    for row in a:
-        acc = [0] * n
-        for aik, bk in zip(row, b):
-            if aik:
-                acc = [s + aik * x if x else s for s, x in zip(acc, bk)]
-        out.append(tuple(s % p for s in acc))
-    return tuple(out)
+    bt = PackedColumns(transpose(b), _modulus(field))
+    return tuple([bt.apply(row) for row in a])
 
 
 def _mat_mul_q(a, b):
@@ -95,7 +155,10 @@ def _mat_mul_q(a, b):
 
 
 def mat_vec(a, v, field: FieldSpec):
-    """a v, reading only the columns where v is nonzero."""
+    """a v, summing only the columns where v is nonzero (over F_p as
+    `PackedColumns`)."""
+    if field.kind == PRIME:
+        return PackedColumns(a, field.p).apply(v)
     zero = field.zero()
     nz = [(k, x) for k, x in enumerate(v) if x is not zero and x]
     out = []
@@ -106,9 +169,6 @@ def mat_vec(a, v, field: FieldSpec):
             if r is not zero and r:
                 acc += r * x
         out.append(acc)
-    if field.kind == PRIME:
-        p = field.p
-        return tuple(s % p for s in out)
     return tuple(out)
 
 
@@ -117,27 +177,33 @@ def rref(a, field: FieldSpec):
     if field.kind == RATIONALS:
         return _rref_q(a)
     p = _modulus(field)
-    rows = [list(r) for r in a]
-    m = len(rows)
-    n = len(rows[0]) if m else 0
+    m = len(a)
+    n = len(a[0]) if m else 0
+    slot = _slot(p - 1 + min(m, n) * (p - 1) ** 2)
+    bits = 8 * slot
+    mask = (1 << bits) - 1
+    rows = [_pack(r, slot) for r in a]
     pivots = []
     r = 0
     for c in range(n):
-        pr = next((i for i in range(r, m) if rows[i][c]), -1)
+        shift = bits * (n - 1 - c if _BIG else c)
+        pr = next((i for i in range(r, m) if (rows[i] >> shift & mask) % p), -1)
         if pr < 0:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
-        inv = field.inv(rows[r][c])
-        rr = rows[r] = [v * inv % p for v in rows[r]]
+        vals = _unpack(rows[r], n, slot)
+        inv = field.inv(vals[c] % p)
+        rr = rows[r] = _pack([v * inv % p for v in vals], slot)
         for i in range(m):
-            f = rows[i][c]
-            if i != r and f:
-                rows[i] = [(vi - f * vr) % p if vr else vi for vi, vr in zip(rows[i], rr)]
+            if i != r:
+                f = (rows[i] >> shift & mask) % p
+                if f:
+                    rows[i] += (p - f) * rr
         pivots.append(c)
         r += 1
         if r == m:
             break
-    return tuple(tuple(row) for row in rows), tuple(pivots)
+    return tuple(tuple([v % p for v in _unpack(row, n, slot)]) for row in rows), tuple(pivots)
 
 
 def _rref_q(a):

@@ -35,8 +35,9 @@ from .errors import (
     NotNormPreserving,
     SingularGram,
 )
-from .fields import _ZERO, RATIONALS, FieldSpec
+from .fields import _ZERO, PRIME, RATIONALS, FieldSpec
 from .linalg import (
+    PackedColumns,
     identity,
     inverse,
     mat_mul,
@@ -93,7 +94,14 @@ class LinMap:
             self.basis_tag,
         )
 
+    @functools.cached_property
+    def _packed(self) -> PackedColumns:
+        """The packed columns of an F_p map, built on its first `apply`."""
+        return PackedColumns(self.matrix, self.field.p)
+
     def apply(self, coords):
+        if self.field.kind == PRIME:
+            return self._packed.apply(coords)
         return mat_vec(self.matrix, coords, self.field)
 
     def inverse_map(self) -> "LinMap":

@@ -236,19 +236,20 @@ class ClassReport:
     total: object
     representatives: tuple
 
-    def to_json(self) -> str:
+    def as_dict(self) -> dict:
         def enc(v):
             return str(v) if isinstance(v, Infinite) else v
 
-        return json.dumps(
-            {
-                "field": str(self.field),
-                "level": self.level,
-                "classes": {k: enc(v) for k, v in self.kinds},
-                "total": enc(self.total),
-                "representatives": list(self.representatives),
-            }
-        )
+        return {
+            "field": str(self.field),
+            "level": self.level,
+            "classes": {k: enc(v) for k, v in self.kinds},
+            "total": enc(self.total),
+            "representatives": list(self.representatives),
+        }
+
+    def to_json(self) -> str:
+        return json.dumps(self.as_dict())
 
 
 def _total(counts):

@@ -225,3 +225,24 @@ def test_verify_rejects_nonpositive_samples(capsys):
         code, out, err = run(capsys, "verify", "composition", "--samples", str(samples))
         assert code == 2
         assert "samples" in err and "passed" not in out
+
+
+def test_every_json_output_names_version_and_backend(capsys):
+    """fixed, kac and classify open their `--json` documents with the same
+    `version` and `backend` as verify, and keep their own keys."""
+    import brownalg
+
+    cases = {
+        ("fixed", "varpi", "B", "--json"): {"descriptor", "space", "field", "dimension",
+                                            "product_closed", "involution_closed", "shape"},
+        ("kac", "e6~", "2", "--json"): {"diagram", "m", "folded", "solutions"},
+        ("classify", "Qp:5", "E6", "--json"): {"field", "level", "classes", "total",
+                                               "representatives"},
+    }
+    for argv, keys in cases.items():
+        code, out, err = run(capsys, *argv)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["version"] == brownalg.__version__
+        assert doc["backend"] == brownalg.BACKEND
+        assert set(doc) == {"version", "backend"} | keys

@@ -9,6 +9,7 @@ from brownalg.errors import NonArithmeticField
 from brownalg.fields import _ZERO, FieldSpec, Fp, Q
 from brownalg.involutions import Catalog
 from brownalg.kernels import BACKEND, MulTable
+from brownalg.linmaps import BROWN, LinMap
 
 
 def _random_matrix(rng, m, n, p):
@@ -148,6 +149,124 @@ def test_mod_kernels_match_dense_reference():
                 assert linalg.mat_vec(a, v, f) == _ref_mat_vec(a, v, p)
         a = _random_matrix(rng, 5, 8, p)
         assert linalg.rref(a, f) == _ref_rref(a, p)
+
+
+# Primes on each side of the slot widths of the packed F_p kernels at
+# dimension 56: (p - 1) + 56 (p - 1)^2 fits 2, 4 and 8 bytes for the first of
+# each pair and not for the second; 2^61 - 1 takes the generic 16-byte path.
+SLOT_PRIMES = (7, 31, 37, 8753, 8761, 573939143, 573939151, 2**61 - 1)
+
+
+def test_slot_widths_and_pack_round_trip():
+    assert [linalg._slot(56 * (p - 1) ** 2) for p in SLOT_PRIMES] == [2, 2, 4, 4, 8, 8, 9, 16]
+    assert [linalg._slot(p - 1 + 56 * (p - 1) ** 2) for p in SLOT_PRIMES] == \
+        [2, 2, 4, 4, 8, 8, 9, 16]
+    for slot in (2, 4, 8, 9, 16):
+        top = 256**slot - 1
+        row = [top, 0, 1, top, top - 1, 0]
+        packed = linalg._pack(row, slot)
+        assert list(linalg._unpack(packed, len(row), slot)) == row
+        assert list(linalg._unpack(0, 3, slot)) == [0, 0, 0]
+
+
+def test_packed_kernels_at_the_largest_slot_values():
+    """All-(p - 1) dense 56 x 56 products and vectors put the largest value,
+    56 (p - 1)^2, in every slot, at primes on each side of a slot width."""
+    for p in SLOT_PRIMES:
+        f = Fp(p)
+        full = tuple((p - 1,) * 56 for _ in range(56))
+        assert linalg.mat_mul(full, full, f) == _ref_mat_mul(full, full, p)
+        assert linalg.mat_vec(full, full[0], f) == _ref_mat_vec(full, full[0], p)
+        rng = random.Random(p)
+        a = _random_matrix(rng, 56, 56, p)
+        assert linalg.mat_mul(a, full, f) == _ref_mat_mul(a, full, p)
+
+
+def _largest_slot_rref_input(m, n, p):
+    """An m x n matrix (n >= 2m) whose Gauss-Jordan elimination mod p has
+    every row multiplier f = 1 and every scaled pivot row equal to p - 1 in
+    the columns from m on: the packed `rref` adds the largest increment,
+    (p - f)(p - 1) = (p - 1)^2, to those slots of row 0 at each of the
+    m - 1 pivots after its own.  Built backwards from the RREF [I | X]:
+    step c is undone by scaling row c by d_c and adding it to every other
+    row, and X[c] = m - 2 - c makes row c read -1 after step c."""
+    rows = [[int(i == j) for j in range(m)] + [(m - 2 - i) % p] * (n - m) for i in range(m)]
+    for c in reversed(range(m)):
+        d = c % (p - 1) + 1
+        pivot = rows[c]
+        rows = [[(v + w) % p for v, w in zip(row, pivot)] if i != c else [v * d % p for v in row]
+                for i, row in enumerate(rows)]
+    return tuple(map(tuple, rows))
+
+
+def test_rref_at_the_largest_slot_values():
+    """56 x 112 elimination that puts 55 (p - 1)^2 into the slots of row 0:
+    more than 2 bytes hold at p = 37, so a slot bound of fewer than 51
+    updates would overflow."""
+    for p in (7, 37, 8761):
+        a = _largest_slot_rref_input(56, 112, p)
+        rows, pivots = linalg.rref(a, Fp(p))
+        assert (rows, pivots) == _ref_rref(a, p)
+        assert pivots == tuple(range(56))
+        assert rows[0][56:] == ((56 - 2) % p,) * 56
+
+
+def test_rref_on_wide_augmented_systems():
+    """The 27 x 54 system of `solve_right` and the 56 x 112 one of `inverse`,
+    random and with an all-(p - 1) left block, against Gauss-Jordan mod p;
+    inverse and solve_right check out against mat_mul."""
+    for p in SLOT_PRIMES:
+        rng = random.Random(p + 2)
+        f = Fp(p)
+        a, b = _random_matrix(rng, 27, 27, p), _random_matrix(rng, 27, 27, p)
+        assert linalg.rref(tuple(x + y for x, y in zip(a, b)), f) == \
+            _ref_rref(tuple(x + y for x, y in zip(a, b)), p)
+        x = linalg.solve_right(a, b, f)
+        assert x is not None and linalg.mat_mul(a, x, f) == b
+        eye = linalg.identity(56, f)
+        a, full = _random_matrix(rng, 56, 56, p), tuple((p - 1,) * 56 for _ in range(56))
+        for m in (a, full):
+            aug = tuple(r + e for r, e in zip(m, eye))
+            assert linalg.rref(aug, f) == _ref_rref(aug, p)
+        assert linalg.inverse(full, f) is None
+        ai = linalg.inverse(a, f)
+        assert ai is not None and linalg.mat_mul(a, ai, f) == eye
+
+
+def test_linmap_apply_reuses_its_packed_columns():
+    """LinMap.apply against the reference a v, twice on the same map, on
+    dense and one-hot vectors."""
+    for p in (7, 37, 2**61 - 1):
+        rng = random.Random(p + 3)
+        f = Fp(p)
+        a = _random_matrix(rng, 56, 56, p)
+        phi = LinMap(a, f, BROWN, "b56")
+        dense = tuple(rng.randrange(p) for _ in range(56))
+        one_hot = [tuple(int(i == j) for j in range(56)) for i in (0, 17, 55)]
+        for v in (dense, *one_hot, (0,) * 56, (p - 1,) * 56):
+            assert phi.apply(v) == _ref_mat_vec(a, v, p)
+            assert phi.apply(v) == _ref_mat_vec(a, v, p)
+        assert phi.apply(one_hot[1]) == tuple(row[17] for row in a)
+
+
+def test_packed_kernels_on_empty_and_one_row_matrices():
+    for p in (7, 2**61 - 1):
+        f = Fp(p)
+        rng = random.Random(p + 4)
+        assert linalg.mat_mul((), (), f) == ()
+        assert linalg.rref((), f) == ((), ())
+        assert linalg.mat_vec((), (), f) == ()
+        assert linalg.inverse((), f) == ()
+        assert linalg.nullspace((), f) == []
+        for n in (1, 5, 56):
+            a = _random_matrix(rng, 1, n, p)
+            b = _random_matrix(rng, n, 3, p)
+            v = tuple(rng.randrange(p) for _ in range(n))
+            assert linalg.mat_mul(a, b, f) == _ref_mat_mul(a, b, p)
+            assert linalg.mat_vec(a, v, f) == _ref_mat_vec(a, v, p)
+            assert linalg.rref(a, f) == _ref_rref(a, p)
+            zero = ((0,) * n,)
+            assert linalg.rref(zero, f) == (zero, ())
 
 
 def test_bilinear_apply_matches_reference():
