@@ -8,6 +8,11 @@ The twisted mode keeps 7-tuples constrained by the fold (s1 = s6, s2 = s5)
 and computes residuals on the folded diagram, derived from the folding pairs:
 its nodes are the orbits, and for E6 it is the 5-node diagram
 rho_0 - rho_4 - rho_3 <= rho_25 - rho_16 (double edge pointing at rho_3).
+
+Enumeration recurses over the fold orbits (single nodes when unfolded),
+solves the last one directly and carries the gcd and zero pattern of the
+prefix, so it costs O(n) per solution; each residual zero pattern is
+classified once per call.
 """
 
 from __future__ import annotations
@@ -43,9 +48,18 @@ class MarkedAffineDiagram:
 
     def __post_init__(self):
         n = len(self.marks)
+        for mark in self.marks:
+            if not _positive_int(mark):
+                raise ValueError(f"mark {mark!r} is not a positive integer")
         for e in self.edges:
-            if not (0 <= e.a < n and 0 <= e.b < n):
+            if not all(isinstance(i, int) and 0 <= i < n for i in (e.a, e.b)):
                 raise ValueError(f"edge ({e.a}, {e.b}) has a node index outside 0..{n - 1}")
+            if not _positive_int(e.mult):
+                raise ValueError(
+                    f"edge ({e.a}, {e.b}) has multiplicity {e.mult!r}, not a positive integer"
+                )
+            if e.tip not in (None, e.a, e.b):
+                raise ValueError(f"edge ({e.a}, {e.b}) has tip {e.tip!r}, not one of its ends")
         for pair in self.folding:
             if len(pair) != 2 or not all(isinstance(i, int) and 0 <= i < n for i in pair):
                 raise ValueError(f"folding pair {pair!r} is not two node indices below {n}")
@@ -61,6 +75,10 @@ class MarkedAffineDiagram:
     @property
     def n_nodes(self) -> int:
         return len(self.marks)
+
+
+def _positive_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool) and x >= 1
 
 
 def _orbits(n: int, pairs) -> tuple:
@@ -162,33 +180,45 @@ def enumerate_solutions(
         gcd_filter = not folded
     if folded and not diagram.folding:
         raise ValueError(f"diagram {diagram.name} has no folding")
-    n = diagram.n_nodes
-    marks = diagram.marks
+    # Each group of nodes shares one value.  Two fold-symmetric tuples first
+    # differ at the least node of some orbit, so taking the groups in order of
+    # least node yields lexicographic order on the full tuple.
+    groups = diagram.folded_nodes if folded else tuple((i,) for i in range(diagram.n_nodes))
+    if not groups:
+        return []
+    weights = [diagram.marks[g[0]] * len(g) for g in groups]
+    zero_bits = [sum(1 << i for i in g) for g in groups]
+    last = len(groups) - 1
+    s = [0] * diagram.n_nodes
+    # zero mask -> residual, filled on first use: some patterns (all zeros on
+    # e6~) do not classify, and only kept solutions may raise
+    residuals = {}
     out = []
 
-    def rec(i: int, remaining: int, prefix: tuple):
-        if i == n:
-            if remaining == 0:
-                out.append(prefix)
-            return
-        max_si = remaining // marks[i]
-        for si in range(max_si + 1):
-            rec(i + 1, remaining - si * marks[i], prefix + (si,))
+    def assign(k: int, v: int, zeros: int) -> int:
+        for i in groups[k]:
+            s[i] = v
+        return zeros if v else zeros | zero_bits[k]
 
-    rec(0, m, ())
-    solutions = []
-    for s in sorted(out):
-        if folded and any(s[a] != s[b] for a, b in diagram.folding):
-            continue
-        g = 0
-        for v in s:
-            g = gcd(g, v)
-        if gcd_filter and g != 1:
-            continue
-        solutions.append(
-            KacSolution(s, m, residual_diagram(diagram, s, folded=folded), g == 1)
-        )
-    return solutions
+    def rec(k: int, remaining: int, g: int, zeros: int):
+        w = weights[k]
+        if k < last:
+            for v in range(remaining // w + 1):
+                rec(k + 1, remaining - v * w, gcd(g, v), assign(k, v, zeros))
+            return
+        v, r = divmod(remaining, w)
+        g = gcd(g, v)
+        if r or (gcd_filter and g != 1):
+            return
+        zeros = assign(k, v, zeros)
+        t = tuple(s)
+        res = residuals.get(zeros)
+        if res is None:
+            res = residuals[zeros] = residual_diagram(diagram, t, folded=folded)
+        out.append(KacSolution(t, m, res, g == 1))
+
+    rec(0, m, 0, 0)
+    return out
 
 
 def residual_diagram(diagram: MarkedAffineDiagram, s, folded: bool = False):

@@ -148,6 +148,14 @@ def test_kac_bad_folding_exits_2(capsys, tmp_path):
     assert "marks" in err
 
 
+def test_kac_zero_mark_exits_2(capsys, tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text('{"marks": [1, 0, 1], "edges": [[0, 1], [1, 2]]}')
+    code, out, err = run(capsys, "kac", str(path), "2")
+    assert code == 2
+    assert "mark 0" in err
+
+
 def test_classify_r_e6(capsys):
     code, out, err = run(capsys, "classify", "R", "E6")
     assert code == 0

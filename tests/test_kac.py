@@ -1,13 +1,17 @@
+import functools
 import itertools
 import json
+from math import gcd
 
 import pytest
 
+import brownalg.kac as kac
 from brownalg.errors import UnrecognizedType
 from brownalg.kac import (
     E6_EXTENDED,
     E6_TWISTED,
     Edge,
+    KacSolution,
     MarkedAffineDiagram,
     enumerate_solutions,
     load_diagram,
@@ -189,7 +193,101 @@ def test_json_copy_of_twisted_diagram_matches_builtin(tmp_path):
     ((1, 1, 1), (Edge(0, 1), Edge(1, 2)), ((0, 1),)),  # joins adjacent nodes
     ((1, 1, 1), (Edge(0, 1, mult=2, tip=0), Edge(1, 2)), ((0, 2),)),  # not simply laced
     ((1, 1), (Edge(0, 2),), ()),  # edge index out of range
+    ((1, 1), (Edge("0", 1),), ()),  # edge index not an int
+    ((1, 0, 1), (Edge(0, 1), Edge(1, 2)), ()),  # zero mark
+    ((1, -2, 1), (Edge(0, 1), Edge(1, 2)), ()),  # negative mark
+    ((1, "2", 1), (Edge(0, 1), Edge(1, 2)), ()),  # mark not an int
+    ((1, True, 1), (Edge(0, 1), Edge(1, 2)), ()),  # bool mark
+    ((1, 2.0, 1), (Edge(0, 1), Edge(1, 2)), ()),  # float mark
+    ((1, 2, 1), (Edge(0, 1, 2, 5), Edge(1, 2)), ()),  # tip not an end of its edge
+    ((1, 2, 1), (Edge(0, 1, 2, 2), Edge(1, 2)), ()),  # tip on another node
+    ((1, 2, 1), (Edge(0, 1, 0), Edge(1, 2)), ()),  # zero multiplicity
+    ((1, 2, 1), (Edge(0, 1, -1), Edge(1, 2)), ()),  # negative multiplicity
+    ((1, 2, 1), (Edge(0, 1, "2"), Edge(1, 2)), ()),  # multiplicity not an int
 ])
 def test_malformed_diagram_raises_value_error(marks, edges, folding):
     with pytest.raises(ValueError):
         MarkedAffineDiagram("x", marks, edges, folding)
+
+
+BOX = 12  # the reference enumerates m = 1..BOX
+
+
+@functools.cache
+def _box(marks):
+    """Every tuple with 0 <= s_i <= BOX // marks[i], by its weighted sum up to
+    BOX: one pass over the box serves every m, in lexicographic order."""
+    by_sum = {}
+    for c in itertools.product(*(range(0, BOX + 1, k) for k in marks)):
+        t = sum(c)
+        if t <= BOX:
+            by_sum.setdefault(t, []).append(tuple(v // k for v, k in zip(c, marks)))
+    return by_sum
+
+
+def _reference(diagram, m, gcd_filter, folded):
+    if gcd_filter is None:
+        gcd_filter = not folded
+    out = []
+    for s in sorted(_box(diagram.marks).get(m, ())):
+        if folded and any(s[a] != s[b] for a, b in diagram.folding):
+            continue
+        g = gcd(*s)
+        if gcd_filter and g != 1:
+            continue
+        out.append(KacSolution(s, m, residual_diagram(diagram, s, folded=folded), g == 1))
+    return out
+
+
+def _toy_json(tmp_path):
+    """A JSON diagram whose last mark is 3, so most remainders at the last
+    node do not divide."""
+    path = tmp_path / "toy.json"
+    path.write_text(json.dumps({"name": "toy", "marks": [1, 2, 3], "edges": [[0, 1], [1, 2, 2, 2]]}))
+    return load_diagram(str(path))
+
+
+# a star folded onto a path: orbits (0,), (1,), (2, 3), the last of weight 6
+FOLDED_TOY = MarkedAffineDiagram(
+    "star", (1, 2, 3, 3), (Edge(0, 1), Edge(0, 2), Edge(0, 3)), folding=((2, 3),)
+)
+
+
+@pytest.mark.parametrize("gcd_filter", [None, True, False])
+@pytest.mark.parametrize("case, folded", [
+    ("e6~", False), ("e6~2", False), ("e6~2", True),
+    ("toy", False), ("star", False), ("star", True),
+])
+def test_enumeration_matches_brute_force_reference(case, folded, gcd_filter, tmp_path):
+    diagram = {
+        "e6~": E6_EXTENDED, "e6~2": E6_TWISTED, "star": FOLDED_TOY,
+    }.get(case) or _toy_json(tmp_path)
+    for m in range(1, BOX + 1):
+        assert enumerate_solutions(diagram, m, gcd_filter=gcd_filter, folded=folded) == \
+            _reference(diagram, m, gcd_filter, folded), m
+
+
+@pytest.mark.parametrize("diagram, folded, patterns", [
+    (E6_EXTENDED, False, 120),
+    (E6_TWISTED, True, 30),
+])
+def test_each_zero_pattern_classified_once(monkeypatch, diagram, folded, patterns):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return residual_diagram(*args, **kwargs)
+
+    monkeypatch.setattr(kac, "residual_diagram", counting)
+    sols = enumerate_solutions(diagram, 20, folded=folded)
+    assert len({tuple(v == 0 for v in s.s) for s in sols}) == patterns
+    assert len(calls) == patterns
+
+
+def test_unclassifiable_residual_raises_from_enumeration():
+    # node 0 has degree 4 once node 5 (isolated) takes the whole order
+    bad = MarkedAffineDiagram(
+        "x", (1,) * 6, (Edge(0, 1), Edge(0, 2), Edge(0, 3), Edge(0, 4))
+    )
+    with pytest.raises(UnrecognizedType):
+        enumerate_solutions(bad, 1)
