@@ -216,7 +216,7 @@ BOX = 12  # the reference enumerates m = 1..BOX
 @functools.cache
 def _box(marks):
     """Every tuple with 0 <= s_i <= BOX // marks[i], by its weighted sum up to
-    BOX: one pass over the box serves every m, in lexicographic order."""
+    BOX: one pass over the box serves every m."""
     by_sum = {}
     for c in itertools.product(*(range(0, BOX + 1, k) for k in marks)):
         t = sum(c)
