@@ -40,7 +40,7 @@ from .errors import (
 )
 from .fields import PRIME, FieldSpec, Scalar
 from .kernels import Algebra, Elem, MulTable
-from .linalg import mat_mul
+from .linalg import identity, mat_mul
 from .linmaps import ALBERT, LinMap, NormForm
 
 DIM = 27
@@ -754,8 +754,4 @@ def beth_basis(algebra: AlbertAlgebra):
         algebra.her_element((0, 1, 1), z8, z8, z8),
         algebra.her_element((0, 1, -1), z8, z8, z8),
     ]
-    one, zero = f.one(), f.zero()
-    for i in range(8):
-        a = [one if j == i else zero for j in range(8)]
-        out.append(algebra.her_element((0, 0, 0), a, z8, z8))
-    return out
+    return out + [algebra.her_element((0, 0, 0), a, z8, z8) for a in identity(8, f)]

@@ -18,7 +18,7 @@ from .errors import (
     NotOrderTwo,
 )
 from .kernels import Algebra, Elem, MulTable
-from .linalg import in_span, nullspace, row_space_rref, span_closed, transpose
+from .linalg import block_diag, identity, in_span, row_space_rref, span_closed
 from .linmaps import BROWN, LinMap, dagger, is_aut_member
 
 BDIM = 2 + 2 * JDIM
@@ -137,17 +137,11 @@ class BrownAlgebra(Algebra):
         return (x[1], x[0]) + x[2:]
 
     def binv_map(self) -> LinMap:
-        return self.linmap(transpose([self.binv_raw(b.coords) for b in self.basis()]))
+        return self.linmap_of(self.binv_raw)
 
     def skew_basis(self):
         """Kernel of (binv + id): the one-dimensional skew line."""
-        f = self.field
-        m = self.binv_map().matrix
-        mm = tuple(
-            tuple(f.add(v, f.one()) if i == k else v for k, v in enumerate(row))
-            for i, row in enumerate(m)
-        )
-        return nullspace(mm, f)
+        return self.binv_map().eigenspace(-1)
 
     def type_of(self) -> str:
         """Type 1 iff the square of the skew generator is a square scalar."""
@@ -161,44 +155,26 @@ class BrownAlgebra(Algebra):
 
     # -- lifts ---------------------------------------------------------------
 
-    def _block_map(self, mj, ml) -> LinMap:
-        f = self.field
-        one, zero = f.one(), f.zero()
-        rows = []
-        for i in range(BDIM):
-            rows.append([zero] * BDIM)
-        rows[0][0] = one
-        rows[1][1] = one
-        for i in range(JDIM):
-            for j in range(JDIM):
-                rows[2 + i][2 + j] = mj[i][j]
-                rows[2 + JDIM + i][2 + JDIM + j] = ml[i][j]
-        return self.linmap(tuple(tuple(r) for r in rows))
+    def _lift(self, mj, ml) -> LinMap:
+        """(alpha, beta, j, l) -> (alpha, beta, mj j, ml l)."""
+        return self.linmap(block_diag((identity(2, self.field), mj, ml), self.field))
 
     def lift_aut(self, phi: LinMap) -> LinMap:
         """(alpha, beta, j, l) -> (alpha, beta, phi j, phi l) for phi in Aut(J)."""
         if not is_aut_member(phi, self.jalg):
             raise NotAutomorphism("lift_aut needs an Albert algebra automorphism")
-        return self._block_map(phi.matrix, phi.matrix)
+        return self._lift(phi.matrix, phi.matrix)
 
     def lift_inv(self, phi: LinMap) -> LinMap:
         """(alpha, beta, j, l) -> (alpha, beta, phi j, phi-dagger l) for
         phi in Inv(J); agrees with lift_aut on Aut(J).  `dagger` guards the
         norm and raises NotNormPreserving."""
         dag = dagger(phi, self.jalg)
-        return self._block_map(phi.matrix, dag.matrix)
+        return self._lift(phi.matrix, dag.matrix)
 
     def varpi(self) -> LinMap:
         """(alpha, beta, j, l) -> (beta, alpha, l, j); order 2."""
-        f = self.field
-        one, zero = f.one(), f.zero()
-        rows = [[zero] * BDIM for _ in range(BDIM)]
-        rows[0][1] = one
-        rows[1][0] = one
-        for i in range(JDIM):
-            rows[2 + i][2 + JDIM + i] = one
-            rows[2 + JDIM + i][2 + i] = one
-        return self.linmap(tuple(tuple(r) for r in rows))
+        return self.linmap_of(lambda x: (x[1], x[0]) + x[2 + JDIM:] + x[2 : 2 + JDIM])
 
     # -- commuting-pair subalgebra --------------------------------------------
 
@@ -213,13 +189,10 @@ class BrownAlgebra(Algebra):
         if phi1.compose(phi2).matrix != phi2.compose(phi1).matrix:
             raise NotCommuting("phi1 and phi2 must commute")
         f = self.field
-        basis = [self.unit_coords]
-        one, zero = f.one(), f.zero()
-        for i in range(JDIM):
-            e = tuple(one if k == i else zero for k in range(JDIM))
-            basis.append(
-                (zero, zero) + tuple(phi1.apply(e)) + tuple(phi2.apply(e))
-            )
+        zero = f.zero()
+        basis = [self.unit_coords] + [
+            (zero, zero) + phi1.apply(e) + phi2.apply(e) for e in identity(JDIM, f)
+        ]
         rows, pivots = row_space_rref(basis, f)
         if not span_closed(rows, pivots, basis, self.bmul_raw, f):
             raise InternalError("commuting-pair span not closed")

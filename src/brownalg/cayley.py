@@ -135,8 +135,8 @@ class CDAlgebra(Algebra):
         return tuple(e)
 
     @classmethod
-    def split_octonions(cls, field: FieldSpec, kappa=1) -> "CDAlgebra":
-        return cls(field, kappas=(kappa,), split_base=True)
+    def split_octonions(cls, field: FieldSpec) -> "CDAlgebra":
+        return cls(field, kappas=(1,), split_base=True)
 
     @property
     def descriptor(self) -> str:
@@ -203,10 +203,6 @@ class CDAlgebra(Algebra):
         from .linalg import rank
 
         return rank(self.gram_matrix(), self.field)
-
-    def left_mul_matrix(self, x):
-        """Matrix of y -> x y."""
-        return self.table.left_matrix(x, self.field)
 
     # -- base quaternion subalgebra -----------------------------------------
 

@@ -38,7 +38,8 @@ class NotUnimodular(AlgebraError):
 
 
 class CarrierMismatch(AlgebraError):
-    """Linear maps composed or applied across incompatible carrier spaces."""
+    """A linear map used with a map or algebra of another basis tag, or a
+    map given a non-square matrix."""
 
 
 class NotNormPreserving(AlgebraError):

@@ -11,7 +11,6 @@ elements, and the U_V bridge between the varpi and s.varpi fixed algebras.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .albert import AlbertAlgebra, AlbertElem, hermitian, tits
@@ -33,8 +32,6 @@ from .fields import FieldSpec
 from . import linalg
 from .linmaps import (
     ALBERT,
-    BROWN,
-    OCT,
     LinMap,
     dagger,
     identity_map,
@@ -47,8 +44,8 @@ import random
 # -- octonion-level automorphisms -------------------------------------------
 
 def is_oct_automorphism(m: LinMap, octonions: CDAlgebra) -> bool:
-    if m.carrier != OCT:
-        raise CarrierMismatch("octonion automorphism check needs an oct8 map")
+    if m.basis_tag != octonions.basis_tag:
+        raise CarrierMismatch("map does not live on this composition algebra")
     return is_automorphism(m, octonions.mul_raw, octonions.unit_coords)
 
 
@@ -78,19 +75,7 @@ def make_t(octonions: CDAlgebra, p) -> LinMap:
     pc = _as_base_coords(octonions, p)
     if base.qnorm_raw(pc) != octonions.field.one():
         raise NotUnitNorm("f_p needs q(p) = 1")
-    f = octonions.field
-    zero = f.zero()
-    lm = base.left_mul_matrix(pc)
-    rows = []
-    for i in range(8):
-        row = [zero] * 8
-        if i < 4:
-            row[i] = f.one()
-        else:
-            for j in range(4):
-                row[4 + j] = lm[i - 4][j]
-        rows.append(tuple(row))
-    m = octonions.linmap(tuple(rows))
+    m = octonions.linmap_of(lambda x: x[:4] + base.mul_raw(pc, x[4:]))
     if not is_oct_automorphism(m, octonions):
         raise NotAutomorphism("f_p failed the automorphism check")
     return m
@@ -106,48 +91,28 @@ def conj_by(octonions: CDAlgebra, w) -> LinMap:
         raise ZeroParameter("conjugation needs an invertible base element")
     qi = f.inv(qw)
     winv = tuple(f.mul(qi, v) for v in base.conj_raw(wc))
-    cols = []
-    for i in range(8):
-        half, pos = divmod(i, 4)
-        e = [f.zero()] * 4
-        e[pos] = f.one()
-        img = base.mul_raw(base.mul_raw(wc, tuple(e)), winv)
-        col = [f.zero()] * 8
-        for k in range(4):
-            col[4 * half + k] = img[k]
-        cols.append(tuple(col))
-    m = octonions.linmap(linalg.transpose(cols))
+
+    def cw(a):
+        return base.mul_raw(base.mul_raw(wc, a), winv)
+
+    m = octonions.linmap_of(lambda x: cw(x[:4]) + cw(x[4:]))
     if not is_oct_automorphism(m, octonions):
         raise NotAutomorphism("c_w failed the automorphism check")
     return m
 
 
 def make_t_star(octonions: CDAlgebra) -> LinMap:
-    """The anti-diagonal pair swap on both doubling halves.  If the displayed
-    matrix is not an automorphism in the default ordering, search within-block
-    basis permutations (lexicographically first success)."""
-    f = octonions.field
-    one, zero = f.one(), f.zero()
-    trial_orders = itertools.product(
-        itertools.permutations(range(4)), itertools.permutations(range(4))
-    )
-    for s1, s2 in trial_orders:
-        rows = [[zero] * 8 for _ in range(8)]
-        for t in range(4):
-            rows[s1[3 - t]][s1[t]] = one
-            rows[4 + s2[3 - t]][4 + s2[t]] = one
-        m = octonions.linmap(tuple(tuple(r) for r in rows))
-        if is_oct_automorphism(m, octonions):
-            if (s1, s2) != (tuple(range(4)), tuple(range(4))):
-                m = LinMap(
-                    m.matrix, f, OCT,
-                    f"{octonions.basis_tag}:tstar-order={''.join(map(str, s1))}|{''.join(map(str, s2))}",
-                )
-            return m
-    raise NoValidOrdering(
-        "no within-block ordering makes the anti-diagonal map an automorphism; "
-        "the composition algebra is probably not the default split model"
-    )
+    """The anti-diagonal pair swap on both doubling halves: each half's
+    coordinates in reverse order.  On the split base it is conjugation by
+    (0 1; 1 0), an automorphism for every kappa; on a doubled chain it moves
+    the unit e_0, and NoValidOrdering is raised."""
+    m = octonions.linmap_of(lambda x: x[3::-1] + x[:3:-1])
+    if not is_oct_automorphism(m, octonions):
+        raise NoValidOrdering(
+            "no within-block ordering makes the anti-diagonal map an automorphism; "
+            "the composition algebra is probably not the default split model"
+        )
+    return m
 
 
 def make_canonical_t(octonions: CDAlgebra) -> LinMap:
@@ -161,21 +126,12 @@ def lift_c_to_j(t: LinMap, albert: AlbertAlgebra) -> LinMap:
     """t-hat(xi; a, b, c) = (xi; t a, t b, t c)."""
     if albert.model != "her":
         raise ModelMismatch("octonion lifts live on the Hermitian model")
-    if t.carrier != OCT:
-        raise CarrierMismatch("lift_c_to_j needs an octonion-space map")
+    if t.basis_tag != albert.octonions.basis_tag:
+        raise CarrierMismatch("lift_c_to_j needs a map on the algebra's octonions")
     if not is_oct_automorphism(t, albert.octonions):
         raise NotAutomorphism("lift_c_to_j needs an octonion automorphism")
     f = albert.field
-    one, zero = f.one(), f.zero()
-    rows = [[zero] * 27 for _ in range(27)]
-    for i in range(3):
-        rows[i][i] = one
-    for blk in range(3):
-        off = 3 + 8 * blk
-        for i in range(8):
-            for j in range(8):
-                rows[off + i][off + j] = t.matrix[i][j]
-    return albert.linmap(tuple(tuple(r) for r in rows))
+    return albert.linmap(linalg.block_diag((linalg.identity(3, f),) + (t.matrix,) * 3, f))
 
 
 def make_s(albert: AlbertAlgebra) -> LinMap:
@@ -192,27 +148,15 @@ def make_theta_tits(albert: AlbertAlgebra) -> LinMap:
         raise ModelMismatch("theta lives on the first Tits construction")
     if albert.varsigma != albert.field.one():
         raise ModelMismatch("theta needs varsigma = 1")
-    f = albert.field
-    one, zero = f.one(), f.zero()
-    part_image = {0: 0, 1: 2, 2: 1}
-    rows = [[zero] * 27 for _ in range(27)]
-    for r in range(3):
-        for p in range(3):
-            for q in range(3):
-                src = 9 * r + 3 * p + q
-                dst = 9 * part_image[r] + 3 * q + p
-                rows[dst][src] = one
-    return albert.linmap(tuple(tuple(r) for r in rows))
+
+    def tr(a):  # a flat row-major 3x3 block, transposed
+        return a[0::3] + a[1::3] + a[2::3]
+
+    return albert.linmap_of(lambda x: tr(x[:9]) + tr(x[18:]) + tr(x[9:18]))
 
 
 def tits_phi_map(albert: AlbertAlgebra, u, v, w) -> LinMap:
-    cols = []
-    f = albert.field
-    one, zero = f.one(), f.zero()
-    for i in range(27):
-        e = tuple(one if k == i else zero for k in range(27))
-        cols.append(albert.tits_phi_raw(u, v, w, e))
-    return albert.linmap(linalg.transpose(cols))
+    return albert.linmap_of(lambda x: albert.tits_phi_raw(u, v, w, x))
 
 
 def _diag3_det1(f, x1, x2):
@@ -241,7 +185,7 @@ def make_torus_element(algebra, params, level: str) -> LinMap:
         zero = f.zero()
         w = (f.mul(eta, nu), zero, zero, f.one())
         p = (f.inv(nu), zero, zero, nu)
-        return conj_by(algebra, w).compose(make_t(algebra, _unitized(algebra, p)))
+        return conj_by(algebra, w).compose(make_t(algebra, p))
     if not isinstance(algebra, AlbertAlgebra) or algebra.model != "tits":
         raise CarrierMismatch("F4/E6 torus elements live on the first Tits construction")
     if level == "F4":
@@ -253,11 +197,6 @@ def make_torus_element(algebra, params, level: str) -> LinMap:
     return tits_phi_map(
         algebra, _diag3_det1(f, u1, u2), _diag3_det1(f, v1, v2), _diag3_det1(f, w1, w2)
     )
-
-
-def _unitized(octonions: CDAlgebra, p_coords):
-    """Wrap base coordinates, verifying unit norm lazily in make_t."""
-    return octonions.base_algebra().element(p_coords)
 
 
 # -- fixed subalgebras and gradings -------------------------------------------
@@ -273,9 +212,9 @@ class FixedSubalgebra:
 def _context_product(phi: LinMap, context):
     """(product, commutative, involution or None) of the carrier algebra;
     the exchange involution is checked on Brown space."""
-    if phi.carrier != context.carrier or phi.basis_tag != context.basis_tag:
+    if phi.basis_tag != context.basis_tag:
         raise CarrierMismatch("map and algebra bases differ")
-    involution = context.binv_raw if phi.carrier == BROWN else None
+    involution = context.binv_raw if isinstance(context, BrownAlgebra) else None
     return context.mul_raw, context.commutative, involution
 
 
@@ -307,7 +246,7 @@ def grade_decompose(phi: LinMap, context, form=None):
     product, _, _ = _context_product(phi, context)
     f = phi.field
     if form is None:
-        if phi.carrier != ALBERT:
+        if not isinstance(context, AlbertAlgebra):
             raise ValueError("a bilinear Gram matrix is required on this carrier")
         form = context.gram
     n = phi.dim

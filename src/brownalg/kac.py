@@ -153,16 +153,30 @@ def load_diagram(source: str) -> MarkedAffineDiagram:
         return BUILTIN[source]
     with open(source) as fh:
         d = json.load(fh)
-    edges = tuple(
-        Edge(e[0], e[1], e[2] if len(e) > 2 else 1, e[3] if len(e) > 3 else None)
-        for e in d["edges"]
-    )
+    if not isinstance(d, dict):
+        raise ValueError("a diagram file holds a JSON object {marks, edges, folding}")
+    marks, edges = _list_field(d, "marks"), _list_field(d, "edges")
+    folding = _list_field(d, "folding", [])
+    for e in edges:
+        if not isinstance(e, list) or not 2 <= len(e) <= 4:
+            raise ValueError(f"edges entry {e!r} is not of the form [a, b, mult?, tip?]")
+    for pair in folding:
+        if not isinstance(pair, list):
+            raise ValueError(f"folding entry {pair!r} is not a pair [a, b]")
     return MarkedAffineDiagram(
         name=d.get("name", source),
-        marks=tuple(d["marks"]),
-        edges=edges,
-        folding=tuple(tuple(p) for p in d.get("folding", ())),
+        marks=tuple(marks),
+        edges=tuple(Edge(*e) for e in edges),
+        folding=tuple(map(tuple, folding)),
     )
+
+
+def _list_field(d: dict, key: str, default=None) -> list:
+    """d[key], a JSON list; `default` stands in for an absent key."""
+    value = d.get(key, default)
+    if not isinstance(value, list):
+        raise ValueError(f"diagram field {key!r} is missing or not a list: {value!r}")
+    return value
 
 
 def enumerate_solutions(

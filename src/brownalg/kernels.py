@@ -26,10 +26,13 @@ entry is summed in plain ints and, over F_p, reduced mod p once.
 element class), and inherits the product through its table (`mul_raw`;
 `BrownAlgebra` builds its table on first use and overrides it), element
 construction, the unit, zero and standard basis, seeded sampling, `linmap`
-(a `LinMap` on the algebra's carrier space and basis) and equality by basis
-tag.  `Elem` is the element base class: an immutable (algebra, coords) pair
-with addition, negation and scaling, which raises its class's `mismatch`
-error when elements of different algebras are combined.
+(a `LinMap` on the algebra's carrier space and basis), `linmap_of` (the map
+of a linear function on coordinate tuples, read off the images of the
+standard basis vectors; the coordinate maps of `involutions` and `brown`
+are built this way, and their lifts by `linalg.block_diag`) and equality by
+basis tag.  `Elem` is the element base class: an immutable (algebra,
+coords) pair with addition, negation and scaling, which raises its class's
+`mismatch` error when elements of different algebras are combined.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from dataclasses import dataclass
 
 from .errors import AlgebraMismatch
 from .fields import PRIME, FieldSpec
+from .linalg import identity, transpose
 from .linmaps import LinMap
 
 # There is a single pure-Python implementation of every kernel.  The name is
@@ -119,11 +123,7 @@ class Algebra:
         return self.elem(self, (self.field.zero(),) * self.dim)
 
     def basis(self):
-        one, zero = self.field.one(), self.field.zero()
-        return [
-            self.elem(self, tuple(one if i == j else zero for j in range(self.dim)))
-            for i in range(self.dim)
-        ]
+        return [self.elem(self, e) for e in identity(self.dim, self.field)]
 
     def sample(self, rng: random.Random, bound: int | None = None) -> "Elem":
         bound = self.sample_bound if bound is None else bound
@@ -134,6 +134,11 @@ class Algebra:
     def linmap(self, matrix) -> LinMap:
         """`matrix` as a map on this algebra's carrier space and basis."""
         return LinMap(matrix, self.field, self.carrier, self.basis_tag)
+
+    def linmap_of(self, fn) -> LinMap:
+        """The map whose column j is fn(e_j), for a linear function `fn` on
+        coordinate tuples."""
+        return self.linmap(transpose([fn(e) for e in identity(self.dim, self.field)]))
 
     def __eq__(self, other):
         return type(other) is type(self) and self.basis_tag == other.basis_tag

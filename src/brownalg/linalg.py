@@ -101,6 +101,18 @@ def transpose(a):
     return tuple(zip(*a))
 
 
+def block_diag(blocks, field: FieldSpec):
+    """The square matrix with the square `blocks` down its diagonal."""
+    n = sum(map(len, blocks))
+    zero = field.zero()
+    out = []
+    for block in blocks:
+        left = (zero,) * len(out)
+        right = (zero,) * (n - len(out) - len(block))
+        out.extend([left + tuple(row) + right for row in block])
+    return tuple(out)
+
+
 class PackedColumns:
     """An m x n matrix over F_p held as its n packed columns, for repeated
     products a v: a v is the packed sum of the columns weighted by the

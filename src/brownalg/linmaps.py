@@ -1,6 +1,10 @@
-"""Exact linear maps on the octonion (8), Albert (27) and Brown (56) carrier
-spaces, plus the norm/automorphism membership predicates and the dagger
-(outer) automorphism solved from the trace form.
+"""Exact linear maps on the spaces of the algebra tower, plus the
+norm/automorphism membership predicates and the dagger (outer) automorphism
+solved from the trace form.
+
+A `LinMap` takes its dimension from its matrix, so it can act on any algebra
+of the tower (a quaternion algebra too); it is matched to an algebra, and to
+another map, by the basis tag, and its carrier is only a label.
 
 The cubic norm is an integer form (`NormForm`, built by
 `algebra.norm_form()`): `NormForm.evaluate` is the algebra's norm, and
@@ -56,7 +60,7 @@ _DIMS = {OCT: 8, ALBERT: 27, BROWN: 56}
 
 @dataclass(frozen=True)
 class LinMap:
-    """Square exact matrix tagged with carrier space and basis convention."""
+    """Square exact matrix tagged with carrier label and basis convention."""
 
     matrix: tuple
     field: FieldSpec
@@ -64,22 +68,16 @@ class LinMap:
     basis_tag: str
 
     def __post_init__(self):
-        n = _DIMS.get(self.carrier)
-        if n is None:
-            raise CarrierMismatch(f"unknown carrier {self.carrier!r}")
-        if len(self.matrix) != n or any(len(r) != n for r in self.matrix):
-            raise CarrierMismatch(f"matrix is not {n}x{n}")
+        n = len(self.matrix)
+        if any(len(r) != n for r in self.matrix):
+            raise CarrierMismatch(f"matrix with {n} rows is not square")
 
     @property
     def dim(self) -> int:
-        return _DIMS[self.carrier]
+        return len(self.matrix)
 
     def _check(self, other: "LinMap"):
-        if (
-            self.carrier != other.carrier
-            or self.basis_tag != other.basis_tag
-            or self.field != other.field
-        ):
+        if (self.dim, self.basis_tag, self.field) != (other.dim, other.basis_tag, other.field):
             raise CarrierMismatch(
                 f"cannot combine maps on {self.basis_tag!r} and {other.basis_tag!r}"
             )
@@ -118,15 +116,10 @@ class LinMap:
 
     def fixed_space(self):
         """Basis of ker(self - id)."""
-        f = self.field
-        n = self.dim
-        m = tuple(
-            tuple(f.sub(v, f.one()) if i == j else v for j, v in enumerate(row))
-            for i, row in enumerate(self.matrix)
-        )
-        return nullspace(m, f)
+        return self.eigenspace(1)
 
     def eigenspace(self, eigval):
+        """Basis of ker(self - eigval id)."""
         f = self.field
         ev = f.from_int(eigval) if isinstance(eigval, int) else eigval
         m = tuple(
@@ -137,11 +130,12 @@ class LinMap:
 
 
 def identity_map(field: FieldSpec, carrier: str, basis_tag: str) -> LinMap:
+    """The identity on the carrier's standard dimension (8, 27 or 56)."""
     return LinMap(identity(_DIMS[carrier], field), field, carrier, basis_tag)
 
 
 def _require_albert(phi: LinMap, algebra):
-    if phi.carrier != ALBERT or phi.basis_tag != algebra.basis_tag:
+    if algebra.carrier != ALBERT or phi.basis_tag != algebra.basis_tag:
         raise CarrierMismatch("map does not live on this Albert algebra")
 
 
@@ -286,10 +280,8 @@ def is_automorphism(phi: LinMap, product, unit, commutative: bool = False) -> bo
     basis pairs, so they certify).  Stops at the first failing pair."""
     if phi.apply(unit) != unit:
         return False
-    f = phi.field
     n = phi.dim
-    one, zero = f.one(), f.zero()
-    basis = [tuple(one if k == i else zero for k in range(n)) for i in range(n)]
+    basis = identity(n, phi.field)
     images = [phi.apply(b) for b in basis]
     for i in range(n):
         for j in range(i if commutative else 0, n):
@@ -305,11 +297,17 @@ def is_aut_member(phi: LinMap, algebra) -> bool:
     return is_automorphism(phi, algebra.jmul_raw, algebra.unit_coords, commutative=True)
 
 
-def dagger(phi: LinMap, algebra, presample: int = 40, seed: int = 1) -> LinMap:
+# the seeded points of the norm guard of `dagger`
+_DAGGER_SAMPLES = 40
+_DAGGER_SEED = 1
+
+
+def dagger(phi: LinMap, algebra) -> LinMap:
     """The unique psi with Tr(phi x, psi y) = Tr(x, y): solves
-    M^T G psi = G exactly.  phi must preserve the cubic norm."""
+    M^T G psi = G exactly.  phi must preserve the cubic norm, which is
+    checked at `_DAGGER_SAMPLES` seeded points."""
     _require_albert(phi, algebra)
-    if not norm_preserving_sampled(phi, algebra, presample, seed):
+    if not norm_preserving_sampled(phi, algebra, _DAGGER_SAMPLES, _DAGGER_SEED):
         raise NotNormPreserving("dagger is only defined on Inv(J)")
     g = algebra.gram
     lhs = mat_mul(transpose(phi.matrix), g, algebra.field)

@@ -148,6 +148,15 @@ def test_kac_bad_folding_exits_2(capsys, tmp_path):
     assert "marks" in err
 
 
+def test_kac_badly_shaped_diagram_exits_2(capsys, tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text('{"edges": [[0, 1]]}')
+    code, out, err = run(capsys, "kac", str(path), "2")
+    assert code == 2
+    assert "marks" in err
+    assert "Traceback" not in err
+
+
 def test_kac_zero_mark_exits_2(capsys, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"marks": [1, 0, 1], "edges": [[0, 1], [1, 2]]}')

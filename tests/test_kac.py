@@ -157,6 +157,25 @@ def test_diagram_file_loader(tmp_path):
     assert {s.s for s in sols} == {(2, 0, 0), (0, 1, 0), (1, 0, 1), (0, 0, 2)}
 
 
+@pytest.mark.parametrize("text, field", [
+    ('{"edges": [[0, 1]]}', "marks"),
+    ('{"marks": [1, 1]}', "edges"),
+    ('{"marks": 3, "edges": [[0, 1]]}', "marks"),
+    ('{"marks": [1, 1], "edges": [5]}', "edges"),
+    ('{"marks": [1, 1], "edges": [[0]]}', "edges"),
+    ('{"marks": [1, 1], "edges": [[0, 1, 1, null, 0]]}', "edges"),
+    ('{"marks": [1, 1], "edges": {"0": 1}}', "edges"),
+    ('{"marks": [1, 1], "edges": [[0, 1]], "folding": 7}', "folding"),
+    ('{"marks": [1, 1], "edges": [[0, 1]], "folding": [7]}', "folding"),
+    ('[[1, 1], [[0, 1]]]', "object"),
+])
+def test_badly_shaped_diagram_file_names_the_field(tmp_path, text, field):
+    path = tmp_path / "d.json"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=field):
+        load_diagram(str(path))
+
+
 def test_folded_diagram_derived_from_folding():
     """The orbits of (1,6), (2,5) and their edges: rho_0 - rho_4 - rho_3 <=
     rho_25 - rho_16, the double edge pointing at rho_3."""
