@@ -21,6 +21,17 @@ evaluate it in Python ints.  The paper's displayed norm formulas are kept
 only as independent references, in `verify.check_closed_norm` and the tests.
 The cross product x # y is a structure table (`cross_table`) derived on first
 use from the Jordan table, the trace vector and the Gram matrix.
+
+The operators that turn one input into 27 to 729 outputs run in Python ints
+on both fields: `sharp_raw`, `jinv_raw`, `uop_matrix_sharp`, `trform_raw`
+and `gram_vec`, and `uop_matrix` over Q.  Each scales its input once to
+integers over one denominator (`kernels.to_ints`), sums with the integer
+Jordan table (`MulTable.mul_ints`, `MulTable.left_ints`) and the integer
+Gram matrix, and converts once per output entry (`kernels.from_ints`): one
+`Fraction` per nonzero entry over Q, with zeros the shared zero(), and one
+reduction mod p over F_p.  Over F_p `uop_matrix` squares L_x with the packed
+`linalg.mat_mul`.  `tits_phi_matrix` builds the torus and SL3 maps of the
+Tits model from Kronecker blocks, inverting each factor once.
 """
 
 from __future__ import annotations
@@ -28,6 +39,7 @@ from __future__ import annotations
 import json
 import math
 import random
+from operator import mul
 
 from .cayley import CDAlgebra
 from .errors import (
@@ -39,8 +51,8 @@ from .errors import (
     ZeroMultiplier,
 )
 from .fields import PRIME, FieldSpec, Scalar
-from .kernels import Algebra, Elem, MulTable
-from .linalg import identity, mat_mul
+from .kernels import Algebra, Elem, MulTable, from_ints, to_ints
+from .linalg import block_diag, identity, kron, mat_mul, transpose
 from .linmaps import ALBERT, LinMap, NormForm
 
 DIM = 27
@@ -49,14 +61,12 @@ DIM = 27
 # -- 3x3 matrix helpers over a field (used by the Tits model) ---------------
 
 def mat3_mul(f, A, B):
-    return tuple(
-        tuple(
-            f.add(f.add(f.mul(A[i][0], B[0][j]), f.mul(A[i][1], B[1][j])),
-                  f.mul(A[i][2], B[2][j]))
-            for j in range(3)
-        )
-        for i in range(3)
-    )
+    cols = tuple(zip(*B))
+    out = tuple(tuple(r[0] * c[0] + r[1] * c[1] + r[2] * c[2] for c in cols) for r in A)
+    if f.kind == PRIME:
+        p = f.p
+        return tuple(tuple([v % p for v in r]) for r in out)
+    return out
 
 
 def mat3_det(f, A):
@@ -320,9 +330,14 @@ class AlbertAlgebra(Algebra):
         # Tr(x) sums the diagonal coordinates, which are the ones set in the unit
         self.trvec = self.unit_coords
         self.gram = self._build_gram()
-        self._gram_sparse = tuple(
-            (i, j, v) for i, row in enumerate(self.gram) for j, v in enumerate(row) if v
+        # the nonzero entries of DG G in ints, DG the lcm of their denominators,
+        # and the unit in ints (its coordinates are 0 and 1 in both models)
+        gram = [(i, j, v) for i, row in enumerate(self.gram) for j, v in enumerate(row) if v]
+        self._gram_den = math.lcm(*[v.denominator for _, _, v in gram])
+        self._gram_int = tuple(
+            (i, j, v.numerator * (self._gram_den // v.denominator)) for i, j, v in gram
         )
+        self._unit_int = tuple(int(v) for v in self.unit_coords)
         self._norm_form = None
         self._cross_table = None
 
@@ -399,14 +414,10 @@ class AlbertAlgebra(Algebra):
 
     def trform_raw(self, x, y):
         f = self.field
-        acc = f.zero()
-        for i, j, g in self._gram_sparse:
-            xv = x[i]
-            if xv:
-                yv = y[j]
-                if yv:
-                    acc = f.add(acc, f.mul(g, f.mul(xv, yv)))
-        return acc
+        dx, xi = to_ints(x, f)
+        dy, yi = to_ints(y, f)
+        acc = sum(map(mul, xi, self._gram_ints(yi)))
+        return from_ints((acc,), self._gram_den * dx * dy, f)[0]
 
     def sr_raw(self, x):
         f = self.field
@@ -415,13 +426,20 @@ class AlbertAlgebra(Algebra):
 
     def sharp_raw(self, x):
         f = self.field
-        sq = self.jmul_raw(x, x)
-        t = self.tr_raw(x)
-        s = self.sr_raw(x)
-        e = self.unit_coords
-        return tuple(
-            f.add(f.sub(sq[k], f.mul(t, x[k])), f.mul(s, e[k])) for k in range(DIM)
-        )
+        return from_ints(*self._sharp_ints(*to_ints(x, f)), f)
+
+    def _sharp_ints(self, d, xi):
+        """(v, den) with x# = v / den for x = xi / d, xi in ints:
+        x# = x^2 - T(x) x + S(x) e with S(x) = (T(x)^2 - Tr(x, x)) / 2, over
+        the common denominator 2 D DG d^2 (D of the Jordan table, DG of the
+        Gram matrix)."""
+        D, dg = self.table.int_table()[0], self._gram_den
+        t = sum(map(mul, self._unit_int, xi))
+        q = sum(map(mul, xi, self._gram_ints(xi)))
+        a, b, c = 2 * dg, 2 * D * dg * t, D * (dg * t * t - q)
+        v = [a * s - b * xv + c * e
+             for s, xv, e in zip(self.table.mul_ints(xi, xi), xi, self._unit_int)]
+        return v, 2 * D * dg * d * d
 
     def cross_table(self) -> MulTable:
         """The cross product x # y = 2 x.y - Tr(x) y - Tr(y) x
@@ -536,61 +554,81 @@ class AlbertAlgebra(Algebra):
         return tuple(f.sub(f.mul(t, x[k]), cr[k]) for k in range(DIM))
 
     def uop_matrix(self, x):
-        """U_x = 2 L_x^2 - L_{x^2} as a 27x27 matrix."""
+        """U_x = 2 L_x^2 - L_{x^2} as a 27x27 matrix.  Over Q, with x = xi / d
+        and D L the integer left multiplications of `MulTable.left_ints`,
+        U_x = (2 (D L_xi)^2 - D L_{D xi^2}) / (D d)^2 in ints; over F_p the
+        square is the packed `mat_mul`."""
         f = self.field
-        lx = self.table.left_matrix(x, f)
-        lx2 = self.table.left_matrix(self.jmul_raw(x, x), f)
-        sq = mat_mul(lx, lx, f)
         if f.kind == PRIME:
+            lx = self.table.left_matrix(x, f)
+            lx2 = self.table.left_matrix(self.jmul_raw(x, x), f)
+            sq = mat_mul(lx, lx, f)
             p = f.p
             return tuple(tuple([(2 * s - t) % p for s, t in zip(rs, rt)])
                          for rs, rt in zip(sq, lx2))
-        return tuple(tuple([2 * s - t for s, t in zip(rs, rt)]) for rs, rt in zip(sq, lx2))
+        d, xi = to_ints(x, f)
+        table = self.table
+        lx = table.left_ints(xi)
+        lx2 = table.left_ints(table.mul_ints(xi, xi))
+        cols = tuple(zip(*lx))
+        den = (table.int_table()[0] * d) ** 2
+        return tuple(
+            from_ints([2 * sum(map(mul, r, c)) - t for c, t in zip(cols, r2)], den, f)
+            for r, r2 in zip(lx, lx2)
+        )
+
+    def _gram_ints(self, v):
+        """DG G v for an integer vector v (`_gram_den` is DG)."""
+        out = [0] * DIM
+        for i, j, g in self._gram_int:
+            vv = v[j]
+            if vv:
+                out[i] += g * vv
+        return out
 
     def gram_vec(self, v):
         """G v for the trace-form Gram matrix (sparse)."""
-        f = self.field
-        out = [f.zero()] * DIM
-        for i, j, g in self._gram_sparse:
-            vv = v[j]
-            if vv:
-                out[i] = f.add(out[i], f.mul(g, vv))
-        return tuple(out)
+        d, vi = to_ints(v, self.field)
+        return from_ints(self._gram_ints(vi), self._gram_den * d, self.field)
 
     def uop_matrix_sharp(self, x):
         """U_x y = Tr(x, y) x - x# # y assembled as a matrix: the cross with
-        x# expands into the left multiplication by x# plus rank-one terms."""
+        x# expands into the left multiplication by x# plus rank-one terms,
+        U_x = x (G x)^T - 2 L_{x#} + Tr(x#) I + x# t^T - e (Tr(x#) t - G x#)^T
+        with t the trace vector; summed in ints over one denominator."""
         f = self.field
-        xs = self.sharp_raw(x)
-        lxs = self.table.left_matrix(xs, f)
-        gx = self.gram_vec(x)
-        gxs = self.gram_vec(xs)
-        trxs = self.tr_raw(xs)
-        e = self.unit_coords
-        tv = self.trvec
-        two = f.from_int(2)
+        d, xi = to_ints(x, f)
+        sn, sd = self._sharp_ints(d, xi)
+        D, dg, e = self.table.int_table()[0], self._gram_den, self._unit_int
+        lxs = self.table.left_ints(sn)  # D sd L_{x#}
+        gx = self._gram_ints(xi)  # DG d G x
+        trs = sum(map(mul, e, sn))  # sd Tr(x#)
+        # over the denominator D DG d^2 sd, the terms are scaled by:
+        a, b, c, g = D * sd, 2 * dg * d * d, D * dg * d * d, D * d * d
+        erow = [g * s - c * trs * t for s, t in zip(self._gram_ints(sn), e)]
+        den = c * sd
         rows = []
-        for i in range(DIM):
-            row = []
-            xi, xsi, ei = x[i], xs[i], e[i]
-            for j in range(DIM):
-                v = f.sub(f.mul(xi, gx[j]), f.mul(two, lxs[i][j]))
-                if i == j:
-                    v = f.add(v, trxs)
-                if xsi and tv[j]:
-                    v = f.add(v, f.mul(xsi, tv[j]))
-                if ei:
-                    v = f.sub(v, f.mul(ei, f.sub(f.mul(trxs, tv[j]), gxs[j])))
-                row.append(v)
-            rows.append(tuple(row))
+        for i, lrow in enumerate(lxs):
+            ax = a * xi[i]
+            row = [ax * gj - b * lv for gj, lv in zip(gx, lrow)]
+            row[i] += c * trs
+            if sn[i]:
+                cs = c * sn[i]
+                row = [v + cs * t for v, t in zip(row, e)]
+            if e[i]:
+                row = [v + w for v, w in zip(row, erow)]
+            rows.append(from_ints(row, den, f))
         return tuple(rows)
 
     def jinv_raw(self, x):
+        """x^-1 = x# / N(x), summed in ints over one denominator."""
         n = self.norm_raw(x)
         if not n:
             raise SingularElement("cubic norm vanishes")
-        ninv = self.field.inv(n)
-        return tuple(self.field.mul(ninv, v) for v in self.sharp_raw(x))
+        f = self.field
+        v, den = self._sharp_ints(*to_ints(x, f))
+        nn, nd = n.as_integer_ratio()
+        return from_ints([nd * s for s in v], den * nn, f)
 
     def triple_raw(self, x, z, y):
         f = self.field
@@ -631,7 +669,8 @@ class AlbertAlgebra(Algebra):
         out += [f.mul(gi, v) for v in x[19:27]]
         return tuple(out)
 
-    def tits_phi_raw(self, u, v, w, x):
+    def _tits_phi_inverses(self, u, v, w):
+        """(u^-1, v^-1, w^-1) for unimodular factors of tits_phi."""
         if self.model != "tits":
             raise ModelMismatch("tits_phi lives on the first Tits construction")
         f = self.field
@@ -639,7 +678,13 @@ class AlbertAlgebra(Algebra):
         for m in (u, v, w):
             if mat3_det(f, m) != one:
                 raise NotUnimodular("tits_phi factors must have determinant 1")
-        vi, wi, ui = mat3_inverse(f, v), mat3_inverse(f, w), mat3_inverse(f, u)
+        return tuple(mat3_inverse(f, m) for m in (u, v, w))
+
+    def tits_phi_raw(self, u, v, w, x):
+        """(u a0 v^-1, v a1 w^-1, w a2 u^-1) on one element; the reference for
+        `tits_phi_matrix`."""
+        f = self.field
+        ui, vi, wi = self._tits_phi_inverses(u, v, w)
         a0, a1, a2 = (mat3_from_flat(x[9 * r: 9 * r + 9]) for r in range(3))
         p0 = mat3_mul(f, mat3_mul(f, u, a0), vi)
         p1 = mat3_mul(f, mat3_mul(f, v, a1), wi)
@@ -649,6 +694,17 @@ class AlbertAlgebra(Algebra):
             for row in m:
                 flat.extend(row)
         return tuple(flat)
+
+    def tits_phi_matrix(self, u, v, w):
+        """The matrix of x -> tits_phi_raw(u, v, w, x).  On a row-major 3x3
+        block, a -> m a n^-1 is m (x) (n^-1)^T, so the map is
+        block_diag(u (x) (v^-1)^T, v (x) (w^-1)^T, w (x) (u^-1)^T); zeros are
+        the field's zero()."""
+        f = self.field
+        ui, vi, wi = self._tits_phi_inverses(u, v, w)
+        return block_diag(
+            [kron(m, transpose(ni), f) for m, ni in ((u, vi), (v, wi), (w, ui))], f
+        )
 
 
 def hermitian(octonions: CDAlgebra, gamma=None) -> AlbertAlgebra:

@@ -156,7 +156,7 @@ def make_theta_tits(albert: AlbertAlgebra) -> LinMap:
 
 
 def tits_phi_map(albert: AlbertAlgebra, u, v, w) -> LinMap:
-    return albert.linmap_of(lambda x: albert.tits_phi_raw(u, v, w, x))
+    return albert.linmap(albert.tits_phi_matrix(u, v, w))
 
 
 def _diag3_det1(f, x1, x2):

@@ -17,8 +17,19 @@ Python-level `Fraction.__bool__`.  Over F_p
 the accumulated integers are reduced mod p once, at the end.  On these
 sparse tables (the Brown table has 704 entries in dimension 56) the
 per-entry loop is faster than the packed rows of `linalg`.
-`MulTable.left_matrix` builds the matrix of y -> x.y the same way: each
-entry is summed in plain ints and, over F_p, reduced mod p once.
+
+Each table also has an integer form (`MulTable.int_table`, built on first
+use and cached beside the grouped entries): the coefficients scaled by D, the
+lcm of their denominators (D is 1 over F_p).  Two kernels read it, on integer
+vectors: `mul_ints` gives D (x.y) and `left_ints` gives D L_x, the matrix of
+y -> D (x.y).  `to_ints` scales a vector of field values to (d, ints) with
+x = ints / d, and `from_ints` converts integer results back once per entry:
+one `Fraction` per nonzero entry over Q, zeros the shared zero(), and one
+reduction mod p over F_p.  The Albert operators, where one input feeds 27 to
+729 outputs, run on these; `apply` keeps its sparse per-entry loop, because
+converting each sparse 56-dimensional Brown vector costs more than it saves.
+`MulTable.left_matrix`, the matrix of y -> x.y, is `left_ints` converted
+back.
 
 `Algebra` is what the three algebras of the tower (`CDAlgebra`,
 `AlbertAlgebra`, `BrownAlgebra`) share.  Each sets `field`, `dim`,
@@ -37,12 +48,14 @@ coords) pair with addition, negation and scaling, which raises its class's
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .errors import AlgebraMismatch
-from .fields import PRIME, FieldSpec
-from .linalg import identity, transpose
+from .fields import _ZERO, PRIME, FieldSpec
+from .linalg import _int_row, identity, transpose
 from .linmaps import LinMap
 
 # There is a single pure-Python implementation of every kernel.  The name is
@@ -54,12 +67,13 @@ class MulTable:
     """Sparse bilinear map V x V -> V given by entries (i, j, k, coeff):
     out_k = sum coeff * x_i * y_j."""
 
-    __slots__ = ("n", "entries", "_by_i")
+    __slots__ = ("n", "entries", "_by_i", "_int")
 
     def __init__(self, n: int, entries):
         self.n = n
         self.entries = tuple(entries)
         self._by_i = None
+        self._int = None
 
     def _grouped(self):
         if self._by_i is None:
@@ -68,6 +82,16 @@ class MulTable:
                 by_i[i].append((j, k, c))
             self._by_i = by_i
         return self._by_i
+
+    def int_table(self):
+        """(D, rows): D the lcm of the denominators of the coefficients (1
+        over F_p) and rows[i] the (j, k, D c) of the entries with first index
+        i, in ints; built on first use and cached."""
+        if self._int is None:
+            D = math.lcm(*[c.denominator for _, _, _, c in self.entries])
+            self._int = (D, [[(j, k, c.numerator * (D // c.denominator)) for j, k, c in row]
+                             for row in self._grouped()])
+        return self._int
 
     def apply(self, x, y, field: FieldSpec):
         zero = field.zero()
@@ -84,20 +108,52 @@ class MulTable:
             return tuple([v % p for v in out])
         return tuple(out)
 
-    def left_matrix(self, x, field: FieldSpec):
-        """Matrix of y -> apply(x, y) in the standard basis; over F_p each
-        entry is summed in ints and reduced once."""
-        zero = field.zero()
-        rows = [[zero] * self.n for _ in range(self.n)]
-        for i, grp in enumerate(self._grouped()):
-            xv = x[i]
-            if xv is not zero and xv:
+    def mul_ints(self, x, y):
+        """D (x.y) for integer vectors x and y, D from `int_table`."""
+        out = [0] * self.n
+        for xv, row in zip(x, self.int_table()[1]):
+            if xv:
+                for j, k, c in row:
+                    yv = y[j]
+                    if yv:
+                        out[k] += c * xv * yv
+        return out
+
+    def left_ints(self, x):
+        """D L_x, the matrix of y -> D (x.y), for an integer vector x, as a
+        list of row lists."""
+        rows = [[0] * self.n for _ in range(self.n)]
+        for xv, grp in zip(x, self.int_table()[1]):
+            if xv:
                 for j, k, c in grp:
                     rows[k][j] += c * xv
-        if field.kind == PRIME:
-            p = field.p
-            return tuple(tuple([v % p for v in r]) for r in rows)
-        return tuple(map(tuple, rows))
+        return rows
+
+    def left_matrix(self, x, field: FieldSpec):
+        """Matrix of y -> apply(x, y) in the standard basis, summed in ints
+        by `left_ints` and converted once per entry."""
+        d, xi = to_ints(x, field)
+        den = self.int_table()[0] * d
+        return tuple(from_ints(row, den, field) for row in self.left_ints(xi))
+
+
+def to_ints(x, field: FieldSpec):
+    """(d, ints) with x == ints / d: over Q d is the lcm of the denominators
+    (`linalg._int_row`); over F_p the coordinates are ints already and d is 1."""
+    if field.kind == PRIME:
+        return 1, x
+    return _int_row(x)
+
+
+def from_ints(ints, den: int, field: FieldSpec):
+    """The field values ints / den as a tuple: over Q one `Fraction` per
+    nonzero entry and the shared zero() for the others; over F_p each entry
+    reduced once (den must be a unit mod p)."""
+    if field.kind == PRIME:
+        p = field.p
+        inv = pow(den, -1, p)
+        return tuple([v * inv % p for v in ints])
+    return tuple([Fraction(v, den) if v else _ZERO for v in ints])
 
 
 class Algebra:

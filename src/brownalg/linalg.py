@@ -113,6 +113,16 @@ def block_diag(blocks, field: FieldSpec):
     return tuple(out)
 
 
+def kron(a, b, field: FieldSpec):
+    """The Kronecker product a (x) b: entry ((i, k), (j, l)) is a_ij b_kl,
+    and the field's zero() where either factor is zero."""
+    zero, mul = field.zero(), field.mul
+    return tuple(
+        tuple([mul(x, y) if x and y else zero for x in ra for y in rb])
+        for ra in a for rb in b
+    )
+
+
 class PackedColumns:
     """An m x n matrix over F_p held as its n packed columns, for repeated
     products a v: a v is the packed sum of the columns weighted by the

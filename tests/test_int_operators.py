@@ -1,0 +1,201 @@
+"""The Albert operators computed in scaled integers (`uop_matrix`,
+`uop_matrix_sharp`, `sharp_raw`, `jinv_raw`, `trform_raw`, `gram_vec`) and the
+Kronecker-block `tits_phi_map`, against references built from the Jordan
+product through the unchanged `MulTable.apply`."""
+
+import math
+import random
+from fractions import Fraction
+
+import pytest
+
+from brownalg import albert, linalg
+from brownalg.albert import hermitian, split_albert, tits
+from brownalg.cayley import CDAlgebra
+from brownalg.errors import ModelMismatch, NotUnimodular
+from brownalg.fields import _ZERO, RATIONALS, Fp, Q
+from brownalg.involutions import Catalog, tits_phi_map
+from brownalg.kernels import MulTable
+
+
+def _general_her():
+    """Her3(CD(Q; -2/3, 5/7, 3/2), gamma = (1, 2/5, -3/4)): table denominators
+    well above 2."""
+    F = Q()
+    C = CDAlgebra(F, kappas=(Fraction(-2, 3), Fraction(5, 7), Fraction(3, 2)))
+    return hermitian(C, gamma=(1, Fraction(2, 5), Fraction(-3, 4)))
+
+
+MODELS = {
+    "her-Q": lambda: split_albert(Q()),
+    "tits-Q": lambda: tits(Q()),
+    "her-F7": lambda: split_albert(Fp(7)),
+    "tits-F7": lambda: tits(Fp(7)),
+    "her-general-Q": _general_her,
+    "tits-3/2-Q": lambda: tits(Q(), Fraction(3, 2)),
+    "her-general-F11": lambda: hermitian(
+        CDAlgebra(Fp(11), kappas=(3, 5, 7)), gamma=(1, 2, 3)),
+}
+
+
+def _points(alg, rng, count=3):
+    """Samples with non-integral coordinates (over Q), some coordinates set to
+    zero, plus a sparse point and the zero vector."""
+    f = alg.field
+    out = []
+    for _ in range(count):
+        x = list(alg.sample(rng, 5).coords)
+        for k in rng.sample(range(27), 9):
+            x[k] = f.zero()
+        out.append(tuple(x))
+    sparse = [f.zero()] * 27
+    sparse[rng.randrange(27)] = f.sample_nonzero(rng, 5)
+    sparse[rng.randrange(27)] = f.sample_nonzero(rng, 5)
+    out.append(tuple(sparse))
+    out.append((f.zero(),) * 27)
+    return out
+
+
+def _assert_shared_zeros(field, values):
+    if field.kind == RATIONALS:
+        assert all(v is _ZERO for v in values if not v)
+
+
+def _ref_uop_columns(alg, x):
+    """Column j is 2 x.(x.e_j) - x^2.e_j, by `jmul_raw`."""
+    f = alg.field
+    x2 = alg.jmul_raw(x, x)
+    cols = []
+    for e in linalg.identity(27, f):
+        xxe = alg.jmul_raw(x, alg.jmul_raw(x, e))
+        x2e = alg.jmul_raw(x2, e)
+        cols.append(tuple(f.sub(f.add(a, a), b) for a, b in zip(xxe, x2e)))
+    return linalg.transpose(cols)
+
+
+def _ref_sharp(alg, x):
+    """x^2 - T(x) x + S(x) e with S(x) = (T(x)^2 - T(x^2)) / 2."""
+    f = alg.field
+    x2 = alg.jmul_raw(x, x)
+    t = alg.tr_raw(x)
+    s = f.mul(f.half(), f.sub(f.mul(t, t), alg.tr_raw(x2)))
+    return tuple(f.add(f.sub(q, f.mul(t, v)), f.mul(s, e))
+                 for q, v, e in zip(x2, x, alg.unit_coords))
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_uop_matrix_matches_jordan_reference(name):
+    alg = MODELS[name]()
+    rng = random.Random(f"uop:{name}")
+    for x in _points(alg, rng, count=2):
+        u = alg.uop_matrix(x)
+        ref = _ref_uop_columns(alg, x)
+        assert tuple(map(tuple, u)) == tuple(map(tuple, ref))
+        assert alg.uop_matrix_sharp(x) == u
+        for row in u:
+            _assert_shared_zeros(alg.field, row)
+        for row in alg.uop_matrix_sharp(x):
+            _assert_shared_zeros(alg.field, row)
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_sharp_and_inverse_match_jordan_reference(name):
+    alg = MODELS[name]()
+    f = alg.field
+    rng = random.Random(f"sharp:{name}")
+    for x in _points(alg, rng):
+        xs = alg.sharp_raw(x)
+        assert xs == _ref_sharp(alg, x)
+        _assert_shared_zeros(f, xs)
+        n = alg.norm_raw(x)
+        if n:
+            xi = alg.jinv_raw(x)
+            assert xi == tuple(f.div(v, n) for v in xs)
+            assert alg.jmul_raw(x, xi) == alg.unit_coords
+            _assert_shared_zeros(f, xi)
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_trform_and_gram_vec_match_the_gram_matrix(name):
+    alg = MODELS[name]()
+    f = alg.field
+    rng = random.Random(f"gram:{name}")
+    pts = _points(alg, rng)
+    for x, y in zip(pts, pts[1:] + pts[:1]):
+        assert alg.trform_raw(x, y) == alg.tr_raw(alg.jmul_raw(x, y))
+        g = alg.gram_vec(x)
+        assert g == linalg.mat_vec(alg.gram, x, f)
+        _assert_shared_zeros(f, g)
+
+
+def test_int_kernels_match_apply():
+    """D (x.y) and D L_x from the integer table equal D times `apply` and
+    `left_matrix`, on a table with unlike denominators."""
+    rng = random.Random(3)
+    n = 7
+    entries = [(rng.randrange(n), rng.randrange(n), rng.randrange(n),
+                Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 12))) for _ in range(40)]
+    table = MulTable(n, entries)
+    D, _ = table.int_table()
+    assert D == math.lcm(*(c.denominator for *_, c in entries))
+    f = Q()
+    for _ in range(5):
+        x = tuple(Fraction(rng.randint(-5, 5)) for _ in range(n))
+        y = tuple(Fraction(rng.randint(-5, 5)) for _ in range(n))
+        xi, yi = [int(v) for v in x], [int(v) for v in y]
+        assert [Fraction(v, D) for v in table.mul_ints(xi, yi)] == list(table.apply(x, y, f))
+        lm = table.left_matrix(x, f)
+        assert [[Fraction(v, D) for v in r] for r in table.left_ints(xi)] == [list(r) for r in lm]
+        assert linalg.mat_vec(lm, y, f) == table.apply(x, y, f)
+
+
+# -- tits_phi_map --------------------------------------------------------------
+
+def _unimodular(f, rng, diagonal):
+    if diagonal:
+        a, b = f.sample_nonzero(rng, 4), f.sample_nonzero(rng, 4)
+        z = f.zero()
+        return ((a, z, z), (z, b, z), (z, z, f.inv(f.mul(a, b))))
+    m = albert.mat3_identity(f)
+    for _ in range(4):
+        i, j = rng.sample(range(3), 2)
+        e = [list(r) for r in albert.mat3_identity(f)]
+        e[i][j] = f.sample_raw(rng, 3)
+        m = albert.mat3_mul(f, m, tuple(map(tuple, e)))
+    return m
+
+
+@pytest.mark.parametrize("field", [Q(), Fp(7)], ids=str)
+@pytest.mark.parametrize("diagonal", [True, False], ids=["diagonal", "general"])
+def test_tits_phi_map_matches_the_per_element_map(field, diagonal, monkeypatch):
+    alg = tits(field)
+    rng = random.Random(f"phi:{field}:{diagonal}")
+    calls = []
+    real = albert.mat3_inverse
+    monkeypatch.setattr(albert, "mat3_inverse", lambda f, a: calls.append(a) or real(f, a))
+    for _ in range(3):
+        u, v, w = (_unimodular(field, rng, diagonal) for _ in range(3))
+        ref = alg.linmap_of(lambda x: alg.tits_phi_raw(u, v, w, x))
+        calls.clear()
+        m = tits_phi_map(alg, u, v, w)
+        assert len(calls) == 3
+        assert m.matrix == ref.matrix
+        for row in m.matrix:
+            _assert_shared_zeros(field, row)
+
+
+def test_tits_phi_map_errors():
+    f = Q()
+    ident = albert.mat3_identity(f)
+    bad = ((Fraction(2), _ZERO, _ZERO), (_ZERO, Fraction(1), _ZERO), (_ZERO, _ZERO, Fraction(1)))
+    with pytest.raises(NotUnimodular, match="determinant 1"):
+        tits_phi_map(tits(f), ident, bad, ident)
+    with pytest.raises(ModelMismatch, match="first Tits construction"):
+        tits_phi_map(split_albert(f), ident, ident, ident)
+
+
+def test_torus_realization_zeros_are_shared():
+    m = Catalog(Q()).realize("t:1,1,1,1,-1,1", "J")
+    zeros = [v for row in m.matrix for v in row if not v]
+    assert len(zeros) == 702
+    assert all(v is _ZERO for v in zeros)
