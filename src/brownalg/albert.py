@@ -25,9 +25,9 @@ use from the Jordan table, the trace vector and the Gram matrix.
 The operators that turn one input into 27 to 729 outputs run in Python ints
 on both fields: `sharp_raw`, `jinv_raw`, `uop_matrix_sharp`, `trform_raw`
 and `gram_vec`, and `uop_matrix` over Q.  Each scales its input once to
-integers over one denominator (`kernels.to_ints`), sums with the integer
+integers over one denominator (`linalg.to_ints`), sums with the integer
 Jordan table (`MulTable.mul_ints`, `MulTable.left_ints`) and the integer
-Gram matrix, and converts once per output entry (`kernels.from_ints`): one
+Gram matrix, and converts once per output entry (`linalg.from_ints`): one
 `Fraction` per nonzero entry over Q, with zeros the shared zero(), and one
 reduction mod p over F_p.  Over F_p `uop_matrix` squares L_x with the packed
 `linalg.mat_mul`.  `tits_phi_matrix` builds the torus and SL3 maps of the
@@ -37,7 +37,6 @@ Tits model from Kronecker blocks, inverting each factor once.
 from __future__ import annotations
 
 import json
-import math
 import random
 from operator import mul
 
@@ -51,8 +50,8 @@ from .errors import (
     ZeroMultiplier,
 )
 from .fields import PRIME, FieldSpec, Scalar
-from .kernels import Algebra, Elem, MulTable, from_ints, to_ints
-from .linalg import block_diag, identity, kron, mat_mul, transpose
+from .kernels import Algebra, Elem, MulTable
+from .linalg import block_diag, from_ints, identity, kron, mat_mul, to_ints, transpose
 from .linmaps import ALBERT, LinMap, NormForm
 
 DIM = 27
@@ -333,10 +332,8 @@ class AlbertAlgebra(Algebra):
         # the nonzero entries of DG G in ints, DG the lcm of their denominators,
         # and the unit in ints (its coordinates are 0 and 1 in both models)
         gram = [(i, j, v) for i, row in enumerate(self.gram) for j, v in enumerate(row) if v]
-        self._gram_den = math.lcm(*[v.denominator for _, _, v in gram])
-        self._gram_int = tuple(
-            (i, j, v.numerator * (self._gram_den // v.denominator)) for i, j, v in gram
-        )
+        self._gram_den, ints = to_ints([v for _, _, v in gram], f)
+        self._gram_int = tuple((i, j, g) for (i, j, _), g in zip(gram, ints))
         self._unit_int = tuple(int(v) for v in self.unit_coords)
         self._norm_form = None
         self._cross_table = None
@@ -514,14 +511,8 @@ class AlbertAlgebra(Algebra):
                         elif i == j or j == k:
                             c = f.mul(half, c)
                         coeffs.append((i, j, k, c))
-        if f.kind == PRIME:
-            form = NormForm(tuple(coeffs), 1)
-        else:
-            den = math.lcm(*(c.denominator for _, _, _, c in coeffs))
-            form = NormForm(
-                tuple((i, j, k, c.numerator * (den // c.denominator)) for i, j, k, c in coeffs),
-                den,
-            )
+        den, ints = to_ints([c for _, _, _, c in coeffs], f)
+        form = NormForm(tuple((i, j, k, c) for (i, j, k, _), c in zip(coeffs, ints)), den)
         rng = random.Random(20241)
         for _ in range(4):
             x = tuple(f.sample_raw(rng, 3) for _ in range(DIM))

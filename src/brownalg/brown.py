@@ -184,7 +184,7 @@ class BrownAlgebra(Algebra):
         for name, phi in (("phi1", phi1), ("phi2", phi2)):
             if not is_aut_member(phi, self.jalg):
                 raise NotAutomorphism(f"{name} is not an Albert algebra automorphism")
-            if not phi.compose(phi).is_identity():
+            if not phi.order_divides_two():
                 raise NotOrderTwo(f"{name} must square to the identity")
         if phi1.compose(phi2).matrix != phi2.compose(phi1).matrix:
             raise NotCommuting("phi1 and phi2 must commute")

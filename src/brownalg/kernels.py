@@ -22,11 +22,9 @@ Each table also has an integer form (`MulTable.int_table`, built on first
 use and cached beside the grouped entries): the coefficients scaled by D, the
 lcm of their denominators (D is 1 over F_p).  Two kernels read it, on integer
 vectors: `mul_ints` gives D (x.y) and `left_ints` gives D L_x, the matrix of
-y -> D (x.y).  `to_ints` scales a vector of field values to (d, ints) with
-x = ints / d, and `from_ints` converts integer results back once per entry:
-one `Fraction` per nonzero entry over Q, zeros the shared zero(), and one
-reduction mod p over F_p.  The Albert operators, where one input feeds 27 to
-729 outputs, run on these; `apply` keeps its sparse per-entry loop, because
+y -> D (x.y), in the scaled-integer form of `linalg.to_ints` and
+`linalg.from_ints`.  The Albert operators, where one input feeds 27 to 729
+outputs, run on these; `apply` keeps its sparse per-entry loop, because
 converting each sparse 56-dimensional Brown vector costs more than it saves.
 `MulTable.left_matrix`, the matrix of y -> x.y, is `left_ints` converted
 back.
@@ -51,11 +49,10 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import AlgebraMismatch
-from .fields import _ZERO, PRIME, FieldSpec
-from .linalg import _int_row, identity, transpose
+from .fields import PRIME, FieldSpec
+from .linalg import from_ints, identity, to_ints, transpose
 from .linmaps import LinMap
 
 # There is a single pure-Python implementation of every kernel.  The name is
@@ -135,25 +132,6 @@ class MulTable:
         d, xi = to_ints(x, field)
         den = self.int_table()[0] * d
         return tuple(from_ints(row, den, field) for row in self.left_ints(xi))
-
-
-def to_ints(x, field: FieldSpec):
-    """(d, ints) with x == ints / d: over Q d is the lcm of the denominators
-    (`linalg._int_row`); over F_p the coordinates are ints already and d is 1."""
-    if field.kind == PRIME:
-        return 1, x
-    return _int_row(x)
-
-
-def from_ints(ints, den: int, field: FieldSpec):
-    """The field values ints / den as a tuple: over Q one `Fraction` per
-    nonzero entry and the shared zero() for the others; over F_p each entry
-    reduced once (den must be a unit mod p)."""
-    if field.kind == PRIME:
-        p = field.p
-        inv = pow(den, -1, p)
-        return tuple([v * inv % p for v in ints])
-    return tuple([Fraction(v, den) if v else _ZERO for v in ints])
 
 
 class Algebra:

@@ -19,8 +19,14 @@ pivot, with the pivot row unpacked, reduced, scaled and repacked when it is
 chosen; so no slot can overflow and no reduction is needed partway through.
 An entry is read by shift, mask and reduction mod p.
 
-Over Q, `mat_mul` and `rref` run on Python ints and make one `Fraction` per
-nonzero output entry at the end (zeros are the field's shared `zero()`).  `rref`
+`to_ints` and `from_ints` are the one scaled-integer form of the package: a
+vector of field values is (d, ints) with values == ints / d, d the lcm of
+the denominators over Q and 1 over F_p, and integer results are converted
+back once per entry, one `Fraction` per nonzero entry over Q (zeros are the
+field's shared `zero()`) and one reduction mod p over F_p.  The integer
+kernels of `kernels`, `albert` and `linmaps` read and write this form.
+
+Over Q, `mat_mul` and `rref` run on Python ints in this form.  `rref`
 eliminates fraction-free on primitive integer rows (Bareiss, Math. Comp. 22,
 1968; Cohen, *A Course in Computational Algebraic Number Theory*, 2.2).  Row
 scaling does not change the reduced row echelon form, which is unique, so
@@ -79,15 +85,29 @@ def _unpack(acc: int, n: int, slot: int):
     return memoryview(data).cast(code)
 
 
-def _int_row(row):
-    """(d, ints) with row == ints / d, d the lcm of the denominators; only
-    the nonzero entries are read as fractions."""
-    nonzero = [(j, v.as_integer_ratio()) for j, v in enumerate(row) if v is not _ZERO and v]
+def to_ints(values, field: FieldSpec):
+    """(d, ints) with values == ints / d.  Over Q d is the lcm of the
+    denominators and only the nonzero entries are read as fractions; over
+    F_p the values are ints already, d is 1 and `values` is returned."""
+    if field.kind == PRIME:
+        return 1, values
+    nonzero = [(j, v.as_integer_ratio()) for j, v in enumerate(values) if v is not _ZERO and v]
     d = math.lcm(*[q for _, (_, q) in nonzero])
-    ints = [0] * len(row)
+    ints = [0] * len(values)
     for j, (num, q) in nonzero:
         ints[j] = num * (d // q)
     return d, ints
+
+
+def from_ints(ints, den: int, field: FieldSpec):
+    """The field values ints / den as a tuple: over Q one `Fraction` per
+    nonzero entry and the shared zero() for the others; over F_p each entry
+    reduced once (den must be a unit mod p)."""
+    if field.kind == PRIME:
+        p = field.p
+        inv = pow(den, -1, p)
+        return tuple([v * inv % p for v in ints])
+    return tuple([Fraction(v, den) if v else _ZERO for v in ints])
 
 
 def identity(n: int, field: FieldSpec):
@@ -147,12 +167,12 @@ def mat_mul(a, b, field: FieldSpec):
     nonzero a[i][k]; over F_p that is b^T a[i], with the rows of b packed
     once as the columns of b^T."""
     if field.kind == RATIONALS:
-        return _mat_mul_q(a, b)
+        return _mat_mul_q(a, b, field)
     bt = PackedColumns(transpose(b), _modulus(field))
     return tuple([bt.apply(row) for row in a])
 
 
-def _mat_mul_q(a, b):
+def _mat_mul_q(a, b, field):
     """mat_mul over Q in ints: a row b[k] is scaled to integers the first
     time a nonzero a[i][k] reads it, and row i sums over one denominator."""
     n = len(b[0]) if b else 0
@@ -165,14 +185,14 @@ def _mat_mul_q(a, b):
                 num, den = aik.as_integer_ratio()
                 bk = scaled[k]
                 if bk is None:
-                    bk = scaled[k] = _int_row(b[k])
+                    bk = scaled[k] = to_ints(b[k], field)
                 terms.append((num, den * bk[0], bk[1]))
         common = math.lcm(*[d for _, d, _ in terms])
         acc = [0] * n
         for num, d, bk in terms:
             c = num * (common // d)
             acc = [s + c * x if x else s for s, x in zip(acc, bk)]
-        out.append(tuple([Fraction(s, common) if s else _ZERO for s in acc]))
+        out.append(from_ints(acc, common, field))
     return tuple(out)
 
 
@@ -197,7 +217,7 @@ def mat_vec(a, v, field: FieldSpec):
 def rref(a, field: FieldSpec):
     """Reduced row echelon form; returns (rows, pivot_columns)."""
     if field.kind == RATIONALS:
-        return _rref_q(a)
+        return _rref_q(a, field)
     p = _modulus(field)
     m = len(a)
     n = len(a[0]) if m else 0
@@ -228,11 +248,11 @@ def rref(a, field: FieldSpec):
     return tuple(tuple([v % p for v in _unpack(row, n, slot)]) for row in rows), tuple(pivots)
 
 
-def _rref_q(a):
+def _rref_q(a, field):
     """rref over Q on integer rows: row i is eliminated against the pivot
     row as (pv/g) row_i - (f/g) row_r with g = gcd(pv, f), then divided by
     the gcd of its entries; the pivot rows are divided by their pivots last."""
-    rows = [_int_row(r)[1] for r in a]
+    rows = [to_ints(r, field)[1] for r in a]
     m = len(rows)
     n = len(rows[0]) if m else 0
     pivots = []
@@ -259,10 +279,7 @@ def _rref_q(a):
         r += 1
         if r == m:
             break
-    out = []
-    for row, c in zip(rows, pivots):
-        pv = row[c]
-        out.append(tuple([Fraction(v, pv) if v else _ZERO for v in row]))
+    out = [from_ints(row, row[c], field) for row, c in zip(rows, pivots)]
     zero_row = (_ZERO,) * n
     out.extend(zero_row for _ in range(m - len(pivots)))
     return tuple(out), tuple(pivots)

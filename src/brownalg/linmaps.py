@@ -9,10 +9,12 @@ another map, by the basis tag, and its carrier is only a label.
 The cubic norm is an integer form (`NormForm`, built by
 `algebra.norm_form()`): `NormForm.evaluate` is the algebra's norm, and
 cubic-norm invariance, N(phi x) = N(x), is tested in Python ints against
-the same form.  `is_inv_member` is a deterministic certificate over Q and
-F_p: it compares the coefficients of the cubic form N(phi x) - N(x), read
-off the polar (symmetric trilinear) tensor of the norm form, and evaluates
-the norm at no point.
+the same form.  Points and matrices enter it scaled by `linalg.to_ints`
+and the norm leaves it through `linalg.from_ints`, on both fields.
+`is_inv_member` is a deterministic certificate over Q and F_p: it compares
+the coefficients of the cubic form N(phi x) - N(x), read off the polar
+(symmetric trilinear) tensor of the norm form, and evaluates the norm at no
+point.
 `norm_preserving_sampled` (the guard of `dagger`, which
 `BrownAlgebra.lift_inv` and `outer_fixed_condition` rely on) checks seeded
 random points, drawn once per norm form, field, sample count and seed.
@@ -28,26 +30,26 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 import operator
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import (
     CarrierMismatch,
     NotNormPreserving,
     SingularGram,
 )
-from .fields import _ZERO, PRIME, RATIONALS, FieldSpec
+from .fields import PRIME, RATIONALS, FieldSpec
 from .linalg import (
     PackedColumns,
+    from_ints,
     identity,
     inverse,
     mat_mul,
     mat_vec,
     nullspace,
     solve_right,
+    to_ints,
     transpose,
 )
 
@@ -139,13 +141,12 @@ def _require_albert(phi: LinMap, algebra):
         raise CarrierMismatch("map does not live on this Albert algebra")
 
 
-def _integral(rows, field: FieldSpec):
-    """(D, D * rows) with D the lcm of the entries' denominators, as Python
-    ints.  Over F_p the entries are already residues and D = 1."""
-    if field.kind != RATIONALS:
-        return 1, rows
-    d = math.lcm(*(v.denominator for row in rows for v in row))
-    return d, tuple(tuple(v.numerator * (d // v.denominator) for v in row) for row in rows)
+def _integral(matrix, field: FieldSpec):
+    """(D, D * matrix) in ints as a list of rows, D the lcm of the entries'
+    denominators (`to_ints` of the flattened square matrix)."""
+    n = len(matrix)
+    d, flat = to_ints([v for row in matrix for v in row], field)
+    return d, [flat[i : i + n] for i in range(0, n * n, n)]
 
 
 def _cubic(terms, v) -> int:
@@ -163,15 +164,10 @@ class NormForm:
     den: int
 
     def evaluate(self, x, field: FieldSpec):
-        """N(x) for raw field values, summed in Python ints: mod p over F_p;
-        over Q at v = D x, D the lcm of the denominators of x, as
-        sum c v_i v_j v_k / (den D^3)."""
-        if field.kind != RATIONALS:
-            return _cubic(self.terms, x) % field.p
-        d = math.lcm(*[a.denominator for a in x if a is not _ZERO])
-        v = [0 if a is _ZERO else a.numerator * (d // a.denominator) for a in x]
-        s = _cubic(self.terms, v)
-        return Fraction(s, self.den * d ** 3) if s else _ZERO
+        """N(x) for raw field values, summed in Python ints at v = D x
+        (`to_ints`) as sum c v_i v_j v_k / (den D^3)."""
+        d, v = to_ints(x, field)
+        return from_ints((_cubic(self.terms, v),), self.den * d ** 3, field)[0]
 
 
 @functools.lru_cache(maxsize=16)
@@ -183,7 +179,7 @@ def _sample_points(form, field: FieldSpec, samples: int, seed: int):
     points = []
     for _ in range(samples):
         x = tuple(field.sample_raw(rng, 3) for _ in range(27))
-        (v,) = _integral((x,), field)[1]
+        v = tuple(to_ints(x, field)[1])
         points.append((v, _cubic(form.terms, v)))
     return tuple(points)
 

@@ -106,6 +106,13 @@ def test_fixed_unknown_descriptor_exits_2(capsys):
     assert code == 2
 
 
+def test_fixed_malformed_descriptor_exits_2(capsys):
+    for descriptor in ("t:1,1,,1,1,-1,1", "s..t", ".s", "s.", "t:1,1,1,1,-1,1,"):
+        code, out, err = run(capsys, "fixed", descriptor, "J")
+        assert code == 2, descriptor
+        assert out == "" and repr(descriptor) in err
+
+
 def test_fixed_identity_descriptor_exits_2(capsys):
     code, out, err = run(capsys, "fixed", "t:1,1,1,1,1,1", "B")
     assert code == 2

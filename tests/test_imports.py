@@ -41,3 +41,35 @@ def test_no_unused_import(path):
     used = _referenced(tree)
     unused = [f"{name} (line {line})" for name, line in _imported(tree) if name not in used]
     assert not unused, f"{path.name} imports names it never uses: {', '.join(unused)}"
+
+
+# the one private name a module may take from another: linalg's Q kernels skip
+# the field's shared zero by identity
+ALLOWED_PRIVATE = {("linalg", "fields", "_ZERO")}
+
+
+def _private_uses(tree):
+    """(module, name, line) for each underscore name taken from another
+    module of the package: imported with `from .module import _name`, or
+    read as `module._name` after `from . import module`."""
+    modules = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                if node.module is None:
+                    modules[alias.asname or alias.name] = alias.name
+                elif alias.name.startswith("_") and not alias.name.startswith("__"):
+                    yield node.module, alias.name, node.lineno
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and node.attr.startswith("_")
+                and not node.attr.startswith("__")):
+            yield modules[node.value.id], node.attr, node.lineno
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_private_name_from_another_module(path):
+    tree = ast.parse(path.read_text())
+    found = [f"{module}.{name} (line {line})" for module, name, line in _private_uses(tree)
+             if (path.stem, module, name) not in ALLOWED_PRIVATE]
+    assert not found, f"{path.name} uses private names of other modules: {', '.join(found)}"

@@ -343,6 +343,22 @@ def test_conjugacy_transport_on_j():
             assert verify_conjugacy_transport(g, t, t2)
 
 
+@pytest.mark.parametrize("field", [Fp(7), Q()], ids=str)
+def test_transport_through_a_singular_map(field):
+    """g = (1 + t)/2 projects onto fix(t), so it maps fix(t) onto fix(t)
+    although it is not invertible."""
+    cat = Catalog(field)
+    t = cat.t_on_j()
+    half = field.half()
+    n = t.dim
+    g = LinMap(tuple(tuple(field.mul(half, field.add(v, field.one() if i == j else field.zero()))
+                           for j, v in enumerate(row)) for i, row in enumerate(t.matrix)),
+               field, t.carrier, t.basis_tag)
+    assert linalg.rank(g.matrix, field) == len(t.fixed_space()) < n
+    assert verify_conjugacy_transport(g, t, t)
+    assert not verify_conjugacy_transport(g, t, cat.s_on_j())
+
+
 def test_transport_fails_for_unrelated_involutions():
     cat = cat7()
     ident = identity_map(cat.field, ALBERT, cat.J.basis_tag)
@@ -542,3 +558,17 @@ def test_descriptor_errors():
         cat.realize("varpi", "J")
     with pytest.raises(CarrierMismatch):
         cat.realize("s.t:1,1,1,1,-1,1", "J")
+
+
+@pytest.mark.parametrize("descriptor", [
+    "t:1,1,,1,1,-1,1", "s..t", ".s", "s.", "t:1,1,1,1,-1,1,", "t:", "t:1,1,1,1,-1,1. varpi. ",
+])
+def test_malformed_descriptor_is_rejected(descriptor):
+    with pytest.raises(ValueError, match="empty atom or parameter") as err:
+        cat7().realize(descriptor, "B")
+    assert repr(descriptor) in str(err.value)
+
+
+def test_empty_descriptor_message():
+    with pytest.raises(ValueError, match="empty descriptor"):
+        cat7().realize("", "J")

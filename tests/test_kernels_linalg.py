@@ -546,3 +546,67 @@ def test_non_arithmetic_field_rejects_rref_and_mat_mul():
         linalg.rref(a, real)
     with pytest.raises(NonArithmeticField):
         linalg.mat_mul(a, a, real)
+
+
+# -- the scaled-integer form ----------------------------------------------------------
+
+
+def test_to_ints_q_unlike_denominators():
+    f = Q()
+    d, ints = linalg.to_ints((Fraction(1, 2), _ZERO, Fraction(-2, 3), Fraction(5, 4)), f)
+    assert d == 12
+    assert ints == [6, 0, -8, 15]
+    assert linalg.from_ints(ints, d, f) == (Fraction(1, 2), 0, Fraction(-2, 3), Fraction(5, 4))
+
+
+def test_to_ints_q_reads_an_unshared_zero_as_zero():
+    f = Q()
+    zero = Fraction(0)
+    assert zero is not _ZERO
+    d, ints = linalg.to_ints((zero, Fraction(3, 7)), f)
+    assert (d, ints) == (7, [0, 3])
+    assert linalg.from_ints(ints, d, f)[0] is _ZERO
+
+
+def test_to_ints_q_all_zero_vector_has_denominator_one():
+    f = Q()
+    d, ints = linalg.to_ints((_ZERO, Fraction(0), _ZERO), f)
+    assert (d, ints) == (1, [0, 0, 0])
+    assert all(v is _ZERO for v in linalg.from_ints(ints, d, f))
+    assert linalg.to_ints((), f) == (1, [])
+
+
+def test_from_ints_q_negative_denominator():
+    """rref divides its rows by their pivots, which can be negative."""
+    f = Q()
+    out = linalg.from_ints([4, 0, -6], -8, f)
+    assert out == (Fraction(-1, 2), 0, Fraction(3, 4))
+    assert out[1] is _ZERO
+    assert all(v.denominator > 0 for v in out)
+
+
+def test_to_ints_fp_passes_values_through():
+    f = Fp(7)
+    x = (3, 0, 6, 1)
+    d, ints = linalg.to_ints(x, f)
+    assert d == 1 and ints is x
+    assert linalg.from_ints(ints, d, f) == x
+
+
+def test_from_ints_fp_divides_by_a_unit():
+    f = Fp(7)
+    # 3 is a unit mod 7 with inverse 5; -3 has inverse 2
+    assert linalg.from_ints([1, 0, 6, 10, -4], 3, f) == (5, 0, 2, 1, 1)
+    assert linalg.from_ints([1, 0, 6], -3, f) == (2, 0, 5)
+
+
+def test_from_ints_zeros_are_the_shared_zero():
+    f = Q()
+    rng = random.Random(3)
+    for _ in range(20):
+        x = tuple(Fraction(rng.randint(-2, 2), rng.randint(1, 6)) for _ in range(9))
+        d, ints = linalg.to_ints(x, f)
+        assert [Fraction(v, d) for v in ints] == list(x)
+        back = linalg.from_ints(ints, d, f)
+        assert back == x
+        assert all(b is _ZERO for b in back if not b)
