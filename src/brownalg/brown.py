@@ -18,7 +18,7 @@ from .errors import (
     NotOrderTwo,
 )
 from .kernels import Algebra, Elem, MulTable
-from .linalg import block_diag, identity, in_span, row_space_rref, span_closed
+from .linalg import block_diag, identity, int_span
 from .linmaps import BROWN, LinMap, dagger, is_aut_member
 
 BDIM = 2 + 2 * JDIM
@@ -127,14 +127,16 @@ class BrownAlgebra(Algebra):
             self._table = MulTable(BDIM, entries)
         return self._table
 
-    def bmul_raw(self, x, y):
-        """The Brown product through `mul_table`."""
-        return (self._table or self.mul_table()).apply(x, y, self.field)
+    @property
+    def table(self) -> MulTable:
+        """The product table, `mul_table()`, built on first use."""
+        return self._table or self.mul_table()
 
-    mul_raw = bmul_raw
+    bmul_raw = Algebra.mul_raw
 
     def binv_raw(self, x):
-        return (x[1], x[0]) + x[2:]
+        """(alpha, beta, j, l) -> (beta, alpha, j, l), on a tuple or a list."""
+        return (x[1], x[0], *x[2:])
 
     def binv_map(self) -> LinMap:
         return self.linmap_of(self.binv_raw)
@@ -193,10 +195,10 @@ class BrownAlgebra(Algebra):
         basis = [self.unit_coords] + [
             (zero, zero) + phi1.apply(e) + phi2.apply(e) for e in identity(JDIM, f)
         ]
-        rows, pivots = row_space_rref(basis, f)
-        if not span_closed(rows, pivots, basis, self.bmul_raw, f):
+        span, ints = int_span(basis, f)
+        if not span.closed(ints, self.table.mul_ints):
             raise InternalError("commuting-pair span not closed")
-        if not all(in_span(rows, pivots, self.binv_raw(b), f) for b in basis):
+        if not all(span.contains(self.binv_raw(v)) for v in ints):
             raise InternalError("commuting-pair span not involution-closed")
         return [BrownElem(self, b) for b in basis]
 

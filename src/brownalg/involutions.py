@@ -39,6 +39,7 @@ from .linmaps import (
 )
 
 import random
+import re
 
 
 # -- octonion-level automorphisms -------------------------------------------
@@ -46,7 +47,7 @@ import random
 def is_oct_automorphism(m: LinMap, octonions: CDAlgebra) -> bool:
     if m.basis_tag != octonions.basis_tag:
         raise CarrierMismatch("map does not live on this composition algebra")
-    return is_automorphism(m, octonions.mul_raw, octonions.unit_coords)
+    return is_automorphism(m, octonions.table.mul_ints, octonions.unit_coords)
 
 
 def _base_of(octonions: CDAlgebra) -> CDAlgebra:
@@ -210,31 +211,30 @@ class FixedSubalgebra:
 
 
 def _context_product(phi: LinMap, context):
-    """(product, commutative, involution or None) of the carrier algebra;
-    the exchange involution is checked on Brown space."""
+    """(integer product, commutative, involution or None) of the carrier
+    algebra: `MulTable.mul_ints` of its table, and the exchange involution,
+    a coordinate swap, on Brown space."""
     if phi.basis_tag != context.basis_tag:
         raise CarrierMismatch("map and algebra bases differ")
     involution = context.binv_raw if isinstance(context, BrownAlgebra) else None
-    return context.mul_raw, context.commutative, involution
+    return context.table.mul_ints, context.commutative, involution
 
 
 def fixed_subalgebra(phi: LinMap, context) -> FixedSubalgebra:
     """Exact kernel of (phi - id) with closure verification under the carrier
-    product (and the exchange involution on Brown space)."""
+    product (and the exchange involution on Brown space), on the integer
+    forms of the basis vectors."""
     if not phi.order_divides_two():
         raise NotOrderTwo("fixed subalgebras are computed for maps with phi^2 = id")
     product, commutative, involution = _context_product(phi, context)
-    f = phi.field
     basis = phi.fixed_space()
     closed = True
     inv_closed = None
     if basis:
-        rows, pivots = linalg.row_space_rref(basis, f)
-        closed = linalg.span_closed(rows, pivots, basis, product, f, commutative)
+        span, ints = linalg.int_span(basis, phi.field)
+        closed = span.closed(ints, product, commutative)
         if involution is not None:
-            inv_closed = all(
-                linalg.in_span(rows, pivots, involution(b), f) for b in basis
-            )
+            inv_closed = all(span.contains(involution(v)) for v in ints)
     return FixedSubalgebra(len(basis), tuple(basis), closed, inv_closed)
 
 
@@ -259,16 +259,13 @@ def grade_decompose(phi: LinMap, context, form=None):
     minus = phi.eigenspace(-1)
     if len(plus) + len(minus) != n:
         raise NotOrderTwo("eigenspaces do not fill the carrier (characteristic issue?)")
-    spans = {}
-    for name, part in (("+", plus), ("-", minus)):
-        spans[name] = linalg.row_space_rref(part, f)
+    spans = {"+": linalg.int_span(plus, f), "-": linalg.int_span(minus, f)}
     law = {("+", "+"): "+", ("+", "-"): "-", ("-", "+"): "-", ("-", "-"): "+"}
     for (sa, sb), target in law.items():
-        rows, pivots = spans[target]
-        for va in {"+": plus, "-": minus}[sa]:
-            for vb in {"+": plus, "-": minus}[sb]:
-                prod = product(va, vb)
-                if any(prod) and not linalg.in_span(rows, pivots, prod, f):
+        span = spans[target][0]
+        for va in spans[sa][1]:
+            for vb in spans[sb][1]:
+                if not span.contains(product(va, vb)):
                     raise NotAutomorphism("grading law fails; map is not an algebra automorphism")
     return tuple(plus), tuple(minus)
 
@@ -323,19 +320,33 @@ def isotope_automorphism_check(x: AlbertElem, y: AlbertElem) -> bool:
     mm = alg.linmap(m)
     if not mm.order_divides_two():
         raise NotOrderTwo("U_x U_y does not square to the identity")
-    # {x, y, z} is symmetric in x and z, so the pairs i <= j certify
-    return is_automorphism(mm, lambda a, b: alg.triple_raw(a, y.coords, b),
-                           alg.jinv_raw(y.coords), commutative=True)
+    # {a, y, b} = (a.y).b + (b.y).a - (a.b).y in the integer Jordan table,
+    # D^2 d_y times the triple product for y = y_int / d_y; it is symmetric in
+    # a and b, so the pairs i <= j certify
+    mul = alg.table.mul_ints
+    yi = linalg.to_ints(y.coords, f)[1]
+
+    def triple(a, b):
+        return [u + v - w for u, v, w in
+                zip(mul(mul(a, yi), b), mul(mul(b, yi), a), mul(mul(a, b), yi))]
+
+    return is_automorphism(mm, triple, alg.jinv_raw(y.coords), commutative=True)
 
 
 # -- catalog and descriptors ----------------------------------------------------
+
+# the "." between atoms of a descriptor; a "." before a digit is a decimal point
+_ATOM_SEP = re.compile(r"\.(?!\d)")
+
 
 class Catalog:
     """Canonical algebras and named order-2 maps over one field.
 
     Hermitian-model atoms: "s", "t" (lift of f_{-e}), "t*", "varpi" (B only).
     Torus atoms: "t:eta,nu" (G2, lifted to J), "t:u1,u2,v1,v2" (F4) and
-    "t:u1,...,w2" (E6) on the first Tits construction.  Composition with ".".
+    "t:u1,...,w2" (E6) on the first Tits construction.  Composition with
+    "."; a "." followed by a digit is a decimal point of a parameter, so
+    "t:0.5,2" is one atom.
     """
 
     def __init__(self, field: FieldSpec):
@@ -420,7 +431,7 @@ class Catalog:
             raise ValueError("space must be 'J' or 'B'")
         if not descriptor.strip():
             raise ValueError("empty descriptor")
-        tokens = descriptor.split(".")
+        tokens = _ATOM_SEP.split(descriptor)
         params = [arg for tok in tokens if ":" in tok for arg in tok.partition(":")[2].split(",")]
         if not all(tok.strip() for tok in tokens + params):
             raise ValueError(f"empty atom or parameter in descriptor {descriptor!r}")

@@ -9,31 +9,25 @@ data) and the Brown product (`BrownAlgebra.mul_table()`, derived from the
 cross table, the Gram matrix and zeta).  No table is built by evaluating a
 product; the cross and Brown tables are built on first use and cached.
 
-`MulTable.apply` is the one bilinear-product kernel for both fields: the
-entries are grouped by their first index and zero coordinates of either
-operand are skipped, so sparse inputs cost proportionally less.  Over Q a
-zero that is the field's shared `zero()` is skipped by identity, without a
-Python-level `Fraction.__bool__`.  Over F_p
-the accumulated integers are reduced mod p once, at the end.  On these
-sparse tables (the Brown table has 704 entries in dimension 56) the
-per-entry loop is faster than the packed rows of `linalg`.
-
-Each table also has an integer form (`MulTable.int_table`, built on first
-use and cached beside the grouped entries): the coefficients scaled by D, the
-lcm of their denominators (D is 1 over F_p).  Two kernels read it, on integer
-vectors: `mul_ints` gives D (x.y) and `left_ints` gives D L_x, the matrix of
-y -> D (x.y), in the scaled-integer form of `linalg.to_ints` and
-`linalg.from_ints`.  The Albert operators, where one input feeds 27 to 729
-outputs, run on these; `apply` keeps its sparse per-entry loop, because
-converting each sparse 56-dimensional Brown vector costs more than it saves.
+Each table has an integer form (`MulTable.int_table`, built on first use
+and cached): the coefficients scaled by D, the lcm of their denominators (D
+is 1 over F_p), grouped by their first index.  Two kernels read it, on the
+integer vectors of `linalg.to_ints`: `mul_ints` gives D (x.y) and
+`left_ints` gives D L_x, the matrix of y -> D (x.y); both skip the zero
+coordinates of their operands, so sparse inputs cost proportionally less.
+Every product of the package runs on them.  `MulTable.apply`, the product of
+field values, is `to_ints`, `mul_ints` and one `from_ints` on both fields;
 `MulTable.left_matrix`, the matrix of y -> x.y, is `left_ints` converted
-back.
+back.  The Albert operators work on `mul_ints` and `left_ints` directly,
+and the closure and automorphism certificates (`linalg.span_closed`,
+`linmaps.is_automorphism`) take `mul_ints` as their product, so a vector or
+a map is scaled to integers once and no `Fraction` is made in their loops.
 
 `Algebra` is what the three algebras of the tower (`CDAlgebra`,
 `AlbertAlgebra`, `BrownAlgebra`) share.  Each sets `field`, `dim`,
 `basis_tag`, `table`, `unit_coords`, `carrier`, `commutative` and `elem` (its
 element class), and inherits the product through its table (`mul_raw`;
-`BrownAlgebra` builds its table on first use and overrides it), element
+`BrownAlgebra` builds its table on first use), element
 construction, the unit, zero and standard basis, seeded sampling, `linmap`
 (a `LinMap` on the algebra's carrier space and basis), `linmap_of` (the map
 of a linear function on coordinate tuples, read off the images of the
@@ -51,7 +45,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import AlgebraMismatch
-from .fields import PRIME, FieldSpec
+from .fields import FieldSpec
 from .linalg import from_ints, identity, to_ints, transpose
 from .linmaps import LinMap
 
@@ -64,21 +58,12 @@ class MulTable:
     """Sparse bilinear map V x V -> V given by entries (i, j, k, coeff):
     out_k = sum coeff * x_i * y_j."""
 
-    __slots__ = ("n", "entries", "_by_i", "_int")
+    __slots__ = ("n", "entries", "_int")
 
     def __init__(self, n: int, entries):
         self.n = n
         self.entries = tuple(entries)
-        self._by_i = None
         self._int = None
-
-    def _grouped(self):
-        if self._by_i is None:
-            by_i = [[] for _ in range(self.n)]
-            for i, j, k, c in self.entries:
-                by_i[i].append((j, k, c))
-            self._by_i = by_i
-        return self._by_i
 
     def int_table(self):
         """(D, rows): D the lcm of the denominators of the coefficients (1
@@ -86,24 +71,18 @@ class MulTable:
         i, in ints; built on first use and cached."""
         if self._int is None:
             D = math.lcm(*[c.denominator for _, _, _, c in self.entries])
-            self._int = (D, [[(j, k, c.numerator * (D // c.denominator)) for j, k, c in row]
-                             for row in self._grouped()])
+            rows = [[] for _ in range(self.n)]
+            for i, j, k, c in self.entries:
+                rows[i].append((j, k, c.numerator * (D // c.denominator)))
+            self._int = (D, rows)
         return self._int
 
     def apply(self, x, y, field: FieldSpec):
-        zero = field.zero()
-        out = [zero] * self.n
-        for i, row in enumerate(self._grouped()):
-            xv = x[i]
-            if xv is not zero and xv:
-                for j, k, c in row:
-                    yv = y[j]
-                    if yv is not zero and yv:
-                        out[k] += c * xv * yv
-        if field.kind == PRIME:
-            p = field.p
-            return tuple([v % p for v in out])
-        return tuple(out)
+        """x.y for field values: `mul_ints` on the `to_ints` forms of x and y,
+        converted back once."""
+        dx, xi = to_ints(x, field)
+        dy, yi = to_ints(y, field)
+        return from_ints(self.mul_ints(xi, yi), self.int_table()[0] * dx * dy, field)
 
     def mul_ints(self, x, y):
         """D (x.y) for integer vectors x and y, D from `int_table`."""

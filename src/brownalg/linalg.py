@@ -26,6 +26,13 @@ back once per entry, one `Fraction` per nonzero entry over Q (zeros are the
 field's shared `zero()`) and one reduction mod p over F_p.  The integer
 kernels of `kernels`, `albert` and `linmaps` read and write this form.
 
+Span membership is one kernel for both fields, `IntSpan`: an RREF row space
+is scaled to integers once, and an integer vector is tested against it with
+no `Fraction` made, compared in ints over Q and mod p over F_p.  Membership
+does not change when a vector is scaled, so `span_closed` tests the products
+of the `to_ints` forms of its vectors, made by an integer product such as
+`MulTable.mul_ints`; `in_span` is `to_ints` and the same test.
+
 Over Q, `mat_mul` and `rref` run on Python ints in this form.  `rref`
 eliminates fraction-free on primitive integer rows (Bareiss, Math. Comp. 22,
 1968; Cohen, *A Course in Computational Algebraic Number Theory*, 2.2).  Row
@@ -36,6 +43,7 @@ the result equals Gauss-Jordan elimination in `Fraction`s entry for entry.
 from __future__ import annotations
 
 import math
+import operator
 import struct
 import sys
 from fractions import Fraction
@@ -337,34 +345,83 @@ def row_space_rref(vectors, field: FieldSpec):
     return rows[: len(pivots)], pivots
 
 
+class IntSpan:
+    """A row space given in RREF, held for membership tests of integer
+    vectors: for each RREF row its pivot column and its non-pivot entries,
+    scaled by `to_ints` to L, the lcm of the rows' denominators.
+
+    With RREF rows R_r = ints_r / d_r and pivot columns pc_r, a vector w lies
+    in the span iff w = sum_r w[pc_r] R_r; that holds at the pivot columns by
+    construction, so it is L w[k] = sum_r w[pc_r] (L / d_r) ints_r[k] at every
+    non-pivot column k, compared in ints over Q and mod p over F_p.  The test
+    does not change when w is scaled, so w may be any integer multiple of a
+    vector, such as the `to_ints` form of field values or a product
+    `MulTable.mul_ints` of such forms."""
+
+    __slots__ = ("p", "mask", "rows")
+
+    def __init__(self, rref_rows, pivots, n: int, field: FieldSpec):
+        self.p = _modulus(field) if field.kind != RATIONALS else 0
+        scaled = [to_ints(row, field) for row in rref_rows]
+        lcm = math.lcm(*[d for d, _ in scaled])
+        pivot_set = set(pivots)
+        # L = lcm at the non-pivot columns and 0 at the pivot columns
+        self.mask = [0 if k in pivot_set else lcm for k in range(n)]
+        rows = []
+        for pc, (d, ints) in zip(pivots, scaled):
+            s = lcm // d
+            entries = [(k, s * v) for k, v in enumerate(ints) if v and k not in pivot_set]
+            if entries:
+                rows.append((pc, entries))
+        self.rows = rows
+
+    def contains(self, w) -> bool:
+        """Whether the integer vector w (of length n) lies in the span: the
+        vector L w - sum_r w[pc_r] (L / d_r) ints_r, kept at the non-pivot
+        columns, is zero (mod p over F_p)."""
+        acc = list(map(operator.mul, w, self.mask))
+        for pc, entries in self.rows:
+            x = w[pc]
+            if x:
+                for k, c in entries:
+                    acc[k] -= x * c
+        p = self.p
+        return not any([v % p for v in acc] if p else acc)
+
+    def closed(self, vectors, product, commutative: bool = False) -> bool:
+        """Whether product(x, y) lies in the span for every ordered pair of the
+        integer vectors, the pairs i <= j for a commutative product."""
+        for i, x in enumerate(vectors):
+            for y in vectors[i:] if commutative else vectors:
+                if not self.contains(product(x, y)):
+                    return False
+        return True
+
+
+def int_span(vectors, field: FieldSpec):
+    """(span, ints): the `IntSpan` of the row space of the vectors and their
+    `to_ints` forms, for closure tests on the vectors themselves."""
+    rows, pivots = row_space_rref(vectors, field)
+    span = IntSpan(rows, pivots, len(vectors[0]) if vectors else 0, field)
+    return span, [to_ints(v, field)[1] for v in vectors]
+
+
 def in_span(rref_rows, pivots, v, field: FieldSpec) -> bool:
-    """Membership of v in a row space presented in RREF; the row updates skip
-    the zero entries of each RREF row."""
-    w = list(v)
-    if field.kind == PRIME:
-        p = field.p
-        for row, pc in zip(rref_rows, pivots):
-            f = w[pc]
-            if f:
-                w = [(wi - f * ri) % p if ri else wi for wi, ri in zip(w, row)]
-        return not any(w)
-    for row, pc in zip(rref_rows, pivots):
-        f = w[pc]
-        if f is not _ZERO and f:
-            w = [wi - f * ri if ri is not _ZERO and ri else wi for wi, ri in zip(w, row)]
-    return all(wi is _ZERO or not wi for wi in w)
+    """Membership of field values v in a row space presented in RREF
+    (`IntSpan` on the `to_ints` form of v)."""
+    return IntSpan(rref_rows, pivots, len(v), field).contains(to_ints(v, field)[1])
 
 
 def span_closed(rref_rows, pivots, vectors, product, field: FieldSpec,
                 commutative: bool = False) -> bool:
-    """Whether product(x, y) lies in the RREF row space for every ordered
-    pair of the given vectors; a commutative product needs only the pairs
-    with i <= j."""
-    for i, x in enumerate(vectors):
-        for y in vectors[i:] if commutative else vectors:
-            if not in_span(rref_rows, pivots, product(x, y), field):
-                return False
-    return True
+    """Whether the product of every ordered pair of the given vectors lies in
+    the RREF row space; a commutative product needs only the pairs with
+    i <= j.  `product` acts on the `to_ints` forms of the vectors and may
+    return any nonzero integer multiple of their product, such as
+    `MulTable.mul_ints`."""
+    n = len(vectors[0]) if vectors else 0
+    ints = [to_ints(v, field)[1] for v in vectors]
+    return IntSpan(rref_rows, pivots, n, field).closed(ints, product, commutative)
 
 
 def same_span(vecs_a, vecs_b, field: FieldSpec) -> bool:

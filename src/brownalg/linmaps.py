@@ -18,9 +18,12 @@ point.
 `norm_preserving_sampled` (the guard of `dagger`, which
 `BrownAlgebra.lift_inv` and `outer_fixed_condition` rely on) checks seeded
 random points, drawn once per norm form, field, sample count and seed.
+A map keeps its dagger once computed, so `dagger` and a `lift_inv` of the
+same map solve the trace-form system once.
 `is_automorphism` certifies multiplicativity on basis pairs for any
-bilinear product: `is_aut_member` on the Albert algebra, and the octonion
-and isotope checks of `involutions`.
+bilinear integer product of fixed scale, such as `MulTable.mul_ints`, on the
+integer matrix of the map: `is_aut_member` on the Albert algebra, and the
+octonion and isotope checks of `involutions`.
 
 This module never imports the algebra modules; algebra objects are passed in
 and used through their raw-operation methods.
@@ -98,6 +101,11 @@ class LinMap:
     def _packed(self) -> PackedColumns:
         """The packed columns of an F_p map, built on its first `apply`."""
         return PackedColumns(self.matrix, self.field.p)
+
+    @functools.cached_property
+    def _daggers(self) -> dict:
+        """The map's `dagger` by algebra basis tag, filled by `dagger`."""
+        return {}
 
     def apply(self, coords):
         if self.field.kind == PRIME:
@@ -270,27 +278,49 @@ def is_inv_member(phi: LinMap, algebra) -> bool:
 
 
 def is_automorphism(phi: LinMap, product, unit, commutative: bool = False) -> bool:
-    """Exact: phi(unit) = unit and phi(product(e_i, e_j)) =
-    product(phi e_i, phi e_j) for every basis pair, the pairs i <= j for a
-    commutative product (a bilinear product is determined by its values on
-    basis pairs, so they certify).  Stops at the first failing pair."""
-    if phi.apply(unit) != unit:
-        return False
+    """Exact: phi(unit) = unit and phi(e_i . e_j) = phi(e_i) . phi(e_j) for
+    every basis pair, the pairs i <= j for a commutative product (a bilinear
+    product is determined by its values on basis pairs, so they certify).
+    Stops at the first failing pair.
+
+    `product` is bilinear on integer vectors and returns D (x.y) for one
+    fixed scale D, as `MulTable.mul_ints` does.  With M = d phi the integer
+    matrix of the map (`to_ints`) and u the `to_ints` form of the unit, the
+    unit law reads M u = d u and the pair (i, j) reads
+    d M (D e_i.e_j) = product(M e_i, M e_j); both are compared in ints over Q
+    and mod p over F_p."""
+    f = phi.field
+    p = f.p if f.kind != RATIONALS else 0
+    d, m = _integral(phi.matrix, f)
     n = phi.dim
-    basis = identity(n, phi.field)
-    images = [phi.apply(b) for b in basis]
+    cols = [list(c) for c in zip(*m)]
+
+    def differ(s, v, w):
+        """Whether s M v and w differ."""
+        out = [0] * n
+        for k, x in enumerate(v):
+            if x:
+                out = [o + x * c for o, c in zip(out, cols[k])]
+        diff = [s * o - y for o, y in zip(out, w)]
+        return any([e % p for e in diff] if p else diff)
+
+    u = to_ints(unit, f)[1]
+    if differ(1, u, [d * x for x in u]):
+        return False
+    basis = [[int(i == j) for j in range(n)] for i in range(n)]
     for i in range(n):
         for j in range(i if commutative else 0, n):
-            if phi.apply(product(basis[i], basis[j])) != product(images[i], images[j]):
+            if differ(d, product(basis[i], basis[j]), product(cols[i], cols[j])):
                 return False
     return True
 
 
 def is_aut_member(phi: LinMap, algebra) -> bool:
     """Exact: phi(e) = e and phi(e_i . e_j) = phi(e_i) . phi(e_j) for every
-    basis pair i <= j of the Albert algebra (`is_automorphism`)."""
+    basis pair i <= j of the Albert algebra (`is_automorphism` on the
+    integer Jordan table)."""
     _require_albert(phi, algebra)
-    return is_automorphism(phi, algebra.jmul_raw, algebra.unit_coords, commutative=True)
+    return is_automorphism(phi, algebra.table.mul_ints, algebra.unit_coords, commutative=True)
 
 
 # the seeded points of the norm guard of `dagger`
@@ -301,8 +331,12 @@ _DAGGER_SEED = 1
 def dagger(phi: LinMap, algebra) -> LinMap:
     """The unique psi with Tr(phi x, psi y) = Tr(x, y): solves
     M^T G psi = G exactly.  phi must preserve the cubic norm, which is
-    checked at `_DAGGER_SAMPLES` seeded points."""
+    checked at `_DAGGER_SAMPLES` seeded points.  The result is kept on phi,
+    so a map's dagger is computed once; a failure is not kept."""
     _require_albert(phi, algebra)
+    dag = phi._daggers.get(algebra.basis_tag)
+    if dag is not None:
+        return dag
     if not norm_preserving_sampled(phi, algebra, _DAGGER_SAMPLES, _DAGGER_SEED):
         raise NotNormPreserving("dagger is only defined on Inv(J)")
     g = algebra.gram
@@ -310,4 +344,5 @@ def dagger(phi: LinMap, algebra) -> LinMap:
     sol = solve_right(lhs, g, algebra.field)
     if sol is None:
         raise SingularGram("trace-form system unexpectedly singular")
-    return algebra.linmap(sol)
+    dag = phi._daggers[algebra.basis_tag] = algebra.linmap(sol)
+    return dag

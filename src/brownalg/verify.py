@@ -284,7 +284,7 @@ def check_beth(ctx):
     if len(basis) != 11 or linalg.rank(tuple(basis), alg.field) != 11:
         _fail("beth basis is not 11 independent vectors")
     rows, piv = linalg.row_space_rref(basis, alg.field)
-    if not linalg.span_closed(rows, piv, basis, alg.jmul_raw, alg.field, commutative=True):
+    if not linalg.span_closed(rows, piv, basis, alg.table.mul_ints, alg.field, commutative=True):
         _fail("beth is not closed under the Jordan product")
 
 

@@ -113,6 +113,23 @@ def test_fixed_malformed_descriptor_exits_2(capsys):
         assert out == "" and repr(descriptor) in err
 
 
+def test_fixed_decimal_torus_parameters(capsys):
+    """Decimal torus parameters are read as numbers: t:1.0,1,1,1,-1.0,1 fixes
+    what t:1,1,1,1,-1,1 fixes, and t:0.5,2 is two parameters of a map of
+    infinite order."""
+    reports = []
+    for descriptor in ("t:1.0,1,1,1,-1.0,1", "t:1,1,1,1,-1,1"):
+        code, out, err = run(capsys, "fixed", descriptor, "J", "--field", "Q", "--json")
+        assert code == 0, err
+        report = json.loads(out)
+        assert report.pop("descriptor") == descriptor
+        reports.append(report)
+    assert reports[0] == reports[1] and reports[0]["dimension"] == 15
+    code, out, err = run(capsys, "fixed", "t:0.5,2", "J", "--field", "Q")
+    assert code == 2
+    assert "does not have order 2" in err and "parameters" not in err
+
+
 def test_fixed_identity_descriptor_exits_2(capsys):
     code, out, err = run(capsys, "fixed", "t:1,1,1,1,1,1", "B")
     assert code == 2

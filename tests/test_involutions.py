@@ -569,6 +569,16 @@ def test_malformed_descriptor_is_rejected(descriptor):
     assert repr(descriptor) in str(err.value)
 
 
+@pytest.mark.parametrize("field", [Q(), Fp(7)], ids=str)
+def test_decimal_torus_parameters(field):
+    """A "." before a digit is a decimal point, not an atom separator."""
+    cat = Catalog(field)
+    assert cat.realize("t:0.5,2", "J").matrix == cat.realize("t:1/2,2", "J").matrix
+    assert cat.realize("t:1.0,-1.0.varpi", "B").matrix == cat.realize("t:1,-1.varpi", "B").matrix
+    assert (cat.realize("t:1,1,1,1,-1.0,1.varpi", "B").matrix
+            == cat.realize("t:1,1,1,1,-1,1.varpi", "B").matrix)
+
+
 def test_empty_descriptor_message():
     with pytest.raises(ValueError, match="empty descriptor"):
         cat7().realize("", "J")

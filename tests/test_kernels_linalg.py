@@ -7,7 +7,7 @@ from brownalg import linalg
 from brownalg.albert import split_albert
 from brownalg.errors import NonArithmeticField
 from brownalg.fields import _ZERO, FieldSpec, Fp, Q
-from brownalg.involutions import Catalog
+from brownalg.involutions import Catalog, fixed_subalgebra
 from brownalg.kernels import BACKEND, MulTable
 from brownalg.linmaps import BROWN, LinMap
 
@@ -60,8 +60,8 @@ def test_nullspace_dimension_theorem():
 
 def test_nullspace_zeros_are_the_shared_zero_over_q():
     """Over Q every zero entry of a nullspace basis is `fields._ZERO`, the
-    value the `is not zero` shortcuts of `MulTable.apply` and `in_span`
-    skip: on a small matrix whose pivot rows hold zeros in a free column,
+    value the `is not zero` shortcut of `linalg.to_ints` skips: on a small
+    matrix whose pivot rows hold zeros in a free column,
     and on the fixed space of t.varpi on B."""
     f = Q()
     a = tuple(tuple(Fraction(v) for v in row) for row in ((1, 0, 1, 2), (0, 1, 0, 3)))
@@ -610,3 +610,110 @@ def test_from_ints_zeros_are_the_shared_zero():
         back = linalg.from_ints(ints, d, f)
         assert back == x
         assert all(b is _ZERO for b in back if not b)
+
+
+# -- the integer membership kernel against Fraction references ---------------------------
+
+def _ref_q_in_span(rows, pivots, v):
+    """Reduction of v by every RREF row in Fractions, no entry skipped."""
+    w = list(v)
+    for row, pc in zip(rows, pivots):
+        c = w[pc]
+        w = [x - c * r for x, r in zip(w, row)]
+    return not any(w)
+
+
+def test_q_span_membership_matches_fraction_reference():
+    """Over Q, RREF rows with negative, non-integral entries of unlike
+    denominators: random members, integer multiples of their `to_ints`
+    forms, and every one-coordinate near-miss agree with reduction in
+    Fractions."""
+    q = Q()
+    rng = random.Random(16)
+    seen = set()
+    for _ in range(6):
+        a = tuple(tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 6)) if rng.random() < 0.5
+                        else Fraction(0) for _ in range(9)) for _ in range(4))
+        rows, pivots = linalg.row_space_rref(a, q)
+        seen |= {(v < 0, v.denominator > 1) for row in rows for v in row if v}
+        span = linalg.IntSpan(rows, pivots, 9, q)
+        coeffs = [Fraction(rng.randint(-4, 4), rng.randint(1, 5)) for _ in a]
+        member = tuple(sum((c * r[j] for c, r in zip(coeffs, a)), Fraction(0)) for j in range(9))
+        assert _ref_q_in_span(rows, pivots, member)
+        assert linalg.in_span(rows, pivots, member, q)
+        ints = linalg.to_ints(member, q)[1]
+        assert span.contains(ints) and span.contains([-3 * v for v in ints])
+        for j in range(9):
+            for delta in (Fraction(1, 7), Fraction(-2)):
+                miss = tuple(v + delta if k == j else v for k, v in enumerate(member))
+                expected = _ref_q_in_span(rows, pivots, miss)
+                assert linalg.in_span(rows, pivots, miss, q) == expected
+                assert span.contains(linalg.to_ints(miss, q)[1]) == expected
+    assert (True, True) in seen
+
+
+def _ref_q_product(table):
+    def product(x, y):
+        out = [Fraction(0)] * table.n
+        for i, j, k, c in table.entries:
+            out[k] += c * x[i] * y[j]
+        return tuple(out)
+    return product
+
+
+def test_span_closed_matches_fraction_reference():
+    """`span_closed` with the integer Jordan product `mul_ints` agrees with
+    products and reductions in Fractions, on a closed fixed subalgebra of J
+    and on sets whose products leave their span."""
+    q = Q()
+    cat = Catalog(q)
+    J = cat.J
+    ref = _ref_q_product(J.table)
+    rng = random.Random(17)
+    fixed = cat.realize_involution("s", "J").fixed_space()
+    cases = [fixed, fixed[:10] + [J.sample(rng).coords], [J.sample(rng).coords for _ in range(3)]]
+    verdicts = []
+    for vecs in cases:
+        rows, pivots = linalg.row_space_rref(vecs, q)
+        expected = all(_ref_q_in_span(rows, pivots, ref(x, y)) for x in vecs for y in vecs)
+        assert linalg.span_closed(rows, pivots, vecs, J.table.mul_ints, q, commutative=True) == expected
+        verdicts.append(expected)
+    assert verdicts == [True, False, False]
+
+
+def test_apply_matches_fraction_reference_over_q():
+    """`MulTable.apply` over Q (`to_ints`, `mul_ints`, `from_ints`) equals the
+    sum over the entries in Fractions, on non-integral coefficients and
+    inputs with zeros, an unshared Fraction(0) among them; its zeros are the
+    shared zero()."""
+    q = Q()
+    rng = random.Random(18)
+    n = 7
+    table = MulTable(n, [(rng.randrange(n), rng.randrange(n), rng.randrange(n),
+                          Fraction(rng.randint(-6, 6), rng.randint(1, 5))) for _ in range(30)])
+    ref = _ref_q_product(table)
+    for _ in range(10):
+        x = tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 6)) if rng.random() < 0.6
+                  else Fraction(0) for _ in range(n))
+        y = tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 6)) if rng.random() < 0.6
+                  else _ZERO for _ in range(n))
+        got = table.apply(x, y, q)
+        assert got == ref(x, y)
+        assert all(v is _ZERO for v in got if not v)
+
+
+def test_fixed_subalgebra_closure_runs_on_integers(monkeypatch):
+    """Over Q the closure and involution checks of `fixed_subalgebra` run on
+    integer vectors: neither `MulTable.apply` nor `linalg.in_span` is called."""
+    cat = Catalog(Q())
+    cases = [(cat.realize_involution("t.varpi", "B"), cat.B, 28, True),
+             (cat.realize_involution("s", "J"), cat.J, 11, None)]
+
+    def forbidden(*args):
+        raise AssertionError("field-value product or membership in the closure loop")
+
+    monkeypatch.setattr(MulTable, "apply", forbidden)
+    monkeypatch.setattr(linalg, "in_span", forbidden)
+    for phi, ctx, dim, inv_closed in cases:
+        rep = fixed_subalgebra(phi, ctx)
+        assert (rep.dimension, rep.product_closed, rep.involution_closed) == (dim, True, inv_closed)

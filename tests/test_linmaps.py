@@ -1,15 +1,17 @@
+import functools
 import itertools
 import math
 import random
 
 import pytest
 
-from brownalg import linmaps
+from brownalg import linalg, linmaps
 from brownalg.albert import AlbertAlgebra, hermitian, mat3_mul, split_albert, tits
 from brownalg.cayley import CDAlgebra
 from brownalg.errors import CarrierMismatch, NotNormPreserving
 from brownalg.fields import FieldSpec, Fp, Q
-from brownalg.involutions import Catalog
+from brownalg.involutions import Catalog, isotope_automorphism_check
+from brownalg.kernels import MulTable
 from brownalg.linmaps import (
     ALBERT,
     LinMap,
@@ -374,3 +376,149 @@ def test_guard_points_match_reference_and_are_drawn_once(name, monkeypatch):
     assert norm_preserving_sampled(u, alg, 40, 1)
     assert not norm_preserving_sampled(_perturbed(u), alg, 40, 1)
     assert draws == []
+
+
+# -- the integer automorphism certificate against field-value references ---------------
+
+def _ref_product(table, field):
+    """x.y summed from the table's entries in field values."""
+    def product(x, y):
+        out = [field.zero()] * table.n
+        for i, j, k, c in table.entries:
+            if x[i] and y[j]:
+                out[k] = field.add(out[k], field.mul(c, field.mul(x[i], y[j])))
+        return tuple(out)
+    return product
+
+
+def _ref_failures(matrix, product, unit, field, commutative=False):
+    """Where the map of `matrix` breaks phi(unit) = unit ("unit") or
+    phi(e_i.e_j) = phi(e_i).phi(e_j) (the pair (i, j)), in field values."""
+    n = len(matrix)
+
+    def apply(v):
+        out = []
+        for row in matrix:
+            acc = field.zero()
+            for a, x in zip(row, v):
+                if a and x:
+                    acc = field.add(acc, field.mul(a, x))
+            out.append(acc)
+        return tuple(out)
+
+    basis = [tuple(field.one() if i == j else field.zero() for j in range(n)) for i in range(n)]
+    images = [apply(b) for b in basis]
+    bad = [] if apply(unit) == tuple(unit) else ["unit"]
+    for i in range(n):
+        for j in range(i if commutative else 0, n):
+            if apply(product(basis[i], basis[j])) != product(images[i], images[j]):
+                bad.append((i, j))
+    return bad
+
+
+def _dual_number_table(field):
+    """e0 the unit, e1.e1 = (3/2) e2, every other product of e1, e2 zero."""
+    c = field.parse_scalar("3/2")
+    one = field.one()
+    return MulTable(3, [(0, 0, 0, one), (0, 1, 1, one), (1, 0, 1, one), (0, 2, 2, one),
+                        (2, 0, 2, one), (1, 1, 2, c)])
+
+
+@pytest.mark.parametrize("name, a, bad_b", [("Q", "-1/2", "1/3"), ("Fp:7", "3", "5")])
+def test_is_automorphism_breaks_on_exactly_one_pair(name, a, bad_b):
+    """diag(1, a, b) fixes the unit and is an automorphism of the table iff
+    b = a^2; otherwise it breaks only the pair (1, 1).  Over Q the map's
+    denominator (6) and the table's (2) both exceed 1."""
+    f = FIELDS[name]
+    table = _dual_number_table(f)
+    unit = (f.one(), f.zero(), f.zero())
+    a = f.parse_scalar(a)
+    for b, verdict in ((f.mul(a, a), True), (f.parse_scalar(bad_b), False)):
+        m = ((f.one(), f.zero(), f.zero()), (f.zero(), a, f.zero()), (f.zero(), f.zero(), b))
+        phi = LinMap(m, f, "dual3", "dual3")
+        for commutative in (False, True):
+            bad = _ref_failures(m, _ref_product(table, f), unit, f, commutative)
+            assert bad == ([] if verdict else [(1, 1)])
+            assert linmaps.is_automorphism(phi, table.mul_ints, unit, commutative) is verdict
+    zero = tuple((f.zero(),) * 3 for _ in range(3))
+    assert _ref_failures(zero, _ref_product(table, f), unit, f) == ["unit"]
+    assert not linmaps.is_automorphism(LinMap(zero, f, "dual3", "dual3"), table.mul_ints, unit)
+
+
+def test_is_aut_member_matches_reference_on_non_integral_maps():
+    """Over Q the lift of the G2 torus element t:1/2,2 (entries 1/2 and 2)
+    is an automorphism of J and a unit-norm U-operator is not; the integer
+    certificate agrees with products summed in Fractions."""
+    cat = Catalog(Q())
+    J = cat.J
+    x = J.sample_norm_one(random.Random(3), 2)
+    lift = cat.realize("t:1/2,2", "J")
+    assert any(v.denominator > 1 for row in lift.matrix for v in row)
+    for phi in (lift, _uop_map(J, x)):
+        bad = _ref_failures(phi.matrix, _ref_product(J.table, J.field), J.unit_coords,
+                            J.field, commutative=True)
+        assert is_aut_member(phi, J) is (not bad)
+    assert is_aut_member(lift, J)
+
+
+def _ref_isotope_check(x, y):
+    """The isotope check in field values: U_x U_y against the triple product
+    {a, y, b} = (a.y).b + (b.y).a - (a.b).y summed from the Jordan table, and
+    the isotope unit y^-1."""
+    alg = x.algebra
+    f = alg.field
+    mul = _ref_product(alg.table, f)
+
+    def triple(a, b):
+        ay_b, by_a, ab_y = mul(mul(a, y.coords), b), mul(mul(b, y.coords), a), mul(mul(a, b), y.coords)
+        return tuple(f.sub(f.add(u, v), w) for u, v, w in zip(ay_b, by_a, ab_y))
+
+    ux, uy = alg.uop_matrix(x.coords), alg.uop_matrix(y.coords)
+    m = tuple(tuple(functools.reduce(f.add, map(f.mul, row, col)) for col in zip(*uy)) for row in ux)
+    return not _ref_failures(m, triple, alg.jinv_raw(y.coords), f, commutative=True)
+
+
+@pytest.mark.parametrize("name, x, y, verdict", [
+    ("Q", (1, 1, 1), (1, 1, 1), True),
+    ("Q", (1, -1, -1), (1, 1, 1), True),
+    ("Q", (1, -1, 1), (-1, 1, -1), True),
+    # i = 5 is a square root of -1 mod 13: U_{i e} = -id moves the unit
+    ("Fp:13", (5, 5, 5), (1, 1, 1), False),
+    ("Fp:13", (5, 5, 5), (1, -1, -1), False),
+    ("Fp:13", (1, -1, -1), (1, 1, 1), True),
+])
+def test_isotope_automorphism_check_matches_reference(name, x, y, verdict):
+    """Over Q the verdict is always True: U_x U_y of order 2 fixes y^-1 up
+    to sign, and the sign -1 needs N(x)^2 N(y)^2 = -1.  Over F_13 it does not."""
+    f = Q() if name == "Q" else Fp(13)
+    alg = Catalog(f).J
+    x, y = alg.diag(*x), alg.diag(*y)
+    assert _ref_isotope_check(x, y) is verdict
+    assert isotope_automorphism_check(x, y) is verdict
+
+
+@pytest.mark.parametrize("name", ["Q", "Fp:7"])
+def test_dagger_is_computed_once_per_map(name, monkeypatch):
+    """A map keeps its dagger: a second `dagger` and a `lift_inv` of the same
+    map solve nothing; an equal but distinct map solves again and gets the
+    same matrix; a failed guard is not kept and raises again."""
+    f = FIELDS[name]
+    cat = Catalog(f)
+    J = cat.J
+    solves = []
+    solve_right = linmaps.solve_right
+    monkeypatch.setattr(linmaps, "solve_right", lambda *args: solves.append(1) or solve_right(*args))
+    u = _uop_map(J, J.sample_norm_one(random.Random(6), 2))
+    dag = dagger(u, J)
+    assert dagger(u, J) is dag
+    lifted = cat.B.lift_inv(u)
+    assert lifted.matrix == cat.B.linmap(
+        linalg.block_diag((linalg.identity(2, f), u.matrix, dag.matrix), f)).matrix
+    assert len(solves) == 1
+    assert dagger(LinMap(u.matrix, f, ALBERT, J.basis_tag), J).matrix == dag.matrix
+    assert len(solves) == 2
+    three = _scalar_map(J, 3)
+    for _ in range(2):
+        with pytest.raises(NotNormPreserving):  # N(3x) = 27 N(x)
+            dagger(three, J)
+    assert len(solves) == 2
