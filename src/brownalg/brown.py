@@ -130,7 +130,7 @@ class BrownAlgebra(Algebra):
     @property
     def table(self) -> MulTable:
         """The product table, `mul_table()`, built on first use."""
-        return self._table or self.mul_table()
+        return self.mul_table()
 
     bmul_raw = Algebra.mul_raw
 

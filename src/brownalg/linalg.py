@@ -26,12 +26,8 @@ back once per entry, one `Fraction` per nonzero entry over Q (zeros are the
 field's shared `zero()`) and one reduction mod p over F_p.  The integer
 kernels of `kernels`, `albert` and `linmaps` read and write this form.
 
-Span membership is one kernel for both fields, `IntSpan`: an RREF row space
-is scaled to integers once, and an integer vector is tested against it with
-no `Fraction` made, compared in ints over Q and mod p over F_p.  Membership
-does not change when a vector is scaled, so `span_closed` tests the products
-of the `to_ints` forms of its vectors, made by an integer product such as
-`MulTable.mul_ints`; `in_span` is `to_ints` and the same test.
+Span membership is one kernel for both fields, `IntSpan`, on integer
+vectors in this form; `in_span` and `span_closed` run on it.
 
 Over Q, `mat_mul` and `rref` run on Python ints in this form.  `rref`
 eliminates fraction-free on primitive integer rows (Bareiss, Math. Comp. 22,
@@ -346,17 +342,15 @@ def row_space_rref(vectors, field: FieldSpec):
 
 
 class IntSpan:
-    """A row space given in RREF, held for membership tests of integer
-    vectors: for each RREF row its pivot column and its non-pivot entries,
-    scaled by `to_ints` to L, the lcm of the rows' denominators.
-
-    With RREF rows R_r = ints_r / d_r and pivot columns pc_r, a vector w lies
-    in the span iff w = sum_r w[pc_r] R_r; that holds at the pivot columns by
-    construction, so it is L w[k] = sum_r w[pc_r] (L / d_r) ints_r[k] at every
-    non-pivot column k, compared in ints over Q and mod p over F_p.  The test
-    does not change when w is scaled, so w may be any integer multiple of a
-    vector, such as the `to_ints` form of field values or a product
-    `MulTable.mul_ints` of such forms."""
+    """A row space given in RREF, scaled once for membership tests of
+    integer vectors: for each RREF row R_r = ints_r / d_r (`to_ints`) its
+    pivot column pc_r and its non-pivot entries, scaled to L, the lcm of the
+    d_r.  w lies in the span iff w = sum_r w[pc_r] R_r, which holds at the
+    pivot columns by construction; so the test is
+    L w[k] = sum_r w[pc_r] (L / d_r) ints_r[k] at every non-pivot column k,
+    in ints over Q and mod p over F_p.  It does not change when w is scaled,
+    so w may be any integer multiple of a vector, such as a `to_ints` form
+    or a `MulTable.mul_ints` product of such forms."""
 
     __slots__ = ("p", "mask", "rows")
 
@@ -365,7 +359,7 @@ class IntSpan:
         scaled = [to_ints(row, field) for row in rref_rows]
         lcm = math.lcm(*[d for d, _ in scaled])
         pivot_set = set(pivots)
-        # L = lcm at the non-pivot columns and 0 at the pivot columns
+        # L w is compared at the non-pivot columns; the pivot columns hold by construction
         self.mask = [0 if k in pivot_set else lcm for k in range(n)]
         rows = []
         for pc, (d, ints) in zip(pivots, scaled):
@@ -376,9 +370,7 @@ class IntSpan:
         self.rows = rows
 
     def contains(self, w) -> bool:
-        """Whether the integer vector w (of length n) lies in the span: the
-        vector L w - sum_r w[pc_r] (L / d_r) ints_r, kept at the non-pivot
-        columns, is zero (mod p over F_p)."""
+        """Whether the integer vector w of length n lies in the span."""
         acc = list(map(operator.mul, w, self.mask))
         for pc, entries in self.rows:
             x = w[pc]
