@@ -195,7 +195,7 @@ class BrownAlgebra(Algebra):
         basis = [self.unit_coords] + [
             (zero, zero) + phi1.apply(e) + phi2.apply(e) for e in identity(JDIM, f)
         ]
-        span, ints = int_span(basis, f)
+        span, ints = int_span(basis, BDIM, f)
         if not span.closed(ints, self.table.mul_ints):
             raise InternalError("commuting-pair span not closed")
         if not all(span.contains(self.binv_raw(v)) for v in ints):

@@ -231,7 +231,7 @@ def fixed_subalgebra(phi: LinMap, context) -> FixedSubalgebra:
     closed = True
     inv_closed = None
     if basis:
-        span, ints = linalg.int_span(basis, phi.field)
+        span, ints = linalg.int_span(basis, phi.dim, phi.field)
         closed = span.closed(ints, product, commutative)
         if involution is not None:
             inv_closed = all(span.contains(involution(v)) for v in ints)
@@ -259,7 +259,7 @@ def grade_decompose(phi: LinMap, context, form=None):
     minus = phi.eigenspace(-1)
     if len(plus) + len(minus) != n:
         raise NotOrderTwo("eigenspaces do not fill the carrier (characteristic issue?)")
-    spans = {"+": linalg.int_span(plus, f), "-": linalg.int_span(minus, f)}
+    spans = {"+": linalg.int_span(plus, n, f), "-": linalg.int_span(minus, n, f)}
     law = {("+", "+"): "+", ("+", "-"): "-", ("-", "+"): "-", ("-", "-"): "+"}
     for (sa, sb), target in law.items():
         span = spans[target][0]

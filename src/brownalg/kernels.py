@@ -19,7 +19,7 @@ Every product of the package runs on them.  `MulTable.apply`, the product of
 field values, is `to_ints`, `mul_ints` and one `from_ints` on both fields;
 `MulTable.left_matrix`, the matrix of y -> x.y, is `left_ints` converted
 back.  The Albert operators work on `mul_ints` and `left_ints` directly,
-and the closure and automorphism certificates (`linalg.span_closed`,
+and the closure and automorphism certificates (`linalg.IntSpan.closed`,
 `linmaps.is_automorphism`) take `mul_ints` as their product, so a vector or
 a map is scaled to integers once and no `Fraction` is made in their loops.
 

@@ -27,7 +27,9 @@ field's shared `zero()`) and one reduction mod p over F_p.  The integer
 kernels of `kernels`, `albert` and `linmaps` read and write this form.
 
 Span membership is one kernel for both fields, `IntSpan`, on integer
-vectors in this form; `in_span` and `span_closed` run on it.
+vectors in this form.  The certificates build one per span with
+`int_span(vectors, n, field)`; `in_span` and `span_closed`, which take a
+span in RREF, run on it too.
 
 Over Q, `mat_mul` and `rref` run on Python ints in this form.  `rref`
 eliminates fraction-free on primitive integer rows (Bareiss, Math. Comp. 22,
@@ -390,17 +392,21 @@ class IntSpan:
         return True
 
 
-def int_span(vectors, field: FieldSpec):
-    """(span, ints): the `IntSpan` of the row space of the vectors and their
-    `to_ints` forms, for closure tests on the vectors themselves."""
+def int_span(vectors, n: int, field: FieldSpec):
+    """(span, ints): the `IntSpan` of the row space of the vectors in F^n and
+    their `to_ints` forms, for closure tests on the vectors themselves.  n is
+    given, not read off the vectors, so that the span of no vectors is the
+    zero subspace of F^n and holds only the zero vector."""
     rows, pivots = row_space_rref(vectors, field)
-    span = IntSpan(rows, pivots, len(vectors[0]) if vectors else 0, field)
+    span = IntSpan(rows, pivots, n, field)
     return span, [to_ints(v, field)[1] for v in vectors]
 
 
 def in_span(rref_rows, pivots, v, field: FieldSpec) -> bool:
     """Membership of field values v in a row space presented in RREF
-    (`IntSpan` on the `to_ints` form of v)."""
+    (`IntSpan` on the `to_ints` form of v).  It builds an `IntSpan` on every
+    call and is kept as a one-off entry point for tests; repeated tests
+    against one span use `int_span`."""
     return IntSpan(rref_rows, pivots, len(v), field).contains(to_ints(v, field)[1])
 
 
@@ -410,7 +416,8 @@ def span_closed(rref_rows, pivots, vectors, product, field: FieldSpec,
     the RREF row space; a commutative product needs only the pairs with
     i <= j.  `product` acts on the `to_ints` forms of the vectors and may
     return any nonzero integer multiple of their product, such as
-    `MulTable.mul_ints`."""
+    `MulTable.mul_ints`.  It is kept as an entry point for tests of a span
+    given in RREF; the certificates call `int_span(...)` and `IntSpan.closed`."""
     n = len(vectors[0]) if vectors else 0
     ints = [to_ints(v, field)[1] for v in vectors]
     return IntSpan(rref_rows, pivots, n, field).closed(ints, product, commutative)

@@ -35,7 +35,7 @@ import functools
 import itertools
 import operator
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 
 from .errors import (
     CarrierMismatch,
@@ -71,6 +71,8 @@ class LinMap:
     field: FieldSpec
     carrier: str
     basis_tag: str
+    # the map's `dagger`, set by `dagger` once its guard and solve succeed
+    _dagger: "LinMap | None" = dc_field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.matrix)
@@ -101,11 +103,6 @@ class LinMap:
     def _packed(self) -> PackedColumns:
         """The packed columns of an F_p map, built on its first `apply`."""
         return PackedColumns(self.matrix, self.field.p)
-
-    @functools.cached_property
-    def _daggers(self) -> dict:
-        """The map's `dagger` by algebra basis tag, filled by `dagger`."""
-        return {}
 
     def apply(self, coords):
         if self.field.kind == PRIME:
@@ -334,9 +331,8 @@ def dagger(phi: LinMap, algebra) -> LinMap:
     checked at `_DAGGER_SAMPLES` seeded points.  The result is kept on phi,
     so a map's dagger is computed once; a failure is not kept."""
     _require_albert(phi, algebra)
-    dag = phi._daggers.get(algebra.basis_tag)
-    if dag is not None:
-        return dag
+    if phi._dagger is not None:
+        return phi._dagger
     if not norm_preserving_sampled(phi, algebra, _DAGGER_SAMPLES, _DAGGER_SEED):
         raise NotNormPreserving("dagger is only defined on Inv(J)")
     g = algebra.gram
@@ -344,5 +340,6 @@ def dagger(phi: LinMap, algebra) -> LinMap:
     sol = solve_right(lhs, g, algebra.field)
     if sol is None:
         raise SingularGram("trace-form system unexpectedly singular")
-    dag = phi._daggers[algebra.basis_tag] = algebra.linmap(sol)
+    dag = algebra.linmap(sol)
+    object.__setattr__(phi, "_dagger", dag)  # LinMap is frozen
     return dag

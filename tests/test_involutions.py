@@ -10,6 +10,7 @@ from brownalg.errors import (
     ArityMismatch,
     CarrierMismatch,
     FormNotInvariant,
+    NotAutomorphism,
     NotNormPreserving,
     NotOrderTwo,
     NotUnitNorm,
@@ -311,6 +312,17 @@ def test_grade_decompose_t_hat():
     cat = cat7()
     plus, minus = grade_decompose(cat.t_on_j(), cat.J)
     assert (len(plus), len(minus)) == (15, 12)
+
+
+@pytest.mark.parametrize("f", [Q(), Fp(7)], ids=["Q", "Fp:7"])
+def test_grade_decompose_rejects_minus_identity(f):
+    """-id is Gram-invariant of order 2 with an empty '+' eigenspace, but
+    x*y is not -(x*y): the (-,-) grading law must test against the zero span."""
+    J = Catalog(f).J
+    neg = LinMap(tuple(tuple(f.from_int(-1) if i == j else f.zero() for j in range(27))
+                       for i in range(27)), f, ALBERT, J.basis_tag)
+    with pytest.raises(NotAutomorphism):
+        grade_decompose(neg, J)
 
 
 def test_grade_decompose_rejects_similarity_form():

@@ -364,6 +364,15 @@ def test_in_span_matches_dense_reference():
         assert linalg.in_span(rows, pivots, bumped, q) == (not any(reduced))
 
 
+def test_int_span_of_no_vectors_is_zero_subspace():
+    for f in (Q(), Fp(7)):
+        span, ints = linalg.int_span([], 3, f)
+        assert ints == []
+        assert span.contains((0, 0, 0))
+        assert not span.contains((0, 1, 0))
+        assert not span.contains((0, 0, -5))
+
+
 def test_span_closed_checks_ordered_pairs():
     """A product with x.y in the span but y.x outside is not closed; the
     commutative shortcut (pairs i <= j) sees only x.y."""
