@@ -7,6 +7,7 @@ Coordinate order: (alpha, beta, j-block 27, l-block 27).
 
 from __future__ import annotations
 
+import functools
 import json
 
 from .albert import DIM as JDIM
@@ -82,7 +83,6 @@ class BrownAlgebra(Algebra):
         self.basis_tag = f"brown:{jalg.basis_tag}:zeta={f.scalar_str(zeta)}"
         one, zero = f.one(), f.zero()
         self.unit_coords = (one, one) + (zero,) * (2 * JDIM)
-        self._table = None
 
     # -- elements -----------------------------------------------------------
 
@@ -99,38 +99,32 @@ class BrownAlgebra(Algebra):
 
     # -- product and involution ----------------------------------------------
 
-    def mul_table(self) -> MulTable:
+    @functools.cached_property
+    def table(self) -> MulTable:
         """The Brown product as a table, derived on first use and cached from
         the Albert cross table C, the Gram matrix G and zeta:
             alpha = a1 a2 + zeta Tr(j1, l2)
             beta  = b1 b2 + zeta Tr(j2, l1)
             j     = a1 j2 + b2 j1 + zeta l1 # l2
             l     = b1 l2 + a2 l1 + j1 # j2"""
-        if self._table is None:
-            f, z, G = self.field, self.zeta, self.jalg.gram
-            one = f.one()
-            J0, L0 = 2, 2 + JDIM
-            entries = [(0, 0, 0, one), (1, 1, 1, one)]
-            for i in range(JDIM):
-                for j in range(JDIM):
-                    if G[i][j]:
-                        zg = f.mul(z, G[i][j])
-                        entries += [(J0 + i, L0 + j, 0, zg), (L0 + j, J0 + i, 1, zg)]
-            for k in range(JDIM):
-                entries += [
-                    (0, J0 + k, J0 + k, one), (J0 + k, 1, J0 + k, one),
-                    (1, L0 + k, L0 + k, one), (L0 + k, 0, L0 + k, one),
-                ]
-            for i, j, k, c in self.jalg.cross_table().entries:
-                entries.append((L0 + i, L0 + j, J0 + k, f.mul(z, c)))
-                entries.append((J0 + i, J0 + j, L0 + k, c))
-            self._table = MulTable(BDIM, entries)
-        return self._table
-
-    @property
-    def table(self) -> MulTable:
-        """The product table, `mul_table()`, built on first use."""
-        return self.mul_table()
+        f, z, G = self.field, self.zeta, self.jalg.gram
+        one = f.one()
+        J0, L0 = 2, 2 + JDIM
+        entries = [(0, 0, 0, one), (1, 1, 1, one)]
+        for i in range(JDIM):
+            for j in range(JDIM):
+                if G[i][j]:
+                    zg = f.mul(z, G[i][j])
+                    entries += [(J0 + i, L0 + j, 0, zg), (L0 + j, J0 + i, 1, zg)]
+        for k in range(JDIM):
+            entries += [
+                (0, J0 + k, J0 + k, one), (J0 + k, 1, J0 + k, one),
+                (1, L0 + k, L0 + k, one), (L0 + k, 0, L0 + k, one),
+            ]
+        for i, j, k, c in self.jalg.cross_table().entries:
+            entries.append((L0 + i, L0 + j, J0 + k, f.mul(z, c)))
+            entries.append((J0 + i, J0 + j, L0 + k, c))
+        return MulTable(BDIM, entries)
 
     bmul_raw = Algebra.mul_raw
 

@@ -31,10 +31,8 @@ from .errors import (
 from .fields import FieldSpec
 from . import linalg
 from .linmaps import (
-    ALBERT,
     LinMap,
     dagger,
-    identity_map,
     is_automorphism,
 )
 
@@ -465,7 +463,7 @@ class Catalog:
         """Random product of catalog automorphisms of J (for transport tests)."""
         f = self.field
         base = self.octonions.base_algebra()
-        out = identity_map(f, ALBERT, self.J.basis_tag)
+        out = self.J.linmap(linalg.identity(self.J.dim, f))
         for _ in range(3):
             kind = rng.randrange(3)
             if kind == 0:

@@ -5,8 +5,8 @@ Every product in the tower is one `MulTable`: the composition product
 the composition table and gamma in the Hermitian model, or from the 3x3
 matrix units and varsigma in the Tits model), the Albert cross product
 (`AlbertAlgebra.cross_table()`, derived from the Jordan table, trace and Gram
-data) and the Brown product (`BrownAlgebra.mul_table()`, derived from the
-cross table, the Gram matrix and zeta).  No table is built by evaluating a
+data) and the Brown product (`BrownAlgebra.table`, derived from the cross
+table, the Gram matrix and zeta).  No table is built by evaluating a
 product; the cross and Brown tables are built on first use and cached.
 
 Each table has an integer form (`MulTable.int_table`, built on first use

@@ -1,11 +1,11 @@
 """Exact linear algebra over Q and F_p.
 
 Matrices are tuples of row tuples of raw field values: `Fraction` over Q,
-`int` in [0, p) over F_p.  `mat_mul`, `mat_vec` and the row operations of
-`rref` skip zero entries, so the sparse near-permutation maps of the
-involution catalog cost proportionally less.
+`int` in [0, p) over F_p.  `mat_mul` and the row operations of `rref` skip
+zero entries, so the sparse near-permutation maps of the involution catalog
+cost proportionally less.
 
-Over F_p the kernels hold each row (for `mat_vec`, each column) as one
+Over F_p the kernels hold each row (for `PackedColumns`, each column) as one
 Python int with one fixed-width slot per entry (Kronecker substitution;
 Harvey, J. Symb. Comp. 44, 2009): a row operation is one big-integer
 multiply-add in C instead of a Python loop over the entries.  Entries stay
@@ -27,9 +27,9 @@ field's shared `zero()`) and one reduction mod p over F_p.  The integer
 kernels of `kernels`, `albert` and `linmaps` read and write this form.
 
 Span membership is one kernel for both fields, `IntSpan`, on integer
-vectors in this form.  The certificates build one per span with
-`int_span(vectors, n, field)`; `in_span` and `span_closed`, which take a
-span in RREF, run on it too.
+vectors in this form; the certificates build one per span with
+`int_span(vectors, n, field)` and test membership with `IntSpan.contains`
+and closure under a product with `IntSpan.closed`.
 
 Over Q, `mat_mul` and `rref` run on Python ints in this form.  `rref`
 eliminates fraction-free on primitive integer rows (Bareiss, Math. Comp. 22,
@@ -199,24 +199,6 @@ def _mat_mul_q(a, b, field):
             c = num * (common // d)
             acc = [s + c * x if x else s for s, x in zip(acc, bk)]
         out.append(from_ints(acc, common, field))
-    return tuple(out)
-
-
-def mat_vec(a, v, field: FieldSpec):
-    """a v, summing only the columns where v is nonzero (over F_p as
-    `PackedColumns`)."""
-    if field.kind == PRIME:
-        return PackedColumns(a, field.p).apply(v)
-    zero = field.zero()
-    nz = [(k, x) for k, x in enumerate(v) if x is not zero and x]
-    out = []
-    for row in a:
-        acc = zero
-        for k, x in nz:
-            r = row[k]
-            if r is not zero and r:
-                acc += r * x
-        out.append(acc)
     return tuple(out)
 
 
@@ -400,27 +382,6 @@ def int_span(vectors, n: int, field: FieldSpec):
     rows, pivots = row_space_rref(vectors, field)
     span = IntSpan(rows, pivots, n, field)
     return span, [to_ints(v, field)[1] for v in vectors]
-
-
-def in_span(rref_rows, pivots, v, field: FieldSpec) -> bool:
-    """Membership of field values v in a row space presented in RREF
-    (`IntSpan` on the `to_ints` form of v).  It builds an `IntSpan` on every
-    call and is kept as a one-off entry point for tests; repeated tests
-    against one span use `int_span`."""
-    return IntSpan(rref_rows, pivots, len(v), field).contains(to_ints(v, field)[1])
-
-
-def span_closed(rref_rows, pivots, vectors, product, field: FieldSpec,
-                commutative: bool = False) -> bool:
-    """Whether the product of every ordered pair of the given vectors lies in
-    the RREF row space; a commutative product needs only the pairs with
-    i <= j.  `product` acts on the `to_ints` forms of the vectors and may
-    return any nonzero integer multiple of their product, such as
-    `MulTable.mul_ints`.  It is kept as an entry point for tests of a span
-    given in RREF; the certificates call `int_span(...)` and `IntSpan.closed`."""
-    n = len(vectors[0]) if vectors else 0
-    ints = [to_ints(v, field)[1] for v in vectors]
-    return IntSpan(rref_rows, pivots, n, field).closed(ints, product, commutative)
 
 
 def same_span(vecs_a, vecs_b, field: FieldSpec) -> bool:

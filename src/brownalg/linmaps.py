@@ -4,7 +4,13 @@ solved from the trace form.
 
 A `LinMap` takes its dimension from its matrix, so it can act on any algebra
 of the tower (a quaternion algebra too); it is matched to an algebra, and to
-another map, by the basis tag, and its carrier is only a label.
+another map, by the basis tag, and its carrier is only a label.  It keeps
+one integer form, `_ints` = (d, M) with M = d * matrix (`linalg.to_ints` of
+its entries, d = 1 over F_p), built on first use: `apply` over Q,
+`is_identity` and the membership certificates below all read it, so a map
+is scaled to integers once.  Over F_p `apply` runs on the packed columns
+(`linalg.PackedColumns`), also built once.  A map also keeps whether it
+squares to the identity, so `order_divides_two` composes it once.
 
 The cubic norm is an integer form (`NormForm`, built by
 `algebra.norm_form()`): `NormForm.evaluate` is the algebra's norm, and
@@ -22,7 +28,7 @@ A map keeps its dagger once computed, so `dagger` and a `lift_inv` of the
 same map solve the trace-form system once.
 `is_automorphism` certifies multiplicativity on basis pairs for any
 bilinear integer product of fixed scale, such as `MulTable.mul_ints`, on the
-integer matrix of the map: `is_aut_member` on the Albert algebra, and the
+integer form of the map: `is_aut_member` on the Albert algebra, and the
 octonion and isotope checks of `involutions`.
 
 This module never imports the algebra modules; algebra objects are passed in
@@ -46,10 +52,8 @@ from .fields import PRIME, RATIONALS, FieldSpec
 from .linalg import (
     PackedColumns,
     from_ints,
-    identity,
     inverse,
     mat_mul,
-    mat_vec,
     nullspace,
     solve_right,
     to_ints,
@@ -59,8 +63,6 @@ from .linalg import (
 OCT = "oct8"
 ALBERT = "albert27"
 BROWN = "brown56"
-
-_DIMS = {OCT: 8, ALBERT: 27, BROWN: 56}
 
 
 @dataclass(frozen=True)
@@ -104,10 +106,28 @@ class LinMap:
         """The packed columns of an F_p map, built on its first `apply`."""
         return PackedColumns(self.matrix, self.field.p)
 
+    @functools.cached_property
+    def _ints(self):
+        """(d, M) with M = d * matrix in ints as a tuple of row tuples, d the
+        lcm of the entries' denominators (1 over F_p): `to_ints` of the
+        flattened matrix, built on first use."""
+        n = self.dim
+        d, flat = to_ints([v for row in self.matrix for v in row], self.field)
+        return d, tuple([tuple(flat[i : i + n]) for i in range(0, n * n, n)])
+
     def apply(self, coords):
-        if self.field.kind == PRIME:
+        """The image of a coordinate vector: over F_p by the packed columns,
+        over Q as M v / (d d_v) on the integer forms of the map and of v."""
+        if len(coords) != self.dim:
+            raise CarrierMismatch(
+                f"map of dimension {self.dim} applied to {len(coords)} coordinates"
+            )
+        f = self.field
+        if f.kind == PRIME:
             return self._packed.apply(coords)
-        return mat_vec(self.matrix, coords, self.field)
+        dv, v = to_ints(coords, f)
+        d, m = self._ints
+        return from_ints([sum(map(operator.mul, row, v)) for row in m], d * dv, f)
 
     def inverse_map(self) -> "LinMap":
         inv = inverse(self.matrix, self.field)
@@ -116,9 +136,17 @@ class LinMap:
         return LinMap(inv, self.field, self.carrier, self.basis_tag)
 
     def is_identity(self) -> bool:
-        return self.matrix == identity(self.dim, self.field)
+        """Whether M = d I for the integer form (d, M) of the map."""
+        d, m = self._ints
+        return all(row[i] == d and not any(row[:i]) and not any(row[i + 1 :])
+                   for i, row in enumerate(m))
 
     def order_divides_two(self) -> bool:
+        return self._order_divides_two
+
+    @functools.cached_property
+    def _order_divides_two(self) -> bool:
+        """Whether the square is the identity, computed once per map."""
         return self.compose(self).is_identity()
 
     def fixed_space(self):
@@ -136,22 +164,9 @@ class LinMap:
         return nullspace(m, f)
 
 
-def identity_map(field: FieldSpec, carrier: str, basis_tag: str) -> LinMap:
-    """The identity on the carrier's standard dimension (8, 27 or 56)."""
-    return LinMap(identity(_DIMS[carrier], field), field, carrier, basis_tag)
-
-
 def _require_albert(phi: LinMap, algebra):
     if algebra.carrier != ALBERT or phi.basis_tag != algebra.basis_tag:
         raise CarrierMismatch("map does not live on this Albert algebra")
-
-
-def _integral(matrix, field: FieldSpec):
-    """(D, D * matrix) in ints as a list of rows, D the lcm of the entries'
-    denominators (`to_ints` of the flattened square matrix)."""
-    n = len(matrix)
-    d, flat = to_ints([v for row in matrix for v in row], field)
-    return d, [flat[i : i + n] for i in range(0, n * n, n)]
 
 
 def _cubic(terms, v) -> int:
@@ -200,7 +215,7 @@ def norm_preserving_sampled(phi: LinMap, algebra, samples: int, seed: int = 0) -
     form = algebra.norm_form()
     f = algebra.field
     p = f.p if f.kind != RATIONALS else 0
-    d, m = _integral(phi.matrix, f)
+    d, m = phi._ints
     d3 = d ** 3
     for v, norm_v in _sample_points(form, f, samples, seed):
         y = [sum(map(operator.mul, row, v)) for row in m]
@@ -244,7 +259,7 @@ def is_inv_member(phi: LinMap, algebra) -> bool:
     _require_albert(phi, algebra)
     f = algebra.field
     p = f.p if f.kind != RATIONALS else 0
-    d, m = _integral(phi.matrix, f)
+    d, m = phi._ints
     d3 = d ** 3
     by_i, table = _polar(algebra.norm_form())
     expected = {ab: [d3 * t % p if p else d3 * t for t in row] for ab, row in table.items()}
@@ -288,7 +303,7 @@ def is_automorphism(phi: LinMap, product, unit, commutative: bool = False) -> bo
     and mod p over F_p."""
     f = phi.field
     p = f.p if f.kind != RATIONALS else 0
-    d, m = _integral(phi.matrix, f)
+    d, m = phi._ints
     n = phi.dim
     cols = [list(c) for c in zip(*m)]
 

@@ -26,7 +26,7 @@ from .involutions import (
     make_uv_bridge,
     verify_conjugacy_transport,
 )
-from .linmaps import ALBERT, dagger, identity_map
+from .linmaps import dagger
 
 
 class CheckFailure(Exception):
@@ -373,7 +373,7 @@ def check_varpi_dagger(ctx):
 
 def check_commuting_pairs(ctx):
     b = ctx.cat.B
-    ident = identity_map(b.field, ALBERT, b.jalg.basis_tag)
+    ident = b.jalg.linmap(linalg.identity(b.jalg.dim, b.field))
     for pair in ((ident, ident), (ctx.cat.t_on_j(), ctx.cat.t_on_j())):
         basis = b.commuting_pair_subalgebra(*pair)
         if len(basis) != 28:

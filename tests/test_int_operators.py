@@ -16,6 +16,7 @@ from brownalg.errors import ModelMismatch, NotUnimodular
 from brownalg.fields import _ZERO, RATIONALS, Fp, Q
 from brownalg.involutions import Catalog, tits_phi_map
 from brownalg.kernels import MulTable
+from brownalg.linmaps import LinMap
 
 
 def _general_her():
@@ -124,7 +125,7 @@ def test_trform_and_gram_vec_match_the_gram_matrix(name):
     for x, y in zip(pts, pts[1:] + pts[:1]):
         assert alg.trform_raw(x, y) == alg.tr_raw(alg.jmul_raw(x, y))
         g = alg.gram_vec(x)
-        assert g == linalg.mat_vec(alg.gram, x, f)
+        assert g == alg.linmap(alg.gram).apply(x)
         _assert_shared_zeros(f, g)
 
 
@@ -146,7 +147,7 @@ def test_int_kernels_match_apply():
         assert [Fraction(v, D) for v in table.mul_ints(xi, yi)] == list(table.apply(x, y, f))
         lm = table.left_matrix(x, f)
         assert [[Fraction(v, D) for v in r] for r in table.left_ints(xi)] == [list(r) for r in lm]
-        assert linalg.mat_vec(lm, y, f) == table.apply(x, y, f)
+        assert LinMap(lm, f, "table7", "table7").apply(y) == table.apply(x, y, f)
 
 
 # -- tits_phi_map --------------------------------------------------------------

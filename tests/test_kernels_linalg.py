@@ -55,7 +55,7 @@ def test_nullspace_dimension_theorem():
         ns = linalg.nullspace(a, f)
         assert r + len(ns) == 9
         for v in ns:
-            assert not any(linalg.mat_vec(a, v, f))
+            assert not any(_ref_mat_vec(a, v, 11))
 
 
 def test_nullspace_zeros_are_the_shared_zero_over_q():
@@ -132,8 +132,9 @@ def _sparse_matrix(rng, n, p):
 
 
 def test_mod_kernels_match_dense_reference():
-    """mat_mul, mat_vec and rref against the triple-loop reference, on dense
-    and permutation-like sparse matrices, for small, 33-bit and 61-bit p."""
+    """mat_mul, the packed columns of a map and rref against the triple-loop
+    reference, on dense and permutation-like sparse matrices, for small,
+    33-bit and 61-bit p."""
     for p in PRIMES:
         rng = random.Random(p)
         f = Fp(p)
@@ -146,7 +147,7 @@ def test_mod_kernels_match_dense_reference():
                 assert linalg.mat_mul(a, b, f) == _ref_mat_mul(a, b, p)
                 assert linalg.rref(a, f) == _ref_rref(a, p)
                 v = tuple(rng.randrange(p) if rng.random() < 0.5 else 0 for _ in range(len(a)))
-                assert linalg.mat_vec(a, v, f) == _ref_mat_vec(a, v, p)
+                assert linalg.PackedColumns(a, p).apply(v) == _ref_mat_vec(a, v, p)
         a = _random_matrix(rng, 5, 8, p)
         assert linalg.rref(a, f) == _ref_rref(a, p)
 
@@ -176,7 +177,7 @@ def test_packed_kernels_at_the_largest_slot_values():
         f = Fp(p)
         full = tuple((p - 1,) * 56 for _ in range(56))
         assert linalg.mat_mul(full, full, f) == _ref_mat_mul(full, full, p)
-        assert linalg.mat_vec(full, full[0], f) == _ref_mat_vec(full, full[0], p)
+        assert LinMap(full, f, BROWN, "b56").apply(full[0]) == _ref_mat_vec(full, full[0], p)
         rng = random.Random(p)
         a = _random_matrix(rng, 56, 56, p)
         assert linalg.mat_mul(a, full, f) == _ref_mat_mul(a, full, p)
@@ -255,7 +256,7 @@ def test_packed_kernels_on_empty_and_one_row_matrices():
         rng = random.Random(p + 4)
         assert linalg.mat_mul((), (), f) == ()
         assert linalg.rref((), f) == ((), ())
-        assert linalg.mat_vec((), (), f) == ()
+        assert linalg.PackedColumns((), p).apply(()) == ()
         assert linalg.inverse((), f) == ()
         assert linalg.nullspace((), f) == []
         for n in (1, 5, 56):
@@ -263,7 +264,7 @@ def test_packed_kernels_on_empty_and_one_row_matrices():
             b = _random_matrix(rng, n, 3, p)
             v = tuple(rng.randrange(p) for _ in range(n))
             assert linalg.mat_mul(a, b, f) == _ref_mat_mul(a, b, p)
-            assert linalg.mat_vec(a, v, f) == _ref_mat_vec(a, v, p)
+            assert linalg.PackedColumns(a, p).apply(v) == _ref_mat_vec(a, v, p)
             assert linalg.rref(a, f) == _ref_rref(a, p)
             zero = ((0,) * n,)
             assert linalg.rref(zero, f) == (zero, ())
@@ -319,7 +320,13 @@ def test_left_matrix_consistent_with_apply():
     m = table.left_matrix(x, f)
     for _ in range(5):
         y = tuple(rng.randrange(p) for _ in range(n))
-        assert linalg.mat_vec(m, y, f) == table.apply(x, y, f)
+        assert LinMap(m, f, BROWN, "b8").apply(y) == table.apply(x, y, f)
+
+
+def _contains(rows, pivots, v, field):
+    """Membership of field values v in a row space given in RREF, through
+    the `IntSpan` of the rows and the `to_ints` form of v."""
+    return linalg.IntSpan(rows, pivots, len(v), field).contains(linalg.to_ints(v, field)[1])
 
 
 def _ref_in_span(rows, pivots, v, p):
@@ -346,22 +353,22 @@ def test_in_span_matches_dense_reference():
                 bump = rng.randrange(9)
                 miss = tuple((v + (j == bump)) % p for j, v in enumerate(member))
                 for v in (member, miss):
-                    assert linalg.in_span(rows, pivots, v, f) == _ref_in_span(rows, pivots, v, p)
-                assert linalg.in_span(rows, pivots, member, f)
+                    assert _contains(rows, pivots, v, f) == _ref_in_span(rows, pivots, v, p)
+                assert _contains(rows, pivots, member, f)
     q = Q()
     rng = random.Random(5)
     a = tuple(tuple(Fraction(rng.randrange(-3, 4), rng.randrange(1, 4)) if rng.random() < 0.4
                     else Fraction(0) for _ in range(8)) for _ in range(4))
     rows, pivots = linalg.row_space_rref(a, q)
     member = tuple(Fraction(2, 3) * x - y for x, y in zip(a[0], a[2]))
-    assert linalg.in_span(rows, pivots, member, q)
+    assert _contains(rows, pivots, member, q)
     for j in range(8):
         bumped = tuple(v + (j == k) for k, v in enumerate(member))
         reduced = list(bumped)
         for row, pc in zip(rows, pivots):
             c = reduced[pc]
             reduced = [x - c * r for x, r in zip(reduced, row)]
-        assert linalg.in_span(rows, pivots, bumped, q) == (not any(reduced))
+        assert _contains(rows, pivots, bumped, q) == (not any(reduced))
 
 
 def test_int_span_of_no_vectors_is_zero_subspace():
@@ -377,25 +384,24 @@ def test_span_closed_checks_ordered_pairs():
     """A product with x.y in the span but y.x outside is not closed; the
     commutative shortcut (pairs i <= j) sees only x.y."""
     f = Fp(7)
-    vecs = [(1, 0, 0), (0, 1, 0)]
-    rows, pivots = linalg.row_space_rref(vecs, f)
+    span, ints = linalg.int_span([(1, 0, 0), (0, 1, 0)], 3, f)
 
     def product(x, y):
         # e0.e1 = e0, e1.e0 = e2, everything else 0
         return (x[0] * y[1] % 7, 0, x[1] * y[0] % 7)
 
-    assert not linalg.span_closed(rows, pivots, vecs, product, f)
-    assert linalg.span_closed(rows, pivots, vecs, product, f, commutative=True)
-    assert linalg.span_closed(rows, pivots, vecs, lambda x, y: (0, 0, 0), f)
+    assert not span.closed(ints, product)
+    assert span.closed(ints, product, commutative=True)
+    assert span.closed(ints, lambda x, y: (0, 0, 0))
 
 
 def test_in_span_and_same_span():
     f = Fp(7)
     vecs = [(1, 2, 3, 0), (0, 1, 1, 1)]
-    rows, pivots = linalg.row_space_rref(vecs, f)
+    span, _ = linalg.int_span(vecs, 4, f)
     combo = tuple((3 * a + 2 * b) % 7 for a, b in zip(*vecs))
-    assert linalg.in_span(rows, pivots, combo, f)
-    assert not linalg.in_span(rows, pivots, (1, 0, 0, 0), f)
+    assert span.contains(combo)
+    assert not span.contains((1, 0, 0, 0))
     assert linalg.same_span(vecs, [combo, vecs[0]], f)
 
 
@@ -404,8 +410,8 @@ def test_empty_span(field):
     """The span of no vectors unpacks as ((), ()) and holds only zero."""
     rows, pivots = linalg.row_space_rref([], field)
     assert (rows, pivots) == ((), ())
-    assert linalg.in_span(rows, pivots, (0, 0, 0), field)
-    assert not linalg.in_span(rows, pivots, (0, 1, 0), field)
+    assert _contains(rows, pivots, (0, 0, 0), field)
+    assert not _contains(rows, pivots, (0, 1, 0), field)
     assert linalg.same_span([], [], field)
     assert not linalg.same_span([], [(1, 0, 0)], field)
 
@@ -649,14 +655,14 @@ def test_q_span_membership_matches_fraction_reference():
         coeffs = [Fraction(rng.randint(-4, 4), rng.randint(1, 5)) for _ in a]
         member = tuple(sum((c * r[j] for c, r in zip(coeffs, a)), Fraction(0)) for j in range(9))
         assert _ref_q_in_span(rows, pivots, member)
-        assert linalg.in_span(rows, pivots, member, q)
+        assert _contains(rows, pivots, member, q)
         ints = linalg.to_ints(member, q)[1]
         assert span.contains(ints) and span.contains([-3 * v for v in ints])
         for j in range(9):
             for delta in (Fraction(1, 7), Fraction(-2)):
                 miss = tuple(v + delta if k == j else v for k, v in enumerate(member))
                 expected = _ref_q_in_span(rows, pivots, miss)
-                assert linalg.in_span(rows, pivots, miss, q) == expected
+                assert _contains(rows, pivots, miss, q) == expected
                 assert span.contains(linalg.to_ints(miss, q)[1]) == expected
     assert (True, True) in seen
 
@@ -671,7 +677,7 @@ def _ref_q_product(table):
 
 
 def test_span_closed_matches_fraction_reference():
-    """`span_closed` with the integer Jordan product `mul_ints` agrees with
+    """`IntSpan.closed` with the integer Jordan product `mul_ints` agrees with
     products and reductions in Fractions, on a closed fixed subalgebra of J
     and on sets whose products leave their span."""
     q = Q()
@@ -685,7 +691,8 @@ def test_span_closed_matches_fraction_reference():
     for vecs in cases:
         rows, pivots = linalg.row_space_rref(vecs, q)
         expected = all(_ref_q_in_span(rows, pivots, ref(x, y)) for x in vecs for y in vecs)
-        assert linalg.span_closed(rows, pivots, vecs, J.table.mul_ints, q, commutative=True) == expected
+        span, ints = linalg.int_span(vecs, J.dim, q)
+        assert span.closed(ints, J.table.mul_ints, commutative=True) == expected
         verdicts.append(expected)
     assert verdicts == [True, False, False]
 
@@ -711,18 +718,61 @@ def test_apply_matches_fraction_reference_over_q():
         assert all(v is _ZERO for v in got if not v)
 
 
+def _ref_q_mat_vec(a, v):
+    return tuple(sum((r * Fraction(x) for r, x in zip(row, v)), Fraction(0)) for row in a)
+
+
+def test_linmap_apply_over_q_matches_fraction_reference():
+    """Over Q `LinMap.apply` (the map's cached integer form times the
+    `to_ints` form of v, one `from_ints`) equals a v summed in Fractions, on
+    the dense 56-dimensional lift of a U_x with non-integral entries, on the
+    sparse near-permutation map t.varpi, on coordinates given as ints and on
+    the zero vector; its zeros are the shared zero()."""
+    q = Q()
+    cat = Catalog(q)
+    rng = random.Random(19)
+    J = cat.J
+    ux = J.linmap(J.uop_matrix(J.sample_norm_one(rng).coords))
+    dense, sparse = cat.B.lift_inv(ux), cat.realize("t.varpi", "B")
+    assert any(v.denominator > 1 for row in dense.matrix for v in row)
+    vectors = [
+        tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 6)) if rng.random() < 0.5 else _ZERO
+              for _ in range(56)),
+        tuple(rng.randint(-3, 3) for _ in range(56)),
+        tuple(int(i == 30) for i in range(56)),
+        (_ZERO,) * 56,
+        (0,) * 56,
+    ]
+    for phi in (dense, sparse):
+        for v in vectors:
+            got = phi.apply(v)
+            assert got == _ref_q_mat_vec(phi.matrix, v)
+            assert all(y is _ZERO for y in got if not y)
+        assert phi.apply((0,) * 56) == (_ZERO,) * 56
+
+
 def test_fixed_subalgebra_closure_runs_on_integers(monkeypatch):
     """Over Q the closure and involution checks of `fixed_subalgebra` run on
-    integer vectors: neither `MulTable.apply` nor `linalg.in_span` is called."""
+    integer vectors: `MulTable.apply` is not called, and every membership
+    test receives a vector of ints."""
     cat = Catalog(Q())
     cases = [(cat.realize_involution("t.varpi", "B"), cat.B, 28, True),
              (cat.realize_involution("s", "J"), cat.J, 11, None)]
 
     def forbidden(*args):
-        raise AssertionError("field-value product or membership in the closure loop")
+        raise AssertionError("field-value product in the closure loop")
+
+    contains = linalg.IntSpan.contains
+    tested = []
+
+    def int_contains(span, w):
+        tested.append(all(type(v) is int for v in w))
+        return contains(span, w)
 
     monkeypatch.setattr(MulTable, "apply", forbidden)
-    monkeypatch.setattr(linalg, "in_span", forbidden)
+    monkeypatch.setattr(linalg.IntSpan, "contains", int_contains)
     for phi, ctx, dim, inv_closed in cases:
+        del tested[:]
         rep = fixed_subalgebra(phi, ctx)
         assert (rep.dimension, rep.product_closed, rep.involution_closed) == (dim, True, inv_closed)
+        assert tested and all(tested)

@@ -10,13 +10,12 @@ from brownalg.albert import AlbertAlgebra, hermitian, mat3_mul, split_albert, ti
 from brownalg.cayley import CDAlgebra
 from brownalg.errors import CarrierMismatch, NotNormPreserving
 from brownalg.fields import FieldSpec, Fp, Q
-from brownalg.involutions import Catalog, isotope_automorphism_check
+from brownalg.involutions import Catalog, fixed_subalgebra, isotope_automorphism_check
 from brownalg.kernels import MulTable
 from brownalg.linmaps import (
     ALBERT,
     LinMap,
     dagger,
-    identity_map,
     is_aut_member,
     is_inv_member,
     norm_preserving_sampled,
@@ -41,7 +40,7 @@ def _uop_map(alg, x):
 
 def test_identity_is_inv_and_aut():
     for alg in (split_albert(Q()), split_albert(Fp(7))):
-        ident = identity_map(alg.field, ALBERT, alg.basis_tag)
+        ident = alg.linmap(linalg.identity(27, alg.field))
         assert is_inv_member(ident, alg)
         assert is_aut_member(ident, alg)
 
@@ -134,14 +133,14 @@ def test_dagger_rejects_similarity():
 def test_carrier_mismatch():
     a7 = split_albert(Fp(7))
     aq = split_albert(Q())
-    m = identity_map(a7.field, ALBERT, a7.basis_tag)
+    m = a7.linmap(linalg.identity(27, a7.field))
     with pytest.raises(CarrierMismatch):
         is_inv_member(m, aq)
 
 
 def test_fixed_space_of_identity():
     alg = split_albert(Fp(7))
-    ident = identity_map(alg.field, ALBERT, alg.basis_tag)
+    ident = alg.linmap(linalg.identity(27, alg.field))
     assert len(ident.fixed_space()) == 27
 
 
@@ -237,7 +236,7 @@ def test_norm_form_fitted_on_first_norm_check(monkeypatch):
     cat = Catalog(Q())
     cat.Jt, cat.Bt  # noqa: B018  (the lazily built Tits models)
     assert fits == []
-    ident = identity_map(cat.J.field, ALBERT, cat.J.basis_tag)
+    ident = cat.J.linmap(linalg.identity(27, cat.J.field))
     assert is_inv_member(ident, cat.J)
     assert norm_preserving_sampled(ident, cat.J, 5)
     assert fits == [cat.J]
@@ -522,3 +521,80 @@ def test_dagger_is_computed_once_per_map(name, monkeypatch):
         with pytest.raises(NotNormPreserving):  # N(3x) = 27 N(x)
             dagger(three, J)
     assert len(solves) == 2
+
+
+@pytest.mark.parametrize("length", [27, 57])
+@pytest.mark.parametrize("name", ["Q", "Fp:7"])
+def test_apply_rejects_a_vector_of_the_wrong_length(name, length):
+    f = FIELDS[name]
+    s = Catalog(f).realize("s", "B")
+    with pytest.raises(CarrierMismatch):
+        s.apply((f.one(),) * length)
+
+
+def test_is_identity_reads_the_integer_form():
+    """is_identity is M = d I for the integer form (d, M) of a Q map: the
+    identity holds it; with d > 1, a diagonal of 1/2 (M = I) and the
+    identity with one changed entry do not; U_x U_{x^-1}, the product of
+    two maps with d > 1, is the identity."""
+    alg = split_albert(Q())
+    f = alg.field
+    ident = alg.linmap(linalg.identity(27, f))
+    assert ident.is_identity()
+    half = alg.linmap(tuple(tuple(f.parse_scalar("1/2") if i == j else f.zero()
+                                  for j in range(27)) for i in range(27)))
+    cases = [half] + [_with_entry(ident, i, j, f.parse_scalar(v))
+                      for i, j, v in ((3, 3, "3/2"), (3, 4, "1/2"), (26, 0, "-1/5"))]
+    for phi in cases:
+        assert phi._ints[0] > 1 and not phi.is_identity()
+    assert not _with_entry(ident, 0, 0, f.from_int(2)).is_identity()
+    x = alg.sample_norm_one(random.Random(20), 2)
+    ux = _uop_map(alg, x)
+    uinv = _uop_map(alg, alg.element(alg.jinv_raw(x.coords)))
+    assert ux._ints[0] > 1 and uinv._ints[0] > 1 and not ux.is_identity()
+    assert ux.compose(uinv).is_identity()
+
+
+@pytest.mark.parametrize("name", ["Q", "Fp:7"])
+def test_integer_form_is_built_once_per_map(name, monkeypatch):
+    """`dagger` (its norm guard) and then `is_inv_member` on one U_x convert
+    its matrix to integers once."""
+    f = FIELDS[name]
+    alg = split_albert(f)
+    u = _uop_map(alg, alg.sample_norm_one(random.Random(21), 2))
+    conversions = []
+    to_ints = linmaps.to_ints
+
+    def counting(values, field):
+        if len(values) == 27 * 27:
+            conversions.append(1)
+        return to_ints(values, field)
+
+    monkeypatch.setattr(linmaps, "to_ints", counting)
+    dagger(u, alg)
+    assert is_inv_member(u, alg)
+    assert norm_preserving_sampled(u, alg, 5)
+    assert len(conversions) == 1
+
+
+@pytest.mark.parametrize("name", ["Q", "Fp:7"])
+def test_involution_is_squared_once(name, monkeypatch):
+    """`realize_involution` and then `fixed_subalgebra` on the same map
+    compose it with itself once: the map keeps its order-2 verdict."""
+    f = FIELDS[name]
+    cat = Catalog(f)
+    squares = []
+    compose = LinMap.compose
+
+    def counting(self, other):
+        if other is self:
+            squares.append(1)
+        return compose(self, other)
+
+    monkeypatch.setattr(LinMap, "compose", counting)
+    for space, ctx, dim in (("J", cat.J, 11), ("B", cat.B, 24)):
+        del squares[:]
+        m = cat.realize_involution("s", space)
+        assert fixed_subalgebra(m, ctx).dimension == dim
+        assert m.order_divides_two()
+        assert len(squares) == 1
