@@ -36,7 +36,6 @@ Tits model from Kronecker blocks, inverting each factor once.
 
 from __future__ import annotations
 
-import json
 import random
 from operator import mul
 
@@ -245,42 +244,6 @@ class AlbertElem(Elem):
     def parts(self):
         return tuple(mat3_from_flat(self.coords[9 * r: 9 * r + 9]) for r in range(3))
 
-    def to_json(self) -> str:
-        f = self.algebra.field
-        s = f.scalar_str
-        if self.algebra.model == "her":
-            return json.dumps(
-                {
-                    "model": "her",
-                    "gamma": [s(g) for g in self.algebra.gamma],
-                    "xi": [s(v) for v in self.xi],
-                    "a": [s(v) for v in self.a],
-                    "b": [s(v) for v in self.b],
-                    "c": [s(v) for v in self.c],
-                }
-            )
-        return json.dumps(
-            {
-                "model": "tits",
-                "varsigma": s(self.algebra.varsigma),
-                "parts": [[s(v) for v in self.coords[9 * r: 9 * r + 9]] for r in range(3)],
-            }
-        )
-
-    @staticmethod
-    def from_json(algebra: "AlbertAlgebra", text: str) -> "AlbertElem":
-        d = json.loads(text)
-        f = algebra.field
-        if d["model"] != algebra.model:
-            raise ModelMismatch(f"element is {d['model']}, algebra is {algebra.model}")
-        if algebra.model == "her":
-            coords = [f.parse_scalar(v) for v in d["xi"]]
-            for key in ("a", "b", "c"):
-                coords += [f.parse_scalar(v) for v in d[key]]
-            return algebra.element(coords)
-        coords = [f.parse_scalar(v) for part in d["parts"] for v in part]
-        return algebra.element(coords)
-
 
 class AlbertAlgebra(Algebra):
     """One model of the Albert algebra over an exact field."""
@@ -301,21 +264,17 @@ class AlbertAlgebra(Algebra):
                 raise ValueError("Hermitian model needs a dimension-8 composition algebra")
             if octonions.field != field:
                 raise AlgebraMismatch("octonion algebra over a different field")
-            gamma = tuple(
-                f.from_int(g) if isinstance(g, int) else g
-                for g in (gamma if gamma is not None else (1, 1, 1))
-            )
+            gamma = tuple(map(f.coerce, (1, 1, 1) if gamma is None else gamma))
             if len(gamma) != 3 or any(not g for g in gamma):
                 raise ValueError("gamma must be three nonzero scalars")
             self.octonions = octonions
             self.gamma = gamma
             self.varsigma = None
-            self.basis_tag = f"her:{octonions.descriptor}:gamma={','.join(f.scalar_str(g) for g in gamma)}"
+            self.basis_tag = f"her:{octonions.basis_tag}:gamma={','.join(f.scalar_str(g) for g in gamma)}"
         elif model == "tits":
             self.octonions = None
             self.gamma = None
-            vs = f.from_int(varsigma if varsigma is not None else 1) \
-                if isinstance(varsigma, int) or varsigma is None else varsigma
+            vs = f.coerce(1 if varsigma is None else varsigma)
             if not vs:
                 raise ValueError("varsigma must be nonzero")
             self.varsigma = vs
@@ -774,14 +733,12 @@ def isotope_mul(x: AlbertElem, u: AlbertElem, y: AlbertElem) -> AlbertElem:
 
 
 def phi_lambda(lam, x: AlbertElem) -> AlbertElem:
-    f = x.algebra.field
-    lam = f.from_int(lam) if isinstance(lam, int) else lam
+    lam = x.algebra.field.coerce(lam)
     return AlbertElem(x.algebra, x.algebra.phi_lambda_raw(lam, x.coords))
 
 
 def nu_g(g, x: AlbertElem) -> AlbertElem:
-    f = x.algebra.field
-    g = f.from_int(g) if isinstance(g, int) else g
+    g = x.algebra.field.coerce(g)
     return AlbertElem(x.algebra, x.algebra.nu_g_raw(g, x.coords))
 
 

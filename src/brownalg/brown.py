@@ -8,7 +8,6 @@ Coordinate order: (alpha, beta, j-block 27, l-block 27).
 from __future__ import annotations
 
 import functools
-import json
 
 from .albert import DIM as JDIM
 from .albert import AlbertAlgebra, AlbertElem
@@ -42,29 +41,6 @@ class BrownElem(Elem):
     def l(self):
         return self.coords[2 + JDIM :]
 
-    def to_json(self) -> str:
-        f = self.algebra.field
-        s = f.scalar_str
-        jelem = AlbertElem(self.algebra.jalg, self.j)
-        lelem = AlbertElem(self.algebra.jalg, self.l)
-        return json.dumps(
-            {
-                "alpha": s(self.alpha),
-                "beta": s(self.beta),
-                "j": json.loads(jelem.to_json()),
-                "l": json.loads(lelem.to_json()),
-                "zeta": s(self.algebra.zeta),
-            }
-        )
-
-    @staticmethod
-    def from_json(algebra: "BrownAlgebra", text: str) -> "BrownElem":
-        d = json.loads(text)
-        f = algebra.field
-        j = AlbertElem.from_json(algebra.jalg, json.dumps(d["j"]))
-        l = AlbertElem.from_json(algebra.jalg, json.dumps(d["l"]))
-        return algebra.element(f.parse_scalar(d["alpha"]), f.parse_scalar(d["beta"]), j, l)
-
 
 class BrownAlgebra(Algebra):
     dim = BDIM
@@ -74,7 +50,7 @@ class BrownAlgebra(Algebra):
 
     def __init__(self, jalg: AlbertAlgebra, zeta=1):
         f = jalg.field
-        zeta = f.from_int(zeta) if isinstance(zeta, int) else zeta
+        zeta = f.coerce(zeta)
         if not zeta:
             raise ValueError("zeta must be nonzero")
         self.jalg = jalg

@@ -14,7 +14,6 @@ Basis order of a doubled algebra is (first-copy basis, second-copy basis).
 from __future__ import annotations
 
 import itertools
-import json
 
 from .errors import NoSuchV
 from .fields import FieldSpec, Scalar
@@ -74,14 +73,7 @@ def _double_tables(field, mul, conj, qform, n, kappa):
 
 
 class CompElem(Elem):
-    def to_json(self) -> str:
-        f = self.algebra.field
-        return json.dumps([f.scalar_str(c) for c in self.coords])
-
-    @staticmethod
-    def from_json(algebra: "CDAlgebra", text: str) -> "CompElem":
-        vals = json.loads(text)
-        return algebra.element([algebra.field.parse_scalar(v) for v in vals])
+    """An element of a composition algebra."""
 
 
 class CDAlgebra(Algebra):
@@ -94,7 +86,7 @@ class CDAlgebra(Algebra):
 
     def __init__(self, field: FieldSpec, kappas=(), split_base=False):
         field._need_arith()
-        kappas = tuple(field.from_int(k) if isinstance(k, int) else k for k in kappas)
+        kappas = tuple(map(field.coerce, kappas))
         if any(not k for k in kappas):
             raise ValueError("doubling parameters must be nonzero")
         self.field = field
@@ -137,10 +129,6 @@ class CDAlgebra(Algebra):
     @classmethod
     def split_octonions(cls, field: FieldSpec) -> "CDAlgebra":
         return cls(field, kappas=(1,), split_base=True)
-
-    @property
-    def descriptor(self) -> str:
-        return self.basis_tag
 
     @staticmethod
     def parse(text: str) -> "CDAlgebra":

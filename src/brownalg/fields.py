@@ -132,6 +132,15 @@ class FieldSpec:
         self._need_arith()
         return Fraction(n) if self.kind == RATIONALS else n % self.p
 
+    def coerce(self, a):
+        """`a` as a raw value: an int through `from_int`, a `Fraction` as
+        itself over Q; anything else raises MixedFields."""
+        if isinstance(a, int):
+            return self.from_int(a)
+        if isinstance(a, Fraction) and self.kind == RATIONALS:
+            return a
+        raise MixedFields(f"{a!r} is not a value of {self}")
+
     def add(self, a, b):
         return a + b if self.kind == RATIONALS else (a + b) % self.p
 
@@ -238,9 +247,7 @@ class Scalar:
             if other.field != self.field:
                 raise MixedFields(f"{self.field} vs {other.field}")
             return other
-        if isinstance(other, int):
-            return Scalar(self.field.from_int(other), self.field)
-        raise TypeError(f"cannot combine Scalar with {type(other).__name__}")
+        return Scalar(self.field.coerce(other), self.field)
 
     def __add__(self, other):
         o = self._coerce(other)
@@ -291,9 +298,7 @@ def scalar(field: FieldSpec, value) -> Scalar:
         return value
     if isinstance(value, str):
         return Scalar(field.parse_scalar(value), field)
-    if isinstance(value, Fraction) and field.kind == RATIONALS:
-        return Scalar(value, field)
-    return Scalar(field.from_int(value) if isinstance(value, int) else value, field)
+    return Scalar(field.coerce(value), field)
 
 
 def arith(x: Scalar, y: Scalar, op: str) -> Scalar:

@@ -11,6 +11,7 @@ elements, and the U_V bridge between the varpi and s.varpi fixed algebras.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .albert import AlbertAlgebra, AlbertElem, hermitian, tits
@@ -172,7 +173,7 @@ def make_torus_element(algebra, params, level: str) -> LinMap:
     if arity is None:
         raise ValueError(f"unknown level {level!r}")
     f = algebra.field
-    params = tuple(f.from_int(p) if isinstance(p, int) else p for p in params)
+    params = tuple(map(f.coerce, params))
     if len(params) != arity:
         raise ArityMismatch(f"level {level} needs {arity} parameters, got {len(params)}")
     if any(not p for p in params):
@@ -352,21 +353,15 @@ class Catalog:
         self.octonions = CDAlgebra.split_octonions(field)
         self.J = hermitian(self.octonions)
         self.B = BrownAlgebra(self.J)
-        self._Jt = None
-        self._Bt = None
         self._cache = {}
 
-    @property
+    @functools.cached_property
     def Jt(self) -> AlbertAlgebra:
-        if self._Jt is None:
-            self._Jt = tits(self.field)
-        return self._Jt
+        return tits(self.field)
 
-    @property
+    @functools.cached_property
     def Bt(self) -> BrownAlgebra:
-        if self._Bt is None:
-            self._Bt = BrownAlgebra(self.Jt)
-        return self._Bt
+        return BrownAlgebra(self.Jt)
 
     def t_oct(self) -> LinMap:
         if "t_oct" not in self._cache:

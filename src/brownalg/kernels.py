@@ -35,11 +35,21 @@ standard basis vectors; the coordinate maps of `involutions` and `brown`
 are built this way, and their lifts by `linalg.block_diag`) and equality by
 basis tag.  `Elem` is the element base class: an immutable (algebra,
 coords) pair with addition, negation and scaling, which raises its class's
-`mismatch` error when elements of different algebras are combined.
+`mismatch` error when elements of different algebras are combined.  A
+coordinate or a scale factor is a field value: an int, or a `Fraction` over
+Q (`FieldSpec.coerce`); anything else raises `MixedFields`.
+
+Every element has one JSON form, named by its algebra's basis tag:
+`{"algebra": basis_tag, "coords": [field.scalar_str(v), ...]}`, written by
+`Elem.to_json`.  `Elem.from_json(algebra, text)` loads it only into the
+algebra with that tag, raising the class's `mismatch` error otherwise (so a
+Hermitian element is not loaded under another gamma, nor a Brown element
+under another zeta), and raises ValueError on a malformed document.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import random
 from dataclasses import dataclass
@@ -123,8 +133,7 @@ class Algebra:
         return self.table.apply(x, y, self.field)
 
     def element(self, coords) -> "Elem":
-        f = self.field
-        coords = tuple(f.from_int(c) if isinstance(c, int) else c for c in coords)
+        coords = tuple(map(self.field.coerce, coords))
         if len(coords) != self.dim:
             raise ValueError(f"need {self.dim} coordinates, got {len(coords)}")
         return self.elem(self, coords)
@@ -193,5 +202,24 @@ class Elem:
 
     def scale(self, c):
         f = self.algebra.field
-        c = f.from_int(c) if isinstance(c, int) else c
+        c = f.coerce(c)
         return type(self)(self.algebra, tuple(f.mul(c, a) for a in self.coords))
+
+    def to_json(self) -> str:
+        """The element as {"algebra": basis tag, "coords": [value strings]}."""
+        s = self.algebra.field.scalar_str
+        return json.dumps({"algebra": self.algebra.basis_tag,
+                           "coords": [s(v) for v in self.coords]})
+
+    @classmethod
+    def from_json(cls, algebra: Algebra, text: str) -> "Elem":
+        """The element of `algebra` that `to_json` wrote.  A document of
+        another algebra raises `mismatch`; a malformed one, ValueError."""
+        doc = json.loads(text)
+        coords = doc.get("coords") if isinstance(doc, dict) else None
+        if not (isinstance(coords, list) and all(isinstance(v, str) for v in coords)
+                and isinstance(doc.get("algebra"), str)):
+            raise ValueError('an element is {"algebra": tag, "coords": [value strings]}')
+        if doc["algebra"] != algebra.basis_tag:
+            raise cls.mismatch(f"element of {doc['algebra']} loaded into {algebra.basis_tag}")
+        return Algebra.element(algebra, list(map(algebra.field.parse_scalar, coords)))

@@ -299,23 +299,17 @@ def nullspace(a, field: FieldSpec):
 
 def inverse(a, field: FieldSpec):
     """Exact inverse; returns None when singular."""
-    n = len(a)
-    aug = tuple(tuple(r) + e for r, e in zip(a, identity(n, field)))
-    rows, pivots = rref(aug, field)
-    if tuple(pivots[:n]) != tuple(range(n)) or len(pivots) != n:
-        return None
-    return tuple(r[n:] for r in rows[:n])
+    return solve_right(a, identity(len(a), field), field)
 
 
 def solve_right(a, b, field: FieldSpec):
     """Solve a X = b for square invertible a (b a matrix); None if singular."""
     n = len(a)
-    k = len(b[0])
     aug = tuple(tuple(a[i]) + tuple(b[i]) for i in range(n))
     rows, pivots = rref(aug, field)
     if tuple(pivots[:n]) != tuple(range(n)):
         return None
-    return tuple(r[n : n + k] for r in rows[:n])
+    return tuple(r[n:] for r in rows[:n])
 
 
 def row_space_rref(vectors, field: FieldSpec):

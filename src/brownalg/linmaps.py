@@ -156,7 +156,7 @@ class LinMap:
     def eigenspace(self, eigval):
         """Basis of ker(self - eigval id)."""
         f = self.field
-        ev = f.from_int(eigval) if isinstance(eigval, int) else eigval
+        ev = f.coerce(eigval)
         m = tuple(
             tuple(f.sub(v, ev) if i == j else v for j, v in enumerate(row))
             for i, row in enumerate(self.matrix)

@@ -74,7 +74,7 @@ def check_unit_law(ctx):
         for _ in range(ctx.scaled(0.1)):
             x = alg.sample(rng).coords
             if alg.mul_raw(e, x) != x or alg.mul_raw(x, e) != x:
-                _fail(f"unit law fails in {alg.descriptor}")
+                _fail(f"unit law fails in {alg.basis_tag}")
 
 
 def check_composition_law(ctx):
@@ -86,7 +86,7 @@ def check_composition_law(ctx):
             lhs = alg.qnorm_raw(alg.mul_raw(x, y))
             rhs = f.mul(alg.qnorm_raw(x), alg.qnorm_raw(y))
             if lhs != rhs:
-                _fail(f"q(xy) != q(x)q(y) in {alg.descriptor}: x={x} y={y}")
+                _fail(f"q(xy) != q(x)q(y) in {alg.basis_tag}: x={x} y={y}")
 
 
 def check_alternativity(ctx):
@@ -113,7 +113,7 @@ def check_conj_antihom(ctx):
         for _ in range(ctx.scaled(0.3)):
             x, y = alg.sample(rng).coords, alg.sample(rng).coords
             if alg.conj_raw(alg.mul_raw(x, y)) != alg.mul_raw(alg.conj_raw(y), alg.conj_raw(x)):
-                _fail(f"conj(xy) != conj(y)conj(x) in {alg.descriptor}")
+                _fail(f"conj(xy) != conj(y)conj(x) in {alg.basis_tag}")
             if alg.conj_raw(alg.conj_raw(x)) != x:
                 _fail("conj is not involutive")
 
@@ -121,7 +121,7 @@ def check_conj_antihom(ctx):
 def check_gram_nondegenerate(ctx):
     for alg in _oct_algebras(ctx):
         if alg.gram_rank() != alg.dim:
-            _fail(f"degenerate bilinear form on {alg.descriptor}")
+            _fail(f"degenerate bilinear form on {alg.basis_tag}")
 
 
 COMPOSITION_CHECKS = (

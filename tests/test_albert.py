@@ -336,7 +336,7 @@ def test_check_closed_norm_reads_the_tits_model(monkeypatch):
         AlbertAlgebra, "norm_raw",
         lambda self, x: self.field.add(norm_raw(self, x), 1) if self.model == "tits"
         else norm_raw(self, x))
-    with pytest.raises(verify.CheckFailure, match='"model": "tits"'):
+    with pytest.raises(verify.CheckFailure, match='"algebra": "tits:'):
         verify.check_closed_norm(ctx)
 
 

@@ -2,15 +2,18 @@
 (`kernels.Elem`) on the three algebras of the tower."""
 
 import functools
+import json
 import random
+from fractions import Fraction
 
 import pytest
 
 from brownalg import linalg
-from brownalg.albert import split_albert, tits
+from brownalg.albert import hermitian, split_albert, tits
 from brownalg.brown import BrownAlgebra
 from brownalg.cayley import CDAlgebra
-from brownalg.errors import AlgebraMismatch, ModelMismatch
+from brownalg.errors import AlgebraMismatch, MixedFields, ModelMismatch
+from brownalg.kernels import Algebra
 from brownalg.fields import Fp, Q
 from brownalg.linmaps import ALBERT, BROWN, OCT
 
@@ -87,3 +90,81 @@ def test_brown_unit(field):
     z = b.jalg.zero()
     assert b.unit() == b.element(1, 1, z, z)
     assert b.unit().coords == b.unit_coords
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@pytest.mark.parametrize("kind", KINDS)
+def test_json_names_the_algebra_and_loads_only_into_it(kind, field):
+    a, b = _pair(kind, field)
+    x = a.sample(random.Random(3))
+    text = x.to_json()
+    assert json.loads(text) == {"algebra": a.basis_tag,
+                                "coords": [field.scalar_str(v) for v in x.coords]}
+    assert a.elem.from_json(a, text) == x
+    with pytest.raises(ModelMismatch if kind == "albert" else AlgebraMismatch):
+        a.elem.from_json(b, text)
+
+
+def _same_kind_pairs(field):
+    """Algebras of one kind whose elements the per-class formats loaded into
+    each other with a changed value."""
+    octonions = CDAlgebra.split_octonions(field)
+    return {
+        "gamma": (split_albert(field), hermitian(octonions, gamma=(-1, 1, 1))),
+        "varsigma": (tits(field), tits(field, varsigma=2)),
+        "octonions": (octonions, CDAlgebra(field, (-1, -1, -1))),
+    }
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@pytest.mark.parametrize("case", ["gamma", "varsigma", "octonions"])
+def test_json_load_into_other_parameters_raises(case, field):
+    a, b = _same_kind_pairs(field)[case]
+    text = a.sample(random.Random(5)).to_json()
+    with pytest.raises(ModelMismatch if case != "octonions" else AlgebraMismatch):
+        a.elem.from_json(b, text)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@pytest.mark.parametrize("kind", KINDS)
+def test_malformed_json_raises_value_error(kind, field):
+    a = _pair(kind, field)[0]
+    coords = [field.scalar_str(v) for v in a.unit_coords]
+    for doc in (coords, {"coords": coords}, {"algebra": a.basis_tag},
+                {"algebra": a.basis_tag, "coords": coords[1:]},
+                {"algebra": a.basis_tag, "coords": [1] * a.dim},
+                {"algebra": a.basis_tag, "coords": ["x"] * a.dim}):
+        with pytest.raises(ValueError):
+            a.elem.from_json(a, json.dumps(doc))
+    with pytest.raises(ValueError):
+        a.elem.from_json(a, "{")
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@pytest.mark.parametrize("kind", KINDS)
+def test_element_and_scale_take_only_field_values(kind, field):
+    """A coordinate or scale factor that is not an int, or a Fraction over Q,
+    raises: 1/2 over F_7 once gave a norm of 1/4, and 0.1 over Q a float."""
+    a = _pair(kind, field)[0]
+    x = a.unit()
+    bad = [0.1, "1", None, Fraction(1, 2) if field == Fp(7) else 1j]
+    for v in bad:
+        with pytest.raises(MixedFields):
+            Algebra.element(a, (v,) + a.unit_coords[1:])
+        with pytest.raises(MixedFields):
+            x.scale(v)
+    assert Algebra.element(a, [1] + [0] * (a.dim - 1)).coords[0] == field.one()
+    assert x.scale(-1) == -x
+
+
+def test_algebra_parameters_take_only_field_values():
+    q = Q()
+    with pytest.raises(MixedFields):
+        CDAlgebra(q, (0.5,))
+    with pytest.raises(MixedFields):
+        tits(q, varsigma=0.5)
+    with pytest.raises(MixedFields):
+        hermitian(CDAlgebra.split_octonions(Fp(7)), gamma=(Fraction(1, 2), 1, 1))
+    with pytest.raises(MixedFields):
+        BrownAlgebra(split_albert(q), zeta=0.5)
+

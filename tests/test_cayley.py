@@ -161,7 +161,7 @@ def test_algebra_mismatch():
 
 def test_descriptor_round_trip():
     for alg in (oct_split(Fp(7)), CDAlgebra(Fp(7), (1, 1, 1)), CDAlgebra(Q(), (1, 2))):
-        again = CDAlgebra.parse(alg.descriptor)
+        again = CDAlgebra.parse(alg.basis_tag)
         assert again == alg
     assert CDAlgebra.parse("cd:Fp:7:1,1,1").dim == 8
     assert CDAlgebra.parse("cd:Q:split:1") == oct_split(Q())

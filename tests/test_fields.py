@@ -56,6 +56,22 @@ def test_mixed_fields_rejected():
         scalar(Q(), 1) + scalar(Fp(7), 1)
 
 
+def test_scalar_operands_are_field_values():
+    """A Scalar combines with an int or, over Q, a Fraction; any other
+    operand raises MixedFields."""
+    assert scalar(Q(), 1) + Fraction(1, 2) == scalar(Q(), Fraction(3, 2))
+    assert Fraction(1, 2) * scalar(Q(), 4) == scalar(Q(), 2)
+    assert scalar(Fp(7), 3) * 5 == scalar(Fp(7), 1)
+    for x, v in ((scalar(Q(), 1), 0.5), (scalar(Fp(7), 1), Fraction(1, 2)),
+                 (scalar(Fp(7), 1), "1")):
+        with pytest.raises(MixedFields):
+            x + v
+        with pytest.raises(MixedFields):
+            v + x
+    with pytest.raises(MixedFields):
+        scalar(Q(), 0.5)
+
+
 def test_sample_deterministic():
     a = sample(Fp(7), seed=0)
     b = sample(Fp(7), seed=0)

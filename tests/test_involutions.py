@@ -79,7 +79,7 @@ def test_f_p_composition():
 def test_t_star_is_automorphism_with_default_ordering():
     c = CDAlgebra.split_octonions(Fp(7))
     t = make_t_star(c)
-    assert t.basis_tag == c.descriptor  # identity ordering accepted
+    assert t.basis_tag == c.basis_tag  # identity ordering accepted
     assert t.compose(t).is_identity()
     fix = t.fixed_space()
     assert len(fix) == 4
