@@ -1,6 +1,6 @@
 """The 56-dimensional Brown algebra B(J x J, k x k, zeta) over a cubic Jordan
 view J, with its 2x2-block product, exchange involution, skew line, type test,
-and the lifts of norm-preserving and automorphic maps of J.
+and the one lift `lift_inv` of the norm-preserving maps of J, Inv(J) -> Aut(B).
 
 Coordinate order: (alpha, beta, j-block 27, l-block 27).
 """
@@ -127,22 +127,14 @@ class BrownAlgebra(Algebra):
 
     # -- lifts ---------------------------------------------------------------
 
-    def _lift(self, mj, ml) -> LinMap:
-        """(alpha, beta, j, l) -> (alpha, beta, mj j, ml l)."""
-        return self.linmap(block_diag((identity(2, self.field), mj, ml), self.field))
-
-    def lift_aut(self, phi: LinMap) -> LinMap:
-        """(alpha, beta, j, l) -> (alpha, beta, phi j, phi l) for phi in Aut(J)."""
-        if not is_aut_member(phi, self.jalg):
-            raise NotAutomorphism("lift_aut needs an Albert algebra automorphism")
-        return self._lift(phi.matrix, phi.matrix)
-
     def lift_inv(self, phi: LinMap) -> LinMap:
-        """(alpha, beta, j, l) -> (alpha, beta, phi j, phi-dagger l) for
-        phi in Inv(J); agrees with lift_aut on Aut(J).  `dagger` guards the
-        norm and raises NotNormPreserving."""
-        dag = dagger(phi, self.jalg)
-        return self._lift(phi.matrix, dag.matrix)
+        """(alpha, beta, j, l) -> (alpha, beta, phi j, phi-dagger l) for phi in
+        Inv(J).  An automorphism keeps the trace form, so when `is_aut_member`
+        certifies phi the l-block is phi itself; otherwise `dagger` solves it,
+        guarding the norm and raising NotNormPreserving."""
+        ml = phi if is_aut_member(phi, self.jalg) else dagger(phi, self.jalg)
+        f = self.field
+        return self.linmap(block_diag((identity(2, f), phi.matrix, ml.matrix), f))
 
     def varpi(self) -> LinMap:
         """(alpha, beta, j, l) -> (beta, alpha, l, j); order 2."""

@@ -82,10 +82,8 @@ def _shape_label(cat: Catalog, m, space: str, rep) -> str:
                 "B^varpi (diagonal {(a, a, j, j)})": balg.varpi(),
             }
             if balg is cat.B:
-                s_hat = balg.lift_aut(cat.s_on_j())
-                t_hat = balg.lift_aut(cat.t_on_j())
-                candidates["B^(s.varpi) (twisted diagonal by s)"] = s_hat.compose(balg.varpi())
-                candidates["B^(t.varpi) (twisted diagonal by t)"] = t_hat.compose(balg.varpi())
+                candidates["B^(s.varpi) (twisted diagonal by s)"] = cat.realize("s.varpi", "B")
+                candidates["B^(t.varpi) (twisted diagonal by t)"] = cat.realize("t.varpi", "B")
             for label, canon in candidates.items():
                 if same_span(list(rep.basis), list(canon.fixed_space()), m.field):
                     return label

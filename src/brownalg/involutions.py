@@ -7,6 +7,9 @@ invertible base quaternion), and the anti-diagonal pair-swap t*.
 Albert-level: lifts of octonion automorphisms, the diagonal-sign map
 s = U_{diag(1,-1,-1)}, the transpose-and-swap map on the Tits model, torus
 elements, and the U_V bridge between the varpi and s.varpi fixed algebras.
+Every automorphism check, on the octonions and on J, is
+`linmaps.is_aut_member`; `Catalog.realize` lifts each J atom to B with
+`BrownAlgebra.lift_inv`, the one Brown lift.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from . import linalg
 from .linmaps import (
     LinMap,
     dagger,
+    is_aut_member,
     is_automorphism,
 )
 
@@ -42,12 +46,6 @@ import re
 
 
 # -- octonion-level automorphisms -------------------------------------------
-
-def is_oct_automorphism(m: LinMap, octonions: CDAlgebra) -> bool:
-    if m.basis_tag != octonions.basis_tag:
-        raise CarrierMismatch("map does not live on this composition algebra")
-    return is_automorphism(m, octonions.table.mul_ints, octonions.unit_coords)
-
 
 def _base_of(octonions: CDAlgebra) -> CDAlgebra:
     if octonions.dim != 8:
@@ -76,7 +74,7 @@ def make_t(octonions: CDAlgebra, p) -> LinMap:
     if base.qnorm_raw(pc) != octonions.field.one():
         raise NotUnitNorm("f_p needs q(p) = 1")
     m = octonions.linmap_of(lambda x: x[:4] + base.mul_raw(pc, x[4:]))
-    if not is_oct_automorphism(m, octonions):
+    if not is_aut_member(m, octonions):
         raise NotAutomorphism("f_p failed the automorphism check")
     return m
 
@@ -96,7 +94,7 @@ def conj_by(octonions: CDAlgebra, w) -> LinMap:
         return base.mul_raw(base.mul_raw(wc, a), winv)
 
     m = octonions.linmap_of(lambda x: cw(x[:4]) + cw(x[4:]))
-    if not is_oct_automorphism(m, octonions):
+    if not is_aut_member(m, octonions):
         raise NotAutomorphism("c_w failed the automorphism check")
     return m
 
@@ -107,7 +105,7 @@ def make_t_star(octonions: CDAlgebra) -> LinMap:
     (0 1; 1 0), an automorphism for every kappa; on a doubled chain it moves
     the unit e_0, and NoValidOrdering is raised."""
     m = octonions.linmap_of(lambda x: x[3::-1] + x[:3:-1])
-    if not is_oct_automorphism(m, octonions):
+    if not is_aut_member(m, octonions):
         raise NoValidOrdering(
             "no within-block ordering makes the anti-diagonal map an automorphism; "
             "the composition algebra is probably not the default split model"
@@ -126,9 +124,7 @@ def lift_c_to_j(t: LinMap, albert: AlbertAlgebra) -> LinMap:
     """t-hat(xi; a, b, c) = (xi; t a, t b, t c)."""
     if albert.model != "her":
         raise ModelMismatch("octonion lifts live on the Hermitian model")
-    if t.basis_tag != albert.octonions.basis_tag:
-        raise CarrierMismatch("lift_c_to_j needs a map on the algebra's octonions")
-    if not is_oct_automorphism(t, albert.octonions):
+    if not is_aut_member(t, albert.octonions):
         raise NotAutomorphism("lift_c_to_j needs an octonion automorphism")
     f = albert.field
     return albert.linmap(linalg.block_diag((linalg.identity(3, f),) + (t.matrix,) * 3, f))
@@ -153,10 +149,6 @@ def make_theta_tits(albert: AlbertAlgebra) -> LinMap:
         return a[0::3] + a[1::3] + a[2::3]
 
     return albert.linmap_of(lambda x: tr(x[:9]) + tr(x[18:]) + tr(x[9:18]))
-
-
-def tits_phi_map(albert: AlbertAlgebra, u, v, w) -> LinMap:
-    return albert.linmap(albert.tits_phi_matrix(u, v, w))
 
 
 def _diag3_det1(f, x1, x2):
@@ -192,11 +184,11 @@ def make_torus_element(algebra, params, level: str) -> LinMap:
         u1, u2, v1, v2 = params
         u = _diag3_det1(f, u1, u2)
         v = _diag3_det1(f, v1, v2)
-        return tits_phi_map(algebra, u, u, v)
+        return algebra.linmap(algebra.tits_phi_matrix(u, u, v))
     u1, u2, v1, v2, w1, w2 = params
-    return tits_phi_map(
-        algebra, _diag3_det1(f, u1, u2), _diag3_det1(f, v1, v2), _diag3_det1(f, w1, w2)
-    )
+    return algebra.linmap(algebra.tits_phi_matrix(
+        _diag3_det1(f, u1, u2), _diag3_det1(f, v1, v2), _diag3_det1(f, w1, w2)
+    ))
 
 
 # -- fixed subalgebras and gradings -------------------------------------------
@@ -388,9 +380,6 @@ class Catalog:
             self._cache["t*j"] = lift_c_to_j(self.t_star_oct(), self.J)
         return self._cache["t*j"]
 
-    def varpi(self, tits_model: bool = False) -> LinMap:
-        return (self.Bt if tits_model else self.B).varpi()
-
     def _atom(self, text: str, space: str):
         text = text.strip()
         if ":" in text:
@@ -438,13 +427,8 @@ class Catalog:
         for kind, jmap in atoms:
             if kind == "varpi":
                 piece = balg.varpi()
-            elif space == "J":
-                piece = jmap
             else:
-                try:
-                    piece = balg.lift_aut(jmap)
-                except NotAutomorphism:
-                    piece = balg.lift_inv(jmap)
+                piece = jmap if space == "J" else balg.lift_inv(jmap)
             out = piece if out is None else out.compose(piece)
         return out
 

@@ -188,8 +188,8 @@ def enumerate_solutions(
     """All nonnegative tuples with sum marks[i] s[i] = m, lexicographic order,
     optionally gcd-filtered and restricted to fold-symmetric tuples.  The gcd
     filter defaults on for untwisted enumeration and off for folded."""
-    if m < 1:
-        raise ValueError("order m must be >= 1")
+    if not _positive_int(m):
+        raise ValueError(f"order m = {m!r} is not a positive integer")
     if gcd_filter is None:
         gcd_filter = not folded
     if folded and not diagram.folding:

@@ -28,8 +28,9 @@ A map keeps its dagger once computed, so `dagger` and a `lift_inv` of the
 same map solve the trace-form system once.
 `is_automorphism` certifies multiplicativity on basis pairs for any
 bilinear integer product of fixed scale, such as `MulTable.mul_ints`, on the
-integer form of the map: `is_aut_member` on the Albert algebra, and the
-octonion and isotope checks of `involutions`.
+integer form of the map: `is_aut_member` on every algebra of the tower
+(composition, Albert and Brown, matched by basis tag), and the isotope check
+of `involutions`.
 
 This module never imports the algebra modules; algebra objects are passed in
 and used through their raw-operation methods.
@@ -329,10 +330,12 @@ def is_automorphism(phi: LinMap, product, unit, commutative: bool = False) -> bo
 
 def is_aut_member(phi: LinMap, algebra) -> bool:
     """Exact: phi(e) = e and phi(e_i . e_j) = phi(e_i) . phi(e_j) for every
-    basis pair i <= j of the Albert algebra (`is_automorphism` on the
-    integer Jordan table)."""
-    _require_albert(phi, algebra)
-    return is_automorphism(phi, algebra.table.mul_ints, algebra.unit_coords, commutative=True)
+    basis pair of any algebra of the tower (`is_automorphism` on its integer
+    table; the pairs i <= j when it is commutative).  Raises CarrierMismatch
+    for a map on another basis."""
+    if phi.basis_tag != algebra.basis_tag:
+        raise CarrierMismatch(f"map on {phi.basis_tag!r} does not live on {algebra.basis_tag!r}")
+    return is_automorphism(phi, algebra.table.mul_ints, algebra.unit_coords, algebra.commutative)
 
 
 # the seeded points of the norm guard of `dagger`

@@ -22,13 +22,12 @@ from .fields import (
     REAL,
     FieldSpec,
     Infinite,
+    Q,
     is_prime,
 )
 
-
-def _as_fraction(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
-
+# arguments are exact rationals: ints and Fractions, through Q's `coerce`
+_QQ = Q()
 
 # `is_prime` is deterministic below 2^64; a larger cofactor is not factored.
 FACTOR_LIMIT = 2**64
@@ -134,7 +133,7 @@ def hilbert_symbol(a, b, place: FieldSpec) -> int:
     formula (A Course in Arithmetic, ch. III, Thm. 1) then needs only the
     parity of alpha, beta and the residues of u, v (mod p, or mod 8 at p = 2).
     Nothing is factored, so the cost is a few divisions by p."""
-    a, b = _as_fraction(a), _as_fraction(b)
+    a, b = _QQ.coerce(a), _QQ.coerce(b)
     if not a or not b:
         raise ZeroArgument("Hilbert symbol arguments must be nonzero")
     if place.kind == REAL:
@@ -166,7 +165,7 @@ def hilbert_places(a, b):
     dividing a or b to an odd power.  Raises FactorizationTooLarge when a
     numerator or denominator has a cofactor of 2^64 or more without prime
     factors below 1000."""
-    a, b = _as_fraction(a), _as_fraction(b)
+    a, b = _QQ.coerce(a), _QQ.coerce(b)
     primes = {2}
     for x in (a, b):
         if x:
@@ -182,8 +181,8 @@ class QuatPresentation:
     b: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "a", _as_fraction(self.a))
-        object.__setattr__(self, "b", _as_fraction(self.b))
+        object.__setattr__(self, "a", _QQ.coerce(self.a))
+        object.__setattr__(self, "b", _QQ.coerce(self.b))
         if not self.a or not self.b:
             raise ZeroArgument("structure constants must be nonzero")
 

@@ -149,7 +149,7 @@ def test_criterion_6_uv_bridge():
         b = cat.B
         lifted = b.lift_inv(uv)
         fix_w = fixed_subalgebra(b.varpi(), b).basis
-        fix_sw = fixed_subalgebra(b.lift_aut(s).compose(b.varpi()), b).basis
+        fix_sw = fixed_subalgebra(b.lift_inv(s).compose(b.varpi()), b).basis
         image = [lifted.apply(v) for v in fix_w]
         assert linalg.same_span(image, list(fix_sw), field)
     _report(6, "U_V bridge: U_V^2 = s, dagger(U_V) = U_V^-1, B^varpi -> B^(s.varpi)")

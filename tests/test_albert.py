@@ -7,7 +7,6 @@ import pytest
 from brownalg import albert, linalg, verify
 from brownalg.albert import (
     AlbertAlgebra,
-    AlbertElem,
     beth_basis,
     cross,
     cubic_data,
@@ -758,10 +757,3 @@ def test_tits_diagonal_torus_characters():
                 expect = [f.zero()] * 27
                 expect[idx] = f.mul(left[p], f.inv(right[q]))
                 assert img == tuple(expect)
-
-
-def test_json_round_trip():
-    for alg in (split_albert(Q()), tits(Fp(7), varsigma=2)):
-        rng = random.Random(20)
-        x = alg.sample(rng)
-        assert AlbertElem.from_json(alg, x.to_json()).coords == x.coords

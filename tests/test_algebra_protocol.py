@@ -23,9 +23,12 @@ KINDS = ["composition", "albert", "brown"]
 
 @functools.lru_cache(maxsize=None)
 def _pair(kind, field):
-    """Two different algebras of one kind over one field."""
+    """Two different algebras of one kind over one field; "tits" is the
+    Tits model with varsigma 2, then the one with varsigma 1."""
     if kind == "composition":
         return CDAlgebra.split_octonions(field), CDAlgebra(field, (1, 1, 1))
+    if kind == "tits":
+        return tits(field, varsigma=2), tits(field)
     J = split_albert(field)
     if kind == "albert":
         return J, tits(field)
@@ -93,7 +96,7 @@ def test_brown_unit(field):
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
-@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("kind", KINDS + ["tits"])
 def test_json_names_the_algebra_and_loads_only_into_it(kind, field):
     a, b = _pair(kind, field)
     x = a.sample(random.Random(3))
@@ -101,7 +104,7 @@ def test_json_names_the_algebra_and_loads_only_into_it(kind, field):
     assert json.loads(text) == {"algebra": a.basis_tag,
                                 "coords": [field.scalar_str(v) for v in x.coords]}
     assert a.elem.from_json(a, text) == x
-    with pytest.raises(ModelMismatch if kind == "albert" else AlgebraMismatch):
+    with pytest.raises(ModelMismatch if kind in ("albert", "tits") else AlgebraMismatch):
         a.elem.from_json(b, text)
 
 

@@ -5,9 +5,9 @@ import pytest
 
 from brownalg import albert, brown, linalg, linmaps
 from brownalg.albert import AlbertAlgebra, hermitian, split_albert, tits
-from brownalg.brown import BrownAlgebra, BrownElem, binv, bmul
+from brownalg.brown import BrownAlgebra, binv, bmul
 from brownalg.cayley import CDAlgebra
-from brownalg.errors import NotAutomorphism, NotCommuting, NotNormPreserving
+from brownalg.errors import NotCommuting, NotNormPreserving
 from brownalg.fields import Fp, Q
 from brownalg.involutions import Catalog, lift_c_to_j, make_canonical_t, make_s
 from brownalg.linmaps import ALBERT, LinMap, dagger
@@ -65,16 +65,17 @@ def test_skew_space_is_one_dimensional():
 
 
 def test_lift_aut_identity():
+    """The lift of the identity automorphism is the identity."""
     b = _brown(Fp(7))
     ident = b.jalg.linmap(linalg.identity(27, b.field))
-    assert b.lift_aut(ident).is_identity()
+    assert b.lift_inv(ident).is_identity()
 
 
 def test_lift_of_t_hat_preserves_product():
     rng = random.Random(2)
     b = _brown(Fp(7))
     that = lift_c_to_j(make_canonical_t(b.jalg.octonions), b.jalg)
-    lifted = b.lift_aut(that)
+    lifted = b.lift_inv(that)
     for _ in range(40):
         x, y = b.sample(rng), b.sample(rng)
         assert lifted.apply(b.bmul_raw(x.coords, y.coords)) == b.bmul_raw(
@@ -85,20 +86,20 @@ def test_lift_of_t_hat_preserves_product():
 
 
 def test_lift_aut_respects_composition():
+    """On automorphisms of J the lift is a homomorphism."""
     b = _brown(Fp(7))
     that = lift_c_to_j(make_canonical_t(b.jalg.octonions), b.jalg)
     s = make_s(b.jalg)
-    assert b.lift_aut(that.compose(s)).matrix == b.lift_aut(that).compose(b.lift_aut(s)).matrix
+    assert b.lift_inv(that.compose(s)).matrix == b.lift_inv(that).compose(b.lift_inv(s)).matrix
 
 
-def test_lift_aut_rejects_non_automorphism():
+def test_lift_inv_rejects_a_map_outside_inv():
+    """phi_2 scales the cubic norm, so it lies outside Inv(J) and has no lift."""
     b = _brown(Fp(7))
     f = b.field
     cols = [b.jalg.phi_lambda_raw(f.from_int(2), bb.coords) for bb in b.jalg.basis()]
     phi2 = LinMap(tuple(tuple(cols[j][i] for j in range(27)) for i in range(27)),
                   f, ALBERT, b.jalg.basis_tag)
-    with pytest.raises(NotAutomorphism):
-        b.lift_aut(phi2)
     with pytest.raises(NotNormPreserving):
         b.lift_inv(phi2)
 
@@ -143,10 +144,16 @@ def test_lift_inv_guards_the_norm_once(monkeypatch, field):
     assert len(calls) == 1
 
 
-def test_lift_inv_agrees_with_lift_aut_on_aut():
-    b = _brown(Fp(7))
-    that = lift_c_to_j(make_canonical_t(b.jalg.octonions), b.jalg)
-    assert b.lift_inv(that).matrix == b.lift_aut(that).matrix
+@pytest.mark.parametrize("field", [Q(), Fp(7)], ids=str)
+def test_lift_inv_of_an_automorphism_skips_dagger(monkeypatch, field):
+    """On Aut(J) the lift is block_diag(I2, phi, phi), with no trace-form solve."""
+    b = _brown(field)
+    calls = []
+    monkeypatch.setattr(brown, "dagger", lambda *args: calls.append(args))
+    for phi in (lift_c_to_j(make_canonical_t(b.jalg.octonions), b.jalg), make_s(b.jalg)):
+        want = linalg.block_diag((linalg.identity(2, field), phi.matrix, phi.matrix), field)
+        assert b.lift_inv(phi).matrix == want
+    assert calls == []
 
 
 def test_varpi_order_two_and_fixed_dim():
@@ -203,13 +210,6 @@ def test_commuting_pair_rejects_non_commuting():
     assert u12.compose(s).matrix != s.compose(u12).matrix
     with pytest.raises(NotCommuting):
         b.commuting_pair_subalgebra(s, u12)
-
-
-def test_json_round_trip():
-    b = _brown(Q())
-    rng = random.Random(6)
-    x = b.sample(rng)
-    assert BrownElem.from_json(b, x.to_json()).coords == x.coords
 
 
 # -- the derived product table --------------------------------------------------

@@ -1,6 +1,6 @@
 """The Albert operators computed in scaled integers (`uop_matrix`,
 `uop_matrix_sharp`, `sharp_raw`, `jinv_raw`, `trform_raw`, `gram_vec`) and the
-Kronecker-block `tits_phi_map`, against references built from the Jordan
+Kronecker-block `tits_phi_matrix`, against references built from the Jordan
 product through the unchanged `MulTable.apply`."""
 
 import math
@@ -14,7 +14,7 @@ from brownalg.albert import hermitian, split_albert, tits
 from brownalg.cayley import CDAlgebra
 from brownalg.errors import ModelMismatch, NotUnimodular
 from brownalg.fields import _ZERO, RATIONALS, Fp, Q
-from brownalg.involutions import Catalog, tits_phi_map
+from brownalg.involutions import Catalog
 from brownalg.kernels import MulTable
 from brownalg.linmaps import LinMap
 
@@ -150,7 +150,7 @@ def test_int_kernels_match_apply():
         assert LinMap(lm, f, "table7", "table7").apply(y) == table.apply(x, y, f)
 
 
-# -- tits_phi_map --------------------------------------------------------------
+# -- tits_phi_matrix -----------------------------------------------------------
 
 def _unimodular(f, rng, diagonal):
     if diagonal:
@@ -178,7 +178,7 @@ def test_tits_phi_map_matches_the_per_element_map(field, diagonal, monkeypatch):
         u, v, w = (_unimodular(field, rng, diagonal) for _ in range(3))
         ref = alg.linmap_of(lambda x: alg.tits_phi_raw(u, v, w, x))
         calls.clear()
-        m = tits_phi_map(alg, u, v, w)
+        m = alg.linmap(alg.tits_phi_matrix(u, v, w))
         assert len(calls) == 3
         assert m.matrix == ref.matrix
         for row in m.matrix:
@@ -190,9 +190,9 @@ def test_tits_phi_map_errors():
     ident = albert.mat3_identity(f)
     bad = ((Fraction(2), _ZERO, _ZERO), (_ZERO, Fraction(1), _ZERO), (_ZERO, _ZERO, Fraction(1)))
     with pytest.raises(NotUnimodular, match="determinant 1"):
-        tits_phi_map(tits(f), ident, bad, ident)
+        tits(f).tits_phi_matrix(ident, bad, ident)
     with pytest.raises(ModelMismatch, match="first Tits construction"):
-        tits_phi_map(split_albert(f), ident, ident, ident)
+        split_albert(f).tits_phi_matrix(ident, ident, ident)
 
 
 def test_torus_realization_zeros_are_shared():

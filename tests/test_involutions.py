@@ -30,7 +30,6 @@ from brownalg.involutions import (
     make_torus_element,
     make_uv_bridge,
     outer_fixed_condition,
-    tits_phi_map,
     verify_conjugacy_transport,
 )
 from brownalg.kernels import MulTable
@@ -226,8 +225,8 @@ def test_dagger_of_tits_phi_is_swap():
             zero = f.zero()
             mats.append(((x1, zero, zero), (zero, x2, zero), (zero, zero, x3)))
         u, v, w = mats
-        phi = tits_phi_map(jt, u, v, w)
-        assert dagger(phi, jt).matrix == tits_phi_map(jt, v, u, w).matrix
+        phi = jt.linmap(jt.tits_phi_matrix(u, v, w))
+        assert dagger(phi, jt).matrix == jt.tits_phi_matrix(v, u, w)
 
 
 # -- fixed subalgebras on B ------------------------------------------------------
@@ -235,8 +234,8 @@ def test_dagger_of_tits_phi_is_swap():
 def test_fixed_dims_catalog_on_brown():
     cat = cat7()
     b = cat.B
-    s_hat = b.lift_aut(cat.s_on_j())
-    t_hat = b.lift_aut(cat.t_on_j())
+    s_hat = b.lift_inv(cat.s_on_j())
+    t_hat = b.lift_inv(cat.t_on_j())
     w = b.varpi()
     cases = {
         "s": (s_hat, 24),
@@ -383,7 +382,7 @@ def test_uv_bridge_is_a_conjugacy_transport_on_brown():
     b = cat.B
     g = b.lift_inv(make_uv_bridge(cat.J))
     w = b.varpi()
-    sw = b.lift_aut(cat.s_on_j()).compose(w)
+    sw = b.lift_inv(cat.s_on_j()).compose(w)
     assert verify_conjugacy_transport(g, w, sw)
 
 
@@ -400,7 +399,7 @@ def test_uv_bridge_properties():
         b = cat.B
         lifted = b.lift_inv(uv)
         w = b.varpi()
-        s_hat = b.lift_aut(s)
+        s_hat = b.lift_inv(s)
         fix_w = fixed_subalgebra(w, b).basis
         fix_sw = fixed_subalgebra(s_hat.compose(w), b).basis
         image = [lifted.apply(v) for v in fix_w]
@@ -512,8 +511,9 @@ def test_descriptor_realization():
     ("t", "her"), ("s.varpi", "her"), ("t:2,1,1,1,1,1", "tits"),
 ])
 def test_realize_certifies_each_j_atom_once(monkeypatch, descriptor, model):
-    """Lifting a J atom to B runs the automorphism certificate once; a map
-    outside Aut(J) falls back to the Inv(J) lift."""
+    """Lifting a J atom to B runs the automorphism certificate on the
+    27-dimensional map once (the octonion atoms are certified on their
+    8-dimensional maps); a map outside Aut(J) takes its l-block from dagger."""
     cat = cat7()
     balg = cat.B if model == "her" else cat.Bt
     calls = []
@@ -526,9 +526,12 @@ def test_realize_certifies_each_j_atom_once(monkeypatch, descriptor, model):
         if name.startswith("brownalg") and getattr(module, "is_aut_member", None) is is_aut_member:
             monkeypatch.setattr(module, "is_aut_member", spy)
     m = cat.realize(descriptor, "B")
-    assert len(calls) == 1
-    jmap = calls[0]
-    expected = balg.lift_aut(jmap) if is_aut_member(jmap, balg.jalg) else balg.lift_inv(jmap)
+    j_calls = [phi for phi in calls if phi.dim == 27]
+    assert len(j_calls) == 1
+    jmap = j_calls[0]
+    f = cat.field
+    ml = jmap if is_aut_member(jmap, balg.jalg) else dagger(jmap, balg.jalg)
+    expected = balg.linmap(linalg.block_diag((linalg.identity(2, f), jmap.matrix, ml.matrix), f))
     if descriptor.endswith(".varpi"):
         expected = expected.compose(balg.varpi())
     assert m.matrix == expected.matrix

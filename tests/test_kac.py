@@ -310,3 +310,9 @@ def test_unclassifiable_residual_raises_from_enumeration():
     )
     with pytest.raises(UnrecognizedType):
         enumerate_solutions(bad, 1)
+
+
+@pytest.mark.parametrize("m", [2.0, 2.5, "2", 0, True])
+def test_order_that_is_not_a_positive_int_raises_value_error(m):
+    with pytest.raises(ValueError, match="not a positive integer"):
+        enumerate_solutions(E6_EXTENDED, m)

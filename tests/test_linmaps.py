@@ -460,6 +460,28 @@ def test_is_aut_member_matches_reference_on_non_integral_maps():
     assert is_aut_member(lift, J)
 
 
+@pytest.mark.parametrize("level", ["composition", "albert", "brown"])
+def test_is_aut_member_certifies_every_algebra_of_the_tower(level):
+    """Over F_7 the catalog's t (lifted to J and B) and varpi are
+    automorphisms, a lift with one entry changed is not, and a map carrying
+    another algebra's basis tag raises CarrierMismatch."""
+    cat = Catalog(Fp(7))
+    f = cat.field
+    algebra, members, other = {
+        "composition": (cat.octonions, [cat.t_oct()], CDAlgebra(f, (1, 1, 1))),
+        "albert": (cat.J, [cat.t_on_j()], cat.Jt),
+        "brown": (cat.B, [cat.B.lift_inv(cat.t_on_j()), cat.B.varpi()], cat.Bt),
+    }[level]
+    for phi in members:
+        assert is_aut_member(phi, algebra)
+    lift = members[0]
+    perturbed = [list(row) for row in lift.matrix]
+    perturbed[-1][-1] = f.add(perturbed[-1][-1], f.one())
+    assert not is_aut_member(algebra.linmap(tuple(map(tuple, perturbed))), algebra)
+    with pytest.raises(CarrierMismatch):
+        is_aut_member(other.linmap(lift.matrix), algebra)
+
+
 def _ref_isotope_check(x, y):
     """The isotope check in field values: U_x U_y against the triple product
     {a, y, b} = (a.y).b + (b.y).a - (a.b).y summed from the Jordan table, and

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from brownalg.errors import AlgebraError, FactorizationTooLarge, ZeroArgument
+from brownalg.errors import AlgebraError, FactorizationTooLarge, MixedFields, ZeroArgument
 from brownalg.fields import INFINITE, Fp, Kbar, Q, Qp, Rplace, is_prime
 from brownalg.quatclass import (
     QuatPresentation,
@@ -55,6 +55,26 @@ def test_hilbert_symbol_2_5_at_5_brute_force():
 def test_hilbert_symbol_zero_rejected():
     with pytest.raises(ZeroArgument):
         hilbert_symbol(0, 3, Rplace())
+
+
+@pytest.mark.parametrize("call", [
+    lambda x: hilbert_symbol(x, 3, Qp(5)),
+    lambda x: hilbert_places(x, 3),
+    lambda x: hilbert_places(3, x),
+    lambda x: QuatPresentation(x, 2),
+], ids=["hilbert_symbol", "hilbert_places", "hilbert_places second", "QuatPresentation"])
+def test_inexact_arguments_raise_mixed_fields(call):
+    """A float is not a rational: 0.1 would be read as 3602879701896397/2^55."""
+    for x in (0.1, 0.5, "1/2", None):
+        with pytest.raises(MixedFields):
+            call(x)
+
+
+def test_int_and_fraction_arguments_agree():
+    assert hilbert_symbol(Fraction(-1), Fraction(3), Qp(3)) == hilbert_symbol(-1, 3, Qp(3)) == -1
+    assert hilbert_places(Fraction(10, 3), 7) == hilbert_places(30, 7)
+    assert QuatPresentation(-1, 3) == QuatPresentation(Fraction(-1), Fraction(3))
+    assert QuatPresentation(Fraction(1, 2), 2).a == Fraction(1, 2)
 
 
 def test_hilbert_symmetry_and_bilinearity():
