@@ -5,7 +5,7 @@ import pytest
 
 from brownalg import albert, brown, linalg, linmaps
 from brownalg.albert import AlbertAlgebra, hermitian, split_albert, tits
-from brownalg.brown import BrownAlgebra, binv, bmul
+from brownalg.brown import BrownAlgebra, BrownElem, binv, bmul
 from brownalg.cayley import CDAlgebra
 from brownalg.errors import NotCommuting, NotNormPreserving
 from brownalg.fields import Fp, Q
@@ -210,6 +210,13 @@ def test_commuting_pair_rejects_non_commuting():
     assert u12.compose(s).matrix != s.compose(u12).matrix
     with pytest.raises(NotCommuting):
         b.commuting_pair_subalgebra(s, u12)
+
+
+def test_json_round_trip():
+    b = _brown(Q())
+    rng = random.Random(6)
+    x = b.sample(rng)
+    assert BrownElem.from_json(b, x.to_json()).coords == x.coords
 
 
 # -- the derived product table --------------------------------------------------

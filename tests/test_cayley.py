@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from brownalg.cayley import CDAlgebra, bilin, conj, find_skew_unit, mul, qnorm
+from brownalg.cayley import CDAlgebra, CompElem, bilin, conj, find_skew_unit, mul, qnorm
 from brownalg.errors import AlgebraMismatch
 from brownalg.fields import Fp, Q, scalar
 
@@ -165,6 +165,12 @@ def test_descriptor_round_trip():
         assert again == alg
     assert CDAlgebra.parse("cd:Fp:7:1,1,1").dim == 8
     assert CDAlgebra.parse("cd:Q:split:1") == oct_split(Q())
+
+
+def test_element_json_round_trip():
+    alg = oct_split(Q())
+    x = alg.element([1, -2, 3, 0, 5, 0, 0, 1])
+    assert CompElem.from_json(alg, x.to_json()).coords == x.coords
 
 
 def test_base_algebra_of_split_octonions():
