@@ -81,9 +81,12 @@ def _shape_label(cat: Catalog, m, space: str, rep) -> str:
             candidates = {
                 "B^varpi (diagonal {(a, a, j, j)})": balg.varpi(),
             }
-            if balg is cat.B:
-                candidates["B^(s.varpi) (twisted diagonal by s)"] = cat.realize("s.varpi", "B")
-                candidates["B^(t.varpi) (twisted diagonal by t)"] = cat.realize("t.varpi", "B")
+            # the twisted diagonals of each model: by s and t on the Hermitian
+            # one, by its torus involution on the Tits one
+            twisted = ("s", "t") if balg is cat.B else ("t:1,1,1,1,-1,1",)
+            for atom in twisted:
+                desc = f"{atom}.varpi"
+                candidates[f"B^({desc}) (twisted diagonal by {atom})"] = cat.realize(desc, "B")
             for label, canon in candidates.items():
                 if same_span(list(rep.basis), list(canon.fixed_space()), m.field):
                     return label

@@ -19,6 +19,15 @@ pivot, with the pivot row unpacked, reduced, scaled and repacked when it is
 chosen; so no slot can overflow and no reduction is needed partway through.
 An entry is read by shift, mask and reduction mod p.
 
+`SignedPacking` packs rows of any sign over Q as well: row v is the one int
+sum_j v_j 2^(s j) whatever the signs, and a sum of multiples of packed rows
+is the packing of the same sum of the rows, exactly, since that is an
+identity of integers.  With the slots sized so that 2^(s - 1) exceeds the
+largest absolute value an entry of either side can reach, two packed rows
+are equal as ints only if they are equal entry for entry, so a packed
+identity is checked with one int comparison and no unpacking.
+`linmaps.is_inv_member` computes its columns this way on both fields.
+
 `to_ints` and `from_ints` are the one scaled-integer form of the package: a
 vector of field values is (d, ints) with values == ints / d, d the lcm of
 the denominators over Q and 1 over F_p, and integer results are converted
@@ -44,6 +53,7 @@ import math
 import operator
 import struct
 import sys
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NonArithmeticField
@@ -79,6 +89,15 @@ def _pack(row, slot: int) -> int:
     else:
         data = struct.pack(f"{len(row)}{code}", *row)
     return int.from_bytes(data, sys.byteorder)
+
+
+def _pack_signed(row, slot: int) -> int:
+    """The ints of `row`, of any sign and absolute value below 2**(8 slot - 1),
+    as the one int sum_j row[j] 2**(8 slot j) (slots in `_pack`'s order):
+    each entry is packed offset by h = 2**(8 slot - 1) and h is taken out of
+    every slot at once, which borrows across slots exactly as the sum does."""
+    h = 1 << (8 * slot - 1)
+    return _pack([v + h for v in row], slot) - _pack([h] * len(row), slot)
 
 
 def _unpack(acc: int, n: int, slot: int):
@@ -166,6 +185,32 @@ class PackedColumns:
         p = self.p
         acc = sum([x * col for x, col in zip(v, self.cols) if x])
         return tuple([s % p for s in _unpack(acc, self.m, self.slot)])
+
+
+@dataclass(frozen=True)
+class SignedPacking:
+    """The Kronecker packing of integer rows of any sign: row v is the one
+    int sum_j v_j 2^(s j) (`_pack_signed`, slots in `_pack`'s order), with
+    s = 8 `slot` bits.  Packing is linear, so a sum of multiples of packed
+    rows is, exactly, the packing of the same sum of the rows.
+    `SignedPacking.holding(bound)` takes the fewest bytes with
+    2^(s - 1) > bound: then two packings of rows whose entries are at most
+    `bound` in absolute value are equal only if the rows are (the lowest
+    slot that differs would leave a nonzero remainder mod 2^s there), and a
+    packing whose entries lie in [0, bound] is read back by `unpack`."""
+
+    slot: int
+
+    @classmethod
+    def holding(cls, bound: int) -> "SignedPacking":
+        return cls(_slot(2 * bound))
+
+    def pack(self, row) -> int:
+        return _pack_signed(row, self.slot)
+
+    def unpack(self, acc: int, n: int):
+        """The n slot values of a packing whose entries are all in [0, 2^s)."""
+        return _unpack(acc, n, self.slot)
 
 
 def mat_mul(a, b, field: FieldSpec):

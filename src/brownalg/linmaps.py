@@ -20,7 +20,13 @@ and the norm leaves it through `linalg.from_ints`, on both fields.
 `is_inv_member` is a deterministic certificate over Q and F_p: it compares
 the coefficients of the cubic form N(phi x) - N(x), read off the polar
 (symmetric trilinear) tensor of the norm form, and evaluates the norm at no
-point.
+point.  It packs each row of the map's integer form into one int with one
+slot per column (`linalg.SignedPacking`), so the coefficients
+S_abc over all b for one pair (a, c) form one packed int, computed with
+big-integer multiply-adds.  The slots are sized from a bound on the largest
+coefficient, so that over Q a packed column equals the expected one as an
+int only if every coefficient does, and over F_p each slot holds its
+coefficient itself and is read back and reduced mod p.
 `norm_preserving_sampled` (the guard of `dagger`, which
 `BrownAlgebra.lift_inv` and `outer_fixed_condition` rely on) checks seeded
 random points, drawn once per norm form, field, sample count and seed.
@@ -52,6 +58,7 @@ from .errors import (
 from .fields import PRIME, RATIONALS, FieldSpec
 from .linalg import (
     PackedColumns,
+    SignedPacking,
     from_ints,
     inverse,
     mat_mul,
@@ -229,20 +236,39 @@ def norm_preserving_sampled(phi: LinMap, algebra, samples: int, seed: int = 0) -
 @functools.lru_cache(maxsize=16)
 def _polar(form):
     """The symmetric integer tensor T_ijk = den Tr(e_i # e_j, e_k) of the
-    norm form, with 6 den N(y) = sum T_ijk y_i y_j y_k over ordered triples.
+    norm form, with 6 den N(y) = sum T_ijk y_i y_j y_k over ordered triples,
+    grouped as `is_inv_member` reads it.
 
     A monomial (i <= j <= k, c) gives T = 6c, 2c or c when three, two or no
-    indices are equal.  Returns the entries over every permutation grouped
-    by first index as (j, k, T), and the lookup table of the entries with
-    a <= b <= c as {(a, b): [T_abc for c = b, ..., 26]}."""
-    by_i = [[] for _ in range(27)]
-    table = {}
+    indices are equal, at each distinct permutation of (i, j, k).  Returns
+    (by_ik, cols, total, top): by_ik[i] holds (k, ((j, T_ijk), ...)) for
+    each k with an entry T_i.k; cols maps each (a, c) with a <= c and an
+    entry T_a.c to the column (T_abc for b = 0, ..., 26); total is the sum
+    of |T_ijk| over the ordered triples and top the largest |T_ijk|."""
+    by_ik = [{} for _ in range(27)]
+    cols = {}
+    total = top = 0
     for i, j, k, c in form.terms:
         t = c * (6 if i == k else 2 if i == j or j == k else 1)
-        table.setdefault((i, j), [0] * (27 - j))[k - j] = t
-        for a, b, e in set(itertools.permutations((i, j, k))):
-            by_i[a].append((b, e, t))
-    return tuple(map(tuple, by_i)), {ab: tuple(row) for ab, row in table.items()}
+        perms = set(itertools.permutations((i, j, k)))
+        total += len(perms) * abs(t)
+        top = max(top, abs(t))
+        for a, b, e in perms:
+            by_ik[a].setdefault(e, []).append((b, t))
+            if a <= e:
+                cols.setdefault((a, e), [0] * 27)[b] = t
+    by_ik = tuple(tuple((k, tuple(jt)) for k, jt in row.items()) for row in by_ik)
+    return by_ik, {ac: tuple(col) for ac, col in cols.items()}, total, top
+
+
+@functools.lru_cache(maxsize=32)
+def _polar_columns(form, packing: SignedPacking, p: int):
+    """The columns (a, ., c) of `_polar` as `is_inv_member` compares them:
+    over Q (p = 0) packed, over F_p reduced mod p."""
+    cols = _polar(form)[1]
+    if p:
+        return {ac: [t % p for t in col] for ac, col in cols.items()}
+    return {ac: packing.pack(col) for ac, col in cols.items()}
 
 
 def is_inv_member(phi: LinMap, algebra) -> bool:
@@ -255,37 +281,52 @@ def is_inv_member(phi: LinMap, algebra) -> bool:
     S_abc = sum T_ijk c_a[i] c_b[j] c_c[k].  The coefficient of x_a x_b x_c
     (a <= b <= c) is (S_abc - D^3 T_abc) times 1, 3 or 6, a unit over Q and
     over F_p for p >= 5, so the forms agree iff S_abc = D^3 T_abc at all
-    3654 triples a <= b <= c.  S_abc is read as (L_a c_b) . c_c with
-    L_a[k][j] = sum_i T_ijk c_a[i], built from the nonzero entries of c_a."""
+    3654 triples a <= b <= c.
+
+    S is computed on packed rows (Kronecker substitution, as in `linalg`):
+    row j of M is the one int R_j = sum_b M[j][b] 2^(s b)
+    (`linalg.SignedPacking`), so one big-integer multiply-add acts on a
+    whole row.  With Z[a][k] = sum_i M[i][a] (sum_j T_ijk R_j),
+    sum_k M[k][c] Z[a][k] = sum_b S_abc 2^(s b) is the column (a, ., c) of
+    S packed over b.  S is symmetric, so the columns with c >= a hold every
+    triple a <= b <= c.  The slots have 2^(s - 1) > bound, with
+    bound = max(sum |T| max|M|^3, D^3 max|T|) >= |S_abc|, |D^3 T_abc|:
+    - over Q each packed column is compared with D^3 times the packed
+      column of T as whole ints; the slots of the two differ by less than
+      2^s, so the ints are equal only if every slot is;
+    - over F_p every entry of M is in [0, p), so each slot of a packed
+      column holds S_abc itself, in [0, bound]: the slots are unpacked and
+      reduced mod p.
+    The columns are compared in order, and the first that differs ends the
+    check."""
     _require_albert(phi, algebra)
     f = algebra.field
     p = f.p if f.kind != RATIONALS else 0
     d, m = phi._ints
     d3 = d ** 3
-    by_i, table = _polar(algebra.norm_form())
-    expected = {ab: [d3 * t % p if p else d3 * t for t in row] for ab, row in table.items()}
+    form = algebra.norm_form()
+    by_ik, _, total, top = _polar(form)
+    bound = max(total * max(map(abs, itertools.chain.from_iterable(m))) ** 3, d3 * top)
+    packing = SignedPacking.holding(bound)
+    rows = [packing.pack(row) for row in m]
+    # q[i] holds (k, sum_j T_ijk R_j) for every k with an entry T_i.k
+    q = [[(k, sum([t * rows[j] for j, t in jt])) for k, jt in row] for row in by_ik]
+    # d = 1 over F_p, so D^3 T is T there
+    want = _polar_columns(form, packing, p)
+    zero = [0] * 27
     cols = tuple(zip(*m))
     for a, ca in enumerate(cols):
-        la = {}
+        z = [0] * 27
         for i, x in enumerate(ca):
             if x:
-                for j, k, t in by_i[i]:
-                    row = la.setdefault(k, {})
-                    row[j] = row.get(j, 0) + t * x
-        # w[k][b - a] = (L_a c_b)_k for every b >= a, from the rows of M
-        zero = [0] * (27 - a)
-        w = [zero] * 27
-        for k, row in la.items():
-            acc = zero
-            for j, v in row.items():
-                if v:
-                    acc = [u + v * y for u, y in zip(acc, m[j][a:])]
-            w[k] = [u % p for u in acc] if p else acc
-        for b, w_ab in enumerate(zip(*w), a):
-            s_ab = [sum(map(operator.mul, w_ab, cc)) for cc in cols[b:]]
+                for k, qik in q[i]:
+                    z[k] += x * qik
+        for c in range(a, 27):
+            s = sum(map(operator.mul, cols[c], z))
             if p:
-                s_ab = [v % p for v in s_ab]
-            if s_ab != expected.get((a, b), zero[b - a:]):
+                if [v % p for v in packing.unpack(s, 27)] != want.get((a, c), zero):
+                    return False
+            elif s != d3 * want.get((a, c), 0):
                 return False
     return True
 

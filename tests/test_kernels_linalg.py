@@ -170,6 +170,34 @@ def test_slot_widths_and_pack_round_trip():
         assert list(linalg._unpack(0, 3, slot)) == [0, 0, 0]
 
 
+def _signed_slots(acc, n, slot):
+    """The n signed values v_j of acc = sum_j v_j 2^(8 slot j), lowest slot
+    first, each in [-2^(8 slot - 1), 2^(8 slot - 1))."""
+    bits = 8 * slot
+    out = []
+    for _ in range(n):
+        v = acc & ((1 << bits) - 1)
+        v -= (v >> (bits - 1)) << bits
+        out.append(v)
+        acc = (acc - v) >> bits
+    assert acc == 0
+    return out
+
+
+def test_signed_pack_round_trip_and_separation():
+    """Mixed-sign rows at +-(2^(s - 1) - 1) round-trip through the signed pack
+    (slots in `_pack`'s order), and changing one entry by 1 changes it."""
+    for slot in (2, 4, 8, 9, 16):
+        top = 2 ** (8 * slot - 1) - 1
+        row = [top, -top, 0, -1, 1, -top, top - 1]
+        packed = linalg._pack_signed(row, slot)
+        assert _signed_slots(packed, len(row), slot) == (row[::-1] if linalg._BIG else row)
+        for j, v in enumerate(row):
+            near = row[:j] + [v - 1 if v > 0 else v + 1] + row[j + 1 :]
+            assert linalg._pack_signed(near, slot) != packed
+        assert linalg._pack_signed([], slot) == 0
+
+
 def test_packed_kernels_at_the_largest_slot_values():
     """All-(p - 1) dense 56 x 56 products and vectors put the largest value,
     56 (p - 1)^2, in every slot, at primes on each side of a slot width."""

@@ -335,6 +335,31 @@ def _raise(*args):
     raise AssertionError("the norm form was evaluated at a point")
 
 
+@pytest.mark.parametrize("name", list(FIELDS))
+def test_inv_certificate_at_the_slot_bounds(name, monkeypatch):
+    """The packed certificate against the point reference where its slots are
+    fullest: over F_p the all-(p - 1) map puts sum |T| (p - 1)^3 in every
+    slot; over Q the integer form of U_x for x = diag(a, b, 1/(ab)), with
+    30-digit a and b, has entries far above 2^64, and x has norm 1.  -id
+    and the zero map are on every field."""
+    f = FIELDS[name]
+    alg = split_albert(f)
+    cases = [(_scalar_map(alg, -1), False), (_scalar_map(alg, 0), False)]
+    if f == Q():
+        a, b = 10**29 + 7, 2 * 10**29 + 3
+        ux = _uop_map(alg, alg.diag(f.from_int(a), f.from_int(b), f.inv(f.from_int(a * b))))
+        assert max(abs(v) for row in ux._ints[1] for v in row) > 2**64
+        cases += [(ux, True), (_perturbed(ux), False)]
+    else:
+        full = LinMap(tuple((f.p - 1,) * 27 for _ in range(27)), f, ALBERT, alg.basis_tag)
+        cases.append((full, False))
+    for phi, member in cases:
+        assert _ref_point_certificate(phi, alg) == member
+    monkeypatch.setattr(linmaps, "_cubic", _raise)
+    for phi, member in cases:
+        assert is_inv_member(phi, alg) == member
+
+
 # -- the guard's sample points --------------------------------------------------
 
 def _ref_guard_points(alg, samples, seed):
