@@ -65,7 +65,11 @@ def cmd_verify(args) -> int:
 
 
 def _shape_label(cat: Catalog, m, space: str, rep) -> str:
-    """Which fixed-subalgebra shape of the catalog this dimension/span matches."""
+    """Which fixed-subalgebra shape of the catalog this dimension/span matches.
+    Every shape is a subalgebra, so a fixed space that is not closed under
+    the product gets no shape name."""
+    if not rep.product_closed:
+        return f"{rep.dimension}-dimensional fixed space, not a subalgebra"
     if space == "J":
         return {11: "J^s (11-dim quadratic beth)", 15: "J^t (Her3(D, gamma))", 27: "J"}.get(
             rep.dimension, "outside the catalog"

@@ -26,7 +26,9 @@ identity of integers.  With the slots sized so that 2^(s - 1) exceeds the
 largest absolute value an entry of either side can reach, two packed rows
 are equal as ints only if they are equal entry for entry, so a packed
 identity is checked with one int comparison and no unpacking.
-`linmaps.is_inv_member` computes its columns this way on both fields.
+`linmaps.is_inv_member` computes its columns this way on both fields, and
+`linmaps.dagger` checks its trace-form identity and
+`linmaps.norm_preserving_sampled` computes its images this way too.
 
 `to_ints` and `from_ints` are the one scaled-integer form of the package: a
 vector of field values is (d, ints) with values == ints / d, d the lcm of
@@ -49,6 +51,7 @@ the result equals Gauss-Jordan elimination in `Fraction`s entry for entry.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import struct
@@ -91,13 +94,20 @@ def _pack(row, slot: int) -> int:
     return int.from_bytes(data, sys.byteorder)
 
 
+@functools.lru_cache(maxsize=64)
+def _offsets(n: int, slot: int) -> int:
+    """h = 2**(8 slot - 1) in each of n slots, packed."""
+    return _pack([1 << (8 * slot - 1)] * n, slot)
+
+
 def _pack_signed(row, slot: int) -> int:
     """The ints of `row`, of any sign and absolute value below 2**(8 slot - 1),
     as the one int sum_j row[j] 2**(8 slot j) (slots in `_pack`'s order):
     each entry is packed offset by h = 2**(8 slot - 1) and h is taken out of
-    every slot at once, which borrows across slots exactly as the sum does."""
+    every slot at once (`_offsets`), which borrows across slots exactly as
+    the sum does."""
     h = 1 << (8 * slot - 1)
-    return _pack([v + h for v in row], slot) - _pack([h] * len(row), slot)
+    return _pack([v + h for v in row], slot) - _offsets(len(row), slot)
 
 
 def _unpack(acc: int, n: int, slot: int):
@@ -211,6 +221,13 @@ class SignedPacking:
     def unpack(self, acc: int, n: int):
         """The n slot values of a packing whose entries are all in [0, 2^s)."""
         return _unpack(acc, n, self.slot)
+
+    def unpack_signed(self, acc: int, n: int):
+        """The n entries of a packing whose entries all have absolute value
+        below h = 2^(s - 1): h is added to every slot (`_offsets`), which
+        makes each entry nonnegative, and taken out of each slot read back."""
+        h = 1 << (8 * self.slot - 1)
+        return [v - h for v in _unpack(acc + _offsets(n, self.slot), n, self.slot)]
 
 
 def mat_mul(a, b, field: FieldSpec):

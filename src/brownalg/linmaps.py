@@ -1,6 +1,6 @@
 """Exact linear maps on the spaces of the algebra tower, plus the
-norm/automorphism membership predicates and the dagger (outer) automorphism
-solved from the trace form.
+norm/automorphism membership predicates and phi-dagger, the trace-form
+adjoint inverse of a map in Inv(J), built from cross products.
 
 A `LinMap` takes its dimension from its matrix, so it can act on any algebra
 of the tower (a quaternion algebra too); it is matched to an algebra, and to
@@ -29,9 +29,19 @@ int only if every coefficient does, and over F_p each slot holds its
 coefficient itself and is read back and reduced mod p.
 `norm_preserving_sampled` (the guard of `dagger`, which
 `BrownAlgebra.lift_inv` and `outer_fixed_condition` rely on) checks seeded
-random points, drawn once per norm form, field, sample count and seed.
-A map keeps its dagger once computed, so `dagger` and a `lift_inv` of the
-same map solve the trace-form system once.
+random points, drawn once per norm form, field, sample count and seed; the
+images of all the points are one packed product.
+
+`dagger` solves no linear system.  For phi in Inv(J), phi-dagger takes
+x # y to phi(x) # phi(y), and every entry of the cross table takes a basis
+pair to a multiple of one basis vector, so each column of phi-dagger is one
+cross product (`MulTable.mul_ints`) of two columns of the map's integer
+form, for the pairs picked once per algebra (`_dagger_plan`).  The result
+is certified by the trace-form identity phi^T G psi = G, checked in
+integers on packed rows the same way on Q and F_p; a map that fails it is
+not in Inv(J).  A map keeps its dagger once computed, so `dagger` and a
+`lift_inv` of the same map build it once.
+
 `is_automorphism` certifies multiplicativity on basis pairs for any
 bilinear integer product of fixed scale, such as `MulTable.mul_ints`, on the
 integer form of the map: `is_aut_member` on every algebra of the tower
@@ -44,14 +54,17 @@ and used through their raw-operation methods.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
+import math
 import operator
 import random
 from dataclasses import dataclass, field as dc_field
 
 from .errors import (
     CarrierMismatch,
+    InternalError,
     NotNormPreserving,
     SingularGram,
 )
@@ -63,9 +76,7 @@ from .linalg import (
     inverse,
     mat_mul,
     nullspace,
-    solve_right,
     to_ints,
-    transpose,
 )
 
 OCT = "oct8"
@@ -178,7 +189,7 @@ def _require_albert(phi: LinMap, algebra):
 
 
 def _cubic(terms, v) -> int:
-    return sum(c * v[i] * v[j] * v[k] for i, j, k, c in terms)
+    return sum([c * v[i] * v[j] * v[k] for i, j, k, c in terms])
 
 
 @dataclass(frozen=True)
@@ -212,21 +223,38 @@ def _sample_points(form, field: FieldSpec, samples: int, seed: int):
     return tuple(points)
 
 
+@functools.lru_cache(maxsize=32)
+def _packed_points(form, field: FieldSpec, samples: int, seed: int, packing: SignedPacking):
+    """Row j of the points of `_sample_points`, v_j over the samples, packed."""
+    points = _sample_points(form, field, samples, seed)
+    return tuple(packing.pack(row) for row in zip(*[v for v, _ in points]))
+
+
 def norm_preserving_sampled(phi: LinMap, algebra, samples: int, seed: int = 0) -> bool:
     """N(phi x) = N(x) at `samples` seeded random points, in integers.
 
     With D phi an integer matrix M and the norm's integer monomials c, the
     identity reads sum c y_i y_j y_k = D^3 sum c v_i v_j v_k for y = M v
     (both sides carry the same common denominator); over F_p the two sides
-    are compared mod p."""
+    are compared mod p.  The images y of all the points are one packed
+    product: with row j of the points packed over the samples
+    (`linalg.SignedPacking`, `_packed_points`), row i of the images is
+    sum_j M[i][j] times it, read back by `unpack_signed`; the slots have
+    2^(s - 1) > 27 max|M| max|v|, a bound on every |y_i|."""
     _require_albert(phi, algebra)
     form = algebra.norm_form()
     f = algebra.field
     p = f.p if f.kind != RATIONALS else 0
     d, m = phi._ints
     d3 = d ** 3
-    for v, norm_v in _sample_points(form, f, samples, seed):
-        y = [sum(map(operator.mul, row, v)) for row in m]
+    points = _sample_points(form, f, samples, seed)
+    vtop = max(map(abs, itertools.chain.from_iterable(v for v, _ in points)))
+    mtop = max(map(abs, itertools.chain.from_iterable(m)))
+    packing = SignedPacking.holding(27 * mtop * vtop)
+    vrows = _packed_points(form, f, samples, seed, packing)
+    images = zip(*[packing.unpack_signed(sum([x * r for x, r in zip(row, vrows) if x]), samples)
+                   for row in m])
+    for y, (_, norm_v) in zip(images, points):
         diff = _cubic(form.terms, y) - d3 * norm_v
         if diff % p if p else diff:
             return False
@@ -384,21 +412,117 @@ _DAGGER_SAMPLES = 40
 _DAGGER_SEED = 1
 
 
+@functools.lru_cache(maxsize=16)
+def _dagger_plan(algebra):
+    """What `dagger` reads of an Albert algebra, built once per algebra:
+    (picks, lcm, grows, gsum).
+
+    Column k of phi-dagger is one cross product: picks[k] = (i, j, s) names a
+    basis pair whose cross product is a multiple of e_k alone,
+    D (e_i # e_j) = C e_k in the cross table's integer form (`mul_ints`),
+    and s with s C = lcm: over Q lcm is the lcm of the C and s = lcm / C,
+    over F_p lcm = 1 and s = C^-1 mod p.  grows[i] holds the (j, g) with
+    g = DG G_ij != 0, the integer rows of the Gram matrix (`to_ints`,
+    residues over F_p), and gsum is the largest sum of |g| over a row."""
+    f = algebra.field
+    p = f.p if f.kind != RATIONALS else 0
+    rows = algebra.cross_table().int_table()[1]
+    entries = [(i, j, k, c) for i, row in enumerate(rows) for j, k, c in row]
+    terms = collections.Counter((i, j) for i, j, _, _ in entries)
+    picks = {}
+    for i, j, k, c in entries:
+        if terms[i, j] == 1:
+            picks.setdefault(k, (i, j, c))
+    if len(picks) != 27:
+        raise InternalError("the cross table reaches some basis vector through no basis pair alone")
+    picks = [picks[k] for k in range(27)]
+    lcm = 1 if p else math.lcm(*[c for _, _, c in picks])
+    picks = tuple((i, j, pow(c, -1, p) if p else lcm // c) for i, j, c in picks)
+    ints = to_ints([v for row in algebra.gram for v in row], f)[1]
+    grows = tuple(tuple((j, g) for j, g in enumerate(ints[i : i + 27]) if g)
+                  for i in range(0, 27 * 27, 27))
+    return picks, lcm, grows, max(sum(abs(g) for _, g in row) for row in grows)
+
+
+@functools.lru_cache(maxsize=32)
+def _gram_rows(algebra, packing: SignedPacking):
+    """The rows of DG G as `dagger` compares them: over Q packed, over F_p
+    as lists of residues."""
+    rows = [[0] * 27 for _ in range(27)]
+    for full, row in zip(rows, _dagger_plan(algebra)[2]):
+        for j, g in row:
+            full[j] = g
+    if algebra.field.kind != RATIONALS:
+        return tuple(rows)
+    return tuple(map(packing.pack, rows))
+
+
 def dagger(phi: LinMap, algebra) -> LinMap:
-    """The unique psi with Tr(phi x, psi y) = Tr(x, y): solves
-    M^T G psi = G exactly.  phi must preserve the cubic norm, which is
-    checked at `_DAGGER_SAMPLES` seeded points.  The result is kept on phi,
-    so a map's dagger is computed once; a failure is not kept."""
+    """phi-dagger, the unique psi with Tr(phi x, psi y) = Tr(x, y), for phi in
+    Inv(J), built from cross products and certified exactly.
+
+    For phi in Inv(J), (phi x)# = psi(x#) (Springer and Veldkamp, *Octonions,
+    Jordan Algebras and Exceptional Groups*, ch. 5), and so
+    psi(x # y) = phi(x) # phi(y).  Every entry of the cross table takes a
+    basis pair to a multiple of one basis vector (`_dagger_plan`), so with
+    D (e_i # e_j) = C e_k, column k of psi is phi(e_i) # phi(e_j) / C.  With
+    M = d phi in ints and c_i the columns of M, P has the columns
+    s mul_ints(c_i, c_j) and psi = P / (d^2 lcm).
+
+    Then Tr(phi x, psi y) = Tr(x, y) reads M^T (DG G) P = d^3 lcm (DG G) in
+    integers.  That system has one solution, so when it holds psi is the
+    matrix the trace-form solve gave; when it does not, phi is not in Inv(J)
+    and NotNormPreserving is raised.  It is checked on packed rows
+    (`linalg.SignedPacking`): row j of P is one int, the rows of (DG G) P
+    are sums of multiples of them, and row a of M^T (DG G) P is
+    sum_i M[i][a] ((DG G) P)_i.  The slots have
+    2^(s - 1) > gsum max(27 max|M| max|P|, d^3 lcm), a bound on both
+    sides: over Q each row is compared with d^3 lcm times the packed row of
+    DG G as whole ints; over F_p every entry of M, G and P is in [0, p), so
+    each slot holds its entry itself and is read back and reduced mod p.
+
+    phi must pass the norm guard at `_DAGGER_SAMPLES` seeded points first.
+    The result is kept on phi, so a map's dagger is computed once; a
+    failure is not kept."""
     _require_albert(phi, algebra)
     if phi._dagger is not None:
         return phi._dagger
     if not norm_preserving_sampled(phi, algebra, _DAGGER_SAMPLES, _DAGGER_SEED):
         raise NotNormPreserving("dagger is only defined on Inv(J)")
-    g = algebra.gram
-    lhs = mat_mul(transpose(phi.matrix), g, algebra.field)
-    sol = solve_right(lhs, g, algebra.field)
-    if sol is None:
-        raise SingularGram("trace-form system unexpectedly singular")
-    dag = algebra.linmap(sol)
+    psi = _cross_dagger(phi, algebra)
+    if psi is None:
+        raise NotNormPreserving("map fails the trace-form check, so it is not in Inv(J)")
+    dag = algebra.linmap(psi)
     object.__setattr__(phi, "_dagger", dag)  # LinMap is frozen
     return dag
+
+
+def _cross_dagger(phi: LinMap, algebra):
+    """The matrix of phi-dagger from cross products when it passes the exact
+    trace-form check of `dagger`, else None."""
+    f = algebra.field
+    p = f.p if f.kind != RATIONALS else 0
+    d, m = phi._ints
+    picks, lcm, grows, gsum = _dagger_plan(algebra)
+    cross = algebra.cross_table().mul_ints
+    cols = tuple(zip(*m))
+    pcols = [[s * v for v in cross(cols[i], cols[j])] for i, j, s in picks]
+    if p:
+        pcols = [[v % p for v in col] for col in pcols]
+    rows = tuple(zip(*pcols))
+    top = max(map(abs, itertools.chain.from_iterable(pcols)))
+    mtop = max(map(abs, itertools.chain.from_iterable(m)))
+    scale = d ** 3 * lcm
+    packing = SignedPacking.holding(gsum * max(27 * mtop * top, scale))
+    packed = [packing.pack(row) for row in rows]
+    gp = [sum([g * packed[j] for j, g in row]) for row in grows]
+    want = _gram_rows(algebra, packing)
+    for ca, w in zip(cols, want):
+        s = sum([x * r for x, r in zip(ca, gp) if x])
+        if p:
+            if [v % p for v in packing.unpack(s, 27)] != w:
+                return None
+        elif s != scale * w:
+            return None
+    den = d * d * lcm
+    return tuple(from_ints(row, den, f) for row in rows)

@@ -101,6 +101,23 @@ def test_fixed_s_on_j(capsys):
     assert "dimension: 11" in out
 
 
+def test_fixed_space_that_is_not_closed_gets_no_shape_name(capsys):
+    """t:-1,1,1,1,1,1 lies in Inv(J) but not in Aut(J): its 15-dimensional
+    fixed space is not closed under the Jordan product, so it is not named
+    as the Hermitian matrix algebra J^t, in the text or the JSON report."""
+    for field in ("Q", "Fp:7"):
+        code, out, err = run(capsys, "fixed", "t:-1,1,1,1,1,1", "J", "--field", field)
+        assert code == 0, err
+        assert "product: NOT closed" in out
+        assert "catalog shape: 15-dimensional fixed space, not a subalgebra" in out
+        assert "Her3" not in out
+        code, out, err = run(capsys, "fixed", "t:-1,1,1,1,1,1", "J", "--field", field, "--json")
+        assert code == 0, err
+        doc = json.loads(out)
+        assert not doc["product_closed"]
+        assert doc["shape"] == "15-dimensional fixed space, not a subalgebra"
+
+
 def test_fixed_unknown_descriptor_exits_2(capsys):
     code, out, err = run(capsys, "fixed", "zorp", "B")
     assert code == 2

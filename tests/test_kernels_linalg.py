@@ -186,12 +186,14 @@ def _signed_slots(acc, n, slot):
 
 def test_signed_pack_round_trip_and_separation():
     """Mixed-sign rows at +-(2^(s - 1) - 1) round-trip through the signed pack
-    (slots in `_pack`'s order), and changing one entry by 1 changes it."""
+    (slots in `_pack`'s order) and `SignedPacking.unpack_signed`, and changing
+    one entry by 1 changes it."""
     for slot in (2, 4, 8, 9, 16):
         top = 2 ** (8 * slot - 1) - 1
         row = [top, -top, 0, -1, 1, -top, top - 1]
         packed = linalg._pack_signed(row, slot)
         assert _signed_slots(packed, len(row), slot) == (row[::-1] if linalg._BIG else row)
+        assert linalg.SignedPacking(slot).unpack_signed(packed, len(row)) == row
         for j, v in enumerate(row):
             near = row[:j] + [v - 1 if v > 0 else v + 1] + row[j + 1 :]
             assert linalg._pack_signed(near, slot) != packed
@@ -560,8 +562,9 @@ def test_q_kernels_match_fraction_reference(monkeypatch):
 
 
 def test_q_linalg_does_no_fraction_arithmetic(monkeypatch):
-    """The 27 x 54 dagger system of a U-operator is multiplied, reduced and
-    solved with no Fraction arithmetic: Fractions are only read and built."""
+    """The 27 x 54 trace-form system M^T G X = G of a U-operator, whose
+    solution is phi-dagger, is multiplied, reduced and solved with no
+    Fraction arithmetic: Fractions are only read and built."""
     q = Q()
     alg = Catalog(q).J
     rng = random.Random(8)

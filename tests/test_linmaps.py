@@ -2,6 +2,7 @@ import functools
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -546,14 +547,15 @@ def test_isotope_automorphism_check_matches_reference(name, x, y, verdict):
 @pytest.mark.parametrize("name", ["Q", "Fp:7"])
 def test_dagger_is_computed_once_per_map(name, monkeypatch):
     """A map keeps its dagger: a second `dagger` and a `lift_inv` of the same
-    map solve nothing; an equal but distinct map solves again and gets the
+    map build nothing; an equal but distinct map builds it again and gets the
     same matrix; a failed guard is not kept and raises again."""
     f = FIELDS[name]
     cat = Catalog(f)
     J = cat.J
     solves = []
-    solve_right = linmaps.solve_right
-    monkeypatch.setattr(linmaps, "solve_right", lambda *args: solves.append(1) or solve_right(*args))
+    cross_dagger = linmaps._cross_dagger
+    monkeypatch.setattr(linmaps, "_cross_dagger",
+                        lambda *args: solves.append(1) or cross_dagger(*args))
     u = _uop_map(J, J.sample_norm_one(random.Random(6), 2))
     dag = dagger(u, J)
     assert dagger(u, J) is dag
@@ -568,6 +570,95 @@ def test_dagger_is_computed_once_per_map(name, monkeypatch):
         with pytest.raises(NotNormPreserving):  # N(3x) = 27 N(x)
             dagger(three, J)
     assert len(solves) == 2
+
+
+# -- dagger from cross products against the trace-form solve ------------------------
+
+def _ref_dagger(phi, alg):
+    """The solution X of M^T G X = G by exact elimination, with M the map's
+    matrix and G the Gram matrix: phi-dagger solved from the trace form."""
+    f = alg.field
+    lhs = linalg.mat_mul(linalg.transpose(phi.matrix), alg.gram, f)
+    return linalg.solve_right(lhs, alg.gram, f)
+
+
+def _dagger_cases(f):
+    """(algebra, map) pairs in Inv(J): U_x on both models and on a Hermitian
+    model whose cross table has coefficients other than +-1, phi(u, v, w),
+    nu_g, t-hat, s, a product of two U-operators, and U_x for
+    x = diag(a, b, 1/(ab)) with 30-digit a and b."""
+    rng = random.Random(12)
+    cat = Catalog(f)
+    J, jt = cat.J, cat.Jt
+    # 5/7 has no residue mod 7, so the third kappa is 5/3 over F_7
+    kappas = ("-1/2", "3", "5/3" if f == Fp(7) else "5/7")
+    octonions = CDAlgebra(f, kappas=tuple(f.parse_scalar(k) for k in kappas))
+    twisted = hermitian(octonions, gamma=tuple(f.parse_scalar(g) for g in ("1", "2/3", "-5")))
+    cases = [(alg, _uop_map(alg, alg.sample_norm_one(rng, 2))) for alg in (J, twisted)]
+    cases.append((jt, _uop_map(jt, _tits_norm_one(jt, rng))))
+    zero = f.zero()
+    mats = []
+    for _ in range(3):
+        x1, x2 = f.sample_nonzero(rng), f.sample_nonzero(rng)
+        mats.append(((x1, zero, zero), (zero, x2, zero), (zero, zero, f.inv(f.mul(x1, x2)))))
+    cases.append((jt, jt.linmap(jt.tits_phi_matrix(*mats))))
+    cases += [(J, _nu_g_map(J, 3)), (J, cat.t_on_j()), (J, cat.s_on_j())]
+    ux, uy = (_uop_map(J, J.sample_norm_one(rng, 2)) for _ in range(2))
+    cases.append((J, ux.compose(uy)))
+    a, b = f.from_int(10**29 + 7), f.from_int(2 * 10**29 + 3)
+    cases.append((J, _uop_map(J, J.diag(a, b, f.inv(f.mul(a, b))))))
+    return cases
+
+
+@pytest.mark.parametrize("name", list(FIELDS))
+def test_dagger_equals_the_trace_form_solve(name):
+    """`dagger` builds each column from one cross product and checks the
+    trace-form identity exactly; on every map of `_dagger_cases` its matrix
+    is the solution of the trace-form system, entry for entry."""
+    f = FIELDS[name]
+    cases = _dagger_cases(f)
+    if f == Q():
+        ux = cases[-1][1]
+        assert max(abs(v) for row in ux._ints[1] for v in row) > 2**64
+        # the twisted model's cross table has coefficients other than +-1
+        assert linmaps._dagger_plan(cases[1][0])[1] > 1
+    for alg, phi in cases:
+        assert dagger(phi, alg).matrix == _ref_dagger(phi, alg)
+
+
+@pytest.mark.parametrize("name", list(FIELDS))
+def test_dagger_check_rejects_a_map_past_the_guard(name, monkeypatch):
+    """With the norm guard made to pass everything, a map outside Inv(J) is
+    still refused: its cross products fail the exact trace-form check, so
+    `dagger` raises NotNormPreserving and keeps no result on the map."""
+    f = FIELDS[name]
+    alg = split_albert(f)
+    monkeypatch.setattr(linmaps, "norm_preserving_sampled", lambda *args: True)
+    ux = _uop_map(alg, alg.sample_norm_one(random.Random(13), 2))
+    scaled_nu = _nu_g_map(alg, 2).compose(_scalar_map(alg, 3))
+    for phi in (_scalar_map(alg, 3), _scalar_map(alg, 0), _perturbed(ux), scaled_nu):
+        with pytest.raises(NotNormPreserving):
+            dagger(phi, alg)
+        assert phi._dagger is None
+
+
+def test_dagger_over_q_does_no_fraction_arithmetic(monkeypatch):
+    """After a warm-up call has built the algebra's cached data, `dagger` of
+    a fresh U_x over Q reads and builds Fractions but does no arithmetic on
+    them: the guard, the cross products and the check run in ints."""
+    alg = split_albert(Q())
+    rng = random.Random(14)
+    dagger(_uop_map(alg, alg.sample_norm_one(rng, 2)), alg)
+    ux = _uop_map(alg, alg.sample_norm_one(rng, 2))
+    expected = _ref_dagger(ux, alg)
+
+    def forbidden(*args):
+        raise AssertionError("Fraction arithmetic in dagger")
+
+    for op in ("__add__", "__radd__", "__sub__", "__rsub__",
+               "__mul__", "__rmul__", "__truediv__", "__rtruediv__"):
+        monkeypatch.setattr(Fraction, op, forbidden)
+    assert dagger(ux, alg).matrix == expected
 
 
 @pytest.mark.parametrize("length", [27, 57])
