@@ -288,11 +288,13 @@ class AlbertAlgebra(Algebra):
         # Tr(x) sums the diagonal coordinates, which are the ones set in the unit
         self.trvec = self.unit_coords
         self.gram = self._build_gram()
-        # the nonzero entries of DG G in ints, DG the lcm of their denominators,
-        # and the unit in ints (its coordinates are 0 and 1 in both models)
+        # the integer form of G: gram_int holds the nonzero entries (i, j, g)
+        # of DG G in row order, with DG = gram_den the lcm of their
+        # denominators (`to_ints`, residues over F_p); and the unit in ints
+        # (its coordinates are 0 and 1 in both models)
         gram = [(i, j, v) for i, row in enumerate(self.gram) for j, v in enumerate(row) if v]
-        self._gram_den, ints = to_ints([v for _, _, v in gram], f)
-        self._gram_int = tuple((i, j, g) for (i, j, _), g in zip(gram, ints))
+        self.gram_den, ints = to_ints([v for _, _, v in gram], f)
+        self.gram_int = tuple((i, j, g) for (i, j, _), g in zip(gram, ints))
         self._unit_int = tuple(int(v) for v in self.unit_coords)
         self._norm_form = None
         self._cross_table = None
@@ -373,7 +375,7 @@ class AlbertAlgebra(Algebra):
         dx, xi = to_ints(x, f)
         dy, yi = to_ints(y, f)
         acc = sum(map(mul, xi, self._gram_ints(yi)))
-        return from_ints((acc,), self._gram_den * dx * dy, f)[0]
+        return from_ints((acc,), self.gram_den * dx * dy, f)[0]
 
     def sr_raw(self, x):
         f = self.field
@@ -389,7 +391,7 @@ class AlbertAlgebra(Algebra):
         x# = x^2 - T(x) x + S(x) e with S(x) = (T(x)^2 - Tr(x, x)) / 2, over
         the common denominator 2 D DG d^2 (D of the Jordan table, DG of the
         Gram matrix)."""
-        D, dg = self.table.int_table()[0], self._gram_den
+        D, dg = self.table.int_table()[0], self.gram_den
         t = sum(map(mul, self._unit_int, xi))
         q = sum(map(mul, xi, self._gram_ints(xi)))
         a, b, c = 2 * dg, 2 * D * dg * t, D * (dg * t * t - q)
@@ -528,9 +530,9 @@ class AlbertAlgebra(Algebra):
         )
 
     def _gram_ints(self, v):
-        """DG G v for an integer vector v (`_gram_den` is DG)."""
+        """DG G v for an integer vector v (`gram_den` is DG)."""
         out = [0] * DIM
-        for i, j, g in self._gram_int:
+        for i, j, g in self.gram_int:
             vv = v[j]
             if vv:
                 out[i] += g * vv
@@ -539,7 +541,7 @@ class AlbertAlgebra(Algebra):
     def gram_vec(self, v):
         """G v for the trace-form Gram matrix (sparse)."""
         d, vi = to_ints(v, self.field)
-        return from_ints(self._gram_ints(vi), self._gram_den * d, self.field)
+        return from_ints(self._gram_ints(vi), self.gram_den * d, self.field)
 
     def uop_matrix_sharp(self, x):
         """U_x y = Tr(x, y) x - x# # y assembled as a matrix: the cross with
@@ -549,7 +551,7 @@ class AlbertAlgebra(Algebra):
         f = self.field
         d, xi = to_ints(x, f)
         sn, sd = self._sharp_ints(d, xi)
-        D, dg, e = self.table.int_table()[0], self._gram_den, self._unit_int
+        D, dg, e = self.table.int_table()[0], self.gram_den, self._unit_int
         lxs = self.table.left_ints(sn)  # D sd L_{x#}
         gx = self._gram_ints(xi)  # DG d G x
         trs = sum(map(mul, e, sn))  # sd Tr(x#)

@@ -79,21 +79,14 @@ def _shape_label(cat: Catalog, m, space: str, rep) -> str:
     if rep.dimension == 32:
         return "B^t (alpha, beta free; j, l in Her3(D, gamma))"
     if rep.dimension == 28:
-        tag = m.basis_tag
-        balg = cat.B if tag == cat.B.basis_tag else (cat.Bt if tag == cat.Bt.basis_tag else None)
-        if balg is not None:
-            candidates = {
-                "B^varpi (diagonal {(a, a, j, j)})": balg.varpi(),
-            }
-            # the twisted diagonals of each model: by s and t on the Hermitian
-            # one, by its torus involution on the Tits one
-            twisted = ("s", "t") if balg is cat.B else ("t:1,1,1,1,-1,1",)
-            for atom in twisted:
-                desc = f"{atom}.varpi"
-                candidates[f"B^({desc}) (twisted diagonal by {atom})"] = cat.realize(desc, "B")
-            for label, canon in candidates.items():
-                if same_span(list(rep.basis), list(canon.fixed_space()), m.field):
-                    return label
+        balg = cat.algebra_of(m)
+        candidates = {"B^varpi (diagonal {(a, a, j, j)})": balg.varpi()}
+        for atom in cat.INVOLUTIONS[balg.jalg.model]:
+            desc = f"{atom}.varpi"
+            candidates[f"B^({desc}) (twisted diagonal by {atom})"] = cat.realize(desc, "B")
+        for label, canon in candidates.items():
+            if same_span(list(rep.basis), list(canon.fixed_space()), m.field):
+                return label
         return "a 28-dimensional varpi-type shape"
     return "outside the catalog"
 
@@ -104,12 +97,7 @@ def cmd_fixed(args) -> int:
         raise ValueError("fixed-subalgebra computation needs an arithmetic field")
     cat = Catalog(field)
     m = cat.realize_involution(args.descriptor, args.space)
-    context = None
-    if args.space == "J":
-        context = cat.J if m.basis_tag == cat.J.basis_tag else cat.Jt
-    else:
-        context = cat.B if m.basis_tag == cat.B.basis_tag else cat.Bt
-    rep = fixed_subalgebra(m, context)
+    rep = fixed_subalgebra(m, cat.algebra_of(m))
     shape = _shape_label(cat, m, args.space, rep)
     if args.json:
         print(

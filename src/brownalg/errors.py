@@ -95,7 +95,7 @@ class UnrecognizedType(AlgebraError):
 
 
 class SingularGram(AlgebraError):
-    """Trace-form Gram matrix unexpectedly singular (internal error)."""
+    """A singular map has no inverse (`LinMap.inverse_map`)."""
 
 
 class InternalError(AlgebraError):

@@ -8,7 +8,7 @@ Albert-level: lifts of octonion automorphisms, the diagonal-sign map
 s = U_{diag(1,-1,-1)}, the transpose-and-swap map on the Tits model, torus
 elements, and the U_V bridge between the varpi and s.varpi fixed algebras.
 Every automorphism check, on the octonions and on J, is
-`linmaps.is_aut_member`; `Catalog.realize` lifts each J atom to B with
+`linmaps.is_aut_member`; `Catalog.realize` lifts each J atom to B once, with
 `BrownAlgebra.lift_inv`, the one Brown lift.
 """
 
@@ -337,15 +337,23 @@ class Catalog:
     Torus atoms: "t:eta,nu" (G2, lifted to J), "t:u1,u2,v1,v2" (F4) and
     "t:u1,...,w2" (E6) on the first Tits construction.  Composition with
     "."; a "." followed by a digit is a decimal point of a parameter, so
-    "t:0.5,2" is one atom.
+    "t:0.5,2" is one atom.  An atom's model is the one its J map's basis tag
+    names; each atom's J map is built, and lifted to B with
+    `BrownAlgebra.lift_inv`, at most once per catalog.
     """
+
+    # the order-2 atoms of each model, whose twisted diagonals atom.varpi
+    # are named fixed shapes
+    INVOLUTIONS = {"her": ("s", "t", "t*"), "tits": ("t:1,1,1,1,-1,1",)}
 
     def __init__(self, field: FieldSpec):
         self.field = field
         self.octonions = CDAlgebra.split_octonions(field)
         self.J = hermitian(self.octonions)
         self.B = BrownAlgebra(self.J)
-        self._cache = {}
+        # (atom, "J" | "B") -> the atom's map on J or B of its model, and
+        # ("varpi", Brown basis tag) -> varpi of that Brown algebra
+        self._maps = {}
 
     @functools.cached_property
     def Jt(self) -> AlbertAlgebra:
@@ -355,60 +363,56 @@ class Catalog:
     def Bt(self) -> BrownAlgebra:
         return BrownAlgebra(self.Jt)
 
-    def t_oct(self) -> LinMap:
-        if "t_oct" not in self._cache:
-            self._cache["t_oct"] = make_canonical_t(self.octonions)
-        return self._cache["t_oct"]
+    def algebra_of(self, m: LinMap):
+        """The catalog algebra (J, B, Jt or Bt) that the map m lives on."""
+        for name in ("J", "B", "Jt", "Bt"):
+            algebra = getattr(self, name)
+            if m.basis_tag == algebra.basis_tag:
+                return algebra
+        raise CarrierMismatch(f"map on {m.basis_tag!r} lives on no catalog algebra")
 
-    def t_star_oct(self) -> LinMap:
-        if "t_star" not in self._cache:
-            self._cache["t_star"] = make_t_star(self.octonions)
-        return self._cache["t_star"]
+    def _brown_of(self, jmap: LinMap) -> BrownAlgebra:
+        return self.B if self.algebra_of(jmap) is self.J else self.Bt
 
-    def s_on_j(self) -> LinMap:
-        if "s" not in self._cache:
-            self._cache["s"] = make_s(self.J)
-        return self._cache["s"]
+    def _atom(self, text: str, space: str) -> LinMap:
+        """The map of one atom other than varpi on J or on B of its model."""
+        key = (text, space)
+        if key not in self._maps:
+            if space == "B":
+                jmap = self._atom(text, "J")
+                self._maps[key] = self._brown_of(jmap).lift_inv(jmap)
+            else:
+                self._maps[key] = self._build_j(text)
+        return self._maps[key]
 
-    def t_on_j(self) -> LinMap:
-        if "t" not in self._cache:
-            self._cache["t"] = lift_c_to_j(self.t_oct(), self.J)
-        return self._cache["t"]
+    def _varpi(self, brown: BrownAlgebra) -> LinMap:
+        key = ("varpi", brown.basis_tag)
+        if key not in self._maps:
+            self._maps[key] = brown.varpi()
+        return self._maps[key]
 
-    def t_star_on_j(self) -> LinMap:
-        if "t*j" not in self._cache:
-            self._cache["t*j"] = lift_c_to_j(self.t_star_oct(), self.J)
-        return self._cache["t*j"]
-
-    def _atom(self, text: str, space: str):
-        text = text.strip()
+    def _build_j(self, text: str) -> LinMap:
         if ":" in text:
             name, _, arg = text.partition(":")
             if name != "t":
                 raise ValueError(f"unknown parameterized descriptor {text!r}")
             params = [self.field.parse_scalar(tok) for tok in arg.split(",")]
             if len(params) == 2:
-                tor = make_torus_element(self.octonions, params, "G2")
-                jmap = lift_c_to_j(tor, self.J)
-                return ("her", jmap)
+                return lift_c_to_j(make_torus_element(self.octonions, params, "G2"), self.J)
             level = {4: "F4", 6: "E6"}.get(len(params))
             if level is None:
                 raise ArityMismatch("torus descriptors take 2, 4 or 6 parameters")
-            return ("tits", make_torus_element(self.Jt, params, level))
+            return make_torus_element(self.Jt, params, level)
         if text == "s":
-            return ("her", self.s_on_j())
+            return make_s(self.J)
         if text == "t":
-            return ("her", self.t_on_j())
+            return lift_c_to_j(make_canonical_t(self.octonions), self.J)
         if text == "t*":
-            return ("her", self.t_star_on_j())
-        if text == "varpi":
-            if space != "B":
-                raise ValueError("varpi only acts on the Brown algebra")
-            return ("varpi", None)
+            return lift_c_to_j(make_t_star(self.octonions), self.J)
         raise ValueError(f"unknown descriptor atom {text!r}")
 
     def realize(self, descriptor: str, space: str) -> LinMap:
-        """Realize a dotted descriptor on space "J" or "B"."""
+        """Realize a dotted descriptor on space "J" or "B" of its atoms' model."""
         if space not in ("J", "B"):
             raise ValueError("space must be 'J' or 'B'")
         if not descriptor.strip():
@@ -417,20 +421,19 @@ class Catalog:
         params = [arg for tok in tokens if ":" in tok for arg in tok.partition(":")[2].split(",")]
         if not all(tok.strip() for tok in tokens + params):
             raise ValueError(f"empty atom or parameter in descriptor {descriptor!r}")
-        atoms = [self._atom(tok, space) for tok in tokens]
-        models = {m for m, _ in atoms if m != "varpi"}
-        if len(models) > 1:
+        atoms = [tok.strip() for tok in tokens]
+        jmaps = []
+        for atom in atoms:
+            if atom != "varpi":
+                jmaps.append(self._atom(atom, "J"))
+            elif space != "B":
+                raise ValueError("varpi only acts on the Brown algebra")
+        if len({m.basis_tag for m in jmaps}) > 1:
             raise CarrierMismatch("cannot mix Hermitian and Tits atoms in one descriptor")
-        model = models.pop() if models else "her"
-        balg = self.B if model == "her" else self.Bt
-        out = None
-        for kind, jmap in atoms:
-            if kind == "varpi":
-                piece = balg.varpi()
-            else:
-                piece = jmap if space == "J" else balg.lift_inv(jmap)
-            out = piece if out is None else out.compose(piece)
-        return out
+        brown = self._brown_of(jmaps[0]) if jmaps else self.B
+        pieces = [self._varpi(brown) if atom == "varpi" else self._atom(atom, space)
+                  for atom in atoms]
+        return functools.reduce(LinMap.compose, pieces)
 
     def realize_involution(self, descriptor: str, space: str) -> LinMap:
         m = self.realize(descriptor, space)

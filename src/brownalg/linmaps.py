@@ -92,7 +92,7 @@ class LinMap:
     field: FieldSpec
     carrier: str
     basis_tag: str
-    # the map's `dagger`, set by `dagger` once its guard and solve succeed
+    # the map's `dagger`, set by `dagger` once its guard and exact check pass
     _dagger: "LinMap | None" = dc_field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -422,8 +422,8 @@ def _dagger_plan(algebra):
     D (e_i # e_j) = C e_k in the cross table's integer form (`mul_ints`),
     and s with s C = lcm: over Q lcm is the lcm of the C and s = lcm / C,
     over F_p lcm = 1 and s = C^-1 mod p.  grows[i] holds the (j, g) with
-    g = DG G_ij != 0, the integer rows of the Gram matrix (`to_ints`,
-    residues over F_p), and gsum is the largest sum of |g| over a row."""
+    g = DG G_ij != 0, the integer rows of the Gram matrix
+    (`AlbertAlgebra.gram_int`), and gsum is the largest sum of |g| over a row."""
     f = algebra.field
     p = f.p if f.kind != RATIONALS else 0
     rows = algebra.cross_table().int_table()[1]
@@ -438,9 +438,10 @@ def _dagger_plan(algebra):
     picks = [picks[k] for k in range(27)]
     lcm = 1 if p else math.lcm(*[c for _, _, c in picks])
     picks = tuple((i, j, pow(c, -1, p) if p else lcm // c) for i, j, c in picks)
-    ints = to_ints([v for row in algebra.gram for v in row], f)[1]
-    grows = tuple(tuple((j, g) for j, g in enumerate(ints[i : i + 27]) if g)
-                  for i in range(0, 27 * 27, 27))
+    grows = [[] for _ in range(27)]
+    for i, j, g in algebra.gram_int:
+        grows[i].append((j, g))
+    grows = tuple(map(tuple, grows))
     return picks, lcm, grows, max(sum(abs(g) for _, g in row) for row in grows)
 
 

@@ -292,7 +292,7 @@ def check_elinvj(ctx):
     rng = ctx.rng("alb-elinvj")
     alg = ctx.cat.J
     f = alg.field
-    for phi in (ctx.cat.s_on_j(), ctx.cat.t_on_j()):
+    for phi in (ctx.cat.realize("s", "J"), ctx.cat.realize("t", "J")):
         for _ in range(ctx.scaled(0.1)):
             x = alg.sample(rng).coords
             lhs = linalg.mat_mul(phi.matrix, alg.uop_matrix(x), f)
@@ -342,10 +342,9 @@ def check_brown_skew(ctx):
 def check_brown_lifts(ctx):
     rng = ctx.rng("br-lift")
     b = ctx.cat.B
-    that = ctx.cat.t_on_j()
     x = b.jalg.sample_norm_one(rng)
     ux = b.jalg.linmap(b.jalg.uop_matrix(x.coords))
-    maps = [b.lift_inv(that), b.lift_inv(ux), b.varpi()]
+    maps = [ctx.cat.realize("t", "B"), b.lift_inv(ux), b.varpi()]
     bi = b.binv_map()
     for m in maps:
         for _ in range(ctx.scaled(0.2)):
@@ -374,7 +373,8 @@ def check_varpi_dagger(ctx):
 def check_commuting_pairs(ctx):
     b = ctx.cat.B
     ident = b.jalg.linmap(linalg.identity(b.jalg.dim, b.field))
-    for pair in ((ident, ident), (ctx.cat.t_on_j(), ctx.cat.t_on_j())):
+    that = ctx.cat.realize("t", "J")
+    for pair in ((ident, ident), (that, that)):
         basis = b.commuting_pair_subalgebra(*pair)
         if len(basis) != 28:
             _fail("commuting-pair subalgebra is not 28-dimensional")
@@ -392,20 +392,11 @@ BROWN_CHECKS = (
 # -- involutions suite -----------------------------------------------------------------
 
 def check_catalog_orders(ctx):
-    cat = ctx.cat
-    b = cat.B
-    named = {
-        "s": cat.s_on_j(),
-        "t": cat.t_on_j(),
-        "t*": cat.t_star_on_j(),
-    }
-    for name, m in named.items():
-        if m.is_identity() or not m.order_divides_two():
-            _fail(f"{name} does not have order exactly 2 on J")
-    for name in ("s", "t", "varpi", "s.varpi", "t.varpi"):
-        m = cat.realize(name, "B")
-        if m.is_identity() or not m.order_divides_two():
-            _fail(f"{name} does not have order exactly 2 on B")
+    for space, names in (("J", ("s", "t", "t*")), ("B", ("s", "t", "varpi", "s.varpi", "t.varpi"))):
+        for name in names:
+            m = ctx.cat.realize(name, space)
+            if m.is_identity() or not m.order_divides_two():
+                _fail(f"{name} does not have order exactly 2 on {space}")
 
 
 def check_fixed_dims(ctx):
@@ -424,7 +415,7 @@ def check_fixed_dims(ctx):
 
 def check_beth_is_fix_s(ctx):
     cat = ctx.cat
-    fix = cat.s_on_j().fixed_space()
+    fix = cat.realize("s", "J").fixed_space()
     beth = [x.coords for x in beth_basis(cat.J)]
     if not linalg.same_span(list(fix), beth, ctx.field):
         _fail("fix(s) differs from the beth span")
@@ -433,7 +424,7 @@ def check_beth_is_fix_s(ctx):
 def check_uv_bridge(ctx):
     cat = ctx.cat
     uv = make_uv_bridge(cat.J)
-    s = cat.s_on_j()
+    s = cat.realize("s", "J")
     if uv.compose(uv).matrix != s.matrix:
         _fail("U_V^2 != s")
     if dagger(uv, cat.J).matrix != uv.inverse_map().matrix:
@@ -470,14 +461,14 @@ def check_dagger_laws(ctx):
         ux = alg.linmap(alg.uop_matrix(x.coords))
         if dagger(ux, alg).matrix != alg.uop_matrix(alg.jinv_raw(x.coords)):
             _fail("dagger(U_x) != U_(x^-1)")
-    that = cat.t_on_j()
+    that = cat.realize("t", "J")
     if dagger(that, alg).matrix != that.matrix:
         _fail("dagger does not fix the automorphism t-hat")
 
 
 def check_grading(ctx):
     cat = ctx.cat
-    plus, minus = grade_decompose(cat.s_on_j(), cat.J)
+    plus, minus = grade_decompose(cat.realize("s", "J"), cat.J)
     if (len(plus), len(minus)) != (11, 16):
         _fail(f"grading of s is ({len(plus)}, {len(minus)}), not (11, 16)")
 
@@ -485,7 +476,7 @@ def check_grading(ctx):
 def check_transport(ctx):
     rng = ctx.rng("inv-transport")
     cat = ctx.cat
-    for t in (cat.s_on_j(), cat.t_on_j()):
+    for t in (cat.realize("s", "J"), cat.realize("t", "J")):
         for _ in range(ctx.scaled(0.03, minimum=2)):
             g = cat.random_j_automorphism(rng)
             t2 = conjugate_involution(g, t)

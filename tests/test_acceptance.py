@@ -105,7 +105,7 @@ def test_criterion_4_dagger_laws():
         x = alg.sample_norm_one(rng)
         ux = _uop(alg, x.coords)
         assert dagger(ux, alg).matrix == alg.uop_matrix(alg.jinv_raw(x.coords))
-    that = cat.t_on_j()
+    that = cat.realize("t", "J")
     assert dagger(that, alg).matrix == that.matrix
     b = cat.B
     w = b.varpi()
@@ -143,13 +143,13 @@ def test_criterion_6_uv_bridge():
     for field in (Fp(7), Q()):
         cat = Catalog(field)
         uv = make_uv_bridge(cat.J)
-        s = cat.s_on_j()
+        s = cat.realize("s", "J")
         assert uv.compose(uv).matrix == s.matrix
         assert dagger(uv, cat.J).matrix == uv.inverse_map().matrix
         b = cat.B
         lifted = b.lift_inv(uv)
         fix_w = fixed_subalgebra(b.varpi(), b).basis
-        fix_sw = fixed_subalgebra(b.lift_inv(s).compose(b.varpi()), b).basis
+        fix_sw = fixed_subalgebra(cat.realize("s.varpi", "B"), b).basis
         image = [lifted.apply(v) for v in fix_w]
         assert linalg.same_span(image, list(fix_sw), field)
     _report(6, "U_V bridge: U_V^2 = s, dagger(U_V) = U_V^-1, B^varpi -> B^(s.varpi)")
@@ -224,13 +224,13 @@ def test_criterion_10_hilbert_and_split():
 def test_criterion_11_conjugacy_transport_and_grading():
     rng = random.Random(111)
     cat = Catalog(Fp(7))
-    for t in (cat.s_on_j(), cat.t_on_j()):
+    for t in (cat.realize("s", "J"), cat.realize("t", "J")):
         for _ in range(10):
             g = cat.random_j_automorphism(rng)
             t2 = conjugate_involution(g, t)
             assert verify_conjugacy_transport(g, t, t2)
-    plus, minus = grade_decompose(cat.s_on_j(), cat.J)
+    plus, minus = grade_decompose(cat.realize("s", "J"), cat.J)
     assert (len(plus), len(minus)) == (11, 16)
-    plus, minus = grade_decompose(cat.t_on_j(), cat.J)
+    plus, minus = grade_decompose(cat.realize("t", "J"), cat.J)
     assert (len(plus), len(minus)) == (15, 12)
     _report(11, "conjugacy transport (20 conjugations) and grading laws")

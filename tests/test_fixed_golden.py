@@ -20,7 +20,7 @@ from brownalg.cli import main
 
 DATA = Path(__file__).parent / "data"
 FIELDS = ("Fp:7", "Q")
-DESCRIPTORS = ("s", "t", "t*", "varpi", "s.varpi", "t.varpi",
+DESCRIPTORS = ("s", "t", "t*", "varpi", "s.varpi", "t.varpi", "t*.varpi",
                "t:1,1,1,1,-1,1", "t:1,1,1,1,-1,1.varpi")
 RECORD = {(e["field"], e["descriptor"], e["space"]): e
           for e in json.loads((DATA / "fixed_catalog.json").read_text())}

@@ -3,8 +3,9 @@ import sys
 
 import pytest
 
-from brownalg import albert, linalg
+from brownalg import albert, involutions, linalg
 from brownalg.albert import tits
+from brownalg.brown import BrownAlgebra
 from brownalg.cayley import CDAlgebra
 from brownalg.errors import (
     ArityMismatch,
@@ -136,7 +137,7 @@ def test_torus_errors():
 
 def test_lifted_t_hat():
     cat = cat7()
-    that = cat.t_on_j()
+    that = cat.realize("t", "J")
     assert is_aut_member(that, cat.J)
     assert that.compose(that).is_identity()
     assert len(that.fixed_space()) == 15
@@ -144,7 +145,7 @@ def test_lifted_t_hat():
 
 def test_make_s_action_and_fixed_dim():
     cat = cat7()
-    s = cat.s_on_j()
+    s = cat.realize("s", "J")
     assert s.compose(s).is_identity()
     assert len(s.fixed_space()) == 11
     # coordinate action (xi; a, -b, -c)
@@ -159,7 +160,7 @@ def test_make_s_action_and_fixed_dim():
 
 def test_s_fixed_space_is_beth():
     cat = cat7()
-    s = cat.s_on_j()
+    s = cat.realize("s", "J")
     fix = s.fixed_space()
     beth = [b.coords for b in albert.beth_basis(cat.J)]
     assert linalg.same_span(fix, beth, cat.field)
@@ -234,8 +235,8 @@ def test_dagger_of_tits_phi_is_swap():
 def test_fixed_dims_catalog_on_brown():
     cat = cat7()
     b = cat.B
-    s_hat = b.lift_inv(cat.s_on_j())
-    t_hat = b.lift_inv(cat.t_on_j())
+    s_hat = cat.realize("s", "B")
+    t_hat = cat.realize("t", "B")
     w = b.varpi()
     cases = {
         "s": (s_hat, 24),
@@ -278,8 +279,8 @@ def test_fixed_subalgebra_checks_every_ordered_brown_pair():
 
 def test_fixed_dims_on_albert():
     cat = cat7()
-    assert fixed_subalgebra(cat.s_on_j(), cat.J).dimension == 11
-    assert fixed_subalgebra(cat.t_on_j(), cat.J).dimension == 15
+    assert fixed_subalgebra(cat.realize("s", "J"), cat.J).dimension == 11
+    assert fixed_subalgebra(cat.realize("t", "J"), cat.J).dimension == 15
 
 
 def test_fixed_subalgebra_requires_involutive():
@@ -303,13 +304,13 @@ def test_grade_decompose_identity():
 
 def test_grade_decompose_s():
     cat = cat7()
-    plus, minus = grade_decompose(cat.s_on_j(), cat.J)
+    plus, minus = grade_decompose(cat.realize("s", "J"), cat.J)
     assert (len(plus), len(minus)) == (11, 16)
 
 
 def test_grade_decompose_t_hat():
     cat = cat7()
-    plus, minus = grade_decompose(cat.t_on_j(), cat.J)
+    plus, minus = grade_decompose(cat.realize("t", "J"), cat.J)
     assert (len(plus), len(minus)) == (15, 12)
 
 
@@ -332,7 +333,7 @@ def test_grade_decompose_rejects_similarity_form():
                 f, ALBERT, cat.J.basis_tag)
     with pytest.raises(NotOrderTwo):
         grade_decompose(nu, cat.J)
-    s = cat.s_on_j()
+    s = cat.realize("s", "J")
     bad_form = tuple(
         tuple(f.one() if i == j and i == 0 else f.zero() for j in range(27))
         for i in range(27)
@@ -346,7 +347,7 @@ def test_grade_decompose_rejects_similarity_form():
 def test_conjugacy_transport_on_j():
     cat = cat7()
     rng = random.Random(5)
-    for t in (cat.s_on_j(), cat.t_on_j()):
+    for t in (cat.realize("s", "J"), cat.realize("t", "J")):
         for _ in range(6):
             g = cat.random_j_automorphism(rng)
             t2 = conjugate_involution(g, t)
@@ -359,7 +360,7 @@ def test_transport_through_a_singular_map(field):
     """g = (1 + t)/2 projects onto fix(t), so it maps fix(t) onto fix(t)
     although it is not invertible."""
     cat = Catalog(field)
-    t = cat.t_on_j()
+    t = cat.realize("t", "J")
     half = field.half()
     n = t.dim
     g = LinMap(tuple(tuple(field.mul(half, field.add(v, field.one() if i == j else field.zero()))
@@ -367,13 +368,13 @@ def test_transport_through_a_singular_map(field):
                field, t.carrier, t.basis_tag)
     assert linalg.rank(g.matrix, field) == len(t.fixed_space()) < n
     assert verify_conjugacy_transport(g, t, t)
-    assert not verify_conjugacy_transport(g, t, cat.s_on_j())
+    assert not verify_conjugacy_transport(g, t, cat.realize("s", "J"))
 
 
 def test_transport_fails_for_unrelated_involutions():
     cat = cat7()
     ident = cat.J.linmap(linalg.identity(27, cat.field))
-    assert not verify_conjugacy_transport(ident, cat.s_on_j(), cat.t_on_j())
+    assert not verify_conjugacy_transport(ident, cat.realize("s", "J"), cat.realize("t", "J"))
 
 
 def test_uv_bridge_is_a_conjugacy_transport_on_brown():
@@ -382,7 +383,7 @@ def test_uv_bridge_is_a_conjugacy_transport_on_brown():
     b = cat.B
     g = b.lift_inv(make_uv_bridge(cat.J))
     w = b.varpi()
-    sw = b.lift_inv(cat.s_on_j()).compose(w)
+    sw = cat.realize("s", "B").compose(w)
     assert verify_conjugacy_transport(g, w, sw)
 
 
@@ -392,14 +393,14 @@ def test_uv_bridge_properties():
     for field in (Fp(7), Q()):
         cat = Catalog(field)
         uv = make_uv_bridge(cat.J)
-        s = cat.s_on_j()
+        s = cat.realize("s", "J")
         assert uv.compose(uv).matrix == s.matrix
         dag = dagger(uv, cat.J)
         assert dag.matrix == uv.inverse_map().matrix
         b = cat.B
         lifted = b.lift_inv(uv)
         w = b.varpi()
-        s_hat = b.lift_inv(s)
+        s_hat = cat.realize("s", "B")
         fix_w = fixed_subalgebra(w, b).basis
         fix_sw = fixed_subalgebra(s_hat.compose(w), b).basis
         image = [lifted.apply(v) for v in fix_w]
@@ -410,11 +411,11 @@ def test_uv_bridge_properties():
 
 def test_outer_fixed_condition():
     cat = cat7()
-    s = cat.s_on_j()
+    s = cat.realize("s", "J")
     ident = cat.J.linmap(linalg.identity(27, cat.field))
     assert outer_fixed_condition(ident, s, cat.J)
     # an automorphism commuting with s passes (dagger = itself)
-    that = cat.t_on_j()
+    that = cat.realize("t", "J")
     assert s.compose(that).matrix == that.compose(s).matrix
     assert outer_fixed_condition(that, s, cat.J)
     # a generic unit-norm U_x fails
@@ -430,7 +431,7 @@ def test_outer_fixed_condition_guards_the_norm_once(monkeypatch):
     from brownalg import linmaps
 
     cat = cat7()
-    s = cat.s_on_j()
+    s = cat.realize("s", "J")
     sampled = linmaps.norm_preserving_sampled
     calls = []
 
@@ -441,7 +442,7 @@ def test_outer_fixed_condition_guards_the_norm_once(monkeypatch):
     for name, module in list(sys.modules.items()):
         if name.startswith("brownalg") and getattr(module, "norm_preserving_sampled", None) is sampled:
             monkeypatch.setattr(module, "norm_preserving_sampled", spy)
-    that = cat.t_on_j()
+    that = cat.realize("t", "J")
     x = cat.J.sample_norm_one(random.Random(6))
     ux = LinMap(cat.J.uop_matrix(x.coords), cat.field, ALBERT, cat.J.basis_tag)
     three = LinMap(tuple(tuple(3 * v for v in row)
@@ -504,7 +505,7 @@ def test_descriptor_realization():
     tw = cat.realize_involution("t.varpi", "B")
     assert fixed_subalgebra(tw, cat.B).dimension == 28
     sj = cat.realize_involution("s", "J")
-    assert sj.matrix == cat.s_on_j().matrix
+    assert sj.matrix == cat.realize("s", "J").matrix
 
 
 @pytest.mark.parametrize("descriptor, model", [
@@ -573,6 +574,59 @@ def test_descriptor_errors():
         cat.realize("varpi", "J")
     with pytest.raises(CarrierMismatch):
         cat.realize("s.t:1,1,1,1,-1,1", "J")
+
+
+@pytest.mark.parametrize("field", [Q(), Fp(7)], ids=str)
+def test_catalog_builds_and_lifts_each_atom_once(monkeypatch, field):
+    """One catalog builds each J atom once and lifts it to B once, however
+    many descriptors and spaces use it, and hands back the same map; bad
+    descriptors still raise the same errors after the atoms are built."""
+    lifted, tori = [], []
+    lift_inv, make_torus_element = BrownAlgebra.lift_inv, involutions.make_torus_element
+
+    def lift_spy(self, phi):
+        lifted.append(phi)
+        return lift_inv(self, phi)
+
+    def torus_spy(*args):
+        tori.append(args)
+        return make_torus_element(*args)
+
+    monkeypatch.setattr(BrownAlgebra, "lift_inv", lift_spy)
+    monkeypatch.setattr(involutions, "make_torus_element", torus_spy)
+    cat = Catalog(field)
+    for space in ("J", "B"):
+        for descriptor in ("s", "s.varpi", "t", "t.varpi", "t:1,1,1,1,-1,1"):
+            if space == "J" and descriptor.endswith(".varpi"):
+                with pytest.raises(ValueError, match="varpi only acts on the Brown algebra"):
+                    cat.realize(descriptor, space)
+            else:
+                cat.realize(descriptor, space)
+    atoms = [cat.realize(atom, "J") for atom in ("s", "t", "t:1,1,1,1,-1,1")]
+    assert len(tori) == 1
+    assert len(lifted) == 3 and all(phi is atom for phi, atom in zip(lifted, atoms))
+    assert cat.realize("s", "B") is cat.realize("s", "B")
+    for descriptor, space, error, message in (
+        ("s.t:1,1,1,1,-1,1", "J", CarrierMismatch, "cannot mix"),
+        ("t:1,1,1,1,-1,1.t.varpi", "B", CarrierMismatch, "cannot mix"),
+        ("varpi", "J", ValueError, "varpi only acts"),
+        ("t.nonsense", "B", ValueError, "unknown descriptor atom"),
+    ):
+        with pytest.raises(error, match=message) as err:
+            cat.realize(descriptor, space)
+        assert err.type is error
+    assert len(tori) == 1 and len(lifted) == 3
+
+
+def test_algebra_of_names_the_catalog_algebra_of_a_map():
+    cat = cat7()
+    for descriptor, space, algebra in (
+        ("s", "J", cat.J), ("s.varpi", "B", cat.B),
+        ("t:1,1,1,1,-1,1", "J", cat.Jt), ("t:1,1,1,1,-1,1.varpi", "B", cat.Bt),
+    ):
+        assert cat.algebra_of(cat.realize(descriptor, space)) is algebra
+    with pytest.raises(CarrierMismatch):
+        cat.algebra_of(make_canonical_t(cat.octonions))
 
 
 @pytest.mark.parametrize("descriptor", [

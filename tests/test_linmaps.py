@@ -11,7 +11,12 @@ from brownalg.albert import AlbertAlgebra, hermitian, mat3_mul, split_albert, ti
 from brownalg.cayley import CDAlgebra
 from brownalg.errors import CarrierMismatch, NotNormPreserving
 from brownalg.fields import FieldSpec, Fp, Q
-from brownalg.involutions import Catalog, fixed_subalgebra, isotope_automorphism_check
+from brownalg.involutions import (
+    Catalog,
+    fixed_subalgebra,
+    isotope_automorphism_check,
+    make_canonical_t,
+)
 from brownalg.kernels import MulTable
 from brownalg.linmaps import (
     ALBERT,
@@ -312,10 +317,10 @@ def test_inv_certificate_matches_point_reference(name, monkeypatch):
     jt = tits(f, f.parse_scalar("3/2"))
     cases.append((jt, _uop_map(jt, _tits_norm_one(jt, rng)), True))
     cat = Catalog(f)
-    for phi in (cat.s_on_j(), cat.t_on_j(), cat.t_star_on_j()):
+    for phi in (cat.realize("s", "J"), cat.realize("t", "J"), cat.realize("t*", "J")):
         cases.append((cat.J, phi, True))
     alg, ux = cases[0][:2]
-    t = cat.t_on_j()
+    t = cat.realize("t", "J")
     i, j = next((i, j) for i in range(27) for j in range(27) if ux.matrix[i][j])
     cases.append((alg, _with_entry(ux, i, j, f.add(ux.matrix[i][j], f.one())), False))
     i, j = next((i, j) for i in range(27) for j in range(27) if not t.matrix[i][j])
@@ -494,9 +499,10 @@ def test_is_aut_member_certifies_every_algebra_of_the_tower(level):
     cat = Catalog(Fp(7))
     f = cat.field
     algebra, members, other = {
-        "composition": (cat.octonions, [cat.t_oct()], CDAlgebra(f, (1, 1, 1))),
-        "albert": (cat.J, [cat.t_on_j()], cat.Jt),
-        "brown": (cat.B, [cat.B.lift_inv(cat.t_on_j()), cat.B.varpi()], cat.Bt),
+        "composition": (cat.octonions, [make_canonical_t(cat.octonions)],
+                        CDAlgebra(f, (1, 1, 1))),
+        "albert": (cat.J, [cat.realize("t", "J")], cat.Jt),
+        "brown": (cat.B, [cat.realize("t", "B"), cat.B.varpi()], cat.Bt),
     }[level]
     for phi in members:
         assert is_aut_member(phi, algebra)
@@ -602,7 +608,7 @@ def _dagger_cases(f):
         x1, x2 = f.sample_nonzero(rng), f.sample_nonzero(rng)
         mats.append(((x1, zero, zero), (zero, x2, zero), (zero, zero, f.inv(f.mul(x1, x2)))))
     cases.append((jt, jt.linmap(jt.tits_phi_matrix(*mats))))
-    cases += [(J, _nu_g_map(J, 3)), (J, cat.t_on_j()), (J, cat.s_on_j())]
+    cases += [(J, _nu_g_map(J, 3)), (J, cat.realize("t", "J")), (J, cat.realize("s", "J"))]
     ux, uy = (_uop_map(J, J.sample_norm_one(rng, 2)) for _ in range(2))
     cases.append((J, ux.compose(uy)))
     a, b = f.from_int(10**29 + 7), f.from_int(2 * 10**29 + 3)

@@ -46,8 +46,8 @@ def _cases(cat):
                   lambda x: _tr3(x[:9]) + _tr3(x[18:]) + _tr3(x[9:18])),
         "t*": (make_t_star(cat.octonions), cat.octonions,
                lambda x: tuple(reversed(x[:4])) + tuple(reversed(x[4:]))),
-        "t on J": (cat.t_on_j(), cat.J, lambda x: _t_hat(f, x)),
-        "t on B": (cat.B.lift_inv(cat.t_on_j()), cat.B,
+        "t on J": (cat.realize("t", "J"), cat.J, lambda x: _t_hat(f, x)),
+        "t on B": (cat.realize("t", "B"), cat.B,
                    lambda x: x[:2] + _t_hat(f, x[2:29]) + _t_hat(f, x[29:])),
     }
 
