@@ -80,11 +80,15 @@ def _shape_label(cat: Catalog, m, space: str, rep) -> str:
         return "B^t (alpha, beta free; j, l in Her3(D, gamma))"
     if rep.dimension == 28:
         balg = cat.algebra_of(m)
-        candidates = {"B^varpi (diagonal {(a, a, j, j)})": balg.varpi()}
-        for atom in cat.INVOLUTIONS[balg.jalg.model]:
-            desc = f"{atom}.varpi"
-            candidates[f"B^({desc}) (twisted diagonal by {atom})"] = cat.realize(desc, "B")
-        for label, canon in candidates.items():
+
+        def candidates():
+            # each candidate is realized only when it is reached
+            yield "B^varpi (diagonal {(a, a, j, j)})", balg.varpi()
+            for atom in cat.INVOLUTIONS[balg.jalg.model]:
+                desc = f"{atom}.varpi"
+                yield f"B^({desc}) (twisted diagonal by {atom})", cat.realize(desc, "B")
+
+        for label, canon in candidates():
             if same_span(list(rep.basis), list(canon.fixed_space()), m.field):
                 return label
         return "a 28-dimensional varpi-type shape"

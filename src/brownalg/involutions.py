@@ -32,7 +32,8 @@ from .errors import (
     SingularElement,
     ZeroParameter,
 )
-from .fields import FieldSpec
+from .fields import PRIME, FieldSpec
+from .kernels import MulTable
 from . import linalg
 from .linmaps import (
     LinMap,
@@ -202,13 +203,13 @@ class FixedSubalgebra:
 
 
 def _context_product(phi: LinMap, context):
-    """(integer product, commutative, involution or None) of the carrier
-    algebra: `MulTable.mul_ints` of its table, and the exchange involution,
-    a coordinate swap, on Brown space."""
+    """(table, commutative, involution or None) of the carrier algebra: its
+    `MulTable`, and the exchange involution, a coordinate swap, on Brown
+    space."""
     if phi.basis_tag != context.basis_tag:
         raise CarrierMismatch("map and algebra bases differ")
     involution = context.binv_raw if isinstance(context, BrownAlgebra) else None
-    return context.table.mul_ints, context.commutative, involution
+    return context.table, context.commutative, involution
 
 
 def fixed_subalgebra(phi: LinMap, context) -> FixedSubalgebra:
@@ -217,13 +218,13 @@ def fixed_subalgebra(phi: LinMap, context) -> FixedSubalgebra:
     forms of the basis vectors."""
     if not phi.order_divides_two():
         raise NotOrderTwo("fixed subalgebras are computed for maps with phi^2 = id")
-    product, commutative, involution = _context_product(phi, context)
+    table, commutative, involution = _context_product(phi, context)
     basis = phi.fixed_space()
     closed = True
     inv_closed = None
     if basis:
         span, ints = linalg.int_span(basis, phi.dim, phi.field)
-        closed = span.closed(ints, product, commutative)
+        closed = span.closed(table, ints, commutative=commutative)
         if involution is not None:
             inv_closed = all(span.contains(involution(v)) for v in ints)
     return FixedSubalgebra(len(basis), tuple(basis), closed, inv_closed)
@@ -234,7 +235,7 @@ def grade_decompose(phi: LinMap, context, form=None):
     with the form invariance and grading-law checks."""
     if not phi.order_divides_two():
         raise NotOrderTwo("grading needs phi^2 = id")
-    product, _, _ = _context_product(phi, context)
+    table, _, _ = _context_product(phi, context)
     f = phi.field
     if form is None:
         if not isinstance(context, AlbertAlgebra):
@@ -253,11 +254,8 @@ def grade_decompose(phi: LinMap, context, form=None):
     spans = {"+": linalg.int_span(plus, n, f), "-": linalg.int_span(minus, n, f)}
     law = {("+", "+"): "+", ("+", "-"): "-", ("-", "+"): "-", ("-", "-"): "+"}
     for (sa, sb), target in law.items():
-        span = spans[target][0]
-        for va in spans[sa][1]:
-            for vb in spans[sb][1]:
-                if not span.contains(product(va, vb)):
-                    raise NotAutomorphism("grading law fails; map is not an algebra automorphism")
+        if not spans[target][0].closed(table, spans[sa][1], spans[sb][1]):
+            raise NotAutomorphism("grading law fails; map is not an algebra automorphism")
     return tuple(plus), tuple(minus)
 
 
@@ -312,16 +310,27 @@ def isotope_automorphism_check(x: AlbertElem, y: AlbertElem) -> bool:
     if not mm.order_divides_two():
         raise NotOrderTwo("U_x U_y does not square to the identity")
     # {a, y, b} = (a.y).b + (b.y).a - (a.b).y in the integer Jordan table,
-    # D^2 d_y times the triple product for y = y_int / d_y; it is symmetric in
-    # a and b, so the pairs i <= j certify
+    # D^2 d_y times the triple product for y = y_int / d_y; it is bilinear and
+    # symmetric in a and b, so its values on the basis pairs i <= j give the
+    # y-isotope's table, and the pairs i <= j certify
     mul = alg.table.mul_ints
     yi = linalg.to_ints(y.coords, f)[1]
-
-    def triple(a, b):
-        return [u + v - w for u, v, w in
-                zip(mul(mul(a, yi), b), mul(mul(b, yi), a), mul(mul(a, b), yi))]
-
-    return is_automorphism(mm, triple, alg.jinv_raw(y.coords), commutative=True)
+    p = f.p if f.kind == PRIME else 0
+    n = alg.dim
+    basis = [[int(i == j) for j in range(n)] for i in range(n)]
+    entries = []
+    for i, a in enumerate(basis):
+        for j in range(i, n):
+            b = basis[j]
+            triple = [u + v - w for u, v, w in
+                      zip(mul(mul(a, yi), b), mul(mul(b, yi), a), mul(mul(a, b), yi))]
+            for k, c in enumerate(triple):
+                c = c % p if p else c
+                if c:
+                    entries.append((i, j, k, c))
+                    if i != j:
+                        entries.append((j, i, k, c))
+    return is_automorphism(mm, MulTable(n, entries), alg.jinv_raw(y.coords), commutative=True)
 
 
 # -- catalog and descriptors ----------------------------------------------------

@@ -18,10 +18,16 @@ coordinates of their operands, so sparse inputs cost proportionally less.
 Every product of the package runs on them.  `MulTable.apply`, the product of
 field values, is `to_ints`, `mul_ints` and one `from_ints` on both fields;
 `MulTable.left_matrix`, the matrix of y -> x.y, is `left_ints` converted
-back.  The Albert operators work on `mul_ints` and `left_ints` directly,
-and the closure and automorphism certificates (`linalg.IntSpan.closed`,
-`linmaps.is_automorphism`) take `mul_ints` as their product, so a vector or
-a map is scaled to integers once and no `Fraction` is made in their loops.
+back.  The Albert operators work on `mul_ints` and `left_ints` directly.
+The closure and automorphism certificates (`linalg.IntSpan.closed`,
+`linmaps.is_automorphism`) take the table itself.  `mul_ints` only tests
+the coordinates of its operands for zero and multiplies them, so it runs
+unchanged on a packed second operand, whose coordinate j is one int holding
+coordinate j of many vectors (`linalg.SignedPacking`), and returns their
+products packed the same way: the certificates call it once per vector, not
+once per pair, and size the slots from `MulTable.int_sum`, a bound on the
+products.  A vector or a map is scaled to integers once and no `Fraction`
+is made in their loops.
 
 `Algebra` is what the three algebras of the tower (`CDAlgebra`,
 `AlbertAlgebra`, `BrownAlgebra`) share.  Each sets `field`, `dim`,
@@ -68,12 +74,13 @@ class MulTable:
     """Sparse bilinear map V x V -> V given by entries (i, j, k, coeff):
     out_k = sum coeff * x_i * y_j."""
 
-    __slots__ = ("n", "entries", "_int")
+    __slots__ = ("n", "entries", "_int", "_sum")
 
     def __init__(self, n: int, entries):
         self.n = n
         self.entries = tuple(entries)
         self._int = None
+        self._sum = None
 
     def int_table(self):
         """(D, rows): D the lcm of the denominators of the coefficients (1
@@ -86,6 +93,18 @@ class MulTable:
                 rows[i].append((j, k, c.numerator * (D // c.denominator)))
             self._int = (D, rows)
         return self._int
+
+    def int_sum(self) -> int:
+        """The largest sum of |D c| over the integer entries into one output
+        coordinate, so |mul_ints(x, y)[k]| <= int_sum() max|x| max|y|: the
+        bound the packed certificates size their slots from.  Cached."""
+        if self._sum is None:
+            sums = [0] * self.n
+            for row in self.int_table()[1]:
+                for _, k, c in row:
+                    sums[k] += abs(c)
+            self._sum = max(sums, default=0)
+        return self._sum
 
     def apply(self, x, y, field: FieldSpec):
         """x.y for field values: `mul_ints` on the `to_ints` forms of x and y,

@@ -28,7 +28,11 @@ are equal as ints only if they are equal entry for entry, so a packed
 identity is checked with one int comparison and no unpacking.
 `linmaps.is_inv_member` computes its columns this way on both fields, and
 `linmaps.dagger` checks its trace-form identity and
-`linmaps.norm_preserving_sampled` computes its images this way too.
+`linmaps.norm_preserving_sampled` computes its images this way too.  So do
+`IntSpan.closed`, `linmaps.is_automorphism` and `LinMap.order_divides_two`:
+a product that is linear in one operand, such as `MulTable.mul_ints` in its
+second, maps a packing of many vectors to the packing of their images, so
+one call checks them all.
 
 `to_ints` and `from_ints` are the one scaled-integer form of the package: a
 vector of field values is (d, ints) with values == ints / d, d the lcm of
@@ -40,7 +44,8 @@ kernels of `kernels`, `albert` and `linmaps` read and write this form.
 Span membership is one kernel for both fields, `IntSpan`, on integer
 vectors in this form; the certificates build one per span with
 `int_span(vectors, n, field)` and test membership with `IntSpan.contains`
-and closure under a product with `IntSpan.closed`.
+and closure under the product of a `MulTable` with `IntSpan.closed`, which
+packs the second factors and makes one `mul_ints` call per first factor.
 
 Over Q, `mat_mul` and `rref` run on Python ints in this form.  `rref`
 eliminates fraction-free on primitive integer rows (Bareiss, Math. Comp. 22,
@@ -52,6 +57,7 @@ the result equals Gauss-Jordan elimination in `Fraction`s entry for entry.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 import struct
@@ -386,13 +392,16 @@ class IntSpan:
     integer vectors: for each RREF row R_r = ints_r / d_r (`to_ints`) its
     pivot column pc_r and its non-pivot entries, scaled to L, the lcm of the
     d_r.  w lies in the span iff w = sum_r w[pc_r] R_r, which holds at the
-    pivot columns by construction; so the test is
-    L w[k] = sum_r w[pc_r] (L / d_r) ints_r[k] at every non-pivot column k,
-    in ints over Q and mod p over F_p.  It does not change when w is scaled,
-    so w may be any integer multiple of a vector, such as a `to_ints` form
-    or a `MulTable.mul_ints` product of such forms."""
+    pivot columns by construction; so the test is that the residual
+    L w[k] - sum_r w[pc_r] (L / d_r) ints_r[k] is 0 at every non-pivot
+    column k, in ints over Q and mod p over F_p.  It does not change when w
+    is scaled, so w may be any integer multiple of a vector, such as a
+    `to_ints` form or a `MulTable.mul_ints` product of such forms.  The
+    residual is linear in w, so `closed` runs it on packed vectors;
+    `weight` is the largest L + sum_r |(L / d_r) ints_r[k]| over the
+    non-pivot columns, with |residual[k]| <= weight max|w|."""
 
-    __slots__ = ("p", "mask", "rows")
+    __slots__ = ("p", "mask", "rows", "weight")
 
     def __init__(self, rref_rows, pivots, n: int, field: FieldSpec):
         self.p = _modulus(field) if field.kind != RATIONALS else 0
@@ -401,33 +410,78 @@ class IntSpan:
         pivot_set = set(pivots)
         # L w is compared at the non-pivot columns; the pivot columns hold by construction
         self.mask = [0 if k in pivot_set else lcm for k in range(n)]
+        weight = list(self.mask)
         rows = []
         for pc, (d, ints) in zip(pivots, scaled):
             s = lcm // d
             entries = [(k, s * v) for k, v in enumerate(ints) if v and k not in pivot_set]
+            for k, c in entries:
+                weight[k] += abs(c)
             if entries:
                 rows.append((pc, entries))
         self.rows = rows
+        self.weight = max(weight, default=0)
 
-    def contains(self, w) -> bool:
-        """Whether the integer vector w of length n lies in the span."""
+    def _residual(self, w):
+        """L w[k] - sum_r w[pc_r] c_rk at every column k (0 at the pivot
+        columns), for an integer vector w or a packing of several."""
         acc = list(map(operator.mul, w, self.mask))
         for pc, entries in self.rows:
             x = w[pc]
             if x:
                 for k, c in entries:
                     acc[k] -= x * c
+        return acc
+
+    def contains(self, w) -> bool:
+        """Whether the integer vector w of length n lies in the span."""
+        acc = self._residual(w)
         p = self.p
         return not any([v % p for v in acc] if p else acc)
 
-    def closed(self, vectors, product, commutative: bool = False) -> bool:
-        """Whether product(x, y) lies in the span for every ordered pair of the
-        integer vectors, the pairs i <= j for a commutative product."""
-        for i, x in enumerate(vectors):
-            for y in vectors[i:] if commutative else vectors:
-                if not self.contains(product(x, y)):
+    def closed(self, table, xs, ys=None, commutative: bool = False) -> bool:
+        """Whether the product x.y of the `MulTable` lies in the span for every
+        x in xs and y in ys, lists of integer vectors (ys defaults to xs).
+        With `commutative` only the pairs (xs[i], ys[j]) with i <= j are
+        checked, which certifies a commutative product when ys is xs.
+
+        One `mul_ints` call covers all the y for one x.  Coordinate j of the
+        ys is packed into one int, Y_j = sum_b ys[b][j] 2^(s b), and both
+        `mul_ints` and the residual are linear in it, so the residual of
+        mul_ints(x, Y) is sum_b r_b 2^(s b) exactly, with r_b the residual of
+        x.ys[b].  The slots have 2^(s - 1) > int_sum max|x| max|y| weight, a
+        bound on every |r_b[k]| (`MulTable.int_sum`, `weight`): over Q a
+        packed residual of 0 proves every slot 0; over F_p its slots are
+        read back (`SignedPacking.unpack_signed`) and reduced mod p.  With
+        `commutative` the packings are suffixes, built from the last vector
+        back as Y <- (Y << s) + ys[i], so xs[i] meets ys[i:].  Stops at the
+        first x that fails."""
+        if ys is None:
+            ys = xs
+        if not xs or not ys:
+            return True
+        xtop = max(map(abs, itertools.chain.from_iterable(xs)))
+        ytop = max(map(abs, itertools.chain.from_iterable(ys)))
+        packing = SignedPacking.holding(table.int_sum() * xtop * ytop * self.weight)
+        bits = 8 * packing.slot
+        p = self.p
+
+        def holds(x, packed, k):
+            acc = self._residual(table.mul_ints(x, packed))
+            if not p:
+                return not any(acc)
+            return not any([v % p for a in acc if a for v in packing.unpack_signed(a, k)])
+
+        packed = [0] * len(ys[0])
+        if commutative:
+            for i in range(len(ys) - 1, -1, -1):
+                packed = [(a << bits) + v for a, v in zip(packed, ys[i])]
+                if i < len(xs) and not holds(xs[i], packed, len(ys) - i):
                     return False
-        return True
+            return True
+        for y in reversed(ys):
+            packed = [(a << bits) + v for a, v in zip(packed, y)]
+        return all(holds(x, packed, len(ys)) for x in xs)
 
 
 def int_span(vectors, n: int, field: FieldSpec):

@@ -10,7 +10,8 @@ its entries, d = 1 over F_p), built on first use: `apply` over Q,
 `is_identity` and the membership certificates below all read it, so a map
 is scaled to integers once.  Over F_p `apply` runs on the packed columns
 (`linalg.PackedColumns`), also built once.  A map also keeps whether it
-squares to the identity, so `order_divides_two` composes it once.
+squares to the identity: `order_divides_two` checks M M = d^2 I once, on
+packed rows of its integer form, and builds no matrix of field values.
 
 The cubic norm is an integer form (`NormForm`, built by
 `algebra.norm_form()`): `NormForm.evaluate` is the algebra's norm, and
@@ -42,11 +43,14 @@ integers on packed rows the same way on Q and F_p; a map that fails it is
 not in Inv(J).  A map keeps its dagger once computed, so `dagger` and a
 `lift_inv` of the same map build it once.
 
-`is_automorphism` certifies multiplicativity on basis pairs for any
-bilinear integer product of fixed scale, such as `MulTable.mul_ints`, on the
-integer form of the map: `is_aut_member` on every algebra of the tower
-(composition, Albert and Brown, matched by basis tag), and the isotope check
-of `involutions`.
+`is_automorphism` certifies multiplicativity on basis pairs for the
+product of a `MulTable`, on the integer form of the map, with two
+`mul_ints` calls per basis vector: the second factors e_l and phi(e_l) of
+one row are packed (`linalg.SignedPacking`), with slots sized from
+`MulTable.int_sum`.  It serves `is_aut_member` on every algebra of the
+tower (composition, Albert and Brown, matched by basis tag), and the
+isotope check of `involutions`, which builds the y-isotope's table from
+the triple product on basis pairs.
 
 This module never imports the algebra modules; algebra objects are passed in
 and used through their raw-operation methods.
@@ -165,8 +169,29 @@ class LinMap:
 
     @functools.cached_property
     def _order_divides_two(self) -> bool:
-        """Whether the square is the identity, computed once per map."""
-        return self.compose(self).is_identity()
+        """Whether M M = d^2 I for the integer form (d, M) of the map,
+        computed once per map.  Row i of M M is sum_k M[i][k] R_k, with R_k
+        row k of M packed (`SignedPacking`, slots with
+        2^(s - 1) > max(n max|M|^2, d^2)): over Q it is compared with d^2 e_i
+        packed as one int, over F_p its slots are read back and reduced
+        mod p.  No matrix of field values is built."""
+        f = self.field
+        p = f.p if f.kind == PRIME else 0
+        d, m = self._ints
+        n = self.dim
+        mtop = max(map(abs, itertools.chain.from_iterable(m)), default=0)
+        packing = SignedPacking.holding(max(n * mtop * mtop, d * d))
+        rows = [packing.pack(row) for row in m]
+        for i, row in enumerate(m):
+            want = [0] * n
+            want[i] = d * d
+            acc = sum([x * rows[k] for k, x in enumerate(row) if x])
+            if p:
+                if [v % p for v in packing.unpack(acc, n)] != want:
+                    return False
+            elif acc != packing.pack(want):
+                return False
+        return True
 
     def fixed_space(self):
         """Basis of ker(self - id)."""
@@ -359,52 +384,76 @@ def is_inv_member(phi: LinMap, algebra) -> bool:
     return True
 
 
-def is_automorphism(phi: LinMap, product, unit, commutative: bool = False) -> bool:
+def is_automorphism(phi: LinMap, table, unit, commutative: bool = False) -> bool:
     """Exact: phi(unit) = unit and phi(e_i . e_j) = phi(e_i) . phi(e_j) for
-    every basis pair, the pairs i <= j for a commutative product (a bilinear
-    product is determined by its values on basis pairs, so they certify).
-    Stops at the first failing pair.
+    every basis pair of the product of the `MulTable`, the pairs i <= j for
+    a commutative product (a bilinear product is determined by its values on
+    basis pairs, so they certify).
 
-    `product` is bilinear on integer vectors and returns D (x.y) for one
-    fixed scale D, as `MulTable.mul_ints` does.  With M = d phi the integer
-    matrix of the map (`to_ints`) and u the `to_ints` form of the unit, the
-    unit law reads M u = d u and the pair (i, j) reads
-    d M (D e_i.e_j) = product(M e_i, M e_j); both are compared in ints over Q
-    and mod p over F_p."""
+    With M = d phi the integer matrix of the map (`to_ints`), D the table's
+    scale and u the `to_ints` form of the unit, the unit law reads M u = d u
+    and the pair (i, l) reads d M mul_ints(e_i, e_l) = mul_ints(M e_i, M e_l).
+    Row i checks every l at once on packed vectors (`linalg.SignedPacking`):
+    with E_l = 2^(s l), the identity packed, and R_j = sum_l M[j][l] 2^(s l),
+    row j of M packed, `mul_ints` is bilinear, so mul_ints(e_i, E) packs the
+    e_i.e_l over l and mul_ints(M e_i, R) packs the (M e_i).(M e_l): two
+    calls per row.  The slots have
+    2^(s - 1) > int_sum max|M| (n d + max|M|) (`MulTable.int_sum`), a bound
+    on the slots of both sides and of their difference: over Q the sides
+    are compared as whole ints, over F_p the slots of their difference are
+    read back and reduced mod p.  With `commutative` E and R are suffixes
+    over l >= i, built from the last row back.  Stops at the first failing
+    row."""
     f = phi.field
     p = f.p if f.kind != RATIONALS else 0
     d, m = phi._ints
     n = phi.dim
-    cols = [list(c) for c in zip(*m)]
-
-    def differ(s, v, w):
-        """Whether s M v and w differ."""
-        out = [0] * n
-        for k, x in enumerate(v):
-            if x:
-                out = [o + x * c for o, c in zip(out, cols[k])]
-        diff = [s * o - y for o, y in zip(out, w)]
-        return any([e % p for e in diff] if p else diff)
-
     u = to_ints(unit, f)[1]
-    if differ(1, u, [d * x for x in u]):
+    diff = [sum(map(operator.mul, row, u)) - d * x for row, x in zip(m, u)]
+    if any([e % p for e in diff] if p else diff):
         return False
-    basis = [[int(i == j) for j in range(n)] for i in range(n)]
-    for i in range(n):
-        for j in range(i if commutative else 0, n):
-            if differ(d, product(basis[i], basis[j]), product(cols[i], cols[j])):
+    mtop = max(map(abs, itertools.chain.from_iterable(m)), default=0)
+    packing = SignedPacking.holding(table.int_sum() * mtop * (n * d + mtop))
+    bits = 8 * packing.slot
+    mul = table.mul_ints
+    cols = list(zip(*m))
+    # the nonzero entries of d M, column by column
+    dcols = [[(r, d * c) for r, c in enumerate(col) if c] for col in cols]
+    powers = [1 << (bits * l) for l in range(n)]
+
+    def row_holds(i, ident, packed, k):
+        e = [0] * n
+        e[i] = 1
+        left = [0] * n
+        for j, w in enumerate(mul(e, ident)):
+            if w:
+                for r, c in dcols[j]:
+                    left[r] += c * w
+        if not p:
+            return left == mul(cols[i], packed)
+        return not any([v % p for a, b in zip(left, mul(cols[i], packed)) if a != b
+                        for v in packing.unpack_signed(a - b, k)])
+
+    packed = [0] * n
+    if commutative:
+        for i in range(n - 1, -1, -1):
+            packed = [(a << bits) + v for a, v in zip(packed, cols[i])]
+            if not row_holds(i, [0] * i + powers[: n - i], packed, n - i):
                 return False
-    return True
+        return True
+    for col in reversed(cols):
+        packed = [(a << bits) + v for a, v in zip(packed, col)]
+    return all(row_holds(i, powers, packed, n) for i in range(n))
 
 
 def is_aut_member(phi: LinMap, algebra) -> bool:
     """Exact: phi(e) = e and phi(e_i . e_j) = phi(e_i) . phi(e_j) for every
-    basis pair of any algebra of the tower (`is_automorphism` on its integer
-    table; the pairs i <= j when it is commutative).  Raises CarrierMismatch
-    for a map on another basis."""
+    basis pair of any algebra of the tower (`is_automorphism` on its table;
+    the pairs i <= j when it is commutative).  Raises CarrierMismatch for a
+    map on another basis."""
     if phi.basis_tag != algebra.basis_tag:
         raise CarrierMismatch(f"map on {phi.basis_tag!r} does not live on {algebra.basis_tag!r}")
-    return is_automorphism(phi, algebra.table.mul_ints, algebra.unit_coords, algebra.commutative)
+    return is_automorphism(phi, algebra.table, algebra.unit_coords, algebra.commutative)
 
 
 # the seeded points of the norm guard of `dagger`

@@ -284,7 +284,7 @@ def check_beth(ctx):
     if len(basis) != 11 or linalg.rank(tuple(basis), alg.field) != 11:
         _fail("beth basis is not 11 independent vectors")
     span, ints = linalg.int_span(basis, alg.dim, alg.field)
-    if not span.closed(ints, alg.table.mul_ints, commutative=True):
+    if not span.closed(alg.table, ints, commutative=True):
         _fail("beth is not closed under the Jordan product")
 
 

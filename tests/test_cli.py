@@ -74,6 +74,29 @@ def test_fixed_varpi(capsys):
     assert "B^varpi" in out
 
 
+def test_shape_label_realizes_candidates_only_when_reached(capsys, monkeypatch):
+    """`fixed varpi B` matches the first twisted-diagonal candidate, varpi, so
+    no other candidate is realized; `fixed t.varpi B` realizes s.varpi, the
+    candidate before it, and itself, and none after."""
+    from brownalg.involutions import Catalog
+
+    realized = []
+    realize = Catalog.realize
+
+    def recording(self, descriptor, space):
+        realized.append(descriptor)
+        return realize(self, descriptor, space)
+
+    monkeypatch.setattr(Catalog, "realize", recording)
+    for descriptor, shape, seen in (("varpi", "B^varpi (diagonal", ["varpi"]),
+                                    ("t.varpi", "B^(t.varpi) (twisted diagonal by t)",
+                                     ["t.varpi", "s.varpi", "t.varpi"])):
+        del realized[:]
+        code, out, err = run(capsys, "fixed", descriptor, "B", "--field", "Fp:7")
+        assert code == 0 and f"catalog shape: {shape}" in out
+        assert realized == seen
+
+
 def test_fixed_s_on_b(capsys):
     code, out, err = run(capsys, "fixed", "s", "B", "--json")
     assert code == 0

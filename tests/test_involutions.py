@@ -1,3 +1,4 @@
+import functools
 import random
 import sys
 
@@ -323,6 +324,27 @@ def test_grade_decompose_rejects_minus_identity(f):
                        for i in range(27)), f, ALBERT, J.basis_tag)
     with pytest.raises(NotAutomorphism):
         grade_decompose(neg, J)
+
+
+@pytest.mark.parametrize("f", [Q(), Fp(7), Fp(2**61 - 1)], ids=["Q", "Fp:7", "Fp:2^61-1"])
+def test_grade_decompose_rejects_a_trace_form_reflection(f):
+    """The reflection r(x) = x - 2 T(v, x) / T(v, v) v in the trace form, for v
+    = e_3 + e_j off the diagonal, has order 2 and keeps the form, but it is
+    no automorphism: some product of v with the fixed space leaves the line
+    of v (checked by products of field values), so the grading law fails."""
+    J = Catalog(f).J
+    G = J.gram
+    j = next(j for j in range(27) if G[3][j])
+    v = [f.from_int(int(i in (3, j))) for i in range(27)]
+    gv = [functools.reduce(f.add, map(f.mul, row, v)) for row in G]
+    scale = f.mul(f.from_int(2), f.inv(functools.reduce(f.add, map(f.mul, v, gv))))
+    r = J.linmap(tuple(tuple(f.sub(f.from_int(int(a == b)), f.mul(v[a], f.mul(scale, gv[b])))
+                             for b in range(27)) for a in range(27)))
+    plus = r.fixed_space()
+    assert r.order_divides_two() and len(plus) == 26
+    assert any(linalg.rank((tuple(v), J.mul_raw(v, w)), f) == 2 for w in plus)
+    with pytest.raises(NotAutomorphism):
+        grade_decompose(r, J)
 
 
 def test_grade_decompose_rejects_similarity_form():

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -415,14 +416,12 @@ def test_span_closed_checks_ordered_pairs():
     commutative shortcut (pairs i <= j) sees only x.y."""
     f = Fp(7)
     span, ints = linalg.int_span([(1, 0, 0), (0, 1, 0)], 3, f)
+    # e0.e1 = e0, e1.e0 = e2, everything else 0
+    product = MulTable(3, [(0, 1, 0, 1), (1, 0, 2, 1)])
 
-    def product(x, y):
-        # e0.e1 = e0, e1.e0 = e2, everything else 0
-        return (x[0] * y[1] % 7, 0, x[1] * y[0] % 7)
-
-    assert not span.closed(ints, product)
-    assert span.closed(ints, product, commutative=True)
-    assert span.closed(ints, lambda x, y: (0, 0, 0))
+    assert not span.closed(product, ints)
+    assert span.closed(product, ints, commutative=True)
+    assert span.closed(MulTable(3, []), ints)
 
 
 def test_in_span_and_same_span():
@@ -708,7 +707,7 @@ def _ref_q_product(table):
 
 
 def test_span_closed_matches_fraction_reference():
-    """`IntSpan.closed` with the integer Jordan product `mul_ints` agrees with
+    """`IntSpan.closed` on the Jordan table (packed `mul_ints`) agrees with
     products and reductions in Fractions, on a closed fixed subalgebra of J
     and on sets whose products leave their span."""
     q = Q()
@@ -723,7 +722,7 @@ def test_span_closed_matches_fraction_reference():
         rows, pivots = linalg.row_space_rref(vecs, q)
         expected = all(_ref_q_in_span(rows, pivots, ref(x, y)) for x in vecs for y in vecs)
         span, ints = linalg.int_span(vecs, J.dim, q)
-        assert span.closed(ints, J.table.mul_ints, commutative=True) == expected
+        assert span.closed(J.table, ints, commutative=True) == expected
         verdicts.append(expected)
     assert verdicts == [True, False, False]
 
@@ -784,8 +783,9 @@ def test_linmap_apply_over_q_matches_fraction_reference():
 
 def test_fixed_subalgebra_closure_runs_on_integers(monkeypatch):
     """Over Q the closure and involution checks of `fixed_subalgebra` run on
-    integer vectors: `MulTable.apply` is not called, and every membership
-    test receives a vector of ints."""
+    integer vectors: `MulTable.apply` is not called, and every residual
+    (closure's packed ones and the involution check's) is taken of a vector
+    of ints."""
     cat = Catalog(Q())
     cases = [(cat.realize_involution("t.varpi", "B"), cat.B, 28, True),
              (cat.realize_involution("s", "J"), cat.J, 11, None)]
@@ -793,17 +793,110 @@ def test_fixed_subalgebra_closure_runs_on_integers(monkeypatch):
     def forbidden(*args):
         raise AssertionError("field-value product in the closure loop")
 
-    contains = linalg.IntSpan.contains
+    residual = linalg.IntSpan._residual
     tested = []
 
-    def int_contains(span, w):
+    def int_residual(span, w):
         tested.append(all(type(v) is int for v in w))
-        return contains(span, w)
+        return residual(span, w)
 
     monkeypatch.setattr(MulTable, "apply", forbidden)
-    monkeypatch.setattr(linalg.IntSpan, "contains", int_contains)
+    monkeypatch.setattr(linalg.IntSpan, "_residual", int_residual)
     for phi, ctx, dim, inv_closed in cases:
         del tested[:]
         rep = fixed_subalgebra(phi, ctx)
         assert (rep.dimension, rep.product_closed, rep.involution_closed) == (dim, True, inv_closed)
         assert tested and all(tested)
+
+
+# -- packed closure against the Fraction and mod-p references -------------------------------
+
+PACKED_FIELDS = {"Q": Q(), "Fp:7": Fp(7), "Fp:2^61-1": Fp(2**61 - 1)}
+
+
+def _defect_span(field):
+    """Two vectors of F^5 with coordinate 1 zero: e_1 is outside their span."""
+    v = field.parse_scalar
+    return [tuple(map(v, ("1", "0", "-2/3", "5", "0"))), tuple(map(v, ("0", "0", "1", "-1/2", "7")))]
+
+
+def _defect_table(field):
+    """x.y = f(x) g(y) u + x_1 y_0 e_1 on F^5, with u = u_0 + 3 u_1 in the span
+    of `_defect_span`: x.y lies in the span iff x_1 y_0 = 0."""
+    u0, u1 = (tuple(Fraction(c) for c in vec) for vec in
+              (("1", "0", "-2/3", "5", "0"), ("0", "0", "1", "-1/2", "7")))
+    u = [a + 3 * b for a, b in zip(u0, u1)]
+    fx = (1, -1, 2, Fraction(-5, 3), 1)
+    gy = (0, Fraction(1, 2), 1, -3, 2)
+    entries = []
+    for i, j, k in itertools.product(range(5), repeat=3):
+        c = fx[i] * gy[j] * u[k] + ((i, j, k) == (1, 0, 1))
+        if c:
+            entries.append((i, j, k, field.parse_scalar(str(c))))
+    return MulTable(5, entries)
+
+
+def _extreme(field, count, keep):
+    """`count` vectors of F^5 with the largest entries: over Q 30-digit
+    Fractions, all negative in the even-numbered vectors; over F_p all p - 1.
+    Coordinate c is zero in every vector not numbered in keep[c], for each
+    c in `keep`."""
+    vectors = []
+    for b in range(count):
+        vec = []
+        for j in range(5):
+            if j in keep and b not in keep[j]:
+                vec.append(field.zero())
+            elif field.p is None:
+                sign = -1 if b % 2 == 0 else 1
+                vec.append(Fraction(sign * (10**29 + 1000 * b + 17 * j + 1), 1 + (b + j) % 3))
+            else:
+                vec.append(field.p - 1)
+        vectors.append(tuple(vec))
+    return vectors
+
+
+def _ref_product_in_span(table, rows, pivots, x, y, field):
+    """Whether x.y lies in the row space, summed and reduced in Fractions over
+    Q and mod p over F_p."""
+    if field.p is None:
+        return _ref_q_in_span(rows, pivots, _ref_q_product(table)(x, y))
+    p = field.p
+    return _ref_in_span(rows, pivots, _ref_bilinear_apply(table.entries, x, y, table.n, p), p)
+
+
+@pytest.mark.parametrize("name", list(PACKED_FIELDS))
+def test_packed_closure_matches_reference(name):
+    """`IntSpan.closed` (one packed `mul_ints` per x) agrees with every pair
+    checked in field values: on a closed set of extreme vectors, on one that
+    fails only at the last pair (the last slot of the last x), and on one
+    that fails in the middle slot only, between negative neighbours.  The
+    commutative mode (suffix packings, pairs i <= j) sees a failure at the
+    last pair (3, 3) and misses the one at (3, 0) only."""
+    f = PACKED_FIELDS[name]
+    table = _defect_table(f)
+    rows, pivots = linalg.row_space_rref(_defect_span(f), f)
+    span = linalg.IntSpan(rows, pivots, 5, f)
+
+    def ints(vectors):
+        return [linalg.to_ints(v, f)[1] for v in vectors]
+
+    def failures(xs, ys, commutative=False):
+        return {(a, b) for a, x in enumerate(xs) for b, y in enumerate(ys)
+                if not (commutative and b < a)
+                and not _ref_product_in_span(table, rows, pivots, x, y, f)}
+
+    cases = [
+        (_extreme(f, 3, {1: ()}), _extreme(f, 4, {}), set()),
+        (_extreme(f, 3, {1: (2,)}), _extreme(f, 4, {0: (3,)}), {(2, 3)}),
+        (_extreme(f, 3, {}), _extreme(f, 3, {0: (1,)}), {(0, 1), (1, 1), (2, 1)}),
+    ]
+    for xs, ys, bad in cases:
+        assert failures(xs, ys) == bad
+        assert span.closed(table, ints(xs), ints(ys)) is (not bad)
+    for keep, bad in (({0: (3,), 1: (3,)}, {(3, 3)}), ({0: (0,), 1: (3,)}, {(3, 0)})):
+        xs = _extreme(f, 4, keep)
+        assert failures(xs, xs) == bad
+        assert span.closed(table, ints(xs)) is False
+        assert failures(xs, xs, commutative=True) == {(3, 3)} & bad
+        assert span.closed(table, ints(xs), commutative=True) is ((3, 3) not in bad)

@@ -469,10 +469,61 @@ def test_is_automorphism_breaks_on_exactly_one_pair(name, a, bad_b):
         for commutative in (False, True):
             bad = _ref_failures(m, _ref_product(table, f), unit, f, commutative)
             assert bad == ([] if verdict else [(1, 1)])
-            assert linmaps.is_automorphism(phi, table.mul_ints, unit, commutative) is verdict
+            assert linmaps.is_automorphism(phi, table, unit, commutative) is verdict
     zero = tuple((f.zero(),) * 3 for _ in range(3))
     assert _ref_failures(zero, _ref_product(table, f), unit, f) == ["unit"]
-    assert not linmaps.is_automorphism(LinMap(zero, f, "dual3", "dual3"), table.mul_ints, unit)
+    assert not linmaps.is_automorphism(LinMap(zero, f, "dual3", "dual3"), table, unit)
+
+
+def _tail_table(field):
+    """F^4 with unit e0, e1.e1 = (3/2) e2 and e3.e3 = (-5/2) e1, every other
+    product of e1, e2, e3 zero."""
+    one = field.one()
+    return MulTable(4, [(0, j, j, one) for j in range(4)] + [(j, 0, j, one) for j in range(1, 4)]
+                    + [(1, 1, 2, field.parse_scalar("3/2")), (3, 3, 1, field.parse_scalar("-5/2"))])
+
+
+@pytest.mark.parametrize("name", list(FIELDS))
+def test_is_automorphism_breaks_on_exactly_the_last_pair(name):
+    """diag(1, a^2, a^4, b) fixes the unit and is an automorphism of the table
+    iff b^2 = a^2; with a = -1/2 and b = 1/3 it breaks only the pair (3, 3),
+    the last slot of the last row, which the commutative mode (suffix
+    packings, last row first) checks alone.  Over F_p the entries are large
+    residues, so the slots fill up."""
+    f = FIELDS[name]
+    table = _tail_table(f)
+    unit = (f.one(),) + (f.zero(),) * 3
+    a = f.parse_scalar("-1/2")
+    a2 = f.mul(a, a)
+    for b, bad in ((a, []), (f.neg(a), []), (f.parse_scalar("1/3"), [(3, 3)])):
+        diag = (f.one(), a2, f.mul(a2, a2), b)
+        m = tuple(tuple(v if i == j else f.zero() for j in range(4)) for i, v in enumerate(diag))
+        phi = LinMap(m, f, "tail4", "tail4")
+        for commutative in (False, True):
+            assert _ref_failures(m, _ref_product(table, f), unit, f, commutative) == bad
+            assert linmaps.is_automorphism(phi, table, unit, commutative) is (not bad)
+
+
+def test_certificates_call_the_product_once_per_vector(monkeypatch):
+    """Over Q the closure of the 32-dimensional fixed space of t on B makes
+    one `mul_ints` call per basis vector, not one per pair, and
+    `is_aut_member` of t on J two per row."""
+    cat = Catalog(Q())
+    t_b, t_j = cat.realize("t", "B"), cat.realize("t", "J")
+    calls = []
+    mul_ints = MulTable.mul_ints
+
+    def counting(table, x, y):
+        calls.append(1)
+        return mul_ints(table, x, y)
+
+    monkeypatch.setattr(MulTable, "mul_ints", counting)
+    rep = fixed_subalgebra(t_b, cat.B)
+    assert (rep.dimension, rep.product_closed) == (32, True)
+    assert len(calls) <= 32
+    del calls[:]
+    assert is_aut_member(t_j, cat.J)
+    assert len(calls) <= 54
 
 
 def test_is_aut_member_matches_reference_on_non_integral_maps():
@@ -724,21 +775,51 @@ def test_integer_form_is_built_once_per_map(name, monkeypatch):
 @pytest.mark.parametrize("name", ["Q", "Fp:7"])
 def test_involution_is_squared_once(name, monkeypatch):
     """`realize_involution` and then `fixed_subalgebra` on the same map
-    compose it with itself once: the map keeps its order-2 verdict."""
+    square it once, on its integer form: the map keeps its order-2 verdict,
+    and no composed `LinMap` is built for it."""
     f = FIELDS[name]
     cat = Catalog(f)
-    squares = []
+    squares, composed = [], []
+    square = LinMap.__dict__["_order_divides_two"].func
     compose = LinMap.compose
 
-    def counting(self, other):
+    def counting(self):
+        squares.append(1)
+        return square(self)
+
+    def composing(self, other):
         if other is self:
-            squares.append(1)
+            composed.append(1)
         return compose(self, other)
 
-    monkeypatch.setattr(LinMap, "compose", counting)
+    verdict = functools.cached_property(counting)
+    verdict.__set_name__(LinMap, "_order_divides_two")
+    monkeypatch.setattr(LinMap, "_order_divides_two", verdict)
+    monkeypatch.setattr(LinMap, "compose", composing)
     for space, ctx, dim in (("J", cat.J, 11), ("B", cat.B, 24)):
         del squares[:]
         m = cat.realize_involution("s", space)
         assert fixed_subalgebra(m, ctx).dimension == dim
         assert m.order_divides_two()
-        assert len(squares) == 1
+        assert len(squares) == 1 and not composed
+
+
+@pytest.mark.parametrize("name", list(FIELDS))
+def test_order_divides_two_matches_field_value_square(name):
+    """`order_divides_two` (M M = d^2 I on the integer form, rows packed)
+    agrees with the square summed in field values, on a 2x2 block
+    [[a, b], [c, -a]] with a^2 + b c = 1 next to a -1: 30-digit entries and
+    a denominator over Q, large residues over F_p; the same map with one
+    entry moved by 1 is not an involution."""
+    f = FIELDS[name]
+    a = f.parse_scalar(f"{10**29 + 3}/11")
+    b = f.parse_scalar("-2/3")
+    c = f.mul(f.sub(f.one(), f.mul(a, a)), f.inv(b))
+    zero = f.zero()
+    for corner in (c, f.add(c, f.one())):
+        m = ((a, b, zero), (corner, f.neg(a), zero), (zero, zero, f.from_int(-1)))
+        square = [[functools.reduce(f.add, map(f.mul, row, col)) for col in zip(*m)]
+                  for row in m]
+        want = [[f.from_int(int(i == j)) for j in range(3)] for i in range(3)]
+        assert LinMap(m, f, "blk3", "blk3").order_divides_two() is (square == want)
+        assert (square == want) is (corner is c)
