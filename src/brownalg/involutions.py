@@ -312,19 +312,22 @@ def isotope_automorphism_check(x: AlbertElem, y: AlbertElem) -> bool:
     # {a, y, b} = (a.y).b + (b.y).a - (a.b).y in the integer Jordan table,
     # D^2 d_y times the triple product for y = y_int / d_y; it is bilinear and
     # symmetric in a and b, so its values on the basis pairs i <= j give the
-    # y-isotope's table, and the pairs i <= j certify
+    # y-isotope's table, and the pairs i <= j certify.  mul_ints is linear in
+    # each operand, so b runs over the stacked e_j, j >= i, in one call per
+    # term, with slots holding 3 int_sum^2 max|y| >= |{e_i, y, e_j}|
     mul = alg.table.mul_ints
     yi = linalg.to_ints(y.coords, f)[1]
     p = f.p if f.kind == PRIME else 0
     n = alg.dim
+    packing = linalg.SignedPacking.holding(3 * alg.table.int_sum() ** 2 * max(map(abs, yi)), f)
     basis = [[int(i == j) for j in range(n)] for i in range(n)]
     entries = []
-    for i, a in enumerate(basis):
-        for j in range(i, n):
-            b = basis[j]
-            triple = [u + v - w for u, v, w in
-                      zip(mul(mul(a, yi), b), mul(mul(b, yi), a), mul(mul(a, b), yi))]
-            for k, c in enumerate(triple):
+    for i, b in zip(range(n - 1, -1, -1), packing.suffixes(basis)):
+        a = basis[i]
+        triple = [u + v - w for u, v, w in
+                  zip(mul(mul(a, yi), b), mul(mul(b, yi), a), mul(mul(a, b), yi))]
+        for k, acc in enumerate(triple):
+            for j, c in enumerate(packing.unpack_signed(acc, n - i) if acc else (), i):
                 c = c % p if p else c
                 if c:
                     entries.append((i, j, k, c))

@@ -22,12 +22,13 @@ back.  The Albert operators work on `mul_ints` and `left_ints` directly.
 The closure and automorphism certificates (`linalg.IntSpan.closed`,
 `linmaps.is_automorphism`) take the table itself.  `mul_ints` only tests
 the coordinates of its operands for zero and multiplies them, so it runs
-unchanged on a packed second operand, whose coordinate j is one int holding
-coordinate j of many vectors (`linalg.SignedPacking`), and returns their
-products packed the same way: the certificates call it once per vector, not
-once per pair, and size the slots from `MulTable.int_sum`, a bound on the
-products.  A vector or a map is scaled to integers once and no `Fraction`
-is made in their loops.
+unchanged on a packed operand in either place, whose coordinate j is one
+int holding coordinate j of many vectors (`linalg.SignedPacking.stack`),
+and returns their products packed the same way: the certificates and the
+isotope table of `involutions.isotope_automorphism_check` call it once per
+vector, not once per pair, and size the slots from `MulTable.int_sum`, a
+bound on the products.  A vector or a map is scaled to integers once and no
+`Fraction` is made in their loops.
 
 `Algebra` is what the three algebras of the tower (`CDAlgebra`,
 `AlbertAlgebra`, `BrownAlgebra`) share.  Each sets `field`, `dim`,

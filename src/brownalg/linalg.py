@@ -19,20 +19,18 @@ pivot, with the pivot row unpacked, reduced, scaled and repacked when it is
 chosen; so no slot can overflow and no reduction is needed partway through.
 An entry is read by shift, mask and reduction mod p.
 
-`SignedPacking` packs rows of any sign over Q as well: row v is the one int
+`SignedPacking` packs rows of any sign on both fields: row v is the one int
 sum_j v_j 2^(s j) whatever the signs, and a sum of multiples of packed rows
 is the packing of the same sum of the rows, exactly, since that is an
-identity of integers.  With the slots sized so that 2^(s - 1) exceeds the
-largest absolute value an entry of either side can reach, two packed rows
-are equal as ints only if they are equal entry for entry, so a packed
-identity is checked with one int comparison and no unpacking.
-`linmaps.is_inv_member` computes its columns this way on both fields, and
-`linmaps.dagger` checks its trace-form identity and
-`linmaps.norm_preserving_sampled` computes its images this way too.  So do
-`IntSpan.closed`, `linmaps.is_automorphism` and `LinMap.order_divides_two`:
-a product that is linear in one operand, such as `MulTable.mul_ints` in its
-second, maps a packing of many vectors to the packing of their images, so
-one call checks them all.
+identity of integers.  It is also the one judge of a packed identity: its
+docstring states the rule, and `SignedPacking.is_zero` applies it.  The
+certificates that use it, each with its own identity and bound, are
+`IntSpan.closed`, `linmaps.is_inv_member`, `linmaps.is_automorphism`,
+`LinMap.order_divides_two` and the trace-form check of `linmaps.dagger`;
+`linmaps.norm_preserving_sampled` computes its images this way too.  A
+product that is linear in one operand, such as `MulTable.mul_ints`, maps
+the stack of many vectors (`SignedPacking.stack` and `suffixes`) to the
+stack of their images, so one call covers them all.
 
 `to_ints` and `from_ints` are the one scaled-integer form of the package: a
 vector of field values is (d, ints) with values == ints / d, d the lcm of
@@ -45,7 +43,7 @@ Span membership is one kernel for both fields, `IntSpan`, on integer
 vectors in this form; the certificates build one per span with
 `int_span(vectors, n, field)` and test membership with `IntSpan.contains`
 and closure under the product of a `MulTable` with `IntSpan.closed`, which
-packs the second factors and makes one `mul_ints` call per first factor.
+stacks the second factors and makes one `mul_ints` call per first factor.
 
 Over Q, `mat_mul` and `rref` run on Python ints in this form.  `rref`
 eliminates fraction-free on primitive integer rows (Bareiss, Math. Comp. 22,
@@ -108,12 +106,11 @@ def _offsets(n: int, slot: int) -> int:
 
 def _pack_signed(row, slot: int) -> int:
     """The ints of `row`, of any sign and absolute value below 2**(8 slot - 1),
-    as the one int sum_j row[j] 2**(8 slot j) (slots in `_pack`'s order):
-    each entry is packed offset by h = 2**(8 slot - 1) and h is taken out of
-    every slot at once (`_offsets`), which borrows across slots exactly as
-    the sum does."""
+    as the one int sum_j row[j] 2**(8 slot j) on every host: each entry is
+    packed offset by h = 2**(8 slot - 1) and h is taken out of every slot at
+    once (`_offsets`), which borrows across slots exactly as the sum does."""
     h = 1 << (8 * slot - 1)
-    return _pack([v + h for v in row], slot) - _offsets(len(row), slot)
+    return _pack([v + h for v in (row[::-1] if _BIG else row)], slot) - _offsets(len(row), slot)
 
 
 def _unpack(acc: int, n: int, slot: int):
@@ -205,35 +202,71 @@ class PackedColumns:
 
 @dataclass(frozen=True)
 class SignedPacking:
-    """The Kronecker packing of integer rows of any sign: row v is the one
-    int sum_j v_j 2^(s j) (`_pack_signed`, slots in `_pack`'s order), with
-    s = 8 `slot` bits.  Packing is linear, so a sum of multiples of packed
-    rows is, exactly, the packing of the same sum of the rows.
-    `SignedPacking.holding(bound)` takes the fewest bytes with
-    2^(s - 1) > bound: then two packings of rows whose entries are at most
-    `bound` in absolute value are equal only if the rows are (the lowest
-    slot that differs would leave a nonzero remainder mod 2^s there), and a
-    packing whose entries lie in [0, bound] is read back by `unpack`."""
+    """The Kronecker packing of integer rows of any sign, and the one test
+    of a packed identity.  Row v is the one int sum_j v_j 2^(s j)
+    (`_pack_signed`), with s = 8 `slot` bits.  Packing is linear, so a sum
+    of multiples of packed rows is, exactly, the packing of the same sum of
+    the rows; and a product linear in one operand, such as
+    `MulTable.mul_ints` in either, maps the `stack` of many vectors to the
+    stack of their images.
+
+    The packed-zero rule: a certificate forms the packed difference of the
+    two sides of its identity (or its packed residual) and asks `is_zero`.
+    `holding(bound, field)` takes the fewest bytes with 2^(s - 1) > bound
+    and records p (0 over Q).  When `bound` covers every |entry| of the
+    difference, the packed int is 0 only if every entry is (the lowest
+    nonzero slot would leave a nonzero remainder mod 2^s there), which
+    decides the identity over Q; over F_p the entries are read back
+    (`unpack_signed`) and reduced mod p."""
 
     slot: int
+    p: int
 
     @classmethod
-    def holding(cls, bound: int) -> "SignedPacking":
-        return cls(_slot(2 * bound))
+    def holding(cls, bound: int, field: FieldSpec) -> "SignedPacking":
+        return cls(_slot(2 * bound), 0 if field.kind == RATIONALS else _modulus(field))
 
     def pack(self, row) -> int:
         return _pack_signed(row, self.slot)
-
-    def unpack(self, acc: int, n: int):
-        """The n slot values of a packing whose entries are all in [0, 2^s)."""
-        return _unpack(acc, n, self.slot)
 
     def unpack_signed(self, acc: int, n: int):
         """The n entries of a packing whose entries all have absolute value
         below h = 2^(s - 1): h is added to every slot (`_offsets`), which
         makes each entry nonnegative, and taken out of each slot read back."""
         h = 1 << (8 * self.slot - 1)
-        return [v - h for v in _unpack(acc + _offsets(n, self.slot), n, self.slot)]
+        row = [v - h for v in _unpack(acc + _offsets(n, self.slot), n, self.slot)]
+        return row[::-1] if _BIG else row
+
+    def is_zero(self, acc: int, n: int) -> bool:
+        """Whether each of the n entries of the packing acc is 0 in the field:
+        over F_p each entry is read as in `unpack_signed` and reduced mod p."""
+        if not acc:
+            return True
+        slot, p = self.slot, self.p
+        if not p:
+            return False
+        # entry v sits in its slot as v + h, so it is 0 mod p iff the slot is h mod p
+        h = 1 << (8 * slot - 1)
+        return [v % p for v in _unpack(acc + _offsets(n, slot), n, slot)].count(h % p) == n
+
+    def suffixes(self, vectors):
+        """The `stack`s of vectors[i:] for i = len(vectors) - 1 down to 0,
+        each from the one before with one shift and add per coordinate;
+        a generator, so a caller that stops early builds no more."""
+        bits = 8 * self.slot
+        packed = [0] * (len(vectors[0]) if vectors else 0)
+        for v in reversed(vectors):
+            packed = [(a << bits) + x for a, x in zip(packed, v)]
+            yield packed
+
+    def stack(self, vectors):
+        """Coordinate j of the vectors packed into one int, vectors[b] in
+        slot b (`pack` of the column j), for each j: the last of the
+        `suffixes`, and [] for no vectors."""
+        packed = []
+        for packed in self.suffixes(vectors):
+            pass
+        return packed
 
 
 def mat_mul(a, b, field: FieldSpec):
@@ -401,10 +434,10 @@ class IntSpan:
     `weight` is the largest L + sum_r |(L / d_r) ints_r[k]| over the
     non-pivot columns, with |residual[k]| <= weight max|w|."""
 
-    __slots__ = ("p", "mask", "rows", "weight")
+    __slots__ = ("field", "mask", "rows", "weight")
 
     def __init__(self, rref_rows, pivots, n: int, field: FieldSpec):
-        self.p = _modulus(field) if field.kind != RATIONALS else 0
+        self.field = field
         scaled = [to_ints(row, field) for row in rref_rows]
         lcm = math.lcm(*[d for d, _ in scaled])
         pivot_set = set(pivots)
@@ -436,7 +469,7 @@ class IntSpan:
     def contains(self, w) -> bool:
         """Whether the integer vector w of length n lies in the span."""
         acc = self._residual(w)
-        p = self.p
+        p = self.field.p
         return not any([v % p for v in acc] if p else acc)
 
     def closed(self, table, xs, ys=None, commutative: bool = False) -> bool:
@@ -445,42 +478,29 @@ class IntSpan:
         With `commutative` only the pairs (xs[i], ys[j]) with i <= j are
         checked, which certifies a commutative product when ys is xs.
 
-        One `mul_ints` call covers all the y for one x.  Coordinate j of the
-        ys is packed into one int, Y_j = sum_b ys[b][j] 2^(s b), and both
-        `mul_ints` and the residual are linear in it, so the residual of
-        mul_ints(x, Y) is sum_b r_b 2^(s b) exactly, with r_b the residual of
-        x.ys[b].  The slots have 2^(s - 1) > int_sum max|x| max|y| weight, a
-        bound on every |r_b[k]| (`MulTable.int_sum`, `weight`): over Q a
-        packed residual of 0 proves every slot 0; over F_p its slots are
-        read back (`SignedPacking.unpack_signed`) and reduced mod p.  With
-        `commutative` the packings are suffixes, built from the last vector
-        back as Y <- (Y << s) + ys[i], so xs[i] meets ys[i:].  Stops at the
-        first x that fails."""
+        One `mul_ints` call covers all the y for one x: the ys are stacked
+        (`SignedPacking.stack`, Y_j = sum_b ys[b][j] 2^(s b)), and both
+        `mul_ints` and the residual are linear in Y, so the residual of
+        mul_ints(x, Y) packs the residuals of the x.ys[b], each bounded by
+        int_sum max|x| max|y| weight (`MulTable.int_sum`, `weight`), and is
+        judged by `SignedPacking.is_zero`.  With `commutative` xs[i] meets
+        the suffix ys[i:] (`SignedPacking.suffixes`).  Stops at the first x
+        that fails."""
         if ys is None:
             ys = xs
         if not xs or not ys:
             return True
         xtop = max(map(abs, itertools.chain.from_iterable(xs)))
         ytop = max(map(abs, itertools.chain.from_iterable(ys)))
-        packing = SignedPacking.holding(table.int_sum() * xtop * ytop * self.weight)
-        bits = 8 * packing.slot
-        p = self.p
+        packing = SignedPacking.holding(table.int_sum() * xtop * ytop * self.weight, self.field)
 
         def holds(x, packed, k):
-            acc = self._residual(table.mul_ints(x, packed))
-            if not p:
-                return not any(acc)
-            return not any([v % p for a in acc if a for v in packing.unpack_signed(a, k)])
+            return all([packing.is_zero(a, k) for a in self._residual(table.mul_ints(x, packed)) if a])
 
-        packed = [0] * len(ys[0])
         if commutative:
-            for i in range(len(ys) - 1, -1, -1):
-                packed = [(a << bits) + v for a, v in zip(packed, ys[i])]
-                if i < len(xs) and not holds(xs[i], packed, len(ys) - i):
-                    return False
-            return True
-        for y in reversed(ys):
-            packed = [(a << bits) + v for a, v in zip(packed, y)]
+            suffixes = zip(range(len(ys) - 1, -1, -1), packing.suffixes(ys))
+            return all(holds(xs[i], packed, len(ys) - i) for i, packed in suffixes if i < len(xs))
+        packed = packing.stack(ys)
         return all(holds(x, packed, len(ys)) for x in xs)
 
 

@@ -8,10 +8,17 @@ another map, by the basis tag, and its carrier is only a label.  It keeps
 one integer form, `_ints` = (d, M) with M = d * matrix (`linalg.to_ints` of
 its entries, d = 1 over F_p), built on first use: `apply` over Q,
 `is_identity` and the membership certificates below all read it, so a map
-is scaled to integers once.  Over F_p `apply` runs on the packed columns
-(`linalg.PackedColumns`), also built once.  A map also keeps whether it
-squares to the identity: `order_divides_two` checks M M = d^2 I once, on
-packed rows of its integer form, and builds no matrix of field values.
+is scaled to integers once, and so is its largest |entry|, which sizes
+the slots of every packed certificate.  Over F_p `apply` runs on the packed
+columns (`linalg.PackedColumns`), also built once.  A map also keeps
+whether it squares to the identity: `order_divides_two` checks
+M M = d^2 I once, on packed rows of its integer form, and builds no matrix
+of field values.
+
+Every certificate below forms the packed difference of the two sides of
+its identity and hands it to `linalg.SignedPacking.is_zero`, with slots
+sized from a bound on that difference (the rule is stated once, in the
+`SignedPacking` docstring).
 
 The cubic norm is an integer form (`NormForm`, built by
 `algebra.norm_form()`): `NormForm.evaluate` is the algebra's norm, and
@@ -24,10 +31,7 @@ the coefficients of the cubic form N(phi x) - N(x), read off the polar
 point.  It packs each row of the map's integer form into one int with one
 slot per column (`linalg.SignedPacking`), so the coefficients
 S_abc over all b for one pair (a, c) form one packed int, computed with
-big-integer multiply-adds.  The slots are sized from a bound on the largest
-coefficient, so that over Q a packed column equals the expected one as an
-int only if every coefficient does, and over F_p each slot holds its
-coefficient itself and is read back and reduced mod p.
+big-integer multiply-adds and compared with the expected column.
 `norm_preserving_sampled` (the guard of `dagger`, which
 `BrownAlgebra.lift_inv` and `outer_fixed_condition` rely on) checks seeded
 random points, drawn once per norm form, field, sample count and seed; the
@@ -39,18 +43,17 @@ pair to a multiple of one basis vector, so each column of phi-dagger is one
 cross product (`MulTable.mul_ints`) of two columns of the map's integer
 form, for the pairs picked once per algebra (`_dagger_plan`).  The result
 is certified by the trace-form identity phi^T G psi = G, checked in
-integers on packed rows the same way on Q and F_p; a map that fails it is
-not in Inv(J).  A map keeps its dagger once computed, so `dagger` and a
+integers on packed rows; a map that fails it is not in Inv(J).  A map keeps its dagger once computed, so `dagger` and a
 `lift_inv` of the same map build it once.
 
 `is_automorphism` certifies multiplicativity on basis pairs for the
 product of a `MulTable`, on the integer form of the map, with two
 `mul_ints` calls per basis vector: the second factors e_l and phi(e_l) of
-one row are packed (`linalg.SignedPacking`), with slots sized from
+one row are stacked (`linalg.SignedPacking`), with slots sized from
 `MulTable.int_sum`.  It serves `is_aut_member` on every algebra of the
 tower (composition, Albert and Brown, matched by basis tag), and the
 isotope check of `involutions`, which builds the y-isotope's table from
-the triple product on basis pairs.
+the triple product on stacked basis vectors.
 
 This module never imports the algebra modules; algebra objects are passed in
 and used through their raw-operation methods.
@@ -138,6 +141,11 @@ class LinMap:
         d, flat = to_ints([v for row in self.matrix for v in row], self.field)
         return d, tuple([tuple(flat[i : i + n]) for i in range(0, n * n, n)])
 
+    @functools.cached_property
+    def _top(self) -> int:
+        """The largest |entry| of M in `_ints` (0 for the empty map)."""
+        return max(map(abs, itertools.chain.from_iterable(self._ints[1])), default=0)
+
     def apply(self, coords):
         """The image of a coordinate vector: over F_p by the packed columns,
         over Q as M v / (d d_v) on the integer forms of the map and of v."""
@@ -170,28 +178,18 @@ class LinMap:
     @functools.cached_property
     def _order_divides_two(self) -> bool:
         """Whether M M = d^2 I for the integer form (d, M) of the map,
-        computed once per map.  Row i of M M is sum_k M[i][k] R_k, with R_k
-        row k of M packed (`SignedPacking`, slots with
-        2^(s - 1) > max(n max|M|^2, d^2)): over Q it is compared with d^2 e_i
-        packed as one int, over F_p its slots are read back and reduced
-        mod p.  No matrix of field values is built."""
-        f = self.field
-        p = f.p if f.kind == PRIME else 0
+        computed once per map.  Row i of M M - d^2 I is
+        sum_k M[i][k] R_k - d^2 2^(s i), with R_k row k of M packed
+        (`SignedPacking`, slots with 2^(s - 1) > n max|M|^2 + d^2).  No
+        matrix of field values is built."""
         d, m = self._ints
         n = self.dim
-        mtop = max(map(abs, itertools.chain.from_iterable(m)), default=0)
-        packing = SignedPacking.holding(max(n * mtop * mtop, d * d))
+        packing = SignedPacking.holding(n * self._top ** 2 + d * d, self.field)
+        bits = 8 * packing.slot
         rows = [packing.pack(row) for row in m]
-        for i, row in enumerate(m):
-            want = [0] * n
-            want[i] = d * d
-            acc = sum([x * rows[k] for k, x in enumerate(row) if x])
-            if p:
-                if [v % p for v in packing.unpack(acc, n)] != want:
-                    return False
-            elif acc != packing.pack(want):
-                return False
-        return True
+        return all(packing.is_zero(sum([x * rows[k] for k, x in enumerate(row) if x])
+                                   - (d * d << bits * i), n)
+                   for i, row in enumerate(m))
 
     def fixed_space(self):
         """Basis of ker(self - id)."""
@@ -274,8 +272,7 @@ def norm_preserving_sampled(phi: LinMap, algebra, samples: int, seed: int = 0) -
     d3 = d ** 3
     points = _sample_points(form, f, samples, seed)
     vtop = max(map(abs, itertools.chain.from_iterable(v for v, _ in points)))
-    mtop = max(map(abs, itertools.chain.from_iterable(m)))
-    packing = SignedPacking.holding(27 * mtop * vtop)
+    packing = SignedPacking.holding(27 * phi._top * vtop, f)
     vrows = _packed_points(form, f, samples, seed, packing)
     images = zip(*[packing.unpack_signed(sum([x * r for x, r in zip(row, vrows) if x]), samples)
                    for row in m])
@@ -315,13 +312,9 @@ def _polar(form):
 
 
 @functools.lru_cache(maxsize=32)
-def _polar_columns(form, packing: SignedPacking, p: int):
-    """The columns (a, ., c) of `_polar` as `is_inv_member` compares them:
-    over Q (p = 0) packed, over F_p reduced mod p."""
-    cols = _polar(form)[1]
-    if p:
-        return {ac: [t % p for t in col] for ac, col in cols.items()}
-    return {ac: packing.pack(col) for ac, col in cols.items()}
+def _polar_columns(form, packing: SignedPacking):
+    """The columns (a, ., c) of `_polar`, packed."""
+    return {ac: packing.pack(col) for ac, col in _polar(form)[1].items()}
 
 
 def is_inv_member(phi: LinMap, algebra) -> bool:
@@ -342,31 +335,20 @@ def is_inv_member(phi: LinMap, algebra) -> bool:
     whole row.  With Z[a][k] = sum_i M[i][a] (sum_j T_ijk R_j),
     sum_k M[k][c] Z[a][k] = sum_b S_abc 2^(s b) is the column (a, ., c) of
     S packed over b.  S is symmetric, so the columns with c >= a hold every
-    triple a <= b <= c.  The slots have 2^(s - 1) > bound, with
-    bound = max(sum |T| max|M|^3, D^3 max|T|) >= |S_abc|, |D^3 T_abc|:
-    - over Q each packed column is compared with D^3 times the packed
-      column of T as whole ints; the slots of the two differ by less than
-      2^s, so the ints are equal only if every slot is;
-    - over F_p every entry of M is in [0, p), so each slot of a packed
-      column holds S_abc itself, in [0, bound]: the slots are unpacked and
-      reduced mod p.
-    The columns are compared in order, and the first that differs ends the
-    check."""
+    triple a <= b <= c.  Each packed column minus D^3 times the packed
+    column of T goes to `SignedPacking.is_zero`, with slots of
+    2^(s - 1) > sum |T| max|M|^3 + D^3 max|T| >= |S_abc - D^3 T_abc|.  The
+    columns are checked in order, and the first that fails ends the check."""
     _require_albert(phi, algebra)
-    f = algebra.field
-    p = f.p if f.kind != RATIONALS else 0
     d, m = phi._ints
     d3 = d ** 3
     form = algebra.norm_form()
     by_ik, _, total, top = _polar(form)
-    bound = max(total * max(map(abs, itertools.chain.from_iterable(m))) ** 3, d3 * top)
-    packing = SignedPacking.holding(bound)
+    packing = SignedPacking.holding(total * phi._top ** 3 + d3 * top, algebra.field)
     rows = [packing.pack(row) for row in m]
     # q[i] holds (k, sum_j T_ijk R_j) for every k with an entry T_i.k
     q = [[(k, sum([t * rows[j] for j, t in jt])) for k, jt in row] for row in by_ik]
-    # d = 1 over F_p, so D^3 T is T there
-    want = _polar_columns(form, packing, p)
-    zero = [0] * 27
+    want = _polar_columns(form, packing)
     cols = tuple(zip(*m))
     for a, ca in enumerate(cols):
         z = [0] * 27
@@ -375,11 +357,8 @@ def is_inv_member(phi: LinMap, algebra) -> bool:
                 for k, qik in q[i]:
                     z[k] += x * qik
         for c in range(a, 27):
-            s = sum(map(operator.mul, cols[c], z))
-            if p:
-                if [v % p for v in packing.unpack(s, 27)] != want.get((a, c), zero):
-                    return False
-            elif s != d3 * want.get((a, c), 0):
+            s = sum(map(operator.mul, cols[c], z)) - d3 * want.get((a, c), 0)
+            if not packing.is_zero(s, 27):
                 return False
     return True
 
@@ -394,56 +373,51 @@ def is_automorphism(phi: LinMap, table, unit, commutative: bool = False) -> bool
     scale and u the `to_ints` form of the unit, the unit law reads M u = d u
     and the pair (i, l) reads d M mul_ints(e_i, e_l) = mul_ints(M e_i, M e_l).
     Row i checks every l at once on packed vectors (`linalg.SignedPacking`):
-    with E_l = 2^(s l), the identity packed, and R_j = sum_l M[j][l] 2^(s l),
-    row j of M packed, `mul_ints` is bilinear, so mul_ints(e_i, E) packs the
-    e_i.e_l over l and mul_ints(M e_i, R) packs the (M e_i).(M e_l): two
-    calls per row.  The slots have
+    with E_l = 2^(s l), the identity stacked, and R_j = sum_l M[j][l] 2^(s l),
+    the columns of M stacked, `mul_ints` is bilinear, so mul_ints(e_i, E)
+    packs the e_i.e_l over l and mul_ints(M e_i, R) packs the
+    (M e_i).(M e_l): two calls per row.  The slots have
     2^(s - 1) > int_sum max|M| (n d + max|M|) (`MulTable.int_sum`), a bound
-    on the slots of both sides and of their difference: over Q the sides
-    are compared as whole ints, over F_p the slots of their difference are
-    read back and reduced mod p.  With `commutative` E and R are suffixes
-    over l >= i, built from the last row back.  Stops at the first failing
-    row."""
+    on the entries of the difference.  The unit law is one packed
+    difference too, on slots sized from its own largest entry.  With
+    `commutative` E and R are the suffixes over l >= i, built from the last
+    row back.  Stops at the first failing row."""
     f = phi.field
-    p = f.p if f.kind != RATIONALS else 0
     d, m = phi._ints
     n = phi.dim
     u = to_ints(unit, f)[1]
     diff = [sum(map(operator.mul, row, u)) - d * x for row, x in zip(m, u)]
-    if any([e % p for e in diff] if p else diff):
+    unit_law = SignedPacking.holding(max(map(abs, diff), default=0), f)
+    if not unit_law.is_zero(unit_law.pack(diff), n):
         return False
-    mtop = max(map(abs, itertools.chain.from_iterable(m)), default=0)
-    packing = SignedPacking.holding(table.int_sum() * mtop * (n * d + mtop))
-    bits = 8 * packing.slot
+    mtop = phi._top
+    packing = SignedPacking.holding(table.int_sum() * mtop * (n * d + mtop), f)
     mul = table.mul_ints
     cols = list(zip(*m))
     # the nonzero entries of d M, column by column
     dcols = [[(r, d * c) for r, c in enumerate(col) if c] for col in cols]
-    powers = [1 << (bits * l) for l in range(n)]
+    # the identity stacked: e_l in slot l
+    powers = [1 << (8 * packing.slot * l) for l in range(n)]
 
-    def row_holds(i, ident, packed, k):
+    def row_holds(i, first, packed):
+        """The pairs (i, l) for l >= first, with packed the stack of the
+        columns from `first` on."""
         e = [0] * n
         e[i] = 1
         left = [0] * n
-        for j, w in enumerate(mul(e, ident)):
+        for j, w in enumerate(mul(e, [0] * first + powers[: n - first])):
             if w:
                 for r, c in dcols[j]:
                     left[r] += c * w
-        if not p:
-            return left == mul(cols[i], packed)
-        return not any([v % p for a, b in zip(left, mul(cols[i], packed)) if a != b
-                        for v in packing.unpack_signed(a - b, k)])
+        right = mul(cols[i], packed)
+        return left == right or all([packing.is_zero(a - b, n - first)
+                                     for a, b in zip(left, right) if a != b])
 
-    packed = [0] * n
     if commutative:
-        for i in range(n - 1, -1, -1):
-            packed = [(a << bits) + v for a, v in zip(packed, cols[i])]
-            if not row_holds(i, [0] * i + powers[: n - i], packed, n - i):
-                return False
-        return True
-    for col in reversed(cols):
-        packed = [(a << bits) + v for a, v in zip(packed, col)]
-    return all(row_holds(i, powers, packed, n) for i in range(n))
+        suffixes = zip(range(n - 1, -1, -1), packing.suffixes(cols))
+        return all(row_holds(i, i, packed) for i, packed in suffixes)
+    packed = packing.stack(cols)
+    return all(row_holds(i, 0, packed) for i in range(n))
 
 
 def is_aut_member(phi: LinMap, algebra) -> bool:
@@ -496,14 +470,11 @@ def _dagger_plan(algebra):
 
 @functools.lru_cache(maxsize=32)
 def _gram_rows(algebra, packing: SignedPacking):
-    """The rows of DG G as `dagger` compares them: over Q packed, over F_p
-    as lists of residues."""
+    """The rows of DG G, packed."""
     rows = [[0] * 27 for _ in range(27)]
     for full, row in zip(rows, _dagger_plan(algebra)[2]):
         for j, g in row:
             full[j] = g
-    if algebra.field.kind != RATIONALS:
-        return tuple(rows)
     return tuple(map(packing.pack, rows))
 
 
@@ -525,11 +496,9 @@ def dagger(phi: LinMap, algebra) -> LinMap:
     and NotNormPreserving is raised.  It is checked on packed rows
     (`linalg.SignedPacking`): row j of P is one int, the rows of (DG G) P
     are sums of multiples of them, and row a of M^T (DG G) P is
-    sum_i M[i][a] ((DG G) P)_i.  The slots have
-    2^(s - 1) > gsum max(27 max|M| max|P|, d^3 lcm), a bound on both
-    sides: over Q each row is compared with d^3 lcm times the packed row of
-    DG G as whole ints; over F_p every entry of M, G and P is in [0, p), so
-    each slot holds its entry itself and is read back and reduced mod p.
+    sum_i M[i][a] ((DG G) P)_i; minus d^3 lcm times the packed row a of
+    DG G it goes to `SignedPacking.is_zero`, with slots of
+    2^(s - 1) > gsum (27 max|M| max|P| + d^3 lcm), a bound on its entries.
 
     phi must pass the norm guard at `_DAGGER_SAMPLES` seeded points first.
     The result is kept on phi, so a map's dagger is computed once; a
@@ -551,28 +520,22 @@ def _cross_dagger(phi: LinMap, algebra):
     """The matrix of phi-dagger from cross products when it passes the exact
     trace-form check of `dagger`, else None."""
     f = algebra.field
-    p = f.p if f.kind != RATIONALS else 0
     d, m = phi._ints
     picks, lcm, grows, gsum = _dagger_plan(algebra)
     cross = algebra.cross_table().mul_ints
     cols = tuple(zip(*m))
     pcols = [[s * v for v in cross(cols[i], cols[j])] for i, j, s in picks]
-    if p:
-        pcols = [[v % p for v in col] for col in pcols]
+    if f.kind == PRIME:
+        # P mod p keeps the slots as narrow as the entries of M
+        pcols = [[v % f.p for v in col] for col in pcols]
     rows = tuple(zip(*pcols))
     top = max(map(abs, itertools.chain.from_iterable(pcols)))
-    mtop = max(map(abs, itertools.chain.from_iterable(m)))
     scale = d ** 3 * lcm
-    packing = SignedPacking.holding(gsum * max(27 * mtop * top, scale))
+    packing = SignedPacking.holding(gsum * (27 * phi._top * top + scale), f)
     packed = [packing.pack(row) for row in rows]
     gp = [sum([g * packed[j] for j, g in row]) for row in grows]
-    want = _gram_rows(algebra, packing)
-    for ca, w in zip(cols, want):
-        s = sum([x * r for x, r in zip(ca, gp) if x])
-        if p:
-            if [v % p for v in packing.unpack(s, 27)] != w:
-                return None
-        elif s != scale * w:
+    for ca, w in zip(cols, _gram_rows(algebra, packing)):
+        if not packing.is_zero(sum([x * r for x, r in zip(ca, gp) if x]) - scale * w, 27):
             return None
     den = d * d * lcm
     return tuple(from_ints(row, den, f) for row in rows)

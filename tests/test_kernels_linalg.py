@@ -187,18 +187,48 @@ def _signed_slots(acc, n, slot):
 
 def test_signed_pack_round_trip_and_separation():
     """Mixed-sign rows at +-(2^(s - 1) - 1) round-trip through the signed pack
-    (slots in `_pack`'s order) and `SignedPacking.unpack_signed`, and changing
-    one entry by 1 changes it."""
+    (entry j in slot j from the low end on every host) and
+    `SignedPacking.unpack_signed`, and changing one entry by 1 changes it.
+    Over Q, F_7 and F_(2^61 - 1), `is_zero` reads one such entry in the
+    lowest, middle or top slot as zero exactly when it is 0 in the field
+    (some are multiples of 7), and nonzero multiples of p as zero; suffix i
+    of `suffixes` packs vectors[i:] with vectors[i] in the lowest slot,
+    `stack` is suffix 0, and no vectors pack to the empty operand."""
     for slot in (2, 4, 8, 9, 16):
         top = 2 ** (8 * slot - 1) - 1
         row = [top, -top, 0, -1, 1, -top, top - 1]
         packed = linalg._pack_signed(row, slot)
-        assert _signed_slots(packed, len(row), slot) == (row[::-1] if linalg._BIG else row)
-        assert linalg.SignedPacking(slot).unpack_signed(packed, len(row)) == row
+        assert _signed_slots(packed, len(row), slot) == row
+        assert linalg.SignedPacking(slot, 0).unpack_signed(packed, len(row)) == row
         for j, v in enumerate(row):
             near = row[:j] + [v - 1 if v > 0 else v + 1] + row[j + 1 :]
             assert linalg._pack_signed(near, slot) != packed
         assert linalg._pack_signed([], slot) == 0
+        vectors = [row, [-v for v in row], [1] * 7, [0] * 7, row[::-1]]
+        for f in (Q(), Fp(7), Fp(2**61 - 1)):
+            p = f.p or 0
+            packing = linalg.SignedPacking.holding(top, f)
+            assert packing == linalg.SignedPacking(slot, p)
+            for j in (0, 3, 6):
+                for v in (top, -top):
+                    single = [0] * 7
+                    single[j] = v
+                    assert packing.is_zero(packing.pack(single), 7) is (p > 0 and v % p == 0)
+            if p:
+                multiples = [c * p for c in (1, 0, -1, 5, -(top // p), top // p)
+                             if abs(c * p) <= top]
+                assert packing.is_zero(packing.pack(multiples), len(multiples))
+                assert not packing.is_zero(packing.pack(multiples + [1]), len(multiples) + 1)
+            suffixes = list(packing.suffixes(vectors))[::-1]
+            assert len(suffixes) == len(vectors)
+            for i, suffix in enumerate(suffixes):
+                k = len(vectors) - i
+                for j, acc in enumerate(suffix):
+                    want = [v[j] for v in vectors[i:]]
+                    assert _signed_slots(acc, k, slot) == want
+                    assert packing.unpack_signed(acc, k) == want
+            assert packing.stack(vectors) == suffixes[0]
+            assert packing.stack([]) == [] and list(packing.suffixes([])) == []
 
 
 def test_packed_kernels_at_the_largest_slot_values():

@@ -602,6 +602,25 @@ def test_isotope_automorphism_check_matches_reference(name, x, y, verdict):
 
 
 @pytest.mark.parametrize("name", ["Q", "Fp:7"])
+def test_isotope_check_builds_its_table_on_stacked_operands(name, monkeypatch):
+    """The y-isotope's table takes six `mul_ints` calls per basis vector, each
+    on the stacked e_j for j >= i, not six per basis pair: the whole check
+    for x = diag(1, -1, -1), y = 1 makes at most 650 calls (2,707 with one
+    call per term and pair)."""
+    alg = Catalog(Q() if name == "Q" else Fp(7)).J
+    calls = []
+    mul_ints = MulTable.mul_ints
+
+    def counting(table, x, y):
+        calls.append(1)
+        return mul_ints(table, x, y)
+
+    monkeypatch.setattr(MulTable, "mul_ints", counting)
+    assert isotope_automorphism_check(alg.diag(1, -1, -1), alg.diag(1, 1, 1))
+    assert len(calls) <= 650
+
+
+@pytest.mark.parametrize("name", ["Q", "Fp:7"])
 def test_dagger_is_computed_once_per_map(name, monkeypatch):
     """A map keeps its dagger: a second `dagger` and a `lift_inv` of the same
     map build nothing; an equal but distinct map builds it again and gets the
