@@ -25,7 +25,8 @@ is the packing of the same sum of the rows, exactly, since that is an
 identity of integers.  It is also the one judge of a packed identity: its
 docstring states the rule, and `SignedPacking.is_zero` applies it.  The
 certificates that use it, each with its own identity and bound, are
-`IntSpan.closed`, `linmaps.is_inv_member`, `linmaps.is_automorphism`,
+`IntSpan.closed`, the basis-pair product law that `linmaps.is_automorphism`
+and `linmaps.is_inv_member` share, the unit law of `is_automorphism`,
 `LinMap.order_divides_two` and the trace-form check of `linmaps.dagger`;
 `linmaps.norm_preserving_sampled` computes its images this way too.  A
 product that is linear in one operand, such as `MulTable.mul_ints`, maps

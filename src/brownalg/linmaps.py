@@ -20,40 +20,32 @@ its identity and hands it to `linalg.SignedPacking.is_zero`, with slots
 sized from a bound on that difference (the rule is stated once, in the
 `SignedPacking` docstring).
 
-The cubic norm is an integer form (`NormForm`, built by
-`algebra.norm_form()`): `NormForm.evaluate` is the algebra's norm, and
-cubic-norm invariance, N(phi x) = N(x), is tested in Python ints against
-the same form.  Points and matrices enter it scaled by `linalg.to_ints`
-and the norm leaves it through `linalg.from_ints`, on both fields.
-`is_inv_member` is a deterministic certificate over Q and F_p: it compares
-the coefficients of the cubic form N(phi x) - N(x), read off the polar
-(symmetric trilinear) tensor of the norm form, and evaluates the norm at no
-point.  It packs each row of the map's integer form into one int with one
-slot per column (`linalg.SignedPacking`), so the coefficients
-S_abc over all b for one pair (a, c) form one packed int, computed with
-big-integer multiply-adds and compared with the expected column.
-`norm_preserving_sampled` (the guard of `dagger`, which
-`BrownAlgebra.lift_inv` and `outer_fixed_condition` rely on) checks seeded
-random points, drawn once per norm form, field, sample count and seed; the
-images of all the points are one packed product.
+Membership in Aut and in Inv(J) is one product law on basis pairs,
+`_products_agree`: a P mul_ints(e_i, e_l) = b mul_ints(M e_i, M e_l) for
+the integer form M of phi, an integer matrix P and scales a, b, two
+`MulTable.mul_ints` calls per basis vector on stacked second factors.
+`is_automorphism` takes P = M with its unit law, for the product of any
+`MulTable`: it serves `is_aut_member` on every algebra of the tower
+(composition, Albert and Brown, matched by basis tag) and the isotope check
+of `involutions`.  `is_inv_member` is a deterministic certificate over Q and
+F_p for phi(x) # phi(y) = phi-dagger(x # y) (Springer and Veldkamp,
+*Octonions, Jordan Algebras and Exceptional Groups*, ch. 5): P is the
+integer form of phi-dagger, and the law runs on the cross table.
 
 `dagger` solves no linear system.  For phi in Inv(J), phi-dagger takes
 x # y to phi(x) # phi(y), and every entry of the cross table takes a basis
 pair to a multiple of one basis vector, so each column of phi-dagger is one
 cross product (`MulTable.mul_ints`) of two columns of the map's integer
-form, for the pairs picked once per algebra (`_dagger_plan`).  The result
-is certified by the trace-form identity phi^T G psi = G, checked in
-integers on packed rows; a map that fails it is not in Inv(J).  A map keeps its dagger once computed, so `dagger` and a
-`lift_inv` of the same map build it once.
-
-`is_automorphism` certifies multiplicativity on basis pairs for the
-product of a `MulTable`, on the integer form of the map, with two
-`mul_ints` calls per basis vector: the second factors e_l and phi(e_l) of
-one row are stacked (`linalg.SignedPacking`), with slots sized from
-`MulTable.int_sum`.  It serves `is_aut_member` on every algebra of the
-tower (composition, Albert and Brown, matched by basis tag), and the
-isotope check of `involutions`, which builds the y-isotope's table from
-the triple product on stacked basis vectors.
+form, for the pairs picked once per algebra (`_dagger_plan`), certified by
+the trace-form identity phi^T G psi = G.  That check alone does not prove
+membership (`dagger` has a witness), so `dagger` first runs the norm guard
+`norm_preserving_sampled`, on which `BrownAlgebra.lift_inv` and
+`outer_fixed_condition` rely: N(phi x) = N(x) in integers against the norm
+form (`NormForm`, built by `algebra.norm_form()`) at seeded random points,
+drawn once per form, field, sample count and seed, with the images of all
+the points one packed product.  A map keeps its dagger once computed or
+certified, so `dagger`, `is_inv_member` and a `lift_inv` of the same map
+build it once.
 
 This module never imports the algebra modules; algebra objects are passed in
 and used through their raw-operation methods.
@@ -136,10 +128,10 @@ class LinMap:
     def _ints(self):
         """(d, M) with M = d * matrix in ints as a tuple of row tuples, d the
         lcm of the entries' denominators (1 over F_p): `to_ints` of the
-        flattened matrix, built on first use."""
-        n = self.dim
+        flattened matrix, built on first use (a dagger gets it from
+        `_cross_dagger`)."""
         d, flat = to_ints([v for row in self.matrix for v in row], self.field)
-        return d, tuple([tuple(flat[i : i + n]) for i in range(0, n * n, n)])
+        return d, tuple(zip(*[iter(flat)] * self.dim))
 
     @functools.cached_property
     def _top(self) -> int:
@@ -283,84 +275,77 @@ def norm_preserving_sampled(phi: LinMap, algebra, samples: int, seed: int = 0) -
     return True
 
 
-@functools.lru_cache(maxsize=16)
-def _polar(form):
-    """The symmetric integer tensor T_ijk = den Tr(e_i # e_j, e_k) of the
-    norm form, with 6 den N(y) = sum T_ijk y_i y_j y_k over ordered triples,
-    grouped as `is_inv_member` reads it.
-
-    A monomial (i <= j <= k, c) gives T = 6c, 2c or c when three, two or no
-    indices are equal, at each distinct permutation of (i, j, k).  Returns
-    (by_ik, cols, total, top): by_ik[i] holds (k, ((j, T_ijk), ...)) for
-    each k with an entry T_i.k; cols maps each (a, c) with a <= c and an
-    entry T_a.c to the column (T_abc for b = 0, ..., 26); total is the sum
-    of |T_ijk| over the ordered triples and top the largest |T_ijk|."""
-    by_ik = [{} for _ in range(27)]
-    cols = {}
-    total = top = 0
-    for i, j, k, c in form.terms:
-        t = c * (6 if i == k else 2 if i == j or j == k else 1)
-        perms = set(itertools.permutations((i, j, k)))
-        total += len(perms) * abs(t)
-        top = max(top, abs(t))
-        for a, b, e in perms:
-            by_ik[a].setdefault(e, []).append((b, t))
-            if a <= e:
-                cols.setdefault((a, e), [0] * 27)[b] = t
-    by_ik = tuple(tuple((k, tuple(jt)) for k, jt in row.items()) for row in by_ik)
-    return by_ik, {ac: tuple(col) for ac, col in cols.items()}, total, top
-
-
-@functools.lru_cache(maxsize=32)
-def _polar_columns(form, packing: SignedPacking):
-    """The columns (a, ., c) of `_polar`, packed."""
-    return {ac: packing.pack(col) for ac, col in _polar(form)[1].items()}
-
-
 def is_inv_member(phi: LinMap, algebra) -> bool:
-    """Cubic-norm invariance, as a deterministic certificate over Q and F_p.
+    """Cubic-norm invariance, as a deterministic certificate over Q and F_p:
+    phi is in Inv(J) iff phi(x) # phi(y) = psi(x # y) for all x, y, with psi
+    = phi-dagger (Springer and Veldkamp, ch. 5).
 
-    With D phi an integer matrix M with columns c_a, N(phi x) = N(x) reads
-    sum T_ijk y_i y_j y_k = D^3 sum T_abc x_a x_b x_c for y = M x, with T the
-    polar tensor of the norm form (`_polar`).  Both sides are cubic forms
-    given by symmetric tensors, the left one by
-    S_abc = sum T_ijk c_a[i] c_b[j] c_c[k].  The coefficient of x_a x_b x_c
-    (a <= b <= c) is (S_abc - D^3 T_abc) times 1, 3 or 6, a unit over Q and
-    over F_p for p >= 5, so the forms agree iff S_abc = D^3 T_abc at all
-    3654 triples a <= b <= c.
-
-    S is computed on packed rows (Kronecker substitution, as in `linalg`):
-    row j of M is the one int R_j = sum_b M[j][b] 2^(s b)
-    (`linalg.SignedPacking`), so one big-integer multiply-add acts on a
-    whole row.  With Z[a][k] = sum_i M[i][a] (sum_j T_ijk R_j),
-    sum_k M[k][c] Z[a][k] = sum_b S_abc 2^(s b) is the column (a, ., c) of
-    S packed over b.  S is symmetric, so the columns with c >= a hold every
-    triple a <= b <= c.  Each packed column minus D^3 times the packed
-    column of T goes to `SignedPacking.is_zero`, with slots of
-    2^(s - 1) > sum |T| max|M|^3 + D^3 max|T| >= |S_abc - D^3 T_abc|.  The
-    columns are checked in order, and the first that fails ends the check."""
+    psi is the map's kept dagger, else `dagger`'s cross products if they
+    pass its exact trace-form check (`_cross_dagger`), which proves
+    psi = phi-dagger; a map that fails it is not in Inv(J).  Then
+    `_products_agree` checks d^2 P mul_ints(e_i, e_l) =
+    d_psi mul_ints(M e_i, M e_l) on the cross table's pairs i <= l, with
+    (d, M) and (d_psi, P) the integer forms of phi and psi.  A symmetric
+    bilinear law that holds on basis pairs holds on all x, y; at x = y it
+    reads (phi x)# = psi(x#), as 2 is invertible, so
+    3 N(phi x) = Tr(psi x#, phi x) = Tr(x#, x) = 3 N(x), and 3 is invertible
+    over Q and over F_p for p >= 5.  The norm is evaluated at no point.  A
+    map that passes keeps psi as its dagger, so a later `dagger` or
+    `lift_inv` of it runs no guard; a failure keeps nothing."""
     _require_albert(phi, algebra)
-    d, m = phi._ints
-    d3 = d ** 3
-    form = algebra.norm_form()
-    by_ik, _, total, top = _polar(form)
-    packing = SignedPacking.holding(total * phi._top ** 3 + d3 * top, algebra.field)
-    rows = [packing.pack(row) for row in m]
-    # q[i] holds (k, sum_j T_ijk R_j) for every k with an entry T_i.k
-    q = [[(k, sum([t * rows[j] for j, t in jt])) for k, jt in row] for row in by_ik]
-    want = _polar_columns(form, packing)
-    cols = tuple(zip(*m))
-    for a, ca in enumerate(cols):
-        z = [0] * 27
-        for i, x in enumerate(ca):
-            if x:
-                for k, qik in q[i]:
-                    z[k] += x * qik
-        for c in range(a, 27):
-            s = sum(map(operator.mul, cols[c], z)) - d3 * want.get((a, c), 0)
-            if not packing.is_zero(s, 27):
-                return False
+    psi = phi._dagger if phi._dagger is not None else _cross_dagger(phi, algebra)
+    if psi is None:
+        return False
+    d = phi._ints[0]
+    if not _products_agree(phi, algebra.cross_table(), d * d, psi, psi._ints[0], True):
+        return False
+    object.__setattr__(phi, "_dagger", psi)  # LinMap is frozen
     return True
+
+
+def _products_agree(phi: LinMap, table, a: int, psi: LinMap, b: int, commutative: bool) -> bool:
+    """Whether a P mul_ints(e_i, e_l) = b mul_ints(M e_i, M e_l) for every
+    basis pair (i, l) of the `MulTable`, the pairs i <= l when
+    `commutative`, with M and P the integer matrices (`_ints`) of phi and psi.
+
+    Row i checks every l at once on packed vectors (`linalg.SignedPacking`):
+    with E the identity stacked (E_l = 2^(s l)) and R the columns of b M
+    stacked, `mul_ints` is bilinear, so mul_ints(e_i, E) packs the e_i.e_l
+    over l and mul_ints(M e_i, R) the b (M e_i).(M e_l): two calls per row,
+    on slots of 2^(s - 1) > int_sum (n a max|P| + b max|M|^2)
+    (`MulTable.int_sum`), a bound on the entries of the difference.  With
+    `commutative` E and R are the suffixes over l >= i, built from the last
+    row back.  Stops at the first failing row."""
+    n = phi.dim
+    bound = table.int_sum() * (n * a * psi._top + b * phi._top ** 2)
+    packing = SignedPacking.holding(bound, phi.field)
+    mul = table.mul_ints
+    cols = list(zip(*phi._ints[1]))
+    seconds = cols if b == 1 else [[b * x for x in col] for col in cols]
+    # the nonzero entries of a P, column by column
+    pcols = [[(r, a * c) for r, c in enumerate(col) if c] for col in zip(*psi._ints[1])]
+    # the identity stacked: e_l in slot l
+    powers = [1 << (8 * packing.slot * l) for l in range(n)]
+
+    def row_holds(i, first, packed):
+        """The pairs (i, l) for l >= first, with packed the stack of the
+        second factors from `first` on."""
+        e = [0] * n
+        e[i] = 1
+        left = [0] * n
+        for j, w in enumerate(mul(e, [0] * first + powers[: n - first])):
+            if w:
+                for r, c in pcols[j]:
+                    left[r] += c * w
+        right = mul(cols[i], packed)
+        return left == right or all([packing.is_zero(x - y, n - first)
+                                     for x, y in zip(left, right) if x != y])
+
+    if commutative:
+        suffixes = zip(range(n - 1, -1, -1), packing.suffixes(seconds))
+        return all(row_holds(i, i, packed) for i, packed in suffixes)
+    packed = packing.stack(seconds)
+    return all(row_holds(i, 0, packed) for i in range(n))
 
 
 def is_automorphism(phi: LinMap, table, unit, commutative: bool = False) -> bool:
@@ -369,55 +354,18 @@ def is_automorphism(phi: LinMap, table, unit, commutative: bool = False) -> bool
     a commutative product (a bilinear product is determined by its values on
     basis pairs, so they certify).
 
-    With M = d phi the integer matrix of the map (`to_ints`), D the table's
-    scale and u the `to_ints` form of the unit, the unit law reads M u = d u
-    and the pair (i, l) reads d M mul_ints(e_i, e_l) = mul_ints(M e_i, M e_l).
-    Row i checks every l at once on packed vectors (`linalg.SignedPacking`):
-    with E_l = 2^(s l), the identity stacked, and R_j = sum_l M[j][l] 2^(s l),
-    the columns of M stacked, `mul_ints` is bilinear, so mul_ints(e_i, E)
-    packs the e_i.e_l over l and mul_ints(M e_i, R) packs the
-    (M e_i).(M e_l): two calls per row.  The slots have
-    2^(s - 1) > int_sum max|M| (n d + max|M|) (`MulTable.int_sum`), a bound
-    on the entries of the difference.  The unit law is one packed
-    difference too, on slots sized from its own largest entry.  With
-    `commutative` E and R are the suffixes over l >= i, built from the last
-    row back.  Stops at the first failing row."""
+    With (d, M) the integer form of the map and u that of the unit, the unit
+    law M u = d u is one packed difference on slots sized from its own
+    largest entry, and the pairs are `_products_agree` with P = M, a = d and
+    b = 1: d M mul_ints(e_i, e_l) = mul_ints(M e_i, M e_l)."""
     f = phi.field
     d, m = phi._ints
-    n = phi.dim
     u = to_ints(unit, f)[1]
     diff = [sum(map(operator.mul, row, u)) - d * x for row, x in zip(m, u)]
     unit_law = SignedPacking.holding(max(map(abs, diff), default=0), f)
-    if not unit_law.is_zero(unit_law.pack(diff), n):
+    if not unit_law.is_zero(unit_law.pack(diff), phi.dim):
         return False
-    mtop = phi._top
-    packing = SignedPacking.holding(table.int_sum() * mtop * (n * d + mtop), f)
-    mul = table.mul_ints
-    cols = list(zip(*m))
-    # the nonzero entries of d M, column by column
-    dcols = [[(r, d * c) for r, c in enumerate(col) if c] for col in cols]
-    # the identity stacked: e_l in slot l
-    powers = [1 << (8 * packing.slot * l) for l in range(n)]
-
-    def row_holds(i, first, packed):
-        """The pairs (i, l) for l >= first, with packed the stack of the
-        columns from `first` on."""
-        e = [0] * n
-        e[i] = 1
-        left = [0] * n
-        for j, w in enumerate(mul(e, [0] * first + powers[: n - first])):
-            if w:
-                for r, c in dcols[j]:
-                    left[r] += c * w
-        right = mul(cols[i], packed)
-        return left == right or all([packing.is_zero(a - b, n - first)
-                                     for a, b in zip(left, right) if a != b])
-
-    if commutative:
-        suffixes = zip(range(n - 1, -1, -1), packing.suffixes(cols))
-        return all(row_holds(i, i, packed) for i, packed in suffixes)
-    packed = packing.stack(cols)
-    return all(row_holds(i, 0, packed) for i in range(n))
+    return _products_agree(phi, table, d, phi, 1, commutative)
 
 
 def is_aut_member(phi: LinMap, algebra) -> bool:
@@ -482,13 +430,12 @@ def dagger(phi: LinMap, algebra) -> LinMap:
     """phi-dagger, the unique psi with Tr(phi x, psi y) = Tr(x, y), for phi in
     Inv(J), built from cross products and certified exactly.
 
-    For phi in Inv(J), (phi x)# = psi(x#) (Springer and Veldkamp, *Octonions,
-    Jordan Algebras and Exceptional Groups*, ch. 5), and so
-    psi(x # y) = phi(x) # phi(y).  Every entry of the cross table takes a
-    basis pair to a multiple of one basis vector (`_dagger_plan`), so with
-    D (e_i # e_j) = C e_k, column k of psi is phi(e_i) # phi(e_j) / C.  With
-    M = d phi in ints and c_i the columns of M, P has the columns
-    s mul_ints(c_i, c_j) and psi = P / (d^2 lcm).
+    For phi in Inv(J), psi(x # y) = phi(x) # phi(y) (Springer and Veldkamp,
+    ch. 5).  Every entry of the cross table takes a basis pair to a multiple
+    of one basis vector (`_dagger_plan`), so with D (e_i # e_j) = C e_k,
+    column k of psi is phi(e_i) # phi(e_j) / C.  With M = d phi in ints and
+    c_i the columns of M, P has the columns s mul_ints(c_i, c_j) and
+    psi = P / (d^2 lcm).
 
     Then Tr(phi x, psi y) = Tr(x, y) reads M^T (DG G) P = d^3 lcm (DG G) in
     integers.  That system has one solution, so when it holds psi is the
@@ -500,25 +447,32 @@ def dagger(phi: LinMap, algebra) -> LinMap:
     DG G it goes to `SignedPacking.is_zero`, with slots of
     2^(s - 1) > gsum (27 max|M| max|P| + d^3 lcm), a bound on its entries.
 
-    phi must pass the norm guard at `_DAGGER_SAMPLES` seeded points first.
-    The result is kept on phi, so a map's dagger is computed once; a
-    failure is not kept."""
+    The check proves that psi is phi-dagger, but not that phi is in Inv(J):
+    for a diagonal map diag(2^v) on the split model, the 27 picked pairs and
+    the trace form are exponent equations of rank 13, against 21 for the
+    whole cross table, and the map with 1/2 at e_4, 2 at e_5 and 1
+    elsewhere passes the check and moves the norm.  So phi must pass the
+    norm guard at `_DAGGER_SAMPLES` seeded points first, unless it keeps a
+    dagger from an earlier `dagger` or `is_inv_member`, which adds the
+    product law on every pair.  The result is kept on phi, so a map's dagger
+    is computed once; a failure is not kept."""
     _require_albert(phi, algebra)
     if phi._dagger is not None:
         return phi._dagger
     if not norm_preserving_sampled(phi, algebra, _DAGGER_SAMPLES, _DAGGER_SEED):
         raise NotNormPreserving("dagger is only defined on Inv(J)")
-    psi = _cross_dagger(phi, algebra)
-    if psi is None:
+    dag = _cross_dagger(phi, algebra)
+    if dag is None:
         raise NotNormPreserving("map fails the trace-form check, so it is not in Inv(J)")
-    dag = algebra.linmap(psi)
     object.__setattr__(phi, "_dagger", dag)  # LinMap is frozen
     return dag
 
 
 def _cross_dagger(phi: LinMap, algebra):
-    """The matrix of phi-dagger from cross products when it passes the exact
-    trace-form check of `dagger`, else None."""
+    """phi-dagger from cross products when it passes the exact trace-form
+    check of `dagger`, else None.  Its integer form (`LinMap._ints`) is
+    P / (d^2 lcm) of the check in lowest terms, the form `to_ints` of its
+    matrix gives, so it is never converted back from field values."""
     f = algebra.field
     d, m = phi._ints
     picks, lcm, grows, gsum = _dagger_plan(algebra)
@@ -538,4 +492,10 @@ def _cross_dagger(phi: LinMap, algebra):
         if not packing.is_zero(sum([x * r for x, r in zip(ca, gp) if x]) - scale * w, 27):
             return None
     den = d * d * lcm
-    return tuple(from_ints(row, den, f) for row in rows)
+    g = math.gcd(den, *itertools.chain.from_iterable(pcols))
+    if g > 1:
+        den //= g
+        rows = tuple(tuple([v // g for v in row]) for row in rows)
+    dag = algebra.linmap(tuple(from_ints(row, den, f) for row in rows))
+    object.__setattr__(dag, "_ints", (den, rows))  # the cached_property's slot
+    return dag

@@ -300,6 +300,20 @@ def _with_entry(phi, i, j, value):
     return LinMap(tuple(tuple(r) for r in m), phi.field, ALBERT, phi.basis_tag)
 
 
+def _trace_check_witness(alg):
+    """diag(2^v) for v = e_5 - e_4 on the split model: 1/2 at e_4, 2 at e_5
+    and 1 elsewhere.  The 27 pairs `dagger` picks and the trace form, as
+    exponent equations for diag(2^v), have rank 13, against 21 for the whole
+    cross table, and v lies between the two kernels: the map passes the
+    trace-form check of `dagger`.  The monomials of the norm scale by 1/2, 1
+    or 2, some by 2, so it moves the norm on every field (2 != 1)."""
+    f = alg.field
+    diag = [f.one()] * 27
+    diag[4], diag[5] = f.inv(f.from_int(2)), f.from_int(2)
+    return alg.linmap(tuple(tuple(v if i == j else f.zero() for j in range(27))
+                            for i, v in enumerate(diag)))
+
+
 FIELDS = {"Q": Q(), "Fp:7": Fp(7), "Fp:2^61-1": Fp(2**61 - 1)}
 
 
@@ -325,6 +339,10 @@ def test_inv_certificate_matches_point_reference(name, monkeypatch):
     cases.append((alg, _with_entry(ux, i, j, f.add(ux.matrix[i][j], f.one())), False))
     i, j = next((i, j) for i in range(27) for j in range(27) if not t.matrix[i][j])
     cases.append((cat.J, _with_entry(t, i, j, f.one()), False))
+    # the trace-form check of `dagger` passes it; only the product law fails
+    witness = _trace_check_witness(alg)
+    assert linmaps._cross_dagger(witness, alg) is not None
+    cases.append((alg, witness, False))
     if f == Fp(7):
         cases.append((alg, _scalar_map(alg, 2), True))  # 2^3 = 1 mod 7
     if f == Q():
@@ -648,6 +666,42 @@ def test_dagger_is_computed_once_per_map(name, monkeypatch):
     assert len(solves) == 2
 
 
+@pytest.mark.parametrize("name", ["Q", "Fp:7"])
+def test_certified_map_keeps_its_dagger(name, monkeypatch):
+    """After `is_inv_member` certifies a U_x, `dagger` and `lift_inv` of it
+    run neither the norm guard nor the cross products and return the
+    matrices a fresh map gets; the kept dagger's integer form is the one
+    its matrix gives.  A failed certificate keeps nothing, whether the
+    trace-form check fails (a perturbed U_x) or the product law (the
+    witness)."""
+    f = FIELDS[name]
+    cat = Catalog(f)
+    J = cat.J
+    u = _uop_map(J, J.sample_norm_one(random.Random(22), 2))
+    fresh = LinMap(u.matrix, f, ALBERT, J.basis_tag)
+    want_dagger, want_lift = dagger(fresh, J).matrix, cat.B.lift_inv(fresh).matrix
+    assert is_inv_member(u, J)
+    calls = []
+
+    def spy(attr):
+        fn = getattr(linmaps, attr)
+        return lambda *args: calls.append(attr) or fn(*args)
+
+    for attr in ("norm_preserving_sampled", "_cross_dagger"):
+        monkeypatch.setattr(linmaps, attr, spy(attr))
+    dag = dagger(u, J)
+    assert dag.matrix == want_dagger
+    assert dag._ints == LinMap(dag.matrix, f, ALBERT, J.basis_tag)._ints
+    assert cat.B.lift_inv(u).matrix == want_lift
+    assert calls == []
+    alg = split_albert(f)
+    ux = _uop_map(alg, alg.sample_norm_one(random.Random(23), 2))
+    for phi in (_perturbed(ux), _trace_check_witness(alg)):
+        assert not is_inv_member(phi, alg)
+        assert phi._dagger is None
+    assert calls.count("_cross_dagger") == 2
+
+
 # -- dagger from cross products against the trace-form solve ------------------------
 
 def _ref_dagger(phi, alg):
@@ -744,6 +798,18 @@ def test_apply_rejects_a_vector_of_the_wrong_length(name, length):
     s = Catalog(f).realize("s", "B")
     with pytest.raises(CarrierMismatch):
         s.apply((f.one(),) * length)
+
+
+@pytest.mark.parametrize("name", ["Q", "Fp:7"])
+def test_zero_dimensional_map(name):
+    """The map on the zero space is its identity, squares to it, sends ()
+    to () and is an automorphism of the empty table."""
+    f = FIELDS[name]
+    m = LinMap((), f, "zero", "zero")
+    assert m.is_identity() is True
+    assert m.order_divides_two() is True
+    assert m.apply(()) == ()
+    assert linmaps.is_automorphism(m, MulTable(0, []), ()) is True
 
 
 def test_is_identity_reads_the_integer_form():
