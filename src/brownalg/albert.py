@@ -16,9 +16,10 @@ in the Tits model (`tits_jordan_table`).
 The cubic norm has one evaluator: the integer norm form (`norm_form`),
 fitted on first use from the trilinear form Tr(x # y, z) and checked against
 the intrinsic norm N = Tr(x#, x)/3 (`norm_intrinsic_raw`, with sharp from the
-quadratic trace).  `norm_raw` and the membership checks in `linmaps` both
-evaluate it in Python ints.  The paper's displayed norm formulas are kept
-only as independent references, in `verify.check_closed_norm` and the tests.
+quadratic trace).  `norm_raw` evaluates it in Python ints; the membership
+certificates of `linmaps` evaluate no norm.  The paper's displayed norm
+formulas are kept only as independent references, in
+`verify.check_closed_norm` and the tests.
 The cross product x # y is a structure table (`cross_table`) derived on first
 use from the Jordan table, the trace vector and the Gram matrix.
 
@@ -37,6 +38,7 @@ Tits model from Kronecker blocks, inverting each factor once.
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from operator import mul
 
 from .cayley import CDAlgebra
@@ -51,9 +53,30 @@ from .errors import (
 from .fields import PRIME, FieldSpec, Scalar
 from .kernels import Algebra, Elem, MulTable
 from .linalg import block_diag, from_ints, identity, kron, mat_mul, to_ints, transpose
-from .linmaps import ALBERT, LinMap, NormForm
+from .linmaps import ALBERT, LinMap
 
 DIM = 27
+
+
+def _cubic(terms, v) -> int:
+    return sum([c * v[i] * v[j] * v[k] for i, j, k, c in terms])
+
+
+@dataclass(frozen=True)
+class NormForm:
+    """The cubic norm as integer monomials:
+    N(x) = sum(c * x_i * x_j * x_k for (i, j, k, c) in terms) / den, with
+    i <= j <= k.  Over Q the c are integers over the common denominator den;
+    over F_p they are residues mod p and den = 1."""
+
+    terms: tuple
+    den: int
+
+    def evaluate(self, x, field: FieldSpec):
+        """N(x) for raw field values, summed in Python ints at v = D x
+        (`to_ints`) as sum c v_i v_j v_k / (den D^3)."""
+        d, v = to_ints(x, field)
+        return from_ints((_cubic(self.terms, v),), self.den * d ** 3, field)[0]
 
 
 # -- 3x3 matrix helpers over a field (used by the Tits model) ---------------

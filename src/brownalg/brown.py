@@ -130,9 +130,9 @@ class BrownAlgebra(Algebra):
     def lift_inv(self, phi: LinMap) -> LinMap:
         """(alpha, beta, j, l) -> (alpha, beta, phi j, phi-dagger l) for phi in
         Inv(J).  An automorphism keeps the trace form, so when `is_aut_member`
-        certifies phi the l-block is phi itself; otherwise `dagger` builds it
-        from cross products and certifies it exactly, raising
-        NotNormPreserving for a map outside Inv(J)."""
+        certifies phi the l-block is phi itself; otherwise it is `dagger`, which
+        raises NotNormPreserving when `is_inv_member`'s certificate fails, for
+        a map outside Inv(J)."""
         ml = phi if is_aut_member(phi, self.jalg) else dagger(phi, self.jalg)
         f = self.field
         return self.linmap(block_diag((identity(2, f), phi.matrix, ml.matrix), f))

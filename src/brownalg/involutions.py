@@ -288,7 +288,7 @@ def make_uv_bridge(albert: AlbertAlgebra) -> LinMap:
 def outer_fixed_condition(delta: LinMap, phi: LinMap, albert: AlbertAlgebra) -> bool:
     """Membership test for the fixed group of (phi . varpi)-type involutions:
     phi delta phi = dagger(delta) as exact matrices.  delta must preserve the
-    cubic norm; the guard of `dagger` checks it."""
+    cubic norm; `dagger` certifies it (`linmaps.is_inv_member`)."""
     if not phi.order_divides_two():
         raise NotOrderTwo("outer fixed condition needs phi^2 = id")
     dag = dagger(delta, albert)

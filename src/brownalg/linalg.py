@@ -27,8 +27,8 @@ docstring states the rule, and `SignedPacking.is_zero` applies it.  The
 certificates that use it, each with its own identity and bound, are
 `IntSpan.closed`, the basis-pair product law that `linmaps.is_automorphism`
 and `linmaps.is_inv_member` share, the unit law of `is_automorphism`,
-`LinMap.order_divides_two` and the trace-form check of `linmaps.dagger`;
-`linmaps.norm_preserving_sampled` computes its images this way too.  A
+`LinMap.order_divides_two` and the trace-form check of the dagger that
+`linmaps.is_inv_member` builds (`linmaps._cross_dagger`).  A
 product that is linear in one operand, such as `MulTable.mul_ints`, maps
 the stack of many vectors (`SignedPacking.stack` and `suffixes`) to the
 stack of their images, so one call covers them all.

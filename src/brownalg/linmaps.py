@@ -32,20 +32,18 @@ F_p for phi(x) # phi(y) = phi-dagger(x # y) (Springer and Veldkamp,
 *Octonions, Jordan Algebras and Exceptional Groups*, ch. 5): P is the
 integer form of phi-dagger, and the law runs on the cross table.
 
-`dagger` solves no linear system.  For phi in Inv(J), phi-dagger takes
-x # y to phi(x) # phi(y), and every entry of the cross table takes a basis
-pair to a multiple of one basis vector, so each column of phi-dagger is one
-cross product (`MulTable.mul_ints`) of two columns of the map's integer
-form, for the pairs picked once per algebra (`_dagger_plan`), certified by
-the trace-form identity phi^T G psi = G.  That check alone does not prove
-membership (`dagger` has a witness), so `dagger` first runs the norm guard
-`norm_preserving_sampled`, on which `BrownAlgebra.lift_inv` and
-`outer_fixed_condition` rely: N(phi x) = N(x) in integers against the norm
-form (`NormForm`, built by `algebra.norm_form()`) at seeded random points,
-drawn once per form, field, sample count and seed, with the images of all
-the points one packed product.  A map keeps its dagger once computed or
-certified, so `dagger`, `is_inv_member` and a `lift_inv` of the same map
-build it once.
+`dagger` has no verdict of its own: it returns the dagger that
+`is_inv_member` keeps on a map it certifies, and raises NotNormPreserving
+when the certificate fails.  No linear system is solved for it.  For phi in
+Inv(J), phi-dagger takes x # y to phi(x) # phi(y), and every entry of the
+cross table takes a basis pair to a multiple of one basis vector, so each
+column of phi-dagger is one cross product (`MulTable.mul_ints`) of two
+columns of the map's integer form, for the pairs picked once per algebra
+(`_dagger_plan`), certified by the trace-form identity phi^T G psi = G
+(`_cross_dagger`).  dagger is an involutive automorphism of Inv(J), so a
+certified phi keeps psi and psi keeps a copy of phi: `dagger`,
+`is_inv_member` and `lift_inv` of either run the certificate at most once.
+No membership test evaluates the norm; its form lives in `albert`.
 
 This module never imports the algebra modules; algebra objects are passed in
 and used through their raw-operation methods.
@@ -58,7 +56,6 @@ import functools
 import itertools
 import math
 import operator
-import random
 from dataclasses import dataclass, field as dc_field
 
 from .errors import (
@@ -91,7 +88,7 @@ class LinMap:
     field: FieldSpec
     carrier: str
     basis_tag: str
-    # the map's `dagger`, set by `dagger` once its guard and exact check pass
+    # the map's `dagger`, set only by a passing `is_inv_member`
     _dagger: "LinMap | None" = dc_field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -203,103 +200,40 @@ def _require_albert(phi: LinMap, algebra):
         raise CarrierMismatch("map does not live on this Albert algebra")
 
 
-def _cubic(terms, v) -> int:
-    return sum([c * v[i] * v[j] * v[k] for i, j, k, c in terms])
-
-
-@dataclass(frozen=True)
-class NormForm:
-    """The cubic norm as integer monomials:
-    N(x) = sum(c * x_i * x_j * x_k for (i, j, k, c) in terms) / den, with
-    i <= j <= k.  Over Q the c are integers over the common denominator den;
-    over F_p they are residues mod p and den = 1."""
-
-    terms: tuple
-    den: int
-
-    def evaluate(self, x, field: FieldSpec):
-        """N(x) for raw field values, summed in Python ints at v = D x
-        (`to_ints`) as sum c v_i v_j v_k / (den D^3)."""
-        d, v = to_ints(x, field)
-        return from_ints((_cubic(self.terms, v),), self.den * d ** 3, field)[0]
-
-
-@functools.lru_cache(maxsize=16)
-def _sample_points(form, field: FieldSpec, samples: int, seed: int):
-    """The seeded points of `norm_preserving_sampled` as integer vectors v,
-    each with den N(v) = sum c v_i v_j v_k; drawn once per (norm form,
-    field, samples, seed)."""
-    rng = random.Random(seed)
-    points = []
-    for _ in range(samples):
-        x = tuple(field.sample_raw(rng, 3) for _ in range(27))
-        v = tuple(to_ints(x, field)[1])
-        points.append((v, _cubic(form.terms, v)))
-    return tuple(points)
-
-
-@functools.lru_cache(maxsize=32)
-def _packed_points(form, field: FieldSpec, samples: int, seed: int, packing: SignedPacking):
-    """Row j of the points of `_sample_points`, v_j over the samples, packed."""
-    points = _sample_points(form, field, samples, seed)
-    return tuple(packing.pack(row) for row in zip(*[v for v, _ in points]))
-
-
-def norm_preserving_sampled(phi: LinMap, algebra, samples: int, seed: int = 0) -> bool:
-    """N(phi x) = N(x) at `samples` seeded random points, in integers.
-
-    With D phi an integer matrix M and the norm's integer monomials c, the
-    identity reads sum c y_i y_j y_k = D^3 sum c v_i v_j v_k for y = M v
-    (both sides carry the same common denominator); over F_p the two sides
-    are compared mod p.  The images y of all the points are one packed
-    product: with row j of the points packed over the samples
-    (`linalg.SignedPacking`, `_packed_points`), row i of the images is
-    sum_j M[i][j] times it, read back by `unpack_signed`; the slots have
-    2^(s - 1) > 27 max|M| max|v|, a bound on every |y_i|."""
-    _require_albert(phi, algebra)
-    form = algebra.norm_form()
-    f = algebra.field
-    p = f.p if f.kind != RATIONALS else 0
-    d, m = phi._ints
-    d3 = d ** 3
-    points = _sample_points(form, f, samples, seed)
-    vtop = max(map(abs, itertools.chain.from_iterable(v for v, _ in points)))
-    packing = SignedPacking.holding(27 * phi._top * vtop, f)
-    vrows = _packed_points(form, f, samples, seed, packing)
-    images = zip(*[packing.unpack_signed(sum([x * r for x, r in zip(row, vrows) if x]), samples)
-                   for row in m])
-    for y, (_, norm_v) in zip(images, points):
-        diff = _cubic(form.terms, y) - d3 * norm_v
-        if diff % p if p else diff:
-            return False
-    return True
-
-
 def is_inv_member(phi: LinMap, algebra) -> bool:
     """Cubic-norm invariance, as a deterministic certificate over Q and F_p:
     phi is in Inv(J) iff phi(x) # phi(y) = psi(x # y) for all x, y, with psi
     = phi-dagger (Springer and Veldkamp, ch. 5).
 
-    psi is the map's kept dagger, else `dagger`'s cross products if they
-    pass its exact trace-form check (`_cross_dagger`), which proves
-    psi = phi-dagger; a map that fails it is not in Inv(J).  Then
-    `_products_agree` checks d^2 P mul_ints(e_i, e_l) =
+    A map that keeps a dagger has passed already.  Otherwise psi is
+    phi-dagger's cross products if they pass the exact trace-form check
+    (`_cross_dagger`), which proves psi = phi-dagger; a map that fails it is
+    not in Inv(J).  Then `_products_agree` checks d^2 P mul_ints(e_i, e_l) =
     d_psi mul_ints(M e_i, M e_l) on the cross table's pairs i <= l, with
     (d, M) and (d_psi, P) the integer forms of phi and psi.  A symmetric
     bilinear law that holds on basis pairs holds on all x, y; at x = y it
     reads (phi x)# = psi(x#), as 2 is invertible, so
     3 N(phi x) = Tr(psi x#, phi x) = Tr(x#, x) = 3 N(x), and 3 is invertible
-    over Q and over F_p for p >= 5.  The norm is evaluated at no point.  A
-    map that passes keeps psi as its dagger, so a later `dagger` or
-    `lift_inv` of it runs no guard; a failure keeps nothing."""
+    over Q and over F_p for p >= 5.  The norm is evaluated at no point.
+
+    A map that passes keeps psi as its dagger.  psi is in Inv(J) with
+    psi-dagger = phi, as dagger is an involutive automorphism of Inv(J), so
+    psi keeps a fresh map with phi's matrix and integer form (not phi
+    itself, which would make a reference cycle).  A failure keeps nothing."""
     _require_albert(phi, algebra)
-    psi = phi._dagger if phi._dagger is not None else _cross_dagger(phi, algebra)
+    if phi._dagger is not None:
+        return True
+    psi = _cross_dagger(phi, algebra)
     if psi is None:
         return False
     d = phi._ints[0]
     if not _products_agree(phi, algebra.cross_table(), d * d, psi, psi._ints[0], True):
         return False
-    object.__setattr__(phi, "_dagger", psi)  # LinMap is frozen
+    back = LinMap(phi.matrix, phi.field, phi.carrier, phi.basis_tag)
+    # LinMap is frozen; `_ints` is the cached_property's slot
+    object.__setattr__(back, "_ints", phi._ints)
+    object.__setattr__(psi, "_dagger", back)
+    object.__setattr__(phi, "_dagger", psi)
     return True
 
 
@@ -315,7 +249,10 @@ def _products_agree(phi: LinMap, table, a: int, psi: LinMap, b: int, commutative
     on slots of 2^(s - 1) > int_sum (n a max|P| + b max|M|^2)
     (`MulTable.int_sum`), a bound on the entries of the difference.  With
     `commutative` E and R are the suffixes over l >= i, built from the last
-    row back.  Stops at the first failing row."""
+    row back.  The row's n packed differences, one per output coordinate c,
+    are one packing for one `SignedPacking.is_zero`: difference c shifted
+    by c (n - first) slots, which is exact, as packing is linear and every
+    entry keeps its bound.  Stops at the first failing row."""
     n = phi.dim
     bound = table.int_sum() * (n * a * psi._top + b * phi._top ** 2)
     packing = SignedPacking.holding(bound, phi.field)
@@ -338,8 +275,12 @@ def _products_agree(phi: LinMap, table, a: int, psi: LinMap, b: int, commutative
                 for r, c in pcols[j]:
                     left[r] += c * w
         right = mul(cols[i], packed)
-        return left == right or all([packing.is_zero(x - y, n - first)
-                                     for x, y in zip(left, right) if x != y])
+        if left == right:
+            return True
+        # one packing of all n differences: difference c from slot c (n - first) on
+        width = 8 * packing.slot * (n - first)
+        return packing.is_zero(sum([(x - y) << width * c for c, (x, y) in enumerate(zip(left, right))
+                                    if x != y]), n * (n - first))
 
     if commutative:
         suffixes = zip(range(n - 1, -1, -1), packing.suffixes(seconds))
@@ -378,14 +319,9 @@ def is_aut_member(phi: LinMap, algebra) -> bool:
     return is_automorphism(phi, algebra.table, algebra.unit_coords, algebra.commutative)
 
 
-# the seeded points of the norm guard of `dagger`
-_DAGGER_SAMPLES = 40
-_DAGGER_SEED = 1
-
-
 @functools.lru_cache(maxsize=16)
 def _dagger_plan(algebra):
-    """What `dagger` reads of an Albert algebra, built once per algebra:
+    """What `_cross_dagger` reads of an Albert algebra, built once per algebra:
     (picks, lcm, grows, gsum).
 
     Column k of phi-dagger is one cross product: picks[k] = (i, j, s) names a
@@ -428,7 +364,18 @@ def _gram_rows(algebra, packing: SignedPacking):
 
 def dagger(phi: LinMap, algebra) -> LinMap:
     """phi-dagger, the unique psi with Tr(phi x, psi y) = Tr(x, y), for phi in
-    Inv(J), built from cross products and certified exactly.
+    Inv(J): the dagger `is_inv_member` keeps on a map it certifies.  Raises
+    NotNormPreserving when the certificate fails, so phi is not in Inv(J).
+    A map's dagger is computed once, and a dagger's dagger is a copy of phi;
+    a failure is not kept."""
+    if not is_inv_member(phi, algebra):
+        raise NotNormPreserving("map is not in Inv(J), where dagger is defined")
+    return phi._dagger
+
+
+def _cross_dagger(phi: LinMap, algebra):
+    """phi-dagger from cross products when it passes an exact trace-form
+    check, else None.
 
     For phi in Inv(J), psi(x # y) = phi(x) # phi(y) (Springer and Veldkamp,
     ch. 5).  Every entry of the cross table takes a basis pair to a multiple
@@ -440,7 +387,7 @@ def dagger(phi: LinMap, algebra) -> LinMap:
     Then Tr(phi x, psi y) = Tr(x, y) reads M^T (DG G) P = d^3 lcm (DG G) in
     integers.  That system has one solution, so when it holds psi is the
     matrix the trace-form solve gave; when it does not, phi is not in Inv(J)
-    and NotNormPreserving is raised.  It is checked on packed rows
+    and None is returned.  It is checked on packed rows
     (`linalg.SignedPacking`): row j of P is one int, the rows of (DG G) P
     are sums of multiples of them, and row a of M^T (DG G) P is
     sum_i M[i][a] ((DG G) P)_i; minus d^3 lcm times the packed row a of
@@ -451,28 +398,10 @@ def dagger(phi: LinMap, algebra) -> LinMap:
     for a diagonal map diag(2^v) on the split model, the 27 picked pairs and
     the trace form are exponent equations of rank 13, against 21 for the
     whole cross table, and the map with 1/2 at e_4, 2 at e_5 and 1
-    elsewhere passes the check and moves the norm.  So phi must pass the
-    norm guard at `_DAGGER_SAMPLES` seeded points first, unless it keeps a
-    dagger from an earlier `dagger` or `is_inv_member`, which adds the
-    product law on every pair.  The result is kept on phi, so a map's dagger
-    is computed once; a failure is not kept."""
-    _require_albert(phi, algebra)
-    if phi._dagger is not None:
-        return phi._dagger
-    if not norm_preserving_sampled(phi, algebra, _DAGGER_SAMPLES, _DAGGER_SEED):
-        raise NotNormPreserving("dagger is only defined on Inv(J)")
-    dag = _cross_dagger(phi, algebra)
-    if dag is None:
-        raise NotNormPreserving("map fails the trace-form check, so it is not in Inv(J)")
-    object.__setattr__(phi, "_dagger", dag)  # LinMap is frozen
-    return dag
-
-
-def _cross_dagger(phi: LinMap, algebra):
-    """phi-dagger from cross products when it passes the exact trace-form
-    check of `dagger`, else None.  Its integer form (`LinMap._ints`) is
-    P / (d^2 lcm) of the check in lowest terms, the form `to_ints` of its
-    matrix gives, so it is never converted back from field values."""
+    elsewhere passes the check and moves the norm.  `is_inv_member` adds
+    the product law on every pair.  The integer form of psi
+    (`LinMap._ints`) is P / (d^2 lcm) in lowest terms, the form `to_ints`
+    of its matrix gives, so it is never converted back from field values."""
     f = algebra.field
     d, m = phi._ints
     picks, lcm, grows, gsum = _dagger_plan(algebra)

@@ -361,12 +361,19 @@ def check_varpi_dagger(ctx):
     w = b.varpi()
     if not w.order_divides_two():
         _fail("varpi is not of order 2")
+    # row i of varpi holds one 1, at column perm[i]; varpi is an involution,
+    # so w L w is L with its rows and columns reindexed by perm
+    perm = [j for row in w.matrix for j, v in enumerate(row) if v]
+    one = b.field.one()
+    if len(perm) != b.dim or any(w.matrix[i][j] != one for i, j in enumerate(perm)):
+        _fail("varpi is not a coordinate permutation")
     for _ in range(ctx.scaled(0.1)):
         x = b.jalg.sample_norm_one(rng)
         ux = b.jalg.linmap(b.jalg.uop_matrix(x.coords))
-        lhs = w.compose(b.lift_inv(ux)).compose(w)
+        lift = b.lift_inv(ux).matrix
+        lhs = tuple(tuple([lift[i][j] for j in perm]) for i in perm)
         rhs = b.lift_inv(dagger(ux, b.jalg))
-        if lhs.matrix != rhs.matrix:
+        if lhs != rhs.matrix:
             _fail("varpi conjugation does not realize dagger")
 
 

@@ -7,6 +7,7 @@ import pytest
 from brownalg import albert, linalg, verify
 from brownalg.albert import (
     AlbertAlgebra,
+    NormForm,
     beth_basis,
     cross,
     cubic_data,
@@ -34,7 +35,6 @@ from brownalg.errors import (
 )
 from brownalg.fields import Fp, Q, scalar
 from brownalg.kernels import MulTable
-from brownalg.linmaps import NormForm
 
 
 def models_f7():

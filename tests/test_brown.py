@@ -1,9 +1,8 @@
 import random
-import sys
 
 import pytest
 
-from brownalg import albert, brown, linalg, linmaps
+from brownalg import albert, brown, linalg, linmaps, verify
 from brownalg.albert import AlbertAlgebra, hermitian, split_albert, tits
 from brownalg.brown import BrownAlgebra, BrownElem, binv, bmul
 from brownalg.cayley import CDAlgebra
@@ -120,28 +119,30 @@ def test_lift_inv_uop_preserves_product():
 
 @pytest.mark.parametrize("field", [Q(), Fp(7)], ids=str)
 def test_lift_inv_guards_the_norm_once(monkeypatch, field):
-    """lift_inv samples the cubic norm once, in dagger, and not again itself."""
+    """lift_inv certifies phi in Inv(J) once, in dagger: one `_cross_dagger`
+    and one product law (`_products_agree`) for a U_x, whose unit law fails
+    `is_aut_member` first; for 3 id the trace-form check of `_cross_dagger`
+    fails and no product law runs."""
     b = _brown(field)
-    sampled = linmaps.norm_preserving_sampled
     calls = []
 
-    def spy(phi, algebra, samples, seed=0):
-        calls.append(phi)
-        return sampled(phi, algebra, samples, seed)
+    def spy(attr):
+        fn = getattr(linmaps, attr)
+        return lambda phi, *args: calls.append((attr, phi)) or fn(phi, *args)
 
-    for name, module in list(sys.modules.items()):
-        if name.startswith("brownalg") and getattr(module, "norm_preserving_sampled", None) is sampled:
-            monkeypatch.setattr(module, "norm_preserving_sampled", spy)
+    for attr in ("_cross_dagger", "_products_agree"):
+        monkeypatch.setattr(linmaps, attr, spy(attr))
     x = b.jalg.sample_norm_one(random.Random(5))
     u = _uop_map(b.jalg, x)
     b.lift_inv(u)
-    assert calls == [u]
+    assert calls == [("_cross_dagger", u), ("_products_agree", u)]
     calls.clear()
     three = tuple(tuple(field.mul(field.from_int(3), v) for v in row)
                   for row in linalg.identity(27, field))
+    three = LinMap(three, field, ALBERT, b.jalg.basis_tag)
     with pytest.raises(NotNormPreserving):  # N(3x) = 27 N(x)
-        b.lift_inv(LinMap(three, field, ALBERT, b.jalg.basis_tag))
-    assert len(calls) == 1
+        b.lift_inv(three)
+    assert calls == [("_cross_dagger", three)]
 
 
 @pytest.mark.parametrize("field", [Q(), Fp(7)], ids=str)
@@ -185,6 +186,31 @@ def test_varpi_conjugation_realizes_dagger():
         lhs = w.compose(b.lift_inv(u)).compose(w)
         rhs = b.lift_inv(dagger(u, b.jalg))
         assert lhs.matrix == rhs.matrix
+
+
+@pytest.mark.parametrize("field", [Q(), Fp(7)], ids=str)
+def test_varpi_check_reindexes_the_lift(monkeypatch, field):
+    """`verify.check_varpi_dagger` conjugates each lift by varpi with no
+    `compose`: it reindexes the lift by the permutation read off varpi's
+    matrix.  Each sampled U_x is certified once: the lift of its dagger
+    reuses the copy of U_x kept as the dagger's dagger.  A varpi that is not
+    a coordinate permutation (-varpi, also of order 2) fails the check."""
+    ctx = verify.Ctx(field, 0, 50)
+    calls = []
+    cross_dagger = linmaps._cross_dagger
+    monkeypatch.setattr(linmaps, "_cross_dagger", lambda *args: calls.append(1) or cross_dagger(*args))
+
+    def forbidden(*args):
+        raise AssertionError("dense compose in the varpi check")
+
+    monkeypatch.setattr(LinMap, "compose", forbidden)
+    verify.check_varpi_dagger(ctx)
+    assert len(calls) == ctx.scaled(0.1) == 5
+    b = ctx.cat.B
+    minus = b.linmap(tuple(tuple(field.neg(v) for v in row) for row in b.varpi().matrix))
+    monkeypatch.setattr(BrownAlgebra, "varpi", lambda self: minus)
+    with pytest.raises(verify.CheckFailure, match="not a coordinate permutation"):
+        verify.check_varpi_dagger(ctx)
 
 
 def test_commuting_pair_subalgebra():

@@ -31,14 +31,27 @@ def test_verify_bad_field_exits_2(capsys):
 
 
 def test_internal_norm_disagreement_exits_2(capsys, monkeypatch):
+    """An InternalError raised inside `fixed` exits 2 with its message and no
+    traceback.  Here it is the check of `linmaps._dagger_plan`, which the
+    lift of t:1,1,-1,1,1,1 to B reaches through `dagger`: every cross-table
+    entry is split into two halves, the same product, so no basis pair
+    reaches a basis vector alone."""
+    from brownalg import linmaps
     from brownalg.albert import AlbertAlgebra
+    from brownalg.kernels import MulTable
 
-    intrinsic = AlbertAlgebra.norm_intrinsic_raw
-    monkeypatch.setattr(AlbertAlgebra, "norm_intrinsic_raw",
-                        lambda self, x: self.field.add(intrinsic(self, x), self.field.one()))
+    cross_table = AlbertAlgebra.cross_table
+
+    def halved(self):
+        f = self.field
+        return MulTable(27, [(i, j, k, f.mul(f.half(), c))
+                             for i, j, k, c in cross_table(self).entries for _ in range(2)])
+
+    monkeypatch.setattr(AlbertAlgebra, "cross_table", halved)
+    linmaps._dagger_plan.cache_clear()
     code, out, err = run(capsys, "fixed", "t:1,1,-1,1,1,1", "B", "--field", "Fp:7")
     assert code == 2
-    assert "norm form disagrees with the intrinsic norm" in err and "Traceback" not in err
+    assert "through no basis pair alone" in err and "Traceback" not in err
 
 
 def test_verify_json(capsys):

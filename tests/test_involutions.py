@@ -448,22 +448,21 @@ def test_outer_fixed_condition():
 
 
 def test_outer_fixed_condition_guards_the_norm_once(monkeypatch):
-    """One sampled norm guard per call, in dagger, whether delta is accepted,
-    rejected, or off the norm group."""
+    """One Inv(J) certificate per call, in dagger, whether delta is accepted,
+    rejected, or off the norm group: one `_cross_dagger` and, when its
+    trace-form check passes, one product law (`_products_agree`)."""
     from brownalg import linmaps
 
     cat = cat7()
     s = cat.realize("s", "J")
-    sampled = linmaps.norm_preserving_sampled
     calls = []
 
-    def spy(phi, algebra, samples, seed=0):
-        calls.append(phi)
-        return sampled(phi, algebra, samples, seed)
+    def spy(attr):
+        fn = getattr(linmaps, attr)
+        return lambda phi, *args: calls.append((attr, phi)) or fn(phi, *args)
 
-    for name, module in list(sys.modules.items()):
-        if name.startswith("brownalg") and getattr(module, "norm_preserving_sampled", None) is sampled:
-            monkeypatch.setattr(module, "norm_preserving_sampled", spy)
+    for attr in ("_cross_dagger", "_products_agree"):
+        monkeypatch.setattr(linmaps, attr, spy(attr))
     that = cat.realize("t", "J")
     x = cat.J.sample_norm_one(random.Random(6))
     ux = LinMap(cat.J.uop_matrix(x.coords), cat.field, ALBERT, cat.J.basis_tag)
@@ -477,7 +476,8 @@ def test_outer_fixed_condition_guards_the_norm_once(monkeypatch):
                 outer_fixed_condition(delta, s, cat.J)
         else:
             assert outer_fixed_condition(delta, s, cat.J) is verdict
-        assert calls == [delta]
+        law = [] if verdict is None else [("_products_agree", delta)]
+        assert calls == [("_cross_dagger", delta)] + law
 
 
 # -- isotope automorphisms ---------------------------------------------------------------

@@ -6,11 +6,11 @@ from fractions import Fraction
 
 import pytest
 
-from brownalg import linalg, linmaps
+from brownalg import albert, linalg, linmaps
 from brownalg.albert import AlbertAlgebra, hermitian, mat3_mul, split_albert, tits
 from brownalg.cayley import CDAlgebra
 from brownalg.errors import CarrierMismatch, NotNormPreserving
-from brownalg.fields import FieldSpec, Fp, Q
+from brownalg.fields import Fp, Q
 from brownalg.involutions import (
     Catalog,
     fixed_subalgebra,
@@ -24,7 +24,6 @@ from brownalg.linmaps import (
     dagger,
     is_aut_member,
     is_inv_member,
-    norm_preserving_sampled,
 )
 
 
@@ -150,15 +149,6 @@ def test_fixed_space_of_identity():
     assert len(ident.fixed_space()) == 27
 
 
-def test_norm_preserving_sampled_matches_certificate():
-    alg = split_albert(Q())
-    f = alg.field
-    cols = [alg.nu_g_raw(f.from_int(2), b.coords) for b in alg.basis()]
-    m = LinMap(tuple(tuple(cols[j][i] for j in range(27)) for i in range(27)),
-               f, ALBERT, alg.basis_tag)
-    assert norm_preserving_sampled(m, alg, 20) == is_inv_member(m, alg)
-
-
 def _scalar_map(alg, lam):
     f = alg.field
     return LinMap(tuple(tuple(f.from_int(lam) if i == j else f.zero() for j in range(27))
@@ -179,7 +169,7 @@ def test_unit_norm_u_operator_is_inv_over_61_bit_prime():
     assert is_inv_member(_uop_map(alg, x), alg)
 
 
-# -- the integer guards against a field-arithmetic reference ------------------
+# -- the integer certificate against a field-arithmetic reference ------------------
 
 def _certificate_points(f):
     for combo in itertools.combinations_with_replacement(range(27), 3):
@@ -214,8 +204,10 @@ def _nu_g_map(alg, g):
 
 
 def test_integer_guards_match_field_reference():
-    """Members and one-entry-perturbed non-members; the certificate reference
-    (3654 norm_raw pairs) runs on the cheap cases only."""
+    """Members and one-entry-perturbed non-members: `is_inv_member` agrees
+    with the norm in field arithmetic at seeded points on every case; the
+    certificate reference (3654 norm_raw pairs) runs on the cheap cases
+    only."""
     rng = random.Random(6)
     cases = []  # (algebra, map, certify)
     for alg, certify in ((split_albert(Q()), False), (split_albert(Fp(7)), True)):
@@ -228,13 +220,14 @@ def test_integer_guards_match_field_reference():
             for samples, seed in ((40, 1), (30, 5)):
                 points = _sampled_points(f, samples, seed)
                 assert _reference_verdict(psi, alg, points) == member
-                assert norm_preserving_sampled(psi, alg, samples, seed) == member
             if certify:
                 assert _reference_verdict(psi, alg, _certificate_points(f)) == member
-                assert is_inv_member(psi, alg) == member
+            assert is_inv_member(psi, alg) == member
 
 
 def test_norm_form_fitted_on_first_norm_check(monkeypatch):
+    """Neither the Tits models nor `is_inv_member` fit a norm form; the
+    first norm evaluation fits it, once."""
     fits = []
     fit = AlbertAlgebra._fit_norm_form
     monkeypatch.setattr(AlbertAlgebra, "_fit_norm_form",
@@ -244,7 +237,9 @@ def test_norm_form_fitted_on_first_norm_check(monkeypatch):
     assert fits == []
     ident = cat.J.linmap(linalg.identity(27, cat.J.field))
     assert is_inv_member(ident, cat.J)
-    assert norm_preserving_sampled(ident, cat.J, 5)
+    assert fits == []
+    x = cat.J.unit_coords
+    assert cat.J.norm_raw(x) == cat.J.norm_raw(ident.apply(x)) == cat.field.one()
     assert fits == [cat.J]
 
 
@@ -350,7 +345,7 @@ def test_inv_certificate_matches_point_reference(name, monkeypatch):
     for alg, phi, member in cases:
         assert _ref_point_certificate(phi, alg) == member
     # the certificate never evaluates the norm at a point
-    monkeypatch.setattr(linmaps, "_cubic", _raise)
+    monkeypatch.setattr(albert, "_cubic", _raise)
     for alg, phi, member in cases:
         assert is_inv_member(phi, alg) == member
 
@@ -379,51 +374,9 @@ def test_inv_certificate_at_the_slot_bounds(name, monkeypatch):
         cases.append((full, False))
     for phi, member in cases:
         assert _ref_point_certificate(phi, alg) == member
-    monkeypatch.setattr(linmaps, "_cubic", _raise)
+    monkeypatch.setattr(albert, "_cubic", _raise)
     for phi, member in cases:
         assert is_inv_member(phi, alg) == member
-
-
-# -- the guard's sample points --------------------------------------------------
-
-def _ref_guard_points(alg, samples, seed):
-    """The integer points and norms `norm_preserving_sampled` drew on every
-    call before they were cached."""
-    f = alg.field
-    terms = alg.norm_form().terms
-    rng = random.Random(seed)
-    out = []
-    for _ in range(samples):
-        x = tuple(f.sample_raw(rng, 3) for _ in range(27))
-        if f.kind == "Fp":
-            v = x
-        else:
-            d = math.lcm(*(c.denominator for c in x))
-            v = tuple(c.numerator * (d // c.denominator) for c in x)
-        out.append((v, sum(c * v[i] * v[j] * v[k] for i, j, k, c in terms)))
-    return out
-
-
-@pytest.mark.parametrize("name", ["Q", "Fp:7"])
-def test_guard_points_match_reference_and_are_drawn_once(name, monkeypatch):
-    f = FIELDS[name]
-    alg = split_albert(f)
-    for samples, seed in ((40, 1), (30, 5)):
-        points = linmaps._sample_points(alg.norm_form(), f, samples, seed)
-        assert list(points) == _ref_guard_points(alg, samples, seed)
-    draws = []
-    sample_raw = FieldSpec.sample_raw
-    monkeypatch.setattr(FieldSpec, "sample_raw",
-                        lambda self, rng, bound=10: draws.append(1) or sample_raw(self, rng, bound))
-    linmaps._sample_points.cache_clear()
-    u = _uop_map(alg, alg.sample_norm_one(random.Random(9), 2))
-    draws.clear()
-    assert norm_preserving_sampled(u, alg, 40, 1)
-    assert len(draws) == 40 * 27
-    draws.clear()
-    assert norm_preserving_sampled(u, alg, 40, 1)
-    assert not norm_preserving_sampled(_perturbed(u), alg, 40, 1)
-    assert draws == []
 
 
 # -- the integer automorphism certificate against field-value references ---------------
@@ -641,35 +594,69 @@ def test_isotope_check_builds_its_table_on_stacked_operands(name, monkeypatch):
 @pytest.mark.parametrize("name", ["Q", "Fp:7"])
 def test_dagger_is_computed_once_per_map(name, monkeypatch):
     """A map keeps its dagger: a second `dagger` and a `lift_inv` of the same
-    map build nothing; an equal but distinct map builds it again and gets the
-    same matrix; a failed guard is not kept and raises again."""
+    map run neither the cross products nor the product law again; an equal
+    but distinct map runs both again and gets the same matrix; a failed
+    certificate is not kept and runs again."""
     f = FIELDS[name]
     cat = Catalog(f)
     J = cat.J
-    solves = []
-    cross_dagger = linmaps._cross_dagger
-    monkeypatch.setattr(linmaps, "_cross_dagger",
-                        lambda *args: solves.append(1) or cross_dagger(*args))
+    calls = _spy_certificate(monkeypatch)
     u = _uop_map(J, J.sample_norm_one(random.Random(6), 2))
     dag = dagger(u, J)
     assert dagger(u, J) is dag
     lifted = cat.B.lift_inv(u)
     assert lifted.matrix == cat.B.linmap(
         linalg.block_diag((linalg.identity(2, f), u.matrix, dag.matrix), f)).matrix
-    assert len(solves) == 1
-    assert dagger(LinMap(u.matrix, f, ALBERT, J.basis_tag), J).matrix == dag.matrix
-    assert len(solves) == 2
+    assert calls == [("_cross_dagger", u), ("_products_agree", u)]
+    fresh = LinMap(u.matrix, f, ALBERT, J.basis_tag)
+    assert dagger(fresh, J).matrix == dag.matrix
+    assert calls[2:] == [("_cross_dagger", fresh), ("_products_agree", fresh)]
     three = _scalar_map(J, 3)
     for _ in range(2):
         with pytest.raises(NotNormPreserving):  # N(3x) = 27 N(x)
             dagger(three, J)
-    assert len(solves) == 2
+    assert calls[4:] == [("_cross_dagger", three)] * 2
+
+
+def _spy_certificate(monkeypatch):
+    """Record (name, map) for every call of `_cross_dagger` and
+    `_products_agree`, the two steps of the Inv(J) certificate."""
+    calls = []
+
+    def spy(attr):
+        fn = getattr(linmaps, attr)
+        return lambda phi, *args: calls.append((attr, phi)) or fn(phi, *args)
+
+    for attr in ("_cross_dagger", "_products_agree"):
+        monkeypatch.setattr(linmaps, attr, spy(attr))
+    return calls
+
+
+@pytest.mark.parametrize("name", ["Q", "Fp:7"])
+def test_dagger_of_dagger_is_kept(name, monkeypatch):
+    """dagger is an involution of Inv(J): after `dagger` of a U_x certifies
+    it, dagger(dagger(u)) has u's matrix and runs no second certificate, and
+    both match the trace-form solve.  The kept map is a copy of u, not u, so
+    u and its dagger hold no reference cycle."""
+    f = FIELDS[name]
+    alg = split_albert(f)
+    u = _uop_map(alg, alg.sample_norm_one(random.Random(24), 2))
+    calls = _spy_certificate(monkeypatch)
+    dag = dagger(u, alg)
+    back = dagger(dag, alg)
+    assert back.matrix == u.matrix and back is not u
+    assert back._ints == u._ints and back._dagger is None
+    assert calls == [("_cross_dagger", u), ("_products_agree", u)]
+    assert is_inv_member(dag, alg)
+    assert len(calls) == 2
+    assert dag.matrix == _ref_dagger(u, alg)
+    assert back.matrix == _ref_dagger(dag, alg)
 
 
 @pytest.mark.parametrize("name", ["Q", "Fp:7"])
 def test_certified_map_keeps_its_dagger(name, monkeypatch):
     """After `is_inv_member` certifies a U_x, `dagger` and `lift_inv` of it
-    run neither the norm guard nor the cross products and return the
+    run neither the cross products nor the product law and return the
     matrices a fresh map gets; the kept dagger's integer form is the one
     its matrix gives.  A failed certificate keeps nothing, whether the
     trace-form check fails (a perturbed U_x) or the product law (the
@@ -687,7 +674,7 @@ def test_certified_map_keeps_its_dagger(name, monkeypatch):
         fn = getattr(linmaps, attr)
         return lambda *args: calls.append(attr) or fn(*args)
 
-    for attr in ("norm_preserving_sampled", "_cross_dagger"):
+    for attr in ("_cross_dagger", "_products_agree"):
         monkeypatch.setattr(linmaps, attr, spy(attr))
     dag = dagger(u, J)
     assert dag.matrix == want_dagger
@@ -757,16 +744,17 @@ def test_dagger_equals_the_trace_form_solve(name):
 
 
 @pytest.mark.parametrize("name", list(FIELDS))
-def test_dagger_check_rejects_a_map_past_the_guard(name, monkeypatch):
-    """With the norm guard made to pass everything, a map outside Inv(J) is
-    still refused: its cross products fail the exact trace-form check, so
-    `dagger` raises NotNormPreserving and keeps no result on the map."""
+def test_dagger_check_rejects_a_map_past_the_guard(name):
+    """A map outside Inv(J) is refused: the first four fail the exact
+    trace-form check of the cross products, and the witness passes it but
+    fails the product law, so `dagger` raises NotNormPreserving and keeps no
+    result on the map."""
     f = FIELDS[name]
     alg = split_albert(f)
-    monkeypatch.setattr(linmaps, "norm_preserving_sampled", lambda *args: True)
     ux = _uop_map(alg, alg.sample_norm_one(random.Random(13), 2))
     scaled_nu = _nu_g_map(alg, 2).compose(_scalar_map(alg, 3))
-    for phi in (_scalar_map(alg, 3), _scalar_map(alg, 0), _perturbed(ux), scaled_nu):
+    witness = _trace_check_witness(alg)
+    for phi in (_scalar_map(alg, 3), _scalar_map(alg, 0), _perturbed(ux), scaled_nu, witness):
         with pytest.raises(NotNormPreserving):
             dagger(phi, alg)
         assert phi._dagger is None
@@ -775,7 +763,8 @@ def test_dagger_check_rejects_a_map_past_the_guard(name, monkeypatch):
 def test_dagger_over_q_does_no_fraction_arithmetic(monkeypatch):
     """After a warm-up call has built the algebra's cached data, `dagger` of
     a fresh U_x over Q reads and builds Fractions but does no arithmetic on
-    them: the guard, the cross products and the check run in ints."""
+    them: the cross products, the trace-form check and the product law run
+    in ints."""
     alg = split_albert(Q())
     rng = random.Random(14)
     dagger(_uop_map(alg, alg.sample_norm_one(rng, 2)), alg)
@@ -837,8 +826,8 @@ def test_is_identity_reads_the_integer_form():
 
 @pytest.mark.parametrize("name", ["Q", "Fp:7"])
 def test_integer_form_is_built_once_per_map(name, monkeypatch):
-    """`dagger` (its norm guard) and then `is_inv_member` on one U_x convert
-    its matrix to integers once."""
+    """`dagger` (its certificate) and then `is_inv_member` on one U_x, and
+    `dagger` of its dagger, convert its matrix to integers once."""
     f = FIELDS[name]
     alg = split_albert(f)
     u = _uop_map(alg, alg.sample_norm_one(random.Random(21), 2))
@@ -851,9 +840,9 @@ def test_integer_form_is_built_once_per_map(name, monkeypatch):
         return to_ints(values, field)
 
     monkeypatch.setattr(linmaps, "to_ints", counting)
-    dagger(u, alg)
+    dag = dagger(u, alg)
     assert is_inv_member(u, alg)
-    assert norm_preserving_sampled(u, alg, 5)
+    assert dagger(dag, alg)._ints == u._ints
     assert len(conversions) == 1
 
 
