@@ -24,15 +24,15 @@ The cross product x # y is a structure table (`cross_table`) derived on first
 use from the Jordan table, the trace vector and the Gram matrix.
 
 The operators that turn one input into 27 to 729 outputs run in Python ints
-on both fields: `sharp_raw`, `jinv_raw`, `uop_matrix_sharp`, `trform_raw`
-and `gram_vec`, and `uop_matrix` over Q.  Each scales its input once to
+on both fields: `sharp_raw`, `jinv_raw`, `uop_matrix`, `uop_matrix_sharp`,
+`trform_raw` and `gram_vec`.  Each scales its input once to
 integers over one denominator (`linalg.to_ints`), sums with the integer
 Jordan table (`MulTable.mul_ints`, `MulTable.left_ints`) and the integer
 Gram matrix, and converts once per output entry (`linalg.from_ints`): one
 `Fraction` per nonzero entry over Q, with zeros the shared zero(), and one
-reduction mod p over F_p.  Over F_p `uop_matrix` squares L_x with the packed
-`linalg.mat_mul`.  `tits_phi_matrix` builds the torus and SL3 maps of the
-Tits model from Kronecker blocks, inverting each factor once.
+reduction mod p over F_p.  `uop_matrix` squares L_x with `linalg.MatVec`.
+`tits_phi_matrix` builds the torus and SL3 maps of the Tits model from
+Kronecker blocks, inverting each factor once with `linalg.inverse`.
 """
 
 from __future__ import annotations
@@ -50,9 +50,9 @@ from .errors import (
     SingularElement,
     ZeroMultiplier,
 )
-from .fields import PRIME, FieldSpec, Scalar
+from .fields import FieldSpec, Scalar
 from .kernels import Algebra, Elem, MulTable
-from .linalg import block_diag, from_ints, identity, kron, mat_mul, to_ints, transpose
+from .linalg import MatVec, block_diag, from_ints, identity, inverse, kron, mat_mul, to_ints, transpose
 from .linmaps import ALBERT, LinMap
 
 DIM = 27
@@ -81,15 +81,6 @@ class NormForm:
 
 # -- 3x3 matrix helpers over a field (used by the Tits model) ---------------
 
-def mat3_mul(f, A, B):
-    cols = tuple(zip(*B))
-    out = tuple(tuple(r[0] * c[0] + r[1] * c[1] + r[2] * c[2] for c in cols) for r in A)
-    if f.kind == PRIME:
-        p = f.p
-        return tuple(tuple([v % p for v in r]) for r in out)
-    return out
-
-
 def mat3_det(f, A):
     (a, b, c), (d, e, g), (h, i, j) = A
     return f.sub(
@@ -112,22 +103,8 @@ def mat3_tr(f, A):
     return f.add(f.add(A[0][0], A[1][1]), A[2][2])
 
 
-def mat3_identity(f):
-    one, zero = f.one(), f.zero()
-    return ((one, zero, zero), (zero, one, zero), (zero, zero, one))
-
-
 def mat3_from_flat(flat):
     return (tuple(flat[0:3]), tuple(flat[3:6]), tuple(flat[6:9]))
-
-
-def mat3_inverse(f, A):
-    d = mat3_det(f, A)
-    if not d:
-        raise SingularElement("singular 3x3 matrix")
-    di = f.inv(d)
-    adj = mat3_adj(f, A)
-    return tuple(tuple(f.mul(di, v) for v in row) for row in adj)
 
 
 # -- the Jordan tables, derived from structure data --------------------------
@@ -529,26 +506,19 @@ class AlbertAlgebra(Algebra):
         return tuple(f.sub(f.mul(t, x[k]), cr[k]) for k in range(DIM))
 
     def uop_matrix(self, x):
-        """U_x = 2 L_x^2 - L_{x^2} as a 27x27 matrix.  Over Q, with x = xi / d
-        and D L the integer left multiplications of `MulTable.left_ints`,
-        U_x = (2 (D L_xi)^2 - D L_{D xi^2}) / (D d)^2 in ints; over F_p the
-        square is the packed `mat_mul`."""
+        """U_x = 2 L_x^2 - L_{x^2} as a 27x27 matrix.  With x = xi / d and
+        D L the integer left multiplications of `MulTable.left_ints`,
+        U_x = (2 (D L_xi)^2 - D L_{D xi^2}) / (D d)^2 in ints; row i of the
+        square is the `MatVec` of (D L_xi)^T applied to row i of D L_xi."""
         f = self.field
-        if f.kind == PRIME:
-            lx = self.table.left_matrix(x, f)
-            lx2 = self.table.left_matrix(self.jmul_raw(x, x), f)
-            sq = mat_mul(lx, lx, f)
-            p = f.p
-            return tuple(tuple([(2 * s - t) % p for s, t in zip(rs, rt)])
-                         for rs, rt in zip(sq, lx2))
         d, xi = to_ints(x, f)
         table = self.table
         lx = table.left_ints(xi)
         lx2 = table.left_ints(table.mul_ints(xi, xi))
-        cols = tuple(zip(*lx))
+        sq = MatVec(transpose(lx), f)
         den = (table.int_table()[0] * d) ** 2
         return tuple(
-            from_ints([2 * sum(map(mul, r, c)) - t for c, t in zip(cols, r2)], den, f)
+            from_ints([2 * s - t for s, t in zip(sq.apply(r), r2)], den, f)
             for r, r2 in zip(lx, lx2)
         )
 
@@ -653,7 +623,7 @@ class AlbertAlgebra(Algebra):
         for m in (u, v, w):
             if mat3_det(f, m) != one:
                 raise NotUnimodular("tits_phi factors must have determinant 1")
-        return tuple(mat3_inverse(f, m) for m in (u, v, w))
+        return tuple(inverse(m, f) for m in (u, v, w))
 
     def tits_phi_raw(self, u, v, w, x):
         """(u a0 v^-1, v a1 w^-1, w a2 u^-1) on one element; the reference for
@@ -661,9 +631,9 @@ class AlbertAlgebra(Algebra):
         f = self.field
         ui, vi, wi = self._tits_phi_inverses(u, v, w)
         a0, a1, a2 = (mat3_from_flat(x[9 * r: 9 * r + 9]) for r in range(3))
-        p0 = mat3_mul(f, mat3_mul(f, u, a0), vi)
-        p1 = mat3_mul(f, mat3_mul(f, v, a1), wi)
-        p2 = mat3_mul(f, mat3_mul(f, w, a2), ui)
+        p0 = mat_mul(mat_mul(u, a0, f), vi, f)
+        p1 = mat_mul(mat_mul(v, a1, f), wi, f)
+        p2 = mat_mul(mat_mul(w, a2, f), ui, f)
         flat = []
         for m in (p0, p1, p2):
             for row in m:

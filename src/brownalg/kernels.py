@@ -16,9 +16,8 @@ integer vectors of `linalg.to_ints`: `mul_ints` gives D (x.y) and
 `left_ints` gives D L_x, the matrix of y -> D (x.y); both skip the zero
 coordinates of their operands, so sparse inputs cost proportionally less.
 Every product of the package runs on them.  `MulTable.apply`, the product of
-field values, is `to_ints`, `mul_ints` and one `from_ints` on both fields;
-`MulTable.left_matrix`, the matrix of y -> x.y, is `left_ints` converted
-back.  The Albert operators work on `mul_ints` and `left_ints` directly.
+field values, is `to_ints`, `mul_ints` and one `from_ints` on both fields.
+The Albert operators work on `mul_ints` and `left_ints` directly.
 The closure and automorphism certificates (`linalg.IntSpan.closed`,
 `linmaps.is_automorphism`) take the table itself.  `mul_ints` only tests
 the coordinates of its operands for zero and multiplies them, so it runs
@@ -134,13 +133,6 @@ class MulTable:
                 for j, k, c in grp:
                     rows[k][j] += c * xv
         return rows
-
-    def left_matrix(self, x, field: FieldSpec):
-        """Matrix of y -> apply(x, y) in the standard basis, summed in ints
-        by `left_ints` and converted once per entry."""
-        d, xi = to_ints(x, field)
-        den = self.int_table()[0] * d
-        return tuple(from_ints(row, den, field) for row in self.left_ints(xi))
 
 
 class Algebra:

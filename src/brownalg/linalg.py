@@ -3,21 +3,22 @@
 Matrices are tuples of row tuples of raw field values: `Fraction` over Q,
 `int` in [0, p) over F_p.  `mat_mul` and the row operations of `rref` skip
 zero entries, so the sparse near-permutation maps of the involution catalog
-cost proportionally less.
+cost proportionally less.  Every product of a matrix and a vector in the
+package is `MatVec.apply`, the one code that picks the kernel for the field.
 
-Over F_p the kernels hold each row (for `PackedColumns`, each column) as one
-Python int with one fixed-width slot per entry (Kronecker substitution;
-Harvey, J. Symb. Comp. 44, 2009): a row operation is one big-integer
-multiply-add in C instead of a Python loop over the entries.  Entries stay
-nonnegative and are only added up, so a slot never borrows from its
-neighbour; it only needs room for the largest sum it can reach, and the
-rows are unpacked and reduced mod p at the end.  `_slot` sizes the slots:
-n (p-1)^2 for a product with inner dimension n, and (p-1) + min(m, n)
-(p-1)^2 for `rref` on an m x n matrix.  `rref` eliminates with
-row_i += (p - f) row_r, and a row receives at most one such update per
-pivot, with the pivot row unpacked, reduced, scaled and repacked when it is
-chosen; so no slot can overflow and no reduction is needed partway through.
-An entry is read by shift, mask and reduction mod p.
+Over F_p the kernels hold each row (for `MatVec`, each column) as one
+Python int with one fixed-width slot per entry, entry j in slot j from the
+low end on every host (Kronecker substitution; Harvey, J. Symb. Comp. 44,
+2009): a row operation is one big-integer multiply-add in C instead of a
+Python loop over the entries.  Entries stay nonnegative and are only added
+up, so a slot never borrows from its neighbour; it only needs room for the
+largest sum it can reach, and the rows are unpacked and reduced mod p at
+the end.  `_slot` sizes the slots: n (p-1)^2 for a product with inner
+dimension n, and (p-1) + min(m, n) (p-1)^2 for `rref` on an m x n matrix.
+`rref` eliminates with row_i += (p - f) row_r, and a row receives at most
+one such update per pivot, with the pivot row unpacked, reduced, scaled and
+repacked when it is chosen; so no slot can overflow and no reduction is
+needed partway through.  An entry is read by shift, mask and reduction mod p.
 
 `SignedPacking` packs rows of any sign on both fields: row v is the one int
 sum_j v_j 2^(s j) whatever the signs, and a sum of multiples of packed rows
@@ -60,7 +61,6 @@ import itertools
 import math
 import operator
 import struct
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -75,11 +75,8 @@ def _modulus(field: FieldSpec) -> int:
     return field.p
 
 
-# struct format codes by item size for the slot widths of the packed F_p rows
-_CODES = {struct.calcsize(c): c for c in "HIQ"}
-# column j of an n-column packed row sits in slot j from the low end on a
-# little-endian host and in slot n - 1 - j on a big-endian one
-_BIG = sys.byteorder == "big"
+# little-endian struct format codes by item size for the packed slot widths
+_CODES = {2: "H", 4: "I", 8: "Q"}
 
 
 def _slot(bound: int) -> int:
@@ -93,10 +90,10 @@ def _pack(row, slot: int) -> int:
     """The nonnegative ints of `row`, below 256**slot, as one int."""
     code = _CODES.get(slot)
     if code is None:
-        data = b"".join([v.to_bytes(slot, sys.byteorder) for v in row])
+        data = b"".join([v.to_bytes(slot, "little") for v in row])
     else:
-        data = struct.pack(f"{len(row)}{code}", *row)
-    return int.from_bytes(data, sys.byteorder)
+        data = struct.pack(f"<{len(row)}{code}", *row)
+    return int.from_bytes(data, "little")
 
 
 @functools.lru_cache(maxsize=64)
@@ -107,21 +104,21 @@ def _offsets(n: int, slot: int) -> int:
 
 def _pack_signed(row, slot: int) -> int:
     """The ints of `row`, of any sign and absolute value below 2**(8 slot - 1),
-    as the one int sum_j row[j] 2**(8 slot j) on every host: each entry is
-    packed offset by h = 2**(8 slot - 1) and h is taken out of every slot at
-    once (`_offsets`), which borrows across slots exactly as the sum does."""
+    as the one int sum_j row[j] 2**(8 slot j): each entry is packed offset
+    by h = 2**(8 slot - 1) and h is taken out of every slot at once
+    (`_offsets`), which borrows across slots exactly as the sum does."""
     h = 1 << (8 * slot - 1)
-    return _pack([v + h for v in (row[::-1] if _BIG else row)], slot) - _offsets(len(row), slot)
+    return _pack([v + h for v in row], slot) - _offsets(len(row), slot)
 
 
 def _unpack(acc: int, n: int, slot: int):
     """The n slot values of a packed row, in column order."""
-    data = acc.to_bytes(n * slot, sys.byteorder)
+    data = acc.to_bytes(n * slot, "little")
     code = _CODES.get(slot)
     if code is None:
-        return [int.from_bytes(data[i : i + slot], sys.byteorder)
+        return [int.from_bytes(data[i : i + slot], "little")
                 for i in range(0, n * slot, slot)]
-    return memoryview(data).cast(code)
+    return struct.unpack(f"<{n}{code}", data)
 
 
 def to_ints(values, field: FieldSpec):
@@ -141,9 +138,11 @@ def to_ints(values, field: FieldSpec):
 def from_ints(ints, den: int, field: FieldSpec):
     """The field values ints / den as a tuple: over Q one `Fraction` per
     nonzero entry and the shared zero() for the others; over F_p each entry
-    reduced once (den must be a unit mod p)."""
+    times 1/den (den a unit mod p; skipped when it is 1), reduced once."""
     if field.kind == PRIME:
         p = field.p
+        if den == 1:
+            return tuple([v % p for v in ints])
         inv = pow(den, -1, p)
         return tuple([v * inv % p for v in ints])
     return tuple([Fraction(v, den) if v else _ZERO for v in ints])
@@ -182,23 +181,32 @@ def kron(a, b, field: FieldSpec):
     )
 
 
-class PackedColumns:
-    """An m x n matrix over F_p held as its n packed columns, for repeated
-    products a v: a v is the packed sum of the columns weighted by the
-    nonzero v[k], unpacked and reduced once."""
+class MatVec:
+    """An m x n integer matrix M held for repeated products M v with integer
+    vectors v, on both fields.  Over F_p the columns are reduced mod p and
+    packed once (slots for n (p-1)^2), and M v is the packed sum of the
+    columns weighted by the nonzero v[k] mod p, read back unreduced for the
+    caller's `from_ints`; over Q each row is summed against v.  A field with
+    no arithmetic raises NonArithmeticField."""
 
-    __slots__ = ("p", "m", "slot", "cols")
+    __slots__ = ("p", "m", "slot", "cols", "rows")
 
-    def __init__(self, a, p: int):
-        self.p = p
+    def __init__(self, a, field: FieldSpec):
+        if field.kind == RATIONALS:
+            self.p, self.rows = 0, a
+            return
+        p = self.p = _modulus(field)
         self.m = len(a)
         self.slot = _slot((len(a[0]) if a else 0) * (p - 1) ** 2)
-        self.cols = [_pack(col, self.slot) for col in zip(*a)]
+        self.cols = [_pack([x % p for x in col], self.slot) for col in zip(*a)]
 
     def apply(self, v):
+        """M v for an integer vector v, as a sequence of ints."""
         p = self.p
-        acc = sum([x * col for x, col in zip(v, self.cols) if x])
-        return tuple([s % p for s in _unpack(acc, self.m, self.slot)])
+        if not p:
+            return [sum(map(operator.mul, row, v)) for row in self.rows]
+        acc = sum([x % p * col for x, col in zip(v, self.cols) if x])
+        return _unpack(acc, self.m, self.slot)
 
 
 @dataclass(frozen=True)
@@ -235,8 +243,7 @@ class SignedPacking:
         below h = 2^(s - 1): h is added to every slot (`_offsets`), which
         makes each entry nonnegative, and taken out of each slot read back."""
         h = 1 << (8 * self.slot - 1)
-        row = [v - h for v in _unpack(acc + _offsets(n, self.slot), n, self.slot)]
-        return row[::-1] if _BIG else row
+        return [v - h for v in _unpack(acc + _offsets(n, self.slot), n, self.slot)]
 
     def is_zero(self, acc: int, n: int) -> bool:
         """Whether each of the n entries of the packing acc is 0 in the field:
@@ -272,12 +279,12 @@ class SignedPacking:
 
 def mat_mul(a, b, field: FieldSpec):
     """Row i of a b is the combination of the rows b[k] weighted by the
-    nonzero a[i][k]; over F_p that is b^T a[i], with the rows of b packed
-    once as the columns of b^T."""
+    nonzero a[i][k]; over F_p that is b^T a[i] by the `MatVec` of b^T,
+    whose packed columns are the rows of b."""
     if field.kind == RATIONALS:
         return _mat_mul_q(a, b, field)
-    bt = PackedColumns(transpose(b), _modulus(field))
-    return tuple([bt.apply(row) for row in a])
+    bt = MatVec(transpose(b), field)
+    return tuple([from_ints(bt.apply(row), 1, field) for row in a])
 
 
 def _mat_mul_q(a, b, field):
@@ -318,7 +325,7 @@ def rref(a, field: FieldSpec):
     pivots = []
     r = 0
     for c in range(n):
-        shift = bits * (n - 1 - c if _BIG else c)
+        shift = bits * c
         pr = next((i for i in range(r, m) if (rows[i] >> shift & mask) % p), -1)
         if pr < 0:
             continue

@@ -6,11 +6,12 @@ A `LinMap` takes its dimension from its matrix, so it can act on any algebra
 of the tower (a quaternion algebra too); it is matched to an algebra, and to
 another map, by the basis tag, and its carrier is only a label.  It keeps
 one integer form, `_ints` = (d, M) with M = d * matrix (`linalg.to_ints` of
-its entries, d = 1 over F_p), built on first use: `apply` over Q,
+its entries, d = 1 over F_p), built on first use: `apply`,
 `is_identity` and the membership certificates below all read it, so a map
 is scaled to integers once, and so is its largest |entry|, which sizes
-the slots of every packed certificate.  Over F_p `apply` runs on the packed
-columns (`linalg.PackedColumns`), also built once.  A map also keeps
+the slots of every packed certificate.  `apply` runs the `linalg.MatVec` of
+M, also built once, on both fields.  A map over a field with no element
+arithmetic is refused when it is made.  A map also keeps
 whether it squares to the identity: `order_divides_two` checks
 M M = d^2 I once, on packed rows of its integer form, and builds no matrix
 of field values.
@@ -55,7 +56,6 @@ import collections
 import functools
 import itertools
 import math
-import operator
 from dataclasses import dataclass, field as dc_field
 
 from .errors import (
@@ -66,7 +66,7 @@ from .errors import (
 )
 from .fields import PRIME, RATIONALS, FieldSpec
 from .linalg import (
-    PackedColumns,
+    MatVec,
     SignedPacking,
     from_ints,
     inverse,
@@ -92,6 +92,7 @@ class LinMap:
     _dagger: "LinMap | None" = dc_field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        self.field._need_arith()
         n = len(self.matrix)
         if any(len(r) != n for r in self.matrix):
             raise CarrierMismatch(f"matrix with {n} rows is not square")
@@ -117,11 +118,6 @@ class LinMap:
         )
 
     @functools.cached_property
-    def _packed(self) -> PackedColumns:
-        """The packed columns of an F_p map, built on its first `apply`."""
-        return PackedColumns(self.matrix, self.field.p)
-
-    @functools.cached_property
     def _ints(self):
         """(d, M) with M = d * matrix in ints as a tuple of row tuples, d the
         lcm of the entries' denominators (1 over F_p): `to_ints` of the
@@ -135,19 +131,20 @@ class LinMap:
         """The largest |entry| of M in `_ints` (0 for the empty map)."""
         return max(map(abs, itertools.chain.from_iterable(self._ints[1])), default=0)
 
+    @functools.cached_property
+    def _matvec(self) -> MatVec:
+        """The `MatVec` of M in `_ints`, built on first use."""
+        return MatVec(self._ints[1], self.field)
+
     def apply(self, coords):
-        """The image of a coordinate vector: over F_p by the packed columns,
-        over Q as M v / (d d_v) on the integer forms of the map and of v."""
+        """The image of a coordinate vector: M v / (d d_v) on the integer
+        forms of the map and of v."""
         if len(coords) != self.dim:
             raise CarrierMismatch(
                 f"map of dimension {self.dim} applied to {len(coords)} coordinates"
             )
-        f = self.field
-        if f.kind == PRIME:
-            return self._packed.apply(coords)
-        dv, v = to_ints(coords, f)
-        d, m = self._ints
-        return from_ints([sum(map(operator.mul, row, v)) for row in m], d * dv, f)
+        dv, v = to_ints(coords, self.field)
+        return from_ints(self._matvec.apply(v), self._ints[0] * dv, self.field)
 
     def inverse_map(self) -> "LinMap":
         inv = inverse(self.matrix, self.field)
@@ -300,9 +297,9 @@ def is_automorphism(phi: LinMap, table, unit, commutative: bool = False) -> bool
     largest entry, and the pairs are `_products_agree` with P = M, a = d and
     b = 1: d M mul_ints(e_i, e_l) = mul_ints(M e_i, M e_l)."""
     f = phi.field
-    d, m = phi._ints
+    d = phi._ints[0]
     u = to_ints(unit, f)[1]
-    diff = [sum(map(operator.mul, row, u)) - d * x for row, x in zip(m, u)]
+    diff = [s - d * x for s, x in zip(phi._matvec.apply(u), u)]
     unit_law = SignedPacking.holding(max(map(abs, diff), default=0), f)
     if not unit_law.is_zero(unit_law.pack(diff), phi.dim):
         return False

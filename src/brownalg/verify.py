@@ -11,7 +11,7 @@ import random
 from dataclasses import dataclass
 
 from . import linalg
-from .albert import beth_basis, mat3_det, mat3_from_flat, mat3_mul, mat3_tr
+from .albert import beth_basis, mat3_det, mat3_from_flat, mat3_tr
 from .brown import BrownAlgebra
 from .cayley import CDAlgebra
 from .errors import AlgebraError
@@ -59,6 +59,13 @@ def _fail(msg: str):
     raise CheckFailure(msg)
 
 
+def _unit_law_holds(alg) -> bool:
+    """Whether x -> 1.x and x -> x.1 are both the identity map."""
+    e = alg.unit_coords
+    return (alg.linmap_of(lambda x: alg.mul_raw(e, x)).is_identity()
+            and alg.linmap_of(lambda x: alg.mul_raw(x, e)).is_identity())
+
+
 # -- composition suite ---------------------------------------------------------
 
 def _oct_algebras(ctx):
@@ -68,13 +75,9 @@ def _oct_algebras(ctx):
 
 
 def check_unit_law(ctx):
-    rng = ctx.rng("cda-unit")
     for alg in _oct_algebras(ctx):
-        e = alg.unit_coords
-        for _ in range(ctx.scaled(0.1)):
-            x = alg.sample(rng).coords
-            if alg.mul_raw(e, x) != x or alg.mul_raw(x, e) != x:
-                _fail(f"unit law fails in {alg.basis_tag}")
+        if not _unit_law_holds(alg):
+            _fail(f"unit law fails in {alg.basis_tag}")
 
 
 def check_composition_law(ctx):
@@ -110,12 +113,12 @@ def check_alternativity(ctx):
 def check_conj_antihom(ctx):
     rng = ctx.rng("cda-conj")
     for alg in _oct_algebras(ctx):
+        if not alg.linmap_of(alg.conj_raw).order_divides_two():
+            _fail("conj is not involutive")
         for _ in range(ctx.scaled(0.3)):
             x, y = alg.sample(rng).coords, alg.sample(rng).coords
             if alg.conj_raw(alg.mul_raw(x, y)) != alg.mul_raw(alg.conj_raw(y), alg.conj_raw(x)):
                 _fail(f"conj(xy) != conj(y)conj(x) in {alg.basis_tag}")
-            if alg.conj_raw(alg.conj_raw(x)) != x:
-                _fail("conj is not involutive")
 
 
 def check_gram_nondegenerate(ctx):
@@ -141,15 +144,12 @@ def _albert_models(ctx):
 
 
 def check_jordan_unit_comm(ctx):
-    rng = ctx.rng("alb-unit")
     for alg in _albert_models(ctx):
-        e = alg.unit_coords
-        for _ in range(ctx.scaled(0.2)):
-            x, y = alg.sample(rng).coords, alg.sample(rng).coords
-            if alg.jmul_raw(e, x) != x:
-                _fail("unit law fails")
-            if alg.jmul_raw(x, y) != alg.jmul_raw(y, x):
-                _fail("commutativity fails")
+        if not _unit_law_holds(alg):
+            _fail("unit law fails")
+        entries = alg.table.entries
+        if sorted(entries) != sorted((j, i, k, c) for i, j, k, c in entries):
+            _fail("commutativity fails")
 
 
 def check_sharp_axioms(ctx):
@@ -157,6 +157,10 @@ def check_sharp_axioms(ctx):
     for alg in _albert_models(ctx):
         f = alg.field
         e = alg.unit_coords
+        want = alg.linmap_of(
+            lambda x: (alg.unit().scale(alg.tr_raw(x)) - alg.elem(alg, x)).coords)
+        if alg.linmap_of(lambda x: alg.cross_raw(e, x)).matrix != want.matrix:
+            _fail(f"1 # x != Tr(x) 1 - x: {alg.basis_tag}")
         for _ in range(ctx.scaled(0.5)):
             x, y = alg.sample(rng, 3).coords, alg.sample(rng, 3).coords
             xs = alg.sharp_raw(x)
@@ -165,10 +169,6 @@ def check_sharp_axioms(ctx):
             n = alg.norm_raw(x)
             if alg.sharp_raw(xs) != tuple(f.mul(n, v) for v in x):
                 _fail(f"(x#)# != N(x) x: {alg.basis_tag}")
-            tr = alg.tr_raw(x)
-            want = tuple(f.sub(f.mul(tr, e[k]), x[k]) for k in range(27))
-            if alg.cross_raw(e, x) != want:
-                _fail(f"1 # x != Tr(x) 1 - x: {alg.basis_tag}")
         if alg.norm_raw(e) != f.one():
             _fail("N(1) != 1")
 
@@ -213,7 +213,7 @@ def _tits_displayed_norm(alg, x):
     a0, a1, a2 = (mat3_from_flat(x[9 * r: 9 * r + 9]) for r in range(3))
     n = f.add(mat3_det(f, a0), f.mul(vs, mat3_det(f, a1)))
     n = f.add(n, f.mul(f.inv(vs), mat3_det(f, a2)))
-    return f.sub(n, mat3_tr(f, mat3_mul(f, mat3_mul(f, a0, a1), a2)))
+    return f.sub(n, mat3_tr(f, linalg.mat_mul(linalg.mat_mul(a0, a1, f), a2, f)))
 
 
 def check_closed_norm(ctx):
@@ -319,11 +319,10 @@ ALBERT_CHECKS = (
 def check_brown_unit_inv(ctx):
     rng = ctx.rng("br-unit")
     for b in (ctx.cat.B, BrownAlgebra(ctx.cat.J, zeta=2)):
-        e = b.unit().coords
+        if not _unit_law_holds(b):
+            _fail("Brown unit law fails")
         for _ in range(ctx.scaled(0.5)):
             x, y = b.sample(rng).coords, b.sample(rng).coords
-            if b.bmul_raw(e, x) != x or b.bmul_raw(x, e) != x:
-                _fail("Brown unit law fails")
             if b.binv_raw(b.bmul_raw(x, y)) != b.bmul_raw(b.binv_raw(y), b.binv_raw(x)):
                 _fail("binv is not an anti-homomorphism")
 

@@ -107,10 +107,11 @@ def _ref_tits_sharp_cross(alg, x, y):
                      for i in range(3))
     def mscale(s, A):
         return tuple(tuple(f.mul(s, v) for v in row) for row in A)
-    mul = albert.mat3_mul
-    p0 = msub2(adjp(a0, b0), mul(f, a1, b2), mul(f, b1, a2))
-    p1 = msub2(mscale(vsi, adjp(a2, b2)), mul(f, a0, b1), mul(f, b0, a1))
-    p2 = msub2(mscale(vs, adjp(a1, b1)), mul(f, a2, b0), mul(f, b2, a0))
+    def mul(A, B):
+        return linalg.mat_mul(A, B, f)
+    p0 = msub2(adjp(a0, b0), mul(a1, b2), mul(b1, a2))
+    p1 = msub2(mscale(vsi, adjp(a2, b2)), mul(a0, b1), mul(b0, a1))
+    p2 = msub2(mscale(vs, adjp(a1, b1)), mul(a2, b0), mul(b2, a0))
     return tuple(v for m in (p0, p1, p2) for row in m for v in row)
 
 
@@ -118,9 +119,9 @@ def _ref_tits_trform(alg, x, y):
     f = alg.field
     xs = [albert.mat3_from_flat(x[9 * r: 9 * r + 9]) for r in range(3)]
     ys = [albert.mat3_from_flat(y[9 * r: 9 * r + 9]) for r in range(3)]
-    acc = albert.mat3_tr(f, albert.mat3_mul(f, xs[0], ys[0]))
-    acc = f.add(acc, albert.mat3_tr(f, albert.mat3_mul(f, xs[1], ys[2])))
-    return f.add(acc, albert.mat3_tr(f, albert.mat3_mul(f, xs[2], ys[1])))
+    acc = albert.mat3_tr(f, linalg.mat_mul(xs[0], ys[0], f))
+    acc = f.add(acc, albert.mat3_tr(f, linalg.mat_mul(xs[1], ys[2], f)))
+    return f.add(acc, albert.mat3_tr(f, linalg.mat_mul(xs[2], ys[1], f)))
 
 
 def _ref_tits_jmul(alg, x, y):
@@ -320,7 +321,7 @@ def test_tits_norm_closed_matches_definition():
         expect = f.sub(
             f.add(f.add(albert.mat3_det(f, a0), f.mul(f.from_int(2), albert.mat3_det(f, a1))),
                   f.mul(f.inv(f.from_int(2)), albert.mat3_det(f, a2))),
-            albert.mat3_tr(f, albert.mat3_mul(f, albert.mat3_mul(f, a0, a1), a2)),
+            albert.mat3_tr(f, linalg.mat_mul(linalg.mat_mul(a0, a1, f), a2, f)),
         )
         assert alg.norm_raw(x.coords) == expect
 
@@ -464,7 +465,7 @@ def test_jordan_table_is_derived_not_evaluated(monkeypatch):
 
     monkeypatch.setattr(CDAlgebra, "mul_raw", forbidden)
     monkeypatch.setattr(MulTable, "apply", forbidden)
-    monkeypatch.setattr(albert, "mat3_mul", forbidden)
+    monkeypatch.setattr(albert, "mat_mul", forbidden)
     assert len(albert.her_jordan_table(octonions, gamma).entries) == 339
     assert len(albert.tits_jordan_table(Q(), Fraction(3, 2)).entries) == 339
     assert len(albert.tits_jordan_table(Fp(7), 1).entries) == 339
@@ -685,13 +686,13 @@ def _unimodular_samples(f, rng, count):
     """Products of elementary matrices, det = 1."""
     out = []
     for _ in range(count):
-        m = albert.mat3_identity(f)
+        m = linalg.identity(3, f)
         for _ in range(4):
             i, j = rng.sample(range(3), 2)
             c = f.sample_raw(rng, 3)
-            e = [list(r) for r in albert.mat3_identity(f)]
+            e = [list(r) for r in linalg.identity(3, f)]
             e[i][j] = c
-            m = albert.mat3_mul(f, m, tuple(tuple(r) for r in e))
+            m = linalg.mat_mul(m, tuple(tuple(r) for r in e), f)
         out.append(m)
     return out
 
@@ -700,7 +701,7 @@ def test_tits_phi_identity_and_norm():
     alg = tits(Fp(7))
     f = alg.field
     rng = random.Random(18)
-    ident = albert.mat3_identity(f)
+    ident = linalg.identity(3, f)
     x = alg.sample(rng)
     assert tits_phi(ident, ident, ident, x).coords == x.coords
     us = _unimodular_samples(f, rng, 10)
@@ -720,7 +721,7 @@ def test_tits_phi_composition():
     x = alg.sample(rng)
     lhs = tits_phi(u1, v1, w1, tits_phi(u2, v2, w2, x))
     rhs = tits_phi(
-        albert.mat3_mul(f, u1, u2), albert.mat3_mul(f, v1, v2), albert.mat3_mul(f, w1, w2), x
+        linalg.mat_mul(u1, u2, f), linalg.mat_mul(v1, v2, f), linalg.mat_mul(w1, w2, f), x
     )
     assert lhs.coords == rhs.coords
 
@@ -731,7 +732,7 @@ def test_tits_phi_rejects_non_unimodular():
     bad = ((Fraction(2), Fraction(0), Fraction(0)),
            (Fraction(0), Fraction(1), Fraction(0)),
            (Fraction(0), Fraction(0), Fraction(1)))
-    ident = albert.mat3_identity(f)
+    ident = linalg.identity(3, f)
     with pytest.raises(NotUnimodular):
         tits_phi(bad, ident, ident, alg.unit())
 

@@ -130,8 +130,9 @@ def test_trform_and_gram_vec_match_the_gram_matrix(name):
 
 
 def test_int_kernels_match_apply():
-    """D (x.y) and D L_x from the integer table equal D times `apply` and
-    `left_matrix`, on a table with unlike denominators."""
+    """D (x.y) and D L_x from the integer table equal D times `apply`, and
+    D L_x converted back by `from_ints` is the map y -> x.y, on a table with
+    unlike denominators."""
     rng = random.Random(3)
     n = 7
     entries = [(rng.randrange(n), rng.randrange(n), rng.randrange(n),
@@ -145,7 +146,7 @@ def test_int_kernels_match_apply():
         y = tuple(Fraction(rng.randint(-5, 5)) for _ in range(n))
         xi, yi = [int(v) for v in x], [int(v) for v in y]
         assert [Fraction(v, D) for v in table.mul_ints(xi, yi)] == list(table.apply(x, y, f))
-        lm = table.left_matrix(x, f)
+        lm = tuple(linalg.from_ints(r, D, f) for r in table.left_ints(xi))
         assert [[Fraction(v, D) for v in r] for r in table.left_ints(xi)] == [list(r) for r in lm]
         assert LinMap(lm, f, "table7", "table7").apply(y) == table.apply(x, y, f)
 
@@ -157,12 +158,12 @@ def _unimodular(f, rng, diagonal):
         a, b = f.sample_nonzero(rng, 4), f.sample_nonzero(rng, 4)
         z = f.zero()
         return ((a, z, z), (z, b, z), (z, z, f.inv(f.mul(a, b))))
-    m = albert.mat3_identity(f)
+    m = linalg.identity(3, f)
     for _ in range(4):
         i, j = rng.sample(range(3), 2)
-        e = [list(r) for r in albert.mat3_identity(f)]
+        e = [list(r) for r in linalg.identity(3, f)]
         e[i][j] = f.sample_raw(rng, 3)
-        m = albert.mat3_mul(f, m, tuple(map(tuple, e)))
+        m = linalg.mat_mul(m, tuple(map(tuple, e)), f)
     return m
 
 
@@ -172,8 +173,8 @@ def test_tits_phi_map_matches_the_per_element_map(field, diagonal, monkeypatch):
     alg = tits(field)
     rng = random.Random(f"phi:{field}:{diagonal}")
     calls = []
-    real = albert.mat3_inverse
-    monkeypatch.setattr(albert, "mat3_inverse", lambda f, a: calls.append(a) or real(f, a))
+    real = albert.inverse
+    monkeypatch.setattr(albert, "inverse", lambda a, f: calls.append(a) or real(a, f))
     for _ in range(3):
         u, v, w = (_unimodular(field, rng, diagonal) for _ in range(3))
         ref = alg.linmap_of(lambda x: alg.tits_phi_raw(u, v, w, x))
@@ -187,7 +188,7 @@ def test_tits_phi_map_matches_the_per_element_map(field, diagonal, monkeypatch):
 
 def test_tits_phi_map_errors():
     f = Q()
-    ident = albert.mat3_identity(f)
+    ident = linalg.identity(3, f)
     bad = ((Fraction(2), _ZERO, _ZERO), (_ZERO, Fraction(1), _ZERO), (_ZERO, _ZERO, Fraction(1)))
     with pytest.raises(NotUnimodular, match="determinant 1"):
         tits(f).tits_phi_matrix(ident, bad, ident)

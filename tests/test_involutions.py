@@ -217,7 +217,7 @@ def test_dagger_of_tits_phi_is_swap():
     jt = tits(Fp(7))
     f = jt.field
     rng = random.Random(4)
-    ident = albert.mat3_identity(f)
+    ident = linalg.identity(3, f)
     for _ in range(6):
         # unimodular diagonal triples
         d = [tuple(f.sample_nonzero(rng) for _ in range(2)) for _ in range(3)]

@@ -133,9 +133,10 @@ def _sparse_matrix(rng, n, p):
 
 
 def test_mod_kernels_match_dense_reference():
-    """mat_mul, the packed columns of a map and rref against the triple-loop
-    reference, on dense and permutation-like sparse matrices, for small,
-    33-bit and 61-bit p."""
+    """mat_mul, `MatVec` (also on entries and weights off [0, p), which it
+    reduces), `LinMap.apply` and rref against the triple-loop reference, on
+    dense and permutation-like sparse matrices, for small, 33-bit and
+    61-bit p."""
     for p in PRIMES:
         rng = random.Random(p)
         f = Fp(p)
@@ -148,7 +149,12 @@ def test_mod_kernels_match_dense_reference():
                 assert linalg.mat_mul(a, b, f) == _ref_mat_mul(a, b, p)
                 assert linalg.rref(a, f) == _ref_rref(a, p)
                 v = tuple(rng.randrange(p) if rng.random() < 0.5 else 0 for _ in range(len(a)))
-                assert linalg.PackedColumns(a, p).apply(v) == _ref_mat_vec(a, v, p)
+                assert linalg.from_ints(linalg.MatVec(a, f).apply(v), 1, f) == \
+                    _ref_mat_vec(a, v, p)
+                off = tuple(tuple(x - 3 * p for x in row) for row in a)
+                assert linalg.from_ints(linalg.MatVec(off, f).apply([x + p for x in v]), 1, f) \
+                    == _ref_mat_vec(a, v, p)
+                assert LinMap(a, f, "m", "m").apply(v) == _ref_mat_vec(a, v, p)
         a = _random_matrix(rng, 5, 8, p)
         assert linalg.rref(a, f) == _ref_rref(a, p)
 
@@ -169,6 +175,13 @@ def test_slot_widths_and_pack_round_trip():
         packed = linalg._pack(row, slot)
         assert list(linalg._unpack(packed, len(row), slot)) == row
         assert list(linalg._unpack(0, 3, slot)) == [0, 0, 0]
+
+
+def test_slot_j_holds_column_j():
+    """The packed layout is fixed, whatever the host's byte order: column j
+    of a row sits in slot j from the low end."""
+    assert linalg._pack([1, 2], 2) == 1 + (2 << 16)
+    assert linalg.SignedPacking(2, 0).pack([-1, 1]) == -1 + (1 << 16)
 
 
 def _signed_slots(acc, n, slot):
@@ -317,7 +330,7 @@ def test_packed_kernels_on_empty_and_one_row_matrices():
         rng = random.Random(p + 4)
         assert linalg.mat_mul((), (), f) == ()
         assert linalg.rref((), f) == ((), ())
-        assert linalg.PackedColumns((), p).apply(()) == ()
+        assert tuple(linalg.MatVec((), f).apply(())) == ()
         assert linalg.inverse((), f) == ()
         assert linalg.nullspace((), f) == []
         for n in (1, 5, 56):
@@ -325,7 +338,8 @@ def test_packed_kernels_on_empty_and_one_row_matrices():
             b = _random_matrix(rng, n, 3, p)
             v = tuple(rng.randrange(p) for _ in range(n))
             assert linalg.mat_mul(a, b, f) == _ref_mat_mul(a, b, p)
-            assert linalg.PackedColumns(a, p).apply(v) == _ref_mat_vec(a, v, p)
+            assert linalg.from_ints(linalg.MatVec(a, f).apply(v), 1, f) == \
+                _ref_mat_vec(a, v, p)
             assert linalg.rref(a, f) == _ref_rref(a, p)
             zero = ((0,) * n,)
             assert linalg.rref(zero, f) == (zero, ())
@@ -378,7 +392,7 @@ def test_left_matrix_consistent_with_apply():
     table = MulTable(n, entries)
     f = Fp(p)
     x = tuple(rng.randrange(p) for _ in range(n))
-    m = table.left_matrix(x, f)
+    m = tuple(linalg.from_ints(row, 1, f) for row in table.left_ints(x))
     for _ in range(5):
         y = tuple(rng.randrange(p) for _ in range(n))
         assert LinMap(m, f, BROWN, "b8").apply(y) == table.apply(x, y, f)

@@ -7,10 +7,10 @@ from fractions import Fraction
 import pytest
 
 from brownalg import albert, linalg, linmaps
-from brownalg.albert import AlbertAlgebra, hermitian, mat3_mul, split_albert, tits
+from brownalg.albert import AlbertAlgebra, hermitian, split_albert, tits
 from brownalg.cayley import CDAlgebra
-from brownalg.errors import CarrierMismatch, NotNormPreserving
-from brownalg.fields import Fp, Q
+from brownalg.errors import CarrierMismatch, NonArithmeticField, NotNormPreserving
+from brownalg.fields import FieldSpec, Fp, Q
 from brownalg.involutions import (
     Catalog,
     fixed_subalgebra,
@@ -282,7 +282,7 @@ def _tits_norm_one(alg, rng):
     one, zero = f.one(), f.zero()
     lower = ((one, zero, zero), (r[0][0], one, zero), (r[0][1], r[0][2], one))
     upper = ((one, r[1][0], r[1][1]), (zero, one, r[1][2]), (zero, zero, one))
-    a0 = mat3_mul(f, lower, upper)
+    a0 = linalg.mat_mul(lower, upper, f)
     a1 = (tuple(r[2]), tuple(r[1]), tuple(f.add(u, v) for u, v in zip(r[2], r[1])))
     x = alg.tits_element(a0, a1, ((zero,) * 3,) * 3)
     assert alg.norm_raw(x.coords) == one
@@ -799,6 +799,15 @@ def test_zero_dimensional_map(name):
     assert m.order_divides_two() is True
     assert m.apply(()) == ()
     assert linmaps.is_automorphism(m, MulTable(0, []), ()) is True
+
+
+@pytest.mark.parametrize("name", ["R", "Kbar", "Qp:5"])
+def test_map_over_a_field_without_arithmetic_is_refused(name):
+    """Such a map would apply and compare its entries as rationals, and
+    answer silently: it is refused when it is made."""
+    one, two = Fraction(1), Fraction(2)
+    with pytest.raises(NonArithmeticField):
+        LinMap(((one, two), (two + one, two + two)), FieldSpec.parse(name), "x", "x")
 
 
 def test_is_identity_reads_the_integer_form():
