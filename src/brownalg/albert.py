@@ -21,7 +21,8 @@ certificates of `linmaps` evaluate no norm.  The paper's displayed norm
 formulas are kept only as independent references, in
 `verify.check_closed_norm` and the tests.
 The cross product x # y is a structure table (`cross_table`) derived on first
-use from the Jordan table, the trace vector and the Gram matrix.
+use from the Jordan table, the trace vector and the Gram matrix, summed in
+ints from their integer forms and converted to field values once.
 
 The operators that turn one input into 27 to 729 outputs run in Python ints
 on both fields: `sharp_raw`, `jinv_raw`, `uop_matrix`, `uop_matrix_sharp`,
@@ -37,6 +38,7 @@ Kronecker blocks, inverting each factor once with `linalg.inverse`.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from operator import mul
@@ -52,7 +54,18 @@ from .errors import (
 )
 from .fields import FieldSpec, Scalar
 from .kernels import Algebra, Elem, MulTable
-from .linalg import MatVec, block_diag, from_ints, identity, inverse, kron, mat_mul, to_ints, transpose
+from .linalg import (
+    MatVec,
+    block_diag,
+    from_ints,
+    identity,
+    inverse,
+    kron,
+    lowest_terms,
+    mat_mul,
+    to_ints,
+    transpose,
+)
 from .linmaps import ALBERT, LinMap
 
 DIM = 27
@@ -403,32 +416,40 @@ class AlbertAlgebra(Algebra):
         """The cross product x # y = 2 x.y - Tr(x) y - Tr(y) x
         + (Tr(x)Tr(y) - Tr(x,y)) e as a table, derived on first use and cached:
         C_ijk = 2 T_ijk - t_i d_jk - t_j d_ik + (t_i t_j - G_ij) e_k from the
-        Jordan table T, the trace vector t, the Gram matrix G and the unit e."""
+        Jordan table T, the trace vector t, the Gram matrix G and the unit e.
+
+        It is summed in ints over L = lcm(D, DG), from the integer forms of T
+        (`MulTable.int_entries`) and of G (`gram_int`) and from t = e, the
+        unit's 0/1 coordinates: L C_ijk = 2 (L/D) (D T_ijk) - L t_i d_jk
+        - L t_j d_ik + (L t_i t_j - (L/DG) (DG G_ij)) e_k.  The keys follow the
+        Jordan entries and then the pairs (i, j) row by row, of which only
+        those with t_i or t_j != 0 or G_ij != 0 carry a term; one
+        `MulTable.from_ints` call makes the entries."""
         if self._cross_table is None:
-            f = self.field
-            t, e, G = self.trvec, self.unit_coords, self.gram
-            two = f.from_int(2)
+            D, dg = self.table.int_table()[0], self.gram_den
+            lcm = math.lcm(D, dg)
+            t = self._unit_int
+            support = [i for i in range(DIM) if t[i]]
+            gram = {(i, j): g for i, j, g in self.gram_int}
             coeffs = {}
 
             def add(i, j, k, c):
-                coeffs[i, j, k] = f.add(coeffs.get((i, j, k), f.zero()), c)
+                coeffs[i, j, k] = coeffs.get((i, j, k), 0) + c
 
-            for i, j, k, c in self.table.entries:
-                add(i, j, k, f.mul(two, c))
-            for i in range(DIM):
-                for j in range(DIM):
-                    if t[i]:
-                        add(i, j, j, f.neg(t[i]))
-                    if t[j]:
-                        add(i, j, i, f.neg(t[j]))
-                    s = f.sub(f.mul(t[i], t[j]), G[i][j])
-                    if s:
-                        for k in range(DIM):
-                            if e[k]:
-                                add(i, j, k, f.mul(s, e[k]))
-            self._cross_table = MulTable(
-                DIM, ((i, j, k, c) for (i, j, k), c in coeffs.items() if c)
-            )
+            for i, j, k, c in self.table.int_entries():
+                add(i, j, k, 2 * (lcm // D) * c)
+            pairs = {(i, j) for i in support for j in range(DIM)}
+            pairs |= {(j, i) for i, j in pairs} | gram.keys()
+            for i, j in sorted(pairs):
+                if t[i]:
+                    add(i, j, j, -lcm * t[i])
+                if t[j]:
+                    add(i, j, i, -lcm * t[j])
+                s = lcm * t[i] * t[j] - lcm // dg * gram.get((i, j), 0)
+                if s:
+                    for k in support:
+                        add(i, j, k, s * t[k])
+            self._cross_table = MulTable.from_ints(DIM, coeffs, coeffs.values(), lcm, self.field)
         return self._cross_table
 
     def cross_raw(self, x, y):
@@ -509,13 +530,14 @@ class AlbertAlgebra(Algebra):
         """U_x = 2 L_x^2 - L_{x^2} as a 27x27 matrix.  With x = xi / d and
         D L the integer left multiplications of `MulTable.left_ints`,
         U_x = (2 (D L_xi)^2 - D L_{D xi^2}) / (D d)^2 in ints; row i of the
-        square is the `MatVec` of (D L_xi)^T applied to row i of D L_xi."""
+        square is the `MatVec` of (D L_xi)^T, reduced mod p over F_p
+        (`lowest_terms`), applied to row i of D L_xi."""
         f = self.field
         d, xi = to_ints(x, f)
         table = self.table
         lx = table.left_ints(xi)
         lx2 = table.left_ints(table.mul_ints(xi, xi))
-        sq = MatVec(transpose(lx), f)
+        sq = MatVec([lowest_terms(col, 1, f)[1] for col in zip(*lx)], f)
         den = (table.int_table()[0] * d) ** 2
         return tuple(
             from_ints([2 * s - t for s, t in zip(sq.apply(r), r2)], den, f)

@@ -8,6 +8,7 @@ Coordinate order: (alpha, beta, j-block 27, l-block 27).
 from __future__ import annotations
 
 import functools
+import math
 
 from .albert import DIM as JDIM
 from .albert import AlbertAlgebra, AlbertElem
@@ -18,8 +19,8 @@ from .errors import (
     NotOrderTwo,
 )
 from .kernels import Algebra, Elem, MulTable
-from .linalg import block_diag, identity, int_span
-from .linmaps import BROWN, LinMap, dagger, is_aut_member
+from .linalg import identity, int_span
+from .linmaps import BROWN, LinMap, block_diag_map, dagger, is_aut_member
 
 BDIM = 2 + 2 * JDIM
 
@@ -82,25 +83,31 @@ class BrownAlgebra(Algebra):
             alpha = a1 a2 + zeta Tr(j1, l2)
             beta  = b1 b2 + zeta Tr(j2, l1)
             j     = a1 j2 + b2 j1 + zeta l1 # l2
-            l     = b1 l2 + a2 l1 + j1 # j2"""
-        f, z, G = self.field, self.zeta, self.jalg.gram
-        one = f.one()
+            l     = b1 l2 + a2 l1 + j1 # j2
+        in ints over L = zd lcm(DG, D) for zeta = zn / zd, from the integer
+        forms of G (`gram_int`, over DG) and of C (`MulTable.int_entries`,
+        over D), and converted by one `MulTable.from_ints` call."""
+        f, jalg = self.field, self.jalg
+        zn, zd = self.zeta.as_integer_ratio()
+        cross = jalg.cross_table()
+        D, dg = cross.int_table()[0], jalg.gram_den
+        lcm = zd * math.lcm(dg, D)
+        zg, zc, c1 = zn * (lcm // (zd * dg)), zn * (lcm // (zd * D)), lcm // D
         J0, L0 = 2, 2 + JDIM
-        entries = [(0, 0, 0, one), (1, 1, 1, one)]
-        for i in range(JDIM):
-            for j in range(JDIM):
-                if G[i][j]:
-                    zg = f.mul(z, G[i][j])
-                    entries += [(J0 + i, L0 + j, 0, zg), (L0 + j, J0 + i, 1, zg)]
+        keys, ints = [(0, 0, 0), (1, 1, 1)], [lcm, lcm]
+        for i, j, g in jalg.gram_int:
+            keys += [(J0 + i, L0 + j, 0), (L0 + j, J0 + i, 1)]
+            ints += [zg * g] * 2
         for k in range(JDIM):
-            entries += [
-                (0, J0 + k, J0 + k, one), (J0 + k, 1, J0 + k, one),
-                (1, L0 + k, L0 + k, one), (L0 + k, 0, L0 + k, one),
+            keys += [
+                (0, J0 + k, J0 + k), (J0 + k, 1, J0 + k),
+                (1, L0 + k, L0 + k), (L0 + k, 0, L0 + k),
             ]
-        for i, j, k, c in self.jalg.cross_table().entries:
-            entries.append((L0 + i, L0 + j, J0 + k, f.mul(z, c)))
-            entries.append((J0 + i, J0 + j, L0 + k, c))
-        return MulTable(BDIM, entries)
+            ints += [lcm] * 4
+        for i, j, k, c in cross.int_entries():
+            keys += [(L0 + i, L0 + j, J0 + k), (J0 + i, J0 + j, L0 + k)]
+            ints += [zc * c, c1 * c]
+        return MulTable.from_ints(BDIM, keys, ints, lcm, f)
 
     bmul_raw = Algebra.mul_raw
 
@@ -134,8 +141,8 @@ class BrownAlgebra(Algebra):
         raises NotNormPreserving when `is_inv_member`'s certificate fails, for
         a map outside Inv(J)."""
         ml = phi if is_aut_member(phi, self.jalg) else dagger(phi, self.jalg)
-        f = self.field
-        return self.linmap(block_diag((identity(2, f), phi.matrix, ml.matrix), f))
+        scalars = LinMap(identity(2, self.field), self.field, "k2", "k2")
+        return block_diag_map((scalars, phi, ml), self.carrier, self.basis_tag)
 
     def varpi(self) -> LinMap:
         """(alpha, beta, j, l) -> (beta, alpha, l, j); order 2."""

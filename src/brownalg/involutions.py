@@ -37,6 +37,7 @@ from .kernels import MulTable
 from . import linalg
 from .linmaps import (
     LinMap,
+    block_diag_map,
     dagger,
     is_aut_member,
     is_automorphism,
@@ -127,8 +128,8 @@ def lift_c_to_j(t: LinMap, albert: AlbertAlgebra) -> LinMap:
         raise ModelMismatch("octonion lifts live on the Hermitian model")
     if not is_aut_member(t, albert.octonions):
         raise NotAutomorphism("lift_c_to_j needs an octonion automorphism")
-    f = albert.field
-    return albert.linmap(linalg.block_diag((linalg.identity(3, f),) + (t.matrix,) * 3, f))
+    diagonal = LinMap(linalg.identity(3, albert.field), albert.field, "k3", "k3")
+    return block_diag_map((diagonal, t, t, t), albert.carrier, albert.basis_tag)
 
 
 def make_s(albert: AlbertAlgebra) -> LinMap:
@@ -212,18 +213,28 @@ def _context_product(phi: LinMap, context):
     return context.table, context.commutative, involution
 
 
+def _eigen_span(phi: LinMap, eigval):
+    """(basis, span, ints): a basis of phi's eigenspace for eigval
+    (`LinMap.eigenbasis`), its `linalg.IntSpan` on the integer forms of that
+    basis and its free columns, and those integer vectors; no second
+    elimination."""
+    basis, free, forms = phi.eigenbasis(eigval)
+    span = linalg.IntSpan.of_ints(forms, free, phi.dim, phi.field)
+    return basis, span, [ints for _, ints in forms]
+
+
 def fixed_subalgebra(phi: LinMap, context) -> FixedSubalgebra:
     """Exact kernel of (phi - id) with closure verification under the carrier
     product (and the exchange involution on Brown space), on the integer
-    forms of the basis vectors."""
+    forms of the basis vectors and the span of the kernel basis itself, so
+    the map's integer form is eliminated once."""
     if not phi.order_divides_two():
         raise NotOrderTwo("fixed subalgebras are computed for maps with phi^2 = id")
     table, commutative, involution = _context_product(phi, context)
-    basis = phi.fixed_space()
+    basis, span, ints = _eigen_span(phi, 1)
     closed = True
     inv_closed = None
     if basis:
-        span, ints = linalg.int_span(basis, phi.dim, phi.field)
         closed = span.closed(table, ints, commutative=commutative)
         if involution is not None:
             inv_closed = all(span.contains(involution(v)) for v in ints)
@@ -247,14 +258,13 @@ def grade_decompose(phi: LinMap, context, form=None):
     m = phi.matrix
     if linalg.mat_mul(linalg.mat_mul(linalg.transpose(m), form, f), m, f) != form:
         raise FormNotInvariant("form is not invariant under the map")
-    plus = phi.fixed_space()
-    minus = phi.eigenspace(-1)
+    spans = {"+": _eigen_span(phi, 1), "-": _eigen_span(phi, -1)}
+    plus, minus = spans["+"][0], spans["-"][0]
     if len(plus) + len(minus) != n:
         raise NotOrderTwo("eigenspaces do not fill the carrier (characteristic issue?)")
-    spans = {"+": linalg.int_span(plus, n, f), "-": linalg.int_span(minus, n, f)}
     law = {("+", "+"): "+", ("+", "-"): "-", ("-", "+"): "-", ("-", "-"): "+"}
     for (sa, sb), target in law.items():
-        if not spans[target][0].closed(table, spans[sa][1], spans[sb][1]):
+        if not spans[target][1].closed(table, spans[sa][2], spans[sb][2]):
             raise NotAutomorphism("grading law fails; map is not an algebra automorphism")
     return tuple(plus), tuple(minus)
 

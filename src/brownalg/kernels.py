@@ -7,7 +7,11 @@ matrix units and varsigma in the Tits model), the Albert cross product
 (`AlbertAlgebra.cross_table()`, derived from the Jordan table, trace and Gram
 data) and the Brown product (`BrownAlgebra.table`, derived from the cross
 table, the Gram matrix and zeta).  No table is built by evaluating a
-product; the cross and Brown tables are built on first use and cached.
+product; the cross and Brown tables are built on first use and cached, in
+ints: from the integer forms of the Jordan table and of the cross table
+(`MulTable.int_entries`, the entries in order), of the Gram matrix and of
+zeta, over one common denominator, and converted to field values by one
+`MulTable.from_ints` call, which also sets the new table's integer form.
 
 Each table has an integer form (`MulTable.int_table`, built on first use
 and cached): the coefficients scaled by D, the lcm of their denominators (D
@@ -62,7 +66,7 @@ from dataclasses import dataclass
 
 from .errors import AlgebraMismatch
 from .fields import FieldSpec
-from .linalg import from_ints, identity, to_ints, transpose
+from .linalg import from_ints, identity, lowest_terms, to_ints, transpose
 from .linmaps import LinMap
 
 # There is a single pure-Python implementation of every kernel.  The name is
@@ -82,6 +86,24 @@ class MulTable:
         self._int = None
         self._sum = None
 
+    @classmethod
+    def from_ints(cls, n: int, keys, ints, den: int, field: FieldSpec) -> "MulTable":
+        """The table of the entries (i, j, k, c) with c = ints / den nonzero,
+        for the keys (i, j, k) in their order, converted by one `from_ints`
+        call; its integer form is set as `int_table` would compute it from
+        the entries, from the ints in lowest terms (`lowest_terms`)."""
+        d, ints = lowest_terms(list(ints), den, field)
+        values = from_ints(ints, d, field)
+        rows = [[] for _ in range(n)]
+        entries = []
+        for (i, j, k), v, c in zip(keys, ints, values):
+            if v:
+                entries.append((i, j, k, c))
+                rows[i].append((j, k, v))
+        table = cls(n, entries)
+        table._int = (d, rows)
+        return table
+
     def int_table(self):
         """(D, rows): D the lcm of the denominators of the coefficients (1
         over F_p) and rows[i] the (j, k, D c) of the entries with first index
@@ -93,6 +115,11 @@ class MulTable:
                 rows[i].append((j, k, c.numerator * (D // c.denominator)))
             self._int = (D, rows)
         return self._int
+
+    def int_entries(self):
+        """The entries as (i, j, k, D c) in their order, D from `int_table`."""
+        rows = [iter(row) for row in self.int_table()[1]]
+        return [(i, *next(rows[i])) for i, _, _, _ in self.entries]
 
     def int_sum(self) -> int:
         """The largest sum of |D c| over the integer entries into one output

@@ -10,8 +10,9 @@ Over F_p the kernels hold each row (for `MatVec`, each column) as one
 Python int with one fixed-width slot per entry, entry j in slot j from the
 low end on every host (Kronecker substitution; Harvey, J. Symb. Comp. 44,
 2009): a row operation is one big-integer multiply-add in C instead of a
-Python loop over the entries.  Entries stay nonnegative and are only added
-up, so a slot never borrows from its neighbour; it only needs room for the
+Python loop over the entries.  The kernels take entries in [0, p) and do
+not reduce their input.  Entries stay nonnegative and are only added up,
+so a slot never borrows from its neighbour; it only needs room for the
 largest sum it can reach, and the rows are unpacked and reduced mod p at
 the end.  `_slot` sizes the slots: n (p-1)^2 for a product with inner
 dimension n, and (p-1) + min(m, n) (p-1)^2 for `rref` on an m x n matrix.
@@ -41,17 +42,29 @@ back once per entry, one `Fraction` per nonzero entry over Q (zeros are the
 field's shared `zero()`) and one reduction mod p over F_p.  The integer
 kernels of `kernels`, `albert` and `linmaps` read and write this form.
 
-Span membership is one kernel for both fields, `IntSpan`, on integer
-vectors in this form; the certificates build one per span with
-`int_span(vectors, n, field)` and test membership with `IntSpan.contains`
-and closure under the product of a `MulTable` with `IntSpan.closed`, which
-stacks the second factors and makes one `mul_ints` call per first factor.
+`lowest_terms` puts an integer form in lowest terms without making field
+values, as `to_ints` of `from_ints` would: `LinMap.compose` and the dagger
+of `linmaps` keep their results' integer forms this way.
 
-Over Q, `mat_mul` and `rref` run on Python ints in this form.  `rref`
-eliminates fraction-free on primitive integer rows (Bareiss, Math. Comp. 22,
-1968; Cohen, *A Course in Computational Algebraic Number Theory*, 2.2).  Row
-scaling does not change the reduced row echelon form, which is unique, so
-the result equals Gauss-Jordan elimination in `Fraction`s entry for entry.
+Span membership is one kernel for both fields, `IntSpan`, on integer
+vectors in this form.  An `IntSpan` reads rows that are 1 at one column
+each and 0 at the others' columns: the RREF of any vectors, which
+`int_span(vectors, n, field)` computes, or a `kernel` basis with its free
+columns, which needs no second elimination (`IntSpan.of_ints`).  Membership
+is `IntSpan.contains`, and closure under the product of a `MulTable` is
+`IntSpan.closed`, which stacks the second factors and makes one `mul_ints`
+call per first factor.
+
+Over Q, `mat_mul` and `rref` run on Python ints in this form.  Elimination
+(`_eliminate`) is one loop per field on integer rows: `rref` is `to_ints`
+followed by it, and `kernel` runs it on an integer matrix directly, such as
+a map's integer form shifted by an eigenvalue (`LinMap.eigenbasis`).  Over
+Q it eliminates fraction-free on primitive integer rows (Bareiss, Math.
+Comp. 22, 1968; Cohen, *A Course in Computational Algebraic Number Theory*,
+2.2).  Row scaling does not change the reduced row echelon form, which is
+unique, so the result equals Gauss-Jordan elimination in `Fraction`s entry
+for entry.  The one integer product loop, `_combine`, serves `mat_mul` over
+Q and `int_mat_mul`, the product of two integer forms.
 """
 
 from __future__ import annotations
@@ -148,6 +161,18 @@ def from_ints(ints, den: int, field: FieldSpec):
     return tuple([Fraction(v, den) if v else _ZERO for v in ints])
 
 
+def lowest_terms(ints, den: int, field: FieldSpec):
+    """`to_ints` of `from_ints(ints, den, field)`, computed without field
+    values, for den > 0: over Q (den / g, ints / g) with g the gcd of den and
+    the ints, over F_p (1, each entry times 1/den reduced mod p)."""
+    if field.kind == PRIME:
+        return 1, from_ints(ints, den, field)
+    g = math.gcd(den, *ints)
+    if g == 1:
+        return den, ints
+    return den // g, [v // g for v in ints]
+
+
 def identity(n: int, field: FieldSpec):
     one, zero = field.one(), field.zero()
     return tuple(
@@ -183,11 +208,12 @@ def kron(a, b, field: FieldSpec):
 
 class MatVec:
     """An m x n integer matrix M held for repeated products M v with integer
-    vectors v, on both fields.  Over F_p the columns are reduced mod p and
-    packed once (slots for n (p-1)^2), and M v is the packed sum of the
-    columns weighted by the nonzero v[k] mod p, read back unreduced for the
-    caller's `from_ints`; over Q each row is summed against v.  A field with
-    no arithmetic raises NonArithmeticField."""
+    vectors v, on both fields.  Over F_p the entries of M must lie in [0, p)
+    (`lowest_terms` reduces a matrix that is not); the columns are packed
+    once (slots for n (p-1)^2), and M v is the packed sum of the columns
+    weighted by the nonzero v[k] mod p, read back unreduced for the caller's
+    `from_ints`; over Q each row is summed against v.  A field with no
+    arithmetic raises NonArithmeticField."""
 
     __slots__ = ("p", "m", "slot", "cols", "rows")
 
@@ -198,7 +224,7 @@ class MatVec:
         p = self.p = _modulus(field)
         self.m = len(a)
         self.slot = _slot((len(a[0]) if a else 0) * (p - 1) ** 2)
-        self.cols = [_pack([x % p for x in col], self.slot) for col in zip(*a)]
+        self.cols = [_pack(col, self.slot) for col in zip(*a)]
 
     def apply(self, v):
         """M v for an integer vector v, as a sequence of ints."""
@@ -279,12 +305,33 @@ class SignedPacking:
 
 def mat_mul(a, b, field: FieldSpec):
     """Row i of a b is the combination of the rows b[k] weighted by the
-    nonzero a[i][k]; over F_p that is b^T a[i] by the `MatVec` of b^T,
-    whose packed columns are the rows of b."""
+    nonzero a[i][k]: over Q in ints (`_mat_mul_q`), over F_p the
+    `int_mat_mul` of the matrices themselves, reduced once per entry."""
     if field.kind == RATIONALS:
         return _mat_mul_q(a, b, field)
+    return tuple([from_ints(row, 1, field) for row in int_mat_mul(a, b, field)])
+
+
+def int_mat_mul(a, b, field: FieldSpec):
+    """a b for integer matrices a and b (entries of b in [0, p) over F_p) as
+    integer rows, not reduced: over Q each row is `_combine` of the rows of b,
+    over F_p it is b^T a[i] by the `MatVec` of b^T, whose packed columns are
+    the rows of b."""
+    if field.kind == RATIONALS:
+        n = len(b[0]) if b else 0
+        return [_combine([(x, bk) for x, bk in zip(row, b) if x], n) for row in a]
     bt = MatVec(transpose(b), field)
-    return tuple([from_ints(bt.apply(row), 1, field) for row in a])
+    return [bt.apply(row) for row in a]
+
+
+def _combine(terms, n: int):
+    """sum_k c_k b_k for the (c_k, b_k) pairs of an int and an integer row of
+    length n, skipping the zero entries of the b_k: the one integer product
+    loop of `int_mat_mul` and `_mat_mul_q`."""
+    acc = [0] * n
+    for c, bk in terms:
+        acc = [s + c * x if x else s for s, x in zip(acc, bk)]
+    return acc
 
 
 def _mat_mul_q(a, b, field):
@@ -303,25 +350,37 @@ def _mat_mul_q(a, b, field):
                     bk = scaled[k] = to_ints(b[k], field)
                 terms.append((num, den * bk[0], bk[1]))
         common = math.lcm(*[d for _, d, _ in terms])
-        acc = [0] * n
-        for num, d, bk in terms:
-            c = num * (common // d)
-            acc = [s + c * x if x else s for s, x in zip(acc, bk)]
+        acc = _combine([(num * (common // d), bk) for num, d, bk in terms], n)
         out.append(from_ints(acc, common, field))
     return tuple(out)
 
 
 def rref(a, field: FieldSpec):
-    """Reduced row echelon form; returns (rows, pivot_columns)."""
+    """Reduced row echelon form; returns (rows, pivot_columns): the `to_ints`
+    rows of a through `_eliminate`, each pivot row divided by its pivot entry."""
+    rows, pivots = _eliminate([to_ints(r, field)[1] for r in a], field)
+    n = len(a[0]) if a else 0
+    out = [from_ints(row, row[c], field) for row, c in zip(rows, pivots)]
+    zero_row = (field.zero(),) * n
+    out.extend(zero_row for _ in range(len(a) - len(pivots)))
+    return tuple(out), tuple(pivots)
+
+
+def _eliminate(rows, field):
+    """(rows, pivots): the nonzero rows of the reduced row echelon form of an
+    integer matrix (entries in [0, p) over F_p), one per pivot column, each
+    as an integer row times a nonzero factor: over Q a primitive row, over
+    F_p a row with the pivot entry 1 whose other entries are reduced mod p
+    only by the caller's `from_ints(row, row[pivot], field)`."""
     if field.kind == RATIONALS:
-        return _rref_q(a, field)
+        return _eliminate_q(rows)
     p = _modulus(field)
-    m = len(a)
-    n = len(a[0]) if m else 0
+    m = len(rows)
+    n = len(rows[0]) if m else 0
     slot = _slot(p - 1 + min(m, n) * (p - 1) ** 2)
     bits = 8 * slot
     mask = (1 << bits) - 1
-    rows = [_pack(r, slot) for r in a]
+    rows = [_pack(r, slot) for r in rows]
     pivots = []
     r = 0
     for c in range(n):
@@ -342,14 +401,14 @@ def rref(a, field: FieldSpec):
         r += 1
         if r == m:
             break
-    return tuple(tuple([v % p for v in _unpack(row, n, slot)]) for row in rows), tuple(pivots)
+    return [_unpack(row, n, slot) for row in rows[:r]], pivots
 
 
-def _rref_q(a, field):
-    """rref over Q on integer rows: row i is eliminated against the pivot
-    row as (pv/g) row_i - (f/g) row_r with g = gcd(pv, f), then divided by
-    the gcd of its entries; the pivot rows are divided by their pivots last."""
-    rows = [to_ints(r, field)[1] for r in a]
+def _eliminate_q(rows):
+    """`_eliminate` over Q on integer rows: row i is eliminated against the
+    pivot row as (pv/g) row_i - (f/g) row_r with g = gcd(pv, f), then divided
+    by the gcd of its entries."""
+    rows = list(rows)
     m = len(rows)
     n = len(rows[0]) if m else 0
     pivots = []
@@ -376,34 +435,44 @@ def _rref_q(a, field):
         r += 1
         if r == m:
             break
-    out = [from_ints(row, row[c], field) for row, c in zip(rows, pivots)]
-    zero_row = (_ZERO,) * n
-    out.extend(zero_row for _ in range(m - len(pivots)))
-    return tuple(out), tuple(pivots)
+    return rows[:r], pivots
 
 
 def rank(a, field: FieldSpec) -> int:
     return len(rref(a, field)[1])
 
 
-def nullspace(a, field: FieldSpec):
-    """Basis of {v : a v = 0}, one vector per free column; its zero entries
-    are the field's shared `zero()`."""
-    rows, pivots = rref(a, field)
-    n = len(a[0]) if a else 0
+def kernel(rows, field: FieldSpec):
+    """(basis, free, forms): a basis of {v : a v = 0} for the integer matrix
+    a with these rows (entries in [0, p) over F_p), the free columns of its
+    echelon form (`_eliminate`), one per basis vector, and the `to_ints`
+    form (d, ints) of each basis vector.  Vector r is 1 at free[r], 0 at the
+    other free columns (what an `IntSpan` of the kernel reads,
+    `IntSpan.of_ints`) and -a'_s[free[r]] / a'_s[pc_s] at the pivot column
+    pc_s of the echelon row a'_s.  It is built in ints over the lcm of those
+    pivot entries, put in lowest terms (`lowest_terms`) and converted once
+    by `from_ints`, so its zero entries are the field's shared `zero()`."""
+    n = len(rows[0]) if rows else 0
+    echelon, pivots = _eliminate(rows, field)
     pivot_set = set(pivots)
     free = [c for c in range(n) if c not in pivot_set]
-    basis = []
-    one, zero = field.one(), field.zero()
+    basis, forms = [], []
     for fc in free:
-        v = [zero] * n
-        v[fc] = one
-        for r, pc in enumerate(pivots):
-            c = rows[r][fc]
-            if c is not zero and c:
-                v[pc] = field.neg(c)
-        basis.append(tuple(v))
-    return basis
+        terms = [(pc, row[fc], row[pc]) for row, pc in zip(echelon, pivots) if row[fc]]
+        den = math.lcm(*[pv for _, _, pv in terms])
+        v = [0] * n
+        v[fc] = den
+        for pc, x, pv in terms:
+            v[pc] = -x * (den // pv)
+        form = lowest_terms(v, den, field)
+        basis.append(from_ints(form[1], form[0], field))
+        forms.append(form)
+    return basis, free, forms
+
+
+def nullspace(a, field: FieldSpec):
+    """Basis of {v : a v = 0}: the `kernel` of the `to_ints` rows of a."""
+    return kernel([to_ints(r, field)[1] for r in a], field)[0]
 
 
 def inverse(a, field: FieldSpec):
@@ -429,27 +498,40 @@ def row_space_rref(vectors, field: FieldSpec):
 
 
 class IntSpan:
-    """A row space given in RREF, scaled once for membership tests of
-    integer vectors: for each RREF row R_r = ints_r / d_r (`to_ints`) its
-    pivot column pc_r and its non-pivot entries, scaled to L, the lcm of the
-    d_r.  w lies in the span iff w = sum_r w[pc_r] R_r, which holds at the
-    pivot columns by construction; so the test is that the residual
-    L w[k] - sum_r w[pc_r] (L / d_r) ints_r[k] is 0 at every non-pivot
+    """A row space, scaled once for membership tests of integer vectors.  It
+    is given by rows R_r and one column pc_r per row with R_r[pc_s] = 1 if
+    r = s and 0 otherwise: the RREF rows and their pivot columns
+    (`int_span`), or a `kernel` basis and its free columns.  Each row
+    R_r = ints_r / d_r (`to_ints`) is kept as pc_r and its entries off the
+    columns pc, scaled to L, the lcm of the d_r.  w lies in the span iff
+    w = sum_r w[pc_r] R_r, which holds at the columns pc by the
+    precondition; so the test is that the residual
+    L w[k] - sum_r w[pc_r] (L / d_r) ints_r[k] is 0 at every other
     column k, in ints over Q and mod p over F_p.  It does not change when w
     is scaled, so w may be any integer multiple of a vector, such as a
     `to_ints` form or a `MulTable.mul_ints` product of such forms.  The
     residual is linear in w, so `closed` runs it on packed vectors;
     `weight` is the largest L + sum_r |(L / d_r) ints_r[k]| over the
-    non-pivot columns, with |residual[k]| <= weight max|w|."""
+    columns off pc, with |residual[k]| <= weight max|w|."""
 
     __slots__ = ("field", "mask", "rows", "weight")
 
     def __init__(self, rref_rows, pivots, n: int, field: FieldSpec):
+        self._build([to_ints(row, field) for row in rref_rows], pivots, n, field)
+
+    @classmethod
+    def of_ints(cls, forms, pivots, n: int, field: FieldSpec) -> "IntSpan":
+        """The span of the rows given by their integer forms (d_r, ints_r)
+        (the `forms` of `kernel`) in place of field values."""
+        span = cls.__new__(cls)
+        span._build(forms, pivots, n, field)
+        return span
+
+    def _build(self, scaled, pivots, n, field):
         self.field = field
-        scaled = [to_ints(row, field) for row in rref_rows]
         lcm = math.lcm(*[d for d, _ in scaled])
         pivot_set = set(pivots)
-        # L w is compared at the non-pivot columns; the pivot columns hold by construction
+        # L w is compared at the columns off pc; the columns pc hold by the precondition
         self.mask = [0 if k in pivot_set else lcm for k in range(n)]
         weight = list(self.mask)
         rows = []
@@ -464,8 +546,8 @@ class IntSpan:
         self.weight = max(weight, default=0)
 
     def _residual(self, w):
-        """L w[k] - sum_r w[pc_r] c_rk at every column k (0 at the pivot
-        columns), for an integer vector w or a packing of several."""
+        """L w[k] - sum_r w[pc_r] c_rk at every column k (0 at the columns
+        pc), for an integer vector w or a packing of several."""
         acc = list(map(operator.mul, w, self.mask))
         for pc, entries in self.rows:
             x = w[pc]

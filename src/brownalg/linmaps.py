@@ -10,7 +10,15 @@ its entries, d = 1 over F_p), built on first use: `apply`,
 `is_identity` and the membership certificates below all read it, so a map
 is scaled to integers once, and so is its largest |entry|, which sizes
 the slots of every packed certificate.  `apply` runs the `linalg.MatVec` of
-M, also built once, on both fields.  A map over a field with no element
+M, also built once, on both fields.  `eigenspace` and `fixed_space` read
+it too: the kernel of self - (a/b) id is `linalg.kernel` of b M - a d I,
+an integer matrix, so no matrix of field values is built for it.  A map
+whose integer form is known when it is made keeps it and is not scaled
+again (`LinMap.of_ints`): `compose` multiplies the two integer forms
+(`linalg.int_mat_mul`) and puts the product in lowest terms, and the
+dagger below is built from cross products in ints.  A `block_diag_map`
+(the lifts of `brown` and `involutions`) reads its integer form off its
+blocks' forms, on first use.  A map over a field with no element
 arithmetic is refused when it is made.  A map also keeps
 whether it squares to the identity: `order_divides_two` checks
 M M = d^2 I once, on packed rows of its integer form, and builds no matrix
@@ -64,14 +72,16 @@ from .errors import (
     NotNormPreserving,
     SingularGram,
 )
-from .fields import PRIME, RATIONALS, FieldSpec
+from .fields import RATIONALS, FieldSpec
 from .linalg import (
     MatVec,
     SignedPacking,
+    block_diag,
     from_ints,
+    int_mat_mul,
     inverse,
-    mat_mul,
-    nullspace,
+    kernel,
+    lowest_terms,
     to_ints,
 )
 
@@ -90,6 +100,8 @@ class LinMap:
     basis_tag: str
     # the map's `dagger`, set only by a passing `is_inv_member`
     _dagger: "LinMap | None" = dc_field(default=None, init=False, repr=False, compare=False)
+    # the maps down the diagonal of a `block_diag_map`, whose integer forms give its own
+    _blocks: tuple = dc_field(default=(), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.field._need_arith()
@@ -107,22 +119,47 @@ class LinMap:
                 f"cannot combine maps on {self.basis_tag!r} and {other.basis_tag!r}"
             )
 
+    @classmethod
+    def of_ints(cls, den: int, rows, field: FieldSpec, carrier: str, basis_tag: str) -> "LinMap":
+        """The map with matrix rows / den, for integer rows over den in lowest
+        terms (`linalg.lowest_terms`), which it keeps as its integer form
+        `_ints` instead of converting its matrix back."""
+        rows = tuple(map(tuple, rows))
+        m = cls(tuple([from_ints(row, den, field) for row in rows]), field, carrier, basis_tag)
+        return m._keep_ints(den, rows)
+
+    def _keep_ints(self, den: int, rows) -> "LinMap":
+        """Set `_ints` to (den, rows), a tuple of row tuples in lowest terms,
+        before its first use, and return the map."""
+        # LinMap is frozen; `_ints` is the cached_property's slot
+        object.__setattr__(self, "_ints", (den, rows))
+        return self
+
     def compose(self, other: "LinMap") -> "LinMap":
-        """self after other (matrix product self . other)."""
+        """self after other: M M' / (d d') on the integer forms (d, M) and
+        (d', M') (`linalg.int_mat_mul`), in lowest terms (`of_ints`)."""
         self._check(other)
-        return LinMap(
-            mat_mul(self.matrix, other.matrix, self.field),
-            self.field,
-            self.carrier,
-            self.basis_tag,
-        )
+        f, n = self.field, self.dim
+        (d, m), (d2, m2) = self._ints, other._ints
+        flat = [v for row in int_mat_mul(m, m2, f) for v in row]
+        den, flat = lowest_terms(flat, d * d2, f)
+        return LinMap.of_ints(den, zip(*[iter(flat)] * n), f, self.carrier, self.basis_tag)
 
     @functools.cached_property
     def _ints(self):
         """(d, M) with M = d * matrix in ints as a tuple of row tuples, d the
-        lcm of the entries' denominators (1 over F_p): `to_ints` of the
-        flattened matrix, built on first use (a dagger gets it from
-        `_cross_dagger`)."""
+        lcm of the entries' denominators (1 over F_p), built on first use: for
+        a `block_diag_map` each block's form scaled to the lcm of their d,
+        which keeps it in lowest terms, else `to_ints` of the flattened matrix
+        (a map made by `of_ints` has it already)."""
+        if self._blocks:
+            den = math.lcm(*[m._ints[0] for m in self._blocks])
+            rows = []
+            for m in self._blocks:
+                d, ints = m._ints
+                left, right = (0,) * len(rows), (0,) * (self.dim - len(rows) - m.dim)
+                rows += [left + tuple([den // d * v for v in row]) + right for row in ints]
+            return den, tuple(rows)
         d, flat = to_ints([v for row in self.matrix for v in row], self.field)
         return d, tuple(zip(*[iter(flat)] * self.dim))
 
@@ -182,14 +219,35 @@ class LinMap:
         return self.eigenspace(1)
 
     def eigenspace(self, eigval):
-        """Basis of ker(self - eigval id)."""
+        """Basis of ker(self - eigval id), the basis of `eigenbasis`."""
+        return self.eigenbasis(eigval)[0]
+
+    def eigenbasis(self, eigval):
+        """(basis, free, forms): `linalg.kernel` of b M - a d I for the
+        integer form (d, M) of the map and eigval = a / b in lowest terms,
+        whose kernel is ker(self - eigval id); over F_p that is
+        (M - eigval I) mod p.  Vector r of the basis is 1 at the free column
+        free[r] and 0 at the others, and forms[r] is its `to_ints` form."""
         f = self.field
-        ev = f.coerce(eigval)
-        m = tuple(
-            tuple(f.sub(v, ev) if i == j else v for j, v in enumerate(row))
-            for i, row in enumerate(self.matrix)
-        )
-        return nullspace(m, f)
+        a, b = f.coerce(eigval).as_integer_ratio()
+        d, m = self._ints
+        rows = []
+        for i, row in enumerate(m):
+            row = [b * v for v in row] if b != 1 else list(row)
+            # an int difference over Q, reduced mod p over F_p
+            row[i] = f.sub(row[i], a * d)
+            rows.append(row)
+        return kernel(rows, f)
+
+
+def block_diag_map(maps, carrier: str, basis_tag: str) -> LinMap:
+    """The map with the square maps down its diagonal (`linalg.block_diag`
+    of their matrices), on the given carrier and basis.  It keeps the maps,
+    so its integer form, if it is used, is read off theirs (`LinMap._ints`)."""
+    f = maps[0].field
+    lift = LinMap(block_diag([m.matrix for m in maps], f), f, carrier, basis_tag)
+    object.__setattr__(lift, "_blocks", tuple(maps))  # LinMap is frozen
+    return lift
 
 
 def _require_albert(phi: LinMap, algebra):
@@ -226,9 +284,7 @@ def is_inv_member(phi: LinMap, algebra) -> bool:
     d = phi._ints[0]
     if not _products_agree(phi, algebra.cross_table(), d * d, psi, psi._ints[0], True):
         return False
-    back = LinMap(phi.matrix, phi.field, phi.carrier, phi.basis_tag)
-    # LinMap is frozen; `_ints` is the cached_property's slot
-    object.__setattr__(back, "_ints", phi._ints)
+    back = LinMap(phi.matrix, phi.field, phi.carrier, phi.basis_tag)._keep_ints(*phi._ints)
     object.__setattr__(psi, "_dagger", back)
     object.__setattr__(phi, "_dagger", psi)
     return True
@@ -404,10 +460,8 @@ def _cross_dagger(phi: LinMap, algebra):
     picks, lcm, grows, gsum = _dagger_plan(algebra)
     cross = algebra.cross_table().mul_ints
     cols = tuple(zip(*m))
-    pcols = [[s * v for v in cross(cols[i], cols[j])] for i, j, s in picks]
-    if f.kind == PRIME:
-        # P mod p keeps the slots as narrow as the entries of M
-        pcols = [[v % f.p for v in col] for col in pcols]
+    # P mod p over F_p keeps the slots as narrow as the entries of M
+    pcols = [lowest_terms([s * v for v in cross(cols[i], cols[j])], 1, f)[1] for i, j, s in picks]
     rows = tuple(zip(*pcols))
     top = max(map(abs, itertools.chain.from_iterable(pcols)))
     scale = d ** 3 * lcm
@@ -417,11 +471,5 @@ def _cross_dagger(phi: LinMap, algebra):
     for ca, w in zip(cols, _gram_rows(algebra, packing)):
         if not packing.is_zero(sum([x * r for x, r in zip(ca, gp) if x]) - scale * w, 27):
             return None
-    den = d * d * lcm
-    g = math.gcd(den, *itertools.chain.from_iterable(pcols))
-    if g > 1:
-        den //= g
-        rows = tuple(tuple([v // g for v in row]) for row in rows)
-    dag = algebra.linmap(tuple(from_ints(row, den, f) for row in rows))
-    object.__setattr__(dag, "_ints", (den, rows))  # the cached_property's slot
-    return dag
+    den, flat = lowest_terms([v for row in rows for v in row], d * d * lcm, f)
+    return LinMap.of_ints(den, zip(*[iter(flat)] * 27), f, algebra.carrier, algebra.basis_tag)

@@ -201,3 +201,18 @@ def test_torus_realization_zeros_are_shared():
     zeros = [v for row in m.matrix for v in row if not v]
     assert len(zeros) == 702
     assert all(v is _ZERO for v in zeros)
+
+
+@pytest.mark.parametrize("p", [7, 1000003, 2**61 - 1])
+@pytest.mark.parametrize("model", ["her", "tits"])
+def test_uop_matrix_reduces_its_matvec_entries(p, model):
+    """`MatVec` takes entries in [0, p) over F_p, and `uop_matrix` reduces the
+    integer left multiplication it squares: it still equals `uop_matrix_sharp`,
+    also at coordinates p - 1, where the unreduced entries are largest (at
+    the 61-bit prime they overflow the slots unless reduced)."""
+    f = Fp(p)
+    alg = split_albert(f) if model == "her" else tits(f, 3)
+    rng = random.Random(f"matvec:{p}:{model}")
+    points = _points(alg, rng, count=2) + [(p - 1,) * 27]
+    for x in points:
+        assert alg.uop_matrix(x) == alg.uop_matrix_sharp(x)

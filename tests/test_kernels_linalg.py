@@ -133,10 +133,10 @@ def _sparse_matrix(rng, n, p):
 
 
 def test_mod_kernels_match_dense_reference():
-    """mat_mul, `MatVec` (also on entries and weights off [0, p), which it
-    reduces), `LinMap.apply` and rref against the triple-loop reference, on
-    dense and permutation-like sparse matrices, for small, 33-bit and
-    61-bit p."""
+    """mat_mul, `MatVec` (also on weights off [0, p), which it reduces, and
+    on entries off [0, p) once `lowest_terms` has reduced them),
+    `LinMap.apply` and rref against the triple-loop reference, on dense and
+    permutation-like sparse matrices, for small, 33-bit and 61-bit p."""
     for p in PRIMES:
         rng = random.Random(p)
         f = Fp(p)
@@ -151,7 +151,7 @@ def test_mod_kernels_match_dense_reference():
                 v = tuple(rng.randrange(p) if rng.random() < 0.5 else 0 for _ in range(len(a)))
                 assert linalg.from_ints(linalg.MatVec(a, f).apply(v), 1, f) == \
                     _ref_mat_vec(a, v, p)
-                off = tuple(tuple(x - 3 * p for x in row) for row in a)
+                off = [linalg.lowest_terms([x - 3 * p for x in row], 1, f)[1] for row in a]
                 assert linalg.from_ints(linalg.MatVec(off, f).apply([x + p for x in v]), 1, f) \
                     == _ref_mat_vec(a, v, p)
                 assert LinMap(a, f, "m", "m").apply(v) == _ref_mat_vec(a, v, p)
