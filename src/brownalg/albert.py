@@ -390,11 +390,6 @@ class AlbertAlgebra(Algebra):
         acc = sum(map(mul, xi, self._gram_ints(yi)))
         return from_ints((acc,), self.gram_den * dx * dy, f)[0]
 
-    def sr_raw(self, x):
-        f = self.field
-        t = self.tr_raw(x)
-        return f.mul(f.half(), f.sub(f.mul(t, t), self.trform_raw(x, x)))
-
     def sharp_raw(self, x):
         f = self.field
         return from_ints(*self._sharp_ints(*to_ints(x, f)), f)
@@ -692,16 +687,6 @@ def split_albert(field: FieldSpec) -> AlbertAlgebra:
 def jmul(x: AlbertElem, y: AlbertElem) -> AlbertElem:
     x._check(y)
     return AlbertElem(x.algebra, x.algebra.jmul_raw(x.coords, y.coords))
-
-
-def cubic_data(x: AlbertElem):
-    """(Tr, Sr, N) of the element as Scalars."""
-    alg = x.algebra
-    return (
-        Scalar(alg.tr_raw(x.coords), alg.field),
-        Scalar(alg.sr_raw(x.coords), alg.field),
-        Scalar(alg.norm_raw(x.coords), alg.field),
-    )
 
 
 def norm(x: AlbertElem) -> Scalar:

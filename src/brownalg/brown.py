@@ -158,7 +158,7 @@ class BrownAlgebra(Algebra):
                 raise NotAutomorphism(f"{name} is not an Albert algebra automorphism")
             if not phi.order_divides_two():
                 raise NotOrderTwo(f"{name} must square to the identity")
-        if phi1.compose(phi2).matrix != phi2.compose(phi1).matrix:
+        if phi1.compose(phi2) != phi2.compose(phi1):
             raise NotCommuting("phi1 and phi2 must commute")
         f = self.field
         zero = f.zero()

@@ -316,17 +316,3 @@ def sample(field: FieldSpec, seed: int, bound: int = 10) -> Scalar:
         raise ValueError("bound must be >= 1")
     rng = random.Random(seed)
     return Scalar(field.sample_raw(rng, bound), field)
-
-
-def square_class_count(field: FieldSpec):
-    """Order of k*/(k*)^2: 1 for an algebraically closed field, 2 for F_p and R,
-    4 for Q_p with p odd, 8 for Q_2, INFINITE for Q."""
-    if field.kind == ALG_CLOSED:
-        return 1
-    if field.kind == PRIME:
-        return 2
-    if field.kind == REAL:
-        return 2
-    if field.kind == PADIC:
-        return 8 if field.p == 2 else 4
-    return INFINITE

@@ -219,7 +219,7 @@ def _eigen_span(phi: LinMap, eigval):
     basis and its free columns, and those integer vectors; no second
     elimination."""
     basis, free, forms = phi.eigenbasis(eigval)
-    span = linalg.IntSpan.of_ints(forms, free, phi.dim, phi.field)
+    span = linalg.IntSpan(forms, free, phi.dim, phi.field)
     return basis, span, [ints for _, ints in forms]
 
 
@@ -302,7 +302,7 @@ def outer_fixed_condition(delta: LinMap, phi: LinMap, albert: AlbertAlgebra) -> 
     if not phi.order_divides_two():
         raise NotOrderTwo("outer fixed condition needs phi^2 = id")
     dag = dagger(delta, albert)
-    return phi.compose(delta).compose(phi).matrix == dag.matrix
+    return phi.compose(delta).compose(phi) == dag
 
 
 def isotope_automorphism_check(x: AlbertElem, y: AlbertElem) -> bool:
@@ -315,8 +315,7 @@ def isotope_automorphism_check(x: AlbertElem, y: AlbertElem) -> bool:
     nx, ny = alg.norm_raw(x.coords), alg.norm_raw(y.coords)
     if not nx or not ny:
         raise SingularElement("isotope check needs N(x) N(y) != 0")
-    m = linalg.mat_mul(alg.uop_matrix(x.coords), alg.uop_matrix(y.coords), f)
-    mm = alg.linmap(m)
+    mm = alg.linmap(alg.uop_matrix(x.coords)).compose(alg.linmap(alg.uop_matrix(y.coords)))
     if not mm.order_divides_two():
         raise NotOrderTwo("U_x U_y does not square to the identity")
     # {a, y, b} = (a.y).b + (b.y).a - (a.b).y in the integer Jordan table,

@@ -42,7 +42,7 @@ construction, the unit, zero and standard basis, seeded sampling, `linmap`
 (a `LinMap` on the algebra's carrier space and basis), `linmap_of` (the map
 of a linear function on coordinate tuples, read off the images of the
 standard basis vectors; the coordinate maps of `involutions` and `brown`
-are built this way, and their lifts by `linalg.block_diag`) and equality by
+are built this way, and their lifts by `linmaps.block_diag_map`) and equality by
 basis tag.  `Elem` is the element base class: an immutable (algebra,
 coords) pair with addition, negation and scaling, which raises its class's
 `mismatch` error when elements of different algebras are combined.  A

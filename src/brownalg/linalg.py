@@ -43,28 +43,29 @@ field's shared `zero()`) and one reduction mod p over F_p.  The integer
 kernels of `kernels`, `albert` and `linmaps` read and write this form.
 
 `lowest_terms` puts an integer form in lowest terms without making field
-values, as `to_ints` of `from_ints` would: `LinMap.compose` and the dagger
-of `linmaps` keep their results' integer forms this way.
+values, as `to_ints` of `from_ints` would: `LinMap.compose`, the dagger of
+`linmaps` and `int_span` make their results' integer forms this way.
 
 Span membership is one kernel for both fields, `IntSpan`, on integer
-vectors in this form.  An `IntSpan` reads rows that are 1 at one column
-each and 0 at the others' columns: the RREF of any vectors, which
-`int_span(vectors, n, field)` computes, or a `kernel` basis with its free
-columns, which needs no second elimination (`IntSpan.of_ints`).  Membership
-is `IntSpan.contains`, and closure under the product of a `MulTable` is
-`IntSpan.closed`, which stacks the second factors and makes one `mul_ints`
-call per first factor.
+vectors in this form.  An `IntSpan` is made from the integer forms of rows
+that are 1 at one column each and 0 at the others' columns: the RREF of any
+vectors, which `int_span(vectors, n, field)` computes in ints, or a
+`kernel` basis with its free columns, which needs no second elimination.
+Membership is `IntSpan.contains`, and closure under the product of a
+`MulTable` is `IntSpan.closed`, which stacks the second factors and makes
+one `mul_ints` call per first factor.
 
-Over Q, `mat_mul` and `rref` run on Python ints in this form.  Elimination
-(`_eliminate`) is one loop per field on integer rows: `rref` is `to_ints`
-followed by it, and `kernel` runs it on an integer matrix directly, such as
-a map's integer form shifted by an eigenvalue (`LinMap.eigenbasis`).  Over
-Q it eliminates fraction-free on primitive integer rows (Bareiss, Math.
-Comp. 22, 1968; Cohen, *A Course in Computational Algebraic Number Theory*,
-2.2).  Row scaling does not change the reduced row echelon form, which is
-unique, so the result equals Gauss-Jordan elimination in `Fraction`s entry
-for entry.  The one integer product loop, `_combine`, serves `mat_mul` over
-Q and `int_mat_mul`, the product of two integer forms.
+The one matrix product is `int_mat_mul`, on integer matrices: over Q a
+loop over the nonzero entries, over F_p the `MatVec` of the second factor.
+`mat_mul` of field values is `int_mat_mul` of the two `to_ints` forms with
+one `from_ints` per row, on both fields.  Elimination (`_eliminate`) is one
+loop per field on integer rows: `rref` is `to_ints` followed by it, and
+`kernel` runs it on an integer matrix directly, such as a map's integer
+form shifted by an eigenvalue (`LinMap.eigenbasis`).  Over Q it eliminates
+fraction-free on primitive integer rows (Bareiss, Math. Comp. 22, 1968;
+Cohen, *A Course in Computational Algebraic Number Theory*, 2.2).  Row
+scaling does not change the reduced row echelon form, which is unique, so
+the result equals Gauss-Jordan elimination in `Fraction`s entry for entry.
 """
 
 from __future__ import annotations
@@ -304,55 +305,34 @@ class SignedPacking:
 
 
 def mat_mul(a, b, field: FieldSpec):
-    """Row i of a b is the combination of the rows b[k] weighted by the
-    nonzero a[i][k]: over Q in ints (`_mat_mul_q`), over F_p the
-    `int_mat_mul` of the matrices themselves, reduced once per entry."""
-    if field.kind == RATIONALS:
-        return _mat_mul_q(a, b, field)
-    return tuple([from_ints(row, 1, field) for row in int_mat_mul(a, b, field)])
+    """a b for matrices of field values: the `int_mat_mul` of their
+    `to_ints` forms (d_a, A) and (d_b, B), with row i converted once by
+    `from_ints` over d_a d_b, on both fields."""
+    k, n = len(b), len(b[0]) if b else 0
+    da, ia = to_ints([v for row in a for v in row], field)
+    db, ib = to_ints([v for row in b for v in row], field)
+    prod = int_mat_mul([ia[i * k : i * k + k] for i in range(len(a))],
+                       [ib[i * n : i * n + n] for i in range(k)], field)
+    return tuple([from_ints(row, da * db, field) for row in prod])
 
 
 def int_mat_mul(a, b, field: FieldSpec):
     """a b for integer matrices a and b (entries of b in [0, p) over F_p) as
-    integer rows, not reduced: over Q each row is `_combine` of the rows of b,
-    over F_p it is b^T a[i] by the `MatVec` of b^T, whose packed columns are
-    the rows of b."""
-    if field.kind == RATIONALS:
-        n = len(b[0]) if b else 0
-        return [_combine([(x, bk) for x, bk in zip(row, b) if x], n) for row in a]
-    bt = MatVec(transpose(b), field)
-    return [bt.apply(row) for row in a]
-
-
-def _combine(terms, n: int):
-    """sum_k c_k b_k for the (c_k, b_k) pairs of an int and an integer row of
-    length n, skipping the zero entries of the b_k: the one integer product
-    loop of `int_mat_mul` and `_mat_mul_q`."""
-    acc = [0] * n
-    for c, bk in terms:
-        acc = [s + c * x if x else s for s, x in zip(acc, bk)]
-    return acc
-
-
-def _mat_mul_q(a, b, field):
-    """mat_mul over Q in ints: a row b[k] is scaled to integers the first
-    time a nonzero a[i][k] reads it, and row i sums over one denominator."""
+    integer rows, not reduced: over Q row i sums the rows b[k] weighted by
+    the nonzero a[i][k], skipping their zero entries; over F_p it is
+    b^T a[i] by the `MatVec` of b^T, whose packed columns are the rows of b."""
+    if field.kind != RATIONALS:
+        bt = MatVec(transpose(b), field)
+        return [bt.apply(row) for row in a]
     n = len(b[0]) if b else 0
-    scaled = [None] * len(b)
     out = []
     for row in a:
-        terms = []
-        for k, aik in enumerate(row):
-            if aik is not _ZERO and aik:
-                num, den = aik.as_integer_ratio()
-                bk = scaled[k]
-                if bk is None:
-                    bk = scaled[k] = to_ints(b[k], field)
-                terms.append((num, den * bk[0], bk[1]))
-        common = math.lcm(*[d for _, d, _ in terms])
-        acc = _combine([(num * (common // d), bk) for num, d, bk in terms], n)
-        out.append(from_ints(acc, common, field))
-    return tuple(out)
+        acc = [0] * n
+        for c, bk in zip(row, b):
+            if c:
+                acc = [s + c * x if x else s for s, x in zip(acc, bk)]
+        out.append(acc)
+    return out
 
 
 def rref(a, field: FieldSpec):
@@ -371,7 +351,7 @@ def _eliminate(rows, field):
     integer matrix (entries in [0, p) over F_p), one per pivot column, each
     as an integer row times a nonzero factor: over Q a primitive row, over
     F_p a row with the pivot entry 1 whose other entries are reduced mod p
-    only by the caller's `from_ints(row, row[pivot], field)`."""
+    only by the caller (`from_ints` or `lowest_terms` over row[pivot])."""
     if field.kind == RATIONALS:
         return _eliminate_q(rows)
     p = _modulus(field)
@@ -447,8 +427,7 @@ def kernel(rows, field: FieldSpec):
     a with these rows (entries in [0, p) over F_p), the free columns of its
     echelon form (`_eliminate`), one per basis vector, and the `to_ints`
     form (d, ints) of each basis vector.  Vector r is 1 at free[r], 0 at the
-    other free columns (what an `IntSpan` of the kernel reads,
-    `IntSpan.of_ints`) and -a'_s[free[r]] / a'_s[pc_s] at the pivot column
+    other free columns (what an `IntSpan` of the kernel reads) and -a'_s[free[r]] / a'_s[pc_s] at the pivot column
     pc_s of the echelon row a'_s.  It is built in ints over the lcm of those
     pivot entries, put in lowest terms (`lowest_terms`) and converted once
     by `from_ints`, so its zero entries are the field's shared `zero()`."""
@@ -501,9 +480,9 @@ class IntSpan:
     """A row space, scaled once for membership tests of integer vectors.  It
     is given by rows R_r and one column pc_r per row with R_r[pc_s] = 1 if
     r = s and 0 otherwise: the RREF rows and their pivot columns
-    (`int_span`), or a `kernel` basis and its free columns.  Each row
-    R_r = ints_r / d_r (`to_ints`) is kept as pc_r and its entries off the
-    columns pc, scaled to L, the lcm of the d_r.  w lies in the span iff
+    (`int_span`), or a `kernel` basis and its free columns.  Each row is
+    given by its integer form, R_r = ints_r / d_r (`to_ints`), and kept as
+    pc_r and its entries off the columns pc, scaled to L, the lcm of the d_r.  w lies in the span iff
     w = sum_r w[pc_r] R_r, which holds at the columns pc by the
     precondition; so the test is that the residual
     L w[k] - sum_r w[pc_r] (L / d_r) ints_r[k] is 0 at every other
@@ -516,26 +495,15 @@ class IntSpan:
 
     __slots__ = ("field", "mask", "rows", "weight")
 
-    def __init__(self, rref_rows, pivots, n: int, field: FieldSpec):
-        self._build([to_ints(row, field) for row in rref_rows], pivots, n, field)
-
-    @classmethod
-    def of_ints(cls, forms, pivots, n: int, field: FieldSpec) -> "IntSpan":
-        """The span of the rows given by their integer forms (d_r, ints_r)
-        (the `forms` of `kernel`) in place of field values."""
-        span = cls.__new__(cls)
-        span._build(forms, pivots, n, field)
-        return span
-
-    def _build(self, scaled, pivots, n, field):
+    def __init__(self, forms, pivots, n: int, field: FieldSpec):
         self.field = field
-        lcm = math.lcm(*[d for d, _ in scaled])
+        lcm = math.lcm(*[d for d, _ in forms])
         pivot_set = set(pivots)
         # L w is compared at the columns off pc; the columns pc hold by the precondition
         self.mask = [0 if k in pivot_set else lcm for k in range(n)]
         weight = list(self.mask)
         rows = []
-        for pc, (d, ints) in zip(pivots, scaled):
+        for pc, (d, ints) in zip(pivots, forms):
             s = lcm // d
             entries = [(k, s * v) for k, v in enumerate(ints) if v and k not in pivot_set]
             for k, c in entries:
@@ -596,12 +564,16 @@ class IntSpan:
 
 def int_span(vectors, n: int, field: FieldSpec):
     """(span, ints): the `IntSpan` of the row space of the vectors in F^n and
-    their `to_ints` forms, for closure tests on the vectors themselves.  n is
+    their `to_ints` forms, for closure tests on the vectors themselves.  The
+    span's rows are the RREF rows, from `_eliminate` of those forms: each
+    echelon row over its pivot entry, made positive, in lowest terms.  n is
     given, not read off the vectors, so that the span of no vectors is the
     zero subspace of F^n and holds only the zero vector."""
-    rows, pivots = row_space_rref(vectors, field)
-    span = IntSpan(rows, pivots, n, field)
-    return span, [to_ints(v, field)[1] for v in vectors]
+    ints = [to_ints(v, field)[1] for v in vectors]
+    rows, pivots = _eliminate(ints, field)
+    forms = [lowest_terms([-v for v in row] if row[c] < 0 else row, abs(row[c]), field)
+             for row, c in zip(rows, pivots)]
+    return IntSpan(forms, pivots, n, field), ints
 
 
 def same_span(vecs_a, vecs_b, field: FieldSpec) -> bool:

@@ -4,25 +4,26 @@ adjoint inverse of a map in Inv(J), built from cross products.
 
 A `LinMap` takes its dimension from its matrix, so it can act on any algebra
 of the tower (a quaternion algebra too); it is matched to an algebra, and to
-another map, by the basis tag, and its carrier is only a label.  It keeps
-one integer form, `_ints` = (d, M) with M = d * matrix (`linalg.to_ints` of
-its entries, d = 1 over F_p), built on first use: `apply`,
-`is_identity` and the membership certificates below all read it, so a map
-is scaled to integers once, and so is its largest |entry|, which sizes
-the slots of every packed certificate.  `apply` runs the `linalg.MatVec` of
-M, also built once, on both fields.  `eigenspace` and `fixed_space` read
-it too: the kernel of self - (a/b) id is `linalg.kernel` of b M - a d I,
-an integer matrix, so no matrix of field values is built for it.  A map
-whose integer form is known when it is made keeps it and is not scaled
-again (`LinMap.of_ints`): `compose` multiplies the two integer forms
-(`linalg.int_mat_mul`) and puts the product in lowest terms, and the
-dagger below is built from cross products in ints.  A `block_diag_map`
-(the lifts of `brown` and `involutions`) reads its integer form off its
-blocks' forms, on first use.  A map over a field with no element
-arithmetic is refused when it is made.  A map also keeps
-whether it squares to the identity: `order_divides_two` checks
-M M = d^2 I once, on packed rows of its integer form, and builds no matrix
-of field values.
+another map, by the basis tag, and its carrier is only a label.  A map is
+its integer form `_ints` = (d, M), M = d * matrix in lowest terms (d the
+lcm of the entries' denominators, 1 over F_p), the one form it stores.
+`LinMap(matrix, ...)` scales its matrix once (`linalg.to_ints`), and
+`LinMap.of_ints` takes a form in lowest terms and makes no field value:
+`compose` multiplies the two integer forms (`linalg.int_mat_mul`) and puts
+the product in lowest terms, `block_diag_map` (the lifts of `brown` and
+`involutions`) scales its blocks' forms to one d, and the dagger below is
+built from cross products in ints.  `matrix`, the field values M / d, is a
+view built on first read.  The form is canonical, so two maps are equal,
+and hash alike, exactly when their matrices, fields, carriers and basis
+tags are.  `apply`, `is_identity` and the membership certificates below
+all read the form, and so does the map's largest |entry|, which sizes the
+slots of every packed certificate.  `apply` runs the `linalg.MatVec` of M,
+built once, on both fields.  `eigenspace` and `fixed_space` read it too:
+the kernel of self - (a/b) id is `linalg.kernel` of b M - a d I, an
+integer matrix.  A map over a field with no element arithmetic is refused
+when it is made.  A map also keeps whether it squares to the identity:
+`order_divides_two` checks M M = d^2 I once, on packed rows of its integer
+form.
 
 Every certificate below forms the packed difference of the two sides of
 its identity and hands it to `linalg.SignedPacking.is_zero`, with slots
@@ -64,7 +65,6 @@ import collections
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field as dc_field
 
 from .errors import (
     CarrierMismatch,
@@ -76,7 +76,6 @@ from .fields import RATIONALS, FieldSpec
 from .linalg import (
     MatVec,
     SignedPacking,
-    block_diag,
     from_ints,
     int_mat_mul,
     inverse,
@@ -90,50 +89,66 @@ ALBERT = "albert27"
 BROWN = "brown56"
 
 
-@dataclass(frozen=True)
 class LinMap:
-    """Square exact matrix tagged with carrier label and basis convention."""
+    """Square exact map tagged with carrier label and basis convention, held
+    as its integer form `_ints` = (d, M), M = d * matrix in lowest terms."""
 
-    matrix: tuple
-    field: FieldSpec
-    carrier: str
-    basis_tag: str
-    # the map's `dagger`, set only by a passing `is_inv_member`
-    _dagger: "LinMap | None" = dc_field(default=None, init=False, repr=False, compare=False)
-    # the maps down the diagonal of a `block_diag_map`, whose integer forms give its own
-    _blocks: tuple = dc_field(default=(), init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self.field._need_arith()
-        n = len(self.matrix)
-        if any(len(r) != n for r in self.matrix):
+    def __init__(self, matrix, field: FieldSpec, carrier: str, basis_tag: str):
+        field._need_arith()
+        n = len(matrix)
+        if any(len(r) != n for r in matrix):
             raise CarrierMismatch(f"matrix with {n} rows is not square")
+        d, flat = to_ints([v for row in matrix for v in row], field)
+        self._make(d, tuple(zip(*[iter(flat)] * n)), field, carrier, basis_tag)
+
+    def _make(self, den: int, rows: tuple, field: FieldSpec, carrier: str, basis_tag: str):
+        self._ints = (den, rows)
+        self.field = field
+        self.carrier = carrier
+        self.basis_tag = basis_tag
+        # the map's `dagger`, set only by a passing `is_inv_member`
+        self._dagger = None
+
+    @classmethod
+    def of_ints(cls, den: int, rows, field: FieldSpec, carrier: str, basis_tag: str) -> "LinMap":
+        """The map with matrix rows / den, for integer rows over den in lowest
+        terms (`linalg.lowest_terms`); no field value is made."""
+        m = cls.__new__(cls)
+        m._make(den, tuple(map(tuple, rows)), field, carrier, basis_tag)
+        return m
+
+    @functools.cached_property
+    def matrix(self) -> tuple:
+        """M / d as a tuple of row tuples of field values, built on first read."""
+        d, m = self._ints
+        return tuple([from_ints(row, d, self.field) for row in m])
 
     @property
     def dim(self) -> int:
-        return len(self.matrix)
+        return len(self._ints[1])
+
+    def _key(self):
+        return self._ints, self.field, self.carrier, self.basis_tag
+
+    def __eq__(self, other):
+        """Equal matrices on the same field, carrier and basis: the integer
+        forms are in lowest terms, so they are equal exactly when the
+        matrices are."""
+        if not isinstance(other, LinMap):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return f"LinMap(dim={self.dim}, field={self.field}, {self.carrier!r}, {self.basis_tag!r})"
 
     def _check(self, other: "LinMap"):
         if (self.dim, self.basis_tag, self.field) != (other.dim, other.basis_tag, other.field):
             raise CarrierMismatch(
                 f"cannot combine maps on {self.basis_tag!r} and {other.basis_tag!r}"
             )
-
-    @classmethod
-    def of_ints(cls, den: int, rows, field: FieldSpec, carrier: str, basis_tag: str) -> "LinMap":
-        """The map with matrix rows / den, for integer rows over den in lowest
-        terms (`linalg.lowest_terms`), which it keeps as its integer form
-        `_ints` instead of converting its matrix back."""
-        rows = tuple(map(tuple, rows))
-        m = cls(tuple([from_ints(row, den, field) for row in rows]), field, carrier, basis_tag)
-        return m._keep_ints(den, rows)
-
-    def _keep_ints(self, den: int, rows) -> "LinMap":
-        """Set `_ints` to (den, rows), a tuple of row tuples in lowest terms,
-        before its first use, and return the map."""
-        # LinMap is frozen; `_ints` is the cached_property's slot
-        object.__setattr__(self, "_ints", (den, rows))
-        return self
 
     def compose(self, other: "LinMap") -> "LinMap":
         """self after other: M M' / (d d') on the integer forms (d, M) and
@@ -144,24 +159,6 @@ class LinMap:
         flat = [v for row in int_mat_mul(m, m2, f) for v in row]
         den, flat = lowest_terms(flat, d * d2, f)
         return LinMap.of_ints(den, zip(*[iter(flat)] * n), f, self.carrier, self.basis_tag)
-
-    @functools.cached_property
-    def _ints(self):
-        """(d, M) with M = d * matrix in ints as a tuple of row tuples, d the
-        lcm of the entries' denominators (1 over F_p), built on first use: for
-        a `block_diag_map` each block's form scaled to the lcm of their d,
-        which keeps it in lowest terms, else `to_ints` of the flattened matrix
-        (a map made by `of_ints` has it already)."""
-        if self._blocks:
-            den = math.lcm(*[m._ints[0] for m in self._blocks])
-            rows = []
-            for m in self._blocks:
-                d, ints = m._ints
-                left, right = (0,) * len(rows), (0,) * (self.dim - len(rows) - m.dim)
-                rows += [left + tuple([den // d * v for v in row]) + right for row in ints]
-            return den, tuple(rows)
-        d, flat = to_ints([v for row in self.matrix for v in row], self.field)
-        return d, tuple(zip(*[iter(flat)] * self.dim))
 
     @functools.cached_property
     def _top(self) -> int:
@@ -241,13 +238,18 @@ class LinMap:
 
 
 def block_diag_map(maps, carrier: str, basis_tag: str) -> LinMap:
-    """The map with the square maps down its diagonal (`linalg.block_diag`
-    of their matrices), on the given carrier and basis.  It keeps the maps,
-    so its integer form, if it is used, is read off theirs (`LinMap._ints`)."""
-    f = maps[0].field
-    lift = LinMap(block_diag([m.matrix for m in maps], f), f, carrier, basis_tag)
-    object.__setattr__(lift, "_blocks", tuple(maps))  # LinMap is frozen
-    return lift
+    """The map with the square maps down its diagonal, on the given carrier
+    and basis, built from their integer forms: each block's form scaled to
+    the lcm of their d, which keeps it in lowest terms."""
+    den = math.lcm(*[m._ints[0] for m in maps])
+    n = sum([m.dim for m in maps])
+    rows = []
+    for m in maps:
+        d, ints = m._ints
+        left, right = (0,) * len(rows), (0,) * (n - len(rows) - m.dim)
+        rows += [left + (row if d == den else tuple([den // d * v for v in row])) + right
+                 for row in ints]
+    return LinMap.of_ints(den, rows, maps[0].field, carrier, basis_tag)
 
 
 def _require_albert(phi: LinMap, algebra):
@@ -273,8 +275,8 @@ def is_inv_member(phi: LinMap, algebra) -> bool:
 
     A map that passes keeps psi as its dagger.  psi is in Inv(J) with
     psi-dagger = phi, as dagger is an involutive automorphism of Inv(J), so
-    psi keeps a fresh map with phi's matrix and integer form (not phi
-    itself, which would make a reference cycle).  A failure keeps nothing."""
+    psi keeps a fresh map with phi's integer form (not phi itself, which
+    would make a reference cycle).  A failure keeps nothing."""
     _require_albert(phi, algebra)
     if phi._dagger is not None:
         return True
@@ -284,9 +286,8 @@ def is_inv_member(phi: LinMap, algebra) -> bool:
     d = phi._ints[0]
     if not _products_agree(phi, algebra.cross_table(), d * d, psi, psi._ints[0], True):
         return False
-    back = LinMap(phi.matrix, phi.field, phi.carrier, phi.basis_tag)._keep_ints(*phi._ints)
-    object.__setattr__(psi, "_dagger", back)
-    object.__setattr__(phi, "_dagger", psi)
+    psi._dagger = LinMap.of_ints(*phi._ints, phi.field, phi.carrier, phi.basis_tag)
+    phi._dagger = psi
     return True
 
 
@@ -452,9 +453,8 @@ def _cross_dagger(phi: LinMap, algebra):
     the trace form are exponent equations of rank 13, against 21 for the
     whole cross table, and the map with 1/2 at e_4, 2 at e_5 and 1
     elsewhere passes the check and moves the norm.  `is_inv_member` adds
-    the product law on every pair.  The integer form of psi
-    (`LinMap._ints`) is P / (d^2 lcm) in lowest terms, the form `to_ints`
-    of its matrix gives, so it is never converted back from field values."""
+    the product law on every pair.  psi is made from its integer form,
+    P / (d^2 lcm) in lowest terms (`LinMap.of_ints`)."""
     f = algebra.field
     d, m = phi._ints
     picks, lcm, grows, gsum = _dagger_plan(algebra)

@@ -26,7 +26,7 @@ from .involutions import (
     make_uv_bridge,
     verify_conjugacy_transport,
 )
-from .linmaps import dagger
+from .linmaps import LinMap, dagger
 
 
 class CheckFailure(Exception):
@@ -159,7 +159,7 @@ def check_sharp_axioms(ctx):
         e = alg.unit_coords
         want = alg.linmap_of(
             lambda x: (alg.unit().scale(alg.tr_raw(x)) - alg.elem(alg, x)).coords)
-        if alg.linmap_of(lambda x: alg.cross_raw(e, x)).matrix != want.matrix:
+        if alg.linmap_of(lambda x: alg.cross_raw(e, x)) != want:
             _fail(f"1 # x != Tr(x) 1 - x: {alg.basis_tag}")
         for _ in range(ctx.scaled(0.5)):
             x, y = alg.sample(rng, 3).coords, alg.sample(rng, 3).coords
@@ -291,12 +291,11 @@ def check_beth(ctx):
 def check_elinvj(ctx):
     rng = ctx.rng("alb-elinvj")
     alg = ctx.cat.J
-    f = alg.field
     for phi in (ctx.cat.realize("s", "J"), ctx.cat.realize("t", "J")):
         for _ in range(ctx.scaled(0.1)):
             x = alg.sample(rng).coords
-            lhs = linalg.mat_mul(phi.matrix, alg.uop_matrix(x), f)
-            rhs = linalg.mat_mul(alg.uop_matrix(phi.apply(x)), phi.matrix, f)
+            lhs = phi.compose(alg.linmap(alg.uop_matrix(x)))
+            rhs = alg.linmap(alg.uop_matrix(phi.apply(x))).compose(phi)
             if lhs != rhs:
                 _fail("phi U_x != U_{phi x} phi")
 
@@ -350,7 +349,7 @@ def check_brown_lifts(ctx):
             u, v = b.sample(rng).coords, b.sample(rng).coords
             if m.apply(b.bmul_raw(u, v)) != b.bmul_raw(m.apply(u), m.apply(v)):
                 _fail("lifted map does not preserve the Brown product")
-        if m.compose(bi).matrix != bi.compose(m).matrix:
+        if m.compose(bi) != bi.compose(m):
             _fail("lifted map does not commute with the involution")
 
 
@@ -361,18 +360,20 @@ def check_varpi_dagger(ctx):
     if not w.order_divides_two():
         _fail("varpi is not of order 2")
     # row i of varpi holds one 1, at column perm[i]; varpi is an involution,
-    # so w L w is L with its rows and columns reindexed by perm
-    perm = [j for row in w.matrix for j, v in enumerate(row) if v]
-    one = b.field.one()
-    if len(perm) != b.dim or any(w.matrix[i][j] != one for i, j in enumerate(perm)):
+    # so w L w is L with its rows and columns reindexed by perm, which keeps
+    # the integer form of L in lowest terms
+    d, m = w._ints
+    perm = [j for row in m for j, v in enumerate(row) if v]
+    if d != 1 or len(perm) != b.dim or any(m[i][j] != 1 for i, j in enumerate(perm)):
         _fail("varpi is not a coordinate permutation")
     for _ in range(ctx.scaled(0.1)):
         x = b.jalg.sample_norm_one(rng)
         ux = b.jalg.linmap(b.jalg.uop_matrix(x.coords))
-        lift = b.lift_inv(ux).matrix
-        lhs = tuple(tuple([lift[i][j] for j in perm]) for i in perm)
-        rhs = b.lift_inv(dagger(ux, b.jalg))
-        if lhs != rhs.matrix:
+        lift = b.lift_inv(ux)
+        d, m = lift._ints
+        lhs = LinMap.of_ints(d, [[m[i][j] for j in perm] for i in perm],
+                             b.field, lift.carrier, lift.basis_tag)
+        if lhs != b.lift_inv(dagger(ux, b.jalg)):
             _fail("varpi conjugation does not realize dagger")
 
 
@@ -431,9 +432,9 @@ def check_uv_bridge(ctx):
     cat = ctx.cat
     uv = make_uv_bridge(cat.J)
     s = cat.realize("s", "J")
-    if uv.compose(uv).matrix != s.matrix:
+    if uv.compose(uv) != s:
         _fail("U_V^2 != s")
-    if dagger(uv, cat.J).matrix != uv.inverse_map().matrix:
+    if dagger(uv, cat.J) != uv.inverse_map():
         _fail("dagger(U_V) != U_V^-1")
     b = cat.B
     lifted = b.lift_inv(uv)
@@ -454,7 +455,7 @@ def check_theta_torus_inversion(ctx):
     for _ in range(ctx.scaled(0.1)):
         params = tuple(f.sample_nonzero(rng) for _ in range(6))
         t = make_torus_element(jt, params, "E6")
-        if th.compose(dagger(t, jt)).compose(th).matrix != t.inverse_map().matrix:
+        if th.compose(dagger(t, jt)).compose(th) != t.inverse_map():
             _fail(f"torus inversion fails at parameters {params}")
 
 
@@ -465,10 +466,10 @@ def check_dagger_laws(ctx):
     for _ in range(ctx.scaled(0.1)):
         x = alg.sample_norm_one(rng)
         ux = alg.linmap(alg.uop_matrix(x.coords))
-        if dagger(ux, alg).matrix != alg.uop_matrix(alg.jinv_raw(x.coords)):
+        if dagger(ux, alg) != alg.linmap(alg.uop_matrix(alg.jinv_raw(x.coords))):
             _fail("dagger(U_x) != U_(x^-1)")
     that = cat.realize("t", "J")
-    if dagger(that, alg).matrix != that.matrix:
+    if dagger(that, alg) != that:
         _fail("dagger does not fix the automorphism t-hat")
 
 

@@ -10,11 +10,11 @@ from brownalg.albert import (
     NormForm,
     beth_basis,
     cross,
-    cubic_data,
     hermitian,
     isotope_mul,
     jinverse,
     jmul,
+    norm,
     nu_g,
     phi_lambda,
     sharp,
@@ -214,10 +214,11 @@ def test_power_associativity_samples():
 
 def test_norm_of_unit_and_diag():
     for alg in all_models():
-        tr, sr, n = cubic_data(alg.unit())
-        assert n == 1 and tr == 3 and sr == 3
+        f = alg.field
+        assert norm(alg.unit()) == 1
+        assert alg.tr_raw(alg.unit_coords) == f.from_int(3)
     alg = split_albert(Q())
-    assert cubic_data(alg.diag(2, 3, 4))[2] == scalar(Q(), 24)
+    assert norm(alg.diag(2, 3, 4)) == scalar(Q(), 24)
 
 
 @pytest.mark.parametrize("field", [Q(), Fp(7)], ids=str)

@@ -6,18 +6,14 @@ from hypothesis import strategies as st
 
 from brownalg.errors import DivisionByZero, MixedFields, NonArithmeticField
 from brownalg.fields import (
-    INFINITE,
     FieldSpec,
     Fp,
-    Kbar,
     Q,
-    Qp,
     Rplace,
     Scalar,
     arith,
     sample,
     scalar,
-    square_class_count,
 )
 
 
@@ -87,34 +83,6 @@ def test_sample_bound_over_q():
 def test_sample_rejects_places():
     with pytest.raises(NonArithmeticField):
         sample(Rplace(), seed=0)
-
-
-def test_square_class_counts():
-    assert square_class_count(Fp(7)) == 2
-    assert square_class_count(Qp(5)) == 4
-    assert square_class_count(Qp(2)) == 8
-    assert square_class_count(Rplace()) == 2
-    assert square_class_count(Kbar()) == 1
-    assert square_class_count(Q()) is INFINITE
-
-
-def test_square_class_count_matches_brute_force_fp():
-    for p in (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61,
-              67, 71, 73, 79, 83, 89, 97):
-        squares = {x * x % p for x in range(1, p)}
-        classes = {1 if u in squares else -1 for u in range(1, p)}
-        assert square_class_count(Fp(p)) == len(classes)
-
-
-def test_square_class_count_q5_matches_unit_residues():
-    # Q_5* / squares has 4 classes {1, u, 5, 5u}: 2 unit classes x valuation parity.
-    p, mod = 5, 5 ** 3
-    units = [u for u in range(1, mod) if u % p]
-    unit_squares = {u * u % mod for u in units}
-    classes = set()
-    for u in units:
-        classes.add(frozenset((u * s % mod) for s in unit_squares))
-    assert 2 * len(classes) == square_class_count(Qp(5))
 
 
 def test_is_square():

@@ -124,7 +124,7 @@ def _agree(m, eigval, table, commutative, rng):
     f, n = m.field, m.dim
     basis, free, forms = m.eigenbasis(eigval)
     assert basis
-    kspan = linalg.IntSpan.of_ints(forms, free, n, f)
+    kspan = linalg.IntSpan(forms, free, n, f)
     rspan, ints = linalg.int_span(basis, n, f)
     assert [list(v) for v in ints] == [list(v) for _, v in forms]
     inside, outside = _probes(ints, n, f, rng)

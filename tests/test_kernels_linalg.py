@@ -400,8 +400,9 @@ def test_left_matrix_consistent_with_apply():
 
 def _contains(rows, pivots, v, field):
     """Membership of field values v in a row space given in RREF, through
-    the `IntSpan` of the rows and the `to_ints` form of v."""
-    return linalg.IntSpan(rows, pivots, len(v), field).contains(linalg.to_ints(v, field)[1])
+    the `IntSpan` of the rows' `to_ints` forms and the `to_ints` form of v."""
+    forms = [linalg.to_ints(row, field) for row in rows]
+    return linalg.IntSpan(forms, pivots, len(v), field).contains(linalg.to_ints(v, field)[1])
 
 
 def _ref_in_span(rows, pivots, v, p):
@@ -725,7 +726,7 @@ def test_q_span_membership_matches_fraction_reference():
                         else Fraction(0) for _ in range(9)) for _ in range(4))
         rows, pivots = linalg.row_space_rref(a, q)
         seen |= {(v < 0, v.denominator > 1) for row in rows for v in row if v}
-        span = linalg.IntSpan(rows, pivots, 9, q)
+        span = linalg.IntSpan([linalg.to_ints(row, q) for row in rows], pivots, 9, q)
         coeffs = [Fraction(rng.randint(-4, 4), rng.randint(1, 5)) for _ in a]
         member = tuple(sum((c * r[j] for c, r in zip(coeffs, a)), Fraction(0)) for j in range(9))
         assert _ref_q_in_span(rows, pivots, member)
@@ -920,7 +921,7 @@ def test_packed_closure_matches_reference(name):
     f = PACKED_FIELDS[name]
     table = _defect_table(f)
     rows, pivots = linalg.row_space_rref(_defect_span(f), f)
-    span = linalg.IntSpan(rows, pivots, 5, f)
+    span = linalg.IntSpan([linalg.to_ints(row, f) for row in rows], pivots, 5, f)
 
     def ints(vectors):
         return [linalg.to_ints(v, f)[1] for v in vectors]

@@ -835,11 +835,11 @@ def test_is_identity_reads_the_integer_form():
 
 @pytest.mark.parametrize("name", ["Q", "Fp:7"])
 def test_integer_form_is_built_once_per_map(name, monkeypatch):
-    """`dagger` (its certificate) and then `is_inv_member` on one U_x, and
-    `dagger` of its dagger, convert its matrix to integers once."""
+    """Making one U_x, `dagger` (its certificate) and then `is_inv_member`
+    on it, and `dagger` of its dagger, convert its matrix to integers once."""
     f = FIELDS[name]
     alg = split_albert(f)
-    u = _uop_map(alg, alg.sample_norm_one(random.Random(21), 2))
+    x = alg.sample_norm_one(random.Random(21), 2)
     conversions = []
     to_ints = linmaps.to_ints
 
@@ -849,10 +849,53 @@ def test_integer_form_is_built_once_per_map(name, monkeypatch):
         return to_ints(values, field)
 
     monkeypatch.setattr(linmaps, "to_ints", counting)
+    u = _uop_map(alg, x)
     dag = dagger(u, alg)
     assert is_inv_member(u, alg)
     assert dagger(dag, alg)._ints == u._ints
     assert len(conversions) == 1
+
+
+@pytest.mark.parametrize("name", ["Q", "Fp:7"])
+def test_maps_are_built_on_integer_forms(name, monkeypatch):
+    """`compose`, `block_diag_map` (a Brown lift), `_cross_dagger` and the
+    dagger that `is_inv_member` keeps make no field value (no `from_ints`
+    call) until `matrix` is read; each map then equals the map made from its
+    matrix, with the same integer form and hash."""
+    f = FIELDS[name]
+    cat = Catalog(f)
+    J, B = cat.J, cat.B
+    u = _uop_map(J, J.sample_norm_one(random.Random(25), 2))
+    s, w = cat.realize("s", "J"), B.varpi()
+    calls = []
+    from_ints = linmaps.from_ints
+    monkeypatch.setattr(linmaps, "from_ints", lambda *args: calls.append(1) or from_ints(*args))
+    lift = B.lift_inv(u)
+    maps = [u.compose(s), lift, w.compose(lift), linmaps._cross_dagger(u, J),
+            u._dagger, u._dagger._dagger]
+    assert calls == []
+    monkeypatch.undo()
+    if f == Q():
+        assert u._ints[0] > 1 and lift._ints[0] > 1
+    for m in maps:
+        fresh = LinMap(m.matrix, f, m.carrier, m.basis_tag)
+        assert m == fresh and m._ints == fresh._ints and hash(m) == hash(fresh)
+
+
+def test_map_equality_is_matrix_equality():
+    """Maps compare by their matrices, field, carrier and basis tag: 2/4
+    equals 1/2 whether the map is made from its matrix or from an integer
+    form, and a one-entry change or another basis tag is another map."""
+    q, half, zero, one = Q(), Fraction(1, 2), Fraction(0), Fraction(1)
+    m = LinMap(((Fraction(2, 4), zero), (zero, one)), q, "x", "x")
+    same = [LinMap(((half, zero), (zero, one)), q, "x", "x"),
+            LinMap.of_ints(2, ((1, 0), (0, 2)), q, "x", "x")]
+    for other in same:
+        assert m == other and hash(m) == hash(other) and m.matrix == other.matrix
+    others = [LinMap(((half, Fraction(1, 3)), (zero, one)), q, "x", "x"),
+              LinMap(((half, zero), (zero, one)), q, "x", "y")]
+    for other in others:
+        assert m != other
 
 
 @pytest.mark.parametrize("name", ["Q", "Fp:7"])
