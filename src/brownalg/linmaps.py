@@ -14,8 +14,8 @@ the product in lowest terms, `block_diag_map` (the lifts of `brown` and
 `involutions`) scales its blocks' forms to one d, and the dagger below is
 built from cross products in ints.  `matrix`, the field values M / d, is a
 view built on first read.  The form is canonical, so two maps are equal,
-and hash alike, exactly when their matrices, fields, carriers and basis
-tags are.  `apply`, `is_identity` and the membership certificates below
+and hash alike, exactly when their matrices, fields and basis tags are;
+the carrier label takes no part, as in matching.  `apply`, `is_identity` and the membership certificates below
 all read the form, and so does the map's largest |entry|, which sizes the
 slots of every packed certificate.  `apply` runs the `linalg.MatVec` of M,
 built once, on both fields.  `eigenspace` and `fixed_space` read it too:
@@ -128,12 +128,11 @@ class LinMap:
         return len(self._ints[1])
 
     def _key(self):
-        return self._ints, self.field, self.carrier, self.basis_tag
+        return self._ints, self.field, self.basis_tag
 
     def __eq__(self, other):
-        """Equal matrices on the same field, carrier and basis: the integer
-        forms are in lowest terms, so they are equal exactly when the
-        matrices are."""
+        """Equal matrices on the same field and basis: the integer forms are
+        in lowest terms, so they are equal exactly when the matrices are."""
         if not isinstance(other, LinMap):
             return NotImplemented
         return self._key() == other._key()

@@ -221,6 +221,9 @@ def test_commuting_pair_subalgebra():
     that = lift_c_to_j(make_canonical_t(b.jalg.octonions), b.jalg)
     basis2 = b.commuting_pair_subalgebra(that, that)
     assert len(basis2) == 28
+    # the carrier is a label: that under another one still commutes with that
+    relabelled = LinMap(that.matrix, b.field, "J-map", that.basis_tag)
+    assert len(b.commuting_pair_subalgebra(that, relabelled)) == 28
     mat = tuple(x.coords for x in basis2)
     assert linalg.rank(mat, b.field) == 28
 

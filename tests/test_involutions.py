@@ -445,6 +445,10 @@ def test_outer_fixed_condition():
     x = cat.J.sample_norm_one(rng)
     ux = LinMap(cat.J.uop_matrix(x.coords), cat.field, ALBERT, cat.J.basis_tag)
     assert not outer_fixed_condition(ux, s, cat.J)
+    # the carrier is a label: the same map under another one gives the same answers
+    for delta in (ident, that, ux):
+        relabelled = LinMap(s.matrix, s.field, "J-map", s.basis_tag)
+        assert outer_fixed_condition(delta, relabelled, cat.J) == outer_fixed_condition(delta, s, cat.J)
 
 
 def test_outer_fixed_condition_guards_the_norm_once(monkeypatch):

@@ -883,13 +883,15 @@ def test_maps_are_built_on_integer_forms(name, monkeypatch):
 
 
 def test_map_equality_is_matrix_equality():
-    """Maps compare by their matrices, field, carrier and basis tag: 2/4
-    equals 1/2 whether the map is made from its matrix or from an integer
-    form, and a one-entry change or another basis tag is another map."""
+    """Maps compare by their matrices, field and basis tag: 2/4 equals 1/2
+    whether the map is made from its matrix or from an integer form, and
+    under another carrier label; a one-entry change or another basis tag is
+    another map."""
     q, half, zero, one = Q(), Fraction(1, 2), Fraction(0), Fraction(1)
     m = LinMap(((Fraction(2, 4), zero), (zero, one)), q, "x", "x")
     same = [LinMap(((half, zero), (zero, one)), q, "x", "x"),
-            LinMap.of_ints(2, ((1, 0), (0, 2)), q, "x", "x")]
+            LinMap.of_ints(2, ((1, 0), (0, 2)), q, "x", "x"),
+            LinMap(((half, zero), (zero, one)), q, "label", "x")]
     for other in same:
         assert m == other and hash(m) == hash(other) and m.matrix == other.matrix
     others = [LinMap(((half, Fraction(1, 3)), (zero, one)), q, "x", "x"),
