@@ -33,7 +33,8 @@ Gram matrix, and converts once per output entry (`linalg.from_ints`): one
 `Fraction` per nonzero entry over Q, with zeros the shared zero(), and one
 reduction mod p over F_p.  `uop_matrix` squares L_x with `linalg.MatVec`.
 `tits_phi_matrix` builds the torus and SL3 maps of the Tits model from
-Kronecker blocks, inverting each factor once with `linalg.inverse`.
+Kronecker blocks, inverting each determinant-1 factor once as its
+adjugate (`mat3_adj`).
 """
 
 from __future__ import annotations
@@ -59,7 +60,6 @@ from .linalg import (
     block_diag,
     from_ints,
     identity,
-    inverse,
     kron,
     lowest_terms,
     mat_mul,
@@ -632,7 +632,8 @@ class AlbertAlgebra(Algebra):
         return tuple(out)
 
     def _tits_phi_inverses(self, u, v, w):
-        """(u^-1, v^-1, w^-1) for unimodular factors of tits_phi."""
+        """(u^-1, v^-1, w^-1) for unimodular factors of tits_phi: each
+        factor has determinant 1, so its inverse is its adjugate."""
         if self.model != "tits":
             raise ModelMismatch("tits_phi lives on the first Tits construction")
         f = self.field
@@ -640,7 +641,7 @@ class AlbertAlgebra(Algebra):
         for m in (u, v, w):
             if mat3_det(f, m) != one:
                 raise NotUnimodular("tits_phi factors must have determinant 1")
-        return tuple(inverse(m, f) for m in (u, v, w))
+        return tuple(mat3_adj(f, m) for m in (u, v, w))
 
     def tits_phi_raw(self, u, v, w, x):
         """(u a0 v^-1, v a1 w^-1, w a2 u^-1) on one element; the reference for

@@ -78,10 +78,6 @@ class ArityMismatch(AlgebraError):
     pass
 
 
-class FormNotInvariant(AlgebraError):
-    """Bilinear form is not invariant under the supplied order-2 map."""
-
-
 class ZeroArgument(AlgebraError):
     """Hilbert symbol argument is zero."""
 

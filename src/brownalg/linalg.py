@@ -59,9 +59,15 @@ The one matrix product is `int_mat_mul`, on integer matrices: over Q a
 loop over the nonzero entries, over F_p the `MatVec` of the second factor.
 `mat_mul` of field values is `int_mat_mul` of the two `to_ints` forms with
 one `from_ints` per row, on both fields.  Elimination (`_eliminate`) is one
-loop per field on integer rows: `rref` is `to_ints` followed by it, and
-`kernel` runs it on an integer matrix directly, such as a map's integer
-form shifted by an eigenvalue (`LinMap.eigenbasis`).  Over Q it eliminates
+loop per field on integer rows: `rref` is `to_ints` followed by it, `rank`
+counts its pivots, and `kernel` runs it on an integer matrix directly, such
+as a map's integer form shifted by an eigenvalue (`LinMap.eigenbasis`).
+One integer solve, `int_solve`, serves `solve_right`, `inverse` and
+`LinMap.inverse_map`: it eliminates [A | B] to [I | X] and returns X over
+one denominator in lowest terms.  `solve_right` (and `inverse`, its call on
+[a | I]) runs it on the `to_ints` rows of [a | b] and converts X once per
+row; `inverse_map` runs it on [M | d I] for the map's integer form (d, M)
+and makes no field value.  Over Q it eliminates
 fraction-free on primitive integer rows (Bareiss, Math. Comp. 22, 1968;
 Cohen, *A Course in Computational Algebraic Number Theory*, 2.2).  Row
 scaling does not change the reduced row echelon form, which is unique, so
@@ -335,10 +341,15 @@ def int_mat_mul(a, b, field: FieldSpec):
     return out
 
 
+def _int_rows(a, field: FieldSpec):
+    """The `to_ints` integer row of each row of a, each over its own d."""
+    return [to_ints(r, field)[1] for r in a]
+
+
 def rref(a, field: FieldSpec):
     """Reduced row echelon form; returns (rows, pivot_columns): the `to_ints`
     rows of a through `_eliminate`, each pivot row divided by its pivot entry."""
-    rows, pivots = _eliminate([to_ints(r, field)[1] for r in a], field)
+    rows, pivots = _eliminate(_int_rows(a, field), field)
     n = len(a[0]) if a else 0
     out = [from_ints(row, row[c], field) for row, c in zip(rows, pivots)]
     zero_row = (field.zero(),) * n
@@ -419,7 +430,8 @@ def _eliminate_q(rows):
 
 
 def rank(a, field: FieldSpec) -> int:
-    return len(rref(a, field)[1])
+    """The number of pivots `_eliminate` finds in the `to_ints` rows of a."""
+    return len(_eliminate(_int_rows(a, field), field)[1])
 
 
 def kernel(rows, field: FieldSpec):
@@ -451,7 +463,7 @@ def kernel(rows, field: FieldSpec):
 
 def nullspace(a, field: FieldSpec):
     """Basis of {v : a v = 0}: the `kernel` of the `to_ints` rows of a."""
-    return kernel([to_ints(r, field)[1] for r in a], field)[0]
+    return kernel(_int_rows(a, field), field)[0]
 
 
 def inverse(a, field: FieldSpec):
@@ -460,13 +472,30 @@ def inverse(a, field: FieldSpec):
 
 
 def solve_right(a, b, field: FieldSpec):
-    """Solve a X = b for square invertible a (b a matrix); None if singular."""
+    """Solve a X = b for square invertible a (b a matrix); None if singular.
+    `int_solve` of the `to_ints` rows of [a | b], converted once per row."""
     n = len(a)
-    aug = tuple(tuple(a[i]) + tuple(b[i]) for i in range(n))
-    rows, pivots = rref(aug, field)
-    if tuple(pivots[:n]) != tuple(range(n)):
+    sol = int_solve(_int_rows([tuple(a[i]) + tuple(b[i]) for i in range(n)], field), n, field)
+    if sol is None:
         return None
-    return tuple(r[n:] for r in rows[:n])
+    den, x = sol
+    return tuple([from_ints(row, den, field) for row in x])
+
+
+def int_solve(aug, n: int, field: FieldSpec):
+    """(den, X) with A X = B and X = rows / den in lowest terms, for the
+    integer rows of [A | B] with A n x n (entries in [0, p) over F_p); None
+    when A is singular.  `_eliminate` reduces [A | B] to [I | X] with row r
+    times its pivot entry, so X is each row's B part over that entry, put
+    over the lcm of the pivot entries (1 over F_p) and in lowest terms."""
+    rows, pivots = _eliminate(aug, field)
+    if pivots[:n] != list(range(n)):
+        return None
+    k = len(aug[0]) - n if aug else 0
+    den = math.lcm(*[row[r] for r, row in enumerate(rows)])
+    flat = [v * (den // row[r]) for r, row in enumerate(rows) for v in row[n:]]
+    den, flat = lowest_terms(flat, den, field)
+    return den, [flat[i * k : i * k + k] for i in range(n)]
 
 
 def row_space_rref(vectors, field: FieldSpec):
@@ -569,7 +598,7 @@ def int_span(vectors, n: int, field: FieldSpec):
     echelon row over its pivot entry, made positive, in lowest terms.  n is
     given, not read off the vectors, so that the span of no vectors is the
     zero subspace of F^n and holds only the zero vector."""
-    ints = [to_ints(v, field)[1] for v in vectors]
+    ints = _int_rows(vectors, field)
     rows, pivots = _eliminate(ints, field)
     forms = [lowest_terms([-v for v in row] if row[c] < 0 else row, abs(row[c]), field)
              for row, c in zip(rows, pivots)]

@@ -2,28 +2,31 @@
 norm/automorphism membership predicates and phi-dagger, the trace-form
 adjoint inverse of a map in Inv(J), built from cross products.
 
-A `LinMap` takes its dimension from its matrix, so it can act on any algebra
-of the tower (a quaternion algebra too); it is matched to an algebra, and to
-another map, by the basis tag, and its carrier is only a label.  A map is
-its integer form `_ints` = (d, M), M = d * matrix in lowest terms (d the
-lcm of the entries' denominators, 1 over F_p), the one form it stores.
-`LinMap(matrix, ...)` scales its matrix once (`linalg.to_ints`), and
-`LinMap.of_ints` takes a form in lowest terms and makes no field value:
-`compose` multiplies the two integer forms (`linalg.int_mat_mul`) and puts
-the product in lowest terms, `block_diag_map` (the lifts of `brown` and
-`involutions`) scales its blocks' forms to one d, and the dagger below is
-built from cross products in ints.  `matrix`, the field values M / d, is a
-view built on first read.  The form is canonical, so two maps are equal,
-and hash alike, exactly when their matrices, fields and basis tags are;
-the carrier label takes no part, as in matching.  `apply`, `is_identity` and the membership certificates below
-all read the form, and so does the map's largest |entry|, which sizes the
-slots of every packed certificate.  `apply` runs the `linalg.MatVec` of M,
-built once, on both fields.  `eigenspace` and `fixed_space` read it too:
-the kernel of self - (a/b) id is `linalg.kernel` of b M - a d I, an
-integer matrix.  A map over a field with no element arithmetic is refused
-when it is made.  A map also keeps whether it squares to the identity:
-`order_divides_two` checks M M = d^2 I once, on packed rows of its integer
-form.
+A `LinMap` takes its dimension from its matrix, so it can act on any
+algebra of the tower (a quaternion algebra too); it is matched to an
+algebra, and to another map, by the basis tag, and its carrier is only a
+label.  A map is its integer form `_ints` = (d, M), M = d * matrix in
+lowest terms (d the lcm of the entries' denominators, 1 over F_p), the one
+form it stores.  `LinMap(matrix, ...)` scales its matrix once
+(`linalg.to_ints`), and `LinMap.of_ints` takes a form in lowest terms and
+makes no field value: `compose` multiplies the two integer forms
+(`linalg.int_mat_mul`) and puts the product in lowest terms,
+`block_diag_map` (the lifts of `brown` and `involutions`) scales its
+blocks' forms to one d, and the dagger below is built from cross products
+in ints.  `matrix`, the field values M / d, is a view built on first read,
+for callers; no computation of the package reads it.  The form is
+canonical, so two maps are equal, and hash alike, exactly when their
+matrices, fields and basis tags are; the carrier label takes no part, as in
+matching.  `apply`, `is_identity` and the membership certificates below all
+read the form, and so does the map's largest |entry|, which sizes the slots
+of every packed certificate.  `apply` runs the `linalg.MatVec` of M, built
+once, on both fields.  `eigenspace` and `fixed_space` read it too: the
+kernel of self - (a/b) id is `linalg.kernel` of b M - a d I, an integer
+matrix.  `inverse_map` is d M^-1, the solution X of M X = d I
+(`linalg.int_solve` on [M | d I]), made with `of_ints`.  A map over a field
+with no element arithmetic is refused when it is made.  A map also keeps
+whether it squares to the identity: `order_divides_two` checks M M = d^2 I
+once, on packed rows of its integer form.
 
 Every certificate below forms the packed difference of the two sides of
 its identity and hands it to `linalg.SignedPacking.is_zero`, with slots
@@ -78,7 +81,7 @@ from .linalg import (
     SignedPacking,
     from_ints,
     int_mat_mul,
-    inverse,
+    int_solve,
     kernel,
     lowest_terms,
     to_ints,
@@ -180,10 +183,16 @@ class LinMap:
         return from_ints(self._matvec.apply(v), self._ints[0] * dv, self.field)
 
     def inverse_map(self) -> "LinMap":
-        inv = inverse(self.matrix, self.field)
-        if inv is None:
+        """The inverse map, d M^-1 for the integer form (d, M): the X of
+        M X = d I (`linalg.int_solve` on [M | d I]), already in lowest terms.
+        Raises SingularGram when M is singular."""
+        d, m = self._ints
+        n = self.dim
+        aug = [row + (0,) * i + (d,) + (0,) * (n - 1 - i) for i, row in enumerate(m)]
+        sol = int_solve(aug, n, self.field)
+        if sol is None:
             raise SingularGram("map is not invertible")
-        return LinMap(inv, self.field, self.carrier, self.basis_tag)
+        return LinMap.of_ints(*sol, self.field, self.carrier, self.basis_tag)
 
     def is_identity(self) -> bool:
         """Whether M = d I for the integer form (d, M) of the map."""

@@ -11,7 +11,6 @@ from brownalg.cayley import CDAlgebra
 from brownalg.errors import (
     ArityMismatch,
     CarrierMismatch,
-    FormNotInvariant,
     NotAutomorphism,
     NotNormPreserving,
     NotOrderTwo,
@@ -355,13 +354,37 @@ def test_grade_decompose_rejects_similarity_form():
                 f, ALBERT, cat.J.basis_tag)
     with pytest.raises(NotOrderTwo):
         grade_decompose(nu, cat.J)
-    s = cat.realize("s", "J")
-    bad_form = tuple(
-        tuple(f.one() if i == j and i == 0 else f.zero() for j in range(27))
-        for i in range(27)
-    )
-    with pytest.raises(FormNotInvariant):
-        grade_decompose(s, cat.J, form=bad_form)
+
+
+@pytest.mark.parametrize("f", [Q(), Fp(7)], ids=["Q", "Fp:7"])
+def test_grade_decompose_rejects_a_map_that_breaks_the_trace_form(f):
+    """Negating coordinate j of the a-block, for the first j there that the
+    trace form pairs with another coordinate, has order 2 and breaks the
+    form; the grading law alone rejects it, with no matrix view built."""
+    J = Catalog(f).J
+    G = J.gram
+    j = next(j for j in range(3, 11) if any(G[j][k] for k in range(27) if k != j))
+    r = J.linmap(tuple(tuple(f.from_int(-1 if a == b == j else int(a == b)) for b in range(27))
+                       for a in range(27)))
+    assert r.order_divides_two()
+    with pytest.raises(NotAutomorphism):
+        grade_decompose(r, J)
+    assert "matrix" not in r.__dict__
+    m = r.matrix
+    assert linalg.mat_mul(linalg.mat_mul(linalg.transpose(m), G, f), m, f) != G
+
+
+@pytest.mark.parametrize("f", [Q(), Fp(7)], ids=["Q", "Fp:7"])
+def test_grade_decompose_on_the_brown_algebra(f):
+    """The grading law needs no form, so B is graded like J: t, varpi and
+    s.varpi split it as 32 + 24, 28 + 28 and 28 + 28, and no map builds its
+    matrix view."""
+    cat = Catalog(f)
+    for desc, dims in (("t", (32, 24)), ("varpi", (28, 28)), ("s.varpi", (28, 28))):
+        phi = cat.realize(desc, "B")
+        plus, minus = grade_decompose(phi, cat.B)
+        assert (len(plus), len(minus)) == dims
+        assert "matrix" not in phi.__dict__
 
 
 # -- conjugacy transport ------------------------------------------------------------

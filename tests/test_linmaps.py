@@ -9,7 +9,7 @@ import pytest
 from brownalg import albert, linalg, linmaps
 from brownalg.albert import AlbertAlgebra, hermitian, split_albert, tits
 from brownalg.cayley import CDAlgebra
-from brownalg.errors import CarrierMismatch, NonArithmeticField, NotNormPreserving
+from brownalg.errors import CarrierMismatch, NonArithmeticField, NotNormPreserving, SingularGram
 from brownalg.fields import FieldSpec, Fp, Q
 from brownalg.involutions import (
     Catalog,
@@ -880,6 +880,31 @@ def test_maps_are_built_on_integer_forms(name, monkeypatch):
     for m in maps:
         fresh = LinMap(m.matrix, f, m.carrier, m.basis_tag)
         assert m == fresh and m._ints == fresh._ints and hash(m) == hash(fresh)
+
+
+@pytest.mark.parametrize("name", ["Q", "Fp:7"])
+def test_inverse_map_solves_on_the_integer_form(name):
+    """`inverse_map` solves M X = d I on the integer form (d, M): a dense
+    U_x, its Brown lift and the catalog maps s, varpi and t.varpi invert to
+    the map of the inverse of their matrices, and compose with it to the
+    identity, with no matrix view built on either map; a singular map
+    raises SingularGram."""
+    f = FIELDS[name]
+    cat = Catalog(f)
+    J, B = cat.J, cat.B
+    u = _uop_map(J, J.sample_norm_one(random.Random(25), 2))
+    maps = [u, B.lift_inv(u), cat.realize("s", "J"), cat.realize("varpi", "B"),
+            cat.realize("t.varpi", "B")]
+    if f == Q():
+        assert u._ints[0] > 1 and maps[1]._ints[0] > 1
+    for m in maps:
+        inv = m.inverse_map()
+        assert "matrix" not in m.__dict__ and "matrix" not in inv.__dict__
+        assert inv == LinMap(linalg.inverse(m.matrix, f), f, m.carrier, m.basis_tag)
+        assert m.compose(inv).is_identity()
+    singular = _uop_map(J, J.diag(1, 1, 0))
+    with pytest.raises(SingularGram):
+        singular.inverse_map()
 
 
 def test_map_equality_is_matrix_equality():
