@@ -492,7 +492,7 @@ class AlbertAlgebra(Algebra):
         form = NormForm(tuple((i, j, k, c) for (i, j, k, _), c in zip(coeffs, ints)), den)
         rng = random.Random(20241)
         for _ in range(4):
-            x = tuple(f.sample_raw(rng, 3) for _ in range(DIM))
+            x = f.sample_vector(rng, DIM, 3)
             if form.evaluate(x, f) != self.norm_intrinsic_raw(x):
                 raise InternalError("norm form disagrees with the intrinsic norm")
         return form

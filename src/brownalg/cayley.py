@@ -108,6 +108,7 @@ class CDAlgebra(Algebra):
         self._conj = tuple(conj)
         self._qform = qform
         self.unit_coords = self._unit()
+        self._base = None
         chain = ",".join(field.scalar_str(k) for k in kappas)
         if split_base:
             self.basis_tag = f"cd:{field}:split:{chain}" if chain else f"cd:{field}:split"
@@ -195,12 +196,15 @@ class CDAlgebra(Algebra):
     # -- base quaternion subalgebra -----------------------------------------
 
     def base_algebra(self) -> "CDAlgebra":
-        """The first doubling copy (coords 0..dim/2) as its own algebra."""
+        """The first doubling copy (coords 0..dim/2) as its own algebra,
+        built on the first call and the same object on every later one."""
         if self.dim < 2:
             raise ValueError("dimension-1 algebra has no proper base")
         if self.split_base and not self.kappas:
             raise ValueError("matrix base is its own base")
-        return CDAlgebra(self.field, kappas=self.kappas[:-1], split_base=self.split_base)
+        if self._base is None:
+            self._base = CDAlgebra(self.field, kappas=self.kappas[:-1], split_base=self.split_base)
+        return self._base
 
 
 def mul(x: CompElem, y: CompElem) -> CompElem:

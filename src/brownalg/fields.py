@@ -8,6 +8,7 @@ raw value with its field and refuses cross-field arithmetic.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -197,17 +198,58 @@ class FieldSpec:
 
     # -- deterministic sampling -------------------------------------------
 
-    def sample_raw(self, rng: random.Random, bound: int = 10):
+    def sample_vector(self, rng: random.Random, n: int, bound: int = 10) -> tuple:
+        """n raw values, each randrange(p) over F_p and
+        Fraction(randint(-bound, bound), randint(1, bound)) over Q, drawn as
+        CPython's `random.Random` draws them: for each range [0, m) one
+        getrandbits(m.bit_length()) per try until a try falls below m.  So a
+        seed gives the same values, and leaves `rng` in the same state, as
+        those calls one coordinate at a time.  Over Q each value is read
+        from the grid of the bound (`_fraction_grid`)."""
         self._need_arith()
+        draw = rng.getrandbits
+        out = []
         if self.kind == PRIME:
-            return rng.randrange(self.p)
-        return Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
+            p = self.p
+            k = p.bit_length()
+            for _ in range(n):
+                r = draw(k)
+                while r >= p:
+                    r = draw(k)
+                out.append(r)
+            return tuple(out)
+        grid = _fraction_grid(bound)
+        width = 2 * bound + 1
+        kn, kd = width.bit_length(), bound.bit_length()
+        for _ in range(n):
+            num = draw(kn)
+            while num >= width:
+                num = draw(kn)
+            den = draw(kd)
+            while den >= bound:
+                den = draw(kd)
+            out.append(grid[num][den])
+        return tuple(out)
+
+    def sample_raw(self, rng: random.Random, bound: int = 10):
+        """One value of `sample_vector`."""
+        return self.sample_vector(rng, 1, bound)[0]
 
     def sample_nonzero(self, rng: random.Random, bound: int = 10):
         while True:
             v = self.sample_raw(rng, bound)
             if v:
                 return v
+
+
+@functools.lru_cache(maxsize=16)
+def _fraction_grid(bound: int):
+    """grid[num + bound][den - 1] = Fraction(num, den) for |num| <= bound and
+    1 <= den <= bound, with the shared `_ZERO` for num = 0."""
+    if bound < 1:
+        raise ValueError("bound must be >= 1")
+    return tuple(tuple(Fraction(num, den) if num else _ZERO for den in range(1, bound + 1))
+                 for num in range(-bound, bound + 1))
 
 
 def Q() -> FieldSpec:

@@ -463,7 +463,7 @@ class Catalog:
         for _ in range(3):
             kind = rng.randrange(3)
             if kind == 0:
-                w = tuple(f.sample_raw(rng, 3) for _ in range(4))
+                w = f.sample_vector(rng, 4, 3)
                 if not base.qnorm_raw(w):
                     continue
                 out = out.compose(lift_c_to_j(conj_by(self.octonions, w), self.J))

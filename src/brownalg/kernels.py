@@ -188,9 +188,7 @@ class Algebra:
 
     def sample(self, rng: random.Random, bound: int | None = None) -> "Elem":
         bound = self.sample_bound if bound is None else bound
-        return self.elem(
-            self, tuple(self.field.sample_raw(rng, bound) for _ in range(self.dim))
-        )
+        return self.elem(self, self.field.sample_vector(rng, self.dim, bound))
 
     def linmap(self, matrix) -> LinMap:
         """`matrix` as a map on this algebra's carrier space and basis."""

@@ -25,13 +25,15 @@ needed partway through.  An entry is read by shift, mask and reduction mod p.
 sum_j v_j 2^(s j) whatever the signs, and a sum of multiples of packed rows
 is the packing of the same sum of the rows, exactly, since that is an
 identity of integers.  It is also the one judge of a packed identity: its
-docstring states the rule, and `SignedPacking.is_zero` applies it.  The
-certificates that use it, each with its own identity and bound, are
-`IntSpan.closed`, the basis-pair product law that `linmaps.is_automorphism`
-and `linmaps.is_inv_member` share, the unit law of `is_automorphism`,
-`LinMap.order_divides_two` and the trace-form check of the dagger that
-`linmaps.is_inv_member` builds (`linmaps._cross_dagger`).  A
-product that is linear in one operand, such as `MulTable.mul_ints`, maps
+docstring states the rule, and `SignedPacking.is_zero` applies it.  Over Q
+the packed int must be 0; over F_p "every entry is 0 mod p" is decided by
+one division by p, two additions and two masks on the whole int, and no
+slot is read back.  The certificates that use it, each with its own
+identity and bound, are `IntSpan.closed`, the basis-pair product law that
+`linmaps.is_automorphism` and `linmaps.is_inv_member` share, the unit law
+of `is_automorphism`, `LinMap.order_divides_two` and the trace-form check
+of the dagger that `linmaps.is_inv_member` builds (`linmaps._cross_dagger`).
+A product that is linear in one operand, such as `MulTable.mul_ints`, maps
 the stack of many vectors (`SignedPacking.stack` and `suffixes`) to the
 stack of their images, so one call covers them all.
 
@@ -258,8 +260,22 @@ class SignedPacking:
     and records p (0 over Q).  When `bound` covers every |entry| of the
     difference, the packed int is 0 only if every entry is (the lowest
     nonzero slot would leave a nonzero remainder mod 2^s there), which
-    decides the identity over Q; over F_p the entries are read back
-    (`unpack_signed`) and reduced mod p."""
+    decides the identity over Q.  Over F_p no entry is read back.  With
+    h = 2^(s - 1), L = (h - 1) // p, ONES the packed all-ones row and TOP =
+    h ONES (`_offsets`), every entry v_j is 0 mod p exactly when p divides
+    acc and X = acc / p + L ONES has X & TOP = 0 and
+    (X + (h - 1 - 2L) ONES) & TOP = 0, read mod 2^(s n) as Python's & reads
+    a negative X.  If v_j = p w_j, then |w_j| <= L and X has the digits
+    w_j + L in [0, 2L], below h - (h - 1 - 2L), so both tests pass.
+    Conversely, the first test puts every digit d_j of X mod 2^(s n) below
+    h, so adding h - 1 - 2L < h to each carries into no neighbour, and the
+    second puts every d_j in [0, 2L].  Then the packing of the entries
+    p (d_j - L), of absolute value at most p L < h, is congruent mod
+    2^(s n) to p (X - L ONES) = acc; two packings of entries below h lie in
+    (-2^(s n - 1), 2^(s n - 1)), so the two are equal, and by the remainder
+    argument above entry for entry: v_j = p (d_j - L).  This is the test of
+    many digits in one whole-word operation (Lamport, CACM 18(8), 1975) on
+    the Kronecker packing."""
 
     slot: int
     p: int
@@ -279,16 +295,24 @@ class SignedPacking:
         return [v - h for v in _unpack(acc + _offsets(n, self.slot), n, self.slot)]
 
     def is_zero(self, acc: int, n: int) -> bool:
-        """Whether each of the n entries of the packing acc is 0 in the field:
-        over F_p each entry is read as in `unpack_signed` and reduced mod p."""
+        """Whether each of the n entries of the packing acc is 0 in the field,
+        with a few whole-int operations and no slot read back (the
+        packed-zero rule of the class docstring)."""
         if not acc:
             return True
-        slot, p = self.slot, self.p
+        p = self.p
         if not p:
             return False
-        # entry v sits in its slot as v + h, so it is 0 mod p iff the slot is h mod p
-        h = 1 << (8 * slot - 1)
-        return [v % p for v in _unpack(acc + _offsets(n, slot), n, slot)].count(h % p) == n
+        q, r = divmod(acc, p)
+        if r:
+            return False
+        shift = 8 * self.slot - 1
+        h = 1 << shift
+        top = _offsets(n, self.slot)
+        ones = top >> shift
+        lim = (h - 1) // p
+        x = q + lim * ones
+        return not x & top and not (x + (h - 1 - 2 * lim) * ones) & top
 
     def suffixes(self, vectors):
         """The `stack`s of vectors[i:] for i = len(vectors) - 1 down to 0,

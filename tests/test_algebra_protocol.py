@@ -14,7 +14,7 @@ from brownalg.brown import BrownAlgebra
 from brownalg.cayley import CDAlgebra
 from brownalg.errors import AlgebraMismatch, MixedFields, ModelMismatch
 from brownalg.kernels import Algebra
-from brownalg.fields import Fp, Q
+from brownalg.fields import _ZERO, Fp, Q
 from brownalg.linmaps import ALBERT, BROWN, OCT
 
 FIELDS = [Q(), Fp(7)]
@@ -171,3 +171,53 @@ def test_algebra_parameters_take_only_field_values():
     with pytest.raises(MixedFields):
         BrownAlgebra(split_albert(q), zeta=0.5)
 
+
+
+def _ref_raw(field, rng, bound):
+    """One coordinate as `random.Random` draws it: randrange(p), or over Q a
+    numerator in [-bound, bound] over a denominator in [1, bound]."""
+    if field.p:
+        return rng.randrange(field.p)
+    return Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
+
+
+def _ref_vector(field, rng, n, bound):
+    return tuple(_ref_raw(field, rng, bound) for _ in range(n))
+
+
+@pytest.mark.parametrize("field", [Fp(7), Fp(2**61 - 1), Q()], ids=str)
+def test_sampling_draws_the_per_coordinate_stream(field):
+    """`Algebra.sample` on O, J and B, `sample_nonzero`, `sample_invertible`
+    and `sample_norm_one` give the values that one randrange(p), or one
+    Fraction(randint(-bound, bound), randint(1, bound)) over Q, per
+    coordinate gives, and leave the generator in the same state; a sampled
+    zero over Q is the shared zero."""
+    O = CDAlgebra.split_octonions(field)
+    J = hermitian(O)
+    B = BrownAlgebra(J)
+    got, ref = random.Random(31), random.Random(31)
+    for bound in (3, 4, 10, None):
+        for alg in (O, J, B):
+            x = alg.sample(got, bound).coords
+            n_bound = alg.sample_bound if bound is None else bound
+            assert x == _ref_vector(field, ref, alg.dim, n_bound)
+            if not field.p:
+                assert all(v is _ZERO for v in x if not v)
+            assert got.getstate() == ref.getstate()
+        if bound is None:
+            continue
+        for _ in range(8):
+            want = _ref_raw(field, ref, bound)
+            while not want:
+                want = _ref_raw(field, ref, bound)
+            assert field.sample_nonzero(got, bound) == want
+        want = _ref_vector(field, ref, J.dim, bound)
+        while not J.norm_raw(want):
+            want = _ref_vector(field, ref, J.dim, bound)
+        assert J.sample_invertible(got, bound).coords == want
+        want = _ref_vector(field, ref, J.dim, bound)
+        while not J.norm_raw(want):
+            want = _ref_vector(field, ref, J.dim, bound)
+        x = J.sample_norm_one(got, bound).coords
+        assert x == J.phi_lambda_raw(field.inv(J.norm_raw(want)), want)
+        assert got.getstate() == ref.getstate()

@@ -244,6 +244,39 @@ def test_signed_pack_round_trip_and_separation():
             assert packing.stack([]) == [] and list(packing.suffixes([])) == []
 
 
+def _zero_test_rows(rng, n, p, h):
+    """Rows of n entries below h in absolute value for `is_zero`: random and
+    extreme multiples of p (up to +-((h - 1) // p) p), entries +-(h - 1) mixed
+    with them, and multiples with one entry off by +-1 in the lowest, middle
+    or top slot."""
+    top = (h - 1) // p
+    yield [rng.randint(-top, top) * p for _ in range(n)]
+    yield [rng.choice((-top, top)) * p for _ in range(n)]
+    yield [top * p] * n
+    yield [-top * p] * n
+    yield [rng.choice((h - 1, -(h - 1), top * p, -top * p, 0)) for _ in range(n)]
+    for j in (0, n // 2, n - 1):
+        for d in (1, -1):
+            row = [rng.choice((-top, 0, top)) * p for _ in range(n)]
+            row[j] += d if abs(row[j] + d) < h else -d
+            yield row
+
+
+def test_is_zero_matches_a_per_slot_reference():
+    """`SignedPacking.is_zero` over F_p says zero exactly when every entry is
+    0 mod p, on every slot width and row length the certificates use (up to
+    56^2 entries), for primes from 2 to 2^61 - 1."""
+    rng = random.Random(31)
+    for p in (2, 3, 7, 65537, 2**31 - 1, 2**61 - 1):
+        for slot in (2, 3, 4, 8, 9, 16):
+            h = 1 << (8 * slot - 1)
+            packing = linalg.SignedPacking(slot, p)
+            for n in (1, 2, 3, 27, 56, 3136):
+                for row in _zero_test_rows(rng, n, p, h):
+                    want = all(v % p == 0 for v in row)
+                    assert packing.is_zero(packing.pack(row), n) is want, (p, slot, n)
+
+
 def test_packed_kernels_at_the_largest_slot_values():
     """All-(p - 1) dense 56 x 56 products and vectors put the largest value,
     56 (p - 1)^2, in every slot, at primes on each side of a slot width."""
@@ -573,27 +606,49 @@ def _all_fractions(matrix):
     return all(type(v) is Fraction for row in matrix for v in row)
 
 
-def test_q_kernels_match_fraction_reference(monkeypatch):
-    """rref and mat_mul over Q on integer rows, and the operations built on
-    rref, equal Gauss-Jordan elimination and products in Fractions entry for
-    entry, and return only Fractions."""
+def _ref_q_nullspace(a):
+    """Basis of {v : a v = 0} read off `_ref_q_rref`: for each free column
+    fc, 1 at fc and minus column fc of the pivot rows at their pivots."""
+    rows, pivots = _ref_q_rref(a, Q())
+    n = len(a[0])
+    out = []
+    for fc in (c for c in range(n) if c not in pivots):
+        v = [Fraction(0)] * n
+        v[fc] = Fraction(1)
+        for row, pc in zip(rows, pivots):
+            v[pc] = -row[fc]
+        out.append(tuple(v))
+    return out
+
+
+def _ref_q_solve_right(a, b):
+    """X with a X = b from `_ref_q_rref` of [a | b], None when a is singular."""
+    n = len(a)
+    rows, pivots = _ref_q_rref([tuple(a[i]) + tuple(b[i]) for i in range(n)], Q())
+    if pivots[:n] != tuple(range(n)):
+        return None
+    return tuple(tuple(row[n:]) for row in rows)
+
+
+def test_q_kernels_match_fraction_reference():
+    """rref, mat_mul, nullspace, inverse and solve_right over Q on integer
+    rows equal Gauss-Jordan elimination and products in Fractions entry for
+    entry, and return only Fractions; the expected values are computed from
+    the Fraction references alone."""
     q = Q()
     rng = random.Random(12)
-
-    def run(a, b):
-        out = {"rref": linalg.rref(a, q), "mat_mul": linalg.mat_mul(a, b, q),
-               "nullspace": linalg.nullspace(a, q)}
-        if len(a) == len(a[0]):
-            out["inverse"] = linalg.inverse(a, q)
-            out["solve_right"] = linalg.solve_right(a, b, q)
-        return out
-
     for a, b in _q_cases(rng):
-        got = run(a, b)
-        with monkeypatch.context() as mp:
-            mp.setattr(linalg, "rref", _ref_q_rref)
-            mp.setattr(linalg, "mat_mul", _ref_q_mat_mul)
-            expected = run(a, b)
+        got = {"rref": linalg.rref(a, q), "mat_mul": linalg.mat_mul(a, b, q),
+               "nullspace": linalg.nullspace(a, q)}
+        expected = {"rref": _ref_q_rref(a, q), "mat_mul": _ref_q_mat_mul(a, b, q),
+                    "nullspace": _ref_q_nullspace(a)}
+        if len(a) == len(a[0]):
+            n = len(a)
+            unit = tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
+            got["inverse"] = linalg.inverse(a, q)
+            got["solve_right"] = linalg.solve_right(a, b, q)
+            expected["inverse"] = _ref_q_solve_right(a, unit)
+            expected["solve_right"] = _ref_q_solve_right(a, b)
         assert got == expected
         assert _all_fractions(got["rref"][0]) and _all_fractions(got["mat_mul"])
         assert _all_fractions(got["nullspace"])

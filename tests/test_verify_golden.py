@@ -5,9 +5,10 @@ The reports in tests/data were written by
 
     brownalg verify all --field Fp:7 --seed 0 --samples 100 --json
     brownalg verify all --field Fp:11 --seed 0 --samples 20 --json
+    brownalg verify all --field Q --seed 0 --samples 10 --json
 
-and are compared without the `version` key.  Q is pinned by the Fraction
-references of test_kernels_linalg.py instead: its run costs about 3 s.
+and are compared without the `version` key.  Q runs 10 samples, which keeps
+its run under a second.
 """
 
 import json
@@ -22,7 +23,8 @@ DATA = Path(__file__).parent / "data"
 
 @pytest.mark.parametrize(
     "field, samples, name",
-    [("Fp:7", 100, "verify_all_fp7_seed0.json"), ("Fp:11", 20, "verify_all_fp11_seed0.json")],
+    [("Fp:7", 100, "verify_all_fp7_seed0.json"), ("Fp:11", 20, "verify_all_fp11_seed0.json"),
+     ("Q", 10, "verify_all_q_seed0.json")],
 )
 def test_verify_all_json_matches_committed_report(capsys, field, samples, name):
     code = main(["verify", "all", "--field", field, "--seed", "0",
