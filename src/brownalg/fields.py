@@ -198,7 +198,7 @@ class FieldSpec:
 
     # -- deterministic sampling -------------------------------------------
 
-    def sample_vector(self, rng: random.Random, n: int, bound: int = 10) -> tuple:
+    def sample_vector(self, rng: random.Random, n: int, bound: int) -> tuple:
         """n raw values, each randrange(p) over F_p and
         Fraction(randint(-bound, bound), randint(1, bound)) over Q, drawn as
         CPython's `random.Random` draws them: for each range [0, m) one

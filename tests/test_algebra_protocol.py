@@ -196,11 +196,17 @@ def test_sampling_draws_the_per_coordinate_stream(field):
     J = hermitian(O)
     B = BrownAlgebra(J)
     got, ref = random.Random(31), random.Random(31)
+
+    def ref_invertible(bound):
+        x = _ref_vector(field, ref, J.dim, bound)
+        while not J.norm_raw(x):
+            x = _ref_vector(field, ref, J.dim, bound)
+        return x
+
     for bound in (3, 4, 10, None):
         for alg in (O, J, B):
             x = alg.sample(got, bound).coords
-            n_bound = alg.sample_bound if bound is None else bound
-            assert x == _ref_vector(field, ref, alg.dim, n_bound)
+            assert x == _ref_vector(field, ref, alg.dim, bound or alg.sample_bound)
             if not field.p:
                 assert all(v is _ZERO for v in x if not v)
             assert got.getstate() == ref.getstate()
@@ -211,13 +217,8 @@ def test_sampling_draws_the_per_coordinate_stream(field):
             while not want:
                 want = _ref_raw(field, ref, bound)
             assert field.sample_nonzero(got, bound) == want
-        want = _ref_vector(field, ref, J.dim, bound)
-        while not J.norm_raw(want):
-            want = _ref_vector(field, ref, J.dim, bound)
-        assert J.sample_invertible(got, bound).coords == want
-        want = _ref_vector(field, ref, J.dim, bound)
-        while not J.norm_raw(want):
-            want = _ref_vector(field, ref, J.dim, bound)
+        assert J.sample_invertible(got, bound).coords == ref_invertible(bound)
+        want = ref_invertible(bound)
         x = J.sample_norm_one(got, bound).coords
         assert x == J.phi_lambda_raw(field.inv(J.norm_raw(want)), want)
         assert got.getstate() == ref.getstate()
