@@ -23,7 +23,10 @@ Every product of the package runs on them.  `MulTable.apply`, the product of
 field values, is `to_ints`, `mul_ints` and one `from_ints` on both fields.
 The Albert operators work on `mul_ints` and `left_ints` directly.
 The closure and automorphism certificates (`linalg.IntSpan.closed`,
-`linmaps.is_automorphism`) take the table itself.  `mul_ints` only tests
+`linmaps.is_automorphism`) take the table itself; `MulTable.opposite`, the
+table of (x, y) -> y.x, is the image-side table with which
+`is_automorphism` certifies an anti-automorphism, and the table that
+`verify` compares entries with for commutativity.  `mul_ints` only tests
 the coordinates of its operands for zero and multiplies them, so it runs
 unchanged on a packed operand in either place, whose coordinate j is one
 int holding coordinate j of many vectors (`linalg.SignedPacking.stack`),
@@ -132,6 +135,15 @@ class MulTable:
                     sums[k] += abs(c)
             self._sum = max(sums, default=0)
         return self._sum
+
+    def opposite(self) -> "MulTable":
+        """The table of the opposite product (x, y) -> y.x: the entries
+        (j, i, k, c) in entry order.  It has the same coefficients, so the
+        same integer denominator D and the same `int_sum`; an algebra is
+        commutative exactly when the two tables hold the same entries, and
+        an anti-automorphism is an automorphism onto the opposite product
+        (`linmaps.is_automorphism` with this table as its target)."""
+        return MulTable(self.n, [(j, i, k, c) for i, j, k, c in self.entries])
 
     def apply(self, x, y, field: FieldSpec):
         """x.y for field values: `mul_ints` on the `to_ints` forms of x and y,

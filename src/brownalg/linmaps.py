@@ -33,17 +33,23 @@ its identity and hands it to `linalg.SignedPacking.is_zero`, with slots
 sized from a bound on that difference (the rule is stated once, in the
 `SignedPacking` docstring).
 
-Membership in Aut and in Inv(J) is one product law on basis pairs,
-`_products_agree`: a P mul_ints(e_i, e_l) = b mul_ints(M e_i, M e_l) for
-the integer form M of phi, an integer matrix P and scales a, b, two
-`MulTable.mul_ints` calls per basis vector on stacked second factors.
-`is_automorphism` takes P = M with its unit law, for the product of any
-`MulTable`: it serves `is_aut_member` on every algebra of the tower
-(composition, Albert and Brown, matched by basis tag) and the isotope check
-of `involutions`.  `is_inv_member` is a deterministic certificate over Q and
-F_p for phi(x) # phi(y) = phi-dagger(x # y) (Springer and Veldkamp,
-*Octonions, Jordan Algebras and Exceptional Groups*, ch. 5): P is the
-integer form of phi-dagger, and the law runs on the cross table.
+Membership in Aut and in Inv(J), and the anti-automorphism laws, are one
+product law on basis pairs, `_products_agree`: a P mul_ints(e_i, e_l) =
+b target.mul_ints(M e_i, M e_l) for the integer form M of phi, an integer
+matrix P, scales a, b and a target table on the image side (the table
+itself unless given), two `MulTable.mul_ints` calls per basis vector on
+stacked second factors.  `is_automorphism` takes P = M with its unit law,
+for the product of any `MulTable`: it serves `is_aut_member` on every
+algebra of the tower (composition, Albert and Brown, matched by basis tag)
+and the isotope check of `involutions`, and with the opposite table
+(`MulTable.opposite`) as its target it certifies an anti-automorphism,
+unit law included: `verify` decides conj(xy) = conj(y) conj(x) and the
+Brown involution's law this way.  The target must share the table's
+integer denominator; none with another is scaled for yet.
+`is_inv_member` is a deterministic certificate over Q and F_p for
+phi(x) # phi(y) = phi-dagger(x # y) (Springer and Veldkamp, *Octonions,
+Jordan Algebras and Exceptional Groups*, ch. 5): P is the integer form of
+phi-dagger, and the law runs on the cross table.
 
 `dagger` has no verdict of its own: it returns the dagger that
 `is_inv_member` keeps on a map it certifies, and raises NotNormPreserving
@@ -299,26 +305,31 @@ def is_inv_member(phi: LinMap, algebra) -> bool:
     return True
 
 
-def _products_agree(phi: LinMap, table, a: int, psi: LinMap, b: int, commutative: bool) -> bool:
-    """Whether a P mul_ints(e_i, e_l) = b mul_ints(M e_i, M e_l) for every
-    basis pair (i, l) of the `MulTable`, the pairs i <= l when
-    `commutative`, with M and P the integer matrices (`_ints`) of phi and psi.
+def _products_agree(phi: LinMap, table, a: int, psi: LinMap, b: int, commutative: bool,
+                    target=None) -> bool:
+    """Whether a P mul_ints(e_i, e_l) = b target.mul_ints(M e_i, M e_l) for
+    every basis pair (i, l) of the `MulTable`, the pairs i <= l when
+    `commutative`, with M and P the integer matrices (`_ints`) of phi and
+    psi.  `target` is the product on the image side, `table` itself by
+    default; it must have the table's integer denominator D, as
+    `MulTable.opposite` does, and no other D is scaled for.
 
     Row i checks every l at once on packed vectors (`linalg.SignedPacking`):
     with E the identity stacked (E_l = 2^(s l)) and R the columns of b M
     stacked, `mul_ints` is bilinear, so mul_ints(e_i, E) packs the e_i.e_l
-    over l and mul_ints(M e_i, R) the b (M e_i).(M e_l): two calls per row,
-    on slots of 2^(s - 1) > int_sum (n a max|P| + b max|M|^2)
-    (`MulTable.int_sum`), a bound on the entries of the difference.  With
-    `commutative` E and R are the suffixes over l >= i, built from the last
-    row back.  The row's n packed differences, one per output coordinate c,
-    are one packing for one `SignedPacking.is_zero`: difference c shifted
-    by c (n - first) slots, which is exact, as packing is linear and every
-    entry keeps its bound.  Stops at the first failing row."""
+    over l and target.mul_ints(M e_i, R) the b (M e_i).(M e_l): two calls
+    per row, on slots of 2^(s - 1) > S (n a max|P| + b max|M|^2), S the
+    larger `MulTable.int_sum` of the two tables, a bound on the entries of
+    the difference.  With `commutative` E and R are the suffixes over
+    l >= i, built from the last row back.  The row's n packed differences,
+    one per output coordinate c, are one packing for one
+    `SignedPacking.is_zero`: difference c shifted by c (n - first) slots,
+    which is exact, as packing is linear and every entry keeps its bound.
+    Stops at the first failing row."""
     n = phi.dim
-    bound = table.int_sum() * (n * a * psi._top + b * phi._top ** 2)
+    target = table if target is None else target
+    bound = max(table.int_sum(), target.int_sum()) * (n * a * psi._top + b * phi._top ** 2)
     packing = SignedPacking.holding(bound, phi.field)
-    mul = table.mul_ints
     cols = list(zip(*phi._ints[1]))
     seconds = cols if b == 1 else [[b * x for x in col] for col in cols]
     # the nonzero entries of a P, column by column
@@ -332,11 +343,11 @@ def _products_agree(phi: LinMap, table, a: int, psi: LinMap, b: int, commutative
         e = [0] * n
         e[i] = 1
         left = [0] * n
-        for j, w in enumerate(mul(e, [0] * first + powers[: n - first])):
+        for j, w in enumerate(table.mul_ints(e, [0] * first + powers[: n - first])):
             if w:
                 for r, c in pcols[j]:
                     left[r] += c * w
-        right = mul(cols[i], packed)
+        right = target.mul_ints(cols[i], packed)
         if left == right:
             return True
         # one packing of all n differences: difference c from slot c (n - first) on
@@ -351,16 +362,20 @@ def _products_agree(phi: LinMap, table, a: int, psi: LinMap, b: int, commutative
     return all(row_holds(i, 0, packed) for i in range(n))
 
 
-def is_automorphism(phi: LinMap, table, unit, commutative: bool = False) -> bool:
-    """Exact: phi(unit) = unit and phi(e_i . e_j) = phi(e_i) . phi(e_j) for
-    every basis pair of the product of the `MulTable`, the pairs i <= j for
-    a commutative product (a bilinear product is determined by its values on
-    basis pairs, so they certify).
+def is_automorphism(phi: LinMap, table, unit, commutative: bool = False, target=None) -> bool:
+    """Exact: phi(unit) = unit and phi(e_i . e_j) = phi(e_i) * phi(e_j) for
+    every basis pair of the product . of the `MulTable`, the pairs i <= j
+    for a commutative product (a bilinear product is determined by its
+    values on basis pairs, so they certify).  * is the product of `target`,
+    the table on the image side, which is `table` by default: an
+    automorphism.  With `target=table.opposite()` (`MulTable.opposite`),
+    u * v = v . u, and the law reads phi(x . y) = phi(y) . phi(x): phi is an
+    anti-automorphism, such as a conjugation or the Brown involution.
 
     With (d, M) the integer form of the map and u that of the unit, the unit
     law M u = d u is one packed difference on slots sized from its own
     largest entry, and the pairs are `_products_agree` with P = M, a = d and
-    b = 1: d M mul_ints(e_i, e_l) = mul_ints(M e_i, M e_l)."""
+    b = 1: d M mul_ints(e_i, e_l) = target.mul_ints(M e_i, M e_l)."""
     f = phi.field
     d = phi._ints[0]
     u = to_ints(unit, f)[1]
@@ -368,7 +383,7 @@ def is_automorphism(phi: LinMap, table, unit, commutative: bool = False) -> bool
     unit_law = SignedPacking.holding(max(map(abs, diff), default=0), f)
     if not unit_law.is_zero(unit_law.pack(diff), phi.dim):
         return False
-    return _products_agree(phi, table, d, phi, 1, commutative)
+    return _products_agree(phi, table, d, phi, 1, commutative, target)
 
 
 def is_aut_member(phi: LinMap, algebra) -> bool:

@@ -194,7 +194,9 @@ def test_varpi_check_reindexes_the_lift(monkeypatch, field):
     `compose`: it reindexes the lift by the permutation read off varpi's
     matrix.  Each sampled U_x is certified once: the lift of its dagger
     reuses the copy of U_x kept as the dagger's dagger.  A varpi that is not
-    a coordinate permutation (-varpi, also of order 2) fails the check."""
+    a coordinate permutation (-varpi, also of order 2) fails the check; the
+    check reads varpi from the catalog, which builds it with
+    `BrownAlgebra.varpi` once, so the patched varpi goes to a new context."""
     ctx = verify.Ctx(field, 0, 50)
     calls = []
     cross_dagger = linmaps._cross_dagger
@@ -210,7 +212,7 @@ def test_varpi_check_reindexes_the_lift(monkeypatch, field):
     minus = b.linmap(tuple(tuple(field.neg(v) for v in row) for row in b.varpi().matrix))
     monkeypatch.setattr(BrownAlgebra, "varpi", lambda self: minus)
     with pytest.raises(verify.CheckFailure, match="not a coordinate permutation"):
-        verify.check_varpi_dagger(ctx)
+        verify.check_varpi_dagger(verify.Ctx(field, 0, 50))
 
 
 def test_commuting_pair_subalgebra():

@@ -6,8 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from brownalg import albert, linalg, linmaps
+from brownalg import albert, linalg, linmaps, verify
 from brownalg.albert import AlbertAlgebra, hermitian, split_albert, tits
+from brownalg.brown import BrownAlgebra
 from brownalg.cayley import CDAlgebra
 from brownalg.errors import CarrierMismatch, NonArithmeticField, NotNormPreserving, SingularGram
 from brownalg.fields import FieldSpec, Fp, Q
@@ -383,28 +384,34 @@ def test_inv_certificate_at_the_slot_bounds(name, monkeypatch):
 
 def _ref_product(table, field):
     """x.y summed from the table's entries in field values."""
+    rows = [[] for _ in range(table.n)]
+    for i, j, k, c in table.entries:
+        rows[i].append((j, k, c))
+
     def product(x, y):
         out = [field.zero()] * table.n
-        for i, j, k, c in table.entries:
-            if x[i] and y[j]:
-                out[k] = field.add(out[k], field.mul(c, field.mul(x[i], y[j])))
+        for xi, row in zip(x, rows):
+            for j, k, c in row if xi else ():
+                if y[j]:
+                    out[k] = field.add(out[k], field.mul(c, field.mul(xi, y[j])))
         return tuple(out)
     return product
 
 
-def _ref_failures(matrix, product, unit, field, commutative=False):
+def _ref_failures(matrix, product, unit, field, commutative=False, target=None):
     """Where the map of `matrix` breaks phi(unit) = unit ("unit") or
-    phi(e_i.e_j) = phi(e_i).phi(e_j) (the pair (i, j)), in field values."""
+    phi(e_i.e_j) = phi(e_i)*phi(e_j) (the pair (i, j)), in field values, with
+    * the product `target` on the image side (`product` by default)."""
+    target = target or product
     n = len(matrix)
+    cols = list(zip(*matrix))
 
     def apply(v):
-        out = []
-        for row in matrix:
-            acc = field.zero()
-            for a, x in zip(row, v):
-                if a and x:
-                    acc = field.add(acc, field.mul(a, x))
-            out.append(acc)
+        out = [field.zero()] * n
+        for x, col in zip(v, cols):
+            for r, a in enumerate(col if x else ()):
+                if a:
+                    out[r] = field.add(out[r], field.mul(a, x))
         return tuple(out)
 
     basis = [tuple(field.one() if i == j else field.zero() for j in range(n)) for i in range(n)]
@@ -412,7 +419,7 @@ def _ref_failures(matrix, product, unit, field, commutative=False):
     bad = [] if apply(unit) == tuple(unit) else ["unit"]
     for i in range(n):
         for j in range(i if commutative else 0, n):
-            if apply(product(basis[i], basis[j])) != product(images[i], images[j]):
+            if apply(product(basis[i], basis[j])) != target(images[i], images[j]):
                 bad.append((i, j))
     return bad
 
@@ -534,6 +541,86 @@ def test_is_aut_member_certifies_every_algebra_of_the_tower(level):
     assert not is_aut_member(algebra.linmap(tuple(map(tuple, perturbed))), algebra)
     with pytest.raises(CarrierMismatch):
         is_aut_member(other.linmap(lift.matrix), algebra)
+
+
+# -- anti-automorphisms: the certificate with the opposite table as target --------------
+
+def _ref_anti_failures(phi, algebra):
+    """Where phi(e_i.e_j) = phi(e_j).phi(e_i) or phi(1) = 1 breaks, summed in
+    field values: `_ref_failures` with the swapped product on the image side."""
+    product = _ref_product(algebra.table, algebra.field)
+    return _ref_failures(phi.matrix, product, algebra.unit_coords, algebra.field,
+                         target=lambda x, y: product(y, x))
+
+
+@pytest.mark.parametrize("name", ["Q", "Fp:7"])
+def test_opposite_table_keeps_the_integer_scale(name):
+    """The opposite of the Brown table over zeta = -2/5 swaps the first two
+    indices in entry order and keeps D and `int_sum`; e_i.e_j read off it is
+    e_j.e_i."""
+    f = FIELDS[name]
+    table = BrownAlgebra(Catalog(f).J, f.parse_scalar("-2/5")).table
+    opposite = table.opposite()
+    assert opposite.entries == tuple((j, i, k, c) for i, j, k, c in table.entries)
+    assert opposite.int_table()[0] == table.int_table()[0]
+    assert opposite.int_sum() == table.int_sum()
+    e = linalg.identity(table.n, f)
+    assert opposite.apply(e[2], e[40], f) == table.apply(e[40], e[2], f)
+
+
+@pytest.mark.parametrize("name", ["Q", "Fp:7"])
+def test_anti_automorphism_certificate_matches_the_swapped_reference(name):
+    """conj on the three composition algebras of `verify` and binv on B
+    with zeta 1, 2 and -2/5 and on the Brown algebra of the Tits model are
+    anti-automorphisms; the identity of the octonions and varpi of B are
+    not, and neither conj on the octonions nor binv is an automorphism.
+    conj on the 2-dimensional algebra, which is commutative, is both."""
+    f = FIELDS[name]
+    ctx = verify.Ctx(f, 0, 1)
+    cat = ctx.cat
+    o, B = cat.octonions, cat.B
+    anti = [(alg.linmap_of(alg.conj_raw), alg) for alg in verify._oct_algebras(ctx)]
+    browns = [BrownAlgebra(cat.J, z) for z in (1, 2, f.parse_scalar("-2/5"))] + [cat.Bt]
+    anti += [(b.binv_map(), b) for b in browns]
+    cases = [(phi, alg, True) for phi, alg in anti]
+    cases += [(o.linmap(linalg.identity(8, f)), o, False), (B.varpi(), B, False)]
+    for phi, alg, verdict in cases:
+        assert (not _ref_anti_failures(phi, alg)) is verdict
+        opposite = alg.table.opposite()
+        assert linmaps.is_automorphism(phi, alg.table, alg.unit_coords, target=opposite) is verdict
+    for phi, alg in anti:
+        bad = _ref_failures(phi.matrix, _ref_product(alg.table, f), alg.unit_coords, f)
+        assert (not bad) is (alg.dim == 2)
+        assert is_aut_member(phi, alg) is (alg.dim == 2)
+
+
+@pytest.mark.parametrize("name", ["Q", "Fp:7"])
+def test_changed_conjugation_fails_where_the_reference_does(name, monkeypatch):
+    """conj on the octonions with one entry doubled is no anti-automorphism:
+    the reference lists pairs in rows from 1 on, the unit law holds, and
+    the certificate, which stops at the first failing row, makes one call
+    on the opposite table per row up to the first row the reference lists."""
+    f = FIELDS[name]
+    o = Catalog(f).octonions
+    rows = [list(row) for row in o.linmap_of(o.conj_raw).matrix]
+    r, c = next((r, c) for r, row in enumerate(rows) for c, v in enumerate(row)
+                if v and not o.unit_coords[c])
+    rows[r][c] = f.add(rows[r][c], rows[r][c])
+    phi = o.linmap(rows)
+    bad = _ref_anti_failures(phi, o)
+    assert bad and "unit" not in bad and bad[0][0] >= 1
+    opposite = o.table.opposite()
+    calls = []
+    mul_ints = MulTable.mul_ints
+
+    def counting(table, x, y):
+        if table is opposite:
+            calls.append(1)
+        return mul_ints(table, x, y)
+
+    monkeypatch.setattr(MulTable, "mul_ints", counting)
+    assert not linmaps.is_automorphism(phi, o.table, o.unit_coords, target=opposite)
+    assert len(calls) == bad[0][0] + 1
 
 
 def _ref_isotope_check(x, y):

@@ -49,6 +49,7 @@ def test_readme_states_the_checked_claims():
     assert claims["fixed varpi B"] == ["dimension: 28"]
     assert claims["fixed s B"] == ["dimension: 24"]
     assert claims["kac e6~ 2"] == ["6 solution(s)"]
+    assert claims["kac e6~2 2 --no-gcd --folded"] == ["3 solution(s)"]
     assert claims["classify R E6"] == ["total: 6"]
 
 
