@@ -9,10 +9,10 @@ and computes residuals on the folded diagram, derived from the folding pairs:
 its nodes are the orbits, and for E6 it is the 5-node diagram
 rho_0 - rho_4 - rho_3 <= rho_25 - rho_16 (double edge pointing at rho_3).
 
-Enumeration recurses over the fold orbits (single nodes when unfolded),
-solves the last one directly and carries the gcd and zero pattern of the
-prefix, so it costs O(n) per solution; each residual zero pattern is
-classified once per call.
+Enumeration recurses over the fold orbits (single nodes when unfolded) down
+to the last two, which one inner loop solves: v runs over the first and
+divmod gives the second.  That loop builds each `KacSolution`, a named tuple,
+and classifies each residual zero pattern once per call.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from math import gcd
+from typing import NamedTuple
 
 from .errors import UnrecognizedType
 
@@ -115,14 +116,7 @@ def _quotient_edges(nodes, edges) -> tuple:
 E6_EXTENDED = MarkedAffineDiagram(
     name="e6~",
     marks=(1, 1, 2, 3, 2, 2, 1),
-    edges=(
-        Edge(0, 4),
-        Edge(4, 3),
-        Edge(3, 2),
-        Edge(2, 1),
-        Edge(3, 5),
-        Edge(5, 6),
-    ),
+    edges=tuple(Edge(a, b) for a, b in ((0, 4), (4, 3), (3, 2), (2, 1), (3, 5), (5, 6))),
 )
 
 E6_TWISTED = MarkedAffineDiagram(
@@ -135,8 +129,7 @@ E6_TWISTED = MarkedAffineDiagram(
 BUILTIN = {"e6~": E6_EXTENDED, "e6~2": E6_TWISTED}
 
 
-@dataclass(frozen=True)
-class KacSolution:
+class KacSolution(NamedTuple):
     s: tuple
     m: int
     residual: tuple  # component type names, sorted
@@ -187,49 +180,56 @@ def enumerate_solutions(
 ) -> list[KacSolution]:
     """All nonnegative tuples with sum marks[i] s[i] = m, lexicographic order,
     optionally gcd-filtered and restricted to fold-symmetric tuples.  The gcd
-    filter defaults on for untwisted enumeration and off for folded."""
+    filter defaults on when unfolded and off when folded."""
     if not _positive_int(m):
         raise ValueError(f"order m = {m!r} is not a positive integer")
     if gcd_filter is None:
         gcd_filter = not folded
     if folded and not diagram.folding:
         raise ValueError(f"diagram {diagram.name} has no folding")
-    # Each group of nodes shares one value.  Two fold-symmetric tuples first
-    # differ at the least node of some orbit, so taking the groups in order of
-    # least node yields lexicographic order on the full tuple.
-    groups = diagram.folded_nodes if folded else tuple((i,) for i in range(diagram.n_nodes))
-    if not groups:
-        return []
-    weights = [diagram.marks[g[0]] * len(g) for g in groups]
-    zero_bits = [sum(1 << i for i in g) for g in groups]
-    last = len(groups) - 1
+    # Each orbit shares one value.  Two fold-symmetric tuples first differ at
+    # the least node of some orbit, so taking the orbits in order of least
+    # node yields lexicographic order on the full tuple.
+    groups = diagram.folded_nodes if folded else [(i,) for i in range(diagram.n_nodes)]
+    # (nodes, weight, zero bit) per orbit; empty orbits that take only 0 pad
+    # the list to two
+    orbits = [((), m + 1, 0)] * (2 - len(groups)) + [
+        (g, diagram.marks[g[0]] * len(g), sum(1 << i for i in g)) for g in groups
+    ]
+    *_, (ga, wa, za), (gb, wb, zb) = orbits
+    inner = len(orbits) - 2
     s = [0] * diagram.n_nodes
     # zero mask -> residual, filled on first use: some patterns (all zeros on
     # e6~) do not classify, and only kept solutions may raise
     residuals = {}
+    record = tuple.__new__  # skips KacSolution's Python __new__
     out = []
 
-    def assign(k: int, v: int, zeros: int) -> int:
-        for i in groups[k]:
-            s[i] = v
-        return zeros if v else zeros | zero_bits[k]
-
     def rec(k: int, remaining: int, g: int, zeros: int):
-        w = weights[k]
-        if k < last:
+        if k < inner:
+            group, w, bit = orbits[k]
             for v in range(remaining // w + 1):
-                rec(k + 1, remaining - v * w, gcd(g, v), assign(k, v, zeros))
+                for i in group:
+                    s[i] = v
+                rec(k + 1, remaining - v * w, g if g == 1 else gcd(g, v),
+                    zeros if v else zeros | bit)
             return
-        v, r = divmod(remaining, w)
-        g = gcd(g, v)
-        if r or (gcd_filter and g != 1):
-            return
-        zeros = assign(k, v, zeros)
-        t = tuple(s)
-        res = residuals.get(zeros)
-        if res is None:
-            res = residuals[zeros] = residual_diagram(diagram, t, folded=folded)
-        out.append(KacSolution(t, m, res, g == 1))
+        # the last two orbits: v runs over the first, divmod solves the second
+        for v in range(remaining // wa + 1):
+            u, r = divmod(remaining - v * wa, wb)
+            h = g if g == 1 else gcd(g, v, u)
+            if r or (gcd_filter and h != 1):
+                continue
+            for i in ga:
+                s[i] = v
+            for i in gb:
+                s[i] = u
+            t = tuple(s)
+            zero = zeros | (0 if v else za) | (0 if u else zb)
+            res = residuals.get(zero)
+            if res is None:
+                res = residuals[zero] = residual_diagram(diagram, t, folded=folded)
+            out.append(record(KacSolution, (t, m, res, h == 1)))
 
     rec(0, m, 0, 0)
     return out
@@ -238,19 +238,12 @@ def enumerate_solutions(
 def residual_diagram(diagram: MarkedAffineDiagram, s, folded: bool = False):
     """Connected components of the induced subdiagram on zero coordinates,
     classified by Dynkin type."""
-    if folded:
-        keep = [
-            gi for gi, group in enumerate(diagram.folded_nodes)
-            if all(s[i] == 0 for i in group)
-        ]
-        edges = diagram.folded_edges
-    else:
-        keep = [i for i in range(diagram.n_nodes) if s[i] == 0]
-        edges = diagram.edges
-    keep_set = set(keep)
+    groups = diagram.folded_nodes if folded else [(i,) for i in range(diagram.n_nodes)]
+    keep = [k for k, group in enumerate(groups) if not any(s[i] for i in group)]
+    edges = diagram.folded_edges if folded else diagram.edges
     adj = {i: [] for i in keep}
     for e in edges:
-        if e.a in keep_set and e.b in keep_set:
+        if e.a in adj and e.b in adj:
             adj[e.a].append(e)
             adj[e.b].append(e)
     seen = set()
@@ -258,16 +251,14 @@ def residual_diagram(diagram: MarkedAffineDiagram, s, folded: bool = False):
     for start in keep:
         if start in seen:
             continue
-        stack, nodes = [start], []
+        nodes = [start]
         seen.add(start)
-        while stack:
-            v = stack.pop()
-            nodes.append(v)
+        for v in nodes:  # the list grows while it is read
             for e in adj[v]:
                 u = e.other(v)
                 if u not in seen:
                     seen.add(u)
-                    stack.append(u)
+                    nodes.append(u)
         comp_edges = {e for v in nodes for e in adj[v]}
         components.append(_classify(sorted(nodes), comp_edges, adj))
     return tuple(sorted(components))
@@ -287,14 +278,11 @@ def _classify(nodes, edges, adj) -> str:
             return f"A{n}"
         if len(deg3) > 1:
             raise UnrecognizedType("more than one branch node")
-        center = deg3[0]
-        branch_lengths = sorted(_branch_lengths(center, adj))
-        if branch_lengths[0] != 1:
-            raise UnrecognizedType("branch pattern outside the catalog")
-        if branch_lengths[1] == 1:
+        a, b, c = sorted(_branch_lengths(deg3[0], adj))
+        if a == b == 1:
             return f"D{n}"
-        if branch_lengths[1] == 2 and branch_lengths[2] in (2, 3, 4):
-            return {2: "E6", 3: "E7", 4: "E8"}[branch_lengths[2]]
+        if (a, b) == (1, 2) and c in (2, 3, 4):
+            return f"E{c + 4}"
         raise UnrecognizedType("branch pattern outside the catalog")
     if maxmult == 3:
         if n == 2:
@@ -309,25 +297,17 @@ def _classify(nodes, edges, adj) -> str:
     if n == 2:
         return "B2"
     # position of the double edge along the path
-    if degrees[e.a] == 1 or degrees[e.b] == 1:
+    if 1 in (degrees[e.a], degrees[e.b]):
         end_node = e.a if degrees[e.a] == 1 else e.b
-        short_at_end = e.tip == end_node
-        return (f"B{n}" if short_at_end else f"C{n}")
+        return f"B{n}" if e.tip == end_node else f"C{n}"
     if n == 4:
         return "F4"
     raise UnrecognizedType("interior double edge outside F4")
 
 
 def _branch_lengths(center, adj):
-    lengths = []
     for e in adj[center]:
-        length = 0
-        prev, cur = center, e.other(center)
-        while True:
-            length += 1
-            nxt = [ed.other(cur) for ed in adj[cur] if ed.other(cur) != prev]
-            if not nxt:
-                break
-            prev, cur = cur, nxt[0]
-        lengths.append(length)
-    return lengths
+        length, prev, cur = 1, center, e.other(center)
+        while nxt := [ed.other(cur) for ed in adj[cur] if ed.other(cur) != prev]:
+            length, prev, cur = length + 1, cur, nxt[0]
+        yield length

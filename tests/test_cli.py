@@ -242,6 +242,23 @@ def test_kac_zero_mark_exits_2(capsys, tmp_path):
     assert "mark 0" in err
 
 
+def test_main_builds_the_parser_once(capsys):
+    """Three commands in one process share one parser, and each parses its
+    own arguments: the `--json` and `--no-gcd` of one call do not leak into
+    the next."""
+    from brownalg import cli
+
+    cli.build_parser.cache_clear()
+    code, out, err = run(capsys, "kac", "e6~", "2", "--no-gcd", "--json")
+    assert code == 0 and len(json.loads(out)["solutions"]) == 9
+    code, out, err = run(capsys, "classify", "R", "E6")
+    assert code == 0 and "total: 6" in out
+    code, out, err = run(capsys, "kac", "e6~", "2")
+    assert code == 0 and "6 solution(s)" in out
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+
+
 def test_classify_r_e6(capsys):
     code, out, err = run(capsys, "classify", "R", "E6")
     assert code == 0

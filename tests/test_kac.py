@@ -272,18 +272,52 @@ FOLDED_TOY = MarkedAffineDiagram(
 )
 
 
+# one orbit: a single node of mark 2, so only even m have solutions
+POINT = MarkedAffineDiagram("point", (2,), ())
+# a star with all three leaves in one orbit, the last, of weight 3
+STAR3 = MarkedAffineDiagram(
+    "star3", (2, 1, 1, 1), (Edge(0, 1), Edge(0, 2), Edge(0, 3)), folding=((1, 2), (2, 3))
+)
+# the path 1 - 2 - 0 - 4 - 3 folded by its reflection: orbits (0,), (1, 3),
+# (2, 4), the last two both of two nodes
+FOLDED_PATH = MarkedAffineDiagram(
+    "path", (1, 1, 2, 1, 2), (Edge(1, 2), Edge(2, 0), Edge(0, 4), Edge(4, 3)),
+    folding=((1, 3), (2, 4)),
+)
+
+
 @pytest.mark.parametrize("gcd_filter", [None, True, False])
 @pytest.mark.parametrize("case, folded", [
     ("e6~", False), ("e6~2", False), ("e6~2", True),
     ("toy", False), ("star", False), ("star", True),
+    ("point", False), ("star3", True), ("path", True),
 ])
 def test_enumeration_matches_brute_force_reference(case, folded, gcd_filter, tmp_path):
     diagram = {
         "e6~": E6_EXTENDED, "e6~2": E6_TWISTED, "star": FOLDED_TOY,
+        "point": POINT, "star3": STAR3, "path": FOLDED_PATH,
     }.get(case) or _toy_json(tmp_path)
     for m in range(1, BOX + 1):
         assert enumerate_solutions(diagram, m, gcd_filter=gcd_filter, folded=folded) == \
             _reference(diagram, m, gcd_filter, folded), m
+
+
+def test_edge_case_diagrams_have_the_expected_orbits():
+    assert [s.s for m in range(1, 7) for s in enumerate_solutions(POINT, m, gcd_filter=False)] \
+        == [(1,), (2,), (3,)]
+    assert STAR3.folded_nodes[-1] == (1, 2, 3)
+    assert FOLDED_PATH.folded_nodes == ((0,), (1, 3), (2, 4))
+
+
+def test_solution_record_contract():
+    sol = enumerate_solutions(E6_EXTENDED, 2)[0]
+    assert (sol.s, sol.m, sol.residual, sol.gcd_one) == \
+        ((0, 0, 0, 0, 0, 1, 0), 2, ("A1", "A5"), True)
+    assert sol.residual_str == "A1 x A5"
+    copy = KacSolution((0, 0, 0, 0, 0, 1, 0), 2, ("A1", "A5"), True)
+    assert copy == sol and hash(copy) == hash(sol)
+    with pytest.raises(AttributeError):
+        sol.m = 3
 
 
 @pytest.mark.parametrize("diagram, folded, patterns", [
