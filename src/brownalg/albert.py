@@ -31,7 +31,10 @@ integers over one denominator (`linalg.to_ints`), sums with the integer
 Jordan table (`MulTable.mul_ints`, `MulTable.left_ints`) and the integer
 Gram matrix, and converts once per output entry (`linalg.from_ints`): one
 `Fraction` per nonzero entry over Q, with zeros the shared zero(), and one
-reduction mod p over F_p.  `uop_matrix` squares L_x with `linalg.MatVec`.
+reduction mod p over F_p.  `uop_matrix` is three `mul_ints` calls on the
+stacked identity (`linalg.SignedPacking`), one per factor of 2 L_x^2 and
+L_{x^2}; `uop_matrix_sharp`, from x# and the Gram matrix, is the independent
+formula `verify.check_uop_coherence` compares it with.
 `tits_phi_matrix` builds the torus and SL3 maps of the Tits model from
 Kronecker blocks, inverting each determinant-1 factor once as its
 adjugate (`mat3_adj`).
@@ -56,12 +59,11 @@ from .errors import (
 from .fields import FieldSpec, Scalar
 from .kernels import Algebra, Elem, MulTable
 from .linalg import (
-    MatVec,
+    SignedPacking,
     block_diag,
     from_ints,
     identity,
     kron,
-    lowest_terms,
     mat_mul,
     to_ints,
     transpose,
@@ -522,22 +524,27 @@ class AlbertAlgebra(Algebra):
         return tuple(f.sub(f.mul(t, x[k]), cr[k]) for k in range(DIM))
 
     def uop_matrix(self, x):
-        """U_x = 2 L_x^2 - L_{x^2} as a 27x27 matrix.  With x = xi / d and
-        D L the integer left multiplications of `MulTable.left_ints`,
-        U_x = (2 (D L_xi)^2 - D L_{D xi^2}) / (D d)^2 in ints; row i of the
-        square is the `MatVec` of (D L_xi)^T, reduced mod p over F_p
-        (`lowest_terms`), applied to row i of D L_xi."""
+        """U_x = 2 L_x^2 - L_{x^2} as a 27x27 matrix, from three
+        `MulTable.mul_ints` calls on packed operands.  With x = xi / d and E
+        the identity stacked (e_j in slot j, `linalg.SignedPacking`),
+        mul_ints is linear in each operand, so coordinate i of
+        2 mul_ints(xi, mul_ints(xi, E)) - mul_ints(mul_ints(xi, xi), E) packs
+        row i of (D d)^2 U_x, entry j in slot j.  Each entry is at most
+        3 S^2 max|xi|^2 in absolute value (S the table's `MulTable.int_sum`),
+        which sizes the slots; each row is read back by
+        `SignedPacking.unpack_signed` and converted once over (D d)^2."""
         f = self.field
         d, xi = to_ints(x, f)
         table = self.table
-        lx = table.left_ints(xi)
-        lx2 = table.left_ints(table.mul_ints(xi, xi))
-        sq = MatVec([lowest_terms(col, 1, f)[1] for col in zip(*lx)], f)
+        s = table.int_sum()
+        packing = SignedPacking.holding(3 * (s * max(map(abs, xi))) ** 2, f)
+        e = [1 << (8 * packing.slot * j) for j in range(DIM)]
+        mul_ints = table.mul_ints
+        left = mul_ints(xi, mul_ints(xi, e))
+        right = mul_ints(mul_ints(xi, xi), e)
         den = (table.int_table()[0] * d) ** 2
-        return tuple(
-            from_ints([2 * s - t for s, t in zip(sq.apply(r), r2)], den, f)
-            for r, r2 in zip(lx, lx2)
-        )
+        return tuple([from_ints(packing.unpack_signed(2 * a - b, DIM), den, f)
+                      for a, b in zip(left, right)])
 
     def _gram_ints(self, v):
         """DG G v for an integer vector v (`gram_den` is DG)."""

@@ -3,8 +3,10 @@
 Matrices are tuples of row tuples of raw field values: `Fraction` over Q,
 `int` in [0, p) over F_p.  `mat_mul` and the row operations of `rref` skip
 zero entries, so the sparse near-permutation maps of the involution catalog
-cost proportionally less.  Every product of a matrix and a vector in the
-package is `MatVec.apply`, the one code that picks the kernel for the field.
+cost proportionally less.  `MatVec.apply`, the one code that picks the
+kernel for the field, multiplies an integer matrix by vectors;
+`AlbertAlgebra.uop_matrix` builds its matrix from `MulTable.mul_ints` on a
+stacked identity instead.
 
 Over F_p the kernels hold each row (for `MatVec`, each column) as one
 Python int with one fixed-width slot per entry, entry j in slot j from the
@@ -32,10 +34,12 @@ slot is read back.  The certificates that use it, each with its own
 identity and bound, are `IntSpan.closed`, the basis-pair product law that
 `linmaps.is_automorphism` and `linmaps.is_inv_member` share, the unit law
 of `is_automorphism`, `LinMap.order_divides_two` and the trace-form check
-of the dagger that `linmaps.is_inv_member` builds (`linmaps._cross_dagger`).
-A product that is linear in one operand, such as `MulTable.mul_ints`, maps
-the stack of many vectors (`SignedPacking.stack` and `suffixes`) to the
-stack of their images, so one call covers them all.
+of the dagger that `linmaps.is_inv_member` builds
+(`linmaps._trace_form_holds`).  A product that is linear in one operand,
+such as `MulTable.mul_ints`, maps the stack of many vectors
+(`SignedPacking.stack` and `suffixes`) to the stack of their images, so one
+call covers them all; `SignedPacking.unstack` reads one of the images back,
+and `unpack_signed` every entry of one packing.
 
 `to_ints` and `from_ints` are the one scaled-integer form of the package: a
 vector of field values is (d, ints) with values == ints / d, d the lcm of
@@ -293,6 +297,21 @@ class SignedPacking:
         makes each entry nonnegative, and taken out of each slot read back."""
         h = 1 << (8 * self.slot - 1)
         return [v - h for v in _unpack(acc + _offsets(n, self.slot), n, self.slot)]
+
+    def unstack(self, packed, t: int):
+        """Entry t of each packing in `packed`, whose entries all have
+        absolute value below h = 2^(s - 1), with no other slot read back:
+        vectors[t] of a `stack`.  The entries below slot t sum to L with
+        |L| < 2^(s t - 1), so adding 2^(s t - 1) (nothing at t = 0) makes
+        the part below slot t nonnegative and less than 2^(s t); the shift
+        then leaves sum_{j >= t} v_j 2^(s (j - t)), and adding h to it makes
+        v_t + h the nonnegative lowest slot, as in `unpack_signed`."""
+        bits = 8 * self.slot
+        h = 1 << (bits - 1)
+        shift = bits * t
+        offset = (h << shift) + (1 << shift >> 1)
+        mask = (h << 1) - 1
+        return [((acc + offset) >> shift & mask) - h for acc in packed]
 
     def is_zero(self, acc: int, n: int) -> bool:
         """Whether each of the n entries of the packing acc is 0 in the field,

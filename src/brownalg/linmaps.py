@@ -12,8 +12,8 @@ form it stores.  `LinMap(matrix, ...)` scales its matrix once
 makes no field value: `compose` multiplies the two integer forms
 (`linalg.int_mat_mul`) and puts the product in lowest terms,
 `block_diag_map` (the lifts of `brown` and `involutions`) scales its
-blocks' forms to one d, and the dagger below is built from cross products
-in ints.  `matrix`, the field values M / d, is a view built on first read,
+blocks' forms to one d, and the dagger below is read off cross products in
+ints.  `matrix`, the field values M / d, is a view built on first read,
 for callers; no computation of the package reads it.  The form is
 canonical, so two maps are equal, and hash alike, exactly when their
 matrices, fields and basis tags are; the carrier label takes no part, as in
@@ -34,34 +34,38 @@ sized from a bound on that difference (the rule is stated once, in the
 `SignedPacking` docstring).
 
 Membership in Aut and in Inv(J), and the anti-automorphism laws, are one
-product law on basis pairs, `_products_agree`: a P mul_ints(e_i, e_l) =
-b target.mul_ints(M e_i, M e_l) for the integer form M of phi, an integer
-matrix P, scales a, b and a target table on the image side (the table
-itself unless given), two `MulTable.mul_ints` calls per basis vector on
-stacked second factors.  `is_automorphism` takes P = M with its unit law,
-for the product of any `MulTable`: it serves `is_aut_member` on every
-algebra of the tower (composition, Albert and Brown, matched by basis tag)
-and the isotope check of `involutions`, and with the opposite table
-(`MulTable.opposite`) as its target it certifies an anti-automorphism,
-unit law included: `verify` decides conj(xy) = conj(y) conj(x) and the
-Brown involution's law this way.  The target must share the table's
-integer denominator; none with another is scaled for yet.
-`is_inv_member` is a deterministic certificate over Q and F_p for
-phi(x) # phi(y) = phi-dagger(x # y) (Springer and Veldkamp, *Octonions,
-Jordan Algebras and Exceptional Groups*, ch. 5): P is the integer form of
-phi-dagger, and the law runs on the cross table.
+product law on basis pairs, a P mul_ints(e_i, e_l) = b target.mul_ints(M e_i,
+M e_l) for the integer form M of phi, an integer matrix P, scales a, b and a
+target table on the image side (the table itself unless given).  It is two
+`MulTable.mul_ints` calls per basis vector on stacked second factors: the
+image side (`_image_rows`) and the one comparison (`_rows_agree`).
+`is_automorphism` takes P = M with its unit law, for the product of any
+`MulTable`, and makes its image rows one at a time, so the first failing row
+ends it: it serves `is_aut_member` on every algebra of the tower
+(composition, Albert and Brown, matched by basis tag) and the isotope check
+of `involutions`, and with the opposite table (`MulTable.opposite`) as its
+target it certifies an anti-automorphism, unit law included: `verify`
+decides conj(xy) = conj(y) conj(x) and the Brown involution's law this way.
+The target must share the table's integer denominator; none with another is
+scaled for yet.  `is_inv_member` is a deterministic certificate over Q and
+F_p for phi(x) # phi(y) = phi-dagger(x # y) (Springer and Veldkamp,
+*Octonions, Jordan Algebras and Exceptional Groups*, ch. 5): the law runs on
+the cross table, and P is phi-dagger scaled to integers.
 
 `dagger` has no verdict of its own: it returns the dagger that
 `is_inv_member` keeps on a map it certifies, and raises NotNormPreserving
 when the certificate fails.  No linear system is solved for it.  For phi in
 Inv(J), phi-dagger takes x # y to phi(x) # phi(y), and every entry of the
 cross table takes a basis pair to a multiple of one basis vector, so each
-column of phi-dagger is one cross product (`MulTable.mul_ints`) of two
-columns of the map's integer form, for the pairs picked once per algebra
-(`_dagger_plan`), certified by the trace-form identity phi^T G psi = G
-(`_cross_dagger`).  dagger is an involutive automorphism of Inv(J), so a
-certified phi keeps psi and psi keeps a copy of phi: `dagger`,
-`is_inv_member` and `lift_inv` of either run the certificate at most once.
+column of phi-dagger is one cross product of two columns of the map's
+integer form, for the pairs i <= j picked once per algebra (`_dagger_plan`).
+Those products are slots of the certificate's own image rows, so each cross
+product is made once and read back from its slot (`SignedPacking.unstack`); the
+columns are certified by the trace-form identity phi^T G psi = G
+(`_trace_form_holds`) before the same rows go to the comparison.  dagger is
+an involutive automorphism of Inv(J), so a certified phi keeps psi and psi
+keeps a copy of phi: `dagger`, `is_inv_member` and `lift_inv` of either run
+the certificate at most once.
 No membership test evaluates the norm; its form lives in `albert`.
 
 This module never imports the algebra modules; algebra objects are passed in
@@ -276,70 +280,110 @@ def is_inv_member(phi: LinMap, algebra) -> bool:
     phi is in Inv(J) iff phi(x) # phi(y) = psi(x # y) for all x, y, with psi
     = phi-dagger (Springer and Veldkamp, ch. 5).
 
-    A map that keeps a dagger has passed already.  Otherwise psi is
-    phi-dagger's cross products if they pass the exact trace-form check
-    (`_cross_dagger`), which proves psi = phi-dagger; a map that fails it is
-    not in Inv(J).  Then `_products_agree` checks d^2 P mul_ints(e_i, e_l) =
-    d_psi mul_ints(M e_i, M e_l) on the cross table's pairs i <= l, with
-    (d, M) and (d_psi, P) the integer forms of phi and psi.  A symmetric
-    bilinear law that holds on basis pairs holds on all x, y; at x = y it
-    reads (phi x)# = psi(x#), as 2 is invertible, so
+    A map that keeps a dagger has passed already.  Otherwise each cross
+    product of two columns of the integer form (d, M) of phi is made once:
+    R_i = mul_ints(M e_i, stack of the M e_l, l >= i) on the cross table
+    (`_image_rows`), the image side of the law, with (M e_i) # (M e_l) at
+    slot l - i.  Every entry of the cross table takes a basis pair to a
+    multiple of one basis vector (`_dagger_plan`): with
+    D (e_a # e_b) = C e_k, a <= b, and s C = lcm, column k of P is s times
+    slot b - a of R_a (`SignedPacking.unstack`), reduced mod p over F_p, and
+    P = lcm d^2 psi when phi is in Inv(J).  The exact trace-form check
+    (`_trace_form_holds`) proves that P / (d^2 lcm) is phi-dagger when it
+    passes; a map that fails it is not in Inv(J).  Then the law
+    P mul_ints(e_i, e_l) = lcm mul_ints(M e_i, M e_l), the form
+    psi(e_i # e_l) = phi(e_i) # phi(e_l) takes in these integers, is
+    checked on the pairs i <= l against the same rows (`_rows_agree`).  A
+    symmetric bilinear law that holds on basis pairs holds on all x, y; at
+    x = y it reads (phi x)# = psi(x#), as 2 is invertible, so
     3 N(phi x) = Tr(psi x#, phi x) = Tr(x#, x) = 3 N(x), and 3 is invertible
     over Q and over F_p for p >= 5.  The norm is evaluated at no point.
 
-    A map that passes keeps psi as its dagger.  psi is in Inv(J) with
+    The slots are fixed before P is known: 2^(s - 1) > S (n ptop + lcm
+    top^2), with S the cross table's `MulTable.int_sum`, top = max|M| and
+    ptop a bound on |P|, p - 1 over F_p and max s S top^2 over Q.  That
+    bounds the entries of the law's packed difference, and also
+    |R| <= S top^2, so every slot of R reads back.
+
+    The trace-form check alone does not prove phi in Inv(J): for a diagonal
+    map diag(2^v) on the split model, the 27 picked pairs and the trace
+    form are exponent equations of rank 13, against 21 for the whole cross
+    table, and the map with 1/2 at e_4, 2 at e_5 and 1 elsewhere passes the
+    check and moves the norm; the law on every pair refuses it.
+
+    A map that passes keeps psi = P / (d^2 lcm) in lowest terms
+    (`LinMap.of_ints`) as its dagger.  psi is in Inv(J) with
     psi-dagger = phi, as dagger is an involutive automorphism of Inv(J), so
     psi keeps a fresh map with phi's integer form (not phi itself, which
     would make a reference cycle).  A failure keeps nothing."""
     _require_albert(phi, algebra)
     if phi._dagger is not None:
         return True
-    psi = _cross_dagger(phi, algebra)
-    if psi is None:
+    f = algebra.field
+    d, n = phi._ints[0], phi.dim
+    picks, lcm, _, _ = _dagger_plan(algebra)
+    cross = algebra.cross_table()
+    s, top = cross.int_sum(), phi._top
+    ptop = max(t for _, _, t in picks) * s * top ** 2 if f.kind == RATIONALS else f.p - 1
+    packing = SignedPacking.holding(s * (n * ptop + lcm * top ** 2), f)
+    # the suffix rows come from the last row back: rows[i] is (i, i, R_i)
+    rows = list(_image_rows(phi, cross, packing, True))[::-1]
+    pcols = [lowest_terms([t * v for v in packing.unstack(rows[a][2], b - a)], 1, f)[1]
+             for a, b, t in picks]
+    if not _trace_form_holds(phi, algebra, pcols) or \
+            not _rows_agree(cross, 1, pcols, lcm, rows, packing):
         return False
-    d = phi._ints[0]
-    if not _products_agree(phi, algebra.cross_table(), d * d, psi, psi._ints[0], True):
-        return False
+    den, flat = lowest_terms([v for row in zip(*pcols) for v in row], d * d * lcm, f)
+    psi = LinMap.of_ints(den, zip(*[iter(flat)] * n), f, algebra.carrier, algebra.basis_tag)
     psi._dagger = LinMap.of_ints(*phi._ints, phi.field, phi.carrier, phi.basis_tag)
     phi._dagger = psi
     return True
 
 
-def _products_agree(phi: LinMap, table, a: int, psi: LinMap, b: int, commutative: bool,
-                    target=None) -> bool:
-    """Whether a P mul_ints(e_i, e_l) = b target.mul_ints(M e_i, M e_l) for
-    every basis pair (i, l) of the `MulTable`, the pairs i <= l when
-    `commutative`, with M and P the integer matrices (`_ints`) of phi and
-    psi.  `target` is the product on the image side, `table` itself by
-    default; it must have the table's integer denominator D, as
-    `MulTable.opposite` does, and no other D is scaled for.
+def _image_rows(phi: LinMap, target, packing: SignedPacking, commutative: bool):
+    """The image side of the product law, one row per basis vector:
+    (i, first, R_i) with R_i = target.mul_ints(M e_i, stack of the M e_l for
+    l >= first), M the integer matrix (`_ints`) of phi, so slot l - first of
+    coordinate c of R_i holds coordinate c of target.mul_ints(M e_i, M e_l).
+    Without `commutative` first = 0 and the stack is built once; with it
+    first = i, and the rows run from the last back, each stack the
+    `SignedPacking.suffixes` of the one before.  A generator: a caller that
+    stops early makes no more products."""
+    n = phi.dim
+    cols = list(zip(*phi._ints[1]))
+    if commutative:
+        for i, packed in zip(range(n - 1, -1, -1), packing.suffixes(cols)):
+            yield i, i, target.mul_ints(cols[i], packed)
+        return
+    packed = packing.stack(cols)
+    for i in range(n):
+        yield i, 0, target.mul_ints(cols[i], packed)
+
+
+def _rows_agree(table, a: int, pcols, b: int, rows, packing: SignedPacking) -> bool:
+    """Whether a P mul_ints(e_i, e_l) = b R_i[l] for every row
+    (i, first, R_i) of `rows` (`_image_rows`) and every l >= first, with
+    P the integer matrix of columns `pcols` and the products on the
+    `MulTable`: the one comparison of `is_automorphism` and
+    `is_inv_member`.  The target of the rows must have the table's integer
+    denominator D, as `MulTable.opposite` does; no other D is scaled for.
 
     Row i checks every l at once on packed vectors (`linalg.SignedPacking`):
-    with E the identity stacked (E_l = 2^(s l)) and R the columns of b M
-    stacked, `mul_ints` is bilinear, so mul_ints(e_i, E) packs the e_i.e_l
-    over l and target.mul_ints(M e_i, R) the b (M e_i).(M e_l): two calls
-    per row, on slots of 2^(s - 1) > S (n a max|P| + b max|M|^2), S the
-    larger `MulTable.int_sum` of the two tables, a bound on the entries of
-    the difference.  With `commutative` E and R are the suffixes over
-    l >= i, built from the last row back.  The row's n packed differences,
-    one per output coordinate c, are one packing for one
-    `SignedPacking.is_zero`: difference c shifted by c (n - first) slots,
-    which is exact, as packing is linear and every entry keeps its bound.
-    Stops at the first failing row."""
-    n = phi.dim
-    target = table if target is None else target
-    bound = max(table.int_sum(), target.int_sum()) * (n * a * psi._top + b * phi._top ** 2)
-    packing = SignedPacking.holding(bound, phi.field)
-    cols = list(zip(*phi._ints[1]))
-    seconds = cols if b == 1 else [[b * x for x in col] for col in cols]
+    with E the identity stacked (E_l = 2^(s l)) from slot `first` on,
+    `mul_ints` is bilinear, so mul_ints(e_i, E) packs the e_i.e_l over l,
+    one call per row.  The slots of `packing` must hold every entry of the
+    difference, with 2^(s - 1) > n S a max|P| + b max|R|, S the table's
+    `MulTable.int_sum`.  The row's n packed differences, one per output
+    coordinate c, are one packing for one `SignedPacking.is_zero`:
+    difference c shifted by c (n - first) slots, which is exact, as packing
+    is linear and every entry keeps its bound.  Stops at the first failing
+    row."""
+    n = table.n
     # the nonzero entries of a P, column by column
-    pcols = [[(r, a * c) for r, c in enumerate(col) if c] for col in zip(*psi._ints[1])]
+    pcols = [[(r, a * c) for r, c in enumerate(col) if c] for col in pcols]
     # the identity stacked: e_l in slot l
     powers = [1 << (8 * packing.slot * l) for l in range(n)]
-
-    def row_holds(i, first, packed):
-        """The pairs (i, l) for l >= first, with packed the stack of the
-        second factors from `first` on."""
+    for i, first, right in rows:
         e = [0] * n
         e[i] = 1
         left = [0] * n
@@ -347,19 +391,16 @@ def _products_agree(phi: LinMap, table, a: int, psi: LinMap, b: int, commutative
             if w:
                 for r, c in pcols[j]:
                     left[r] += c * w
-        right = target.mul_ints(cols[i], packed)
+        if b != 1:
+            right = [b * x for x in right]
         if left == right:
-            return True
+            continue
         # one packing of all n differences: difference c from slot c (n - first) on
         width = 8 * packing.slot * (n - first)
-        return packing.is_zero(sum([(x - y) << width * c for c, (x, y) in enumerate(zip(left, right))
-                                    if x != y]), n * (n - first))
-
-    if commutative:
-        suffixes = zip(range(n - 1, -1, -1), packing.suffixes(seconds))
-        return all(row_holds(i, i, packed) for i, packed in suffixes)
-    packed = packing.stack(seconds)
-    return all(row_holds(i, 0, packed) for i in range(n))
+        if not packing.is_zero(sum([(x - y) << width * c for c, (x, y) in enumerate(zip(left, right))
+                                    if x != y]), n * (n - first)):
+            return False
+    return True
 
 
 def is_automorphism(phi: LinMap, table, unit, commutative: bool = False, target=None) -> bool:
@@ -374,16 +415,24 @@ def is_automorphism(phi: LinMap, table, unit, commutative: bool = False, target=
 
     With (d, M) the integer form of the map and u that of the unit, the unit
     law M u = d u is one packed difference on slots sized from its own
-    largest entry, and the pairs are `_products_agree` with P = M, a = d and
-    b = 1: d M mul_ints(e_i, e_l) = target.mul_ints(M e_i, M e_l)."""
+    largest entry.  The pairs are `_rows_agree` with P = M, a = d and b = 1,
+    d M mul_ints(e_i, e_l) = target.mul_ints(M e_i, M e_l), on the rows of
+    `_image_rows`, made one at a time so that the first failing row ends
+    the check, on slots of 2^(s - 1) > S (n d max|M| + max|M|^2), S the
+    larger `MulTable.int_sum` of the two tables."""
     f = phi.field
-    d = phi._ints[0]
+    d, m = phi._ints
     u = to_ints(unit, f)[1]
     diff = [s - d * x for s, x in zip(phi._matvec.apply(u), u)]
     unit_law = SignedPacking.holding(max(map(abs, diff), default=0), f)
     if not unit_law.is_zero(unit_law.pack(diff), phi.dim):
         return False
-    return _products_agree(phi, table, d, phi, 1, commutative, target)
+    target = table if target is None else target
+    top = phi._top
+    packing = SignedPacking.holding(
+        max(table.int_sum(), target.int_sum()) * (phi.dim * d * top + top ** 2), f)
+    rows = _image_rows(phi, target, packing, commutative)
+    return _rows_agree(table, d, zip(*m), 1, rows, packing)
 
 
 def is_aut_member(phi: LinMap, algebra) -> bool:
@@ -398,20 +447,28 @@ def is_aut_member(phi: LinMap, algebra) -> bool:
 
 @functools.lru_cache(maxsize=16)
 def _dagger_plan(algebra):
-    """What `_cross_dagger` reads of an Albert algebra, built once per algebra:
-    (picks, lcm, grows, gsum).
+    """What `is_inv_member` reads of an Albert algebra, built once per
+    algebra: (picks, lcm, grows, gsum).
 
     Column k of phi-dagger is one cross product: picks[k] = (i, j, s) names a
-    basis pair whose cross product is a multiple of e_k alone,
+    basis pair i <= j whose cross product is a multiple of e_k alone,
     D (e_i # e_j) = C e_k in the cross table's integer form (`mul_ints`),
     and s with s C = lcm: over Q lcm is the lcm of the C and s = lcm / C,
-    over F_p lcm = 1 and s = C^-1 mod p.  grows[i] holds the (j, g) with
-    g = DG G_ij != 0, the integer rows of the Gram matrix
-    (`AlbertAlgebra.gram_int`), and gsum is the largest sum of |g| over a row."""
+    over F_p lcm = 1 and s = C^-1 mod p.  The image rows of the certificate
+    hold only the pairs i <= j, so the plan raises InternalError unless the
+    integer table is symmetric, (j, i, k, c) an entry with every
+    (i, j, k, c).  Each pick is the table's first entry for e_k, in row
+    order, that is alone on its pair; on a symmetric table it has i <= j,
+    as the mirror of a pair with i > j comes first, in row j.  grows[i]
+    holds the (j, g) with g = DG G_ij != 0, the integer rows of the Gram
+    matrix (`AlbertAlgebra.gram_int`), and gsum is the largest sum of |g|
+    over a row."""
     f = algebra.field
     p = f.p if f.kind != RATIONALS else 0
     rows = algebra.cross_table().int_table()[1]
     entries = [(i, j, k, c) for i, row in enumerate(rows) for j, k, c in row]
+    if set(entries) != {(j, i, k, c) for i, j, k, c in entries}:
+        raise InternalError("the cross table is not symmetric")
     terms = collections.Counter((i, j) for i, j, _, _ in entries)
     picks = {}
     for i, j, k, c in entries:
@@ -450,49 +507,26 @@ def dagger(phi: LinMap, algebra) -> LinMap:
     return phi._dagger
 
 
-def _cross_dagger(phi: LinMap, algebra):
-    """phi-dagger from cross products when it passes an exact trace-form
-    check, else None.
+def _trace_form_holds(phi: LinMap, algebra, pcols) -> bool:
+    """Whether P / (d^2 lcm) is phi-dagger, for the integer columns `pcols`
+    of P that `is_inv_member` reads off the cross products, (d, M) the
+    integer form of phi and lcm from `_dagger_plan`.
 
-    For phi in Inv(J), psi(x # y) = phi(x) # phi(y) (Springer and Veldkamp,
-    ch. 5).  Every entry of the cross table takes a basis pair to a multiple
-    of one basis vector (`_dagger_plan`), so with D (e_i # e_j) = C e_k,
-    column k of psi is phi(e_i) # phi(e_j) / C.  With M = d phi in ints and
-    c_i the columns of M, P has the columns s mul_ints(c_i, c_j) and
-    psi = P / (d^2 lcm).
-
-    Then Tr(phi x, psi y) = Tr(x, y) reads M^T (DG G) P = d^3 lcm (DG G) in
-    integers.  That system has one solution, so when it holds psi is the
-    matrix the trace-form solve gave; when it does not, phi is not in Inv(J)
-    and None is returned.  It is checked on packed rows
-    (`linalg.SignedPacking`): row j of P is one int, the rows of (DG G) P
-    are sums of multiples of them, and row a of M^T (DG G) P is
-    sum_i M[i][a] ((DG G) P)_i; minus d^3 lcm times the packed row a of
-    DG G it goes to `SignedPacking.is_zero`, with slots of
-    2^(s - 1) > gsum (27 max|M| max|P| + d^3 lcm), a bound on its entries.
-
-    The check proves that psi is phi-dagger, but not that phi is in Inv(J):
-    for a diagonal map diag(2^v) on the split model, the 27 picked pairs and
-    the trace form are exponent equations of rank 13, against 21 for the
-    whole cross table, and the map with 1/2 at e_4, 2 at e_5 and 1
-    elsewhere passes the check and moves the norm.  `is_inv_member` adds
-    the product law on every pair.  psi is made from its integer form,
-    P / (d^2 lcm) in lowest terms (`LinMap.of_ints`)."""
-    f = algebra.field
+    Tr(phi x, psi y) = Tr(x, y) reads M^T (DG G) P = d^3 lcm (DG G) in
+    integers.  That system has one solution, so when it holds P / (d^2 lcm)
+    is the matrix the trace-form solve gives; when it does not, phi is not
+    in Inv(J).  It is checked on packed rows (`linalg.SignedPacking`): row j
+    of P is one int, the rows of (DG G) P are sums of multiples of them, and
+    row a of M^T (DG G) P is sum_i M[i][a] ((DG G) P)_i; minus d^3 lcm times
+    the packed row a of DG G it goes to `SignedPacking.is_zero`, with slots
+    of 2^(s - 1) > gsum (27 max|M| max|P| + d^3 lcm), a bound on its
+    entries."""
     d, m = phi._ints
-    picks, lcm, grows, gsum = _dagger_plan(algebra)
-    cross = algebra.cross_table().mul_ints
-    cols = tuple(zip(*m))
-    # P mod p over F_p keeps the slots as narrow as the entries of M
-    pcols = [lowest_terms([s * v for v in cross(cols[i], cols[j])], 1, f)[1] for i, j, s in picks]
-    rows = tuple(zip(*pcols))
+    _, lcm, grows, gsum = _dagger_plan(algebra)
     top = max(map(abs, itertools.chain.from_iterable(pcols)))
     scale = d ** 3 * lcm
-    packing = SignedPacking.holding(gsum * (27 * phi._top * top + scale), f)
-    packed = [packing.pack(row) for row in rows]
+    packing = SignedPacking.holding(gsum * (27 * phi._top * top + scale), algebra.field)
+    packed = [packing.pack(row) for row in zip(*pcols)]
     gp = [sum([g * packed[j] for j, g in row]) for row in grows]
-    for ca, w in zip(cols, _gram_rows(algebra, packing)):
-        if not packing.is_zero(sum([x * r for x, r in zip(ca, gp) if x]) - scale * w, 27):
-            return None
-    den, flat = lowest_terms([v for row in rows for v in row], d * d * lcm, f)
-    return LinMap.of_ints(den, zip(*[iter(flat)] * 27), f, algebra.carrier, algebra.basis_tag)
+    return all(packing.is_zero(sum([x * r for x, r in zip(ca, gp) if x]) - scale * w, 27)
+               for ca, w in zip(zip(*m), _gram_rows(algebra, packing)))

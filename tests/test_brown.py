@@ -119,30 +119,28 @@ def test_lift_inv_uop_preserves_product():
 
 @pytest.mark.parametrize("field", [Q(), Fp(7)], ids=str)
 def test_lift_inv_guards_the_norm_once(monkeypatch, field):
-    """lift_inv certifies phi in Inv(J) once, in dagger: one `_cross_dagger`
-    and one product law (`_products_agree`) for a U_x, whose unit law fails
-    `is_aut_member` first; for 3 id the trace-form check of `_cross_dagger`
-    fails and no product law runs."""
+    """lift_inv certifies phi in Inv(J) once, in dagger: one pass of image
+    rows (`_image_rows`) and one comparison (`_rows_agree`) for a U_x, whose
+    unit law fails `is_aut_member` first; for 3 id the trace-form check
+    fails after the image rows and no comparison runs."""
     b = _brown(field)
     calls = []
-
-    def spy(attr):
-        fn = getattr(linmaps, attr)
-        return lambda phi, *args: calls.append((attr, phi)) or fn(phi, *args)
-
-    for attr in ("_cross_dagger", "_products_agree"):
-        monkeypatch.setattr(linmaps, attr, spy(attr))
+    image_rows, rows_agree = linmaps._image_rows, linmaps._rows_agree
+    monkeypatch.setattr(linmaps, "_image_rows",
+                        lambda phi, *args: calls.append(("_image_rows", phi)) or image_rows(phi, *args))
+    monkeypatch.setattr(linmaps, "_rows_agree",
+                        lambda *args: calls.append(("_rows_agree",)) or rows_agree(*args))
     x = b.jalg.sample_norm_one(random.Random(5))
     u = _uop_map(b.jalg, x)
     b.lift_inv(u)
-    assert calls == [("_cross_dagger", u), ("_products_agree", u)]
+    assert calls == [("_image_rows", u), ("_rows_agree",)]
     calls.clear()
     three = tuple(tuple(field.mul(field.from_int(3), v) for v in row)
                   for row in linalg.identity(27, field))
     three = LinMap(three, field, ALBERT, b.jalg.basis_tag)
     with pytest.raises(NotNormPreserving):  # N(3x) = 27 N(x)
         b.lift_inv(three)
-    assert calls == [("_cross_dagger", three)]
+    assert calls == [("_image_rows", three)]
 
 
 @pytest.mark.parametrize("field", [Q(), Fp(7)], ids=str)
@@ -199,8 +197,8 @@ def test_varpi_check_reindexes_the_lift(monkeypatch, field):
     `BrownAlgebra.varpi` once, so the patched varpi goes to a new context."""
     ctx = verify.Ctx(field, 0, 50)
     calls = []
-    cross_dagger = linmaps._cross_dagger
-    monkeypatch.setattr(linmaps, "_cross_dagger", lambda *args: calls.append(1) or cross_dagger(*args))
+    image_rows = linmaps._image_rows
+    monkeypatch.setattr(linmaps, "_image_rows", lambda *args: calls.append(1) or image_rows(*args))
 
     def forbidden(*args):
         raise AssertionError("dense compose in the varpi check")

@@ -54,6 +54,31 @@ def test_internal_norm_disagreement_exits_2(capsys, monkeypatch):
     assert "through no basis pair alone" in err and "Traceback" not in err
 
 
+def test_asymmetric_cross_table_exits_2(capsys, monkeypatch):
+    """The check of `linmaps._dagger_plan` that the cross table is symmetric,
+    as the certificate's image rows hold only the pairs i <= j: one entry
+    e_i # e_j with i < j doubled, and not its mirror, makes the lift of
+    t:1,1,-1,1,1,1 to B exit 2 with the plan's message and no traceback."""
+    from brownalg import linmaps
+    from brownalg.albert import AlbertAlgebra
+    from brownalg.kernels import MulTable
+
+    cross_table = AlbertAlgebra.cross_table
+
+    def tampered(self):
+        entries = list(cross_table(self).entries)
+        at = next(n for n, (i, j, _, _) in enumerate(entries) if i < j)
+        i, j, k, c = entries[at]
+        entries[at] = (i, j, k, self.field.add(c, c))
+        return MulTable(27, entries)
+
+    monkeypatch.setattr(AlbertAlgebra, "cross_table", tampered)
+    linmaps._dagger_plan.cache_clear()
+    code, out, err = run(capsys, "fixed", "t:1,1,-1,1,1,1", "B", "--field", "Fp:7")
+    assert code == 2
+    assert "the cross table is not symmetric" in err and "Traceback" not in err
+
+
 def test_verify_json(capsys):
     code, out, err = run(capsys, "verify", "brown", "--samples", "30", "--json")
     assert code == 0

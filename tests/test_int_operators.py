@@ -216,3 +216,92 @@ def test_uop_matrix_reduces_its_matvec_entries(p, model):
     points = _points(alg, rng, count=2) + [(p - 1,) * 27]
     for x in points:
         assert alg.uop_matrix(x) == alg.uop_matrix_sharp(x)
+
+
+def _lift(v):
+    """A field value as a `Fraction`: a residue mod p as its integer."""
+    return Fraction(v)
+
+
+def _reduce(v, f):
+    """A `Fraction` as a value of f: itself over Q, num / den mod p over F_p."""
+    if f.kind == RATIONALS:
+        return v
+    return v.numerator * pow(v.denominator, -1, f.p) % f.p
+
+
+def _ref_uop(alg, x):
+    """2 L_x^2 - L_{x^2} in plain `Fraction`s from the entries of the Jordan
+    table, (i, j, k, c) meaning (e_i . e_j)_k = c, reduced mod p at the end
+    over F_p."""
+    f = alg.field
+    x = [_lift(v) for v in x]
+    entries = [(i, j, k, _lift(c)) for i, j, k, c in alg.table.entries]
+
+    def left(v):
+        m = [[Fraction(0)] * 27 for _ in range(27)]
+        for i, j, k, c in entries:
+            m[k][j] += c * v[i]
+        return m
+
+    lx = left(x)
+    square = [Fraction(0)] * 27
+    for i, j, k, c in entries:
+        square[k] += c * x[i] * x[j]
+    lx2 = left(square)
+    return tuple(tuple(_reduce(2 * sum(lx[r][t] * lx[t][s] for t in range(27)) - lx2[r][s], f)
+                       for s in range(27)) for r in range(27))
+
+
+def _dense_norm_one(alg, rng):
+    """An element with every coordinate nonzero and norm 1: the norm is
+    affine in coordinate 0 (xi_1 in the Hermitian model, the (0, 0) entry
+    of a0 in the Tits model), so it is solved for from two norms."""
+    f = alg.field
+    while True:
+        x = [f.sample_nonzero(rng, 5) for _ in range(27)]
+        at0 = alg.norm_raw(tuple([f.zero()] + x[1:]))
+        slope = f.sub(alg.norm_raw(tuple([f.one()] + x[1:])), at0)
+        if slope:
+            x[0] = f.div(f.sub(f.one(), at0), slope)
+            if x[0]:
+                assert alg.norm_raw(tuple(x)) == f.one()
+                return tuple(x)
+
+
+def _large(f, rng):
+    """An element with numerators of up to 30 digits over denominators
+    2^a 3^b 5^c of 29 to 45 digits, units mod every p of `UOP_FIELDS`."""
+    return tuple(f.div(f.from_int(rng.randrange(-10**30, 10**30)),
+                       f.from_int(2 ** rng.randrange(40, 60) * 3 ** rng.randrange(20, 30)
+                                  * 5 ** rng.randrange(10, 20)))
+                 for _ in range(27))
+
+
+UOP_FIELDS = {"Q": Q(), "Fp:7": Fp(7), "Fp:1000003": Fp(1000003)}
+
+
+@pytest.mark.parametrize("name", list(UOP_FIELDS))
+@pytest.mark.parametrize("model", ["her", "tits"])
+def test_uop_matrix_matches_a_fraction_reference(name, model, monkeypatch):
+    """`uop_matrix` equals 2 L_x^2 - L_{x^2} built in plain `Fraction`s from
+    the Jordan table's entries, on both models, for a dense norm-one x,
+    diag(1, -1, -1), zero and an x with large numerators and denominators;
+    it runs on stacked `mul_ints` products, with no `MatVec` and no
+    `left_ints`."""
+    f = UOP_FIELDS[name]
+    alg = split_albert(f) if model == "her" else tits(f)
+    rng = random.Random(34)
+    xs = [_dense_norm_one(alg, rng), alg.diag(1, -1, -1).coords, alg.zero().coords,
+          _large(f, rng)]
+    want = [_ref_uop(alg, x) for x in xs]
+
+    def forbidden(*args):
+        raise AssertionError("uop_matrix used a MatVec or left_ints")
+
+    monkeypatch.setattr(linalg.MatVec, "__init__", forbidden)
+    monkeypatch.setattr(linalg.MatVec, "apply", forbidden)
+    monkeypatch.setattr(MulTable, "left_ints", forbidden)
+    for x, ref in zip(xs, want):
+        assert alg.uop_matrix(x) == ref
+    assert all(v is alg.field.zero() for row in alg.uop_matrix(xs[2]) for v in row)

@@ -476,20 +476,18 @@ def test_outer_fixed_condition():
 
 def test_outer_fixed_condition_guards_the_norm_once(monkeypatch):
     """One Inv(J) certificate per call, in dagger, whether delta is accepted,
-    rejected, or off the norm group: one `_cross_dagger` and, when its
-    trace-form check passes, one product law (`_products_agree`)."""
+    rejected, or off the norm group: one pass of image rows (`_image_rows`)
+    and, when the trace-form check passes, one comparison (`_rows_agree`)."""
     from brownalg import linmaps
 
     cat = cat7()
     s = cat.realize("s", "J")
     calls = []
-
-    def spy(attr):
-        fn = getattr(linmaps, attr)
-        return lambda phi, *args: calls.append((attr, phi)) or fn(phi, *args)
-
-    for attr in ("_cross_dagger", "_products_agree"):
-        monkeypatch.setattr(linmaps, attr, spy(attr))
+    image_rows, rows_agree = linmaps._image_rows, linmaps._rows_agree
+    monkeypatch.setattr(linmaps, "_image_rows",
+                        lambda phi, *args: calls.append(("_image_rows", phi)) or image_rows(phi, *args))
+    monkeypatch.setattr(linmaps, "_rows_agree",
+                        lambda *args: calls.append(("_rows_agree",)) or rows_agree(*args))
     that = cat.realize("t", "J")
     x = cat.J.sample_norm_one(random.Random(6))
     ux = LinMap(cat.J.uop_matrix(x.coords), cat.field, ALBERT, cat.J.basis_tag)
@@ -503,8 +501,8 @@ def test_outer_fixed_condition_guards_the_norm_once(monkeypatch):
                 outer_fixed_condition(delta, s, cat.J)
         else:
             assert outer_fixed_condition(delta, s, cat.J) is verdict
-        law = [] if verdict is None else [("_products_agree", delta)]
-        assert calls == [("_cross_dagger", delta)] + law
+        law = [] if verdict is None else [("_rows_agree",)]
+        assert calls == [("_image_rows", delta)] + law
 
 
 # -- isotope automorphisms ---------------------------------------------------------------

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from brownalg import linalg
 from brownalg.albert import split_albert
@@ -242,6 +244,38 @@ def test_signed_pack_round_trip_and_separation():
                     assert packing.unpack_signed(acc, k) == want
             assert packing.stack(vectors) == suffixes[0]
             assert packing.stack([]) == [] and list(packing.suffixes([])) == []
+
+
+@st.composite
+def _signed_rows(draw):
+    """(slot, rows): a slot width of 2, 4, 8 or 11 bytes and 1 to 5 rows of
+    one length from 1 to 30, with entries of both signs up to
+    +-(2^(s - 1) - 1), drawn often at the extremes, next to 0 and at +-1."""
+    slot = draw(st.sampled_from((2, 4, 8, 11)))
+    top = 2 ** (8 * slot - 1) - 1
+    entry = st.one_of(st.integers(-top, top), st.sampled_from((top, -top, 0, 1, -1, top - 1)))
+    n = draw(st.integers(1, 30))
+    return slot, draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=1, max_size=5))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_signed_rows())
+def test_unstack_reads_each_slot_as_unpack_signed(case):
+    """`SignedPacking.unstack(packed, t)` reads slot t of each packing as
+    `unpack_signed` does, for every slot t, on packings of rows with entries
+    of both signs at every width the certificates use; on the `stack` of the
+    rows it gives back row t."""
+    slot, rows = case
+    n = len(rows[0])
+    packing = linalg.SignedPacking(slot, 0)
+    packed = [packing.pack(row) for row in rows]
+    full = [packing.unpack_signed(acc, n) for acc in packed]
+    assert full == rows
+    for t in range(n):
+        assert packing.unstack(packed, t) == [row[t] for row in full]
+    stacked = packing.stack(rows)
+    for t, row in enumerate(rows):
+        assert packing.unstack(stacked, t) == row
 
 
 def _zero_test_rows(rng, n, p, h):

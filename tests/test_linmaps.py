@@ -10,13 +10,21 @@ from brownalg import albert, linalg, linmaps, verify
 from brownalg.albert import AlbertAlgebra, hermitian, split_albert, tits
 from brownalg.brown import BrownAlgebra
 from brownalg.cayley import CDAlgebra
-from brownalg.errors import CarrierMismatch, NonArithmeticField, NotNormPreserving, SingularGram
+from brownalg.errors import (
+    CarrierMismatch,
+    InternalError,
+    NonArithmeticField,
+    NotNormPreserving,
+    SingularGram,
+)
 from brownalg.fields import FieldSpec, Fp, Q
 from brownalg.involutions import (
     Catalog,
     fixed_subalgebra,
     isotope_automorphism_check,
     make_canonical_t,
+    make_torus_element,
+    make_uv_bridge,
 )
 from brownalg.kernels import MulTable
 from brownalg.linmaps import (
@@ -337,7 +345,9 @@ def test_inv_certificate_matches_point_reference(name, monkeypatch):
     cases.append((cat.J, _with_entry(t, i, j, f.one()), False))
     # the trace-form check of `dagger` passes it; only the product law fails
     witness = _trace_check_witness(alg)
-    assert linmaps._cross_dagger(witness, alg) is not None
+    calls = _spy_certificate(monkeypatch)
+    assert not is_inv_member(witness, alg)
+    assert calls == [("_image_rows", witness), ("_rows_agree",)]
     cases.append((alg, witness, False))
     if f == Fp(7):
         cases.append((alg, _scalar_map(alg, 2), True))  # 2^3 = 1 mod 7
@@ -694,28 +704,28 @@ def test_dagger_is_computed_once_per_map(name, monkeypatch):
     lifted = cat.B.lift_inv(u)
     assert lifted.matrix == cat.B.linmap(
         linalg.block_diag((linalg.identity(2, f), u.matrix, dag.matrix), f)).matrix
-    assert calls == [("_cross_dagger", u), ("_products_agree", u)]
+    assert calls == [("_image_rows", u), ("_rows_agree",)]
     fresh = LinMap(u.matrix, f, ALBERT, J.basis_tag)
     assert dagger(fresh, J).matrix == dag.matrix
-    assert calls[2:] == [("_cross_dagger", fresh), ("_products_agree", fresh)]
+    assert calls[2:] == [("_image_rows", fresh), ("_rows_agree",)]
     three = _scalar_map(J, 3)
     for _ in range(2):
         with pytest.raises(NotNormPreserving):  # N(3x) = 27 N(x)
             dagger(three, J)
-    assert calls[4:] == [("_cross_dagger", three)] * 2
+    assert calls[4:] == [("_image_rows", three)] * 2
 
 
 def _spy_certificate(monkeypatch):
-    """Record (name, map) for every call of `_cross_dagger` and
-    `_products_agree`, the two steps of the Inv(J) certificate."""
+    """Record ("_image_rows", map) for every pass of image rows and
+    ("_rows_agree",) for every comparison, the two product steps of the
+    Inv(J) certificate; the trace-form check runs between them and stops it
+    before the comparison when it fails."""
     calls = []
-
-    def spy(attr):
-        fn = getattr(linmaps, attr)
-        return lambda phi, *args: calls.append((attr, phi)) or fn(phi, *args)
-
-    for attr in ("_cross_dagger", "_products_agree"):
-        monkeypatch.setattr(linmaps, attr, spy(attr))
+    image_rows, rows_agree = linmaps._image_rows, linmaps._rows_agree
+    monkeypatch.setattr(linmaps, "_image_rows",
+                        lambda phi, *args: calls.append(("_image_rows", phi)) or image_rows(phi, *args))
+    monkeypatch.setattr(linmaps, "_rows_agree",
+                        lambda *args: calls.append(("_rows_agree",)) or rows_agree(*args))
     return calls
 
 
@@ -733,7 +743,7 @@ def test_dagger_of_dagger_is_kept(name, monkeypatch):
     back = dagger(dag, alg)
     assert back.matrix == u.matrix and back is not u
     assert back._ints == u._ints and back._dagger is None
-    assert calls == [("_cross_dagger", u), ("_products_agree", u)]
+    assert calls == [("_image_rows", u), ("_rows_agree",)]
     assert is_inv_member(dag, alg)
     assert len(calls) == 2
     assert dag.matrix == _ref_dagger(u, alg)
@@ -755,14 +765,7 @@ def test_certified_map_keeps_its_dagger(name, monkeypatch):
     fresh = LinMap(u.matrix, f, ALBERT, J.basis_tag)
     want_dagger, want_lift = dagger(fresh, J).matrix, cat.B.lift_inv(fresh).matrix
     assert is_inv_member(u, J)
-    calls = []
-
-    def spy(attr):
-        fn = getattr(linmaps, attr)
-        return lambda *args: calls.append(attr) or fn(*args)
-
-    for attr in ("_cross_dagger", "_products_agree"):
-        monkeypatch.setattr(linmaps, attr, spy(attr))
+    calls = _spy_certificate(monkeypatch)
     dag = dagger(u, J)
     assert dag.matrix == want_dagger
     assert dag._ints == LinMap(dag.matrix, f, ALBERT, J.basis_tag)._ints
@@ -770,10 +773,11 @@ def test_certified_map_keeps_its_dagger(name, monkeypatch):
     assert calls == []
     alg = split_albert(f)
     ux = _uop_map(alg, alg.sample_norm_one(random.Random(23), 2))
-    for phi in (_perturbed(ux), _trace_check_witness(alg)):
+    perturbed, witness = _perturbed(ux), _trace_check_witness(alg)
+    for phi in (perturbed, witness):
         assert not is_inv_member(phi, alg)
         assert phi._dagger is None
-    assert calls.count("_cross_dagger") == 2
+    assert calls == [("_image_rows", perturbed), ("_image_rows", witness), ("_rows_agree",)]
 
 
 # -- dagger from cross products against the trace-form solve ------------------------
@@ -945,8 +949,9 @@ def test_integer_form_is_built_once_per_map(name, monkeypatch):
 
 @pytest.mark.parametrize("name", ["Q", "Fp:7"])
 def test_maps_are_built_on_integer_forms(name, monkeypatch):
-    """`compose`, `block_diag_map` (a Brown lift), `_cross_dagger` and the
-    dagger that `is_inv_member` keeps make no field value (no `from_ints`
+    """`compose`, `block_diag_map` (a Brown lift), the dagger that
+    `is_inv_member` keeps, from a certificate run on the lift or on a fresh
+    copy of U_x, and the dagger's dagger make no field value (no `from_ints`
     call) until `matrix` is read; each map then equals the map made from its
     matrix, with the same integer form and hash."""
     f = FIELDS[name]
@@ -958,7 +963,8 @@ def test_maps_are_built_on_integer_forms(name, monkeypatch):
     from_ints = linmaps.from_ints
     monkeypatch.setattr(linmaps, "from_ints", lambda *args: calls.append(1) or from_ints(*args))
     lift = B.lift_inv(u)
-    maps = [u.compose(s), lift, w.compose(lift), linmaps._cross_dagger(u, J),
+    maps = [u.compose(s), lift, w.compose(lift),
+            dagger(LinMap.of_ints(*u._ints, f, ALBERT, J.basis_tag), J),
             u._dagger, u._dagger._dagger]
     assert calls == []
     monkeypatch.undo()
@@ -1063,3 +1069,134 @@ def test_order_divides_two_matches_field_value_square(name):
         want = [[f.from_int(int(i == j)) for j in range(3)] for i in range(3)]
         assert LinMap(m, f, "blk3", "blk3").order_divides_two() is (square == want)
         assert (square == want) is (corner is c)
+
+
+# -- the one-pass Inv(J) certificate against a Fraction reference -------------------
+
+CERT_FIELDS = {"Q": Q(), "Fp:7": Fp(7), "Fp:11": Fp(11), "Fp:1000003": Fp(1000003)}
+
+
+def _fraction_inverse(a):
+    """The inverse of a square matrix of `Fraction`s by Gauss-Jordan
+    elimination."""
+    n = len(a)
+    rows = [list(r) + [Fraction(int(i == j)) for j in range(n)] for i, r in enumerate(a)]
+    for c in range(n):
+        pr = next(r for r in range(c, n) if rows[r][c])
+        rows[c], rows[pr] = rows[pr], rows[c]
+        pivot = rows[c][c]
+        rows[c] = [v / pivot for v in rows[c]]
+        for r in range(n):
+            if r != c and rows[r][c]:
+                q = rows[r][c]
+                rows[r] = [v - q * w for v, w in zip(rows[r], rows[c])]
+    return [r[n:] for r in rows]
+
+
+def _fraction_product(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def _fraction_dagger(matrix, alg):
+    """phi-dagger = G^-1 M^-T G for the matrix M of phi and the Gram matrix G,
+    in plain `Fraction`s on the integer lifts of the values, reduced mod p at
+    the end over F_p (M and G are invertible mod p, so their inverses over Q
+    have denominators prime to p)."""
+    f = alg.field
+    m = [[Fraction(v) for v in row] for row in matrix]
+    g = [[Fraction(v) for v in row] for row in alg.gram]
+    mt_inv = _fraction_inverse([list(col) for col in zip(*m)])
+    psi = _fraction_product(_fraction_product(_fraction_inverse(g), mt_inv), g)
+    if f.kind == "Fp":
+        return tuple(tuple(v.numerator * pow(v.denominator, -1, f.p) % f.p for v in row)
+                     for row in psi)
+    return tuple(map(tuple, psi))
+
+
+def _count_cross_products(monkeypatch, alg):
+    """A list that gets one entry per `mul_ints` call on alg's cross table."""
+    calls = []
+    mul_ints = MulTable.mul_ints
+    cross = alg.cross_table()
+
+    def counting(table, x, y):
+        if table is cross:
+            calls.append(1)
+        return mul_ints(table, x, y)
+
+    monkeypatch.setattr(MulTable, "mul_ints", counting)
+    return calls
+
+
+@pytest.mark.parametrize("name", list(CERT_FIELDS))
+def test_certificate_dagger_matches_a_fraction_reference(name, monkeypatch):
+    """The dagger the certificate keeps equals G^-1 M^-T G in `Fraction`s for
+    a U_x, an E6 Tits torus element, the catalog's t and the U_V bridge, and
+    a fresh certificate makes 54 cross-table `mul_ints` calls: 27 image rows
+    and 27 rows of basis products (81 when the dagger's cross products were
+    made apart from the law's)."""
+    f = CERT_FIELDS[name]
+    cat = Catalog(f)
+    J, jt = cat.J, cat.Jt
+    x = J.sample_norm_one(random.Random(34), 2)
+    torus = make_torus_element(jt, [f.from_int(v) for v in (2, 3, 5, -2, 4, 6)], "E6")
+    cases = [(J, _uop_map(J, x)), (jt, torus), (J, cat.realize("t", "J")),
+             (J, make_uv_bridge(J))]
+    want = [_fraction_dagger(phi.matrix, alg) for alg, phi in cases]
+    for (alg, phi), ref in zip(cases, want):
+        calls = _count_cross_products(monkeypatch, alg)
+        fresh = LinMap.of_ints(*phi._ints, f, ALBERT, alg.basis_tag)
+        assert dagger(fresh, alg).matrix == ref
+        assert len(calls) == 54
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("name", list(CERT_FIELDS))
+def test_certificate_refuses_the_negative_controls(name, monkeypatch):
+    """A one-entry-perturbed U_x fails the trace-form check after the 27
+    image rows; the diag witness (1/2 at e_4, 2 at e_5) passes it and fails
+    the law, which stops at its first failing row; 2 id keeps the norm only
+    where 2^3 = 1, over F_7, with 54 cross-table calls.  A map that fails
+    keeps no dagger."""
+    f = CERT_FIELDS[name]
+    alg = split_albert(f)
+    ux = _uop_map(alg, alg.sample_norm_one(random.Random(35), 2))
+    two = _scalar_map(alg, 2)
+    for phi, member, law_runs in ((_perturbed(ux), False, False),
+                                  (_trace_check_witness(alg), False, True),
+                                  (two, f == Fp(7), f == Fp(7))):
+        counted = _count_cross_products(monkeypatch, alg)
+        calls = _spy_certificate(monkeypatch)
+        assert is_inv_member(phi, alg) is member
+        assert calls == [("_image_rows", phi)] + [("_rows_agree",)] * law_runs
+        if member:
+            assert len(counted) == 54
+        elif law_runs:  # the comparison stops at its first failing row
+            assert 27 < len(counted) < 54
+        else:
+            assert len(counted) == 27
+        assert (phi._dagger is not None) is member
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("name", ["Q", "Fp:7"])
+def test_dagger_plan_picks_ordered_pairs_of_a_symmetric_table(name):
+    """Every pick of `_dagger_plan` is a pair i <= j, as the image rows hold
+    only those, on both models and on a model whose cross table has
+    coefficients other than +-1; a cross table with one entry e_i # e_j
+    (i < j) changed and not its mirror raises InternalError."""
+    f = FIELDS[name]
+    kappas = ("-1/2", "3", "5/3" if f == Fp(7) else "5/7")
+    octonions = CDAlgebra(f, kappas=tuple(f.parse_scalar(k) for k in kappas))
+    twisted = hermitian(octonions, gamma=tuple(f.parse_scalar(g) for g in ("1", "2/3", "-5")))
+    for alg in (split_albert(f), tits(f), twisted):
+        picks = linmaps._dagger_plan.__wrapped__(alg)[0]
+        assert len(picks) == 27 and all(i <= j for i, j, _ in picks)
+    alg = split_albert(f)
+    entries = list(alg.cross_table().entries)
+    at = next(n for n, (i, j, _, _) in enumerate(entries) if i < j)
+    i, j, k, c = entries[at]
+    entries[at] = (i, j, k, f.add(c, c))
+    alg._cross_table = MulTable(27, entries)
+    with pytest.raises(InternalError, match="not symmetric"):
+        linmaps._dagger_plan.__wrapped__(alg)
