@@ -25,16 +25,20 @@ use from the Jordan table, the trace vector and the Gram matrix, summed in
 ints from their integer forms and converted to field values once.
 
 The operators that turn one input into 27 to 729 outputs run in Python ints
-on both fields: `sharp_raw`, `jinv_raw`, `uop_matrix`, `uop_matrix_sharp`,
+on both fields: `sharp_raw`, `jinv_raw`, `uop_map`, `uop_matrix_sharp`,
 `trform_raw` and `gram_vec`.  Each scales its input once to
 integers over one denominator (`linalg.to_ints`), sums with the integer
 Jordan table (`MulTable.mul_ints`, `MulTable.left_ints`) and the integer
-Gram matrix, and converts once per output entry (`linalg.from_ints`): one
-`Fraction` per nonzero entry over Q, with zeros the shared zero(), and one
-reduction mod p over F_p.  `uop_matrix` is three `mul_ints` calls on the
-stacked identity (`linalg.SignedPacking`), one per factor of 2 L_x^2 and
-L_{x^2}; `uop_matrix_sharp`, from x# and the Gram matrix, is the independent
-formula `verify.check_uop_coherence` compares it with.
+Gram matrix, and, all but `uop_map`, converts once per output entry
+(`linalg.from_ints`): one `Fraction` per nonzero entry over Q, with zeros
+the shared zero(), and one reduction mod p over F_p.  U_x is one map made
+from integer rows: `uop_map` is three `mul_ints` calls on the stacked
+identity (`linalg.SignedPacking`), one per factor of 2 L_x^2 and L_{x^2},
+whose rows it keeps in lowest terms as the map's integer form
+(`LinMap.of_ints`) with no field value made; `uop_matrix` is that map's
+matrix, a view.  `uop_matrix_sharp`, from x# and the Gram matrix, is the
+independent formula `verify.check_uop_coherence` compares `uop_matrix`
+with.
 `tits_phi_matrix` builds the torus and SL3 maps of the Tits model from
 Kronecker blocks, inverting each determinant-1 factor once as its
 adjugate (`mat3_adj`).
@@ -64,6 +68,7 @@ from .linalg import (
     from_ints,
     identity,
     kron,
+    lowest_terms,
     mat_mul,
     to_ints,
     transpose,
@@ -523,16 +528,18 @@ class AlbertAlgebra(Algebra):
         cr = self.cross_raw(xs, y)
         return tuple(f.sub(f.mul(t, x[k]), cr[k]) for k in range(DIM))
 
-    def uop_matrix(self, x):
-        """U_x = 2 L_x^2 - L_{x^2} as a 27x27 matrix, from three
-        `MulTable.mul_ints` calls on packed operands.  With x = xi / d and E
-        the identity stacked (e_j in slot j, `linalg.SignedPacking`),
-        mul_ints is linear in each operand, so coordinate i of
+    def uop_map(self, x) -> LinMap:
+        """U_x = 2 L_x^2 - L_{x^2} as a map, from three `MulTable.mul_ints`
+        calls on packed operands.  With x = xi / d and E the identity stacked
+        (e_j in slot j, `linalg.SignedPacking`), mul_ints is linear in each
+        operand, so coordinate i of
         2 mul_ints(xi, mul_ints(xi, E)) - mul_ints(mul_ints(xi, xi), E) packs
         row i of (D d)^2 U_x, entry j in slot j.  Each entry is at most
         3 S^2 max|xi|^2 in absolute value (S the table's `MulTable.int_sum`),
-        which sizes the slots; each row is read back by
-        `SignedPacking.unpack_signed` and converted once over (D d)^2."""
+        which sizes the slots; the rows are read back by
+        `SignedPacking.unpack_signed`, put over (D d)^2 in lowest terms
+        (`linalg.lowest_terms`) and kept as the map's integer form
+        (`LinMap.of_ints`): no field value is made."""
         f = self.field
         d, xi = to_ints(x, f)
         table = self.table
@@ -542,9 +549,13 @@ class AlbertAlgebra(Algebra):
         mul_ints = table.mul_ints
         left = mul_ints(xi, mul_ints(xi, e))
         right = mul_ints(mul_ints(xi, xi), e)
-        den = (table.int_table()[0] * d) ** 2
-        return tuple([from_ints(packing.unpack_signed(2 * a - b, DIM), den, f)
-                      for a, b in zip(left, right)])
+        flat = [v for a, b in zip(left, right) for v in packing.unpack_signed(2 * a - b, DIM)]
+        den, flat = lowest_terms(flat, (table.int_table()[0] * d) ** 2, f)
+        return LinMap.of_ints(den, zip(*[iter(flat)] * DIM), f, self.carrier, self.basis_tag)
+
+    def uop_matrix(self, x):
+        """U_x as a 27x27 matrix of field values: the view of `uop_map`."""
+        return self.uop_map(x).matrix
 
     def _gram_ints(self, v):
         """DG G v for an integer vector v (`gram_den` is DG)."""
@@ -722,8 +733,7 @@ def uapply(x: AlbertElem, y: AlbertElem) -> AlbertElem:
 
 def uop(x: AlbertElem) -> LinMap:
     """U_x as an exact 27x27 map on the element's algebra."""
-    alg = x.algebra
-    return alg.linmap(alg.uop_matrix(x.coords))
+    return x.algebra.uop_map(x.coords)
 
 
 def jinverse(x: AlbertElem) -> AlbertElem:

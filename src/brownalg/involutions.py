@@ -136,7 +136,7 @@ def make_s(albert: AlbertAlgebra) -> LinMap:
     if albert.model != "her":
         raise ModelMismatch("s lives on the Hermitian model")
     sprime = albert.diag(1, -1, -1)
-    return albert.linmap(albert.uop_matrix(sprime.coords))
+    return albert.uop_map(sprime.coords)
 
 
 def make_theta_tits(albert: AlbertAlgebra) -> LinMap:
@@ -286,7 +286,7 @@ def make_uv_bridge(albert: AlbertAlgebra) -> LinMap:
     v = find_skew_unit(albert.octonions)
     z8 = [albert.field.zero()] * 8
     V = albert.her_element((1, 0, 0), v.coords, z8, z8)
-    return albert.linmap(albert.uop_matrix(V.coords))
+    return albert.uop_map(V.coords)
 
 
 def outer_fixed_condition(delta: LinMap, phi: LinMap, albert: AlbertAlgebra) -> bool:
@@ -309,7 +309,7 @@ def isotope_automorphism_check(x: AlbertElem, y: AlbertElem) -> bool:
     nx, ny = alg.norm_raw(x.coords), alg.norm_raw(y.coords)
     if not nx or not ny:
         raise SingularElement("isotope check needs N(x) N(y) != 0")
-    mm = alg.linmap(alg.uop_matrix(x.coords)).compose(alg.linmap(alg.uop_matrix(y.coords)))
+    mm = alg.uop_map(x.coords).compose(alg.uop_map(y.coords))
     if not mm.order_divides_two():
         raise NotOrderTwo("U_x U_y does not square to the identity")
     # {a, y, b} = (a.y).b + (b.y).a - (a.b).y in the integer Jordan table,
@@ -470,9 +470,9 @@ class Catalog:
             elif kind == 1:
                 signs = [1 if rng.randrange(2) else -1 for _ in range(3)]
                 d = self.J.diag(*signs)
-                out = out.compose(self.J.linmap(self.J.uop_matrix(d.coords)))
+                out = out.compose(self.J.uop_map(d.coords))
             else:
                 p23 = self.J.her_element((1, 0, 0), self.octonions.unit_coords,
                                          [f.zero()] * 8, [f.zero()] * 8)
-                out = out.compose(self.J.linmap(self.J.uop_matrix(p23.coords)))
+                out = out.compose(self.J.uop_map(p23.coords))
         return out

@@ -5,7 +5,7 @@ Matrices are tuples of row tuples of raw field values: `Fraction` over Q,
 zero entries, so the sparse near-permutation maps of the involution catalog
 cost proportionally less.  `MatVec.apply`, the one code that picks the
 kernel for the field, multiplies an integer matrix by vectors;
-`AlbertAlgebra.uop_matrix` builds its matrix from `MulTable.mul_ints` on a
+`AlbertAlgebra.uop_map` builds its integer rows from `MulTable.mul_ints` on a
 stacked identity instead.
 
 Over F_p the kernels hold each row (for `MatVec`, each column) as one

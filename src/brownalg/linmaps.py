@@ -12,21 +12,23 @@ form it stores.  `LinMap(matrix, ...)` scales its matrix once
 makes no field value: `compose` multiplies the two integer forms
 (`linalg.int_mat_mul`) and puts the product in lowest terms,
 `block_diag_map` (the lifts of `brown` and `involutions`) scales its
-blocks' forms to one d, and the dagger below is read off cross products in
-ints.  `matrix`, the field values M / d, is a view built on first read,
-for callers; no computation of the package reads it.  The form is
-canonical, so two maps are equal, and hash alike, exactly when their
-matrices, fields and basis tags are; the carrier label takes no part, as in
-matching.  `apply`, `is_identity` and the membership certificates below all
-read the form, and so does the map's largest |entry|, which sizes the slots
-of every packed certificate.  `apply` runs the `linalg.MatVec` of M, built
-once, on both fields.  `eigenspace` and `fixed_space` read it too: the
-kernel of self - (a/b) id is `linalg.kernel` of b M - a d I, an integer
-matrix.  `inverse_map` is d M^-1, the solution X of M X = d I
-(`linalg.int_solve` on [M | d I]), made with `of_ints`.  A map over a field
-with no element arithmetic is refused when it is made.  A map also keeps
-whether it squares to the identity: `order_divides_two` checks M M = d^2 I
-once, on packed rows of its integer form.
+blocks' forms to one d, `AlbertAlgebra.uop_map` keeps the integer rows of
+U_x, and the dagger below is read off cross products in ints.  `matrix`,
+the field values M / d, is a view built on first read, for callers;
+`AlbertAlgebra.uop_matrix`, the matrix of U_x, is the one computation of
+the package that reads it.  The form is canonical, so two maps are equal,
+and hash alike, exactly when their matrices, fields and basis tags are; the
+carrier label takes no part, as in matching.  `apply`, `is_identity` and
+the membership certificates below all read the form, and so does the map's
+largest |entry|, which sizes the slots of every packed certificate.
+`apply` runs the `linalg.MatVec` of M, built once, on both fields.
+`eigenspace` and `fixed_space` read it too: the kernel of self - (a/b) id
+is `linalg.kernel` of b M - a d I, an integer matrix.  `inverse_map` is d
+M^-1, the solution X of M X = d I (`linalg.int_solve` on [M | d I]), made
+with `of_ints`.  A map over a field with no element arithmetic is refused
+when it is made.  A map also keeps whether it squares to the identity:
+`order_divides_two` checks M M = d^2 I once, on packed rows of its integer
+form.
 
 Every certificate below forms the packed difference of the two sides of
 its identity and hands it to `linalg.SignedPacking.is_zero`, with slots

@@ -1,4 +1,6 @@
-"""Every name a module of the package imports is used in that module."""
+"""Every name a module of the package imports is used in that module, no
+module takes another's private names, and U_x is built as a map in one
+place."""
 
 import ast
 import pathlib
@@ -73,3 +75,31 @@ def test_no_private_name_from_another_module(path):
     found = [f"{module}.{name} (line {line})" for module, name, line in _private_uses(tree)
              if (path.stem, module, name) not in ALLOWED_PRIVATE]
     assert not found, f"{path.name} uses private names of other modules: {', '.join(found)}"
+
+
+# U_x has one producer, `AlbertAlgebra.uop_map`; its field-value view
+# `uop_matrix` is read only by albert itself and by the check that compares
+# it with the independent `uop_matrix_sharp`
+ALLOWED_UOP_MATRIX = {("albert", None), ("verify", "check_uop_coherence")}
+
+
+def _calls(tree, attr):
+    """(top-level function or None, line) for each call of `attr`, as a name
+    or an attribute."""
+    for top in tree.body:
+        owner = top.name if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)) else None
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name == attr:
+                    yield owner, node.lineno
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_map_is_built_from_uop_matrix(path):
+    tree = ast.parse(path.read_text())
+    found = [f"line {line}" for owner, line in _calls(tree, "uop_matrix")
+             if (path.stem, None) not in ALLOWED_UOP_MATRIX
+             and (path.stem, owner) not in ALLOWED_UOP_MATRIX]
+    assert not found, f"{path.name} calls uop_matrix instead of uop_map: {', '.join(found)}"

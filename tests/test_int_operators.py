@@ -1,4 +1,4 @@
-"""The Albert operators computed in scaled integers (`uop_matrix`,
+"""The Albert operators computed in scaled integers (`uop_map`, `uop_matrix`,
 `uop_matrix_sharp`, `sharp_raw`, `jinv_raw`, `trform_raw`, `gram_vec`) and the
 Kronecker-block `tits_phi_matrix`, against references built from the Jordan
 product through the unchanged `MulTable.apply`."""
@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from brownalg import albert, linalg
+from brownalg import albert, linalg, linmaps
 from brownalg.albert import hermitian, split_albert, tits
 from brownalg.cayley import CDAlgebra
 from brownalg.errors import ModelMismatch, NotUnimodular
@@ -305,3 +305,28 @@ def test_uop_matrix_matches_a_fraction_reference(name, model, monkeypatch):
     for x, ref in zip(xs, want):
         assert alg.uop_matrix(x) == ref
     assert all(v is alg.field.zero() for row in alg.uop_matrix(xs[2]) for v in row)
+
+
+@pytest.mark.parametrize("name", ["Q", "Fp:7", "Fp:2^61-1"])
+@pytest.mark.parametrize("model", ["her", "tits"])
+def test_uop_map_is_the_integer_form_of_uop_matrix_sharp(name, model, monkeypatch):
+    """`uop_map` keeps the integer rows of its stacked products as the map's
+    form, in lowest terms: the form `LinMap` gives the independent
+    `uop_matrix_sharp`, at zero, the unit, a non-integral x and a norm-one
+    x, made with no `albert.from_ints` and no `linmaps.to_ints`."""
+    f = {"Q": Q(), "Fp:7": Fp(7), "Fp:2^61-1": Fp(2**61 - 1)}[name]
+    alg = split_albert(f) if model == "her" else tits(f)
+    rng = random.Random(f"uop_map:{name}:{model}")
+    x = alg.sample(rng, 5).coords
+    assert f.kind != RATIONALS or linalg.to_ints(x, f)[0] > 1
+    xs = [alg.zero().coords, alg.unit_coords, x, _dense_norm_one(alg, rng)]
+    want = [LinMap(alg.uop_matrix_sharp(x), f, alg.carrier, alg.basis_tag)._ints for x in xs]
+    calls = []
+    for module, attr in ((albert, "from_ints"), (linmaps, "to_ints")):
+        real = getattr(module, attr)
+        monkeypatch.setattr(module, attr, lambda *a, real=real, attr=attr: calls.append(attr) or real(*a))
+    got = [alg.uop_map(x) for x in xs]
+    assert calls == []
+    assert [u._ints for u in got] == want
+    assert got[1].is_identity() and not any(map(any, got[0]._ints[1]))
+    assert all((u.field, u.carrier, u.basis_tag) == (f, alg.carrier, alg.basis_tag) for u in got)

@@ -192,15 +192,18 @@ def _fresh_ints(m):
 def test_compose_and_lifts_keep_the_to_ints_form(catalogs, name):
     cat = catalogs[name]
     f = cat.field
+    x = cat.J.diag(2, f.parse_scalar("1/3"), 5).coords
     maps = [cat.realize(d, "B") for d in ("s", "t", "varpi")] + \
-        [cat.realize("s", "J"), cat.J.linmap(cat.J.uop_matrix(cat.J.diag(2, f.parse_scalar("1/3"), 5).coords))]
+        [cat.realize("s", "J"), cat.J.linmap(cat.J.uop_matrix(x)), cat.J.uop_map(x)]
     for m in maps:
         assert m._ints == _fresh_ints(m)
-    for a, b in ((maps[0], maps[2]), (maps[1], maps[2]), (maps[3], maps[4]), (maps[4], maps[4])):
+    assert maps[5] == maps[4]
+    for a, b in ((maps[0], maps[2]), (maps[1], maps[2]), (maps[3], maps[4]), (maps[4], maps[4]),
+                 (maps[3], maps[5]), (maps[5], maps[5])):
         c = a.compose(b)
         assert c.matrix == linalg.mat_mul(a.matrix, b.matrix, f)
         assert c._ints == _fresh_ints(c)
-    u = maps[4]
+    u = maps[5]
     lifted = block_diag_map((LinMap(linalg.identity(2, f), f, "k2", "k2"), u, u), "brown56", "x")
     assert lifted.matrix == linalg.block_diag((linalg.identity(2, f), u.matrix, u.matrix), f)
     assert lifted._ints == _fresh_ints(lifted)

@@ -72,9 +72,10 @@ def test_scaled_conjugation_entry_fails_involutivity(seed, monkeypatch):
         verify.check_conj_antihom(ctx)
 
 
+@pytest.mark.parametrize("field", [Q(), Fp(7)], ids=str)
 @pytest.mark.parametrize("seed", SEEDS)
-def test_jordan_unit_entry_fails_the_unit_law(seed, monkeypatch):
-    ctx = _ctx(Fp(7), seed)
+def test_jordan_unit_entry_fails_the_unit_law(field, seed, monkeypatch):
+    ctx = _ctx(field, seed)
     verify.check_jordan_unit_comm(ctx)
     J = ctx.cat.J
     monkeypatch.setattr(J, "table", _doubled_unit_entry(J, J.table))
@@ -106,9 +107,10 @@ def test_cross_unit_entry_fails_the_sharp_unit_law(seed, monkeypatch):
         verify.check_sharp_axioms(ctx)
 
 
+@pytest.mark.parametrize("field", [Q(), Fp(7)], ids=str)
 @pytest.mark.parametrize("seed", SEEDS)
-def test_brown_unit_entry_fails_the_unit_law(seed, monkeypatch):
-    ctx = _ctx(Fp(7), seed)
+def test_brown_unit_entry_fails_the_unit_law(field, seed, monkeypatch):
+    ctx = _ctx(field, seed)
     verify.check_brown_unit_inv(ctx)
     B = ctx.cat.B
     monkeypatch.setattr(B, "table", _doubled_unit_entry(B, B.table))
