@@ -145,7 +145,13 @@ class BrownAlgebra(Algebra):
         return block_diag_map((scalars, phi, ml), self.carrier, self.basis_tag)
 
     def varpi(self) -> LinMap:
-        """(alpha, beta, j, l) -> (beta, alpha, l, j); order 2."""
+        """(alpha, beta, j, l) -> (beta, alpha, l, j); order 2.  It is an
+        automorphism only for zeta = 1: the product puts zeta on Tr(j1, l2)
+        and l1 # l2 but not on j1 # j2, so any other zeta raises
+        NotAutomorphism."""
+        if self.zeta != self.field.one():
+            raise NotAutomorphism(
+                f"varpi is an automorphism only for zeta = 1, not zeta = {self.field.scalar_str(self.zeta)}")
         return self.linmap_of(lambda x: (x[1], x[0]) + x[2 + JDIM:] + x[2 : 2 + JDIM])
 
     # -- commuting-pair subalgebra --------------------------------------------

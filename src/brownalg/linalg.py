@@ -33,13 +33,11 @@ one division by p, two additions and two masks on the whole int, and no
 slot is read back.  The certificates that use it, each with its own
 identity and bound, are `IntSpan.closed`, the basis-pair product law that
 `linmaps.is_automorphism` and `linmaps.is_inv_member` share, the unit law
-of `is_automorphism`, `LinMap.order_divides_two` and the trace-form check
-of the dagger that `linmaps.is_inv_member` builds
-(`linmaps._trace_form_holds`).  A product that is linear in one operand,
-such as `MulTable.mul_ints`, maps the stack of many vectors
-(`SignedPacking.stack` and `suffixes`) to the stack of their images, so one
-call covers them all; `SignedPacking.unstack` reads one of the images back,
-and `unpack_signed` every entry of one packing.
+of `is_automorphism` and `LinMap.order_divides_two`.  A product that is
+linear in one operand, such as `MulTable.mul_ints`, maps the stack of many
+vectors (`SignedPacking.stack` and `suffixes`) to the stack of their images,
+so one call covers them all; `SignedPacking.unstack` reads one of the images
+back, and `unpack_signed` every entry of one packing.
 
 `to_ints` and `from_ints` are the one scaled-integer form of the package: a
 vector of field values is (d, ints) with values == ints / d, d the lcm of
@@ -47,6 +45,9 @@ the denominators over Q and 1 over F_p, and integer results are converted
 back once per entry, one `Fraction` per nonzero entry over Q (zeros are the
 field's shared `zero()`) and one reduction mod p over F_p.  The integer
 kernels of `kernels`, `albert` and `linmaps` read and write this form.
+`to_ints` trusts its values to be the field's, as the package makes them;
+`checked_ints`, the conversion of `LinMap(matrix)`, checks values that come
+from a caller, reducing ints mod p over F_p, so the form is canonical.
 
 `lowest_terms` puts an integer form in lowest terms without making field
 values, as `to_ints` of `from_ints` would: `LinMap.compose`, the dagger of
@@ -90,7 +91,7 @@ import struct
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NonArithmeticField
+from .errors import MixedFields, NonArithmeticField
 from .fields import _ZERO, PRIME, RATIONALS, FieldSpec
 
 
@@ -159,6 +160,21 @@ def to_ints(values, field: FieldSpec):
     for j, (num, q) in nonzero:
         ints[j] = num * (d // q)
     return d, ints
+
+
+def checked_ints(values, field: FieldSpec):
+    """`to_ints` of values that come from a caller, checked as
+    `FieldSpec.coerce` checks one value: over F_p ints, each reduced mod p,
+    and over Q ints and `Fraction`s; any other value raises MixedFields.
+    The type test runs once per distinct type, not per entry."""
+    allowed = int if field.kind == PRIME else (int, Fraction)
+    if not all(issubclass(t, allowed) for t in set(map(type, values))):
+        bad = next(v for v in values if not isinstance(v, allowed))
+        raise MixedFields(f"{bad!r} is not a value of {field}")
+    if field.kind == PRIME:
+        p = field.p
+        return 1, [v % p for v in values]
+    return to_ints(values, field)
 
 
 def from_ints(ints, den: int, field: FieldSpec):

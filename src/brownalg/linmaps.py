@@ -8,8 +8,9 @@ algebra, and to another map, by the basis tag, and its carrier is only a
 label.  A map is its integer form `_ints` = (d, M), M = d * matrix in
 lowest terms (d the lcm of the entries' denominators, 1 over F_p), the one
 form it stores.  `LinMap(matrix, ...)` scales its matrix once
-(`linalg.to_ints`), and `LinMap.of_ints` takes a form in lowest terms and
-makes no field value: `compose` multiplies the two integer forms
+(`linalg.checked_ints`, which reduces ints mod p over F_p and refuses a
+value that is not the field's), and `LinMap.of_ints` takes a form in
+lowest terms and makes no field value: `compose` multiplies the two integer forms
 (`linalg.int_mat_mul`) and puts the product in lowest terms,
 `block_diag_map` (the lifts of `brown` and `involutions`) scales its
 blocks' forms to one d, `AlbertAlgebra.uop_map` keeps the integer rows of
@@ -33,7 +34,8 @@ form.
 Every certificate below forms the packed difference of the two sides of
 its identity and hands it to `linalg.SignedPacking.is_zero`, with slots
 sized from a bound on that difference (the rule is stated once, in the
-`SignedPacking` docstring).
+`SignedPacking` docstring).  The one scalar check, the norm multiplier of
+`is_inv_member`, is a single integer dot product, read as a field value.
 
 Membership in Aut and in Inv(J), and the anti-automorphism laws, are one
 product law on basis pairs, a P mul_ints(e_i, e_l) = b target.mul_ints(M e_i,
@@ -52,7 +54,10 @@ The target must share the table's integer denominator; none with another is
 scaled for yet.  `is_inv_member` is a deterministic certificate over Q and
 F_p for phi(x) # phi(y) = phi-dagger(x # y) (Springer and Veldkamp,
 *Octonions, Jordan Algebras and Exceptional Groups*, ch. 5): the law runs on
-the cross table, and P is phi-dagger scaled to integers.
+the cross table, and P is phi-dagger scaled to integers.  The law makes
+psi* phi a scalar lambda, the norm multiplier, for any P it passes, and one
+entry of the trace form reads lambda = 1 (`_multiplier_is_one`); the proof
+is in the `is_inv_member` docstring.
 
 `dagger` has no verdict of its own: it returns the dagger that
 `is_inv_member` keeps on a map it certifies, and raises NotNormPreserving
@@ -63,9 +68,9 @@ column of phi-dagger is one cross product of two columns of the map's
 integer form, for the pairs i <= j picked once per algebra (`_dagger_plan`).
 Those products are slots of the certificate's own image rows, so each cross
 product is made once and read back from its slot (`SignedPacking.unstack`); the
-columns are certified by the trace-form identity phi^T G psi = G
-(`_trace_form_holds`) before the same rows go to the comparison.  dagger is
-an involutive automorphism of Inv(J), so a certified phi keeps psi and psi
+multiplier check runs on those columns before the same rows go to the
+comparison, and the two together prove Tr(phi x, psi y) = Tr(x, y).
+dagger is an involutive automorphism of Inv(J), so a certified phi keeps psi and psi
 keeps a copy of phi: `dagger`, `is_inv_member` and `lift_inv` of either run
 the certificate at most once.
 No membership test evaluates the norm; its form lives in `albert`.
@@ -91,6 +96,7 @@ from .fields import RATIONALS, FieldSpec
 from .linalg import (
     MatVec,
     SignedPacking,
+    checked_ints,
     from_ints,
     int_mat_mul,
     int_solve,
@@ -113,7 +119,7 @@ class LinMap:
         n = len(matrix)
         if any(len(r) != n for r in matrix):
             raise CarrierMismatch(f"matrix with {n} rows is not square")
-        d, flat = to_ints([v for row in matrix for v in row], field)
+        d, flat = checked_ints([v for row in matrix for v in row], field)
         self._make(d, tuple(zip(*[iter(flat)] * n)), field, carrier, basis_tag)
 
     def _make(self, den: int, rows: tuple, field: FieldSpec, carrier: str, basis_tag: str):
@@ -279,8 +285,9 @@ def _require_albert(phi: LinMap, algebra):
 
 def is_inv_member(phi: LinMap, algebra) -> bool:
     """Cubic-norm invariance, as a deterministic certificate over Q and F_p:
-    phi is in Inv(J) iff phi(x) # phi(y) = psi(x # y) for all x, y, with psi
-    = phi-dagger (Springer and Veldkamp, ch. 5).
+    phi is in Inv(J) iff phi(x) # phi(y) = psi(x # y) for all x, y and some
+    psi, and the norm multiplier lambda that this law fixes is 1; psi is
+    then phi-dagger (Springer and Veldkamp, ch. 5).
 
     A map that keeps a dagger has passed already.  Otherwise each cross
     product of two columns of the integer form (d, M) of phi is made once:
@@ -290,28 +297,54 @@ def is_inv_member(phi: LinMap, algebra) -> bool:
     multiple of one basis vector (`_dagger_plan`): with
     D (e_a # e_b) = C e_k, a <= b, and s C = lcm, column k of P is s times
     slot b - a of R_a (`SignedPacking.unstack`), reduced mod p over F_p, and
-    P = lcm d^2 psi when phi is in Inv(J).  The exact trace-form check
-    (`_trace_form_holds`) proves that P / (d^2 lcm) is phi-dagger when it
-    passes; a map that fails it is not in Inv(J).  Then the law
+    P = lcm d^2 psi when phi is in Inv(J).  Two checks follow, and a map
+    that fails either is not in Inv(J).  The multiplier check
+    (`_multiplier_is_one`) reads one entry of the trace form; then the law
     P mul_ints(e_i, e_l) = lcm mul_ints(M e_i, M e_l), the form
     psi(e_i # e_l) = phi(e_i) # phi(e_l) takes in these integers, is
-    checked on the pairs i <= l against the same rows (`_rows_agree`).  A
-    symmetric bilinear law that holds on basis pairs holds on all x, y; at
-    x = y it reads (phi x)# = psi(x#), as 2 is invertible, so
-    3 N(phi x) = Tr(psi x#, phi x) = Tr(x#, x) = 3 N(x), and 3 is invertible
-    over Q and over F_p for p >= 5.  The norm is evaluated at no point.
+    checked on the pairs i <= l against the same rows (`_rows_agree`).
+
+    Why the two checks prove phi in Inv(J) with psi = phi-dagger, for
+    psi = P / (d^2 lcm), T(x, y, z) = Tr(x # y, z) and psi* the trace-form
+    adjoint of psi (2 and 3 are invertible, and Tr is nondegenerate):
+    1. The law is symmetric and bilinear, so on basis pairs it gives
+       phi x # phi y = psi(x # y) for all x and y.
+    2. T is symmetric and trilinear, so T(phi x, phi y, phi z) =
+       Tr(psi(x # y), phi z) = T(x, y, A z) with A = psi* phi.
+    3. The left side of 2 is symmetric in x, y and z, so
+       Tr(x, y # A z) = Tr(x, z # A y) for all x: y # A z = z # A y.
+    4. At z = e, with e # u = Tr(u) e - u, this reads
+       A y = (Tr(y) Tr(a) - Tr(y, a)) / 2 e - y # a for a = A e: a fixes A.
+    5. Such an A meets 3 only for a in k e, and a = lambda e gives
+       A = lambda id.  3 and 4 are a linear system in a, whose kernel does
+       not change under a field extension, and over the algebraic closure J
+       has a frame E_1, E_2, E_3 of idempotents with Peirce spaces J_ij.
+       Write a = sum alpha_i E_i + a_12 + a_23 + a_31.  y = E_1 and z = E_2
+       give alpha_1 = alpha_2 = alpha_3, from the coefficients of E_2 and
+       E_3.  Take alpha_1 e away, which meets 3, so a = a_12 + a_23 + a_31.
+       Then A E_1 = a_23, and y = E_1 and z = u in J_23 give
+       -t/2 (E_2 + E_3) = -t E_1, with u # a_23 = -t E_1 and
+       t = Tr(u, a_23).  So a_23 is orthogonal to J_23, and 0; the other
+       two Peirce spaces follow by symmetry.  `tests/test_linmaps.py` pins
+       the kernel of this system, span(e), on both models over Q and three
+       primes.
+    6. So A = lambda id, Tr(psi u, phi v) = lambda Tr(u, v) for all u and v,
+       and at x = y the law reads (phi x)# = psi(x#), so
+       3 N(phi x) = Tr(psi x#, phi x) = lambda Tr(x#, x) = 3 lambda N(x).
+    7. The multiplier check reads lambda at one entry (a, b, g) of DG G
+       (`AlbertAlgebra.gram_int`), g != 0: lambda = 1 iff
+       (P e_a)^T (DG G) (M e_b) = d^3 lcm g.  Then psi* phi = id, so phi is
+       invertible and psi, the unique map with Tr(phi x, psi y) = Tr(x, y),
+       is phi-dagger; the whole identity M^T (DG G) P = d^3 lcm (DG G)
+       holds, and N(phi x) = N(x).  The norm is evaluated at no point.
+    8. The law alone is not enough: 2 id passes it with psi = 4 id, and
+       lambda = 8, which is 1 over F_7 only.
 
     The slots are fixed before P is known: 2^(s - 1) > S (n ptop + lcm
     top^2), with S the cross table's `MulTable.int_sum`, top = max|M| and
     ptop a bound on |P|, p - 1 over F_p and max s S top^2 over Q.  That
     bounds the entries of the law's packed difference, and also
     |R| <= S top^2, so every slot of R reads back.
-
-    The trace-form check alone does not prove phi in Inv(J): for a diagonal
-    map diag(2^v) on the split model, the 27 picked pairs and the trace
-    form are exponent equations of rank 13, against 21 for the whole cross
-    table, and the map with 1/2 at e_4, 2 at e_5 and 1 elsewhere passes the
-    check and moves the norm; the law on every pair refuses it.
 
     A map that passes keeps psi = P / (d^2 lcm) in lowest terms
     (`LinMap.of_ints`) as its dagger.  psi is in Inv(J) with
@@ -323,7 +356,7 @@ def is_inv_member(phi: LinMap, algebra) -> bool:
         return True
     f = algebra.field
     d, n = phi._ints[0], phi.dim
-    picks, lcm, _, _ = _dagger_plan(algebra)
+    picks, lcm = _dagger_plan(algebra)
     cross = algebra.cross_table()
     s, top = cross.int_sum(), phi._top
     ptop = max(t for _, _, t in picks) * s * top ** 2 if f.kind == RATIONALS else f.p - 1
@@ -332,7 +365,7 @@ def is_inv_member(phi: LinMap, algebra) -> bool:
     rows = list(_image_rows(phi, cross, packing, True))[::-1]
     pcols = [lowest_terms([t * v for v in packing.unstack(rows[a][2], b - a)], 1, f)[1]
              for a, b, t in picks]
-    if not _trace_form_holds(phi, algebra, pcols) or \
+    if not _multiplier_is_one(phi, algebra, pcols, lcm) or \
             not _rows_agree(cross, 1, pcols, lcm, rows, packing):
         return False
     den, flat = lowest_terms([v for row in zip(*pcols) for v in row], d * d * lcm, f)
@@ -340,6 +373,21 @@ def is_inv_member(phi: LinMap, algebra) -> bool:
     psi._dagger = LinMap.of_ints(*phi._ints, phi.field, phi.carrier, phi.basis_tag)
     phi._dagger = psi
     return True
+
+
+def _multiplier_is_one(phi: LinMap, algebra, pcols, lcm: int) -> bool:
+    """Whether the norm multiplier lambda of `is_inv_member` is 1, for the
+    integer columns `pcols` of P it reads off the cross products, (d, M) the
+    integer form of phi and lcm from `_dagger_plan`: at the first entry
+    (a, b, g) of `AlbertAlgebra.gram_int`, whether
+    (P e_a)^T (DG G) (M e_b) = d^3 lcm g, exactly over Q and mod p over
+    F_p.  It holds when lambda = 1; given the law, it fails otherwise
+    (`is_inv_member`, step 7)."""
+    d, m = phi._ints
+    a, b, g = algebra.gram_int[0]
+    pa = pcols[a]
+    dot = sum([pa[i] * h * m[j][b] for i, j, h in algebra.gram_int if pa[i]])
+    return not algebra.field.from_int(dot - d ** 3 * lcm * g)
 
 
 def _image_rows(phi: LinMap, target, packing: SignedPacking, commutative: bool):
@@ -450,7 +498,7 @@ def is_aut_member(phi: LinMap, algebra) -> bool:
 @functools.lru_cache(maxsize=16)
 def _dagger_plan(algebra):
     """What `is_inv_member` reads of an Albert algebra, built once per
-    algebra: (picks, lcm, grows, gsum).
+    algebra: (picks, lcm).
 
     Column k of phi-dagger is one cross product: picks[k] = (i, j, s) names a
     basis pair i <= j whose cross product is a multiple of e_k alone,
@@ -461,10 +509,7 @@ def _dagger_plan(algebra):
     integer table is symmetric, (j, i, k, c) an entry with every
     (i, j, k, c).  Each pick is the table's first entry for e_k, in row
     order, that is alone on its pair; on a symmetric table it has i <= j,
-    as the mirror of a pair with i > j comes first, in row j.  grows[i]
-    holds the (j, g) with g = DG G_ij != 0, the integer rows of the Gram
-    matrix (`AlbertAlgebra.gram_int`), and gsum is the largest sum of |g|
-    over a row."""
+    as the mirror of a pair with i > j comes first, in row j."""
     f = algebra.field
     p = f.p if f.kind != RATIONALS else 0
     rows = algebra.cross_table().int_table()[1]
@@ -481,21 +526,7 @@ def _dagger_plan(algebra):
     picks = [picks[k] for k in range(27)]
     lcm = 1 if p else math.lcm(*[c for _, _, c in picks])
     picks = tuple((i, j, pow(c, -1, p) if p else lcm // c) for i, j, c in picks)
-    grows = [[] for _ in range(27)]
-    for i, j, g in algebra.gram_int:
-        grows[i].append((j, g))
-    grows = tuple(map(tuple, grows))
-    return picks, lcm, grows, max(sum(abs(g) for _, g in row) for row in grows)
-
-
-@functools.lru_cache(maxsize=32)
-def _gram_rows(algebra, packing: SignedPacking):
-    """The rows of DG G, packed."""
-    rows = [[0] * 27 for _ in range(27)]
-    for full, row in zip(rows, _dagger_plan(algebra)[2]):
-        for j, g in row:
-            full[j] = g
-    return tuple(map(packing.pack, rows))
+    return picks, lcm
 
 
 def dagger(phi: LinMap, algebra) -> LinMap:
@@ -507,28 +538,3 @@ def dagger(phi: LinMap, algebra) -> LinMap:
     if not is_inv_member(phi, algebra):
         raise NotNormPreserving("map is not in Inv(J), where dagger is defined")
     return phi._dagger
-
-
-def _trace_form_holds(phi: LinMap, algebra, pcols) -> bool:
-    """Whether P / (d^2 lcm) is phi-dagger, for the integer columns `pcols`
-    of P that `is_inv_member` reads off the cross products, (d, M) the
-    integer form of phi and lcm from `_dagger_plan`.
-
-    Tr(phi x, psi y) = Tr(x, y) reads M^T (DG G) P = d^3 lcm (DG G) in
-    integers.  That system has one solution, so when it holds P / (d^2 lcm)
-    is the matrix the trace-form solve gives; when it does not, phi is not
-    in Inv(J).  It is checked on packed rows (`linalg.SignedPacking`): row j
-    of P is one int, the rows of (DG G) P are sums of multiples of them, and
-    row a of M^T (DG G) P is sum_i M[i][a] ((DG G) P)_i; minus d^3 lcm times
-    the packed row a of DG G it goes to `SignedPacking.is_zero`, with slots
-    of 2^(s - 1) > gsum (27 max|M| max|P| + d^3 lcm), a bound on its
-    entries."""
-    d, m = phi._ints
-    _, lcm, grows, gsum = _dagger_plan(algebra)
-    top = max(map(abs, itertools.chain.from_iterable(pcols)))
-    scale = d ** 3 * lcm
-    packing = SignedPacking.holding(gsum * (27 * phi._top * top + scale), algebra.field)
-    packed = [packing.pack(row) for row in zip(*pcols)]
-    gp = [sum([g * packed[j] for j, g in row]) for row in grows]
-    return all(packing.is_zero(sum([x * r for x, r in zip(ca, gp) if x]) - scale * w, 27)
-               for ca, w in zip(zip(*m), _gram_rows(algebra, packing)))

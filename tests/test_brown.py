@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -6,7 +7,7 @@ from brownalg import albert, brown, linalg, linmaps, verify
 from brownalg.albert import AlbertAlgebra, hermitian, split_albert, tits
 from brownalg.brown import BrownAlgebra, BrownElem, binv, bmul
 from brownalg.cayley import CDAlgebra
-from brownalg.errors import NotCommuting, NotNormPreserving
+from brownalg.errors import NotAutomorphism, NotCommuting, NotNormPreserving
 from brownalg.fields import Fp, Q
 from brownalg.involutions import Catalog, lift_c_to_j, make_canonical_t, make_s
 from brownalg.linmaps import ALBERT, LinMap, dagger
@@ -160,6 +161,16 @@ def test_varpi_order_two_and_fixed_dim():
         w = b.varpi()
         assert w.compose(w).is_identity()
         assert len(w.fixed_space()) == 28
+
+
+def test_varpi_refuses_a_zeta_other_than_one():
+    """The plain exchange is an automorphism of B(J, zeta) only for
+    zeta = 1; any other zeta is refused and named."""
+    jalg = split_albert(Q())
+    assert linmaps.is_aut_member(BrownAlgebra(jalg).varpi(), BrownAlgebra(jalg))
+    for zeta, shown in ((-1, "-1"), (2, "2"), (8, "8"), (Fraction(1, 27), "1/27")):
+        with pytest.raises(NotAutomorphism, match=f"zeta = {shown}$"):
+            BrownAlgebra(jalg, zeta=zeta).varpi()
 
 
 def test_varpi_is_brown_automorphism():

@@ -313,7 +313,8 @@ def test_uop_map_is_the_integer_form_of_uop_matrix_sharp(name, model, monkeypatc
     """`uop_map` keeps the integer rows of its stacked products as the map's
     form, in lowest terms: the form `LinMap` gives the independent
     `uop_matrix_sharp`, at zero, the unit, a non-integral x and a norm-one
-    x, made with no `albert.from_ints` and no `linmaps.to_ints`."""
+    x, made with no `albert.from_ints` and no `linmaps.to_ints` or
+    `linmaps.checked_ints` (the conversion of `LinMap(matrix)`)."""
     f = {"Q": Q(), "Fp:7": Fp(7), "Fp:2^61-1": Fp(2**61 - 1)}[name]
     alg = split_albert(f) if model == "her" else tits(f)
     rng = random.Random(f"uop_map:{name}:{model}")
@@ -322,7 +323,7 @@ def test_uop_map_is_the_integer_form_of_uop_matrix_sharp(name, model, monkeypatc
     xs = [alg.zero().coords, alg.unit_coords, x, _dense_norm_one(alg, rng)]
     want = [LinMap(alg.uop_matrix_sharp(x), f, alg.carrier, alg.basis_tag)._ints for x in xs]
     calls = []
-    for module, attr in ((albert, "from_ints"), (linmaps, "to_ints")):
+    for module, attr in ((albert, "from_ints"), (linmaps, "to_ints"), (linmaps, "checked_ints")):
         real = getattr(module, attr)
         monkeypatch.setattr(module, attr, lambda *a, real=real, attr=attr: calls.append(attr) or real(*a))
     got = [alg.uop_map(x) for x in xs]

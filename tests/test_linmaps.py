@@ -13,6 +13,7 @@ from brownalg.cayley import CDAlgebra
 from brownalg.errors import (
     CarrierMismatch,
     InternalError,
+    MixedFields,
     NonArithmeticField,
     NotNormPreserving,
     SingularGram,
@@ -308,9 +309,11 @@ def _trace_check_witness(alg):
     """diag(2^v) for v = e_5 - e_4 on the split model: 1/2 at e_4, 2 at e_5
     and 1 elsewhere.  The 27 pairs `dagger` picks and the trace form, as
     exponent equations for diag(2^v), have rank 13, against 21 for the whole
-    cross table, and v lies between the two kernels: the map passes the
-    trace-form check of `dagger`.  The monomials of the norm scale by 1/2, 1
-    or 2, some by 2, so it moves the norm on every field (2 != 1)."""
+    cross table, and v lies between the two kernels: with the dagger read
+    off the picked pairs the map keeps the whole trace-form identity, so it
+    passes the multiplier check of `is_inv_member`.  The monomials of the
+    norm scale by 1/2, 1 or 2, some by 2, so it moves the norm on every
+    field (2 != 1)."""
     f = alg.field
     diag = [f.one()] * 27
     diag[4], diag[5] = f.inv(f.from_int(2)), f.from_int(2)
@@ -343,7 +346,7 @@ def test_inv_certificate_matches_point_reference(name, monkeypatch):
     cases.append((alg, _with_entry(ux, i, j, f.add(ux.matrix[i][j], f.one())), False))
     i, j = next((i, j) for i in range(27) for j in range(27) if not t.matrix[i][j])
     cases.append((cat.J, _with_entry(t, i, j, f.one()), False))
-    # the trace-form check of `dagger` passes it; only the product law fails
+    # the multiplier check passes it; only the product law fails
     witness = _trace_check_witness(alg)
     calls = _spy_certificate(monkeypatch)
     assert not is_inv_member(witness, alg)
@@ -718,7 +721,7 @@ def test_dagger_is_computed_once_per_map(name, monkeypatch):
 def _spy_certificate(monkeypatch):
     """Record ("_image_rows", map) for every pass of image rows and
     ("_rows_agree",) for every comparison, the two product steps of the
-    Inv(J) certificate; the trace-form check runs between them and stops it
+    Inv(J) certificate; the multiplier check runs between them and stops it
     before the comparison when it fails."""
     calls = []
     image_rows, rows_agree = linmaps._image_rows, linmaps._rows_agree
@@ -755,9 +758,9 @@ def test_certified_map_keeps_its_dagger(name, monkeypatch):
     """After `is_inv_member` certifies a U_x, `dagger` and `lift_inv` of it
     run neither the cross products nor the product law and return the
     matrices a fresh map gets; the kept dagger's integer form is the one
-    its matrix gives.  A failed certificate keeps nothing, whether the
-    trace-form check fails (a perturbed U_x) or the product law (the
-    witness)."""
+    its matrix gives.  A failed certificate keeps nothing: a perturbed U_x
+    and the diag witness both pass the multiplier check and fail the
+    product law."""
     f = FIELDS[name]
     cat = Catalog(f)
     J = cat.J
@@ -777,7 +780,8 @@ def test_certified_map_keeps_its_dagger(name, monkeypatch):
     for phi in (perturbed, witness):
         assert not is_inv_member(phi, alg)
         assert phi._dagger is None
-    assert calls == [("_image_rows", perturbed), ("_image_rows", witness), ("_rows_agree",)]
+    assert calls == [("_image_rows", perturbed), ("_rows_agree",),
+                     ("_image_rows", witness), ("_rows_agree",)]
 
 
 # -- dagger from cross products against the trace-form solve ------------------------
@@ -820,9 +824,10 @@ def _dagger_cases(f):
 
 @pytest.mark.parametrize("name", list(FIELDS))
 def test_dagger_equals_the_trace_form_solve(name):
-    """`dagger` builds each column from one cross product and checks the
-    trace-form identity exactly; on every map of `_dagger_cases` its matrix
-    is the solution of the trace-form system, entry for entry."""
+    """`dagger` builds each column from one cross product and certifies it
+    with the product law and one trace-form entry; on every map of
+    `_dagger_cases` its matrix is the solution of the trace-form system,
+    entry for entry."""
     f = FIELDS[name]
     cases = _dagger_cases(f)
     if f == Q():
@@ -836,10 +841,11 @@ def test_dagger_equals_the_trace_form_solve(name):
 
 @pytest.mark.parametrize("name", list(FIELDS))
 def test_dagger_check_rejects_a_map_past_the_guard(name):
-    """A map outside Inv(J) is refused: the first four fail the exact
-    trace-form check of the cross products, and the witness passes it but
-    fails the product law, so `dagger` raises NotNormPreserving and keeps no
-    result on the map."""
+    """A map outside Inv(J) is refused: 3 id, 0 and 3 nu_2 keep the product
+    law with a norm multiplier other than 1 (27, 0 and 27), which the
+    multiplier check refuses, and a perturbed U_x and the witness fail the
+    law, so `dagger` raises NotNormPreserving and keeps no result on the
+    map."""
     f = FIELDS[name]
     alg = split_albert(f)
     ux = _uop_map(alg, alg.sample_norm_one(random.Random(13), 2))
@@ -854,7 +860,7 @@ def test_dagger_check_rejects_a_map_past_the_guard(name):
 def test_dagger_over_q_does_no_fraction_arithmetic(monkeypatch):
     """After a warm-up call has built the algebra's cached data, `dagger` of
     a fresh U_x over Q reads and builds Fractions but does no arithmetic on
-    them: the cross products, the trace-form check and the product law run
+    them: the cross products, the multiplier check and the product law run
     in ints."""
     alg = split_albert(Q())
     rng = random.Random(14)
@@ -869,6 +875,22 @@ def test_dagger_over_q_does_no_fraction_arithmetic(monkeypatch):
                "__mul__", "__rmul__", "__truediv__", "__rtruediv__"):
         monkeypatch.setattr(Fraction, op, forbidden)
     assert dagger(ux, alg).matrix == expected
+
+
+def test_linmap_of_a_matrix_is_canonical_and_checked():
+    """`LinMap(matrix)` over F_p reduces int entries mod p, so 8 and 1 (or
+    -1 and 6) over F_7 make one map, equal and hashed alike; a value that is
+    not an int over F_p, or not an int or a `Fraction` over Q, raises
+    MixedFields."""
+    f = Fp(7)
+    ident = LinMap(((1, 0), (0, 1)), f, "x", "x")
+    eight = LinMap(((8, 0), (0, 1)), f, "x", "x")
+    assert eight.is_identity() and eight == ident and hash(eight) == hash(ident)
+    assert eight._ints == ident._ints
+    assert LinMap(((-1, 0), (0, 1)), f, "x", "x") == LinMap(((6, 0), (0, 1)), f, "x", "x")
+    for field, bad in ((f, Fraction(1, 2)), (f, 1.0), (Q(), 0.5), (Q(), "1")):
+        with pytest.raises(MixedFields, match="is not a value of"):
+            LinMap(((bad, 0), (0, 1)), field, "x", "x")
 
 
 @pytest.mark.parametrize("length", [27, 57])
@@ -932,14 +954,14 @@ def test_integer_form_is_built_once_per_map(name, monkeypatch):
     alg = split_albert(f)
     x = alg.sample_norm_one(random.Random(21), 2)
     conversions = []
-    to_ints = linmaps.to_ints
+    checked_ints = linmaps.checked_ints
 
     def counting(values, field):
         if len(values) == 27 * 27:
             conversions.append(1)
-        return to_ints(values, field)
+        return checked_ints(values, field)
 
-    monkeypatch.setattr(linmaps, "to_ints", counting)
+    monkeypatch.setattr(linmaps, "checked_ints", counting)
     u = _uop_map(alg, x)
     dag = dagger(u, alg)
     assert is_inv_member(u, alg)
@@ -1153,16 +1175,17 @@ def test_certificate_dagger_matches_a_fraction_reference(name, monkeypatch):
 
 @pytest.mark.parametrize("name", list(CERT_FIELDS))
 def test_certificate_refuses_the_negative_controls(name, monkeypatch):
-    """A one-entry-perturbed U_x fails the trace-form check after the 27
-    image rows; the diag witness (1/2 at e_4, 2 at e_5) passes it and fails
-    the law, which stops at its first failing row; 2 id keeps the norm only
-    where 2^3 = 1, over F_7, with 54 cross-table calls.  A map that fails
-    keeps no dagger."""
+    """A one-entry-perturbed U_x and the diag witness (1/2 at e_4, 2 at e_5)
+    pass the multiplier check and fail the law, which stops at its first
+    failing row; 2 id passes the law with multiplier 8, which the
+    multiplier check refuses after the 27 image rows except where
+    8 = 1, over F_7, with 54 cross-table calls.  A map that fails keeps no
+    dagger."""
     f = CERT_FIELDS[name]
     alg = split_albert(f)
     ux = _uop_map(alg, alg.sample_norm_one(random.Random(35), 2))
     two = _scalar_map(alg, 2)
-    for phi, member, law_runs in ((_perturbed(ux), False, False),
+    for phi, member, law_runs in ((_perturbed(ux), False, True),
                                   (_trace_check_witness(alg), False, True),
                                   (two, f == Fp(7), f == Fp(7))):
         counted = _count_cross_products(monkeypatch, alg)
@@ -1177,6 +1200,38 @@ def test_certificate_refuses_the_negative_controls(name, monkeypatch):
             assert len(counted) == 27
         assert (phi._dagger is not None) is member
         monkeypatch.undo()
+
+
+@pytest.mark.parametrize("name", ["Q", "Fp:5", "Fp:7", "Fp:1000003"])
+def test_cross_symmetric_maps_are_scalars(name):
+    """Step 5 of the proof in `is_inv_member`, exactly, on both models: the
+    maps A y = (Tr(y) Tr(a) - Tr(y, a)) / 2 e - y # a with y # A z = z # A y
+    on every basis pair i < j are those with a in k e.  The system is linear
+    in a, with column m the identity's residues for a = e_m, in integers:
+    with D the cross table's denominator (`MulTable.mul_ints` gives D x # y)
+    and DG G = `gram_int`, 2 D DG A e_j is
+    D (DG Tr(e_j) Tr(e_m) - DG G_jm) e - 2 DG D (e_j # e_m).  Its kernel is
+    span(e)."""
+    f = {"Q": Q(), "Fp:5": Fp(5), "Fp:7": Fp(7), "Fp:1000003": Fp(1000003)}[name]
+    for alg in (split_albert(f), tits(f)):
+        cross, dg = alg.cross_table(), alg.gram_den
+        d = cross.int_table()[0]
+        gram = {(i, j): g for i, j, g in alg.gram_int}
+        t = [int(v) for v in alg.unit_coords]  # the unit's 0/1 coordinates, also Tr(e_j)
+        basis = [[int(i == j) for j in range(27)] for i in range(27)]
+
+        def a_map(m, j):
+            c = d * (dg * t[j] * t[m] - gram.get((j, m), 0))
+            return [c * u - 2 * dg * v for u, v in zip(t, cross.mul_ints(basis[j], basis[m]))]
+
+        images = [[a_map(m, j) for j in range(27)] for m in range(27)]
+        rows = []
+        for i, j in itertools.combinations(range(27), 2):
+            residues = [[x - y for x, y in zip(cross.mul_ints(basis[i], ay[j]),
+                                                cross.mul_ints(basis[j], ay[i]))]
+                        for ay in images]
+            rows += [[v % f.p for v in row] if f != Q() else row for row in zip(*residues)]
+        assert linalg.same_span(linalg.kernel(rows, f)[0], [alg.unit_coords], f)
 
 
 @pytest.mark.parametrize("name", ["Q", "Fp:7"])
