@@ -85,6 +85,7 @@ import collections
 import functools
 import itertools
 import math
+import operator
 
 from .errors import (
     CarrierMismatch,
@@ -385,8 +386,7 @@ def _multiplier_is_one(phi: LinMap, algebra, pcols, lcm: int) -> bool:
     (`is_inv_member`, step 7)."""
     d, m = phi._ints
     a, b, g = algebra.gram_int[0]
-    pa = pcols[a]
-    dot = sum([pa[i] * h * m[j][b] for i, j, h in algebra.gram_int if pa[i]])
+    dot = sum(map(operator.mul, pcols[a], algebra._gram_ints([row[b] for row in m])))
     return not algebra.field.from_int(dot - d ** 3 * lcm * g)
 
 

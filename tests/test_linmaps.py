@@ -949,19 +949,23 @@ def test_is_identity_reads_the_integer_form():
 @pytest.mark.parametrize("name", ["Q", "Fp:7"])
 def test_integer_form_is_built_once_per_map(name, monkeypatch):
     """Making one U_x, `dagger` (its certificate) and then `is_inv_member`
-    on it, and `dagger` of its dagger, convert its matrix to integers once."""
+    on it, and `dagger` of its dagger, convert its matrix to integers once,
+    counting both `linmaps.to_ints` and `linmaps.checked_ints` (the
+    conversion of `LinMap(matrix)`)."""
     f = FIELDS[name]
     alg = split_albert(f)
     x = alg.sample_norm_one(random.Random(21), 2)
     conversions = []
-    checked_ints = linmaps.checked_ints
 
-    def counting(values, field):
-        if len(values) == 27 * 27:
-            conversions.append(1)
-        return checked_ints(values, field)
+    def counting(real):
+        def spy(values, field):
+            if len(values) == 27 * 27:
+                conversions.append(1)
+            return real(values, field)
+        return spy
 
-    monkeypatch.setattr(linmaps, "checked_ints", counting)
+    for attr in ("to_ints", "checked_ints"):
+        monkeypatch.setattr(linmaps, attr, counting(getattr(linmaps, attr)))
     u = _uop_map(alg, x)
     dag = dagger(u, alg)
     assert is_inv_member(u, alg)
@@ -1206,14 +1210,17 @@ def test_certificate_refuses_the_negative_controls(name, monkeypatch):
 def test_cross_symmetric_maps_are_scalars(name):
     """Step 5 of the proof in `is_inv_member`, exactly, on both models: the
     maps A y = (Tr(y) Tr(a) - Tr(y, a)) / 2 e - y # a with y # A z = z # A y
-    on every basis pair i < j are those with a in k e.  The system is linear
+    on every basis pair i < j are those with a in k e, on both models and on
+    Her3 of the octonions CD(-1,-1,-1) (a division algebra over Q) with
+    gamma = (1, 2, -3).  The system is linear
     in a, with column m the identity's residues for a = e_m, in integers:
     with D the cross table's denominator (`MulTable.mul_ints` gives D x # y)
     and DG G = `gram_int`, 2 D DG A e_j is
     D (DG Tr(e_j) Tr(e_m) - DG G_jm) e - 2 DG D (e_j # e_m).  Its kernel is
     span(e)."""
     f = {"Q": Q(), "Fp:5": Fp(5), "Fp:7": Fp(7), "Fp:1000003": Fp(1000003)}[name]
-    for alg in (split_albert(f), tits(f)):
+    twisted = hermitian(CDAlgebra(f, kappas=(-1, -1, -1)), gamma=(1, 2, -3))
+    for alg in (split_albert(f), tits(f), twisted):
         cross, dg = alg.cross_table(), alg.gram_den
         d = cross.int_table()[0]
         gram = {(i, j): g for i, j, g in alg.gram_int}
