@@ -534,21 +534,21 @@ class AlbertAlgebra(Algebra):
         (e_j in slot j, `linalg.SignedPacking`), mul_ints is linear in each
         operand, so coordinate i of
         2 mul_ints(xi, mul_ints(xi, E)) - mul_ints(mul_ints(xi, xi), E) packs
-        row i of (D d)^2 U_x, entry j in slot j.  Each entry is at most
-        3 S^2 max|xi|^2 in absolute value (S the table's `MulTable.int_sum`),
-        which sizes the slots; the rows are read back by
+        row i of (D d)^2 U_x, entry j in slot j.  With S the table's
+        `MulTable.int_sum` and top = max|xi|, |mul_ints(xi, e_j)| <= S top
+        and |mul_ints(xi, xi)| <= S top^2, so an entry is at most
+        2 S (S top) top + S (S top^2) = 3 S^2 top^2, which sizes the slots
+        (the rule of `linalg.SignedPacking`); the rows are read back by
         `SignedPacking.unpack_signed`, put over (D d)^2 in lowest terms
         (`linalg.lowest_terms`) and kept as the map's integer form
         (`LinMap.of_ints`): no field value is made."""
         f = self.field
         d, xi = to_ints(x, f)
         table = self.table
-        s = table.int_sum()
-        packing = SignedPacking.holding(3 * (s * max(map(abs, xi))) ** 2, f)
+        packing = SignedPacking.holding(3 * (table.int_sum() * max(map(abs, xi))) ** 2, f)
         e = [1 << (8 * packing.slot * j) for j in range(DIM)]
-        mul_ints = table.mul_ints
-        left = mul_ints(xi, mul_ints(xi, e))
-        right = mul_ints(mul_ints(xi, xi), e)
+        left = table.mul_ints(xi, table.mul_ints(xi, e))
+        right = table.mul_ints(table.mul_ints(xi, xi), e)
         flat = [v for a, b in zip(left, right) for v in packing.unpack_signed(2 * a - b, DIM)]
         den, flat = lowest_terms(flat, (table.int_table()[0] * d) ** 2, f)
         return LinMap.of_ints(den, zip(*[iter(flat)] * DIM), f, self.carrier, self.basis_tag)

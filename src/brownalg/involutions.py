@@ -312,16 +312,23 @@ def isotope_automorphism_check(x: AlbertElem, y: AlbertElem) -> bool:
     mm = alg.uop_map(x.coords).compose(alg.uop_map(y.coords))
     if not mm.order_divides_two():
         raise NotOrderTwo("U_x U_y does not square to the identity")
-    # {a, y, b} = (a.y).b + (b.y).a - (a.b).y in the integer Jordan table,
-    # D^2 d_y times the triple product for y = y_int / d_y; it is bilinear and
-    # symmetric in a and b, so its values on the basis pairs i <= j give the
-    # y-isotope's table, and the pairs i <= j certify.  mul_ints is linear in
-    # each operand, so b runs over the stacked e_j, j >= i, in one call per
-    # term, with slots holding 3 int_sum^2 max|y| >= |{e_i, y, e_j}|
-    mul = alg.table.mul_ints
-    yi = linalg.to_ints(y.coords, f)[1]
-    n = alg.dim
-    packing = linalg.SignedPacking.holding(3 * alg.table.int_sum() ** 2 * max(map(abs, yi)), f)
+    iso = _isotope_table(alg.table, linalg.to_ints(y.coords, f)[1], f)
+    return is_automorphism(mm, iso, alg.jinv_raw(y.coords), commutative=True)
+
+
+def _isotope_table(table: MulTable, yi, f: FieldSpec) -> MulTable:
+    """The y-isotope's table, in ints: {a, y, b} = (a.y).b + (b.y).a - (a.b).y
+    on the integer table, D^2 d_y times the triple product for
+    y = yi / d_y.  It is bilinear and symmetric in a and b when the table is
+    commutative, so its values on the basis pairs i <= j give the table, and
+    the pairs i <= j certify.  mul_ints is linear in each operand, so b runs
+    over the stacked e_j, j >= i, in one call per term.  With S the table's
+    `MulTable.int_sum` and top = max|yi|, each term is at most
+    S (S top) 1 at a basis pair, so the slots hold 3 S^2 top (the rule of
+    `linalg.SignedPacking`)."""
+    mul = table.mul_ints
+    n = table.n
+    packing = linalg.SignedPacking.holding(3 * table.int_sum() ** 2 * max(map(abs, yi)), f)
     basis = [[int(i == j) for j in range(n)] for i in range(n)]
     entries = []
     for i, b in zip(range(n - 1, -1, -1), packing.suffixes(basis)):
@@ -335,7 +342,7 @@ def isotope_automorphism_check(x: AlbertElem, y: AlbertElem) -> bool:
                     entries.append((i, j, k, c))
                     if i != j:
                         entries.append((j, i, k, c))
-    return is_automorphism(mm, MulTable(n, entries), alg.jinv_raw(y.coords), commutative=True)
+    return MulTable(n, entries)
 
 
 # -- catalog and descriptors ----------------------------------------------------

@@ -17,11 +17,12 @@ not reduce their input.  Entries stay nonnegative and are only added up,
 so a slot never borrows from its neighbour; it only needs room for the
 largest sum it can reach, and the rows are unpacked and reduced mod p at
 the end.  `_slot` sizes the slots: n (p-1)^2 for a product with inner
-dimension n, and (p-1) + min(m, n) (p-1)^2 for `rref` on an m x n matrix.
-`rref` eliminates with row_i += (p - f) row_r, and a row receives at most
-one such update per pivot, with the pivot row unpacked, reduced, scaled and
-repacked when it is chosen; so no slot can overflow and no reduction is
-needed partway through.  An entry is read by shift, mask and reduction mod p.
+dimension n, and min(m, n) (p-1)^2 for `rref` on an m x n matrix.  `rref`
+eliminates with row_i += (p - f) row_r, and a row receives at most one such
+update per pivot, with the pivot row unpacked, reduced, scaled and repacked
+when it is chosen; so no slot can overflow (the proof is in `_eliminate`)
+and no reduction is needed partway through.  An entry is read by shift,
+mask and reduction mod p.
 
 `SignedPacking` packs rows of any sign on both fields: row v is the one int
 sum_j v_j 2^(s j) whatever the signs, and a sum of multiples of packed rows
@@ -32,8 +33,8 @@ the packed int must be 0; over F_p "every entry is 0 mod p" is decided by
 one division by p, two additions and two masks on the whole int, and no
 slot is read back.  The certificates that use it, each with its own
 identity and bound, are `IntSpan.closed`, the basis-pair product law that
-`linmaps.is_automorphism` and `linmaps.is_inv_member` share, the unit law
-of `is_automorphism` and `LinMap.order_divides_two`.  A product that is
+`linmaps.is_automorphism` and `linmaps.is_inv_member` share and
+`LinMap.order_divides_two`.  A product that is
 linear in one operand, such as `MulTable.mul_ints`, maps the stack of many
 vectors (`SignedPacking.stack` and `suffixes`) to the stack of their images,
 so one call covers them all; `SignedPacking.unstack` reads one of the images
@@ -46,8 +47,9 @@ back once per entry, one `Fraction` per nonzero entry over Q (zeros are the
 field's shared `zero()`) and one reduction mod p over F_p.  The integer
 kernels of `kernels`, `albert` and `linmaps` read and write this form.
 `to_ints` trusts its values to be the field's, as the package makes them;
-`checked_ints`, the conversion of `LinMap(matrix)`, checks values that come
-from a caller, reducing ints mod p over F_p, so the form is canonical.
+`checked_ints`, the conversion of `LinMap(matrix)` and `LinMap.apply`,
+checks values that come from a caller, reducing ints mod p over F_p, so
+the form is canonical.
 
 `lowest_terms` puts an integer form in lowest terms without making field
 values, as `to_ints` of `from_ints` would: `LinMap.compose`, the dagger of
@@ -274,13 +276,20 @@ class SignedPacking:
     `MulTable.mul_ints` in either, maps the `stack` of many vectors to the
     stack of their images.
 
+    The slot rule: a packed entry is a sum of terms c x y, so its bound is
+    the sum of the terms' bounds |c| |x| |y|, and `holding(bound, field)`
+    takes the fewest bytes with 2^(s - 1) > bound (`_slot` of 2 bound) and
+    records p (0 over Q).  Each caller derives its bound from this rule in
+    its docstring.  Then every entry of a packing, of a `stack` and of a
+    packed difference has absolute value below h = 2^(s - 1), which
+    `unpack_signed`, `unstack` and `is_zero` need.
+
     The packed-zero rule: a certificate forms the packed difference of the
     two sides of its identity (or its packed residual) and asks `is_zero`.
-    `holding(bound, field)` takes the fewest bytes with 2^(s - 1) > bound
-    and records p (0 over Q).  When `bound` covers every |entry| of the
-    difference, the packed int is 0 only if every entry is (the lowest
-    nonzero slot would leave a nonzero remainder mod 2^s there), which
-    decides the identity over Q.  Over F_p no entry is read back.  With
+    When the slots hold every entry of the difference, the packed int is 0
+    only if every entry is (the lowest nonzero slot would leave a nonzero
+    remainder mod 2^s there), which decides the identity over Q; this
+    needs only every |entry| < 2^s.  Over F_p no entry is read back.  With
     h = 2^(s - 1), L = (h - 1) // p, ONES the packed all-ones row and TOP =
     h ONES (`_offsets`), every entry v_j is 0 mod p exactly when p divides
     acc and X = acc / p + L ONES has X & TOP = 0 and
@@ -302,6 +311,8 @@ class SignedPacking:
 
     @classmethod
     def holding(cls, bound: int, field: FieldSpec) -> "SignedPacking":
+        """The packing of `field` whose slots hold every entry of absolute
+        value at most `bound` (the slot rule of the class docstring)."""
         return cls(_slot(2 * bound), 0 if field.kind == RATIONALS else _modulus(field))
 
     def pack(self, row) -> int:
@@ -421,13 +432,24 @@ def _eliminate(rows, field):
     integer matrix (entries in [0, p) over F_p), one per pivot column, each
     as an integer row times a nonzero factor: over Q a primitive row, over
     F_p a row with the pivot entry 1 whose other entries are reduced mod p
-    only by the caller (`from_ints` or `lowest_terms` over row[pivot])."""
+    only by the caller (`from_ints` or `lowest_terms` over row[pivot]).
+
+    Over F_p no packed entry exceeds K (p-1)^2, K = min(m, n), which sizes
+    the slots.  Entries start in [0, p), a pivot row is reduced into [0, p)
+    when it is chosen, and a row gains at most (p-1)^2 per entry from each
+    pivot after that, one update per pivot.  So a row with at most K - 1
+    updates since it was last reduced holds at most
+    (p-1) + (K-1)(p-1)^2 <= K (p-1)^2.  K updates reach only a row that is
+    never a pivot row when every column is a pivot column (K = n < m).
+    Then at column j the pivot rows after j are 0 there, and pivot j's own
+    update adds at most p - 1, so the entry is at most
+    2 (p-1) + (n-1)(p-1)^2 <= n (p-1)^2, as p >= 5."""
     if field.kind == RATIONALS:
         return _eliminate_q(rows)
     p = _modulus(field)
     m = len(rows)
     n = len(rows[0]) if m else 0
-    slot = _slot(p - 1 + min(m, n) * (p - 1) ** 2)
+    slot = _slot(min(m, n) * (p - 1) ** 2)
     bits = 8 * slot
     mask = (1 << bits) - 1
     rows = [_pack(r, slot) for r in rows]
@@ -627,9 +649,10 @@ class IntSpan:
         One `mul_ints` call covers all the y for one x: the ys are stacked
         (`SignedPacking.stack`, Y_j = sum_b ys[b][j] 2^(s b)), and both
         `mul_ints` and the residual are linear in Y, so the residual of
-        mul_ints(x, Y) packs the residuals of the x.ys[b], each bounded by
-        int_sum max|x| max|y| weight (`MulTable.int_sum`, `weight`), and is
-        judged by `SignedPacking.is_zero`.  With `commutative` xs[i] meets
+        mul_ints(x, Y) packs the residuals of the x.ys[b]: |x.y| <=
+        S max|x| max|y| (S the table's `MulTable.int_sum`) and
+        |residual| <= weight max|w|, so the slots hold
+        S max|x| max|y| weight, and `SignedPacking.is_zero` judges them.  With `commutative` xs[i] meets
         the suffix ys[i:] (`SignedPacking.suffixes`).  Stops at the first x
         that fails."""
         if ys is None:

@@ -22,7 +22,8 @@ and hash alike, exactly when their matrices, fields and basis tags are; the
 carrier label takes no part, as in matching.  `apply`, `is_identity` and
 the membership certificates below all read the form, and so does the map's
 largest |entry|, which sizes the slots of every packed certificate.
-`apply` runs the `linalg.MatVec` of M, built once, on both fields.
+`apply` reads its coordinates with `checked_ints` too and runs the
+`linalg.MatVec` of M, built once, on both fields.
 `eigenspace` and `fixed_space` read it too: the kernel of self - (a/b) id
 is `linalg.kernel` of b M - a d I, an integer matrix.  `inverse_map` is d
 M^-1, the solution X of M X = d I (`linalg.int_solve` on [M | d I]), made
@@ -31,11 +32,14 @@ when it is made.  A map also keeps whether it squares to the identity:
 `order_divides_two` checks M M = d^2 I once, on packed rows of its integer
 form.
 
-Every certificate below forms the packed difference of the two sides of
-its identity and hands it to `linalg.SignedPacking.is_zero`, with slots
-sized from a bound on that difference (the rule is stated once, in the
-`SignedPacking` docstring).  The one scalar check, the norm multiplier of
-`is_inv_member`, is a single integer dot product, read as a field value.
+The product law and the order check below form the packed difference of
+the two sides of their identity and hand it to
+`linalg.SignedPacking.is_zero`, with slots sized from a bound on that
+difference (the rule is stated once, in the `SignedPacking` docstring): the
+law's slots by `_law_packing`, for both of its callers.  The unit law of
+`is_automorphism` is one plain integer difference, judged entry by entry,
+and the norm multiplier of `is_inv_member` a single integer dot product,
+read as a field value.
 
 Membership in Aut and in Inv(J), and the anti-automorphism laws, are one
 product law on basis pairs, a P mul_ints(e_i, e_l) = b target.mul_ints(M e_i,
@@ -193,12 +197,13 @@ class LinMap:
 
     def apply(self, coords):
         """The image of a coordinate vector: M v / (d d_v) on the integer
-        forms of the map and of v."""
+        forms of the map and of v, read by `linalg.checked_ints`, which
+        raises MixedFields for a value that is not the field's."""
         if len(coords) != self.dim:
             raise CarrierMismatch(
                 f"map of dimension {self.dim} applied to {len(coords)} coordinates"
             )
-        dv, v = to_ints(coords, self.field)
+        dv, v = checked_ints(coords, self.field)
         return from_ints(self._matvec.apply(v), self._ints[0] * dv, self.field)
 
     def inverse_map(self) -> "LinMap":
@@ -227,15 +232,23 @@ class LinMap:
         """Whether M M = d^2 I for the integer form (d, M) of the map,
         computed once per map.  Row i of M M - d^2 I is
         sum_k M[i][k] R_k - d^2 2^(s i), with R_k row k of M packed
-        (`SignedPacking`, slots with 2^(s - 1) > n max|M|^2 + d^2).  No
-        matrix of field values is built."""
+        (`SignedPacking`).  No matrix of field values is built.
+
+        The slots hold n top^2, top = max|M|: n terms M[i][k] M[k][j].  The
+        d^2 on the diagonal needs no term of its own.  Over F_p, d = 1 and
+        M has entries in [0, p), so every entry lies in [-1, n top^2].  Over
+        Q, `is_zero` reads acc == 0, and a packing of 0 has its lowest
+        nonzero entry a multiple of 2^s, which no entry off the diagonal
+        reaches.  Row n - 1 has no slot above its diagonal, so it passes
+        only if it is 0; then d^2 = (M M)[n-1][n-1] <= n top^2, every entry
+        of every row is below 2 n top^2 < 2^s, and each packing of 0 is a
+        zero row."""
         d, m = self._ints
         n = self.dim
-        packing = SignedPacking.holding(n * self._top ** 2 + d * d, self.field)
-        bits = 8 * packing.slot
+        packing = SignedPacking.holding(n * self._top ** 2, self.field)
         rows = [packing.pack(row) for row in m]
         return all(packing.is_zero(sum([x * rows[k] for k, x in enumerate(row) if x])
-                                   - (d * d << bits * i), n)
+                                   - (d * d << 8 * packing.slot * i), n)
                    for i, row in enumerate(m))
 
     def fixed_space(self):
@@ -341,11 +354,10 @@ def is_inv_member(phi: LinMap, algebra) -> bool:
     8. The law alone is not enough: 2 id passes it with psi = 4 id, and
        lambda = 8, which is 1 over F_7 only.
 
-    The slots are fixed before P is known: 2^(s - 1) > S (n ptop + lcm
-    top^2), with S the cross table's `MulTable.int_sum`, top = max|M| and
-    ptop a bound on |P|, p - 1 over F_p and max s S top^2 over Q.  That
-    bounds the entries of the law's packed difference, and also
-    |R| <= S top^2, so every slot of R reads back.
+    The slots are fixed before P is known, by `_law_packing` with a = 1,
+    top = max|M| and ptop a bound on |P|: p - 1 over F_p and
+    max|s| S top^2 over Q, S the cross table's `MulTable.int_sum`.  They
+    also hold |R| <= S top^2, so every slot of R reads back.
 
     A map that passes keeps psi = P / (d^2 lcm) in lowest terms
     (`LinMap.of_ints`) as its dagger.  psi is in Inv(J) with
@@ -360,8 +372,8 @@ def is_inv_member(phi: LinMap, algebra) -> bool:
     picks, lcm = _dagger_plan(algebra)
     cross = algebra.cross_table()
     s, top = cross.int_sum(), phi._top
-    ptop = max(t for _, _, t in picks) * s * top ** 2 if f.kind == RATIONALS else f.p - 1
-    packing = SignedPacking.holding(s * (n * ptop + lcm * top ** 2), f)
+    ptop = max(abs(t) for _, _, t in picks) * s * top ** 2 if f.kind == RATIONALS else f.p - 1
+    packing = _law_packing(cross, cross, 1, ptop, top, f)
     # the suffix rows come from the last row back: rows[i] is (i, i, R_i)
     rows = list(_image_rows(phi, cross, packing, True))[::-1]
     pcols = [lowest_terms([t * v for v in packing.unstack(rows[a][2], b - a)], 1, f)[1]
@@ -410,6 +422,21 @@ def _image_rows(phi: LinMap, target, packing: SignedPacking, commutative: bool):
         yield i, 0, target.mul_ints(cols[i], packed)
 
 
+def _law_packing(table, target, a: int, ptop: int, top: int, field: FieldSpec):
+    """The slots of `_rows_agree` for a P with |entries| <= ptop and the
+    image rows R of a map with |entries| <= top on `target`: entry c of the
+    difference a P mul_ints(e_i, e_l) - b R is n terms a P[c][j] w_j, with
+    |w_j| <= S, plus b R_c, with |R_c| <= S' top^2 (S and S' the tables'
+    `MulTable.int_sum`), so the slots hold n S a ptop + S' top^2, and R
+    reads back.  b needs no factor: it is 1 but in `is_inv_member` over Q,
+    where b = lcm = |s C| <= max|s| S for the scale s and coefficient C of
+    each pick (`_dagger_plan`), and ptop = max|s| S top^2, so
+    b S' top^2 <= n S a ptop; an entry is then below twice the bound, so
+    below 2^(8 slot), all that `SignedPacking.is_zero` needs over Q."""
+    return SignedPacking.holding(
+        table.n * table.int_sum() * a * ptop + target.int_sum() * top ** 2, field)
+
+
 def _rows_agree(table, a: int, pcols, b: int, rows, packing: SignedPacking) -> bool:
     """Whether a P mul_ints(e_i, e_l) = b R_i[l] for every row
     (i, first, R_i) of `rows` (`_image_rows`) and every l >= first, with
@@ -421,13 +448,11 @@ def _rows_agree(table, a: int, pcols, b: int, rows, packing: SignedPacking) -> b
     Row i checks every l at once on packed vectors (`linalg.SignedPacking`):
     with E the identity stacked (E_l = 2^(s l)) from slot `first` on,
     `mul_ints` is bilinear, so mul_ints(e_i, E) packs the e_i.e_l over l,
-    one call per row.  The slots of `packing` must hold every entry of the
-    difference, with 2^(s - 1) > n S a max|P| + b max|R|, S the table's
-    `MulTable.int_sum`.  The row's n packed differences, one per output
-    coordinate c, are one packing for one `SignedPacking.is_zero`:
-    difference c shifted by c (n - first) slots, which is exact, as packing
-    is linear and every entry keeps its bound.  Stops at the first failing
-    row."""
+    one call per row, on the slots of `packing` (`_law_packing`).  The
+    row's n packed differences, one per output coordinate c, are one
+    packing for one `SignedPacking.is_zero`: difference c shifted by
+    c (n - first) slots, which is exact, as packing is linear and every
+    entry keeps its bound.  Stops at the first failing row."""
     n = table.n
     # the nonzero entries of a P, column by column
     pcols = [[(r, a * c) for r, c in enumerate(col) if c] for col in pcols]
@@ -464,23 +489,21 @@ def is_automorphism(phi: LinMap, table, unit, commutative: bool = False, target=
     anti-automorphism, such as a conjugation or the Brown involution.
 
     With (d, M) the integer form of the map and u that of the unit, the unit
-    law M u = d u is one packed difference on slots sized from its own
-    largest entry.  The pairs are `_rows_agree` with P = M, a = d and b = 1,
+    law M u = d u is one integer difference, judged with no packing, entry
+    by entry: in ints over Q and mod p over F_p, as
+    `linalg.IntSpan.contains` judges its residual.  The pairs are
+    `_rows_agree` with P = M, a = d and b = 1,
     d M mul_ints(e_i, e_l) = target.mul_ints(M e_i, M e_l), on the rows of
     `_image_rows`, made one at a time so that the first failing row ends
-    the check, on slots of 2^(s - 1) > S (n d max|M| + max|M|^2), S the
-    larger `MulTable.int_sum` of the two tables."""
+    the check, on the slots of `_law_packing` with ptop = top = max|M|."""
     f = phi.field
     d, m = phi._ints
     u = to_ints(unit, f)[1]
     diff = [s - d * x for s, x in zip(phi._matvec.apply(u), u)]
-    unit_law = SignedPacking.holding(max(map(abs, diff), default=0), f)
-    if not unit_law.is_zero(unit_law.pack(diff), phi.dim):
+    if any([v % f.p for v in diff] if f.p else diff):
         return False
     target = table if target is None else target
-    top = phi._top
-    packing = SignedPacking.holding(
-        max(table.int_sum(), target.int_sum()) * (phi.dim * d * top + top ** 2), f)
+    packing = _law_packing(table, target, d, phi._top, phi._top, f)
     rows = _image_rows(phi, target, packing, commutative)
     return _rows_agree(table, d, zip(*m), 1, rows, packing)
 

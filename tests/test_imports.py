@@ -103,3 +103,60 @@ def test_no_map_is_built_from_uop_matrix(path):
              if (path.stem, None) not in ALLOWED_UOP_MATRIX
              and (path.stem, owner) not in ALLOWED_UOP_MATRIX]
     assert not found, f"{path.name} calls uop_matrix instead of uop_map: {', '.join(found)}"
+
+
+# every slot width of the package, by module and function: the calls of
+# `SignedPacking.holding` and `_slot`, each with the tests that fail when a
+# term of its bound is dropped
+SLOT_WIDTHS = {
+    ("albert", "AlbertAlgebra.uop_map"): (
+        "test_linmaps.py::test_uop_map_slots_hold_three_squared_table_sums",),
+    ("involutions", "_isotope_table"): (
+        "test_linmaps.py::test_isotope_table_slots_hold_three_squared_table_sums",),
+    ("linalg", "MatVec.__init__"): (
+        "test_kernels_linalg.py::test_packed_kernels_at_the_largest_slot_values",),
+    ("linalg", "SignedPacking.holding"): (
+        "test_kernels_linalg.py::test_signed_pack_round_trip_and_separation",),
+    ("linalg", "_eliminate"): (
+        "test_kernels_linalg.py::test_rref_at_the_largest_slot_values",),
+    ("linalg", "IntSpan.closed"): (
+        "test_kernels_linalg.py::test_packed_closure_matches_reference",),
+    ("linmaps", "LinMap._order_divides_two"): (
+        "test_linmaps.py::test_order_divides_two_slots_hold_n_products",
+        "test_linmaps.py::test_order_divides_two_matches_field_value_square"),
+    ("linmaps", "_law_packing"): (
+        "test_linmaps.py::test_product_law_slots_hold_its_left_side",
+        "test_linmaps.py::test_product_law_slots_hold_the_map_denominator",
+        "test_linmaps.py::test_is_automorphism_breaks_on_exactly_the_last_pair"),
+}
+
+
+def _slot_widths(tree):
+    """(qualified function, line) for each call of `holding` or `_slot`."""
+    def walk(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from walk(child, f"{owner}.{child.name}" if owner else child.name)
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name in ("holding", "_slot"):
+                    yield owner, child.lineno
+            yield from walk(child, owner)
+    yield from walk(tree, None)
+
+
+def test_every_slot_width_names_its_edge_tests():
+    """The calls that size packed slots are the ones listed, and each listed
+    test exists: a new or removed width updates `SLOT_WIDTHS`."""
+    found = {(path.stem, owner) for path in SRC.glob("*.py")
+             for owner, _ in _slot_widths(ast.parse(path.read_text()))}
+    assert found == set(SLOT_WIDTHS)
+    tests = SRC.parent.parent / "tests"
+    for names in SLOT_WIDTHS.values():
+        for name in names:
+            file, test = name.split("::")
+            defs = {n.name for n in ast.parse((tests / file).read_text()).body
+                    if isinstance(n, ast.FunctionDef)}
+            assert test in defs, name

@@ -206,7 +206,9 @@ def test_signed_pack_round_trip_and_separation():
     `SignedPacking.unpack_signed`, and changing one entry by 1 changes it.
     Over Q, F_7 and F_(2^61 - 1), `is_zero` reads one such entry in the
     lowest, middle or top slot as zero exactly when it is 0 in the field
-    (some are multiples of 7), and nonzero multiples of p as zero; suffix i
+    (some are multiples of 7), and nonzero multiples of p as zero; `holding`
+    takes this slot for entries up to 2^(s - 1) - 1 and a wider one, which
+    reads them back, for entries up to 2^(s - 1); suffix i
     of `suffixes` packs vectors[i:] with vectors[i] in the lowest slot,
     `stack` is suffix 0, and no vectors pack to the empty operand."""
     for slot in (2, 4, 8, 9, 16):
@@ -224,6 +226,12 @@ def test_signed_pack_round_trip_and_separation():
             p = f.p or 0
             packing = linalg.SignedPacking.holding(top, f)
             assert packing == linalg.SignedPacking(slot, p)
+            wider = linalg.SignedPacking.holding(top + 1, f)
+            edge = [top + 1, -top - 1, 0, top + 1]
+            assert wider.slot > slot and wider.unpack_signed(wider.pack(edge), 4) == edge
+            if p:
+                edge = [(top + 1) // p * p, 0, -((top + 1) // p * p)]
+                assert wider.is_zero(wider.pack(edge), 3)
             for j in (0, 3, 6):
                 for v in (top, -top):
                     single = [0] * 7

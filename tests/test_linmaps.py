@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from brownalg import albert, linalg, linmaps, verify
+from brownalg import albert, involutions, linalg, linmaps, verify
 from brownalg.albert import AlbertAlgebra, hermitian, split_albert, tits
 from brownalg.brown import BrownAlgebra
 from brownalg.cayley import CDAlgebra
@@ -495,6 +495,71 @@ def test_is_automorphism_breaks_on_exactly_the_last_pair(name):
             assert linmaps.is_automorphism(phi, table, unit, commutative) is (not bad)
 
 
+def test_product_law_slots_hold_its_left_side():
+    """The product law's slots hold n S a max|P| for its left side as well
+    as S' top^2 for its image side (`linmaps._law_packing`).  Over F_31 on
+    F^38 with e_0.e_0 = 30 (e_0 + ... + e_37), S = 30, the map with row 0
+    e_0 and row c the residue 30 everywhere but 7 at column c fixes the
+    all-ones vector, so it keeps the product: the law holds mod 31 with
+    left side 30 * 1117 and image side 30 at every coordinate c > 0.  Their
+    difference, 33,480, needs 4-byte slots, which S max|M|^2 = 27,000
+    alone would not take; the 2-byte slots of that bound refuse it."""
+    f, n = Fp(31), 38
+    table = MulTable(n, [(0, 0, k, 30) for k in range(n)])
+    m = (tuple(int(j == 0) for j in range(n)),) + tuple(
+        tuple(7 if j == c else 30 for j in range(n)) for c in range(1, n))
+    ones = (1,) * n
+    assert 30 * (sum(m[1]) - 1) >= 2**15 > 30 * 30**2
+    phi = LinMap(m, f, "ones38", "ones38")
+    for commutative in (False, True):
+        assert _ref_failures(m, _ref_product(table, f), ones, f, commutative) == []
+        assert linmaps.is_automorphism(phi, table, ones, commutative) is True
+
+
+def test_product_law_slots_hold_the_map_denominator():
+    """Over Q the left side of the law carries the denominator d of the map
+    (a = d in `linmaps._law_packing`): on F^2 with e_i.e_j = -(e_0 + e_1)
+    for all i, j (S = 4), the map (2 / (2^32 + 1)) [[1, 1], [0, 0]] keeps no
+    product, yet each row of its packed differences,
+    d M mul_ints(e_i, e_l) - mul_ints(M e_i, M e_l), is 0 as an int in the
+    2-byte slots that n S max|M| + S max|M|^2 = 32 alone would take."""
+    f = Q()
+    table = MulTable(2, [(i, j, k, -1) for i in range(2) for j in range(2) for k in range(2)])
+    c = Fraction(2, 2**32 + 1)
+    m = ((c, c), (f.zero(), f.zero()))
+    zero = (f.zero(),) * 2
+    phi = LinMap(m, f, "sum2", "sum2")
+    assert phi._ints == (2**32 + 1, ((2, 2), (0, 0)))
+    for commutative in (False, True):
+        assert _ref_failures(m, _ref_product(table, f), zero, f, commutative) != []
+        assert linmaps.is_automorphism(phi, table, zero, commutative) is False
+
+
+def test_unit_law_is_judged_entry_by_entry(monkeypatch):
+    """The unit law of `is_automorphism` makes no packing: a map that moves
+    the unit fails with no `SignedPacking` built, and a map that fixes it
+    builds only the packing of the product law."""
+    built = []
+    holding = linalg.SignedPacking.holding.__func__
+
+    def counting(cls, bound, field):
+        built.append(bound)
+        return holding(cls, bound, field)
+
+    monkeypatch.setattr(linalg.SignedPacking, "holding", classmethod(counting))
+    for name in ("Q", "Fp:7"):
+        f = FIELDS[name]
+        table = _dual_number_table(f)
+        unit = (f.one(), f.zero(), f.zero())
+        a = f.parse_scalar("3")
+        for corner, verdict in ((f.zero(), True), (f.one(), False)):
+            m = ((f.one(), f.zero(), f.zero()), (f.zero(), a, f.zero()),
+                 (corner, f.zero(), f.mul(a, a)))
+            del built[:]
+            assert linmaps.is_automorphism(LinMap(m, f, "dual3", "dual3"), table, unit) is verdict
+            assert len(built) == (1 if verdict else 0)
+
+
 def test_certificates_call_the_product_once_per_vector(monkeypatch):
     """Over Q the closure of the 32-dimensional fixed space of t on B makes
     one `mul_ints` call per basis vector, not one per pair, and
@@ -691,6 +756,51 @@ def test_isotope_check_builds_its_table_on_stacked_operands(name, monkeypatch):
     assert len(calls) <= 650
 
 
+def test_uop_map_slots_hold_three_squared_table_sums(monkeypatch):
+    """The slots of `AlbertAlgebra.uop_map` hold 3 S^2 max|x|^2 (its
+    docstring), and the product of a table can reach that bound: on the
+    first two of 27 coordinates, e_0.e_0 = e_0 and e_0.e_1 = e_0 - 2 e_1
+    (S = 2), x = -60 (e_0 + e_1) puts 3 * 4 * 60^2 = 43,200 in U_x, which
+    needs 4-byte slots; the bound with any one of its factors dropped would
+    take 2-byte slots and misread it.  U_x is compared with
+    2 x.(x.e_j) - (x.x).e_j summed in Fractions."""
+    f = Q()
+    alg = split_albert(f)
+    table = MulTable(27, [(0, 0, 0, 1), (0, 1, 0, 1), (0, 1, 1, -2)])
+    monkeypatch.setattr(alg, "table", table)
+    mul = _ref_product(table, f)
+    x = (f.from_int(-60),) * 2 + (f.zero(),) * 25
+    xx = mul(x, x)
+    basis = [tuple(f.from_int(int(i == j)) for j in range(27)) for i in range(27)]
+    cols = [tuple(2 * u - v for u, v in zip(mul(x, mul(x, e)), mul(xx, e))) for e in basis]
+    assert max(abs(v) for col in cols for v in col) == 3 * 2**2 * 60**2
+    assert alg.uop_map(x).matrix == tuple(zip(*cols))
+
+
+def test_isotope_table_slots_hold_three_squared_table_sums():
+    """The slots of the y-isotope's table (`involutions._isotope_table`)
+    hold 3 S^2 max|y|, and a table can reach two thirds of it: with
+    e_0.e_0 = -2 e_1 and e_0.e_1 = -2 e_0 (S = 2) and y = -5000 (e_0 + e_1),
+    {e_0, y, e_0} = -40,000 e_1, which needs 4-byte slots; the bound without
+    its 3, or with S for S^2, would take 2-byte slots and misread it.  The
+    entries at the pairs i <= j are compared with the triple product summed
+    in Fractions."""
+    f = Q()
+    table = MulTable(2, [(0, 0, 1, -2), (0, 1, 0, -2)])
+    mul = _ref_product(table, f)
+    y = (f.from_int(-5000),) * 2
+    basis = [(f.one(), f.zero()), (f.zero(), f.one())]
+    want = {}
+    for i, j in ((0, 0), (0, 1), (1, 1)):
+        a, b = basis[i], basis[j]
+        for k, (u, v, w) in enumerate(zip(mul(mul(a, y), b), mul(mul(b, y), a), mul(mul(a, b), y))):
+            if u + v - w:
+                want[i, j, k] = u + v - w
+    assert want[0, 0, 1] == -40000
+    iso = involutions._isotope_table(table, [-5000, -5000], f)
+    assert {(i, j, k): c for i, j, k, c in iso.entries if i <= j} == want
+
+
 @pytest.mark.parametrize("name", ["Q", "Fp:7"])
 def test_dagger_is_computed_once_per_map(name, monkeypatch):
     """A map keeps its dagger: a second `dagger` and a `lift_inv` of the same
@@ -881,16 +991,19 @@ def test_linmap_of_a_matrix_is_canonical_and_checked():
     """`LinMap(matrix)` over F_p reduces int entries mod p, so 8 and 1 (or
     -1 and 6) over F_7 make one map, equal and hashed alike; a value that is
     not an int over F_p, or not an int or a `Fraction` over Q, raises
-    MixedFields."""
+    MixedFields, in a matrix and in the coordinates `apply` reads."""
     f = Fp(7)
     ident = LinMap(((1, 0), (0, 1)), f, "x", "x")
     eight = LinMap(((8, 0), (0, 1)), f, "x", "x")
     assert eight.is_identity() and eight == ident and hash(eight) == hash(ident)
     assert eight._ints == ident._ints
     assert LinMap(((-1, 0), (0, 1)), f, "x", "x") == LinMap(((6, 0), (0, 1)), f, "x", "x")
+    assert ident.apply((8, -1)) == (1, 6)
     for field, bad in ((f, Fraction(1, 2)), (f, 1.0), (Q(), 0.5), (Q(), "1")):
         with pytest.raises(MixedFields, match="is not a value of"):
             LinMap(((bad, 0), (0, 1)), field, "x", "x")
+        with pytest.raises(MixedFields, match="is not a value of"):
+            LinMap(((1, 2), (3, 4)), field, "x", "x").apply((bad, 1))
 
 
 @pytest.mark.parametrize("length", [27, 57])
@@ -1095,6 +1208,21 @@ def test_order_divides_two_matches_field_value_square(name):
         want = [[f.from_int(int(i == j)) for j in range(3)] for i in range(3)]
         assert LinMap(m, f, "blk3", "blk3").order_divides_two() is (square == want)
         assert (square == want) is (corner is c)
+
+
+def test_order_divides_two_slots_hold_n_products():
+    """The slots of `order_divides_two` hold n max|M|^2, n products per
+    entry of M M: over F_181 the involution [[170, 180], [120, 11]]
+    (170^2 + 180 * 120 = 50,500 = 1 mod 181) has M M = 50,500 at (0, 0) as
+    an int, above 2^15, which the 2-byte slots of max|M|^2 = 32,400 alone
+    would refuse; with one entry moved by 1 it is no involution."""
+    f = Fp(181)
+    for corner, verdict in ((120, True), (121, False)):
+        m = ((170, 180), (corner, 11))
+        square = [[sum(a * b for a, b in zip(row, col)) for col in zip(*m)] for row in m]
+        assert square[0][0] >= 2**15 > 180**2
+        assert ([[v % 181 for v in row] for row in square] == [[1, 0], [0, 1]]) is verdict
+        assert LinMap(m, f, "blk2", "blk2").order_divides_two() is verdict
 
 
 # -- the one-pass Inv(J) certificate against a Fraction reference -------------------
