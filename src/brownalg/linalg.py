@@ -652,9 +652,9 @@ class IntSpan:
         mul_ints(x, Y) packs the residuals of the x.ys[b]: |x.y| <=
         S max|x| max|y| (S the table's `MulTable.int_sum`) and
         |residual| <= weight max|w|, so the slots hold
-        S max|x| max|y| weight, and `SignedPacking.is_zero` judges them.  With `commutative` xs[i] meets
-        the suffix ys[i:] (`SignedPacking.suffixes`).  Stops at the first x
-        that fails."""
+        S max|x| max|y| weight, and `SignedPacking.is_zero` judges them.
+        With `commutative` xs[i] meets the suffix ys[i:]
+        (`SignedPacking.suffixes`).  Stops at the first x that fails."""
         if ys is None:
             ys = xs
         if not xs or not ys:
