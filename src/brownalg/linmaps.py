@@ -15,7 +15,8 @@ lowest terms and makes no field value: `compose` multiplies the two integer form
 `block_diag_map` (the lifts of `brown` and `involutions`) scales its
 blocks' forms to one d, `AlbertAlgebra.uop_map` keeps the integer rows of
 U_x, and the dagger below is read off cross products in ints.  `matrix`,
-the field values M / d, is a view built on first read, for callers;
+the field values M / d, is a view built on first read, for callers (over
+F_p, where d = 1 and the entries lie in [0, p), the rows of M themselves);
 `AlbertAlgebra.uop_matrix`, the matrix of U_x, is the one computation of
 the package that reads it.  The form is canonical, so two maps are equal,
 and hash alike, exactly when their matrices, fields and basis tags are; the
@@ -145,8 +146,12 @@ class LinMap:
 
     @functools.cached_property
     def matrix(self) -> tuple:
-        """M / d as a tuple of row tuples of field values, built on first read."""
+        """M / d as a tuple of row tuples of field values, built on first
+        read over Q; over F_p the form is canonical (d = 1, entries in
+        [0, p)), so its rows are the view."""
         d, m = self._ints
+        if self.field.kind != RATIONALS:
+            return m
         return tuple([from_ints(row, d, self.field) for row in m])
 
     @property

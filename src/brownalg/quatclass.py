@@ -3,6 +3,16 @@ reports for the G2 / F4 / E6 involution catalogs over specific fields.
 
 All local verdicts are computed on rational data with Legendre-symbol
 formulas; no p-adic element arithmetic is ever performed.
+
+Every report is built from one table, `quaternion_classes`, which lists one
+presentation (a, b) per class of quaternion algebra D over the field, the
+split class first: over Kbar and F_p the split class only; over R and Q_2
+also (-1, -1); over Q_p for odd p also (z, p), z the least nonresidue; over
+Q also the infinite family (-1, p), p = 3 mod 4.  The table is the only code
+of the reports that reads the field's kind or p.  `class_report` prints one
+row format, "kind: row", at every level: a split-class row names the
+catalog map that realizes it (t, and t.varpi for theta_dagger), and a
+division-class row prints its presentation "D = (a, b)".
 """
 
 from __future__ import annotations
@@ -12,6 +22,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import FactorizationTooLarge, ZeroArgument
 from .fields import (
@@ -219,12 +230,38 @@ def isotropic_ternary_search(a: int, b: int, height: int) -> bool:
     return False
 
 
-def quaternion_class_count(field: FieldSpec):
+# the presentation of the split class, M_2(k)
+SPLIT = (1, 1)
+
+
+class QuaternionClasses(NamedTuple):
+    """One presentation (a, b) of each class of quaternion algebra D over a
+    field, the split class (1, 1) first.  `family` is set where the classes
+    are infinitely many: it names the primes p that the b of the last
+    presentation runs over.  `gammas` are the diagonals gamma of the
+    Hermitian form of H_3(D, gamma) that F4 tells apart for the division
+    class, beyond gamma = id."""
+
+    presentations: tuple
+    family: str = ""
+    gammas: tuple = ()
+
+
+def quaternion_classes(field: FieldSpec) -> QuaternionClasses:
+    """The table of quaternion classes (Serre, *A Course in Arithmetic*,
+    ch. III): over Kbar and F_p every D splits; over R and Q_2 the division
+    class is (-1, -1), and over Q_p for odd p it is (z, p) with z the least
+    nonresidue mod p; over Q the division classes are infinitely many, among
+    them (-1, p) for every prime p = 3 mod 4.  Over R, F4 also counts the
+    division class with gamma = (-1, 1, 1)."""
     if field.kind in (ALG_CLOSED, PRIME):
-        return 1
-    if field.kind in (REAL, PADIC):
-        return 2
-    return INFINITE
+        return QuaternionClasses((SPLIT,))
+    if field.kind == REAL:
+        return QuaternionClasses((SPLIT, (-1, -1)), gammas=((-1, 1, 1),))
+    if field.kind == PADIC:
+        p = field.p
+        return QuaternionClasses((SPLIT, (smallest_nonresidue(p), p) if p > 2 else (-1, -1)))
+    return QuaternionClasses((SPLIT, (-1, "p")), family="p = 3 mod 4")
 
 
 @dataclass(frozen=True)
@@ -251,97 +288,39 @@ class ClassReport:
         return json.dumps(self.as_dict())
 
 
-def _total(counts):
-    if any(isinstance(c, Infinite) for c in counts):
-        return INFINITE
-    return sum(counts)
-
-
-def g2_class_report(field: FieldSpec) -> ClassReport:
-    """Involution classes of the split octonion automorphism group: one per
-    isomorphism class of quaternion subalgebra."""
-    c = quaternion_class_count(field)
-    if field.kind in (ALG_CLOSED, PRIME):
-        reps = ("theta",)
-    elif field.kind == REAL or (field.kind == PADIC and field.p == 2):
-        reps = ("theta", "theta.I[t:1,-1]")
-    elif field.kind == PADIC:
-        z = smallest_nonresidue(field.p)
-        reps = ("theta", f"theta.I[t:{-z},{Fraction(-field.p, z)}]")
-    else:
-        reps = ("theta", "theta.I[t:p,1] for primes p = 3 mod 4 (infinite family, D = (-1,p))")
-    return ClassReport(field, "G2", (("theta", c),), _total([c]), reps)
-
-
-def f4_class_report(field: FieldSpec) -> ClassReport:
-    """Albert-algebra involution classes: type (I) counts follow the quaternion
-    subalgebra classes (with the real gamma refinement), type (II) is unique."""
-    if field.kind in (ALG_CLOSED, PRIME):
-        type1 = 1
-        reps = ("s", "t")
-    elif field.kind == REAL:
-        type1 = 3
-        reps = (
-            "s",
-            "theta.I[t:1,1,-1,1] (D split)",
-            "theta.I[t:1,1,1,1] (D division, gamma = id)",
-            "theta.I[t:-1,1,1,1] (D division, gamma = (-1,1,1))",
-        )
-    elif field.kind == PADIC and field.p == 2:
-        type1 = 2
-        reps = ("s", "theta.I[t:1,1,-1,1] (D split)", "theta.I[t:1,1,1,1] (D division)")
-    elif field.kind == PADIC:
-        z = smallest_nonresidue(field.p)
-        type1 = 2
-        reps = (
-            "s",
-            "theta.I[t:1,1,-1,1] (D split)",
-            f"theta.I[t:1,1,{-field.p},{-z}] (D division)",
-        )
-    else:
-        type1 = INFINITE
-        reps = (
-            "s",
-            "theta.I[t:1,1,-1,1] (D split)",
-            "theta.I[t] for D = (-1,p), p = 3 mod 4 (infinite family)",
-        )
-    counts = (("type_I", type1), ("type_II", 1))
-    return ClassReport(field, "F4", counts, _total([type1, 1]), reps)
-
-
-def e6_class_report(field: FieldSpec) -> ClassReport:
-    """Brown-algebra involution classes: (sigma, theta, dagger, theta-dagger)
-    count (1, c, 1, c) with c the quaternion class count; total 2c + 2."""
-    c = quaternion_class_count(field)
-    kinds = (("sigma", 1), ("theta", c), ("dagger", 1), ("theta_dagger", c))
-    if field.kind in (ALG_CLOSED, PRIME):
-        theta_reps = [("t", "")]
-    elif field.kind == REAL or (field.kind == PADIC and field.p == 2):
-        theta_reps = [("t:1,1,1,1,-1,1", "D split"), ("t:1,1,1,1,1,1", "D division")]
-    elif field.kind == PADIC:
-        z = smallest_nonresidue(field.p)
-        theta_reps = [
-            ("t:1,1,1,1,-1,1", "D split"),
-            (f"t:1,1,1,1,{-field.p},{-z}", "D division"),
-        ]
-    else:
-        theta_reps = [
-            ("t:1,1,1,1,-1,1", "D split"),
-            (None, "D = (-1,p), p = 3 mod 4: infinite family of division classes"),
-        ]
-    reps = ["sigma: s", "dagger: varpi"]
-    for desc, note in theta_reps:
-        label = desc if desc else note
-        reps.append(f"theta: {label}" + (f" ({note})" if desc and note else ""))
-    for desc, note in theta_reps:
-        label = f"{desc}.varpi" if desc else note
-        reps.append(f"theta.dagger: {label}" + (f" ({note})" if desc and note else ""))
-    total = INFINITE if isinstance(c, Infinite) else 2 * c + 2
-    return ClassReport(field, "E6", kinds, total, tuple(reps))
-
-
 def class_report(field: FieldSpec, level: str) -> ClassReport:
-    table = {"G2": g2_class_report, "F4": f4_class_report, "E6": e6_class_report}
-    if level not in table:
+    """The involution classes at `level` ("G2", "F4" or "E6") over `field`,
+    every row built from the table `quaternion_classes` as "kind: row".
+
+    G2 has one theta class per class of D.  F4 has one type_I class per
+    class of D and per gamma of the table, and one type_II class, s.  E6
+    has sigma (s), dagger (varpi), and one theta and one theta_dagger class
+    per class of D.  A split-class row names the catalog map that realizes
+    it: t (on J at G2 and F4, on B at E6), and t.varpi for theta_dagger.  A
+    division-class row prints its presentation, "D = (a, b)", and no map.
+    A kind with a row per class of D counts its rows, or INFINITE where the
+    table holds a family; the total is the sum of the counts (INFINITE over
+    a family)."""
+    table = quaternion_classes(field)
+    division = [f"D = ({a}, {b})" for a, b in table.presentations[1:]]
+    if table.family:
+        division[-1] += f", {table.family}: an infinite family"
+
+    def per_class(split_row, *more):
+        rows = [split_row, *division, *more]
+        return INFINITE if table.family else len(rows), rows
+
+    levels = {
+        "G2": {"theta": per_class("t")},
+        "F4": {"type_I": per_class("t", *[f"{division[-1]}, gamma = {g}" for g in table.gammas]),
+               "type_II": (1, ["s"])},
+        "E6": {"sigma": (1, ["s"]), "theta": per_class("t"),
+               "dagger": (1, ["varpi"]), "theta_dagger": per_class("t.varpi")},
+    }
+    if level not in levels:
         raise ValueError(f"unknown level {level!r}")
-    return table[level](field)
+    kinds = levels[level]
+    counts = tuple((kind, n) for kind, (n, _) in kinds.items())
+    total = INFINITE if table.family else sum(n for _, n in counts)
+    reps = tuple(f"{kind}: {row}" for kind, (_, rows) in kinds.items() for row in rows)
+    return ClassReport(field, level, counts, total, reps)

@@ -23,7 +23,7 @@ from brownalg.kac import E6_EXTENDED, E6_TWISTED, enumerate_solutions
 from brownalg.linmaps import ALBERT, LinMap, dagger
 from brownalg.quatclass import (
     QuatPresentation,
-    e6_class_report,
+    class_report,
     hilbert_places,
     hilbert_symbol,
     is_split,
@@ -186,18 +186,18 @@ def test_criterion_8_kac_enumeration():
 
 
 def test_criterion_9_class_counts():
-    assert e6_class_report(Kbar()).total == 4
-    assert e6_class_report(Fp(7)).total == 4
-    assert e6_class_report(Rplace()).total == 6
+    assert class_report(Kbar(), "E6").total == 4
+    assert class_report(Fp(7), "E6").total == 4
+    assert class_report(Rplace(), "E6").total == 6
     for p in (2, 3, 5, 7):
-        rep = e6_class_report(Qp(p))
+        rep = class_report(Qp(p), "E6")
         assert rep.total == 6
         kinds = dict(rep.kinds)
         assert kinds["sigma"] == 1 and kinds["dagger"] == 1
     for field in (Kbar(), Fp(7), Rplace(), Q()):
-        kinds = dict(e6_class_report(field).kinds)
+        kinds = dict(class_report(field, "E6").kinds)
         assert kinds["sigma"] == 1 and kinds["dagger"] == 1
-    assert e6_class_report(Q()).total is INFINITE
+    assert class_report(Q(), "E6").total is INFINITE
     _report(9, "E6 class totals 4/4/6/6 with sigma and dagger always 1")
 
 

@@ -308,7 +308,7 @@ def test_classify_q_e6(capsys):
 def test_classify_qp5_padic_rep(capsys):
     code, out, err = run(capsys, "classify", "Qp:5", "E6")
     assert code == 0
-    assert "t:1,1,1,1,-5,-2" in out
+    assert "D = (2, 5)" in out
 
 
 def test_classify_bad_field_exits_2(capsys):

@@ -160,3 +160,22 @@ def test_every_slot_width_names_its_edge_tests():
             defs = {n.name for n in ast.parse((tests / file).read_text()).body
                     if isinstance(n, ast.FunctionDef)}
             assert test in defs, name
+
+
+# the quatclass code that may read a field's kind or p: the table of
+# quaternion classes and the local verdicts; every report row comes from the
+# table
+FIELD_READERS = {"quaternion_classes", "hilbert_symbol", "hilbert_places", "is_split"}
+FIELD_KINDS = {"RATIONALS", "PRIME", "REAL", "PADIC", "ALG_CLOSED"}
+
+
+def test_only_the_table_reads_the_field_in_quatclass():
+    """Outside `FIELD_READERS`, quatclass reads no `.kind` or `.p` and names
+    no field kind: a report that branches on the field fails this."""
+    tree = ast.parse((SRC / "quatclass.py").read_text())
+    found = [f"{getattr(top, 'name', 'module')} (line {node.lineno})"
+             for top in tree.body if getattr(top, "name", None) not in FIELD_READERS
+             for node in ast.walk(top)
+             if isinstance(node, ast.Attribute) and node.attr in ("kind", "p")
+             or isinstance(node, ast.Name) and node.id in FIELD_KINDS]
+    assert not found, f"quatclass reads the field outside its table: {', '.join(found)}"

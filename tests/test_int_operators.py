@@ -307,6 +307,31 @@ def test_uop_matrix_matches_a_fraction_reference(name, model, monkeypatch):
     assert all(v is alg.field.zero() for row in alg.uop_matrix(xs[2]) for v in row)
 
 
+@pytest.mark.parametrize("name", ["Q", "Fp:7"])
+def test_uop_matrix_view_reduces_nothing_over_fp(name, monkeypatch):
+    """Over F_p a map's integer form is canonical (d = 1, entries in
+    [0, p)), so the `matrix` view of U_x is its rows, made with no
+    `from_ints` call; over Q it is M / d, one `from_ints` per row."""
+    f = UOP_FIELDS[name]
+    alg = split_albert(f)
+    x = _dense_norm_one(alg, random.Random(38))
+    d, rows = alg.uop_map(x)._ints
+    calls = []
+
+    def spy(ints, den, field):
+        calls.append(den)
+        return linalg.from_ints(ints, den, field)
+
+    monkeypatch.setattr(linmaps, "from_ints", spy)
+    view = alg.uop_matrix(x)
+    assert view == tuple(linalg.from_ints(row, d, f) for row in rows)
+    if f.kind == RATIONALS:
+        assert calls == [d] * 27
+    else:
+        assert calls == [] and d == 1 and view == rows
+        assert all(0 <= v < f.p for row in rows for v in row)
+
+
 @pytest.mark.parametrize("name", ["Q", "Fp:7", "Fp:2^61-1"])
 @pytest.mark.parametrize("model", ["her", "tits"])
 def test_uop_map_is_the_integer_form_of_uop_matrix_sharp(name, model, monkeypatch):

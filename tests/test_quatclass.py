@@ -7,16 +7,14 @@ import pytest
 from brownalg.errors import AlgebraError, FactorizationTooLarge, MixedFields, ZeroArgument
 from brownalg.fields import INFINITE, Fp, Kbar, Q, Qp, Rplace, is_prime
 from brownalg.quatclass import (
+    SPLIT,
     QuatPresentation,
     class_report,
-    e6_class_report,
-    f4_class_report,
-    g2_class_report,
     hilbert_places,
     hilbert_symbol,
     is_split,
     isotropic_ternary_search,
-    quaternion_class_count,
+    quaternion_classes,
     smallest_nonresidue,
 )
 
@@ -202,12 +200,39 @@ def test_is_split_matches_small_height_search():
             assert got == oracle, (a, b)
 
 
+def _classes(field, level, kind):
+    return dict(class_report(field, level).kinds)[kind]
+
+
 def test_quaternion_class_counts():
-    assert quaternion_class_count(Kbar()) == 1
-    assert quaternion_class_count(Fp(11)) == 1
-    assert quaternion_class_count(Rplace()) == 2
-    assert quaternion_class_count(Qp(5)) == 2
-    assert quaternion_class_count(Q()) is INFINITE
+    """G2 has one involution class per class of quaternion algebra D."""
+    assert _classes(Kbar(), "G2", "theta") == 1
+    assert _classes(Fp(11), "G2", "theta") == 1
+    assert _classes(Rplace(), "G2", "theta") == 2
+    assert _classes(Qp(5), "G2", "theta") == 2
+    assert _classes(Q(), "G2", "theta") is INFINITE
+
+
+def test_table_presentations_read_their_class_at_their_place():
+    """Each presentation of the table is its class at its own place: the
+    split class reads +1 and each division class -1, and over Q the family
+    (-1, p) is a division algebra for p = 3, 7 and 11.  The presentation
+    (-p, -z) that reports once printed over Q_p is split for p = 3 mod 4."""
+    for place in (Rplace(), Qp(2), Qp(3), Qp(5), Qp(7), Qp(11), Qp(13)):
+        split, *division = quaternion_classes(place).presentations
+        assert split == SPLIT and hilbert_symbol(*split, place) == 1
+        assert len(division) == 1 and hilbert_symbol(*division[0], place) == -1
+    for field in (Kbar(), Fp(7)):
+        assert quaternion_classes(field).presentations == (SPLIT,)
+        assert is_split(QuatPresentation(*SPLIT), field)
+    table = quaternion_classes(Q())
+    a, b = table.presentations[1]
+    assert b == "p" and table.family == "p = 3 mod 4"
+    assert is_split(QuatPresentation(*SPLIT), Q())
+    for p in (3, 7, 11):
+        assert not is_split(QuatPresentation(a, p), Q())
+        z = smallest_nonresidue(p)
+        assert hilbert_symbol(-p, -z, Qp(p)) == hilbert_symbol(-z, Fraction(-p, z), Qp(p)) == 1
 
 
 def test_smallest_nonresidue():
@@ -218,32 +243,33 @@ def test_smallest_nonresidue():
 
 
 def test_e6_report_totals():
-    assert e6_class_report(Kbar()).total == 4
-    assert e6_class_report(Fp(7)).total == 4
-    assert e6_class_report(Rplace()).total == 6
+    assert class_report(Kbar(), "E6").total == 4
+    assert class_report(Fp(7), "E6").total == 4
+    assert class_report(Rplace(), "E6").total == 6
     for p in (2, 3, 5, 7):
-        assert e6_class_report(Qp(p)).total == 6
-    assert e6_class_report(Q()).total is INFINITE
+        assert class_report(Qp(p), "E6").total == 6
+    assert class_report(Q(), "E6").total is INFINITE
 
 
 def test_e6_report_kind_structure():
     for f in (Kbar(), Fp(7), Rplace(), Qp(5)):
-        rep = e6_class_report(f)
+        rep = class_report(f, "E6")
         kinds = dict(rep.kinds)
         assert kinds["sigma"] == 1 and kinds["dagger"] == 1
-        assert kinds["theta"] == kinds["theta_dagger"] == quaternion_class_count(f)
+        assert kinds["theta"] == kinds["theta_dagger"] == _classes(f, "G2", "theta")
         assert rep.total == 2 * kinds["theta"] + 2
 
 
 def test_e6_padic_division_representative():
-    rep = e6_class_report(Qp(5))
-    assert any("t:1,1,1,1,-5,-2" in r for r in rep.representatives)
-    rep7 = e6_class_report(Qp(7))
-    assert any("t:1,1,1,1,-7,-3" in r for r in rep7.representatives)
+    rep = class_report(Qp(5), "E6")
+    assert "theta: D = (2, 5)" in rep.representatives
+    assert "theta_dagger: D = (2, 5)" in rep.representatives
+    rep7 = class_report(Qp(7), "E6")
+    assert any("D = (3, 7)" in r for r in rep7.representatives)
 
 
 def test_e6_q_report_lists_family():
-    rep = e6_class_report(Q())
+    rep = class_report(Q(), "E6")
     assert dict(rep.kinds)["sigma"] == 1
     assert dict(rep.kinds)["dagger"] == 1
     assert dict(rep.kinds)["theta"] is INFINITE
@@ -251,22 +277,27 @@ def test_e6_q_report_lists_family():
 
 
 def test_f4_report():
-    assert dict(f4_class_report(Kbar()).kinds)["type_I"] == 1
-    assert dict(f4_class_report(Fp(7)).kinds)["type_I"] == 1
-    assert dict(f4_class_report(Rplace()).kinds)["type_I"] == 3
-    assert dict(f4_class_report(Qp(5)).kinds)["type_I"] == 2
-    assert dict(f4_class_report(Qp(2)).kinds)["type_I"] == 2
-    assert dict(f4_class_report(Q()).kinds)["type_I"] is INFINITE
+    assert _classes(Kbar(), "F4", "type_I") == 1
+    assert _classes(Fp(7), "F4", "type_I") == 1
+    assert _classes(Rplace(), "F4", "type_I") == 3
+    assert _classes(Qp(5), "F4", "type_I") == 2
+    assert _classes(Qp(2), "F4", "type_I") == 2
+    assert _classes(Q(), "F4", "type_I") is INFINITE
     for f in (Kbar(), Fp(7), Rplace(), Qp(5), Qp(2), Q()):
-        assert dict(f4_class_report(f).kinds)["type_II"] == 1
+        assert _classes(f, "F4", "type_II") == 1
 
 
 def test_g2_report():
-    assert g2_class_report(Kbar()).total == 1
-    assert g2_class_report(Fp(7)).total == 1
-    assert g2_class_report(Rplace()).total == 2
-    assert g2_class_report(Qp(5)).total == 2
-    assert g2_class_report(Q()).total is INFINITE
+    assert class_report(Kbar(), "G2").total == 1
+    assert class_report(Fp(7), "G2").total == 1
+    assert class_report(Rplace(), "G2").total == 2
+    assert class_report(Qp(5), "G2").total == 2
+    assert class_report(Q(), "G2").total is INFINITE
+
+
+def test_unknown_level_is_refused():
+    with pytest.raises(ValueError, match="unknown level"):
+        class_report(Q(), "E7")
 
 
 def test_report_json_round_trip():
@@ -283,20 +314,33 @@ def test_report_json_round_trip():
             assert d["total"] == rep.total
 
 
-def test_fp_and_kbar_representatives_realize_involutions():
-    """Every F_p / Kbar E6 representative is an order-2 map on B and every F4
-    representative one on J; theta (t) fixes 32 dimensions of B and sigma
-    (s) 24."""
+REPORT_FIELDS = (Kbar(), Fp(7), Rplace(), Qp(2), Qp(3), Qp(5), Qp(7), Q())
+
+
+def test_every_printed_representative_realizes():
+    """Every row of the G2, F4 and E6 reports over the fields above is
+    either a descriptor that `Catalog.realize_involution` realizes as an
+    order-2 map (on J at G2 and F4, on B at E6; F_p rows over F_7, the
+    others over Q) or a division class's presentation "D = (a, b)" from
+    the table; no report prints a row twice.  Theta (t) fixes 32
+    dimensions of B and sigma (s) 24."""
     from brownalg.involutions import Catalog, fixed_subalgebra
 
-    cat = Catalog(Fp(7))
-    for field in (Fp(7), Kbar()):
-        e6 = dict(r.split(": ") for r in e6_class_report(field).representatives)
-        assert set(e6) == {"sigma", "dagger", "theta", "theta.dagger"}
-        for desc in e6.values():
-            cat.realize_involution(desc, "B")
-        for desc in f4_class_report(field).representatives:
-            cat.realize_involution(desc, "J")
+    catalogs = {"Fp": Catalog(Fp(7)), "Q": Catalog(Q())}
+    for field in REPORT_FIELDS:
+        cat = catalogs["Fp" if field.kind == "Fp" else "Q"]
+        division = [f"D = ({a}, {b})" for a, b in quaternion_classes(field).presentations[1:]]
+        for level in ("G2", "F4", "E6"):
+            reps = class_report(field, level).representatives
+            assert len(set(reps)) == len(reps), reps
+            for row in reps:
+                text = row.partition(": ")[2]
+                if text.startswith("D = "):
+                    assert any(text.startswith(d) for d in division), row
+                else:
+                    cat.realize_involution(text, "B" if level == "E6" else "J")
+    cat = catalogs["Fp"]
+    e6 = dict(r.split(": ") for r in class_report(Fp(7), "E6").representatives)
     dims = {kind: fixed_subalgebra(cat.realize_involution(e6[kind], "B"), cat.B).dimension
             for kind in ("theta", "sigma")}
     assert dims == {"theta": 32, "sigma": 24}
