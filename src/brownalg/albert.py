@@ -270,7 +270,6 @@ class AlbertAlgebra(Algebra):
 
     dim = DIM
     carrier = ALBERT
-    commutative = True
     elem = AlbertElem
 
     def __init__(self, model: str, field: FieldSpec, octonions: CDAlgebra | None = None,

@@ -46,7 +46,6 @@ class BrownElem(Elem):
 class BrownAlgebra(Algebra):
     dim = BDIM
     carrier = BROWN
-    commutative = False
     elem = BrownElem
 
     def __init__(self, jalg: AlbertAlgebra, zeta=1):

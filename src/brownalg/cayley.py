@@ -80,7 +80,6 @@ class CDAlgebra(Algebra):
     """Composition algebra descriptor with cached structure data."""
 
     carrier = OCT
-    commutative = False
     elem = CompElem
     sample_bound = 5
 

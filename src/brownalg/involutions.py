@@ -203,13 +203,12 @@ class FixedSubalgebra:
 
 
 def _context_product(phi: LinMap, context):
-    """(table, commutative, involution or None) of the carrier algebra: its
-    `MulTable`, and the exchange involution, a coordinate swap, on Brown
-    space."""
+    """(table, involution or None) of the carrier algebra: its `MulTable`,
+    and the exchange involution, a coordinate swap, on Brown space."""
     if phi.basis_tag != context.basis_tag:
         raise CarrierMismatch("map and algebra bases differ")
     involution = context.binv_raw if isinstance(context, BrownAlgebra) else None
-    return context.table, context.commutative, involution
+    return context.table, involution
 
 
 def _eigen_span(phi: LinMap, eigval):
@@ -229,12 +228,12 @@ def fixed_subalgebra(phi: LinMap, context) -> FixedSubalgebra:
     the map's integer form is eliminated once."""
     if not phi.order_divides_two():
         raise NotOrderTwo("fixed subalgebras are computed for maps with phi^2 = id")
-    table, commutative, involution = _context_product(phi, context)
+    table, involution = _context_product(phi, context)
     basis, span, ints = _eigen_span(phi, 1)
     closed = True
     inv_closed = None
     if basis:
-        closed = span.closed(table, ints, commutative=commutative)
+        closed = span.closed(table, ints)
         if involution is not None:
             inv_closed = all(span.contains(involution(v)) for v in ints)
     return FixedSubalgebra(len(basis), tuple(basis), closed, inv_closed)
@@ -251,7 +250,7 @@ def grade_decompose(phi: LinMap, context):
     form fails the law and raises NotAutomorphism."""
     if not phi.order_divides_two():
         raise NotOrderTwo("grading needs phi^2 = id")
-    table, _, _ = _context_product(phi, context)
+    table, _ = _context_product(phi, context)
     spans = {"+": _eigen_span(phi, 1), "-": _eigen_span(phi, -1)}
     plus, minus = spans["+"][0], spans["-"][0]
     if len(plus) + len(minus) != phi.dim:
@@ -313,15 +312,16 @@ def isotope_automorphism_check(x: AlbertElem, y: AlbertElem) -> bool:
     if not mm.order_divides_two():
         raise NotOrderTwo("U_x U_y does not square to the identity")
     iso = _isotope_table(alg.table, linalg.to_ints(y.coords, f)[1], f)
-    return is_automorphism(mm, iso, alg.jinv_raw(y.coords), commutative=True)
+    return is_automorphism(mm, iso, alg.jinv_raw(y.coords))
 
 
 def _isotope_table(table: MulTable, yi, f: FieldSpec) -> MulTable:
     """The y-isotope's table, in ints: {a, y, b} = (a.y).b + (b.y).a - (a.b).y
     on the integer table, D^2 d_y times the triple product for
     y = yi / d_y.  It is bilinear and symmetric in a and b when the table is
-    commutative, so its values on the basis pairs i <= j give the table, and
-    the pairs i <= j certify.  mul_ints is linear in each operand, so b runs
+    commutative, so its values on the basis pairs i <= j give the table,
+    each with its mirror, and the new table is commutative too
+    (`MulTable.commutative`).  mul_ints is linear in each operand, so b runs
     over the stacked e_j, j >= i, in one call per term.  With S the table's
     `MulTable.int_sum` and top = max|yi|, each term is at most
     S (S top) 1 at a basis pair, so the slots hold 3 S^2 top (the rule of

@@ -23,34 +23,38 @@ Every product of the package runs on them.  `MulTable.apply`, the product of
 field values, is `to_ints`, `mul_ints` and one `from_ints` on both fields.
 The Albert operators work on `mul_ints` and `left_ints` directly.
 The closure and automorphism certificates (`linalg.IntSpan.closed`,
-`linmaps.is_automorphism`) take the table itself; `MulTable.opposite`, the
-table of (x, y) -> y.x, is the image-side table with which
-`is_automorphism` certifies an anti-automorphism, and the table that
-`verify` compares entries with for commutativity.  `mul_ints` only tests
-the coordinates of its operands for zero and multiplies them, so it runs
-unchanged on a packed operand in either place, whose coordinate j is one
-int holding coordinate j of many vectors (`linalg.SignedPacking.stack`),
-and returns their products packed the same way: the certificates and the
-isotope table of `involutions.isotope_automorphism_check` call it once per
-vector, not once per pair, and size the slots from `MulTable.int_sum`, a
-bound on the products.  A vector or a map is scaled to integers once and no
-`Fraction` is made in their loops.
+`linmaps.is_automorphism`) take the table itself, and check only the basis
+pairs i <= j when `MulTable.commutative` says they may: whether
+c_ijk = c_jik on the integer coefficients, read once per table with its
+integer form, the one record of commutativity in the package.
+`MulTable.opposite`, the table of (x, y) -> y.x, is built once from the
+integer form: the image-side table with which `is_automorphism` certifies
+an anti-automorphism, and the table `verify` reads the right unit law off.
+`mul_ints` only tests the coordinates of its operands for zero and
+multiplies them, so it runs unchanged on a packed operand in either place,
+whose coordinate j is one int holding coordinate j of many vectors
+(`linalg.SignedPacking.stack`), and returns their products packed the same
+way: the certificates and the isotope table of
+`involutions.isotope_automorphism_check` call it once per vector, not once
+per pair, and size the slots from `MulTable.int_sum`, a bound on the
+products.  A vector or a map is scaled to integers once and no `Fraction` is
+made in their loops.
 
 `Algebra` is what the three algebras of the tower (`CDAlgebra`,
 `AlbertAlgebra`, `BrownAlgebra`) share.  Each sets `field`, `dim`,
-`basis_tag`, `table`, `unit_coords`, `carrier`, `commutative` and `elem` (its
-element class), and inherits the product through its table (`mul_raw`;
-`BrownAlgebra` builds its table on first use), element
-construction, the unit, zero and standard basis, seeded sampling, `linmap`
-(a `LinMap` on the algebra's carrier space and basis), `linmap_of` (the map
-of a linear function on coordinate tuples, read off the images of the
-standard basis vectors; the coordinate maps of `involutions` and `brown`
-are built this way, and their lifts by `linmaps.block_diag_map`) and equality by
-basis tag.  `Elem` is the element base class: an immutable (algebra,
-coords) pair with addition, negation and scaling, which raises its class's
-`mismatch` error when elements of different algebras are combined.  A
-coordinate or a scale factor is a field value: an int, or a `Fraction` over
-Q (`FieldSpec.coerce`); anything else raises `MixedFields`.
+`basis_tag`, `table`, `unit_coords`, `carrier` and `elem` (its element
+class; whether the product commutes is its table's to say), and inherits the
+product through its table (`mul_raw`; `BrownAlgebra` builds its table on
+first use), element construction, the unit, zero and standard basis, seeded
+sampling, `linmap` (a `LinMap` on the algebra's carrier space and basis),
+`linmap_of` (the map of a linear function on coordinate tuples, read off the
+images of the standard basis vectors; the coordinate maps of `involutions`
+and `brown` are built this way, and their lifts by `linmaps.block_diag_map`)
+and equality by basis tag.  `Elem` is the element base class: an immutable
+(algebra, coords) pair with addition, negation and scaling, which raises its
+class's `mismatch` error when elements of different algebras are combined.
+A coordinate or a scale factor is a field value: an int, or a `Fraction`
+over Q (`FieldSpec.coerce`); anything else raises `MixedFields`.
 
 Every element has one JSON form, named by its algebra's basis tag:
 `{"algebra": basis_tag, "coords": [field.scalar_str(v), ...]}`, written by
@@ -81,13 +85,13 @@ class MulTable:
     """Sparse bilinear map V x V -> V given by entries (i, j, k, coeff):
     out_k = sum coeff * x_i * y_j."""
 
-    __slots__ = ("n", "entries", "_int", "_sum")
+    __slots__ = ("n", "entries", "_int", "_sum", "_commutative", "_opposite")
 
     def __init__(self, n: int, entries):
         self.n = n
         self.entries = tuple(entries)
         self._int = None
-        self._sum = None
+        self._opposite = None
 
     @classmethod
     def from_ints(cls, n: int, keys, ints, den: int, field: FieldSpec) -> "MulTable":
@@ -96,15 +100,10 @@ class MulTable:
         call; its integer form is set as `int_table` would compute it from
         the entries, from the ints in lowest terms (`lowest_terms`)."""
         d, ints = lowest_terms(list(ints), den, field)
-        values = from_ints(ints, d, field)
-        rows = [[] for _ in range(n)]
-        entries = []
-        for (i, j, k), v, c in zip(keys, ints, values):
-            if v:
-                entries.append((i, j, k, c))
-                rows[i].append((j, k, v))
-        table = cls(n, entries)
-        table._int = (d, rows)
+        keys = [key for key, v in zip(keys, ints) if v]
+        ints = [v for v in ints if v]
+        table = cls(n, [(*key, c) for key, c in zip(keys, from_ints(ints, d, field))])
+        table._set_int(d, ints)
         return table
 
     def int_table(self):
@@ -113,11 +112,40 @@ class MulTable:
         i, in ints; built on first use and cached."""
         if self._int is None:
             D = math.lcm(*[c.denominator for _, _, _, c in self.entries])
-            rows = [[] for _ in range(self.n)]
-            for i, j, k, c in self.entries:
-                rows[i].append((j, k, c.numerator * (D // c.denominator)))
-            self._int = (D, rows)
+            self._set_int(D, [c.numerator * (D // c.denominator) for _, _, _, c in self.entries])
         return self._int
+
+    def _set_int(self, den: int, ints):
+        """Keep the integer form over den, with ints[e] = den c for entry e,
+        and read `int_sum` and `commutative` off it in the same pass.  The
+        table is commutative when, for every i, the (j, k, D c) of the
+        entries (i, j, k, c) and the (j, k, D c) of the entries (j, i, k, c)
+        are the same, compared sorted, row by row, up to the first row that
+        differs: then c_ijk = c_jik.  Equal integers are equal field values,
+        so True is exact.  False is exact too when no key (i, j, k) repeats
+        and no coefficient is 0, as in every table the package builds; a
+        table that splits a coefficient over repeated keys unlike its
+        mirror, lists a 0, or over F_p holds integers that differ by a
+        multiple of p reads False, which costs the certificates their
+        suffix mode and never a verdict."""
+        rows = [[] for _ in range(self.n)]
+        cols = [[] for _ in range(self.n)]
+        bound = [0] * self.n
+        for (i, j, k, _), v in zip(self.entries, ints):
+            rows[i].append((j, k, v))
+            cols[j].append((i, k, v))
+            bound[k] += abs(v)
+        self._int = (den, rows)
+        self._sum = max(bound, default=0)
+        self._commutative = all(sorted(r) == sorted(c) for r, c in zip(rows, cols))
+
+    @property
+    def commutative(self) -> bool:
+        """Whether x.y = y.x, read once with the integer form (`_set_int`):
+        the one decision of the certificates (`linalg.IntSpan.closed`,
+        `linmaps.is_automorphism`) to check only the basis pairs i <= j."""
+        self.int_table()
+        return self._commutative
 
     def int_entries(self):
         """The entries as (i, j, k, D c) in their order, D from `int_table`."""
@@ -127,23 +155,22 @@ class MulTable:
     def int_sum(self) -> int:
         """The largest sum of |D c| over the integer entries into one output
         coordinate, so |mul_ints(x, y)[k]| <= int_sum() max|x| max|y|: the
-        bound the packed certificates size their slots from.  Cached."""
-        if self._sum is None:
-            sums = [0] * self.n
-            for row in self.int_table()[1]:
-                for _, k, c in row:
-                    sums[k] += abs(c)
-            self._sum = max(sums, default=0)
+        bound the packed certificates size their slots from, read with the
+        integer form (`_set_int`)."""
+        self.int_table()
         return self._sum
 
     def opposite(self) -> "MulTable":
         """The table of the opposite product (x, y) -> y.x: the entries
-        (j, i, k, c) in entry order.  It has the same coefficients, so the
-        same integer denominator D and the same `int_sum`; an algebra is
-        commutative exactly when the two tables hold the same entries, and
-        an anti-automorphism is an automorphism onto the opposite product
-        (`linmaps.is_automorphism` with this table as its target)."""
-        return MulTable(self.n, [(j, i, k, c) for i, j, k, c in self.entries])
+        (j, i, k, c) in entry order, built once and cached, with this
+        table's integer coefficients over the same D, so its integer rows
+        are this table's with i and j swapped; an anti-automorphism is an
+        automorphism onto the opposite product (`linmaps.is_automorphism`
+        with this table as its target)."""
+        if self._opposite is None:
+            self._opposite = MulTable(self.n, [(j, i, k, c) for i, j, k, c in self.entries])
+            self._opposite._set_int(self.int_table()[0], [c for *_, c in self.int_entries()])
+        return self._opposite
 
     def apply(self, x, y, field: FieldSpec):
         """x.y for field values: `mul_ints` on the `to_ints` forms of x and y,

@@ -62,7 +62,9 @@ vectors, which `int_span(vectors, n, field)` computes in ints, or a
 `kernel` basis with its free columns, which needs no second elimination.
 Membership is `IntSpan.contains`, and closure under the product of a
 `MulTable` is `IntSpan.closed`, which stacks the second factors and makes
-one `mul_ints` call per first factor.
+one `mul_ints` call per first factor; for the products of a set with
+itself under a commutative table (`MulTable.commutative`, read off the
+table) it checks the pairs i <= j only.
 
 The one matrix product is `int_mat_mul`, on integer matrices: over Q a
 loop over the nonzero entries, over F_p the `MatVec` of the second factor.
@@ -520,10 +522,11 @@ def kernel(rows, field: FieldSpec):
     a with these rows (entries in [0, p) over F_p), the free columns of its
     echelon form (`_eliminate`), one per basis vector, and the `to_ints`
     form (d, ints) of each basis vector.  Vector r is 1 at free[r], 0 at the
-    other free columns (what an `IntSpan` of the kernel reads) and -a'_s[free[r]] / a'_s[pc_s] at the pivot column
-    pc_s of the echelon row a'_s.  It is built in ints over the lcm of those
-    pivot entries, put in lowest terms (`lowest_terms`) and converted once
-    by `from_ints`, so its zero entries are the field's shared `zero()`."""
+    other free columns (what an `IntSpan` of the kernel reads) and
+    -a'_s[free[r]] / a'_s[pc_s] at the pivot column pc_s of the echelon row
+    a'_s.  It is built in ints over the lcm of those pivot entries, put in
+    lowest terms (`lowest_terms`) and converted once by `from_ints`, so its
+    zero entries are the field's shared `zero()`."""
     n = len(rows[0]) if rows else 0
     echelon, pivots = _eliminate(rows, field)
     pivot_set = set(pivots)
@@ -592,9 +595,9 @@ class IntSpan:
     r = s and 0 otherwise: the RREF rows and their pivot columns
     (`int_span`), or a `kernel` basis and its free columns.  Each row is
     given by its integer form, R_r = ints_r / d_r (`to_ints`), and kept as
-    pc_r and its entries off the columns pc, scaled to L, the lcm of the d_r.  w lies in the span iff
-    w = sum_r w[pc_r] R_r, which holds at the columns pc by the
-    precondition; so the test is that the residual
+    pc_r and its entries off the columns pc, scaled to L, the lcm of the
+    d_r.  w lies in the span iff w = sum_r w[pc_r] R_r, which holds at the
+    columns pc by the precondition; so the test is that the residual
     L w[k] - sum_r w[pc_r] (L / d_r) ints_r[k] is 0 at every other
     column k, in ints over Q and mod p over F_p.  It does not change when w
     is scaled, so w may be any integer multiple of a vector, such as a
@@ -640,11 +643,12 @@ class IntSpan:
         p = self.field.p
         return not any([v % p for v in acc] if p else acc)
 
-    def closed(self, table, xs, ys=None, commutative: bool = False) -> bool:
+    def closed(self, table, xs, ys=None) -> bool:
         """Whether the product x.y of the `MulTable` lies in the span for every
         x in xs and y in ys, lists of integer vectors (ys defaults to xs).
-        With `commutative` only the pairs (xs[i], ys[j]) with i <= j are
-        checked, which certifies a commutative product when ys is xs.
+        When ys is xs and the table is commutative (`MulTable.commutative`),
+        only the pairs (xs[i], xs[j]) with i <= j are checked: x.y = y.x
+        gives the others.
 
         One `mul_ints` call covers all the y for one x: the ys are stacked
         (`SignedPacking.stack`, Y_j = sum_b ys[b][j] 2^(s b)), and both
@@ -653,7 +657,7 @@ class IntSpan:
         S max|x| max|y| (S the table's `MulTable.int_sum`) and
         |residual| <= weight max|w|, so the slots hold
         S max|x| max|y| weight, and `SignedPacking.is_zero` judges them.
-        With `commutative` xs[i] meets the suffix ys[i:]
+        In that suffix mode xs[i] meets the suffix xs[i:]
         (`SignedPacking.suffixes`).  Stops at the first x that fails."""
         if ys is None:
             ys = xs
@@ -666,9 +670,9 @@ class IntSpan:
         def holds(x, packed, k):
             return all([packing.is_zero(a, k) for a in self._residual(table.mul_ints(x, packed)) if a])
 
-        if commutative:
-            suffixes = zip(range(len(ys) - 1, -1, -1), packing.suffixes(ys))
-            return all(holds(xs[i], packed, len(ys) - i) for i, packed in suffixes if i < len(xs))
+        if ys is xs and table.commutative:
+            suffixes = zip(range(len(xs) - 1, -1, -1), packing.suffixes(xs))
+            return all(holds(xs[i], packed, len(xs) - i) for i, packed in suffixes)
         packed = packing.stack(ys)
         return all(holds(x, packed, len(ys)) for x in xs)
 

@@ -47,7 +47,8 @@ product law on basis pairs, a P mul_ints(e_i, e_l) = b target.mul_ints(M e_i,
 M e_l) for the integer form M of phi, an integer matrix P, scales a, b and a
 target table on the image side (the table itself unless given).  It is two
 `MulTable.mul_ints` calls per basis vector on stacked second factors: the
-image side (`_image_rows`) and the one comparison (`_rows_agree`).
+image side (`_image_rows`) and the one comparison (`_rows_agree`), on the
+pairs i <= l only when both tables are commutative (`MulTable.commutative`).
 `is_automorphism` takes P = M with its unit law, for the product of any
 `MulTable`, and makes its image rows one at a time, so the first failing row
 ends it: it serves `is_aut_member` on every algebra of the tower
@@ -55,14 +56,14 @@ ends it: it serves `is_aut_member` on every algebra of the tower
 of `involutions`, and with the opposite table (`MulTable.opposite`) as its
 target it certifies an anti-automorphism, unit law included: `verify`
 decides conj(xy) = conj(y) conj(x) and the Brown involution's law this way.
-The target must share the table's integer denominator; none with another is
-scaled for yet.  `is_inv_member` is a deterministic certificate over Q and
-F_p for phi(x) # phi(y) = phi-dagger(x # y) (Springer and Veldkamp,
-*Octonions, Jordan Algebras and Exceptional Groups*, ch. 5): the law runs on
-the cross table, and P is phi-dagger scaled to integers.  The law makes
-psi* phi a scalar lambda, the norm multiplier, for any P it passes, and one
-entry of the trace form reads lambda = 1 (`_multiplier_is_one`); the proof
-is in the `is_inv_member` docstring.
+A target with another integer denominator than the table's raises
+AlgebraMismatch; none is scaled for yet.  `is_inv_member` is a deterministic
+certificate over Q and F_p for phi(x) # phi(y) = phi-dagger(x # y) (Springer
+and Veldkamp, *Octonions, Jordan Algebras and Exceptional Groups*, ch. 5):
+the law runs on the cross table, and P is phi-dagger scaled to integers.
+The law makes psi* phi a scalar lambda, the norm multiplier, for any P it
+passes, and one entry of the trace form reads lambda = 1
+(`_multiplier_is_one`); the proof is in the `is_inv_member` docstring.
 
 `dagger` has no verdict of its own: it returns the dagger that
 `is_inv_member` keeps on a map it certifies, and raises NotNormPreserving
@@ -93,6 +94,7 @@ import math
 import operator
 
 from .errors import (
+    AlgebraMismatch,
     CarrierMismatch,
     InternalError,
     NotNormPreserving,
@@ -380,7 +382,7 @@ def is_inv_member(phi: LinMap, algebra) -> bool:
     ptop = max(abs(t) for _, _, t in picks) * s * top ** 2 if f.kind == RATIONALS else f.p - 1
     packing = _law_packing(cross, cross, 1, ptop, top, f)
     # the suffix rows come from the last row back: rows[i] is (i, i, R_i)
-    rows = list(_image_rows(phi, cross, packing, True))[::-1]
+    rows = list(_image_rows(phi, cross, cross, packing))[::-1]
     pcols = [lowest_terms([t * v for v in packing.unstack(rows[a][2], b - a)], 1, f)[1]
              for a, b, t in picks]
     if not _multiplier_is_one(phi, algebra, pcols, lcm) or \
@@ -407,18 +409,20 @@ def _multiplier_is_one(phi: LinMap, algebra, pcols, lcm: int) -> bool:
     return not algebra.field.from_int(dot - d ** 3 * lcm * g)
 
 
-def _image_rows(phi: LinMap, target, packing: SignedPacking, commutative: bool):
-    """The image side of the product law, one row per basis vector:
-    (i, first, R_i) with R_i = target.mul_ints(M e_i, stack of the M e_l for
-    l >= first), M the integer matrix (`_ints`) of phi, so slot l - first of
-    coordinate c of R_i holds coordinate c of target.mul_ints(M e_i, M e_l).
-    Without `commutative` first = 0 and the stack is built once; with it
-    first = i, and the rows run from the last back, each stack the
-    `SignedPacking.suffixes` of the one before.  A generator: a caller that
-    stops early makes no more products."""
+def _image_rows(phi: LinMap, table, target, packing: SignedPacking):
+    """The image side of the product law of `table` onto `target`, one row
+    per basis vector: (i, first, R_i) with R_i = target.mul_ints(M e_i,
+    stack of the M e_l for l >= first), M the integer matrix (`_ints`) of
+    phi, so slot l - first of coordinate c of R_i holds coordinate c of
+    target.mul_ints(M e_i, M e_l).  When both tables are commutative
+    (`MulTable.commutative`) the pairs l < i follow from the pairs l >= i,
+    so first = i, and the rows run from the last back, each stack the
+    `SignedPacking.suffixes` of the one before; otherwise first = 0 and the
+    stack is built once.  A generator: a caller that stops early makes no
+    more products."""
     n = phi.dim
     cols = list(zip(*phi._ints[1]))
-    if commutative:
+    if table.commutative and target.commutative:
         for i, packed in zip(range(n - 1, -1, -1), packing.suffixes(cols)):
             yield i, i, target.mul_ints(cols[i], packed)
         return
@@ -448,7 +452,8 @@ def _rows_agree(table, a: int, pcols, b: int, rows, packing: SignedPacking) -> b
     P the integer matrix of columns `pcols` and the products on the
     `MulTable`: the one comparison of `is_automorphism` and
     `is_inv_member`.  The target of the rows must have the table's integer
-    denominator D, as `MulTable.opposite` does; no other D is scaled for.
+    denominator D, as `is_automorphism` makes sure; no other D is scaled
+    for.
 
     Row i checks every l at once on packed vectors (`linalg.SignedPacking`):
     with E the identity stacked (E_l = 2^(s l)) from slot `first` on,
@@ -483,15 +488,19 @@ def _rows_agree(table, a: int, pcols, b: int, rows, packing: SignedPacking) -> b
     return True
 
 
-def is_automorphism(phi: LinMap, table, unit, commutative: bool = False, target=None) -> bool:
+def is_automorphism(phi: LinMap, table, unit, target=None) -> bool:
     """Exact: phi(unit) = unit and phi(e_i . e_j) = phi(e_i) * phi(e_j) for
-    every basis pair of the product . of the `MulTable`, the pairs i <= j
-    for a commutative product (a bilinear product is determined by its
-    values on basis pairs, so they certify).  * is the product of `target`,
-    the table on the image side, which is `table` by default: an
-    automorphism.  With `target=table.opposite()` (`MulTable.opposite`),
-    u * v = v . u, and the law reads phi(x . y) = phi(y) . phi(x): phi is an
-    anti-automorphism, such as a conjugation or the Brown involution.
+    every basis pair of the product . of the `MulTable` (a bilinear product
+    is determined by its values on basis pairs, so they certify), the pairs
+    i <= j when both tables are commutative (`MulTable.commutative`).  * is
+    the product of `target`, the table on the image side, which is `table`
+    by default: an automorphism.  With `target=table.opposite()`
+    (`MulTable.opposite`), u * v = v . u, and the law reads
+    phi(x . y) = phi(y) . phi(x): phi is an anti-automorphism, such as a
+    conjugation or the Brown involution.  A target whose integer
+    denominator is not the table's raises AlgebraMismatch: the law compares
+    the two tables' integer products, and no other denominator is scaled
+    for.
 
     With (d, M) the integer form of the map and u that of the unit, the unit
     law M u = d u is one integer difference, judged with no packing, entry
@@ -501,15 +510,18 @@ def is_automorphism(phi: LinMap, table, unit, commutative: bool = False, target=
     d M mul_ints(e_i, e_l) = target.mul_ints(M e_i, M e_l), on the rows of
     `_image_rows`, made one at a time so that the first failing row ends
     the check, on the slots of `_law_packing` with ptop = top = max|M|."""
+    target = table if target is None else target
+    den, tden = table.int_table()[0], target.int_table()[0]
+    if den != tden:
+        raise AlgebraMismatch(f"the target's integer denominator {tden} is not the table's {den}")
     f = phi.field
     d, m = phi._ints
     u = to_ints(unit, f)[1]
     diff = [s - d * x for s, x in zip(phi._matvec.apply(u), u)]
     if any([v % f.p for v in diff] if f.p else diff):
         return False
-    target = table if target is None else target
     packing = _law_packing(table, target, d, phi._top, phi._top, f)
-    rows = _image_rows(phi, target, packing, commutative)
+    rows = _image_rows(phi, table, target, packing)
     return _rows_agree(table, d, zip(*m), 1, rows, packing)
 
 
@@ -520,7 +532,7 @@ def is_aut_member(phi: LinMap, algebra) -> bool:
     map on another basis."""
     if phi.basis_tag != algebra.basis_tag:
         raise CarrierMismatch(f"map on {phi.basis_tag!r} does not live on {algebra.basis_tag!r}")
-    return is_automorphism(phi, algebra.table, algebra.unit_coords, algebra.commutative)
+    return is_automorphism(phi, algebra.table, algebra.unit_coords)
 
 
 @functools.lru_cache(maxsize=16)
@@ -533,17 +545,18 @@ def _dagger_plan(algebra):
     D (e_i # e_j) = C e_k in the cross table's integer form (`mul_ints`),
     and s with s C = lcm: over Q lcm is the lcm of the C and s = lcm / C,
     over F_p lcm = 1 and s = C^-1 mod p.  The image rows of the certificate
-    hold only the pairs i <= j, so the plan raises InternalError unless the
-    integer table is symmetric, (j, i, k, c) an entry with every
-    (i, j, k, c).  Each pick is the table's first entry for e_k, in row
-    order, that is alone on its pair; on a symmetric table it has i <= j,
-    as the mirror of a pair with i > j comes first, in row j."""
+    hold only the pairs i <= j, which `_image_rows` makes for a commutative
+    table, so the plan raises InternalError unless the cross table is
+    (`MulTable.commutative`: (j, i, k, c) an entry with every (i, j, k, c)).
+    Each pick is the table's first entry for e_k, in row order, that is
+    alone on its pair; on a commutative table it has i <= j, as the mirror
+    of a pair with i > j comes first, in row j."""
     f = algebra.field
     p = f.p if f.kind != RATIONALS else 0
-    rows = algebra.cross_table().int_table()[1]
-    entries = [(i, j, k, c) for i, row in enumerate(rows) for j, k, c in row]
-    if set(entries) != {(j, i, k, c) for i, j, k, c in entries}:
+    cross = algebra.cross_table()
+    if not cross.commutative:
         raise InternalError("the cross table is not symmetric")
+    entries = [(i, j, k, c) for i, row in enumerate(cross.int_table()[1]) for j, k, c in row]
     terms = collections.Counter((i, j) for i, j, _, _ in entries)
     picks = {}
     for i, j, k, c in entries:

@@ -164,7 +164,7 @@ def check_jordan_unit_comm(ctx):
     for alg in _albert_models(ctx):
         if not _unit_law_holds(alg):
             _fail("unit law fails")
-        if sorted(alg.table.entries) != sorted(alg.table.opposite().entries):
+        if not alg.table.commutative:
             _fail("commutativity fails")
 
 
@@ -300,7 +300,7 @@ def check_beth(ctx):
     if len(basis) != 11 or linalg.rank(tuple(basis), alg.field) != 11:
         _fail("beth basis is not 11 independent vectors")
     span, ints = linalg.int_span(basis, alg.dim, alg.field)
-    if not span.closed(alg.table, ints, commutative=True):
+    if not span.closed(alg.table, ints):
         _fail("beth is not closed under the Jordan product")
 
 

@@ -1,6 +1,6 @@
 """Every name a module of the package imports is used in that module, no
-module takes another's private names, and U_x is built as a map in one
-place."""
+module takes another's private names, U_x is built as a map in one place,
+and whether a product commutes is read off its table alone."""
 
 import ast
 import pathlib
@@ -103,6 +103,37 @@ def test_no_map_is_built_from_uop_matrix(path):
              if (path.stem, None) not in ALLOWED_UOP_MATRIX
              and (path.stem, owner) not in ALLOWED_UOP_MATRIX]
     assert not found, f"{path.name} calls uop_matrix instead of uop_map: {', '.join(found)}"
+
+
+# whether a product commutes is `MulTable.commutative`, read off the table:
+# no function takes it as a parameter and no other class sets it
+def _commutative_settings(tree):
+    """(where, line) for each parameter named `commutative` and each
+    `commutative` defined in a class body other than `MulTable`'s."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = node.args
+            params = args.posonlyargs + args.args + args.kwonlyargs + [
+                a for a in (args.vararg, args.kwarg) if a]
+            if any(a.arg == "commutative" for a in params):
+                yield f"parameter of {getattr(node, 'name', 'lambda')}", node.lineno
+        elif isinstance(node, ast.ClassDef) and node.name != "MulTable":
+            for stmt in node.body:
+                targets = (stmt.targets if isinstance(stmt, ast.Assign)
+                           else [stmt.target] if isinstance(stmt, (ast.AnnAssign, ast.AugAssign))
+                           else [])
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+                if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    names.append(stmt.name)
+                if "commutative" in names:
+                    yield f"attribute of {node.name}", stmt.lineno
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_commutativity_is_read_off_the_table(path):
+    found = [f"{where} (line {line})"
+             for where, line in _commutative_settings(ast.parse(path.read_text()))]
+    assert not found, f"{path.name} sets commutativity outside MulTable: {', '.join(found)}"
 
 
 # every slot width of the package, by module and function: the calls of

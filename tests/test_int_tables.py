@@ -143,6 +143,25 @@ def test_table_builders_make_no_fraction_before_their_one_conversion(monkeypatch
     assert len(table.entries) == 2 + 2 * len(alg.gram_int) + 4 * DIM + 2 * len(cross.entries)
 
 
+@pytest.mark.parametrize("field", [Q(), Fp(7)], ids=str)
+def test_commutative_is_read_off_every_table_of_the_tower(field):
+    """`MulTable.commutative`, read off the integer form: the composition
+    algebras of dimension 1 and 2 are commutative, and the split
+    quaternions, CD(-1, -1) and the split octonions are not; the Jordan and
+    cross tables of the Hermitian and Tits models are, and the Brown tables
+    at zeta = 1 and 2 are not.  An opposite table reads as its table."""
+    her, tit = hermitian(CDAlgebra.split_octonions(field)), tits(field)
+    commutative = [CDAlgebra(field).table, CDAlgebra(field, (1,)).table,
+                   CDAlgebra(field, (-1,)).table, her.table, her.cross_table(), tit.table,
+                   tit.cross_table()]
+    other = [CDAlgebra(field, split_base=True).table, CDAlgebra(field, (-1, -1)).table,
+             CDAlgebra.split_octonions(field).table, BrownAlgebra(her, 1).table,
+             BrownAlgebra(her, 2).table]
+    assert [t.commutative for t in commutative] == [True] * len(commutative)
+    assert [t.commutative for t in other] == [False] * len(other)
+    assert all(t.opposite().commutative is t.commutative for t in commutative + other)
+
+
 def test_multable_from_ints_drops_zeros_and_keeps_lowest_terms():
     q = Q()
     table = MulTable.from_ints(2, [(0, 0, 0), (0, 1, 1), (1, 0, 1)], [4, 0, -6], 8, q)

@@ -532,16 +532,30 @@ def test_int_span_of_no_vectors_is_zero_subspace():
 
 
 def test_span_closed_checks_ordered_pairs():
-    """A product with x.y in the span but y.x outside is not closed; the
-    commutative shortcut (pairs i <= j) sees only x.y."""
+    """A product with x.y in the span but y.x outside is not closed: the
+    table is not commutative, so both orders are checked.  Nor is the span
+    of x_0 = (0, 4, 5) and x_1 = (5, 2, 2) over F_7 under the one-sided
+    product with unit e0, e1.e2 = e1, e2.e2 = e2 and e2.e1 = 0: only
+    x_1.x_0 leaves it."""
     f = Fp(7)
     span, ints = linalg.int_span([(1, 0, 0), (0, 1, 0)], 3, f)
     # e0.e1 = e0, e1.e0 = e2, everything else 0
     product = MulTable(3, [(0, 1, 0, 1), (1, 0, 2, 1)])
 
+    assert not product.commutative
     assert not span.closed(product, ints)
-    assert span.closed(product, ints, commutative=True)
     assert span.closed(MulTable(3, []), ints)
+
+    one_sided = MulTable(3, [(0, 0, 0, 1), (0, 1, 1, 1), (1, 0, 1, 1), (0, 2, 2, 1),
+                             (2, 0, 2, 1), (1, 2, 1, 1), (2, 2, 2, 1)])
+    vecs = [(0, 4, 5), (5, 2, 2)]
+    span, ints = linalg.int_span(vecs, 3, f)
+    rows, pivots = linalg.row_space_rref(vecs, f)
+    outside = {(a, b) for a, x in enumerate(vecs) for b, y in enumerate(vecs)
+               if not _ref_product_in_span(one_sided, rows, pivots, x, y, f)}
+    assert outside == {(1, 0)}
+    assert not one_sided.commutative
+    assert not span.closed(one_sided, ints)
 
 
 def test_in_span_and_same_span():
@@ -864,7 +878,7 @@ def test_span_closed_matches_fraction_reference():
         rows, pivots = linalg.row_space_rref(vecs, q)
         expected = all(_ref_q_in_span(rows, pivots, ref(x, y)) for x in vecs for y in vecs)
         span, ints = linalg.int_span(vecs, J.dim, q)
-        assert span.closed(J.table, ints, commutative=True) == expected
+        assert span.closed(J.table, ints) == expected
         verdicts.append(expected)
     assert verdicts == [True, False, False]
 
@@ -962,9 +976,11 @@ def _defect_span(field):
     return [tuple(map(v, ("1", "0", "-2/3", "5", "0"))), tuple(map(v, ("0", "0", "1", "-1/2", "7")))]
 
 
-def _defect_table(field):
+def _defect_table(field, symmetric=False):
     """x.y = f(x) g(y) u + x_1 y_0 e_1 on F^5, with u = u_0 + 3 u_1 in the span
-    of `_defect_span`: x.y lies in the span iff x_1 y_0 = 0."""
+    of `_defect_span`: x.y lies in the span iff x_1 y_0 = 0.  The symmetric
+    table adds y.x: x.y = (f(x) g(y) + g(x) f(y)) u + (x_1 y_0 + x_0 y_1) e_1,
+    which is commutative and lies in the span iff x_1 y_0 + x_0 y_1 = 0."""
     u0, u1 = (tuple(Fraction(c) for c in vec) for vec in
               (("1", "0", "-2/3", "5", "0"), ("0", "0", "1", "-1/2", "7")))
     u = [a + 3 * b for a, b in zip(u0, u1)]
@@ -973,6 +989,8 @@ def _defect_table(field):
     entries = []
     for i, j, k in itertools.product(range(5), repeat=3):
         c = fx[i] * gy[j] * u[k] + ((i, j, k) == (1, 0, 1))
+        if symmetric:
+            c += fx[j] * gy[i] * u[k] + ((i, j, k) == (0, 1, 1))
         if c:
             entries.append((i, j, k, field.parse_scalar(str(c))))
     return MulTable(5, entries)
@@ -1012,9 +1030,12 @@ def test_packed_closure_matches_reference(name):
     """`IntSpan.closed` (one packed `mul_ints` per x) agrees with every pair
     checked in field values: on a closed set of extreme vectors, on one that
     fails only at the last pair (the last slot of the last x), and on one
-    that fails in the middle slot only, between negative neighbours.  The
-    commutative mode (suffix packings, pairs i <= j) sees a failure at the
-    last pair (3, 3) and misses the one at (3, 0) only."""
+    that fails in the middle slot only, between negative neighbours.  On
+    one set of x and y, closed or not, the table, which is not commutative,
+    fails at the last pair (3, 3) or at (3, 0) alone, and the symmetric
+    table, which checks only the pairs i <= j (suffix packings, the last x
+    first), at (3, 3), the one slot of the last x, or at (0, 3), the last
+    slot of the first x, and at its mirror."""
     f = PACKED_FIELDS[name]
     table = _defect_table(f)
     rows, pivots = linalg.row_space_rref(_defect_span(f), f)
@@ -1023,10 +1044,9 @@ def test_packed_closure_matches_reference(name):
     def ints(vectors):
         return [linalg.to_ints(v, f)[1] for v in vectors]
 
-    def failures(xs, ys, commutative=False):
+    def failures(table, xs, ys):
         return {(a, b) for a, x in enumerate(xs) for b, y in enumerate(ys)
-                if not (commutative and b < a)
-                and not _ref_product_in_span(table, rows, pivots, x, y, f)}
+                if not _ref_product_in_span(table, rows, pivots, x, y, f)}
 
     cases = [
         (_extreme(f, 3, {1: ()}), _extreme(f, 4, {}), set()),
@@ -1034,11 +1054,14 @@ def test_packed_closure_matches_reference(name):
         (_extreme(f, 3, {}), _extreme(f, 3, {0: (1,)}), {(0, 1), (1, 1), (2, 1)}),
     ]
     for xs, ys, bad in cases:
-        assert failures(xs, ys) == bad
+        assert failures(table, xs, ys) == bad
         assert span.closed(table, ints(xs), ints(ys)) is (not bad)
-    for keep, bad in (({0: (3,), 1: (3,)}, {(3, 3)}), ({0: (0,), 1: (3,)}, {(3, 0)})):
+    symmetric = _defect_table(f, symmetric=True)
+    assert not table.commutative and symmetric.commutative
+    for keep, bad in (({1: ()}, set()), ({0: (3,), 1: (3,)}, {(3, 3)}),
+                      ({0: (0,), 1: (3,)}, {(3, 0)})):
         xs = _extreme(f, 4, keep)
-        assert failures(xs, xs) == bad
-        assert span.closed(table, ints(xs)) is False
-        assert failures(xs, xs, commutative=True) == {(3, 3)} & bad
-        assert span.closed(table, ints(xs), commutative=True) is ((3, 3) not in bad)
+        assert failures(table, xs, xs) == bad
+        assert span.closed(table, ints(xs)) is (not bad)
+        assert failures(symmetric, xs, xs) == bad | {(b, a) for a, b in bad}
+        assert span.closed(symmetric, ints(xs)) is (not bad)

@@ -11,6 +11,7 @@ from brownalg.albert import AlbertAlgebra, hermitian, split_albert, tits
 from brownalg.brown import BrownAlgebra
 from brownalg.cayley import CDAlgebra
 from brownalg.errors import (
+    AlgebraMismatch,
     CarrierMismatch,
     InternalError,
     MixedFields,
@@ -445,11 +446,21 @@ def _dual_number_table(field):
                         (2, 0, 2, one), (1, 1, 2, c)])
 
 
+def _without(table, key):
+    """The commutative `table` without its entry at `key`, whose mirror
+    stays: a non-commutative variant, on which the product law checks every
+    basis pair, where on the table it checks the pairs i <= j."""
+    variant = MulTable(table.n, [e for e in table.entries if e[:3] != key])
+    assert table.commutative and not variant.commutative
+    return variant
+
+
 @pytest.mark.parametrize("name, a, bad_b", [("Q", "-1/2", "1/3"), ("Fp:7", "3", "5")])
 def test_is_automorphism_breaks_on_exactly_one_pair(name, a, bad_b):
     """diag(1, a, b) fixes the unit and is an automorphism of the table iff
-    b = a^2; otherwise it breaks only the pair (1, 1).  Over Q the map's
-    denominator (6) and the table's (2) both exceed 1."""
+    b = a^2; otherwise it breaks only the pair (1, 1).  So it does on the
+    variant where e0 is no right unit for e2, where every pair is checked.
+    Over Q the map's denominator (6) and the table's (2) both exceed 1."""
     f = FIELDS[name]
     table = _dual_number_table(f)
     unit = (f.one(), f.zero(), f.zero())
@@ -457,10 +468,10 @@ def test_is_automorphism_breaks_on_exactly_one_pair(name, a, bad_b):
     for b, verdict in ((f.mul(a, a), True), (f.parse_scalar(bad_b), False)):
         m = ((f.one(), f.zero(), f.zero()), (f.zero(), a, f.zero()), (f.zero(), f.zero(), b))
         phi = LinMap(m, f, "dual3", "dual3")
-        for commutative in (False, True):
-            bad = _ref_failures(m, _ref_product(table, f), unit, f, commutative)
+        for t in (table, _without(table, (2, 0, 2))):
+            bad = _ref_failures(m, _ref_product(t, f), unit, f)
             assert bad == ([] if verdict else [(1, 1)])
-            assert linmaps.is_automorphism(phi, table, unit, commutative) is verdict
+            assert linmaps.is_automorphism(phi, t, unit) is verdict
     zero = tuple((f.zero(),) * 3 for _ in range(3))
     assert _ref_failures(zero, _ref_product(table, f), unit, f) == ["unit"]
     assert not linmaps.is_automorphism(LinMap(zero, f, "dual3", "dual3"), table, unit)
@@ -478,9 +489,10 @@ def _tail_table(field):
 def test_is_automorphism_breaks_on_exactly_the_last_pair(name):
     """diag(1, a^2, a^4, b) fixes the unit and is an automorphism of the table
     iff b^2 = a^2; with a = -1/2 and b = 1/3 it breaks only the pair (3, 3),
-    the last slot of the last row, which the commutative mode (suffix
-    packings, last row first) checks alone.  Over F_p the entries are large
-    residues, so the slots fill up."""
+    the last slot of the last row: on the table, which is commutative, the
+    suffix packings check it alone, in the row they make first, and on the
+    variant where e0 is no right unit for e3 the full rows check it last.
+    Over F_p the entries are large residues, so the slots fill up."""
     f = FIELDS[name]
     table = _tail_table(f)
     unit = (f.one(),) + (f.zero(),) * 3
@@ -490,9 +502,9 @@ def test_is_automorphism_breaks_on_exactly_the_last_pair(name):
         diag = (f.one(), a2, f.mul(a2, a2), b)
         m = tuple(tuple(v if i == j else f.zero() for j in range(4)) for i, v in enumerate(diag))
         phi = LinMap(m, f, "tail4", "tail4")
-        for commutative in (False, True):
-            assert _ref_failures(m, _ref_product(table, f), unit, f, commutative) == bad
-            assert linmaps.is_automorphism(phi, table, unit, commutative) is (not bad)
+        for t in (table, _without(table, (3, 0, 3))):
+            assert _ref_failures(m, _ref_product(t, f), unit, f) == bad
+            assert linmaps.is_automorphism(phi, t, unit) is (not bad)
 
 
 def test_product_law_slots_hold_its_left_side():
@@ -503,36 +515,88 @@ def test_product_law_slots_hold_its_left_side():
     all-ones vector, so it keeps the product: the law holds mod 31 with
     left side 30 * 1117 and image side 30 at every coordinate c > 0.  Their
     difference, 33,480, needs 4-byte slots, which S max|M|^2 = 27,000
-    alone would not take; the 2-byte slots of that bound refuse it."""
+    alone would not take; the 2-byte slots of that bound refuse it.  The
+    same holds on the non-commutative variant with x_0 y added to x.y
+    (e_0 also a left unit; phi keeps it, as phi(x)_0 = x_0), where S = 31
+    and every pair is checked."""
     f, n = Fp(31), 38
     table = MulTable(n, [(0, 0, k, 30) for k in range(n)])
+    variant = MulTable(n, table.entries + tuple((0, j, j, 1) for j in range(n)))
+    assert table.commutative and not variant.commutative
     m = (tuple(int(j == 0) for j in range(n)),) + tuple(
         tuple(7 if j == c else 30 for j in range(n)) for c in range(1, n))
     ones = (1,) * n
-    assert 30 * (sum(m[1]) - 1) >= 2**15 > 30 * 30**2
+    assert 30 * (sum(m[1]) - 1) >= 2**15 > variant.int_sum() * 30**2
     phi = LinMap(m, f, "ones38", "ones38")
-    for commutative in (False, True):
-        assert _ref_failures(m, _ref_product(table, f), ones, f, commutative) == []
-        assert linmaps.is_automorphism(phi, table, ones, commutative) is True
+    for t in (table, variant):
+        assert _ref_failures(m, _ref_product(t, f), ones, f) == []
+        assert linmaps.is_automorphism(phi, t, ones) is True
 
 
 def test_product_law_slots_hold_the_map_denominator():
     """Over Q the left side of the law carries the denominator d of the map
-    (a = d in `linmaps._law_packing`): on F^2 with e_i.e_j = -(e_0 + e_1)
-    for all i, j (S = 4), the map (2 / (2^32 + 1)) [[1, 1], [0, 0]] keeps no
-    product, yet each row of its packed differences,
-    d M mul_ints(e_i, e_l) - mul_ints(M e_i, M e_l), is 0 as an int in the
-    2-byte slots that n S max|M| + S max|M|^2 = 32 alone would take."""
+    (a = d in `linmaps._law_packing`): on F^2 with e_0.e_0 = -(e_0 + e_1)
+    and every other product of basis vectors -e_1 (S = 4), the map
+    (1 / (2^32 + 1)) [[1, 0], [0, 0]] keeps no product, yet each row of its
+    packed differences, d M mul_ints(e_i, e_l) - mul_ints(M e_i, M e_l), is
+    0 as an int in the 2-byte slots that n S max|M| + S max|M|^2 = 12 alone
+    would take: row 1 is 0, and row 0 holds 1 - d at slot 0 and 1 two slots
+    up, 2^32.  So it is on the table, which is commutative, and on the
+    variant with e_1.e_0 = 0, where every pair is checked."""
     f = Q()
-    table = MulTable(2, [(i, j, k, -1) for i in range(2) for j in range(2) for k in range(2)])
-    c = Fraction(2, 2**32 + 1)
-    m = ((c, c), (f.zero(), f.zero()))
+    table = MulTable(2, [(0, 0, 0, -1), (0, 0, 1, -1), (0, 1, 1, -1), (1, 0, 1, -1), (1, 1, 1, -1)])
+    m = ((Fraction(1, 2**32 + 1), f.zero()), (f.zero(), f.zero()))
     zero = (f.zero(),) * 2
     phi = LinMap(m, f, "sum2", "sum2")
-    assert phi._ints == (2**32 + 1, ((2, 2), (0, 0)))
-    for commutative in (False, True):
-        assert _ref_failures(m, _ref_product(table, f), zero, f, commutative) != []
-        assert linmaps.is_automorphism(phi, table, zero, commutative) is False
+    assert phi._ints == (2**32 + 1, ((1, 0), (0, 0)))
+    for t in (table, _without(table, (1, 0, 1))):
+        assert _ref_failures(m, _ref_product(t, f), zero, f) != []
+        assert linmaps.is_automorphism(phi, t, zero) is False
+
+
+def _one_sided_table(field):
+    """F^3 with unit e0, e1.e2 = e1 and e2.e2 = e2, and e2.e1 = 0."""
+    one = field.one()
+    return MulTable(3, [(0, 0, 0, one), (0, 1, 1, one), (1, 0, 1, one), (0, 2, 2, one),
+                        (2, 0, 2, one), (1, 2, 1, one), (2, 2, 2, one)])
+
+
+def test_is_automorphism_checks_both_orders_of_a_non_commutative_table():
+    """Over F_7 the map with rows (1, 0, 1), (0, 2, 0), (0, 0, 0) fixes the
+    unit and keeps every product e_i.e_j with i <= j of the one-sided
+    table, but not e2.e1 = 0: the table is not commutative, so the
+    certificate checks that pair too and refuses the map."""
+    f = Fp(7)
+    table = _one_sided_table(f)
+    unit = (1, 0, 0)
+    m = ((1, 0, 1), (0, 2, 0), (0, 0, 0))
+    assert not table.commutative
+    assert _ref_failures(m, _ref_product(table, f), unit, f, commutative=True) == []
+    assert _ref_failures(m, _ref_product(table, f), unit, f) == [(2, 1)]
+    assert linmaps.is_automorphism(LinMap(m, f, "one3", "one3"), table, unit) is False
+
+
+@pytest.mark.parametrize("name", ["Q", "Fp:7"])
+def test_is_automorphism_refuses_a_target_of_another_denominator(name):
+    """A has e1.e1 = (1/2) e0 (D = 2) and B has e1*e1 = 2 e0 (D = 1), and
+    phi = diag(1, 1/2) takes the one product to the other.  Over Q the two
+    integer denominators differ and the certificate raises AlgebraMismatch
+    naming both; over F_7 both are 1, and phi passes."""
+    f = FIELDS[name]
+    one = f.one()
+    table = MulTable(2, [(0, 0, 0, one), (0, 1, 1, one), (1, 0, 1, one),
+                         (1, 1, 0, f.parse_scalar("1/2"))])
+    target = MulTable(2, [(0, 0, 0, one), (0, 1, 1, one), (1, 0, 1, one),
+                          (1, 1, 0, f.from_int(2))])
+    m = ((one, f.zero()), (f.zero(), f.parse_scalar("1/2")))
+    phi = LinMap(m, f, "two2", "two2")
+    assert _ref_failures(m, _ref_product(table, f), (one, f.zero()), f,
+                         target=_ref_product(target, f)) == []
+    if f.p:
+        assert linmaps.is_automorphism(phi, table, (one, f.zero()), target=target) is True
+        return
+    with pytest.raises(AlgebraMismatch, match="denominator 1 is not the table's 2"):
+        linmaps.is_automorphism(phi, table, (one, f.zero()), target=target)
 
 
 def test_unit_law_is_judged_entry_by_entry(monkeypatch):
@@ -635,12 +699,19 @@ def _ref_anti_failures(phi, algebra):
 def test_opposite_table_keeps_the_integer_scale(name):
     """The opposite of the Brown table over zeta = -2/5 swaps the first two
     indices in entry order and keeps D and `int_sum`; e_i.e_j read off it is
-    e_j.e_i."""
+    e_j.e_i.  It is built once, with its integer form: the table's integer
+    rows with i and j swapped, the form `int_table` derives from its
+    entries."""
     f = FIELDS[name]
     table = BrownAlgebra(Catalog(f).J, f.parse_scalar("-2/5")).table
     opposite = table.opposite()
+    assert table.opposite() is opposite
     assert opposite.entries == tuple((j, i, k, c) for i, j, k, c in table.entries)
-    assert opposite.int_table()[0] == table.int_table()[0]
+    swapped = [[] for _ in range(table.n)]
+    for i, j, k, c in table.int_entries():
+        swapped[j].append((i, k, c))
+    assert opposite.int_table() == (table.int_table()[0], swapped)
+    assert opposite.int_table() == MulTable(table.n, opposite.entries).int_table()
     assert opposite.int_sum() == table.int_sum()
     e = linalg.identity(table.n, f)
     assert opposite.apply(e[2], e[40], f) == table.apply(e[40], e[2], f)
