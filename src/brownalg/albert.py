@@ -279,6 +279,8 @@ class AlbertAlgebra(Algebra):
         self.field = field
         f = field
         if model == "her":
+            if varsigma is not None:
+                raise ValueError("varsigma belongs to the Tits model, not the Hermitian one")
             if octonions is None or octonions.dim != 8:
                 raise ValueError("Hermitian model needs a dimension-8 composition algebra")
             if octonions.field != field:
@@ -291,6 +293,9 @@ class AlbertAlgebra(Algebra):
             self.varsigma = None
             self.basis_tag = f"her:{octonions.basis_tag}:gamma={','.join(f.scalar_str(g) for g in gamma)}"
         elif model == "tits":
+            for name, arg in (("octonions", octonions), ("gamma", gamma)):
+                if arg is not None:
+                    raise ValueError(f"{name} belongs to the Hermitian model, not the Tits one")
             self.octonions = None
             self.gamma = None
             vs = f.coerce(1 if varsigma is None else varsigma)

@@ -158,11 +158,16 @@ def _diag3_det1(f, x1, x2):
     return ((x1, zero, zero), (zero, x2, zero), (zero, zero, x3))
 
 
+# the number of torus parameters at each level, and the level of each number
+_TORUS_ARITY = {"G2": 2, "F4": 4, "E6": 6}
+_TORUS_LEVEL = {k: level for level, k in _TORUS_ARITY.items()}
+
+
 def make_torus_element(algebra, params, level: str) -> LinMap:
     """Split-torus elements.  G2: c_{diag(eta nu, 1)} . f_{diag(nu^-1, nu)} on
     the octonions (matches the displayed diagonal).  F4: phi(U, U, V); E6:
     phi(U, V, W) with U, V, W = diag(x1, x2, (x1 x2)^-1)."""
-    arity = {"G2": 2, "F4": 4, "E6": 6}.get(level)
+    arity = _TORUS_ARITY.get(level)
     if arity is None:
         raise ValueError(f"unknown level {level!r}")
     f = algebra.field
@@ -418,11 +423,11 @@ class Catalog:
             if name != "t":
                 raise ValueError(f"unknown parameterized descriptor {text!r}")
             params = [self.field.parse_scalar(tok) for tok in arg.split(",")]
-            if len(params) == 2:
-                return lift_c_to_j(make_torus_element(self.octonions, params, "G2"), self.J)
-            level = {4: "F4", 6: "E6"}.get(len(params))
+            level = _TORUS_LEVEL.get(len(params))
             if level is None:
                 raise ArityMismatch("torus descriptors take 2, 4 or 6 parameters")
+            if level == "G2":
+                return lift_c_to_j(make_torus_element(self.octonions, params, level), self.J)
             return make_torus_element(self.Jt, params, level)
         if text == "s":
             return make_s(self.J)

@@ -1,28 +1,28 @@
 """Exact linear algebra over Q and F_p.
 
 Matrices are tuples of row tuples of raw field values: `Fraction` over Q,
-`int` in [0, p) over F_p.  `mat_mul` and the row operations of `rref` skip
-zero entries, so the sparse near-permutation maps of the involution catalog
-cost proportionally less.  `MatVec.apply`, the one code that picks the
-kernel for the field, multiplies an integer matrix by vectors;
-`AlbertAlgebra.uop_map` builds its integer rows from `MulTable.mul_ints` on a
-stacked identity instead.
+`int` in [0, p) over F_p.  Their shapes are checked once, where the rows
+enter (`_int_rows`, `mat_mul`, and squareness in `solve_right` and
+`inverse`): ragged rows or factors that do not fit raise CarrierMismatch.
+`mat_mul` and the row operations of elimination skip zero entries, so the
+sparse near-permutation maps of the involution catalog cost proportionally
+less.  `MatVec.apply`, the one code that picks the kernel for the field,
+multiplies an integer matrix by vectors; `AlbertAlgebra.uop_map` builds its
+integer rows from `MulTable.mul_ints` on a stacked identity instead.
 
-Over F_p the kernels hold each row (for `MatVec`, each column) as one
-Python int with one fixed-width slot per entry, entry j in slot j from the
-low end on every host (Kronecker substitution; Harvey, J. Symb. Comp. 44,
-2009): a row operation is one big-integer multiply-add in C instead of a
-Python loop over the entries.  The kernels take entries in [0, p) and do
-not reduce their input.  Entries stay nonnegative and are only added up,
-so a slot never borrows from its neighbour; it only needs room for the
-largest sum it can reach, and the rows are unpacked and reduced mod p at
-the end.  `_slot` sizes the slots: n (p-1)^2 for a product with inner
-dimension n, and min(m, n) (p-1)^2 for `rref` on an m x n matrix.  `rref`
-eliminates with row_i += (p - f) row_r, and a row receives at most one such
-update per pivot, with the pivot row unpacked, reduced, scaled and repacked
-when it is chosen; so no slot can overflow (the proof is in `_eliminate`)
-and no reduction is needed partway through.  An entry is read by shift,
-mask and reduction mod p.
+Over F_p `MatVec` holds each column as one Python int with one fixed-width
+slot per entry, entry j in slot j from the low end on every host (Kronecker
+substitution; Harvey, J. Symb. Comp. 44, 2009): M v is one big-integer
+multiply-add per nonzero v_k in C instead of a Python loop over the
+entries.  It takes entries in [0, p) and does not reduce its input.
+Entries stay nonnegative and are only added up, so a slot never borrows
+from its neighbour; it only needs room for the largest sum, n (p-1)^2 for
+inner dimension n (`_slot`), and the caller reduces mod p at the end.
+Elimination over F_p needs no packing: it is plain Gauss-Jordan on integer
+lists kept in [0, p), with each pivot row scaled to 1 and every other row
+updated as row_i - f row_r mod p on the pivot row's nonzero entries only.
+Kronecker packing stays where it pays, in `MatVec` (and so `int_mat_mul`
+over F_p) and in the `SignedPacking` certificates.
 
 `SignedPacking` packs rows of any sign on both fields: row v is the one int
 sum_j v_j 2^(s j) whatever the signs, and a sum of multiples of packed rows
@@ -32,13 +32,13 @@ docstring states the rule, and `SignedPacking.is_zero` applies it.  Over Q
 the packed int must be 0; over F_p "every entry is 0 mod p" is decided by
 one division by p, two additions and two masks on the whole int, and no
 slot is read back.  The certificates that use it, each with its own
-identity and bound, are `IntSpan.closed`, the basis-pair product law that
-`linmaps.is_automorphism` and `linmaps.is_inv_member` share and
-`LinMap.order_divides_two`.  A product that is
-linear in one operand, such as `MulTable.mul_ints`, maps the stack of many
-vectors (`SignedPacking.stack` and `suffixes`) to the stack of their images,
-so one call covers them all; `SignedPacking.unstack` reads one of the images
-back, and `unpack_signed` every entry of one packing.
+identity and bound, are `IntSpan.closed` and the basis-pair product law
+that `linmaps.is_automorphism` and `linmaps.is_inv_member` share.  A
+product that is linear in one operand, such as `MulTable.mul_ints`, maps
+the stack of many vectors (`SignedPacking.stack` and `suffixes`) to the
+stack of their images, so one call covers them all;
+`SignedPacking.unstack` reads one of the images back, and `unpack_signed`
+every entry of one packing.
 
 `to_ints` and `from_ints` are the one scaled-integer form of the package: a
 vector of field values is (d, ints) with values == ints / d, d the lcm of
@@ -95,7 +95,7 @@ import struct
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import MixedFields, NonArithmeticField
+from .errors import CarrierMismatch, MixedFields, NonArithmeticField
 from .fields import _ZERO, PRIME, RATIONALS, FieldSpec
 
 
@@ -385,8 +385,11 @@ class SignedPacking:
 def mat_mul(a, b, field: FieldSpec):
     """a b for matrices of field values: the `int_mat_mul` of their
     `to_ints` forms (d_a, A) and (d_b, B), with row i converted once by
-    `from_ints` over d_a d_b, on both fields."""
-    k, n = len(b), len(b[0]) if b else 0
+    `from_ints` over d_a d_b, on both fields.  Ragged rows, or rows of a
+    whose length is not the number of rows of b, raise CarrierMismatch."""
+    k, n = len(b), _width(b)
+    if a and _width(a) != k:
+        raise CarrierMismatch(f"cannot multiply rows of length {len(a[0])} by {k} rows")
     da, ia = to_ints([v for row in a for v in row], field)
     db, ib = to_ints([v for row in b for v in row], field)
     prod = int_mat_mul([ia[i * k : i * k + k] for i in range(len(a))],
@@ -413,8 +416,19 @@ def int_mat_mul(a, b, field: FieldSpec):
     return out
 
 
+def _width(a) -> int:
+    """The length of every row of the matrix a (0 for no rows); ragged rows
+    raise CarrierMismatch."""
+    n = len(a[0]) if a else 0
+    if any(len(r) != n for r in a):
+        raise CarrierMismatch(f"matrix rows of lengths {sorted(set(map(len, a)))}")
+    return n
+
+
 def _int_rows(a, field: FieldSpec):
-    """The `to_ints` integer row of each row of a, each over its own d."""
+    """The `to_ints` integer row of each row of a, each over its own d;
+    ragged rows raise CarrierMismatch."""
+    _width(a)
     return [to_ints(r, field)[1] for r in a]
 
 
@@ -431,51 +445,39 @@ def rref(a, field: FieldSpec):
 
 def _eliminate(rows, field):
     """(rows, pivots): the nonzero rows of the reduced row echelon form of an
-    integer matrix (entries in [0, p) over F_p), one per pivot column, each
-    as an integer row times a nonzero factor: over Q a primitive row, over
-    F_p a row with the pivot entry 1 whose other entries are reduced mod p
-    only by the caller (`from_ints` or `lowest_terms` over row[pivot]).
+    integer matrix, one per pivot column, each as an integer row times a
+    nonzero factor: over Q a primitive row (`_eliminate_q`), over F_p the
+    RREF row itself, its pivot entry 1 and every entry in [0, p).
 
-    Over F_p no packed entry exceeds K (p-1)^2, K = min(m, n), which sizes
-    the slots.  Entries start in [0, p), a pivot row is reduced into [0, p)
-    when it is chosen, and a row gains at most (p-1)^2 per entry from each
-    pivot after that, one update per pivot.  So a row with at most K - 1
-    updates since it was last reduced holds at most
-    (p-1) + (K-1)(p-1)^2 <= K (p-1)^2.  K updates reach only a row that is
-    never a pivot row when every column is a pivot column (K = n < m).
-    Then at column j the pivot rows after j are 0 there, and pivot j's own
-    update adds at most p - 1, so the entry is at most
-    2 (p-1) + (n-1)(p-1)^2 <= n (p-1)^2, as p >= 5."""
+    Over F_p it is Gauss-Jordan mod p on integer lists: the pivot is the
+    first entry nonzero mod p, the pivot row is scaled to 1, and every other
+    row with a nonzero entry f in the pivot column becomes row_i - f row_r
+    mod p, computed at the pivot row's nonzero entries only.  So an input
+    entry off [0, p) is read as its residue."""
     if field.kind == RATIONALS:
         return _eliminate_q(rows)
     p = _modulus(field)
+    rows = list(rows)
     m = len(rows)
     n = len(rows[0]) if m else 0
-    slot = _slot(min(m, n) * (p - 1) ** 2)
-    bits = 8 * slot
-    mask = (1 << bits) - 1
-    rows = [_pack(r, slot) for r in rows]
     pivots = []
     r = 0
     for c in range(n):
-        shift = bits * c
-        pr = next((i for i in range(r, m) if (rows[i] >> shift & mask) % p), -1)
+        pr = next((i for i in range(r, m) if rows[i][c] % p), -1)
         if pr < 0:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
-        vals = _unpack(rows[r], n, slot)
-        inv = field.inv(vals[c] % p)
-        rr = rows[r] = _pack([v * inv % p for v in vals], slot)
+        inv = field.inv(rows[r][c] % p)
+        rr = rows[r] = [v * inv % p for v in rows[r]]
         for i in range(m):
-            if i != r:
-                f = (rows[i] >> shift & mask) % p
-                if f:
-                    rows[i] += (p - f) * rr
+            f = rows[i][c]
+            if i != r and f:
+                rows[i] = [(vi - f * vr) % p if vr else vi for vi, vr in zip(rows[i], rr)]
         pivots.append(c)
         r += 1
         if r == m:
             break
-    return [_unpack(row, n, slot) for row in rows[:r]], pivots
+    return rows[:r], pivots
 
 
 def _eliminate_q(rows):
@@ -551,14 +553,21 @@ def nullspace(a, field: FieldSpec):
 
 
 def inverse(a, field: FieldSpec):
-    """Exact inverse; returns None when singular."""
+    """Exact inverse; returns None when singular, and a matrix that is not
+    square raises CarrierMismatch (`solve_right`)."""
     return solve_right(a, identity(len(a), field), field)
 
 
 def solve_right(a, b, field: FieldSpec):
     """Solve a X = b for square invertible a (b a matrix); None if singular.
-    `int_solve` of the `to_ints` rows of [a | b], converted once per row."""
+    `int_solve` of the `to_ints` rows of [a | b], converted once per row.
+    An a that is not square, or a b with another number of rows, raises
+    CarrierMismatch."""
     n = len(a)
+    if _width(a) != n:
+        raise CarrierMismatch(f"matrix with {n} rows is not square")
+    if len(b) != n:
+        raise CarrierMismatch(f"{len(b)} right-hand rows for {n} equations")
     sol = int_solve(_int_rows([tuple(a[i]) + tuple(b[i]) for i in range(n)], field), n, field)
     if sol is None:
         return None

@@ -30,17 +30,17 @@ is `linalg.kernel` of b M - a d I, an integer matrix.  `inverse_map` is d
 M^-1, the solution X of M X = d I (`linalg.int_solve` on [M | d I]), made
 with `of_ints`.  A map over a field with no element arithmetic is refused
 when it is made.  A map also keeps whether it squares to the identity:
-`order_divides_two` checks M M = d^2 I once, on packed rows of its integer
-form.
+`order_divides_two` is `is_identity` of the map's `compose` with itself,
+computed once, so it needs no packing of its own, and powers made by
+`compose` decide any order m the same way.
 
-The product law and the order check below form the packed difference of
-the two sides of their identity and hand it to
-`linalg.SignedPacking.is_zero`, with slots sized from a bound on that
-difference (the rule is stated once, in the `SignedPacking` docstring): the
-law's slots by `_law_packing`, for both of its callers.  The unit law of
-`is_automorphism` is one plain integer difference, judged entry by entry,
-and the norm multiplier of `is_inv_member` a single integer dot product,
-read as a field value.
+The product law below forms the packed difference of the two sides of its
+identity and hands it to `linalg.SignedPacking.is_zero`, with slots sized
+from a bound on that difference (the rule is stated once, in the
+`SignedPacking` docstring) by `_law_packing`, for both of its callers.  The
+unit law of `is_automorphism` is one plain integer difference, judged entry
+by entry, and the norm multiplier of `is_inv_member` a single integer dot
+product, read as a field value.
 
 Membership in Aut and in Inv(J), and the anti-automorphism laws, are one
 product law on basis pairs, a P mul_ints(e_i, e_l) = b target.mul_ints(M e_i,
@@ -236,27 +236,9 @@ class LinMap:
 
     @functools.cached_property
     def _order_divides_two(self) -> bool:
-        """Whether M M = d^2 I for the integer form (d, M) of the map,
-        computed once per map.  Row i of M M - d^2 I is
-        sum_k M[i][k] R_k - d^2 2^(s i), with R_k row k of M packed
-        (`SignedPacking`).  No matrix of field values is built.
-
-        The slots hold n top^2, top = max|M|: n terms M[i][k] M[k][j].  The
-        d^2 on the diagonal needs no term of its own.  Over F_p, d = 1 and
-        M has entries in [0, p), so every entry lies in [-1, n top^2].  Over
-        Q, `is_zero` reads acc == 0, and a packing of 0 has its lowest
-        nonzero entry a multiple of 2^s, which no entry off the diagonal
-        reaches.  Row n - 1 has no slot above its diagonal, so it passes
-        only if it is 0; then d^2 = (M M)[n-1][n-1] <= n top^2, every entry
-        of every row is below 2 n top^2 < 2^s, and each packing of 0 is a
-        zero row."""
-        d, m = self._ints
-        n = self.dim
-        packing = SignedPacking.holding(n * self._top ** 2, self.field)
-        rows = [packing.pack(row) for row in m]
-        return all(packing.is_zero(sum([x * rows[k] for k, x in enumerate(row) if x])
-                                   - (d * d << 8 * packing.slot * i), n)
-                   for i, row in enumerate(m))
+        """Whether the map squares to the identity: `is_identity` of its
+        `compose` with itself, computed once per map."""
+        return self.compose(self).is_identity()
 
     def fixed_space(self):
         """Basis of ker(self - id)."""

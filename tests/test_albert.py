@@ -759,3 +759,19 @@ def test_tits_diagonal_torus_characters():
                 expect = [f.zero()] * 27
                 expect[idx] = f.mul(left[p], f.inv(right[q]))
                 assert img == tuple(expect)
+
+
+@pytest.mark.parametrize("field", [Q(), Fp(7)], ids=str)
+def test_each_model_refuses_the_other_models_arguments(field):
+    """gamma or octonions on the Tits model and varsigma on the Hermitian
+    model raise ValueError naming the argument, instead of building a model
+    that drops it."""
+    o = CDAlgebra.split_octonions(field)
+    for kwargs, name in ((dict(gamma=(1, 2, 3)), "gamma"), (dict(octonions=o), "octonions")):
+        with pytest.raises(ValueError, match=f"^{name} belongs to the Hermitian model"):
+            AlbertAlgebra("tits", field, **kwargs)
+    with pytest.raises(ValueError, match="^varsigma belongs to the Tits model"):
+        AlbertAlgebra("her", field, octonions=o, varsigma=5)
+    assert AlbertAlgebra("tits", field, varsigma=5).basis_tag == f"tits:{field}:varsigma=5"
+    assert AlbertAlgebra("her", field, octonions=o, gamma=(1, 2, 3)).gamma == \
+        tuple(map(field.coerce, (1, 2, 3)))

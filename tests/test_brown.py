@@ -201,7 +201,8 @@ def test_varpi_conjugation_realizes_dagger():
 def test_varpi_check_reindexes_the_lift(monkeypatch, field):
     """`verify.check_varpi_dagger` conjugates each lift by varpi with no
     `compose`: it reindexes the lift by the permutation read off varpi's
-    matrix.  Each sampled U_x is certified once: the lift of its dagger
+    matrix.  The one `compose` it makes is varpi with itself, the order
+    check.  Each sampled U_x is certified once: the lift of its dagger
     reuses the copy of U_x kept as the dagger's dagger.  A varpi that is not
     a coordinate permutation (-varpi, also of order 2) fails the check; the
     check reads varpi from the catalog, which builds it with
@@ -211,12 +212,19 @@ def test_varpi_check_reindexes_the_lift(monkeypatch, field):
     image_rows = linmaps._image_rows
     monkeypatch.setattr(linmaps, "_image_rows", lambda *args: calls.append(1) or image_rows(*args))
 
-    def forbidden(*args):
-        raise AssertionError("dense compose in the varpi check")
+    squared = []
+    compose = LinMap.compose
 
-    monkeypatch.setattr(LinMap, "compose", forbidden)
+    def squaring(self, other):
+        if other is not self:
+            raise AssertionError("dense compose in the varpi check")
+        squared.append(self)
+        return compose(self, other)
+
+    monkeypatch.setattr(LinMap, "compose", squaring)
     verify.check_varpi_dagger(ctx)
     assert len(calls) == ctx.scaled(0.1) == 5
+    assert len(squared) == 1 and squared[0] is ctx.cat.realize("varpi", "B")
     b = ctx.cat.B
     minus = b.linmap(tuple(tuple(field.neg(v) for v in row) for row in b.varpi().matrix))
     monkeypatch.setattr(BrownAlgebra, "varpi", lambda self: minus)

@@ -1,6 +1,7 @@
 """Every name a module of the package imports is used in that module, no
 module takes another's private names, U_x is built as a map in one place,
-and whether a product commutes is read off its table alone."""
+whether a product commutes is read off its table alone, and Kronecker
+packing stays in `linalg.MatVec` and `linalg.SignedPacking`."""
 
 import ast
 import pathlib
@@ -84,10 +85,11 @@ ALLOWED_UOP_MATRIX = {("albert", None), ("verify", "check_uop_coherence")}
 
 
 def _calls(tree, attr):
-    """(top-level function or None, line) for each call of `attr`, as a name
-    or an attribute."""
+    """(top-level function or class, or None, line) for each call of `attr`,
+    as a name or an attribute."""
     for top in tree.body:
-        owner = top.name if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)) else None
+        owner = (top.name if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                 else None)
         for node in ast.walk(top):
             if isinstance(node, ast.Call):
                 func = node.func
@@ -148,13 +150,8 @@ SLOT_WIDTHS = {
         "test_kernels_linalg.py::test_packed_kernels_at_the_largest_slot_values",),
     ("linalg", "SignedPacking.holding"): (
         "test_kernels_linalg.py::test_signed_pack_round_trip_and_separation",),
-    ("linalg", "_eliminate"): (
-        "test_kernels_linalg.py::test_rref_at_the_largest_slot_values",),
     ("linalg", "IntSpan.closed"): (
         "test_kernels_linalg.py::test_packed_closure_matches_reference",),
-    ("linmaps", "LinMap._order_divides_two"): (
-        "test_linmaps.py::test_order_divides_two_slots_hold_n_products",
-        "test_linmaps.py::test_order_divides_two_matches_field_value_square"),
     ("linmaps", "_law_packing"): (
         "test_linmaps.py::test_product_law_slots_hold_its_left_side",
         "test_linmaps.py::test_product_law_slots_hold_the_map_denominator",
@@ -191,6 +188,23 @@ def test_every_slot_width_names_its_edge_tests():
             defs = {n.name for n in ast.parse((tests / file).read_text()).body
                     if isinstance(n, ast.FunctionDef)}
             assert test in defs, name
+
+
+# Kronecker packing pays in two places, the F_p mat-vec kernel `MatVec` and
+# the signed certificates of `SignedPacking`: only they and their private
+# helpers call linalg's raw packing functions, so any other packed check
+# sizes its slots with `SignedPacking.holding`
+PACKING_HELPERS = ("_pack", "_unpack", "_slot")
+PACKERS = {"MatVec", "SignedPacking", "_offsets", "_pack_signed"}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_packing_stays_in_matvec_and_signed_packing(path):
+    tree = ast.parse(path.read_text())
+    found = [f"{name} in {owner} (line {line})" for name in PACKING_HELPERS
+             for owner, line in _calls(tree, name)
+             if path.stem != "linalg" or owner not in PACKERS]
+    assert not found, f"{path.name} packs outside MatVec and SignedPacking: {', '.join(found)}"
 
 
 # the quatclass code that may read a field's kind or p: the table of

@@ -133,6 +133,25 @@ def test_torus_errors():
         make_torus_element(jt, (1, 1), "G2")
 
 
+@pytest.mark.parametrize("params, level", [((1, 2), "G2"), ((1, 2, 4, 1), "F4"),
+                                           ((1, 2, 4, 1, 2, 4), "E6")])
+def test_torus_arity_messages(params, level):
+    """Each level and each descriptor length read one arity table: a torus
+    element with one parameter too many names its level and count, and a
+    descriptor with a count of no level names the counts that are."""
+    c, jt = CDAlgebra.split_octonions(Fp(7)), tits(Fp(7))
+    algebra = c if level == "G2" else jt
+    k = len(params)
+    with pytest.raises(ArityMismatch) as err:
+        make_torus_element(algebra, params + (1,), level)
+    assert str(err.value) == f"level {level} needs {k} parameters, got {k + 1}"
+    cat = Catalog(Fp(7))
+    assert cat.realize("t:" + ",".join(map(str, params)), "J").dim == 27
+    with pytest.raises(ArityMismatch) as err:
+        cat.realize("t:" + ",".join(map(str, params + (1,))), "J")
+    assert str(err.value) == "torus descriptors take 2, 4 or 6 parameters"
+
+
 # -- albert level ----------------------------------------------------------------
 
 def test_lifted_t_hat():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from brownalg import linalg
 from brownalg.albert import split_albert
-from brownalg.errors import NonArithmeticField
+from brownalg.errors import CarrierMismatch, NonArithmeticField
 from brownalg.fields import _ZERO, FieldSpec, Fp, Q
 from brownalg.involutions import Catalog, fixed_subalgebra
 from brownalg.kernels import BACKEND, MulTable
@@ -335,9 +335,10 @@ def test_packed_kernels_at_the_largest_slot_values():
 def _largest_slot_rref_input(m, n, p):
     """An m x n matrix (n >= 2m) whose Gauss-Jordan elimination mod p has
     every row multiplier f = 1 and every scaled pivot row equal to p - 1 in
-    the columns from m on: the packed `rref` adds the largest increment,
-    (p - f)(p - 1) = (p - 1)^2, to those slots of row 0 at each of the
-    m - 1 pivots after its own.  Built backwards from the RREF [I | X]:
+    the columns from m on: an elimination that accumulates row_i += (p - f)
+    row_r unreduced adds the largest increment, (p - f)(p - 1) = (p - 1)^2,
+    to those entries of row 0 at each of the m - 1 pivots after its own.
+    Built backwards from the RREF [I | X]:
     step c is undone by scaling row c by d_c and adding it to every other
     row, and X[c] = m - 2 - c makes row c read -1 after step c."""
     rows = [[int(i == j) for j in range(m)] + [(m - 2 - i) % p] * (n - m) for i in range(m)]
@@ -350,9 +351,9 @@ def _largest_slot_rref_input(m, n, p):
 
 
 def test_rref_at_the_largest_slot_values():
-    """56 x 112 elimination that puts 55 (p - 1)^2 into the slots of row 0:
-    more than 2 bytes hold at p = 37, so a slot bound of fewer than 51
-    updates would overflow."""
+    """The verdict of a 56 x 112 elimination whose unreduced updates would
+    add 55 (p - 1)^2 to the entries of row 0, more than 2 bytes hold at
+    p = 37: `rref` reduces every update mod p and matches Gauss-Jordan."""
     for p in (7, 37, 8761):
         a = _largest_slot_rref_input(56, 112, p)
         rows, pivots = linalg.rref(a, Fp(p))
@@ -579,8 +580,11 @@ def test_empty_span(field):
     assert not linalg.same_span([], [(1, 0, 0)], field)
 
 
-def _ref_q_rref(a, field):
-    """Gauss-Jordan elimination in Fractions, skipping zero entries."""
+def _ref_field_rref(a, field):
+    """Gauss-Jordan elimination one field operation at a time
+    (`FieldSpec.inv`, `mul` and `sub`), skipping zero entries: in Fractions
+    over Q and in residues over F_p, with no integer form and no linalg
+    code."""
     rows = [list(r) for r in a]
     m = len(rows)
     n = len(rows[0]) if m else 0
@@ -590,13 +594,14 @@ def _ref_q_rref(a, field):
         if pr < 0:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
-        inv = 1 / Fraction(rows[r][c])
-        rows[r] = [v * inv for v in rows[r]]
+        inv = field.inv(rows[r][c])
+        rows[r] = [field.mul(v, inv) for v in rows[r]]
         rr = rows[r]
         for i in range(m):
             f = rows[i][c]
             if i != r and f:
-                rows[i] = [vi - f * vr if vr else vi for vi, vr in zip(rows[i], rr)]
+                rows[i] = [field.sub(vi, field.mul(f, vr)) if vr else vi
+                           for vi, vr in zip(rows[i], rr)]
         pivots.append(c)
         r += 1
         if r == m:
@@ -662,25 +667,27 @@ def _all_fractions(matrix):
     return all(type(v) is Fraction for row in matrix for v in row)
 
 
-def _ref_q_nullspace(a):
-    """Basis of {v : a v = 0} read off `_ref_q_rref`: for each free column
-    fc, 1 at fc and minus column fc of the pivot rows at their pivots."""
-    rows, pivots = _ref_q_rref(a, Q())
+def _ref_field_nullspace(a, field):
+    """Basis of {v : a v = 0} read off `_ref_field_rref`: for each free
+    column fc, 1 at fc and minus column fc of the pivot rows at their
+    pivots."""
+    rows, pivots = _ref_field_rref(a, field)
     n = len(a[0])
     out = []
     for fc in (c for c in range(n) if c not in pivots):
-        v = [Fraction(0)] * n
-        v[fc] = Fraction(1)
+        v = [field.zero()] * n
+        v[fc] = field.one()
         for row, pc in zip(rows, pivots):
-            v[pc] = -row[fc]
+            v[pc] = field.neg(row[fc])
         out.append(tuple(v))
     return out
 
 
-def _ref_q_solve_right(a, b):
-    """X with a X = b from `_ref_q_rref` of [a | b], None when a is singular."""
+def _ref_field_solve_right(a, b, field):
+    """X with a X = b from `_ref_field_rref` of [a | b], None when a is
+    singular."""
     n = len(a)
-    rows, pivots = _ref_q_rref([tuple(a[i]) + tuple(b[i]) for i in range(n)], Q())
+    rows, pivots = _ref_field_rref([tuple(a[i]) + tuple(b[i]) for i in range(n)], field)
     if pivots[:n] != tuple(range(n)):
         return None
     return tuple(tuple(row[n:]) for row in rows)
@@ -696,15 +703,15 @@ def test_q_kernels_match_fraction_reference():
     for a, b in _q_cases(rng):
         got = {"rref": linalg.rref(a, q), "mat_mul": linalg.mat_mul(a, b, q),
                "nullspace": linalg.nullspace(a, q)}
-        expected = {"rref": _ref_q_rref(a, q), "mat_mul": _ref_q_mat_mul(a, b, q),
-                    "nullspace": _ref_q_nullspace(a)}
+        expected = {"rref": _ref_field_rref(a, q), "mat_mul": _ref_q_mat_mul(a, b, q),
+                    "nullspace": _ref_field_nullspace(a, q)}
         if len(a) == len(a[0]):
             n = len(a)
             unit = tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
             got["inverse"] = linalg.inverse(a, q)
             got["solve_right"] = linalg.solve_right(a, b, q)
-            expected["inverse"] = _ref_q_solve_right(a, unit)
-            expected["solve_right"] = _ref_q_solve_right(a, b)
+            expected["inverse"] = _ref_field_solve_right(a, unit, q)
+            expected["solve_right"] = _ref_field_solve_right(a, b, q)
         assert got == expected
         assert _all_fractions(got["rref"][0]) and _all_fractions(got["mat_mul"])
         assert _all_fractions(got["nullspace"])
@@ -1065,3 +1072,98 @@ def test_packed_closure_matches_reference(name):
         assert span.closed(table, ints(xs)) is (not bad)
         assert failures(symmetric, xs, xs) == bad | {(b, a) for a, b in bad}
         assert span.closed(symmetric, ints(xs)) is (not bad)
+
+
+def _elimination_cases(rng, p):
+    """(name, matrix) over F_p: dense, permutation-like sparse with a
+    repeated row, rank-deficient products of a 9 x 4 and a 4 x 9 factor,
+    and non-square dense and rank-deficient matrices of both shapes."""
+    def low_rank(m, n, k):
+        u, v = _random_matrix(rng, m, k, p), _random_matrix(rng, k, n, p)
+        return _ref_mat_mul(u, v, p)
+
+    for _ in range(3):
+        yield "dense", _random_matrix(rng, 9, 9, p)
+        yield "sparse", _sparse_matrix(rng, 9, p)
+        yield "rank-deficient", low_rank(9, 9, 4)
+        yield "wide", _random_matrix(rng, 5, 11, p)
+        yield "tall", _random_matrix(rng, 11, 5, p)
+        yield "wide rank-deficient", low_rank(6, 10, 3)
+        yield "tall rank-deficient", low_rank(10, 6, 3)
+
+
+@pytest.mark.parametrize("p", [5, 7, 1000003])
+def test_fp_elimination_matches_field_reference(p):
+    """`rank`, `rref`, `nullspace` and `inverse` over F_p against
+    `_ref_field_rref`, the Gauss-Jordan reference of the Q tests run in
+    residues, on dense, sparse, rank-deficient and non-square matrices;
+    `inverse` on the square ones.
+    The same matrices with entries moved off [0, p) by multiples of p have
+    the same `rref`: the elimination reads every entry mod p."""
+    f = Fp(p)
+    rng = random.Random(p + 40)
+    for name, a in _elimination_cases(rng, p):
+        got_rows, got_pivots = linalg.rref(a, f)
+        assert (got_rows, got_pivots) == _ref_field_rref(a, f), name
+        assert linalg.rank(a, f) == len(got_pivots), name
+        if "rank-deficient" in name:
+            assert len(got_pivots) < min(len(a), len(a[0])), name
+        off = tuple(tuple(v + p * ((i + j) % 3 - 1) for j, v in enumerate(row))
+                    for i, row in enumerate(a))
+        assert linalg.rref(off, f) == (got_rows, got_pivots), name
+        assert linalg.nullspace(a, f) == _ref_field_nullspace(a, f), name
+        if len(a) == len(a[0]):
+            eye = linalg.identity(len(a), f)
+            assert linalg.inverse(a, f) == _ref_field_solve_right(a, eye, f), name
+
+
+SHAPE_FIELDS = {"Q": Q(), "Fp:7": Fp(7)}
+
+
+def _field_matrix(rows, f):
+    return tuple(tuple(f.coerce(v) for v in row) for row in rows)
+
+
+@pytest.mark.parametrize("name", list(SHAPE_FIELDS))
+def test_mat_mul_rejects_factors_that_do_not_fit(name):
+    """A 2 x 3 matrix times a 2 x 2 one, and a ragged factor on either side,
+    raise CarrierMismatch instead of dropping a column."""
+    f = SHAPE_FIELDS[name]
+    a = _field_matrix(((1, 2, 3), (4, 5, 6)), f)
+    eye = linalg.identity(2, f)
+    ragged = _field_matrix(((1, 2), (3,)), f)
+    for x, y in ((a, eye), (ragged, eye), (eye, ragged)):
+        with pytest.raises(CarrierMismatch):
+            linalg.mat_mul(x, y, f)
+    assert linalg.mat_mul(eye, a, f) == a
+
+
+@pytest.mark.parametrize("name", list(SHAPE_FIELDS))
+def test_inverse_and_solve_right_reject_a_matrix_that_is_not_square(name):
+    """`inverse` and `solve_right` of a 2 x 3 or 3 x 2 matrix, and
+    `solve_right` with a right side of another height, raise
+    CarrierMismatch."""
+    f = SHAPE_FIELDS[name]
+    wide = _field_matrix(((1, 0, 0), (0, 1, 0)), f)
+    tall = _field_matrix(((1, 2), (3, 4), (5, 6)), f)
+    for a in (wide, tall):
+        with pytest.raises(CarrierMismatch):
+            linalg.inverse(a, f)
+        with pytest.raises(CarrierMismatch):
+            linalg.solve_right(a, linalg.identity(len(a), f), f)
+    square = _field_matrix(((1, 2), (3, 4)), f)
+    with pytest.raises(CarrierMismatch):
+        linalg.solve_right(square, linalg.identity(3, f), f)
+    assert linalg.mat_mul(square, linalg.inverse(square, f), f) == linalg.identity(2, f)
+
+
+@pytest.mark.parametrize("name", list(SHAPE_FIELDS))
+def test_elimination_rejects_ragged_rows(name):
+    """Ragged rows raise CarrierMismatch from `rref`, `rank` and
+    `nullspace`, with no bare IndexError and no zero padding."""
+    f = SHAPE_FIELDS[name]
+    for a in (((1, 2), (3,)), ((1,), (2, 3))):
+        a = _field_matrix(a, f)
+        for fn in (linalg.rref, linalg.rank, linalg.nullspace):
+            with pytest.raises(CarrierMismatch):
+                fn(a, f)

@@ -1231,39 +1231,31 @@ def test_map_equality_is_matrix_equality():
 @pytest.mark.parametrize("name", ["Q", "Fp:7"])
 def test_involution_is_squared_once(name, monkeypatch):
     """`realize_involution` and then `fixed_subalgebra` on the same map
-    square it once, on its integer form: the map keeps its order-2 verdict,
-    and no composed `LinMap` is built for it."""
+    square it once: exactly one `compose` of the map with itself, and the
+    map keeps its order-2 verdict."""
     f = FIELDS[name]
     cat = Catalog(f)
-    squares, composed = [], []
-    square = LinMap.__dict__["_order_divides_two"].func
+    squared = []
     compose = LinMap.compose
-
-    def counting(self):
-        squares.append(1)
-        return square(self)
 
     def composing(self, other):
         if other is self:
-            composed.append(1)
+            squared.append(self)
         return compose(self, other)
 
-    verdict = functools.cached_property(counting)
-    verdict.__set_name__(LinMap, "_order_divides_two")
-    monkeypatch.setattr(LinMap, "_order_divides_two", verdict)
     monkeypatch.setattr(LinMap, "compose", composing)
     for space, ctx, dim in (("J", cat.J, 11), ("B", cat.B, 24)):
-        del squares[:]
+        del squared[:]
         m = cat.realize_involution("s", space)
         assert fixed_subalgebra(m, ctx).dimension == dim
         assert m.order_divides_two()
-        assert len(squares) == 1 and not composed
+        assert len(squared) == 1 and squared[0] is m
 
 
 @pytest.mark.parametrize("name", list(FIELDS))
 def test_order_divides_two_matches_field_value_square(name):
-    """`order_divides_two` (M M = d^2 I on the integer form, rows packed)
-    agrees with the square summed in field values, on a 2x2 block
+    """`order_divides_two` (the map's `compose` with itself, on the integer
+    form) agrees with the square summed in field values, on a 2x2 block
     [[a, b], [c, -a]] with a^2 + b c = 1 next to a -1: 30-digit entries and
     a denominator over Q, large residues over F_p; the same map with one
     entry moved by 1 is not an involution."""
@@ -1282,11 +1274,12 @@ def test_order_divides_two_matches_field_value_square(name):
 
 
 def test_order_divides_two_slots_hold_n_products():
-    """The slots of `order_divides_two` hold n max|M|^2, n products per
-    entry of M M: over F_181 the involution [[170, 180], [120, 11]]
-    (170^2 + 180 * 120 = 50,500 = 1 mod 181) has M M = 50,500 at (0, 0) as
-    an int, above 2^15, which the 2-byte slots of max|M|^2 = 32,400 alone
-    would refuse; with one entry moved by 1 it is no involution."""
+    """The verdict of `order_divides_two` where an unreduced sum of n
+    products exceeds max|M|^2: over F_181 the involution
+    [[170, 180], [120, 11]] (170^2 + 180 * 120 = 50,500 = 1 mod 181) has
+    M M = 50,500 at (0, 0) as an int, above 2^15 and above
+    max|M|^2 = 32,400, so a check that held only max|M|^2 per entry would
+    misread it; with one entry moved by 1 it is no involution."""
     f = Fp(181)
     for corner, verdict in ((120, True), (121, False)):
         m = ((170, 180), (corner, 11))
