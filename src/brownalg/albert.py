@@ -14,12 +14,12 @@ Hermitian model (`her_jordan_table`), from the 3x3 matrix units and varsigma
 in the Tits model (`tits_jordan_table`).
 
 The cubic norm has one evaluator: the integer norm form (`norm_form`),
-fitted on first use from the trilinear form Tr(x # y, z) and checked against
-the intrinsic norm N = Tr(x#, x)/3 (`norm_intrinsic_raw`, with sharp from the
-quadratic trace).  `norm_raw` evaluates it in Python ints; the membership
-certificates of `linmaps` evaluate no norm.  The paper's displayed norm
-formulas are kept only as independent references, in
-`verify.check_closed_norm` and the tests.
+N(x) = Tr(x # x, x)/6, read exactly on first use off the integer entries of
+the cross table and the Gram matrix.  `norm_raw` evaluates it in Python
+ints; the membership certificates of `linmaps` evaluate no norm.  The
+intrinsic norm N = Tr(x#, x)/3 (`norm_intrinsic_raw`, with sharp from the
+quadratic trace) and the paper's displayed norm formulas are kept only as
+independent references, in `verify.check_closed_norm` and the tests.
 The cross product x # y is a structure table (`cross_table`) derived on first
 use from the Jordan table, the trace vector and the Gram matrix, summed in
 ints from their integer forms and converted to field values once.
@@ -54,7 +54,6 @@ from operator import mul
 from .cayley import CDAlgebra
 from .errors import (
     AlgebraMismatch,
-    InternalError,
     ModelMismatch,
     NotUnimodular,
     SingularElement,
@@ -472,41 +471,39 @@ class AlbertAlgebra(Algebra):
         return self.norm_form().evaluate(x, self.field)
 
     def norm_form(self) -> NormForm:
-        """The cubic norm as integer monomials, fitted on first use and cached.
+        """The cubic norm as integer monomials, read on first use off the
+        integer entries of the cross table and the Gram matrix, and cached.
 
-        With t_ijk = Tr(e_i # e_j, e_k), symmetric in i, j, k, the norm is
-        N(x) = Tr(x # x, x)/6 = sum t_ijk x_i x_j x_k / 6 over all index
-        triples, so the monomial x_i x_j x_k (i <= j <= k) has coefficient
-        t_iii/6, t_iij/2 (two equal indices) or t_ijk (all distinct).
-        The form is checked against `norm_intrinsic_raw` at seeded points."""
+        With t_ijk = Tr(e_i # e_j, e_k), the norm is
+        N(x) = Tr(x # x, x)/6 = sum t_ijk x_i x_j x_k / 6 over all ordered
+        index triples (x # x = 2 x#, and N(x) = Tr(x#, x)/3), so the monomial
+        x_i x_j x_k (i <= j <= k) has coefficient the sum of t over the
+        orderings of (i, j, k), divided by 6.  This is exact: no symmetry of
+        t is assumed and nothing is sampled."""
         if self._norm_form is None:
             self._norm_form = self._fit_norm_form()
         return self._norm_form
 
     def _fit_norm_form(self) -> NormForm:
-        f = self.field
-        basis = [b.coords for b in self.basis()]
-        sixth, half = f.inv(f.from_int(6)), f.half()
-        coeffs = []
-        for i in range(DIM):
-            for j in range(i, DIM):
-                t = self.gram_vec(self.cross_raw(basis[i], basis[j]))
-                for k in range(j, DIM):
-                    c = t[k]
-                    if c:
-                        if i == k:
-                            c = f.mul(sixth, c)
-                        elif i == j or j == k:
-                            c = f.mul(half, c)
-                        coeffs.append((i, j, k, c))
-        den, ints = to_ints([c for _, _, _, c in coeffs], f)
-        form = NormForm(tuple((i, j, k, c) for (i, j, k, _), c in zip(coeffs, ints)), den)
-        rng = random.Random(20241)
-        for _ in range(4):
-            x = f.sample_vector(rng, DIM, 3)
-            if form.evaluate(x, f) != self.norm_intrinsic_raw(x):
-                raise InternalError("norm form disagrees with the intrinsic norm")
-        return form
+        """The sums of `norm_form` in ints: each entry (i, j, l, c) of the
+        cross table's integer form (`MulTable.int_entries`, c = DC C_ijl)
+        and each (l, k, g) of `gram_int` (g = DG G_lk) add c g to the
+        monomial sorted((i, j, k)), over the denominator 6 DC DG, put in
+        lowest terms (`linalg.lowest_terms`, residues over F_p), with the
+        zero terms dropped."""
+        cross = self.cross_table()
+        gram_rows = [[] for _ in range(DIM)]
+        for l, k, g in self.gram_int:
+            gram_rows[l].append((k, g))
+        sums = {}
+        for i, j, l, c in cross.int_entries():
+            for k, g in gram_rows[l]:
+                key = tuple(sorted((i, j, k)))
+                sums[key] = sums.get(key, 0) + c * g
+        keys = sorted(sums)
+        den, ints = lowest_terms([sums[key] for key in keys],
+                                 6 * cross.int_table()[0] * self.gram_den, self.field)
+        return NormForm(tuple((*key, c) for key, c in zip(keys, ints) if c), den)
 
     def norm_derivative_raw(self, x, y):
         """Coefficient of t in N(x + t y), by exact interpolation at t = 0, +-1, 2."""

@@ -17,7 +17,6 @@ from .fields import FieldSpec
 from .involutions import Catalog, fixed_subalgebra
 from .kac import enumerate_solutions, load_diagram
 from .kernels import BACKEND
-from .linalg import same_span
 from .quatclass import class_report
 from .verify import run_suite
 
@@ -66,7 +65,7 @@ def cmd_verify(args) -> int:
 
 
 def _shape_label(cat: Catalog, m, space: str, rep) -> str:
-    """Which fixed-subalgebra shape of the catalog this dimension/span matches.
+    """Which fixed-subalgebra shape of the catalog this dimension/basis matches.
     Every shape is a subalgebra, so a fixed space that is not closed under
     the product gets no shape name."""
     if not rep.product_closed:
@@ -80,18 +79,17 @@ def _shape_label(cat: Catalog, m, space: str, rep) -> str:
     if rep.dimension == 32:
         return "B^t (alpha, beta free; j, l in Her3(D, gamma))"
     if rep.dimension == 28:
-        balg = cat.algebra_of(m)
-
-        def candidates():
-            # each candidate is realized only when it is reached
-            yield "B^varpi (diagonal {(a, a, j, j)})", balg.varpi()
-            for atom in cat.INVOLUTIONS[balg.jalg.model]:
-                desc = f"{atom}.varpi"
-                yield f"B^({desc}) (twisted diagonal by {atom})", cat.realize(desc, "B")
-
-        for label, canon in candidates():
-            if same_span(list(rep.basis), list(canon.fixed_space()), m.field):
-                return label
+        # fix(A.varpi) = {(a, a, A l, l)} for an order-2 automorphism A of J
+        # (A = id for varpi); both it and rep have dimension 28, so a basis
+        # of rep inside it names it
+        basis = rep.basis
+        if all(v[0] == v[1] for v in basis):
+            if all(v[2:29] == v[29:] for v in basis):
+                return "B^varpi (diagonal {(a, a, j, j)})"
+            for atom in cat.INVOLUTIONS[cat.algebra_of(m).jalg.model]:
+                A = cat.realize(atom, "J")  # realized only when reached
+                if all(A.apply(v[29:]) == v[2:29] for v in basis):
+                    return f"B^({atom}.varpi) (twisted diagonal by {atom})"
         return "a 28-dimensional varpi-type shape"
     return "outside the catalog"
 

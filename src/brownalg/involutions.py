@@ -321,32 +321,31 @@ def isotope_automorphism_check(x: AlbertElem, y: AlbertElem) -> bool:
 
 
 def _isotope_table(table: MulTable, yi, f: FieldSpec) -> MulTable:
-    """The y-isotope's table, in ints: {a, y, b} = (a.y).b + (b.y).a - (a.b).y
-    on the integer table, D^2 d_y times the triple product for
-    y = yi / d_y.  It is bilinear and symmetric in a and b when the table is
-    commutative, so its values on the basis pairs i <= j give the table,
-    each with its mirror, and the new table is commutative too
-    (`MulTable.commutative`).  mul_ints is linear in each operand, so b runs
-    over the stacked e_j, j >= i, in one call per term.  With S the table's
-    `MulTable.int_sum` and top = max|yi|, each term is at most
-    S (S top) 1 at a basis pair, so the slots hold 3 S^2 top (the rule of
-    `linalg.SignedPacking`)."""
-    mul = table.mul_ints
+    """The y-isotope's table, in ints: {e_i, y, e_j} =
+    (e_i.y).e_j + (e_j.y).e_i - (e_i.e_j).y on the integer table, D^2 d_y
+    times the triple product for y = yi / d_y, at every basis pair (i, j)
+    with the factors in that order.  It is read off two sets of integer
+    rows: u_i = D d_y (e_i.y), column i of the right multiplication by y
+    (`MulTable.left_ints` of the opposite table), and the table's own
+    (`MulTable.int_table`).  Then D^2 d_y {e_i, y, e_j} is column j of
+    `left_ints(u_i)`, plus column i of `left_ints(u_j)`, minus
+    sum c u_k over the entries (i, j, k, c) of the integer table."""
     n = table.n
-    packing = linalg.SignedPacking.holding(3 * table.int_sum() ** 2 * max(map(abs, yi)), f)
-    basis = [[int(i == j) for j in range(n)] for i in range(n)]
+    rows = table.int_table()[1]
+    u = list(zip(*table.opposite().left_ints(yi)))
+    left = [list(zip(*table.left_ints(v))) for v in u]  # left[i][j] = D u_i.e_j
     entries = []
-    for i, b in zip(range(n - 1, -1, -1), packing.suffixes(basis)):
-        a = basis[i]
-        triple = [u + v - w for u, v, w in
-                  zip(mul(mul(a, yi), b), mul(mul(b, yi), a), mul(mul(a, b), yi))]
-        for k, acc in enumerate(triple):
-            row = linalg.lowest_terms(packing.unpack_signed(acc, n - i), 1, f)[1] if acc else ()
-            for j, c in enumerate(row, i):
-                if c:
-                    entries.append((i, j, k, c))
-                    if i != j:
-                        entries.append((j, i, k, c))
+    for i in range(n):
+        ab = [[] for _ in range(n)]
+        for j, k, c in rows[i]:
+            ab[j].append((k, c))
+        for j in range(n):
+            acc = [a + b for a, b in zip(left[i][j], left[j][i])]
+            for k, c in ab[j]:
+                acc = [a - c * w for a, w in zip(acc, u[k])]
+            if any(acc):
+                entries += [(i, j, k, c)
+                            for k, c in enumerate(linalg.lowest_terms(acc, 1, f)[1]) if c]
     return MulTable(n, entries)
 
 

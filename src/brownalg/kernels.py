@@ -34,11 +34,11 @@ an anti-automorphism, and the table `verify` reads the right unit law off.
 multiplies them, so it runs unchanged on a packed operand in either place,
 whose coordinate j is one int holding coordinate j of many vectors
 (`linalg.SignedPacking.stack`), and returns their products packed the same
-way: the certificates and the isotope table of
-`involutions.isotope_automorphism_check` call it once per vector, not once
-per pair, and size the slots from `MulTable.int_sum`, a bound on the
-products.  A vector or a map is scaled to integers once and no `Fraction` is
-made in their loops.
+way: the certificates call it once per vector, not once per pair, and size
+the slots from `MulTable.int_sum`, a bound on the products.  The isotope
+table of `involutions.isotope_automorphism_check` packs nothing: it is read
+off the `left_ints` rows of the table and of its opposite.  A vector or a
+map is scaled to integers once and no `Fraction` is made in their loops.
 
 `Algebra` is what the three algebras of the tower (`CDAlgebra`,
 `AlbertAlgebra`, `BrownAlgebra`) share.  Each sets `field`, `dim`,

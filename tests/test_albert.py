@@ -27,7 +27,6 @@ from brownalg.albert import (
 )
 from brownalg.cayley import CDAlgebra
 from brownalg.errors import (
-    InternalError,
     ModelMismatch,
     NotUnimodular,
     SingularElement,
@@ -290,13 +289,56 @@ def test_norm_form_matches_norm_raw(field):
         assert [alg.norm_form().den > 1 for alg in models] == [False, True, True]
 
 
-def test_norm_form_mismatch_raises_internal_error(monkeypatch):
-    alg = split_albert(Fp(7))
-    intrinsic = AlbertAlgebra.norm_intrinsic_raw
-    monkeypatch.setattr(AlbertAlgebra, "norm_intrinsic_raw",
-                        lambda self, x: alg.field.add(intrinsic(self, x), 1))
-    with pytest.raises(InternalError, match="disagrees with the intrinsic norm"):
-        alg.norm_form()
+def _fitted_norm_form(alg):
+    """The norm form fitted from field values: t = G (e_i # e_j) for the
+    pairs i <= j, and the monomial x_i x_j x_k (i <= j <= k) given t_k/6,
+    t_k/2 or t_k by how many of its indices are equal, which assumes
+    Tr(e_i # e_j, e_k) symmetric in i, j, k."""
+    f = alg.field
+    basis = [b.coords for b in alg.basis()]
+    sixth, half = f.inv(f.from_int(6)), f.half()
+    coeffs = []
+    for i in range(27):
+        for j in range(i, 27):
+            t = alg.gram_vec(alg.cross_raw(basis[i], basis[j]))
+            for k in range(j, 27):
+                c = t[k]
+                if c:
+                    if i == k:
+                        c = f.mul(sixth, c)
+                    elif i == j or j == k:
+                        c = f.mul(half, c)
+                    coeffs.append((i, j, k, c))
+    den, ints = linalg.to_ints([c for _, _, _, c in coeffs], f)
+    return NormForm(tuple((i, j, k, c) for (i, j, k, _), c in zip(coeffs, ints)), den)
+
+
+@pytest.mark.parametrize("field", [Q(), Fp(7), Fp(2**61 - 1)], ids=str)
+def test_norm_form_equals_the_field_value_fit(field):
+    """The form read off the integer entries has the terms, in order, and
+    the denominator of the fit from field-value cross products."""
+    for alg in _norm_form_models(field):
+        assert alg.norm_form() == _fitted_norm_form(alg)
+
+
+@pytest.mark.parametrize("field", [Q(), Fp(7), Fp(2**61 - 1)], ids=str)
+def test_cross_table_polarizes_sharp_on_every_basis_pair(field):
+    """e_i # e_j = e_j # e_i = (e_i + e_j)# - e_i# - e_j# for i < j and
+    e_i # e_i = 2 e_i#, with sharp from the Jordan table (`sharp_raw`).
+    Both sides are bilinear in the coordinates, so x # x = 2 x# for every
+    x, and the norm form, Tr(x # x, x)/6, is Tr(x#, x)/3, the intrinsic
+    norm (`norm_intrinsic_raw`)."""
+    for alg in _norm_form_models(field):
+        f = alg.field
+        basis = [b.coords for b in alg.basis()]
+        sharp = [alg.sharp_raw(e) for e in basis]
+        for i in range(27):
+            assert alg.cross_raw(basis[i], basis[i]) == tuple(f.add(v, v) for v in sharp[i])
+            for j in range(i + 1, 27):
+                both = alg.sharp_raw(tuple(map(f.add, basis[i], basis[j])))
+                polar = tuple(f.sub(f.sub(v, a), b) for v, a, b in zip(both, sharp[i], sharp[j]))
+                assert alg.cross_raw(basis[i], basis[j]) == polar
+                assert alg.cross_raw(basis[j], basis[i]) == polar
 
 
 @pytest.mark.parametrize("field", [Q(), Fp(7)], ids=str)

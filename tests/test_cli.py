@@ -113,26 +113,72 @@ def test_fixed_varpi(capsys):
 
 
 def test_shape_label_realizes_candidates_only_when_reached(capsys, monkeypatch):
-    """`fixed varpi B` matches the first twisted-diagonal candidate, varpi, so
-    no other candidate is realized; `fixed t.varpi B` realizes s.varpi, the
-    candidate before it, and itself, and none after."""
+    """`fixed varpi B` is named by the diagonal, so the label realizes no
+    map; `fixed t.varpi B` realizes the J atoms s, the candidate before t,
+    and t, and none after; the label realizes no map on B."""
     from brownalg.involutions import Catalog
 
     realized = []
     realize = Catalog.realize
 
     def recording(self, descriptor, space):
-        realized.append(descriptor)
+        realized.append((descriptor, space))
         return realize(self, descriptor, space)
 
     monkeypatch.setattr(Catalog, "realize", recording)
-    for descriptor, shape, seen in (("varpi", "B^varpi (diagonal", ["varpi"]),
+    for descriptor, shape, seen in (("varpi", "B^varpi (diagonal", []),
                                     ("t.varpi", "B^(t.varpi) (twisted diagonal by t)",
-                                     ["t.varpi", "s.varpi", "t.varpi"])):
+                                     [("s", "J"), ("t", "J")])):
         del realized[:]
         code, out, err = run(capsys, "fixed", descriptor, "B", "--field", "Fp:7")
         assert code == 0 and f"catalog shape: {shape}" in out
-        assert realized == seen
+        assert realized == [(descriptor, "B")] + seen
+
+
+def _span_label(cat, m, rep):
+    """The 28-dimensional label by span: the first of varpi and the
+    atom.varpi of the model's involutions whose fixed space on B has the
+    span of rep's basis."""
+    from brownalg.linalg import same_span
+
+    balg = cat.algebra_of(m)
+    candidates = [("B^varpi (diagonal {(a, a, j, j)})", balg.varpi())] + [
+        (f"B^({atom}.varpi) (twisted diagonal by {atom})", cat.realize(f"{atom}.varpi", "B"))
+        for atom in cat.INVOLUTIONS[balg.jalg.model]]
+    for label, canon in candidates:
+        if same_span(list(rep.basis), list(canon.fixed_space()), m.field):
+            return label
+    return "a 28-dimensional varpi-type shape"
+
+
+def test_shape_label_of_28_dimensions_matches_the_span():
+    """The label read off the basis, a = b and j = A l, names the shape
+    that comparing spans names, over Q and F_7, on every twisted diagonal
+    of the catalog, on composites in either order and on maps that are no
+    catalog shape.  It rests on fix(A.varpi) = {(a, a, A l, l)}, which
+    needs each atom A to be an automorphism of J of order 2."""
+    from brownalg.cli import _shape_label
+    from brownalg.fields import Fp, Q
+    from brownalg.involutions import Catalog, fixed_subalgebra
+    from brownalg.linmaps import is_aut_member
+
+    descriptors = ("varpi", "s.varpi", "varpi.t", "t*.varpi", "t:1,1,1,1,-1,1.varpi",
+                   "t:1,1,-1,1.varpi", "s.t.varpi", "t:-1,1.varpi")
+    for field in (Q(), Fp(7)):
+        cat = Catalog(field)
+        for model, jalg in (("her", cat.J), ("tits", cat.Jt)):
+            for atom in cat.INVOLUTIONS[model]:
+                a = cat.realize(atom, "J")
+                assert a.basis_tag == jalg.basis_tag
+                assert is_aut_member(a, jalg) and a.order_divides_two() and not a.is_identity()
+        labels = []
+        for descriptor in descriptors:
+            m = cat.realize_involution(descriptor, "B")
+            rep = fixed_subalgebra(m, cat.algebra_of(m))
+            assert rep.dimension == 28
+            labels.append(_shape_label(cat, m, "B", rep))
+            assert labels[-1] == _span_label(cat, m, rep)
+        assert labels.count("a 28-dimensional varpi-type shape") == 2
 
 
 def test_fixed_s_on_b(capsys):

@@ -1,7 +1,8 @@
 """Every name a module of the package imports is used in that module, no
 module takes another's private names, U_x is built as a map in one place,
-whether a product commutes is read off its table alone, and Kronecker
-packing stays in `linalg.MatVec` and `linalg.SignedPacking`."""
+whether a product commutes is read off its table alone, Kronecker packing
+stays in `linalg.MatVec` and `linalg.SignedPacking`, and random streams are
+made only from a caller's seed."""
 
 import ast
 import pathlib
@@ -144,8 +145,6 @@ def test_commutativity_is_read_off_the_table(path):
 SLOT_WIDTHS = {
     ("albert", "AlbertAlgebra.uop_map"): (
         "test_linmaps.py::test_uop_map_slots_hold_three_squared_table_sums",),
-    ("involutions", "_isotope_table"): (
-        "test_linmaps.py::test_isotope_table_slots_hold_three_squared_table_sums",),
     ("linalg", "MatVec.__init__"): (
         "test_kernels_linalg.py::test_packed_kernels_at_the_largest_slot_values",),
     ("linalg", "SignedPacking.holding"): (
@@ -159,8 +158,9 @@ SLOT_WIDTHS = {
 }
 
 
-def _slot_widths(tree):
-    """(qualified function, line) for each call of `holding` or `_slot`."""
+def _qualified_calls(tree, names):
+    """(qualified function or class, line) for each call of one of `names`,
+    as a name or an attribute."""
     def walk(node, owner):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -169,7 +169,7 @@ def _slot_widths(tree):
             if isinstance(child, ast.Call):
                 func = child.func
                 name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-                if name in ("holding", "_slot"):
+                if name in names:
                     yield owner, child.lineno
             yield from walk(child, owner)
     yield from walk(tree, None)
@@ -179,7 +179,7 @@ def test_every_slot_width_names_its_edge_tests():
     """The calls that size packed slots are the ones listed, and each listed
     test exists: a new or removed width updates `SLOT_WIDTHS`."""
     found = {(path.stem, owner) for path in SRC.glob("*.py")
-             for owner, _ in _slot_widths(ast.parse(path.read_text()))}
+             for owner, _ in _qualified_calls(ast.parse(path.read_text()), ("holding", "_slot"))}
     assert found == set(SLOT_WIDTHS)
     tests = SRC.parent.parent / "tests"
     for names in SLOT_WIDTHS.values():
@@ -188,6 +188,18 @@ def test_every_slot_width_names_its_edge_tests():
             defs = {n.name for n in ast.parse((tests / file).read_text()).body
                     if isinstance(n, ast.FunctionDef)}
             assert test in defs, name
+
+
+# the library draws pseudo-random values only where a caller gives it a
+# seed: the per-check streams of `verify` and the scalar of `fields.sample`;
+# every other verdict is derived, not sampled
+SEEDED_DRAWS = {("verify", "Ctx.rng"), ("fields", "sample")}
+
+
+def test_random_streams_are_made_only_from_a_callers_seed():
+    found = {(path.stem, owner) for path in SRC.glob("*.py")
+             for owner, _ in _qualified_calls(ast.parse(path.read_text()), ("Random",))}
+    assert found == SEEDED_DRAWS, f"random streams made in {sorted(found - SEEDED_DRAWS)}"
 
 
 # Kronecker packing pays in two places, the F_p mat-vec kernel `MatVec` and

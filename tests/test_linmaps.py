@@ -809,22 +809,25 @@ def test_isotope_automorphism_check_matches_reference(name, x, y, verdict):
 
 
 @pytest.mark.parametrize("name", ["Q", "Fp:7"])
-def test_isotope_check_builds_its_table_on_stacked_operands(name, monkeypatch):
-    """The y-isotope's table takes six `mul_ints` calls per basis vector, each
-    on the stacked e_j for j >= i, not six per basis pair: the whole check
-    for x = diag(1, -1, -1), y = 1 makes at most 650 calls (2,707 with one
-    call per term and pair)."""
-    alg = Catalog(Q() if name == "Q" else Fp(7)).J
-    calls = []
-    mul_ints = MulTable.mul_ints
-
-    def counting(table, x, y):
-        calls.append(1)
-        return mul_ints(table, x, y)
-
-    monkeypatch.setattr(MulTable, "mul_ints", counting)
+def test_isotope_check_reads_its_table_off_left_ints_rows(name, monkeypatch):
+    """The y-isotope's table is read off 28 `left_ints` calls, one on the
+    opposite table and one per basis vector, and makes no `mul_ints` call;
+    the whole check for x = diag(1, -1, -1), y = 1 makes at most 650
+    `mul_ints` calls."""
+    f = Q() if name == "Q" else Fp(7)
+    alg = Catalog(f).J
+    calls = {"mul_ints": 0, "left_ints": 0}
+    for kernel in calls:
+        def counting(table, *args, _kernel=kernel, _run=getattr(MulTable, kernel)):
+            calls[_kernel] += 1
+            return _run(table, *args)
+        monkeypatch.setattr(MulTable, kernel, counting)
+    alg.table.opposite()
+    involutions._isotope_table(alg.table, [1] * 27, f)
+    assert calls == {"mul_ints": 0, "left_ints": 28}
+    calls["mul_ints"] = 0
     assert isotope_automorphism_check(alg.diag(1, -1, -1), alg.diag(1, 1, 1))
-    assert len(calls) <= 650
+    assert calls["mul_ints"] <= 650
 
 
 def test_uop_map_slots_hold_three_squared_table_sums(monkeypatch):
@@ -848,28 +851,28 @@ def test_uop_map_slots_hold_three_squared_table_sums(monkeypatch):
     assert alg.uop_map(x).matrix == tuple(zip(*cols))
 
 
-def test_isotope_table_slots_hold_three_squared_table_sums():
-    """The slots of the y-isotope's table (`involutions._isotope_table`)
-    hold 3 S^2 max|y|, and a table can reach two thirds of it: with
-    e_0.e_0 = -2 e_1 and e_0.e_1 = -2 e_0 (S = 2) and y = -5000 (e_0 + e_1),
-    {e_0, y, e_0} = -40,000 e_1, which needs 4-byte slots; the bound without
-    its 3, or with S for S^2, would take 2-byte slots and misread it.  The
-    entries at the pairs i <= j are compared with the triple product summed
-    in Fractions."""
+def test_isotope_table_reads_every_pair_in_the_order_of_the_triple():
+    """The y-isotope's table (`involutions._isotope_table`) holds
+    {e_i, y, e_j} = (e_i.y).e_j + (e_j.y).e_i - (e_i.e_j).y at every basis
+    pair, in both orders, against the triple summed in Fractions.  The
+    table is not commutative: with e_0.e_0 = -2 e_1 and e_0.e_1 = -2 e_0 and
+    y = -5000 (e_0 + e_1), {e_0, y, e_0} = -40,000 e_1,
+    {e_0, y, e_1} = 20,000 e_1 and {e_1, y, e_0} = -20,000 e_0, which a
+    table mirrored from the pairs i <= j would give as 20,000 e_1."""
     f = Q()
     table = MulTable(2, [(0, 0, 1, -2), (0, 1, 0, -2)])
     mul = _ref_product(table, f)
     y = (f.from_int(-5000),) * 2
     basis = [(f.one(), f.zero()), (f.zero(), f.one())]
     want = {}
-    for i, j in ((0, 0), (0, 1), (1, 1)):
+    for i, j in itertools.product(range(2), repeat=2):
         a, b = basis[i], basis[j]
         for k, (u, v, w) in enumerate(zip(mul(mul(a, y), b), mul(mul(b, y), a), mul(mul(a, b), y))):
             if u + v - w:
                 want[i, j, k] = u + v - w
-    assert want[0, 0, 1] == -40000
+    assert want == {(0, 0, 1): -40000, (0, 1, 1): 20000, (1, 0, 0): -20000}
     iso = involutions._isotope_table(table, [-5000, -5000], f)
-    assert {(i, j, k): c for i, j, k, c in iso.entries if i <= j} == want
+    assert {(i, j, k): c for i, j, k, c in iso.entries} == want
 
 
 @pytest.mark.parametrize("name", ["Q", "Fp:7"])
