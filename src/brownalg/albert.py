@@ -25,8 +25,9 @@ use from the Jordan table, the trace vector and the Gram matrix, summed in
 ints from their integer forms and converted to field values once.
 
 The operators that turn one input into 27 to 729 outputs run in Python ints
-on both fields: `sharp_raw`, `jinv_raw`, `uop_map`, `uop_matrix_sharp`,
-`trform_raw` and `gram_vec`.  Each scales its input once to
+on both fields: `sharp_raw`, `jinv_raw`, `uop_map`, `uop_matrix_sharp` and
+`trform_raw`, and `gram_vec` (G v), element API that only the tests call.
+Each scales its input once to
 integers over one denominator (`linalg.to_ints`), sums with the integer
 Jordan table (`MulTable.mul_ints`, `MulTable.left_ints`) and the integer
 Gram matrix, and, all but `uop_map`, converts once per output entry

@@ -1,8 +1,25 @@
 """Named invariant suites behind the `verify` CLI command.
 
 Every check is deterministic given (field, seed, samples): each draws its own
-generator seeded by the check name, so suites can be reordered or run alone
-without changing verdicts.
+generator seeded by the check name, and what it reads off the shared context
+(the catalog's cached models and maps) is the same whichever checks ran
+before it.  So suites can be reordered or run alone without changing
+verdicts, and the runner relies on that: `run_suite` runs the checks on
+every CPU of the affinity mask, in any order.  The parent builds the context,
+writes each check's index, one byte each, into one pipe (the queue) and
+closes its write end, then forks `_workers(n) - 1` children; the parent and
+the children each read one index at a time from the queue until it is empty.
+A child sends back [index, ok, detail] as one JSON line per check on its own
+pipe and always ends in `os._exit`.  The parent runs its share, reads every
+child's results, waits for every child, and then runs again in-process, in
+suite order, each check with no result: that covers a child that died and a
+check that raised something other than `CheckFailure` or `AlgebraError`,
+which therefore raises from `run_suite` as it does when run alone.  A fork
+that fails leaves its share to the processes already running.
+`_workers(n)` is 1 where `os.fork` is missing, where another thread is alive
+(a forked child holds only the calling thread, and a lock another thread
+held stays locked in it), on a single CPU and for a single check; the same
+queue loop then runs in the parent alone.
 
 No product law of a linear map is decided at sample points.  The unit
 laws, commutativity, the order-2 laws, the anti-automorphism laws of conj
@@ -20,14 +37,17 @@ random automorphisms (`check_transport`).
 
 from __future__ import annotations
 
+import json
+import os
 import random
+import threading
 from dataclasses import dataclass
 
 from . import linalg
 from .albert import beth_basis, mat3_det, mat3_from_flat, mat3_tr
 from .brown import BrownAlgebra
 from .cayley import CDAlgebra
-from .errors import AlgebraError
+from .errors import AlgebraError, InternalError
 from .fields import FieldSpec
 from .involutions import (
     Catalog,
@@ -522,23 +542,97 @@ SUITES = {
 }
 
 
+def _workers(n_checks: int) -> int:
+    """Processes that run a suite of `n_checks` checks: one per CPU of the
+    affinity mask, at most one per check, and 1 where forking is missing or
+    unsafe."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return max(1, min(cpus or 1, n_checks))
+
+
+def _outcome(fn, ctx):
+    """(ok, detail) of one check; any other exception propagates."""
+    try:
+        fn(ctx)
+    except CheckFailure as exc:
+        return False, str(exc)
+    except AlgebraError as exc:
+        return False, f"{type(exc).__name__}: {exc}"
+    return True, ""
+
+
+def _take(queue: int, checks, ctx):
+    """Run checks by index off the queue pipe until it is empty, yielding
+    (index, ok, detail) for each.  A check that raises stops this process
+    taking work and leaves its index with no result."""
+    while index := os.read(queue, 1):
+        try:
+            ok, detail = _outcome(checks[index[0]][2], ctx)
+        except Exception:
+            return
+        yield index[0], ok, detail
+
+
+def _run_checks(ctx, checks) -> dict:
+    """{index: (ok, detail)} for the checks that the parent and its forked
+    children ran (module docstring); a check that raised, or that a child
+    that died had taken, has none."""
+    outcomes = {}
+    children = []  # (pid, read end of the child's result pipe)
+    queue, feed = os.pipe()
+    try:
+        try:
+            os.write(feed, bytes(range(len(checks))))  # at most 255 bytes: one atomic write
+        finally:
+            os.close(feed)
+        for _ in range(_workers(len(checks)) - 1):
+            results, out = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # no process to spare: the others take its share
+                os.close(results)
+                os.close(out)
+                break
+            if pid == 0:
+                try:
+                    with open(out, "w") as pipe:
+                        for line in _take(queue, checks, ctx):
+                            print(json.dumps(line), file=pipe, flush=True)
+                finally:
+                    os._exit(0)
+            os.close(out)
+            children.append((pid, results))
+        for i, ok, detail in _take(queue, checks, ctx):
+            outcomes[i] = (ok, detail)
+        for _, results in children:
+            with open(results, "rb", closefd=False) as pipe:
+                for line in pipe:
+                    if line.endswith(b"\n"):  # a child that died may have cut its last line short
+                        i, ok, detail = json.loads(line)
+                        outcomes[i] = (ok, detail)
+    finally:
+        os.close(queue)
+        for pid, results in children:
+            os.close(results)
+            os.waitpid(pid, 0)
+    return outcomes
+
+
 def run_suite(name: str, field: FieldSpec, seed: int, samples: int):
     """Run one suite, or 'all' of them in order on one shared context (one
-    Catalog); returns a list of CheckResult."""
+    Catalog), with the checks spread over the CPUs (module docstring);
+    returns a list of CheckResult in suite order."""
     if name != "all" and name not in SUITES:
         raise ValueError(f"unknown suite {name!r}")
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
+    checks = [(suite, label, fn)
+              for suite in (SUITES if name == "all" else (name,)) for label, fn in SUITES[suite]]
+    if len(checks) > 255:
+        raise InternalError(f"{len(checks)} checks: the run queue holds at most 255")
     ctx = Ctx(field, seed, samples)
-    results = []
-    for suite in SUITES if name == "all" else (name,):
-        for label, fn in SUITES[suite]:
-            try:
-                fn(ctx)
-            except CheckFailure as exc:
-                results.append(CheckResult(suite, label, False, str(exc)))
-            except AlgebraError as exc:
-                results.append(CheckResult(suite, label, False, f"{type(exc).__name__}: {exc}"))
-            else:
-                results.append(CheckResult(suite, label, True))
-    return results
+    outcomes = _run_checks(ctx, checks)
+    return [CheckResult(suite, label, *(outcomes.get(i) or _outcome(fn, ctx)))
+            for i, (suite, label, fn) in enumerate(checks)]
