@@ -8,6 +8,14 @@ x_ji = gamma_j^-1 gamma_i conj(x_ij).
 First Tits construction: three copies of Mat3(k) with twisted norm and sharp;
 coordinates are the three matrices row-major.
 
+The two factories supply each model's structure data: `hermitian` and
+`tits` check their own arguments and hand `AlbertAlgebra` the model's Jordan
+table, the three diagonal coordinates that the unit sets ((0, 1, 2) for
+Hermitian, (0, 4, 8) for Tits), the basis tag and the model's parameters.
+The unit, the trace vector, `tr_raw`, `diag` and the Gram matrix (G_ij the
+sum of c_ijk over the diagonal k) all read those coordinates; the model
+string is read only to refuse an operation of the other model.
+
 The Jordan product is a structure table derived from structure data, never
 by evaluating products: from the composition table and gamma in the
 Hermitian model (`her_jordan_table`), from the 3x3 matrix units and varsigma
@@ -54,7 +62,6 @@ from operator import mul
 
 from .cayley import CDAlgebra
 from .errors import (
-    AlgebraMismatch,
     ModelMismatch,
     NotUnimodular,
     SingularElement,
@@ -266,84 +273,43 @@ class AlbertElem(Elem):
 
 
 class AlbertAlgebra(Algebra):
-    """One model of the Albert algebra over an exact field."""
+    """One model of the Albert algebra over an exact field, made by
+    `hermitian` or `tits` from the model's structure data: its Jordan table,
+    the diagonal coordinates that the unit sets, its basis tag, its model
+    string and its parameters as attributes (`octonions` and `gamma`, or
+    `varsigma`).  The model string is read only to refuse."""
 
     dim = DIM
     carrier = ALBERT
     elem = AlbertElem
 
-    def __init__(self, model: str, field: FieldSpec, octonions: CDAlgebra | None = None,
-                 gamma=None, varsigma=None):
-        field._need_arith()
-        self.model = model
+    def __init__(self, field: FieldSpec, table: MulTable, diagonal, basis_tag: str,
+                 model: str, **params):
         self.field = field
-        f = field
-        if model == "her":
-            if varsigma is not None:
-                raise ValueError("varsigma belongs to the Tits model, not the Hermitian one")
-            if octonions is None or octonions.dim != 8:
-                raise ValueError("Hermitian model needs a dimension-8 composition algebra")
-            if octonions.field != field:
-                raise AlgebraMismatch("octonion algebra over a different field")
-            gamma = tuple(map(f.coerce, (1, 1, 1) if gamma is None else gamma))
-            if len(gamma) != 3 or any(not g for g in gamma):
-                raise ValueError("gamma must be three nonzero scalars")
-            self.octonions = octonions
-            self.gamma = gamma
-            self.varsigma = None
-            self.basis_tag = f"her:{octonions.basis_tag}:gamma={','.join(f.scalar_str(g) for g in gamma)}"
-        elif model == "tits":
-            for name, arg in (("octonions", octonions), ("gamma", gamma)):
-                if arg is not None:
-                    raise ValueError(f"{name} belongs to the Hermitian model, not the Tits one")
-            self.octonions = None
-            self.gamma = None
-            vs = f.coerce(1 if varsigma is None else varsigma)
-            if not vs:
-                raise ValueError("varsigma must be nonzero")
-            self.varsigma = vs
-            self.basis_tag = f"tits:{field}:varsigma={f.scalar_str(vs)}"
-        else:
-            raise ValueError(f"unknown model {model!r}")
-
-        self.unit_coords = self._unit_coords()
-        self.table = (her_jordan_table(octonions, self.gamma) if model == "her"
-                      else tits_jordan_table(f, self.varsigma))
-        # Tr(x) sums the diagonal coordinates, which are the ones set in the unit
+        self.table = table
+        self.diagonal = diagonal
+        self.basis_tag = basis_tag
+        self.model = model
+        vars(self).update(params)
+        one, zero = field.one(), field.zero()
+        # the unit sets the diagonal coordinates, which Tr(x) sums
+        self.unit_coords = tuple(one if k in diagonal else zero for k in range(DIM))
         self.trvec = self.unit_coords
-        self.gram = self._build_gram()
+        self._unit_int = tuple(int(k in diagonal) for k in range(DIM))
+        # G[i][j] = Tr(e_i . e_j), the sum of the table's c_ijk over the diagonal k
+        rows = [[zero] * DIM for _ in range(DIM)]
+        for i, j, k, c in table.entries:
+            if k in diagonal:
+                rows[i][j] = field.add(rows[i][j], c)
+        self.gram = tuple(map(tuple, rows))
         # the integer form of G: gram_int holds the nonzero entries (i, j, g)
         # of DG G in row order, with DG = gram_den the lcm of their
-        # denominators (`to_ints`, residues over F_p); and the unit in ints
-        # (its coordinates are 0 and 1 in both models)
+        # denominators (`to_ints`, residues over F_p)
         gram = [(i, j, v) for i, row in enumerate(self.gram) for j, v in enumerate(row) if v]
-        self.gram_den, ints = to_ints([v for _, _, v in gram], f)
+        self.gram_den, ints = to_ints([v for _, _, v in gram], field)
         self.gram_int = tuple((i, j, g) for (i, j, _), g in zip(gram, ints))
-        self._unit_int = tuple(int(v) for v in self.unit_coords)
         self._norm_form = None
         self._cross_table = None
-
-    # -- construction internals --------------------------------------------
-
-    def _unit_coords(self):
-        f = self.field
-        one, zero = f.one(), f.zero()
-        v = [zero] * DIM
-        if self.model == "her":
-            v[0] = v[1] = v[2] = one
-        else:
-            v[0] = v[4] = v[8] = one
-        return tuple(v)
-
-    def _build_gram(self):
-        """G[i][j] = Tr(e_i . e_j), assembled from the product table."""
-        f = self.field
-        rows = [[f.zero()] * DIM for _ in range(DIM)]
-        for i, j, k, c in self.table.entries:
-            t = self.trvec[k]
-            if t:
-                rows[i][j] = f.add(rows[i][j], f.mul(t, c))
-        return tuple(tuple(r) for r in rows)
 
     # -- elements ------------------------------------------------------------
 
@@ -354,12 +320,11 @@ class AlbertAlgebra(Algebra):
         return self.element(tuple(xi) + get(a) + get(b) + get(c))
 
     def diag(self, x1, x2, x3) -> "AlbertElem":
-        f = self.field
-        zero = [f.zero()] * 8
-        if self.model == "her":
-            return self.her_element((x1, x2, x3), zero, zero, zero)
-        m = [x1, 0, 0, 0, x2, 0, 0, 0, x3]
-        return self.element(m + [0] * 18)
+        """x1, x2, x3 at the model's diagonal coordinates, zero() elsewhere."""
+        coords = [self.field.zero()] * DIM
+        for k, v in zip(self.diagonal, (x1, x2, x3)):
+            coords[k] = v
+        return self.element(coords)
 
     def tits_element(self, a0, a1, a2) -> "AlbertElem":
         if self.model != "tits":
@@ -390,9 +355,8 @@ class AlbertAlgebra(Algebra):
 
     def tr_raw(self, x):
         f = self.field
-        if self.model == "her":
-            return f.add(f.add(x[0], x[1]), x[2])
-        return f.add(f.add(x[0], x[4]), x[8])
+        i, j, k = self.diagonal
+        return f.add(f.add(x[i], x[j]), x[k])
 
     def trform_raw(self, x, y):
         f = self.field
@@ -691,11 +655,26 @@ class AlbertAlgebra(Algebra):
 
 
 def hermitian(octonions: CDAlgebra, gamma=None) -> AlbertAlgebra:
-    return AlbertAlgebra("her", octonions.field, octonions=octonions, gamma=gamma)
+    """Her3(C, gamma), gamma = (1, 1, 1) by default, over the field of C."""
+    f = octonions.field
+    if octonions.dim != 8:
+        raise ValueError("Hermitian model needs a dimension-8 composition algebra")
+    gamma = tuple(map(f.coerce, (1, 1, 1) if gamma is None else gamma))
+    if len(gamma) != 3 or any(not g for g in gamma):
+        raise ValueError("gamma must be three nonzero scalars")
+    tag = f"her:{octonions.basis_tag}:gamma={','.join(f.scalar_str(g) for g in gamma)}"
+    return AlbertAlgebra(f, her_jordan_table(octonions, gamma), (0, 1, 2), tag, "her",
+                         octonions=octonions, gamma=gamma)
 
 
 def tits(field: FieldSpec, varsigma=1) -> AlbertAlgebra:
-    return AlbertAlgebra("tits", field, varsigma=varsigma)
+    """The first Tits construction with parameter varsigma over `field`."""
+    field._need_arith()
+    vs = field.coerce(1 if varsigma is None else varsigma)
+    if not vs:
+        raise ValueError("varsigma must be nonzero")
+    return AlbertAlgebra(field, tits_jordan_table(field, vs), (0, 4, 8),
+                         f"tits:{field}:varsigma={field.scalar_str(vs)}", "tits", varsigma=vs)
 
 
 def split_albert(field: FieldSpec) -> AlbertAlgebra:

@@ -9,6 +9,10 @@ norm = determinant).  Doubling convention, with kappa in k*:
     conj((a1, a2))   = (conj(a1), -a2)
 
 Basis order of a doubled algebra is (first-copy basis, second-copy basis).
+Each base table builder also returns its unit's support, (0,) for the unit
+base and (0, 3) for E11 + E22; doubling keeps the unit in the first copy,
+so the support also gives the unit of every doubled algebra, and the
+dimension is the length of the conjugation table.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ def _base_unit_tables(field):
     mul = [(0, 0, 0, one)]
     conj = [(0, one)]
     qform = {(0, 0): one}
-    return mul, conj, qform
+    return mul, conj, qform, (0,)
 
 
 def _base_split4_tables(field):
@@ -41,7 +45,7 @@ def _base_split4_tables(field):
     # adjugate: E11 <-> E22, E12 -> -E12, E21 -> -E21
     conj = [(3, one), (1, neg(one)), (2, neg(one)), (0, one)]
     qform = {(0, 3): one, (1, 2): neg(one)}  # det = x1 x4 - x2 x3
-    return mul, conj, qform
+    return mul, conj, qform, (0, 3)  # the unit E11 + E22
 
 
 def _double_tables(field, mul, conj, qform, n, kappa):
@@ -91,22 +95,19 @@ class CDAlgebra(Algebra):
         self.field = field
         self.kappas = kappas
         self.split_base = split_base
-        if split_base:
-            mul, conj, qform = _base_split4_tables(field)
-            dim = 4
-        else:
-            mul, conj, qform = _base_unit_tables(field)
-            dim = 1
+        base = _base_split4_tables if split_base else _base_unit_tables
+        mul, conj, qform, support = base(field)
         for kappa in kappas:
-            mul, conj, qform = _double_tables(field, mul, conj, qform, dim, kappa)
-            dim *= 2
+            mul, conj, qform = _double_tables(field, mul, conj, qform, len(conj), kappa)
+        dim = len(conj)
         if dim not in (1, 2, 4, 8):
             raise ValueError(f"composition algebras exist only in dims 1,2,4,8, got {dim}")
         self.dim = dim
         self.table = MulTable(dim, mul)
         self._conj = tuple(conj)
         self._qform = qform
-        self.unit_coords = self._unit()
+        one, zero = field.one(), field.zero()
+        self.unit_coords = tuple(one if k in support else zero for k in range(dim))
         self._base = None
         chain = ",".join(field.scalar_str(k) for k in kappas)
         if split_base:
@@ -115,16 +116,6 @@ class CDAlgebra(Algebra):
             self.basis_tag = f"cd:{field}:{chain}"
         if self.gram_rank() != dim:
             raise ValueError("degenerate quadratic form (bad kappa chain)")
-
-    def _unit(self):
-        one, zero = self.field.one(), self.field.zero()
-        e = [zero] * self.dim
-        if self.split_base:
-            e[0] = one
-            e[3] = one
-        else:
-            e[0] = one
-        return tuple(e)
 
     @classmethod
     def split_octonions(cls, field: FieldSpec) -> "CDAlgebra":
@@ -164,10 +155,7 @@ class CDAlgebra(Algebra):
         f = self.field
         acc = f.zero()
         for (i, j), c in self._qform.items():
-            if i == j:
-                acc = f.add(acc, f.mul(c, f.mul(x[i], x[i])))
-            else:
-                acc = f.add(acc, f.mul(c, f.mul(x[i], x[j])))
+            acc = f.add(acc, f.mul(c, f.mul(x[i], x[j])))
         return acc
 
     def bilin_raw(self, x, y):
@@ -175,10 +163,7 @@ class CDAlgebra(Algebra):
         f = self.field
         acc = f.zero()
         for (i, j), c in self._qform.items():
-            if i == j:
-                acc = f.add(acc, f.mul(c, f.mul(f.from_int(2), f.mul(x[i], y[i]))))
-            else:
-                acc = f.add(acc, f.mul(c, f.add(f.mul(x[i], y[j]), f.mul(x[j], y[i]))))
+            acc = f.add(acc, f.mul(c, f.add(f.mul(x[i], y[j]), f.mul(x[j], y[i]))))
         return acc
 
     def gram_matrix(self):

@@ -53,16 +53,16 @@ class MarkedAffineDiagram:
             if not _positive_int(mark):
                 raise ValueError(f"mark {mark!r} is not a positive integer")
         for e in self.edges:
-            if not all(isinstance(i, int) and 0 <= i < n for i in (e.a, e.b)):
+            if not (_node_index(e.a, n) and _node_index(e.b, n)):
                 raise ValueError(f"edge ({e.a}, {e.b}) has a node index outside 0..{n - 1}")
             if not _positive_int(e.mult):
                 raise ValueError(
                     f"edge ({e.a}, {e.b}) has multiplicity {e.mult!r}, not a positive integer"
                 )
-            if e.tip not in (None, e.a, e.b):
+            if e.tip is not None and not (_node_index(e.tip, n) and e.tip in (e.a, e.b)):
                 raise ValueError(f"edge ({e.a}, {e.b}) has tip {e.tip!r}, not one of its ends")
         for pair in self.folding:
-            if len(pair) != 2 or not all(isinstance(i, int) and 0 <= i < n for i in pair):
+            if len(pair) != 2 or not all(_node_index(i, n) for i in pair):
                 raise ValueError(f"folding pair {pair!r} is not two node indices below {n}")
             a, b = pair
             if self.marks[a] != self.marks[b]:
@@ -80,6 +80,11 @@ class MarkedAffineDiagram:
 
 def _positive_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool) and x >= 1
+
+
+def _node_index(x, n: int) -> bool:
+    """An int, not a bool, in 0..n-1."""
+    return isinstance(x, int) and not isinstance(x, bool) and 0 <= x < n
 
 
 def _orbits(n: int, pairs) -> tuple:

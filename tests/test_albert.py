@@ -173,11 +173,25 @@ def test_commutative():
             assert jmul(x, y).coords == jmul(y, x).coords
 
 
+# the coordinates that each model's unit sets
+DIAGONAL = {"her": (0, 1, 2), "tits": (0, 4, 8)}
+
+
+def diag_models():
+    return all_models() + [tits(Q(), Fraction(3, 2))]
+
+
 def test_diagonal_product():
-    alg = split_albert(Q())
-    x = alg.diag(1, 2, 3)
-    y = alg.diag(4, 5, 6)
-    assert jmul(x, y).coords == alg.diag(4, 10, 18).coords
+    """diag(a, b, c) sets exactly the model's three diagonal coordinates, its
+    zeros are the field's shared zero(), and diagonal elements multiply
+    entrywise."""
+    for alg in diag_models():
+        f = alg.field
+        x = alg.diag(1, 2, 3)
+        assert [k for k, v in enumerate(x.coords) if v] == list(DIAGONAL[alg.model])
+        assert all(v is f.zero() for v in x.coords if not v)
+        y = alg.diag(4, 5, 6)
+        assert jmul(x, y).coords == alg.diag(4, 10, 18).coords
 
 
 def test_hermitian_closure():
@@ -212,12 +226,12 @@ def test_power_associativity_samples():
 # -- cubic data ----------------------------------------------------------------
 
 def test_norm_of_unit_and_diag():
-    for alg in all_models():
+    for alg in diag_models():
         f = alg.field
         assert norm(alg.unit()) == 1
         assert alg.tr_raw(alg.unit_coords) == f.from_int(3)
-    alg = split_albert(Q())
-    assert norm(alg.diag(2, 3, 4)) == scalar(Q(), 24)
+        assert alg.tr_raw(alg.diag(2, 3, 5).coords) == f.from_int(10)
+        assert norm(alg.diag(2, 3, 4)) == scalar(f, 24)
 
 
 @pytest.mark.parametrize("field", [Q(), Fp(7)], ids=str)
@@ -805,15 +819,15 @@ def test_tits_diagonal_torus_characters():
 
 @pytest.mark.parametrize("field", [Q(), Fp(7)], ids=str)
 def test_each_model_refuses_the_other_models_arguments(field):
-    """gamma or octonions on the Tits model and varsigma on the Hermitian
-    model raise ValueError naming the argument, instead of building a model
-    that drops it."""
+    """Neither factory takes the other model's arguments: varsigma on the
+    Hermitian model and gamma or octonions on the Tits model raise
+    TypeError, instead of building a model that drops them."""
     o = CDAlgebra.split_octonions(field)
-    for kwargs, name in ((dict(gamma=(1, 2, 3)), "gamma"), (dict(octonions=o), "octonions")):
-        with pytest.raises(ValueError, match=f"^{name} belongs to the Hermitian model"):
-            AlbertAlgebra("tits", field, **kwargs)
-    with pytest.raises(ValueError, match="^varsigma belongs to the Tits model"):
-        AlbertAlgebra("her", field, octonions=o, varsigma=5)
-    assert AlbertAlgebra("tits", field, varsigma=5).basis_tag == f"tits:{field}:varsigma=5"
-    assert AlbertAlgebra("her", field, octonions=o, gamma=(1, 2, 3)).gamma == \
-        tuple(map(field.coerce, (1, 2, 3)))
+    with pytest.raises(TypeError):
+        hermitian(o, varsigma=5)
+    with pytest.raises(TypeError):
+        tits(field, gamma=(1, 2, 3))
+    with pytest.raises(TypeError):
+        tits(field, octonions=o)
+    assert tits(field, varsigma=5).basis_tag == f"tits:{field}:varsigma=5"
+    assert hermitian(o, gamma=(1, 2, 3)).gamma == tuple(map(field.coerce, (1, 2, 3)))

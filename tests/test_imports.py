@@ -1,8 +1,9 @@
 """Every name a module of the package imports is used in that module, no
 module takes another's private names, U_x is built as a map in one place,
 whether a product commutes is read off its table alone, Kronecker packing
-stays in `linalg.MatVec` and `linalg.SignedPacking`, and random streams are
-made only from a caller's seed."""
+stays in `linalg.MatVec` and `linalg.SignedPacking`, random streams are
+made only from a caller's seed, and an algebra's model string is read only
+to refuse."""
 
 import ast
 import pathlib
@@ -236,3 +237,36 @@ def test_only_the_table_reads_the_field_in_quatclass():
              if isinstance(node, ast.Attribute) and node.attr in ("kind", "p")
              or isinstance(node, ast.Name) and node.id in FIELD_KINDS]
     assert not found, f"quatclass reads the field outside its table: {', '.join(found)}"
+
+
+# an Albert model's unit, trace, diagonal and Gram matrix are read off its
+# structure data: the model string is compared only to refuse an operation of
+# the other model, with a typed mismatch
+REFUSALS = {"ModelMismatch", "CarrierMismatch"}
+
+
+def _reads_model(node):
+    return any(isinstance(n, ast.Attribute) and n.attr == "model" for n in ast.walk(node))
+
+
+def _model_branches(tree):
+    """Lines of the comparisons that read a `.model` attribute and are not in
+    the test of an `if` with no `else` whose body is one `raise` of a
+    `REFUSALS` error, and of the `match` statements on one."""
+    refusing = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.If) and not node.orelse and len(node.body) == 1
+                and isinstance(node.body[0], ast.Raise)):
+            exc = node.body[0].exc
+            if getattr(exc.func if isinstance(exc, ast.Call) else exc, "id", None) in REFUSALS:
+                refusing |= {id(n) for n in ast.walk(node.test)}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Compare) and id(node) not in refusing and _reads_model(node)
+                or isinstance(node, ast.Match) and _reads_model(node.subject)):
+            yield node.lineno
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_the_model_is_read_only_to_refuse(path):
+    found = [f"line {line}" for line in _model_branches(ast.parse(path.read_text()))]
+    assert not found, f"{path.name} branches on a model outside a typed refusal: {', '.join(found)}"

@@ -6,6 +6,7 @@ from math import gcd
 import pytest
 
 import brownalg.kac as kac
+from brownalg import cli
 from brownalg.errors import UnrecognizedType
 from brownalg.kac import (
     E6_EXTENDED,
@@ -227,6 +228,25 @@ def test_json_copy_of_twisted_diagram_matches_builtin(tmp_path):
 def test_malformed_diagram_raises_value_error(marks, edges, folding):
     with pytest.raises(ValueError):
         MarkedAffineDiagram("x", marks, edges, folding)
+
+
+@pytest.mark.parametrize("doc", [
+    '{"marks": [1, 1, 1], "edges": [[0, true], [true, 2]]}',
+    '{"marks": [1, 2, 1], "edges": [[0, 1, 2, true], [1, 2]]}',
+    '{"marks": [1, 2, 1], "edges": [[0, 1, 2, 1.0], [1, 2]]}',
+    '{"marks": [1, 1, 1], "edges": [[0, 1], [0, 2]], "folding": [[true, 2]]}',
+], ids=["edge-end-bool", "tip-bool", "tip-float", "folding-bool"])
+def test_node_index_that_is_not_an_int_exits_2(tmp_path, capsys, doc):
+    """A JSON true or 1.0 is not node 1: as an edge end, a tip or a folding
+    index it is refused by the diagram and by the CLI."""
+    path = tmp_path / "d.json"
+    path.write_text(doc)
+    assert cli.main(["kac", str(path), "2"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    raw = json.loads(doc)
+    with pytest.raises(ValueError):
+        MarkedAffineDiagram("x", tuple(raw["marks"]), tuple(Edge(*e) for e in raw["edges"]),
+                            tuple(map(tuple, raw.get("folding", []))))
 
 
 BOX = 12  # the reference enumerates m = 1..BOX
